@@ -101,13 +101,6 @@ def multiplicative_order(a: int, n: int) -> int:
     return order
 
 
-def euler_phi(n: int) -> int:
-    phi = 1
-    for p, e in factorize_int(n).items():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
-
-
 def least_primitive_root(p: int) -> int:
     """Smallest positive primitive root modulo the prime p."""
     if not is_prime(p):

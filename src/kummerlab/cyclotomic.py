@@ -6,7 +6,6 @@ conjugation and evaluation only.  Elements are immutable coefficient tuples
 of length phi(n), reduced mod Phi_n; equality is coefficient equality.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -244,33 +243,13 @@ def express_in_periods(
     """
     if x.ring != system.ring:
         raise ValueError("element does not live in the system's ring")
-    d = system.ring.degree
-    cols = [eta.coeffs for eta in system.periods]
-    # Solve sum c_i * cols[i] = x.coeffs exactly over Q, then check
-    # integrality.
-    rows = [[Fraction(cols[i][r]) for i in range(system.e)] for r in range(d)]
-    target = [Fraction(c) for c in x.coeffs]
-    pivot_rows: list[int] = []
-    r = 0
-    work = [row + [t] for row, t in zip(rows, target)]
-    for col in range(system.e):
-        piv = next((i for i in range(r, d) if work[i][col]), None)
-        if piv is None:
-            return None
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [c * inv for c in work[r]]
-        for i in range(d):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivot_rows.append(r)
-        r += 1
-    # Consistency: rows without pivots must have zero right-hand side.
-    for i in range(r, d):
-        if work[i][system.e]:
-            return None
-    values = [work[i][system.e] for i in pivot_rows]
-    if any(v.denominator != 1 for v in values):
+    # Z[alpha] = Z^lam / (1, ..., 1) and eta_i is the indicator of the coset
+    # {g^j : j = i mod e}, so x = sum c_i eta_i exactly when the lifted
+    # coefficients minus x[0] are constant on each coset.
+    lifted = list(x.coeffs) + [0]
+    lam, g = system.lam, system.g
+    diffs = [lifted[pow(g, j, lam)] - lifted[0] for j in range(lam - 1)]
+    coords = tuple(diffs[: system.e])
+    if any(c != coords[j % system.e] for j, c in enumerate(diffs)):
         return None
-    return tuple(int(v) for v in values)
+    return coords

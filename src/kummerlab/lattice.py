@@ -11,9 +11,6 @@ tables: ``table[i][j]`` is the coordinate vector of e_i * e_j.  Ideal
 arithmetic (products, colon ideals) is done relative to such a table.
 """
 
-from fractions import Fraction
-from math import lcm
-
 MultTable = tuple[tuple[tuple[int, ...], ...], ...]
 
 
@@ -148,15 +145,7 @@ class IntLattice:
         d = self.dim
         if len(list(v)) != d or len(table) != d:
             raise ValueError("dimension mismatch")
-        mv = multiplication_matrix(v, table)
-        binv = _inverse_fraction_matrix([list(r) for r in self.rows])
-        frac = [
-            [sum(Fraction(mv[i][k]) * binv[k][j] for k in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-        q = lcm(*[c.denominator for row in frac for c in row], 1)
-        nmat = [[int(c * q) for c in row] for row in frac]
-        return kernel_mod(nmat, q)
+        return _preimage(multiplication_matrix(v, table), self.rows)
 
     def transformed(self, func) -> "IntLattice":
         """Image lattice under a Z-linear map given on coordinate rows."""
@@ -210,36 +199,24 @@ def principal_lattice(v, table: MultTable) -> IntLattice:
     return IntLattice(multiplication_matrix(v, table))
 
 
-def _inverse_fraction_matrix(mat: list[list[int]]) -> list[list[Fraction]]:
-    d = len(mat)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
-            for i, row in enumerate(mat)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if work[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [c * inv for c in work[col]]
-        for r in range(d):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return [row[d:] for row in work]
+def _preimage(nmat, target_rows) -> IntLattice:
+    """The lattice {x in Z^d : x @ N in span_Z(target_rows)} for a d x m N.
+
+    The transform rows that clear the stacked matrix [N; T] are exactly the
+    relations x @ N + y @ T = 0, so their first d entries span the preimage.
+    """
+    d = len(nmat)
+    stacked = [list(r) for r in nmat] + [list(r) for r in target_rows]
+    total = len(stacked)
+    transform = [[int(i == j) for j in range(total)] for i in range(total)]
+    _triangularize(stacked, transform)
+    return IntLattice(
+        [transform[r][:d] for r in range(total) if not any(stacked[r])]
+    )
 
 
 def kernel_mod(nmat: list[list[int]], q: int) -> IntLattice:
     """The lattice {x in Z^d : x @ N == 0 mod q} for a d x m integer N."""
-    d = len(nmat)
     m = len(nmat[0])
-    stacked = [list(r) for r in nmat]
-    stacked += [[q * int(i == j) for j in range(m)] for i in range(m)]
-    total = d + m
-    transform = [[int(i == j) for j in range(total)] for i in range(total)]
-    _triangularize(stacked, transform)
-    kernel_rows = [
-        transform[r][:d] for r in range(total) if not any(stacked[r])
-    ]
-    if len(kernel_rows) != d:
-        raise AssertionError("kernel projection must have full rank")
-    return IntLattice(kernel_rows)
+    target = [[q * int(i == j) for j in range(m)] for i in range(m)]
+    return _preimage(nmat, target)

@@ -68,13 +68,6 @@ def divmod_exact(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     return trim(q), r
 
 
-def evaluate(f: list[int], x: int) -> int:
-    y = 0
-    for c in reversed(f):
-        y = y * x + c
-    return y
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """The n-th cyclotomic polynomial, by exact division of X^n - 1.

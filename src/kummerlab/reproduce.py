@@ -3,13 +3,11 @@
 Every claim is a pure function returning a small result dict; a failed
 mathematical assertion marks the claim failed.  Claims are keyed by
 descriptive ids ("valuation/ramified-multiplicities"), run in sorted order,
-and the rendered output is byte-identical across runs and thread counts.
+and the rendered output is byte-identical across runs.
 The final claim re-runs the whole suite and certifies that byte-identity.
 """
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -699,14 +697,7 @@ def run_claims(
         ),
         key=lambda pair: pair[0],
     )
-    threads = int(os.environ.get("KUMMERLAB_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_one, n, f, cfg) for n, f in selected]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_one(n, f, cfg) for n, f in selected]
-    return results
+    return [_run_one(n, f, cfg) for n, f in selected]
 
 
 def _render_claim_results(results: list[dict]) -> str:

@@ -2,9 +2,10 @@
 
 Each test drives the corresponding claim of the reproduce suite and prints
 a single pass/fail line; criterion 12 additionally certifies byte-identity
-of two consecutive full JSON runs and the runtime budget.
+of two consecutive full JSON runs, their golden sha256 and the runtime budget.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -12,6 +13,9 @@ import pytest
 from kummerlab.reproduce import _CLAIMS, Config, reproduce_all
 
 CFG = Config()
+# sha256 of `kummerlab reproduce --json`; change it only together with an
+# intended change of a reported value
+GOLDEN_SHA256 = "c60eac7caeebf83873ef5bae3c67499c9011696b9f0a03c0f58633def0ab9c7b"
 CLAIMS = dict(_CLAIMS)
 
 CRITERIA = [
@@ -51,6 +55,7 @@ def test_acceptance_criterion_12_determinism():
     try:
         assert code1 == 0 and code2 == 0
         assert first == second
+        assert hashlib.sha256(first.encode()).hexdigest() == GOLDEN_SHA256
         assert mid - t0 <= 60, f"first run took {mid - t0:.1f}s"
         assert end - mid <= 60, f"second run took {end - mid:.1f}s"
     except AssertionError:

@@ -194,16 +194,6 @@ def test_cli_reproduce_filtered(capsys):
     assert "1/1 claims passed" in out
 
 
-def test_reproduce_filtered_byte_identical_across_threads(capsys, monkeypatch):
-    argv = ["reproduce", "--filter", "monoid", "--json"]
-    code, first = _run(capsys, argv)
-    assert code == 0
-    monkeypatch.setenv("KUMMERLAB_THREADS", "3")
-    code, second = _run(capsys, argv)
-    assert code == 0
-    assert first == second
-
-
 def test_json_reports_never_contain_floats(capsys):
     for argv in (
         ["maps", "--lambda", "5", "--p", "19", "--periods", "2", "--json"],

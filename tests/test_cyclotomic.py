@@ -140,6 +140,26 @@ def test_express_in_periods():
     assert rebuilt == combo
 
 
+def test_express_in_periods_generated():
+    # eta_0 + ... + eta_{e-1} = -1, so c0 + sum c_i eta_i has coordinates
+    # c_i - c0; bumping one alpha-coefficient leaves the period subring
+    # whenever the periods have length f > 1
+    rng = random.Random(RNG_SEED + 5)
+    for lam, e in [(5, 1), (5, 2), (5, 4), (7, 2), (7, 3), (11, 5), (13, 4),
+                   (13, 6), (17, 8), (19, 9), (23, 11)]:
+        system = gaussian_periods(lam, e)
+        ring = system.ring
+        for _ in range(20):
+            c0 = rng.randint(-9, 9)
+            cs = [rng.randint(-9, 9) for _ in range(e)]
+            x = system.combine(c0, cs)
+            assert express_in_periods(x, system) == tuple(c - c0 for c in cs)
+            if e < lam - 1:
+                k = rng.choice([-2, -1, 1, 2])
+                bump = k * ring.alpha(rng.randint(1, lam - 2))
+                assert express_in_periods(x + bump, system) is None
+
+
 def test_period_system_validation():
     with pytest.raises(ValueError):
         gaussian_periods(5, 3)

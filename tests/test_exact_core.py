@@ -1,5 +1,6 @@
 """Integer, polynomial, finite-field, and lattice layer."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,7 +15,14 @@ from kummerlab.arith import (
     squarefree_decomposition,
 )
 from kummerlab.ffield import FiniteField
-from kummerlab.lattice import IntLattice, hnf, kernel_mod, principal_lattice
+from kummerlab.cyclotomic import cyclotomic_ring
+from kummerlab.lattice import (
+    IntLattice,
+    hnf,
+    kernel_mod,
+    multiply_coords,
+    principal_lattice,
+)
 from kummerlab.polyint import cyclotomic_polynomial, divmod_exact, mul, resultant
 from kummerlab.polymod import factor_mod_p, gf_mul, gf_normalize
 
@@ -331,11 +339,12 @@ def test_product_index_divisibility():
 
 
 def _random_ideal(table, rng):
+    d = len(table)
     n = rng.randint(1, 15)
-    rows = [[n, 0], [0, n]]
+    rows = [[n * int(i == j) for j in range(d)] for i in range(d)]
     for _ in range(2):
-        e = [rng.randint(-5, 5), rng.randint(-5, 5)]
-        if e != [0, 0]:
+        e = [rng.randint(-5, 5) for _ in range(d)]
+        if any(e):
             rows += [list(r) for r in principal_lattice(e, table).rows]
     return hnf(rows)
 
@@ -361,3 +370,33 @@ def test_kernel_mod():
     assert [8, 1] in lat
     assert [11, 0] in lat
     assert [1, 0] not in lat
+
+
+def _box(d, r):
+    return itertools.product(range(-r, r + 1), repeat=d)
+
+
+def test_colon_and_kernel_mod_generated():
+    rng = random.Random(RNG_SEED + 41)
+    for table in (GAUSSIAN, SQRT_M3, cyclotomic_ring(5).mult_table()):
+        d = len(table)
+        for _ in range(25):
+            lat = _random_ideal(table, rng)
+            v = [0] * d
+            while not any(v):
+                v = [rng.randint(-5, 5) for _ in range(d)]
+            col = lat.colon(v, table)
+            for delta in col.rows:
+                assert multiply_coords(v, delta, table) in lat
+            for delta in _box(d, 2 if d == 2 else 1):
+                assert (list(delta) in col) == (
+                    multiply_coords(v, delta, table) in lat
+                )
+    for _ in range(40):
+        d, m = rng.randint(1, 3), rng.randint(1, 3)
+        q = rng.randint(1, 12)
+        nmat = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(d)]
+        lat = kernel_mod(nmat, q)
+        for x in _box(d, 3):
+            image = [sum(x[i] * nmat[i][k] for i in range(d)) for k in range(m)]
+            assert (list(x) in lat) == all(c % q == 0 for c in image)
