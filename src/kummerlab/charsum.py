@@ -407,7 +407,7 @@ def binomial_congruence(p: int) -> dict:
     }
 
 
-def stickelberger_check(lam: int, p: int, uniformizer_bound: int = 6) -> dict:
+def stickelberger_check(lam: int, p: int) -> dict:
     """The prime-ideal support of J(chi, chi) for chi of odd prime order lam.
 
     With the prime above p normalized by xi = g^m (so that the residue
@@ -429,7 +429,7 @@ def stickelberger_check(lam: int, p: int, uniformizer_bound: int = 6) -> dict:
     for t in range(1, lam):
         xi = pow(chi.g, chi.m * t, p)
         phi = map_for_root(maps, xi)
-        K = kummer_prime(phi, uniformizer_bound)
+        K = kummer_prime(phi)
         v_kummer = multiplicity(j, K)
         v_lattice = valuation_oracle(j, phi)
         expected = 1 if 2 * t < lam else 0

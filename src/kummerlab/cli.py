@@ -17,7 +17,6 @@ from kummerlab.idealprimes import enumerate_jacobi_maps
 from kummerlab.reports import render_json, render_text
 from kummerlab.reproduce import Config, reproduce_all
 from kummerlab.valuation import (
-    UniformizerSearchError,
     divides,
     factorize,
     find_uniformizer,
@@ -42,13 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON reports")
-    common.add_argument(
-        "--uniformizer-bound",
-        type=int,
-        default=3,
-        metavar="N",
-        help="starting max-norm for uniformizer searches (default 3)",
-    )
     common.add_argument(
         "--enum-cap",
         type=int,
@@ -208,7 +200,7 @@ def _cmd_maps(args) -> int:
 def _cmd_factor(args) -> int:
     ring = cyclotomic_ring(args.lam)
     x = parse_element(args.expr, ring)
-    fact = factorize(x, args.trial_div, max(2 * args.uniformizer_bound, 6))
+    fact = factorize(x, args.trial_div)
     records = [
         {
             "p": r.map.p,
@@ -239,7 +231,7 @@ def _cmd_valuation(args) -> int:
     if x.is_zero():
         raise UsageError("valuation of 0 is infinite")
     phi = _find_map(args.lam, args.p, args.xi)
-    K = find_uniformizer(phi, bound=args.uniformizer_bound)
+    K = find_uniformizer(phi)
     mu = multiplicity(x, K)
     oracle = valuation_oracle(x, phi)
     result = {
@@ -322,9 +314,7 @@ def _cmd_fc_check(args) -> int:
 
 
 def _cmd_stickelberger(args) -> int:
-    rep = charsum.stickelberger_check(
-        args.lam, args.p, max(2 * args.uniformizer_bound, 6)
-    )
+    rep = charsum.stickelberger_check(args.lam, args.p)
     return _emit(args, "stickelberger", rep, failed=not rep["holds"])
 
 
@@ -437,11 +427,7 @@ def _cmd_quad(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    cfg = Config(
-        uniformizer_bound=args.uniformizer_bound,
-        enum_cap=args.enum_cap,
-        trial_division_bound=args.trial_div,
-    )
+    cfg = Config(enum_cap=args.enum_cap, trial_division_bound=args.trial_div)
     out, code = reproduce_all(cfg, args.filter, args.json)
     sys.stdout.write(out)
     return code
@@ -475,9 +461,6 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UniformizerSearchError as exc:
-        print(f"search failed: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
     except ArithmeticError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return EXIT_ASSERTION

@@ -44,7 +44,6 @@ SEED = 20260810
 
 @dataclass(frozen=True)
 class Config:
-    uniformizer_bound: int = 3
     enum_cap: int = 10000
     trial_division_bound: int = 10**6
 
@@ -71,11 +70,11 @@ def _elements(lam: int, count: int, seed_offset: int, spread: int = 4):
     return out
 
 
-def _all_kummer_primes(lam: int, prime_bound: int, cfg: Config):
+def _all_kummer_primes(lam: int, prime_bound: int):
     out = []
     for p in primes_below(prime_bound + 1):
         for phi in enumerate_jacobi_maps(lam, p):
-            out.append(kummer_prime(phi, max(2 * cfg.uniformizer_bound, 6)))
+            out.append(kummer_prime(phi))
     return out
 
 
@@ -179,19 +178,20 @@ def _claim_u_vectors(cfg: Config) -> dict:
 def _claim_uniformizers(cfg: Config) -> dict:
     maps11 = enumerate_jacobi_maps(5, 11)
     ring = maps11[0].ring
-    K9 = find_uniformizer(map_for_root(maps11, 9), bound=cfg.uniformizer_bound)
+    K9 = find_uniformizer(map_for_root(maps11, 9))
     assert K9.map.kills(K9.psi)
     assert K9.period_norm % 11 == 0 and (K9.period_norm // 11) % 11 != 0
-    # 2 + alpha is also a valid uniformizer for the xi = 9 map ...
+    # psi = alpha - u_0 with u_0 = 9 = -2 mod 11: Kummer's own 2 + alpha ...
     cand = ring.element([2, 1])
+    assert K9.psi == cand
     assert K9.map.kills(cand) and norm(cand) == 11
-    # ... while alpha - 3 is killed by the xi = 3 map but has norm 11^2.
+    # ... while alpha - 3 is killed by the xi = 3 map but has norm 11^2,
+    # so that map's uniformizer is alpha - 3 + 11 = 8 + alpha.
     rejected = ring.alpha() - ring.element(3)
     assert map_for_root(maps11, 3).kills(rejected)
     assert norm(rejected) == 121
-    K_ram = find_uniformizer(
-        enumerate_jacobi_maps(3, 3)[0], bound=cfg.uniformizer_bound
-    )
+    assert find_uniformizer(map_for_root(maps11, 3)).psi == ring.element([8, 1])
+    K_ram = find_uniformizer(enumerate_jacobi_maps(3, 3)[0])
     assert abs(K_ram.period_norm) == 3
     return {
         "psi_for_xi9": render_element(K9.psi),
@@ -464,9 +464,7 @@ def _acc_reflection(cfg: Config) -> dict:
 def _acc_stickelberger(cfg: Config) -> dict:
     out = {}
     for lam, p in [(3, 7), (3, 13), (5, 11), (5, 31), (7, 29)]:
-        rep = charsum.stickelberger_check(
-            lam, p, max(2 * cfg.uniformizer_bound, 6)
-        )
+        rep = charsum.stickelberger_check(lam, p)
         assert rep["holds"], rep
         out[f"{lam},{p}"] = [e["valuation"] for e in rep["entries"]]
     return out
@@ -487,7 +485,7 @@ def _acc_agreement(cfg: Config) -> dict:
     checked = 0
     positive = 0
     for lam in (3, 5, 7):
-        primes = _all_kummer_primes(lam, 50, cfg)
+        primes = _all_kummer_primes(lam, 50)
         corpus = _elements(lam, 170, seed_offset=lam)
         for x in corpus:
             nval = norm(x)

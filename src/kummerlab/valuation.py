@@ -1,11 +1,11 @@
 """Discrete valuations on Z[alpha] built from uniformizers.
 
-A KummerPrime packages a Jacobi map with a uniformizer psi found among
-integer combinations of Gaussian periods: psi is killed by the map and its
-period-field norm psi * Psi (with Psi the product of the remaining period
-conjugates) is divisible by q exactly once.  The multiplicity of the ideal
-prime in an element x is then the largest mu such that every coefficient of
-x * Psi^mu is divisible by q^mu.
+A KummerPrime packages a Jacobi map with a uniformizer psi constructed, as
+Kummer did, from the map's period residues u = (u_0, ..., u_{e-1}): psi is
+killed by the map and its period-field norm psi * Psi (with Psi the product
+of the remaining period conjugates) is divisible by q exactly once.  The
+multiplicity of the ideal prime in an element x is then the largest mu such
+that every coefficient of x * Psi^mu is divisible by q^mu.
 
 An independent oracle computes the same number as the largest mu with
 x in (ker phi)^mu, using iterated lattice products and no uniformizer at
@@ -16,7 +16,6 @@ lattices / exact division).
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iter_product
 
 from kummerlab.arith import (
     DEFAULT_TRIAL_DIVISION_BOUND,
@@ -31,33 +30,14 @@ from kummerlab.cyclotomic import (
     norm,
 )
 from kummerlab.idealprimes import JacobiMap, enumerate_jacobi_maps
-from kummerlab.lattice import principal_lattice
+from kummerlab.lattice import kernel_mod, principal_lattice
 
-DEFAULT_UNIFORMIZER_BOUND = 3
-MAX_UNIFORMIZER_BOUND = 6
-
-# Hard cap on candidates examined per search.  Every map the acceptance
-# grid certifies through a uniformizer finds one within a few hundred
-# candidates; the cap only cuts off searches that are hopeless because the
-# prime is too large for any bounded period combination.
-SEARCH_CANDIDATE_BUDGET = 200_000
-
-# Above this prime, factorize/divides go straight to the lattice oracle:
-# the smallest period uniformizer has coefficients of size about p^(1/e),
-# so bounded searches are pointless there.
-KUMMER_SEARCH_PRIME_LIMIT = 200
-
-
-class UniformizerSearchError(RuntimeError):
-    """No uniformizer within the search limits; the limits are echoed."""
-
-    def __init__(self, phi: JacobiMap, bound: int, examined: int):
-        self.bound = bound
-        self.examined = examined
-        super().__init__(
-            f"uniformizer search for {phi!r} exhausted coefficient bound "
-            f"{bound} after {examined} candidates; raise the bound to continue"
-        )
+# Above this prime, factorize/divides go straight to the lattice oracle.
+# Both routes are exact, so the choice is cost alone: a uniformizer costs
+# e - 1 ring multiplies per map to build Psi, while an element outside the
+# map's kernel (most maps of a large split prime) costs the oracle a single
+# kernel membership test.
+ORACLE_PRIME_THRESHOLD = 200
 
 
 @dataclass(frozen=True)
@@ -95,83 +75,54 @@ def _period_conjugate_product(
     return out
 
 
-def _candidate_vectors(num_coords: int, bound: int):
-    """(c, c_0, ..., c_{e-1}) by increasing max-norm, then lexicographically."""
-    for m in range(1, bound + 1):
-        for vec in iter_product(range(-m, m + 1), repeat=num_coords):
-            if max(abs(v) for v in vec) == m:
-                yield vec
+def find_uniformizer(phi: JacobiMap) -> KummerPrime:
+    """Construct a certified uniformizer of the map's ideal prime; no search.
 
-
-def find_uniformizer(
-    phi: JacobiMap,
-    system: PeriodSystem | None = None,
-    bound: int = DEFAULT_UNIFORMIZER_BOUND,
-    max_bound: int | None = None,
-) -> KummerPrime:
-    """Search period combinations for a uniformizer of the map's ideal prime.
-
-    Candidates psi = c + sum c_i eta_i are enumerated by increasing max-norm
-    and accepted when phi(psi) = 0 and q divides psi * Psi exactly once.
-    The bound auto-escalates up to ``max_bound`` before failing.  For inert
-    primes (e = 1) the rational prime q itself is the canonical uniformizer
-    and is returned directly: the period ring is Z there, and no combination
-    bounded independently of q could reach it.
+    With e = (lam - 1) / f periods and u their residues under phi:
+    - inert (e = 1): psi = q, the period ring being Z;
+    - ramified (q = lam), or u_0 occurring once in u: psi = eta_0 - u_0,
+      with u_0 taken in (-q/2, q/2];
+    - otherwise psi = sum x_k eta_k with residues (0, 1, ..., 1) at the e
+      conjugate primes of q in the period field, whose u-vectors are the
+      rotations of u.  x comes from one kernel_mod call: the circulant of
+      u is invertible mod q because q splits completely in the period field.
+    If q^2 divides the norm, psi + q is taken instead (q is unramified
+    there, so psi + q lies in the prime exactly once).  The result must
+    pass the certificate: phi kills psi and q divides psi * Psi exactly once.
     """
     q = phi.p
-    if max_bound is None:
-        max_bound = max(2 * bound, MAX_UNIFORMIZER_BOUND)
-    if system is None:
-        system = gaussian_periods(phi.lam, (phi.lam - 1) // phi.f)
-    if system.e * phi.f != phi.lam - 1:
-        raise ValueError("period system does not match the map's residue degree")
+    system = gaussian_periods(phi.lam, (phi.lam - 1) // phi.f)
     ring = system.ring
     e = system.e
     if e == 1:
-        psi = ring.element(q)
-        return KummerPrime(phi, system, psi, ring.one(), q)
-    residues = phi.period_residues(system)
-    # The u-vectors of the e conjugate primes of q in the period field are
-    # the e rotations of this map's u-vector, so for unramified q a
-    # candidate is worth an exact norm evaluation only when rotation 0 is
-    # its unique zero: a second zero rotation already forces q^2 | norm.
-    rotations = [tuple(residues[(i + l) % e] for i in range(e)) for l in range(e)]
-    ramified = q == phi.lam
-    current_bound = max(1, bound)
-    examined = 0
-    while True:
-        for vec in _candidate_vectors(e + 1, current_bound):
-            examined += 1
-            if examined > SEARCH_CANDIDATE_BUDGET:
-                raise UniformizerSearchError(phi, current_bound, examined)
-            c, coeffs = vec[0], vec[1:]
-            if ramified:
-                if (c + sum(ci * ui for ci, ui in zip(coeffs, residues))) % q:
-                    continue
-            else:
-                zeros = [
-                    l
-                    for l, rot in enumerate(rotations)
-                    if (c + sum(ci * ui for ci, ui in zip(coeffs, rot))) % q == 0
-                ]
-                if zeros != [0]:
-                    continue
-            psi = system.combine(c, coeffs)
-            if psi.is_zero():
-                continue
-            big_psi = _period_conjugate_product(psi, system)
-            nval = (psi * big_psi).rational_value()
-            if nval % q == 0 and (nval // q) % q != 0:
-                return KummerPrime(phi, system, psi, big_psi, nval)
-        if current_bound >= max_bound:
-            raise UniformizerSearchError(phi, current_bound, examined)
-        current_bound = min(2 * current_bound, max_bound)
+        return KummerPrime(phi, system, ring.element(q), ring.one(), q)
+    u = phi.period_residues(system)
+    if q == phi.lam or u.count(u[0]) == 1:
+        psi = system.periods[0] - (u[0] - q if 2 * u[0] > q else u[0])
+    else:
+        # y = (1, x) with y N = 0 mod q: row 0 puts -1 = q - 1 in every
+        # column but the first, row k + 1 is x_k's residue at each prime.
+        rows = [[0] + [q - 1] * (e - 1)]
+        rows += [[u[(k + l) % e] for l in range(e)] for k in range(e)]
+        psi = system.combine(0, kernel_mod(rows, q).rows[0][1:])
+    big_psi = _period_conjugate_product(psi, system)
+    nval = (psi * big_psi).rational_value()
+    if nval % (q * q) == 0:
+        psi = psi + q
+        big_psi = _period_conjugate_product(psi, system)
+        nval = (psi * big_psi).rational_value()
+    K = KummerPrime(phi, system, psi, big_psi, nval)
+    if not (phi.kills(psi) and K.certificate()["divisible_once"]):
+        raise ArithmeticError(
+            f"constructed uniformizer for {phi!r} failed its certificate"
+        )
+    return K
 
 
 @lru_cache(maxsize=None)
-def kummer_prime(phi: JacobiMap, max_bound: int = MAX_UNIFORMIZER_BOUND) -> KummerPrime:
-    """Cached uniformizer for a map, with the default search bounds."""
-    return find_uniformizer(phi, max_bound=max_bound)
+def kummer_prime(phi: JacobiMap) -> KummerPrime:
+    """Cached uniformizer for a map."""
+    return find_uniformizer(phi)
 
 
 def divisibility_step(x: CyclotomicElement, K: KummerPrime, mu: int) -> bool:
@@ -277,37 +228,19 @@ class IdealFactorization:
         return tuple(r for r in self.records if r.mu > 0)
 
 
-@lru_cache(maxsize=None)
-def _kummer_or_none(phi: JacobiMap, max_bound: int) -> KummerPrime | None:
-    """Cached uniformizer search that also caches failures."""
-    try:
-        return find_uniformizer(phi, max_bound=max_bound)
-    except UniformizerSearchError:
-        return None
-
-
 def _valuation_with_fallback(
-    x: CyclotomicElement, phi: JacobiMap, uniformizer_bound: int
+    x: CyclotomicElement, phi: JacobiMap
 ) -> tuple[int, KummerPrime | None]:
-    """Kummer multiplicity when a bounded uniformizer exists, else oracle.
-
-    For a split prime p the smallest period uniformizer has coefficients on
-    the order of p^(1/e), so a fixed bound cannot serve arbitrarily large
-    norms; the lattice oracle computes the same valuation (their agreement
-    is a tested theorem) without any search.
-    """
-    if phi.p > KUMMER_SEARCH_PRIME_LIMIT:
+    """Kummer multiplicity up to ORACLE_PRIME_THRESHOLD, else the oracle."""
+    if phi.p > ORACLE_PRIME_THRESHOLD:
         return valuation_oracle(x, phi), None
-    K = _kummer_or_none(phi, uniformizer_bound)
-    if K is None:
-        return valuation_oracle(x, phi), None
+    K = kummer_prime(phi)
     return multiplicity(x, K), K
 
 
 def factorize(
     x: CyclotomicElement,
     trial_bound: int = DEFAULT_TRIAL_DIVISION_BOUND,
-    uniformizer_bound: int = MAX_UNIFORMIZER_BOUND,
 ) -> IdealFactorization:
     """Complete ideal prime factorization of a nonzero element."""
     if x.is_zero():
@@ -317,7 +250,7 @@ def factorize(
     for p in sorted(factorize_int(nval, trial_bound)):
         total = 0
         for phi in enumerate_jacobi_maps(x.ring.n, p):
-            mu, K = _valuation_with_fallback(x, phi, uniformizer_bound)
+            mu, K = _valuation_with_fallback(x, phi)
             total += phi.f * mu
             records.append(ValuationRecord(phi, x, mu, K))
         if total != valuation_int(nval, p):
@@ -369,9 +302,8 @@ def divides(
     by_valuation = True
     for p in sorted(factorize_int(norm(d), trial_bound)):
         for phi in enumerate_jacobi_maps(d.ring.n, p):
-            v_d, K = _valuation_with_fallback(d, phi, MAX_UNIFORMIZER_BOUND)
-            v_x = multiplicity(x, K) if K is not None else valuation_oracle(x, phi)
-            if v_d > v_x:
+            v_d = _valuation_with_fallback(d, phi)[0]
+            if v_d > _valuation_with_fallback(x, phi)[0]:
                 by_valuation = False
     if by_division != by_valuation:
         raise ArithmeticError(

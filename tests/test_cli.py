@@ -108,6 +108,20 @@ def test_cli_valuation_and_divides(capsys):
     assert "divides: true" in out
 
 
+def test_cli_valuation_large_split_prime(capsys):
+    # 84 is a cube root of unity mod 193; its uniformizer a - 84 is built,
+    # not searched for, so no coefficient bound can run out
+    code, out = _run(
+        capsys,
+        ["valuation", "--lambda", "3", "--p", "193", "--xi", "84", "193", "--json"],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["psi"] == "-84 + a"
+    assert doc["result"]["mu"] == 1
+    assert doc["result"]["agree"] is True
+
+
 def test_cli_parse_error_exit_code(capsys):
     code = main(["factor", "--lambda", "5", "1 ++ a"])
     assert code == 2

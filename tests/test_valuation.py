@@ -8,7 +8,6 @@ from kummerlab.arith import primes_below, valuation_int
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.valuation import (
-    UniformizerSearchError,
     divides,
     divisibility_step,
     exact_quotient,
@@ -76,15 +75,17 @@ def test_uniformizer_inert_is_q():
     assert K.period_norm == 47
 
 
-def test_uniformizer_bound_exhaustion():
-    # no element of Z[zeta_3] with period coefficients bounded by 6 has
-    # norm exactly divisible by 193 (minimal representations need
-    # coefficients near sqrt(p)), so the search must report its bound
-    phi = enumerate_jacobi_maps(3, 193)[0]
-    assert phi.f == 1  # 193 = 1 mod 3 splits
-    with pytest.raises(UniformizerSearchError) as err:
-        find_uniformizer(phi, bound=3, max_bound=6)
-    assert "bound 6" in str(err.value)
+def test_uniformizer_large_split_prime():
+    # 193 = 1 mod 3 splits; a uniformizer's norm is a multiple of 193, out
+    # of reach of small coefficients, and alpha - u_0 needs no bound
+    ring = cyclotomic_ring(3)
+    for phi in enumerate_jacobi_maps(3, 193):
+        assert phi.f == 1
+        K = find_uniformizer(phi)
+        assert phi.kills(K.psi)
+        assert K.certificate()["divisible_once"]
+        x = K.psi * ring.element([2, 1])
+        assert multiplicity(x, K) == valuation_oracle(x, phi) == 1
 
 
 def test_uniformizer_psi_conjugate_product_definition():
@@ -143,17 +144,25 @@ def test_oracle_example_3_7():
     ) == [0, 1]
 
 
+def _kummer_primes(lam, primes):
+    return [kummer_prime(phi) for p in primes for phi in enumerate_jacobi_maps(lam, p)]
+
+
 def _all_kummer_primes(lam, bound):
-    out = []
-    for p in primes_below(bound + 1):
-        for phi in enumerate_jacobi_maps(lam, p):
-            out.append(kummer_prime(phi))
-    return out
+    return _kummer_primes(lam, primes_below(bound + 1))
 
 
-@pytest.mark.parametrize("lam", [3, 5, 7])
+# Primes at which u_0 repeats in some map's u-vector, so that psi comes from
+# kernel_mod, and psi + q is needed for some of those maps.
+REPEATED_U0_PRIMES = {13: [3], 19: [7, 11]}
+
+
+@pytest.mark.parametrize("lam", [3, 5, 7, 13, 19])
 def test_kummer_vs_oracle_corpus(lam):
-    primes = _all_kummer_primes(lam, 50)
+    if lam in REPEATED_U0_PRIMES:
+        primes = _kummer_primes(lam, REPEATED_U0_PRIMES[lam])
+    else:
+        primes = _all_kummer_primes(lam, 50)
     for x in _elements(lam, 60, RNG_SEED + lam):
         nval = norm(x)
         for K in primes:
