@@ -273,6 +273,8 @@ def gauss_sum_ratio(G: GaussSumRing, i: int, k: int) -> CyclotomicElement:
 def gauss_power_descent(lam: int, p: int, i: int = 1) -> dict:
     """Compute (alpha^i, x)^lam, check it is Y-free and substitution
     invariant, and return it as an element of Z[alpha]."""
+    if lam < 2:
+        raise ValueError(f"order {lam} must be at least 2")
     if (p - 1) % lam != 0:
         raise ValueError(f"lam = {lam} must divide p - 1 = {p - 1}")
     if i % lam == 0:
@@ -379,6 +381,8 @@ def _integer_sqrt(n: int) -> int | None:
 
 def binomial_congruence(p: int) -> dict:
     """Gauss: for p = a^2 + 4b^2 = 4n + 1, 2a = +-C(2n, n) mod p."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if p % 4 != 1:
         raise ValueError(f"{p} must be 1 mod 4")
     n = (p - 1) // 4

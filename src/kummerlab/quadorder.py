@@ -110,7 +110,7 @@ class QuadElement:
 class QuadJacobiMap:
     """A surjective homomorphism Z[theta] -> F_p or F_{p^2}."""
 
-    __slots__ = ("order", "p", "f", "factor", "field", "image")
+    __slots__ = ("order", "p", "f", "factor", "field", "image", "_kernel")
 
     def __init__(self, order: QuadOrder, p: int, factor: tuple[int, ...]):
         self.order = order
@@ -119,6 +119,7 @@ class QuadJacobiMap:
         self.f = len(factor) - 1
         self.field = FiniteField(p, factor)
         self.image = self.field.generator()
+        self._kernel = None
 
     def apply(self, elt: QuadElement) -> FieldElement:
         if elt.order != self.order:
@@ -129,14 +130,16 @@ class QuadJacobiMap:
         return self.apply(elt).is_zero()
 
     def kernel(self) -> IntLattice:
-        f = self.f
-        rows = [
-            [1] + [0] * (f - 1),
-            list(self.image.coeffs) + [0] * (f - len(self.image.coeffs)),
-        ]
-        lattice = kernel_mod(rows, self.p)
-        assert lattice.index() == self.p**f
-        return lattice
+        if self._kernel is None:
+            f = self.f
+            rows = [
+                [1] + [0] * (f - 1),
+                list(self.image.coeffs) + [0] * (f - len(self.image.coeffs)),
+            ]
+            lattice = kernel_mod(rows, self.p)
+            assert lattice.index() == self.p**f
+            self._kernel = lattice
+        return self._kernel
 
     def label(self):
         if self.f == 1:

@@ -4,7 +4,6 @@ Every claim is a pure function returning a small result dict; a failed
 mathematical assertion marks the claim failed.  Claims are keyed by
 descriptive ids ("valuation/ramified-multiplicities"), run in sorted order,
 and the rendered output is byte-identical across runs.
-The final claim re-runs the whole suite and certifies that byte-identity.
 """
 
 import random
@@ -651,17 +650,6 @@ def _acc_descent(cfg: Config) -> dict:
     return out
 
 
-@claim("acceptance/12-determinism")
-def _acc_determinism(cfg: Config) -> dict:
-    import hashlib
-
-    first = _render_claim_results(run_claims(cfg, include_determinism=False))
-    second = _render_claim_results(run_claims(cfg, include_determinism=False))
-    assert first == second, "claim suite output is not byte-identical"
-    digest = hashlib.sha256(first.encode()).hexdigest()
-    return {"bytes": len(first), "sha256": digest}
-
-
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
@@ -681,25 +669,16 @@ def _run_one(name: str, fn, cfg: Config) -> dict:
         }
 
 
-def run_claims(
-    cfg: Config,
-    name_filter: str | None = None,
-    include_determinism: bool = True,
-) -> list[dict]:
+def run_claims(cfg: Config, name_filter: str | None = None) -> list[dict]:
     selected = sorted(
         (
             (name, fn)
             for name, fn in _CLAIMS
-            if (name_filter is None or name_filter in name)
-            and (include_determinism or name != "acceptance/12-determinism")
+            if name_filter is None or name_filter in name
         ),
         key=lambda pair: pair[0],
     )
     return [_run_one(n, f, cfg) for n, f in selected]
-
-
-def _render_claim_results(results: list[dict]) -> str:
-    return render_json("reproduce", {"claims": results})
 
 
 def reproduce_all(
@@ -712,7 +691,7 @@ def reproduce_all(
     results = run_claims(cfg, name_filter)
     failures = [r for r in results if r["status"] != "pass"]
     if json_mode:
-        out = _render_claim_results(results)
+        out = render_json("reproduce", {"claims": results})
     else:
         lines = [f"{r['status'].upper():4s} {r['claim']}" for r in results]
         lines.append(

@@ -1,21 +1,25 @@
 """Acceptance gate: one test per criterion, all exact, no tolerances.
 
 Each test drives the corresponding claim of the reproduce suite and prints
-a single pass/fail line; criterion 12 additionally certifies byte-identity
-of two consecutive full JSON runs, their golden sha256 and the runtime budget.
+a single pass/fail line; criterion 12 certifies that two fresh processes
+with different hash seeds print the same full JSON report, byte for byte,
+with the golden sha256 and inside the runtime budget.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from kummerlab.reproduce import _CLAIMS, Config, reproduce_all
+from kummerlab.reproduce import _CLAIMS, Config
 
 CFG = Config()
 # sha256 of `kummerlab reproduce --json`; change it only together with an
 # intended change of a reported value
-GOLDEN_SHA256 = "d877aa3db64bcdd0738102067a3f6462751c922dd4fed0312fda51badc4a2872"
+GOLDEN_SHA256 = "3fb4a7f44860b32483557a59884e61f97d07d30d55454e1a7a29e7ef74d0e4a7"
 CLAIMS = dict(_CLAIMS)
 
 CRITERIA = [
@@ -44,24 +48,34 @@ def test_acceptance_criterion(number, name, claim_id):
     print(f"ACCEPTANCE {number:02d} {name}: PASS {detail}")
 
 
+def _reproduce_in_fresh_process(hash_seed: str) -> tuple[bytes, float]:
+    # a fresh interpreter starts with cold caches, and another hash seed
+    # changes str hashes and so the iteration order of sets of str
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kummerlab.cli", "reproduce", "--json"],
+        env=env,
+        capture_output=True,
+        timeout=300,
+    )
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout, elapsed
+
+
 def test_acceptance_criterion_12_determinism():
-    # two consecutive full JSON runs must agree byte for byte, each inside
-    # the runtime budget
-    t0 = time.time()
-    first, code1 = reproduce_all(CFG, json_mode=True)
-    mid = time.time()
-    second, code2 = reproduce_all(CFG, json_mode=True)
-    end = time.time()
     try:
-        assert code1 == 0 and code2 == 0
+        first, t_first = _reproduce_in_fresh_process("0")
+        second, t_second = _reproduce_in_fresh_process("1")
         assert first == second
-        assert hashlib.sha256(first.encode()).hexdigest() == GOLDEN_SHA256
-        assert mid - t0 <= 60, f"first run took {mid - t0:.1f}s"
-        assert end - mid <= 60, f"second run took {end - mid:.1f}s"
-    except AssertionError:
+        assert hashlib.sha256(first).hexdigest() == GOLDEN_SHA256
+        assert t_first <= 60, f"first run took {t_first:.1f}s"
+        assert t_second <= 60, f"second run took {t_second:.1f}s"
+    except (AssertionError, subprocess.TimeoutExpired):
         print("ACCEPTANCE 12 determinism: FAIL")
         raise
     print(
         f"ACCEPTANCE 12 determinism: PASS "
-        f"{{'bytes': {len(first)}, 'runs': [{mid - t0:.1f}s, {end - mid:.1f}s]}}"
+        f"{{'bytes': {len(first)}, 'runs': [{t_first:.1f}s, {t_second:.1f}s]}}"
     )

@@ -133,6 +133,19 @@ def test_cli_usage_error_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["binomial", "--p", "25"], "25 is not prime"),
+        (["binomial", "--p", "21"], "21 is not prime"),
+        (["gauss-sum", "--p", "13", "--order", "0"], "order 0 must be at least 2"),
+    ],
+)
+def test_cli_out_of_range_input_exit_code(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_assertion_exit_code(capsys):
     # a degenerate jacobi-sum is fine (exit 0) but carries no reflection
     code, out = _run(

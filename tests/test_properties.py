@@ -1,0 +1,86 @@
+"""Properties on generated inputs: ring axioms, the norm, Kummer
+multiplicities and the expression round trip.
+
+Examples are derandomized, so every run draws the same inputs.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kummerlab.cyclotomic import cyclotomic_ring, norm
+from kummerlab.exprparse import parse_element, render_element
+from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
+from kummerlab.quadorder import QuadOrder
+from kummerlab.valuation import kummer_prime, multiplicity
+
+LAMBDAS = [3, 5, 7]
+GENERATED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+def elements(lam, spread=20):
+    ring = cyclotomic_ring(lam)
+    coeffs = st.lists(
+        st.integers(-spread, spread), min_size=ring.degree, max_size=ring.degree
+    )
+    return coeffs.map(ring.element)
+
+
+def nonzero_elements(lam, spread=20):
+    return elements(lam, spread).filter(lambda x: not x.is_zero())
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+@GENERATED
+@given(data=st.data())
+def test_ring_axioms(lam, data):
+    x, y, z = (data.draw(elements(lam)) for _ in range(3))
+    ring = cyclotomic_ring(lam)
+    zero, one = ring.zero(), ring.one()
+    assert (x + y) + z == x + (y + z)
+    assert x + y == y + x
+    assert x + zero == x
+    assert x + (-x) == zero
+    assert x - y == x + (-y)
+    assert (x * y) * z == x * (y * z)
+    assert x * y == y * x
+    assert x * one == x
+    assert x * (y + z) == x * y + x * z
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+@GENERATED
+@given(data=st.data())
+def test_norm_is_multiplicative(lam, data):
+    x, y = data.draw(elements(lam)), data.draw(elements(lam))
+    assert norm(x * y) == norm(x) * norm(y)
+
+
+@GENERATED
+@given(
+    nonzero_elements(5, spread=6),
+    nonzero_elements(5, spread=6),
+    st.integers(0, 2),
+)
+def test_multiplicity_is_additive(x, y, k):
+    # the prime above 11 that kills 2 + a; the factor (2 + a)^k makes
+    # nonzero multiplicities common
+    K = kummer_prime(map_for_root(enumerate_jacobi_maps(5, 11), 9))
+    x = x * cyclotomic_ring(5).element([2, 1]) ** k
+    assert multiplicity(x * y, K) == multiplicity(x, K) + multiplicity(y, K)
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+@GENERATED
+@given(data=st.data())
+def test_parse_render_round_trip(lam, data):
+    x = data.draw(elements(lam, spread=1000))
+    assert parse_element(render_element(x), cyclotomic_ring(lam)) == x
+
+
+@GENERATED
+@given(st.integers(-1000, 1000), st.integers(-1000, 1000))
+def test_parse_render_round_trip_quadratic(a, b):
+    order = QuadOrder(0, 3)
+    x = order.element(a, b)
+    assert parse_element(render_element(x), order) == x
