@@ -2,7 +2,7 @@
 
 For prime conductors this is the ring where ideal primes live; composite
 conductors (used by the character-sum layer) get ring arithmetic,
-conjugation and evaluation only.  Elements are immutable coefficient tuples
+conjugation and norms only.  Elements are immutable coefficient tuples
 of length phi(n), reduced mod Phi_n; equality is coefficient equality.
 """
 
@@ -28,6 +28,8 @@ class CyclotomicRing:
         self.n = n
         self.modulus = polyint.cyclotomic_polynomial(n)
         self.degree = len(self.modulus) - 1
+        self._prime = is_prime(n)
+        self.norm_schedule = _norm_schedule(n)
 
     def element(self, coeffs) -> "CyclotomicElement":
         if isinstance(coeffs, int):
@@ -45,7 +47,23 @@ class CyclotomicRing:
         return self.element([0] * power + [1])
 
     def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
-        _, r = polyint.divmod_exact(polyint.trim(list(coeffs)), list(self.modulus))
+        """Coefficients of the residue mod Phi_n, padded to length phi(n).
+
+        Phi_n divides X^n - 1, so the input is first folded mod X^n - 1.
+        For prime n, Phi_n = 1 + X + ... + X^(n-1), and the folded top
+        coefficient is subtracted from the others; otherwise the folded
+        remainder, of degree below n, is divided by Phi_n.
+        """
+        n = self.n
+        folded = list(coeffs[:n])
+        folded += [0] * (n - len(folded))
+        for start in range(n, len(coeffs), n):
+            for i, c in enumerate(coeffs[start : start + n]):
+                folded[i] += c
+        if self._prime:
+            top = folded.pop()
+            return tuple(c - top for c in folded)
+        _, r = polyint.divmod_exact(polyint.trim(folded), list(self.modulus))
         return tuple(r + [0] * (self.degree - len(r)))
 
     def mult_table(self) -> MultTable:
@@ -59,6 +77,29 @@ class CyclotomicRing:
 
     def __repr__(self):
         return f"CyclotomicRing({self.n})"
+
+
+def _norm_schedule(n: int) -> tuple[tuple[int, int], ...]:
+    """Steps (k, r), r prime, of a subgroup tower {1} = H_0 < H_1 < ... of (Z/n)^*.
+
+    H_i is generated by H_{i-1} and k_i and has prime index r_i over it, so
+    the products k_1^j_1 k_2^j_2 ... with 0 <= j_i < r_i run over (Z/n)^*
+    exactly once.
+    """
+    units = [k for k in range(1, n) if gcd(k, n) == 1]
+    group = {1 % n}
+    steps = []
+    for k in units:
+        while k not in group:
+            s, power = 1, k
+            while power not in group:
+                power = power * k % n
+                s += 1
+            r = next(d for d in range(2, s + 1) if s % d == 0)
+            step = pow(k, s // r, n)
+            group = {h * pow(step, j, n) % n for h in group for j in range(r)}
+            steps.append((step, r))
+    return tuple(steps)
 
 
 @lru_cache(maxsize=None)
@@ -179,15 +220,21 @@ def conjugate(x: CyclotomicElement, k: int) -> CyclotomicElement:
 
 
 def norm(x: CyclotomicElement) -> int:
-    """Product of all conjugates; a rational integer, multiplicative."""
-    n = x.ring.n
-    if n == 1:
-        return x.rational_value()
-    prod = x.ring.one()
-    for k in range(1, n):
-        if gcd(k, n) == 1:
-            prod = prod * conjugate(x, k)
-    return prod.rational_value()
+    """Product of all conjugates; a rational integer, multiplicative.
+
+    Computed up the ring's subgroup tower of (Z/n)^*: at a step (k, r),
+    y is fixed by H_{i-1}, and y <- prod_{j<r} sigma_k^j(y) is its norm down
+    to the fixed ring of H_i.  That costs sum (r_i - 1) multiplies in all,
+    7 instead of 39 at n = 41.
+    """
+    y = x
+    for k, r in x.ring.norm_schedule:
+        prod = z = y
+        for _ in range(r - 1):
+            z = conjugate(z, k)
+            prod = prod * z
+        y = prod
+    return y.rational_value()
 
 
 class PeriodSystem:

@@ -117,6 +117,12 @@ def _kernel_lattice(lam: int, p: int, factor: tuple[int, ...]) -> IntLattice:
     return lattice
 
 
+def check_conductor(lam: int) -> None:
+    """Reject a conductor other than an odd prime: ideal primes need one."""
+    if not is_prime(lam) or lam == 2:
+        raise ValueError(f"conductor {lam} must be an odd prime")
+
+
 def enumerate_jacobi_maps(lam: int, p: int) -> list[JacobiMap]:
     """All Jacobi maps out of Z[alpha] for the prime p, in canonical order.
 
@@ -124,8 +130,7 @@ def enumerate_jacobi_maps(lam: int, p: int) -> list[JacobiMap]:
     irreducible factor of Phi_lam mod p, which is (lam-1)/f maps of residue
     degree f = order of p mod lam.
     """
-    if not is_prime(lam) or lam == 2:
-        raise ValueError(f"conductor {lam} must be an odd prime")
+    check_conductor(lam)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     factors = factor_mod_p(list(cyclotomic_polynomial(lam)), p)

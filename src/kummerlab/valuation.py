@@ -29,7 +29,11 @@ from kummerlab.cyclotomic import (
     gaussian_periods,
     norm,
 )
-from kummerlab.idealprimes import JacobiMap, enumerate_jacobi_maps
+from kummerlab.idealprimes import (
+    JacobiMap,
+    check_conductor,
+    enumerate_jacobi_maps,
+)
 from kummerlab.lattice import kernel_mod, principal_lattice
 
 # Above this prime, factorize/divides go straight to the lattice oracle.
@@ -130,14 +134,23 @@ def divisibility_step(x: CyclotomicElement, K: KummerPrime, mu: int) -> bool:
     return (x * K.psi_conjugates**mu).content_divisible_by(K.q**mu)
 
 
+def _norm_cap(x: CyclotomicElement, q: int) -> int:
+    """An upper bound degree * v_q(norm(x)) + 1 on x's valuation above q.
+
+    Callers compute it once, when mu first exceeds the degree: any mu >= 1
+    means q divides norm(x), so the cap is at least degree + 1 and cannot
+    fire earlier.
+    """
+    return x.ring.degree * valuation_int(norm(x), q) + 1
+
+
 def multiplicity(x: CyclotomicElement, K: KummerPrime) -> int:
     """Largest mu with x * Psi^mu divisible by q^mu coefficientwise."""
     if x.is_zero():
         raise ValueError("valuation of 0 is infinite")
     q = K.q
-    cap = (x.ring.degree) * valuation_int(norm(x), q) + 1
     w = x
-    mu = 0
+    mu = cap = 0
     qpow = q
     while True:
         w = w * K.psi_conjugates
@@ -145,8 +158,10 @@ def multiplicity(x: CyclotomicElement, K: KummerPrime) -> int:
             return mu
         mu += 1
         qpow *= q
-        if mu > cap:
-            raise AssertionError("multiplicity exceeded its norm bound")
+        if mu > x.ring.degree:
+            cap = cap or _norm_cap(x, q)
+            if mu > cap:
+                raise AssertionError("multiplicity exceeded its norm bound")
 
 
 _KERNEL_POWERS: dict[tuple[int, int, tuple[int, ...]], list] = {}
@@ -165,13 +180,14 @@ def valuation_oracle(x: CyclotomicElement, phi: JacobiMap) -> int:
     """Largest mu with x in (ker phi)^mu; independent of any uniformizer."""
     if x.is_zero():
         raise ValueError("valuation of 0 is infinite")
-    cap = (x.ring.degree) * valuation_int(norm(x), phi.p) + 1
-    mu = 0
+    mu = cap = 0
     coords = list(x.coeffs)
     while coords in _kernel_power(phi, mu + 1):
         mu += 1
-        if mu > cap:
-            raise AssertionError("oracle valuation exceeded its norm bound")
+        if mu > x.ring.degree:
+            cap = cap or _norm_cap(x, phi.p)
+            if mu > cap:
+                raise AssertionError("oracle valuation exceeded its norm bound")
     return mu
 
 
@@ -243,6 +259,7 @@ def factorize(
     trial_bound: int = DEFAULT_TRIAL_DIVISION_BOUND,
 ) -> IdealFactorization:
     """Complete ideal prime factorization of a nonzero element."""
+    check_conductor(x.ring.n)
     if x.is_zero():
         raise ValueError("cannot factor 0")
     nval = norm(x)
@@ -261,27 +278,34 @@ def factorize(
     return IdealFactorization(x, nval, tuple(records))
 
 
-def exact_quotient(
+def _quotient_and_norm(
     d: CyclotomicElement, x: CyclotomicElement
-) -> CyclotomicElement | None:
-    """x / d when the quotient lies in Z[alpha], else None.
+) -> tuple[CyclotomicElement | None, int]:
+    """x / d (None when it is not in Z[alpha]) and norm(d).
 
-    Multiplies x by the product of the nontrivial conjugates of d and
-    divides coefficientwise by norm(d).
+    The cofactor is the product of the nontrivial conjugates of d, so
+    d * cofactor is norm(d), and x / d = x * cofactor / norm(d) when every
+    coefficient divides.
     """
+    lam = d.ring.n
+    check_conductor(lam)
     if d.is_zero():
         raise ZeroDivisionError("division by zero element")
-    lam = d.ring.n
     cofactor = d.ring.one()
     for k in range(2, lam):
         cofactor = cofactor * conjugate(d, k)
+    nd = (d * cofactor).rational_value()
     y = x * cofactor
-    q = norm(d)
-    if q == 0:
-        raise ZeroDivisionError("division by zero element")
-    if not y.content_divisible_by(abs(q)):
-        return None
-    return d.ring.element([c // q for c in y.coeffs])
+    if not y.content_divisible_by(nd):
+        return None, nd
+    return d.ring.element([c // nd for c in y.coeffs]), nd
+
+
+def exact_quotient(
+    d: CyclotomicElement, x: CyclotomicElement
+) -> CyclotomicElement | None:
+    """x / d when the quotient lies in Z[alpha], else None."""
+    return _quotient_and_norm(d, x)[0]
 
 
 def divides(
@@ -294,13 +318,12 @@ def divides(
     Route one is exact division; route two compares valuations at every map
     over every prime dividing norm(d).
     """
-    if d.is_zero():
-        raise ZeroDivisionError("division by zero element")
-    by_division = exact_quotient(d, x) is not None
+    quotient, norm_d = _quotient_and_norm(d, x)
+    by_division = quotient is not None
     if x.is_zero():
         return True
     by_valuation = True
-    for p in sorted(factorize_int(norm(d), trial_bound)):
+    for p in sorted(factorize_int(norm_d, trial_bound)):
         for phi in enumerate_jacobi_maps(d.ring.n, p):
             v_d = _valuation_with_fallback(d, phi)[0]
             if v_d > _valuation_with_fallback(x, phi)[0]:

@@ -139,6 +139,8 @@ def test_cli_usage_error_exit_code():
         (["binomial", "--p", "25"], "25 is not prime"),
         (["binomial", "--p", "21"], "21 is not prime"),
         (["gauss-sum", "--p", "13", "--order", "0"], "order 0 must be at least 2"),
+        (["divides", "--lambda", "9", "1+a", "2"], "conductor 9 must be an odd prime"),
+        (["factor", "--lambda", "9", "1+a"], "conductor 9 must be an odd prime"),
     ],
 )
 def test_cli_out_of_range_input_exit_code(capsys, argv, message):

@@ -12,7 +12,7 @@ from kummerlab.cyclotomic import (
     gaussian_periods,
     norm,
 )
-from kummerlab.polyint import cyclotomic_polynomial, resultant
+from kummerlab.polyint import cyclotomic_polynomial, divmod_exact, resultant, trim
 
 RNG_SEED = 40087
 
@@ -81,13 +81,42 @@ def test_norm_multiplicative():
 
 
 def test_norm_equals_resultant():
+    # Phi_n is monic, so Res(Phi_n, x) is the product of x over its roots;
+    # the composite conductors have non-cyclic or mixed subgroup towers
     rng = random.Random(RNG_SEED + 2)
-    for lam in (3, 5, 7, 11):
-        ring = cyclotomic_ring(lam)
-        phi = list(cyclotomic_polynomial(lam))
-        for _ in range(40):
+    for n, count in [(3, 40), (5, 40), (7, 40), (11, 40), (12, 20), (15, 20),
+                     (20, 20), (21, 20), (23, 8), (41, 3)]:
+        ring = cyclotomic_ring(n)
+        phi = list(cyclotomic_polynomial(n))
+        for _ in range(count):
             x = _random_element(ring, rng)
             assert norm(x) == resultant(phi, list(x.coeffs))
+
+
+def test_norm_schedule_covers_the_unit_group():
+    for n in (1, 2, 3, 4, 9, 12, 15, 20, 21, 23, 41):
+        units = {k for k in range(n) if gcd(k, n) == 1}
+        products = [1 % n]
+        for k, r in cyclotomic_ring(n).norm_schedule:
+            assert all(r % d for d in range(2, r))  # prime index
+            products = [h * pow(k, j, n) % n for h in products for j in range(r)]
+        assert sorted(products) == sorted(units)
+    multiplies = {n: sum(r - 1 for _, r in cyclotomic_ring(n).norm_schedule)
+                  for n in (23, 41)}
+    assert multiplies == {23: 11, 41: 7}
+
+
+def test_reduce_matches_division():
+    # reference: remainder of the general division by Phi_n
+    rng = random.Random(RNG_SEED + 6)
+    for n in (1, 2, 3, 4, 6, 9, 12, 15, 20, 21, 23, 41):
+        ring = cyclotomic_ring(n)
+        modulus = list(ring.modulus)
+        for length in range(3 * n + 1):
+            for spread in (1, 10**20):
+                c = [rng.randint(-spread, spread) for _ in range(length)]
+                _, r = divmod_exact(trim(list(c)), modulus)
+                assert ring._reduce(c) == tuple(r + [0] * (ring.degree - len(r)))
 
 
 def test_periods_pinned():

@@ -1,9 +1,11 @@
 """Uniformizers, Kummer multiplicity vs the lattice oracle, divisibility."""
 
+import dataclasses
 import random
 
 import pytest
 
+from kummerlab import valuation
 from kummerlab.arith import primes_below, valuation_int
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
@@ -131,6 +133,42 @@ def test_multiplicity_of_zero_raises():
         multiplicity(phi.ring.zero(), kummer_prime(phi))
     with pytest.raises(ValueError):
         valuation_oracle(phi.ring.zero(), phi)
+
+
+def test_norm_cap_stops_a_broken_uniformizer():
+    # with Psi = q every level divides, so only the norm cap ends the loop
+    ring = cyclotomic_ring(5)
+    phi = map_for_root(enumerate_jacobi_maps(5, 11), 9)
+    broken = dataclasses.replace(kummer_prime(phi), psi_conjugates=ring.element(11))
+    for x in (ring.one(), ring.element([2, 1]), ring.element(11)):
+        with pytest.raises(AssertionError):
+            multiplicity(x, broken)
+
+
+def test_valuations_up_to_the_degree_and_divides_compute_no_norm(monkeypatch):
+    ring = cyclotomic_ring(5)
+    ram = enumerate_jacobi_maps(5, 5)[0]
+    split = map_for_root(enumerate_jacobi_maps(5, 11), 9)
+    K_ram, K_split = kummer_prime(ram), kummer_prime(split)
+
+    def no_norm(x):
+        raise RuntimeError("norm computed")
+
+    monkeypatch.setattr(valuation, "norm", no_norm)
+    pi, unit, d = ring.one() - ring.alpha(), ring.element([1, 1]), ring.element([2, 1])
+    for mu in range(ring.degree + 1):
+        assert multiplicity(pi**mu * unit, K_ram) == mu
+        assert valuation_oracle(pi**mu * unit, ram) == mu
+        assert multiplicity(3 * d**mu, K_split) == mu
+        assert valuation_oracle(3 * d**mu, split) == mu
+    # divides takes norm(d) from its exact-division cofactor
+    assert divides(d, ring.element(11))
+    assert not divides(d * d, ring.element(11))
+    # past the degree the cap is computed, and with it the norm
+    with pytest.raises(RuntimeError):
+        multiplicity(pi ** (ring.degree + 1), K_ram)
+    with pytest.raises(RuntimeError):
+        valuation_oracle(pi ** (ring.degree + 1), ram)
 
 
 def test_oracle_example_3_7():
