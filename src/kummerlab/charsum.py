@@ -417,7 +417,7 @@ def stickelberger_check(lam: int, p: int) -> dict:
     With the prime above p normalized by xi = g^m (so that the residue
     symbol of g is zeta), the valuation of J(chi, chi) must be exactly 1 at
     the conjugate primes indexed by 0 < 2t < lam and 0 elsewhere; both the
-    uniformizer multiplicity and the lattice oracle are consulted.
+    uniformizer multiplicity and the p-adic valuation oracle are consulted.
     """
     from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
 
@@ -435,15 +435,15 @@ def stickelberger_check(lam: int, p: int) -> dict:
         phi = map_for_root(maps, xi)
         K = kummer_prime(phi)
         v_kummer = multiplicity(j, K)
-        v_lattice = valuation_oracle(j, phi)
+        v_oracle = valuation_oracle(j, phi)
         expected = 1 if 2 * t < lam else 0
-        ok = ok and v_kummer == expected and v_lattice == expected
+        ok = ok and v_kummer == expected and v_oracle == expected
         entries.append(
             {
                 "t": t,
                 "xi": xi,
                 "valuation": v_kummer,
-                "valuation_oracle": v_lattice,
+                "valuation_oracle": v_oracle,
                 "expected": expected,
             }
         )

@@ -249,8 +249,10 @@ class PeriodSystem:
     def __init__(self, lam: int, e: int):
         if not is_prime(lam):
             raise ValueError(f"{lam} is not prime")
-        if lam == 2 or (lam - 1) % e != 0:
-            raise ValueError(f"e={e} must divide lambda-1={lam - 1}")
+        if lam == 2 or e < 1 or (lam - 1) % e != 0:
+            raise ValueError(
+                f"e={e} must be a positive divisor of lambda-1={lam - 1}"
+            )
         self.ring = cyclotomic_ring(lam)
         self.lam = lam
         self.e = e

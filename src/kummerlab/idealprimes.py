@@ -7,10 +7,15 @@ such a map is a maximal ideal of Z[alpha] -- an ideal prime of p.  Maps
 with equal kernels are identified; each map carries a canonical root label,
 the smallest element of the Frobenius orbit of its root.
 
-For p = lam there is a single map, alpha -> 1 in F_lam.
+Degree-1 maps are constructed as Jacobi did, without factoring: for
+p = 1 mod lam, z = a^((p-1)/lam) mod p with a >= 2 least such that z != 1
+is a primitive lam-th root of unity, and the maps send alpha to z^k,
+k = 1 .. lam-1.  For p = lam there is a single map, alpha -> 1 in F_lam.
+Only primes of residue degree f > 1 go through factor_mod_p.
 """
 
 from functools import lru_cache
+from itertools import count
 
 from kummerlab.arith import is_prime, multiplicative_order
 from kummerlab.cyclotomic import (
@@ -21,7 +26,7 @@ from kummerlab.cyclotomic import (
 from kummerlab.ffield import FieldElement, FiniteField
 from kummerlab.lattice import IntLattice, kernel_mod
 from kummerlab.polyint import cyclotomic_polynomial
-from kummerlab.polymod import factor_mod_p
+from kummerlab.polymod import factor_mod_p, gf_eval
 
 
 class JacobiMap:
@@ -46,11 +51,16 @@ class JacobiMap:
         self.xi = min(orbit, key=pad)
 
     def apply(self, x: CyclotomicElement) -> FieldElement:
-        """Evaluate the coefficient polynomial of x at xi."""
+        """Evaluate the coefficient polynomial of x at xi.
+
+        For f = 1 this is integer Horner mod p.
+        """
         if x.ring.n != self.lam:
             raise ValueError(
                 f"element lives in conductor {x.ring.n}, map expects {self.lam}"
             )
+        if self.f == 1:
+            return self.field.element(gf_eval(x.coeffs, self.xi.residue(), self.p))
         out = self.field.zero()
         for c in reversed(x.coeffs):
             out = out * self.xi + self.field.element(c)
@@ -128,16 +138,24 @@ def enumerate_jacobi_maps(lam: int, p: int) -> list[JacobiMap]:
 
     For p = lam there is exactly one (alpha -> 1); otherwise one per
     irreducible factor of Phi_lam mod p, which is (lam-1)/f maps of residue
-    degree f = order of p mod lam.
+    degree f = order of p mod lam.  The order is factor_mod_p's: by degree,
+    then by factor coefficients, so degree-1 maps X - r come by p - r.
     """
     check_conductor(lam)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    factors = factor_mod_p(list(cyclotomic_polynomial(lam)), p)
-    maps = [JacobiMap(lam, p, tuple(fac)) for fac, _ in factors]
     if p == lam:
-        assert len(maps) == 1 and maps[0].apply(maps[0].ring.alpha()).residue() == 1
+        factors = [(p - 1, 1)]
+    elif p % lam == 1:
+        # Jacobi's root: z^lam = a^(p-1) = 1 and z != 1, so z has order lam
+        powers = (pow(a, (p - 1) // lam, p) for a in count(2))
+        z = next(w for w in powers if w != 1)
+        factors = sorted((p - pow(z, k, p), 1) for k in range(1, lam))
     else:
+        factored = factor_mod_p(list(cyclotomic_polynomial(lam)), p)
+        factors = [tuple(fac) for fac, _ in factored]
+    maps = [JacobiMap(lam, p, fac) for fac in factors]
+    if p != lam:
         assert len(maps) == (lam - 1) // multiplicative_order(p, lam)
     return maps
 

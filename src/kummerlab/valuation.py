@@ -8,10 +8,14 @@ multiplicity of the ideal prime in an element x is then the largest mu such
 that every coefficient of x * Psi^mu is divisible by q^mu.
 
 An independent oracle computes the same number as the largest mu with
-x in (ker phi)^mu, using iterated lattice products and no uniformizer at
-all.  The two routes are compared wholesale in the test suite; divisibility
-and definedness are likewise implemented twice (valuations vs. colon
-lattices / exact division).
+x in (ker phi)^mu, by exact p-adic arithmetic and no uniformizer at all.
+For p != lam, Z[alpha]/P^mu is the Galois ring (Z/p^mu)[X]/(F), F the
+map's factor, with alpha at the Teichmueller lift of X, so membership in
+P^mu is one evaluation there (an integer mod p^mu when f = 1).  At p = lam
+the valuation is read off the coefficients of x(1 + t).  The two routes are
+compared wholesale in the test suite; divisibility and definedness are
+likewise implemented twice (valuations vs. colon lattices / exact
+division).
 """
 
 from dataclasses import dataclass
@@ -35,12 +39,17 @@ from kummerlab.idealprimes import (
     enumerate_jacobi_maps,
 )
 from kummerlab.lattice import kernel_mod, principal_lattice
+from kummerlab.polymod import gf_add, gf_eval, gf_mod, gf_mul, gf_pow_mod
 
-# Above this prime, factorize/divides go straight to the lattice oracle.
-# Both routes are exact, so the choice is cost alone: a uniformizer costs
-# e - 1 ring multiplies per map to build Psi, while an element outside the
-# map's kernel (most maps of a large split prime) costs the oracle a single
-# kernel membership test.
+# Up to this prime, factorize/divides certify each valuation with Kummer's
+# uniformizer, and `kummerlab factor` reports its psi and u-vector; above
+# it they go straight to the p-adic oracle.  Both routes are exact, and cost
+# no longer favours the uniformizer at any prime: the oracle answers a map
+# that does not kill x with one evaluation mod p, and each further level
+# with one Teichmueller lift and one evaluation mod p^mu, while a
+# uniformizer costs e - 1 ring multiplies per map to build Psi and one
+# multiply per level.  The value stays so that reports keep their
+# certificates.
 ORACLE_PRIME_THRESHOLD = 200
 
 
@@ -164,25 +173,60 @@ def multiplicity(x: CyclotomicElement, K: KummerPrime) -> int:
                 raise AssertionError("multiplicity exceeded its norm bound")
 
 
-_KERNEL_POWERS: dict[tuple[int, int, tuple[int, ...]], list] = {}
+def _vanishes_at_lift(x: CyclotomicElement, phi: JacobiMap, mu: int) -> bool:
+    """Whether x lies in P^mu, P = ker phi, for a prime p != lam.
+
+    p is unramified, so Z[alpha]/P^mu is the Galois ring
+    W = (Z/p^mu)[X]/(F), F the map's factor read as a monic integer
+    polynomial, and alpha goes to the lam-th root of unity above the class
+    of X: its Teichmueller lift X^(p^(f(mu-1))).  x is in P^mu iff x
+    vanishes there.  For f = 1, W is Z/p^mu and the lift is an integer.
+    """
+    p, m = phi.p, phi.p**mu
+    if phi.f == 1:
+        root = pow(phi.xi.residue(), p ** (mu - 1), m)
+        return gf_eval(x.coeffs, root, m) == 0
+    factor = list(phi.factor)
+    root = gf_pow_mod([0, 1], p ** (phi.f * (mu - 1)), factor, m)
+    acc: list[int] = []
+    for c in reversed(x.coeffs):
+        acc = gf_add(gf_mod(gf_mul(acc, root, m), factor, m), [c % m], m)
+    return not acc
 
 
-def _kernel_power(phi: JacobiMap, mu: int):
-    key = (phi.lam, phi.p, phi.factor)
-    powers = _KERNEL_POWERS.setdefault(key, [phi.kernel()])
-    table = phi.ring.mult_table()
-    while len(powers) < mu:
-        powers.append(powers[-1].product(powers[0], table))
-    return powers[mu - 1]
+def _ramified_valuation(x: CyclotomicElement) -> int:
+    """x's valuation at the prime P = (1 - alpha) above lam.
+
+    With alpha = 1 + t, v_P(t) = 1 and v_P(lam) = lam - 1, so the terms
+    c_i t^i of x(1 + t), i < lam - 1, have the distinct valuations
+    (lam - 1) v_lam(c_i) + i, and x's valuation is the least of them.
+    """
+    lam = x.ring.n
+    c = list(x.coeffs)
+    for i in range(len(c) - 1):  # Taylor shift: c becomes x(1 + t)
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += c[j + 1]
+    return min(
+        (lam - 1) * valuation_int(ci, lam) + i for i, ci in enumerate(c) if ci
+    )
 
 
 def valuation_oracle(x: CyclotomicElement, phi: JacobiMap) -> int:
-    """Largest mu with x in (ker phi)^mu; independent of any uniformizer."""
+    """Largest mu with x in (ker phi)^mu, by exact p-adic arithmetic.
+
+    It uses no uniformizer, so it is independent of the Kummer route.
+    """
     if x.is_zero():
         raise ValueError("valuation of 0 is infinite")
-    mu = cap = 0
-    coords = list(x.coeffs)
-    while coords in _kernel_power(phi, mu + 1):
+    if not phi.kills(x):
+        return 0
+    if phi.p == phi.lam:
+        v = _ramified_valuation(x)
+        in_power = lambda mu: mu <= v
+    else:
+        in_power = lambda mu: _vanishes_at_lift(x, phi, mu)
+    mu, cap = 1, 0
+    while in_power(mu + 1):
         mu += 1
         if mu > x.ring.degree:
             cap = cap or _norm_cap(x, phi.p)

@@ -214,7 +214,7 @@ def test_stickelberger(lam, p):
 
 
 def test_three_divisibility_routes_agree():
-    # FC criterion vs Kummer multiplicity vs lattice oracle for p | J(chi^t, chi^t)
+    # FC criterion vs Kummer multiplicity vs p-adic oracle for p | J(chi^t, chi^t)
     lam, p = 5, 11
     chi = character(p, lam)
     g, m = chi.g, chi.m

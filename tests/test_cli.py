@@ -141,6 +141,14 @@ def test_cli_usage_error_exit_code():
         (["gauss-sum", "--p", "13", "--order", "0"], "order 0 must be at least 2"),
         (["divides", "--lambda", "9", "1+a", "2"], "conductor 9 must be an odd prime"),
         (["factor", "--lambda", "9", "1+a"], "conductor 9 must be an odd prime"),
+        (
+            ["maps", "--lambda", "5", "--p", "11", "--periods", "0"],
+            "e=0 must be a positive divisor of lambda-1=4",
+        ),
+        (
+            ["maps", "--lambda", "5", "--p", "11", "--periods", "-2"],
+            "e=-2 must be a positive divisor of lambda-1=4",
+        ),
     ],
 )
 def test_cli_out_of_range_input_exit_code(capsys, argv, message):

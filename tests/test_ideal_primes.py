@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from kummerlab import idealprimes
 from kummerlab.arith import multiplicative_order, primes_below
 from kummerlab.cyclotomic import cyclotomic_ring, gaussian_periods
 from kummerlab.idealprimes import (
@@ -13,6 +14,8 @@ from kummerlab.idealprimes import (
     map_for_root,
 )
 from kummerlab.lattice import IntLattice
+from kummerlab.polyint import cyclotomic_polynomial
+from kummerlab.polymod import factor_mod_p
 
 RNG_SEED = 77911
 
@@ -46,6 +49,27 @@ def test_enumerate_rejects_bad_conductor():
         enumerate_jacobi_maps(4, 11)
     with pytest.raises(ValueError):
         enumerate_jacobi_maps(2, 11)
+
+
+def test_degree_one_maps_are_constructed(monkeypatch):
+    # Jacobi's z^k against the roots factor_mod_p finds, in its order
+    expected = {}
+    for lam in primes_below(42)[1:]:
+        phi_lam = list(cyclotomic_polynomial(lam))
+        for p in primes_below(2000):
+            if p % lam == 1:
+                expected[lam, p] = [tuple(f) for f, _ in factor_mod_p(phi_lam, p)]
+
+    def no_factoring(*args):
+        raise AssertionError("factor_mod_p called")
+
+    monkeypatch.setattr(idealprimes, "factor_mod_p", no_factoring)
+    for (lam, p), factors in expected.items():
+        maps = enumerate_jacobi_maps(lam, p)
+        assert [phi.factor for phi in maps] == factors
+    assert [phi.factor for phi in enumerate_jacobi_maps(5, 5)] == [(4, 1)]
+    with pytest.raises(AssertionError, match="factor_mod_p called"):
+        enumerate_jacobi_maps(5, 19)
 
 
 def test_census_counts():

@@ -1,5 +1,5 @@
 """Properties on generated inputs: ring axioms, the norm, Kummer
-multiplicities and the expression round trip.
+multiplicities, the p-adic valuation oracle and the expression round trip.
 
 Examples are derandomized, so every run draws the same inputs.
 """
@@ -12,7 +12,7 @@ from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element, render_element
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.quadorder import QuadOrder
-from kummerlab.valuation import kummer_prime, multiplicity
+from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
 
 LAMBDAS = [3, 5, 7]
 GENERATED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -68,6 +68,25 @@ def test_multiplicity_is_additive(x, y, k):
     K = kummer_prime(map_for_root(enumerate_jacobi_maps(5, 11), 9))
     x = x * cyclotomic_ring(5).element([2, 1]) ** k
     assert multiplicity(x * y, K) == multiplicity(x, K) + multiplicity(y, K)
+
+
+@pytest.mark.parametrize("p", [211, 5, 19])
+@GENERATED
+@given(
+    nonzero_elements(5, spread=6),
+    nonzero_elements(5, spread=6),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+def test_oracle_is_additive(p, x, y, j, k):
+    # a split prime above the oracle threshold, the ramified prime and a
+    # prime of degree 2; F(alpha) + p, F the map's factor, lies in the
+    # prime, so its powers make nonzero valuations common
+    phi = enumerate_jacobi_maps(5, p)[0]
+    g = cyclotomic_ring(5).element(list(phi.factor)) + p
+    x, y = x * g**j, y * g**k
+    v_xy = valuation_oracle(x * y, phi)
+    assert v_xy == valuation_oracle(x, phi) + valuation_oracle(y, phi)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)

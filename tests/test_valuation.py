@@ -1,14 +1,15 @@
-"""Uniformizers, Kummer multiplicity vs the lattice oracle, divisibility."""
+"""Uniformizers, Kummer multiplicity vs the p-adic oracle, divisibility."""
 
 import dataclasses
 import random
 
 import pytest
 
-from kummerlab import valuation
+from kummerlab import idealprimes, valuation
 from kummerlab.arith import primes_below, valuation_int
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
+from kummerlab.lattice import IntLattice
 from kummerlab.valuation import (
     divides,
     divisibility_step,
@@ -180,6 +181,78 @@ def test_oracle_example_3_7():
     assert sorted(
         valuation_oracle(x, phi) for phi in enumerate_jacobi_maps(3, 7)
     ) == [0, 1]
+
+
+# Per conductor: a split prime (f = 1), a prime of degree f > 1, and lam.
+ORACLE_PRIMES = {
+    3: (7, 2, 3),
+    5: (11, 19, 5),
+    7: (29, 2, 7),
+    11: (23, 3, 11),
+    13: (53, 5, 13),
+}
+
+
+def _oracle_maps():
+    for lam, primes in ORACLE_PRIMES.items():
+        for p in primes:
+            for phi in enumerate_jacobi_maps(lam, p)[:2]:
+                kind = "ramified" if p == lam else f"f={phi.f}"
+                yield kind, phi
+
+
+def test_oracle_matches_kernel_powers():
+    # the reference is membership in (ker phi)^mu, built from lattice
+    # products here and nowhere in the library
+    rng = random.Random(RNG_SEED + 5)
+    pairs = 0
+    seen = set()
+    for kind, phi in _oracle_maps():
+        ring, d = phi.ring, phi.lam - 1
+        kernel = phi.kernel()
+        basis = kernel.rows
+        powers = [IntLattice.standard(d)]
+        for k in range(4):
+            for _ in range(10):
+                x = _elements(phi.lam, 1, rng.random())[0]
+                for _ in range(k):
+                    # a random element of the kernel, or p if that is 0
+                    c = [rng.randint(-2, 2) for _ in range(d)]
+                    g = [sum(a * r[i] for a, r in zip(c, basis)) for i in range(d)]
+                    x = x * ring.element(g) if any(g) else x * phi.p
+                mu = valuation_oracle(x, phi)
+                while len(powers) < mu + 2:
+                    powers.append(powers[-1].product(kernel, ring.mult_table()))
+                assert list(x.coeffs) in powers[mu], (phi, x, mu)
+                assert list(x.coeffs) not in powers[mu + 1], (phi, x, mu)
+                pairs += 1
+                seen.add((kind, min(mu, 3)))
+    assert pairs >= 900
+    kinds = {kind for kind, _ in seen}
+    assert {"f=1", "f=2", "f=3", "f=4", "f=5", "ramified"} <= kinds
+    assert seen == {(kind, mu) for kind in kinds for mu in range(4)}
+
+
+def test_oracle_builds_no_lattice(monkeypatch):
+    # g = F(alpha) + p, F the map's factor, lies in the prime; with p and
+    # the unit 1 + alpha it reaches every mu up to past the degree, where
+    # the norm cap is computed
+    def no_lattice(*args, **kwargs):
+        raise RuntimeError("lattice built")
+
+    maps = [phi for _, phi in _oracle_maps()]
+    monkeypatch.setattr(idealprimes, "_kernel_lattice", no_lattice)
+    monkeypatch.setattr(IntLattice, "__init__", no_lattice)
+    for phi in maps:
+        ring = phi.ring
+        g = ring.element(list(phi.factor)) + phi.p
+        v_g = valuation_oracle(g, phi)
+        v_p = phi.lam - 1 if phi.p == phi.lam else 1
+        assert v_g >= 1
+        for a in range(4):
+            for b in range(2):
+                x = (ring.alpha() + 1) * g**a * phi.p**b
+                assert valuation_oracle(x, phi) == a * v_g + b * v_p
 
 
 def _kummer_primes(lam, primes):
