@@ -8,8 +8,11 @@ need.
 
 from math import gcd, isqrt
 
-# Deterministic Miller-Rabin bases, valid for all n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin bases: the first 13 primes decide every
+# n < _MR_PROOF_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017); the
+# first 12 stop short, at the strong pseudoprime 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROOF_LIMIT = 3317044064679887385961981
 
 DEFAULT_TRIAL_DIVISION_BOUND = 10**6
 
@@ -46,9 +49,10 @@ def is_prime(n: int) -> bool:
 def factorize_int(n: int, bound: int = DEFAULT_TRIAL_DIVISION_BOUND) -> dict[int, int]:
     """Factor |n| by trial division up to ``bound``.
 
-    A remaining cofactor is accepted if it passes the primality test;
-    otherwise FactorizationError is raised with the bound echoed.
-    Returns {prime: exponent}; factorize_int(1) == {}.
+    Division stops early at a cofactor below _MR_PROOF_LIMIT that the
+    primality test proves prime.  A remaining cofactor is accepted if it
+    passes the primality test; otherwise FactorizationError is raised with
+    the bound echoed.  Returns {prime: exponent}; factorize_int(1) == {}.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -59,14 +63,17 @@ def factorize_int(n: int, bound: int = DEFAULT_TRIAL_DIVISION_BOUND) -> dict[int
             out[p] = out.get(p, 0) + 1
             n //= p
     d = 5
-    while d <= bound and d * d <= n:
+    proven = n < _MR_PROOF_LIMIT and is_prime(n)
+    while not proven and d <= bound and d * d <= n:
         for p in (d, d + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
+            if n % p == 0:
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
+                proven = n < _MR_PROOF_LIMIT and is_prime(n)
         d += 6
     if n > 1:
-        if d * d > n or is_prime(n):
+        if proven or d * d > n or is_prime(n):
             out[n] = out.get(n, 0) + 1
         else:
             raise FactorizationError(

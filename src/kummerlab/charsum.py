@@ -70,11 +70,11 @@ def jacobi_sum(chi: Character, i: int, k: int) -> CyclotomicElement:
     """J(chi^i, chi^k) = -sum over t of chi^i(t) chi^k(1-t), exactly."""
     lam = chi.lam
     p = chi.p
-    hist = [0] * lam
+    neg_hist = [0] * lam  # minus the count of t per exponent of alpha
     for t in range(2, p):
         e = (i * chi.index[t] + k * chi.index[(1 - t) % p]) % lam
-        hist[e] += 1
-    return -chi.ring.element(hist)
+        neg_hist[e] -= 1
+    return chi.ring.element(neg_hist)
 
 
 def jacobi_sum_positive(chi: Character, i: int, k: int) -> CyclotomicElement:

@@ -28,7 +28,10 @@ class CyclotomicRing:
         self.n = n
         self.modulus = polyint.cyclotomic_polynomial(n)
         self.degree = len(self.modulus) - 1
-        self._prime = is_prime(n)
+        self._odd_prime = n > 2 and is_prime(n)
+        # alpha^(n/2) = -1 for even n, so Phi_n divides X^(n/2) + 1
+        self._fold, self._fold_sign = (n // 2, -1) if n % 2 == 0 else (n, 1)
+        self._tail = tuple((i, c) for i, c in enumerate(self.modulus[:-1]) if c)
         self.norm_schedule = _norm_schedule(n)
 
     def element(self, coeffs) -> "CyclotomicElement":
@@ -49,22 +52,38 @@ class CyclotomicRing:
     def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
         """Coefficients of the residue mod Phi_n, padded to length phi(n).
 
-        Phi_n divides X^n - 1, so the input is first folded mod X^n - 1.
-        For prime n, Phi_n = 1 + X + ... + X^(n-1), and the folded top
-        coefficient is subtracted from the others; otherwise the folded
-        remainder, of degree below n, is divided by Phi_n.
+        The input is first folded mod the shortest binomial that Phi_n
+        divides: X^(n/2) + 1 for even n, chunks added with alternating
+        sign, and X^n - 1 for odd n.  For odd prime n, Phi_n = 1 + X + ... +
+        X^(n-1), and the folded top coefficient is subtracted from the
+        others; otherwise the positions at and above phi(n) are cleared
+        from the top down, each step touching only the nonzero terms of
+        Phi_n.
         """
-        n = self.n
-        folded = list(coeffs[:n])
-        folded += [0] * (n - len(folded))
-        for start in range(n, len(coeffs), n):
-            for i, c in enumerate(coeffs[start : start + n]):
-                folded[i] += c
-        if self._prime:
+        m, sign = self._fold, self._fold_sign
+        folded = list(coeffs[:m])
+        folded += [0] * (m - len(folded))
+        s = 1
+        for start in range(m, len(coeffs), m):
+            s *= sign
+            chunk = coeffs[start : start + m]
+            if s == 1:
+                for i, c in enumerate(chunk):
+                    folded[i] += c
+            else:
+                for i, c in enumerate(chunk):
+                    folded[i] -= c
+        if self._odd_prime:
             top = folded.pop()
             return tuple(c - top for c in folded)
-        _, r = polyint.divmod_exact(polyint.trim(folded), list(self.modulus))
-        return tuple(r + [0] * (self.degree - len(r)))
+        d = self.degree
+        for k in range(m - 1, d - 1, -1):
+            c = folded[k]
+            if c:
+                shift = k - d
+                for i, b in self._tail:
+                    folded[shift + i] -= c * b
+        return tuple(folded[:d])
 
     def mult_table(self) -> MultTable:
         return _mult_table(self.n)

@@ -1,12 +1,16 @@
 """Dense integer polynomials as coefficient lists, lowest degree first.
 
 The zero polynomial is []; otherwise the last coefficient is nonzero.
-These are the carriers for cyclotomic polynomials and for the exact
-resultant used to cross-check norms.
+These are the carriers for cyclotomic polynomials, built from binomials
+X^d - 1 without general division, and for the exact resultant used to
+cross-check norms.  General division by a monic polynomial is kept as
+the tests' reference for the ring's reduction mod Phi_n.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+
+from kummerlab.arith import factorize_int
 
 
 def trim(c: list[int]) -> list[int]:
@@ -50,7 +54,11 @@ def mul(f: list[int], g: list[int]) -> list[int]:
 
 
 def divmod_exact(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    """Polynomial division by a monic g over the integers."""
+    """Polynomial division by a monic g over the integers.
+
+    Nothing in the library divides by a general polynomial: the tests keep
+    this as the independent reference for `CyclotomicRing._reduce`.
+    """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     if g[-1] != 1:
@@ -70,18 +78,33 @@ def divmod_exact(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """The n-th cyclotomic polynomial, by exact division of X^n - 1.
+    """The n-th cyclotomic polynomial, as prod over d | n of (X^d - 1)^mu(n/d).
 
-    Returned as an immutable coefficient tuple, monic of degree phi(n).
+    Only squarefree n/d contribute.  Working with power series truncated
+    past degree phi(n), a product by X^d - 1 is one pass from the top, and
+    the exact quotient by X^d - 1 one running-sum pass from the bottom
+    (Arnold and Monagan, Math. Comp. 80, 2011).  Returned as an immutable
+    coefficient tuple, monic of degree phi(n).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    f = [-1] + [0] * (n - 1) + [1]  # X^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = divmod_exact(f, list(cyclotomic_polynomial(d)))
-            assert r == [], "cyclotomic division must be exact"
-            f = q
+    primes = list(factorize_int(n))
+    phi = n
+    for p in primes:
+        phi = phi // p * (p - 1)
+    # mu(s) on the squarefree divisors s of n
+    divisors = {1: 1}
+    for p in primes:
+        divisors.update({s * p: -mu for s, mu in divisors.items()})
+    f = [1] + [0] * phi
+    # f[i] <- f[i - d] - f[i] from the top multiplies by X^d - 1; from the
+    # bottom, reading the quotient already written below i, it divides by it
+    for sign, order in ((1, range(phi, -1, -1)), (-1, range(phi + 1))):
+        for s, mu in divisors.items():
+            if mu == sign:
+                d = n // s
+                for i in order:
+                    f[i] = (f[i - d] if i >= d else 0) - f[i]
     return tuple(f)
 
 

@@ -5,7 +5,9 @@ from math import gcd
 
 import pytest
 
+from kummerlab import polyint
 from kummerlab.cyclotomic import (
+    CyclotomicRing,
     conjugate,
     cyclotomic_ring,
     express_in_periods,
@@ -107,16 +109,41 @@ def test_norm_schedule_covers_the_unit_group():
 
 
 def test_reduce_matches_division():
-    # reference: remainder of the general division by Phi_n
+    # reference: remainder of the general division by Phi_n; the conductors
+    # cover odd and even, prime, 2q and 4q, odd composite and
+    # four-prime-factor n; past 41 a sample of the lengths
     rng = random.Random(RNG_SEED + 6)
-    for n in (1, 2, 3, 4, 6, 9, 12, 15, 20, 21, 23, 41):
+    for n in (1, 2, 3, 4, 6, 8, 9, 12, 15, 20, 21, 23, 36, 41,
+              46, 92, 105, 210, 462, 498):
         ring = cyclotomic_ring(n)
         modulus = list(ring.modulus)
-        for length in range(3 * n + 1):
+        lengths = range(3 * n + 1)
+        if n > 41:
+            lengths = sorted({0, ring.degree, n // 2, n}
+                             | set(rng.sample(lengths, 3)))
+        for length in lengths:
             for spread in (1, 10**20):
                 c = [rng.randint(-spread, spread) for _ in range(length)]
                 _, r = divmod_exact(trim(list(c)), modulus)
                 assert ring._reduce(c) == tuple(r + [0] * (ring.degree - len(r)))
+
+
+def test_composite_rings_divide_by_no_polynomial(monkeypatch):
+    def no_division(f, g):
+        raise RuntimeError("polynomial division")
+
+    monkeypatch.setattr(polyint, "divmod_exact", no_division)
+    # build Phi_n afresh instead of reading the cache
+    monkeypatch.setattr(polyint, "cyclotomic_polynomial",
+                        polyint.cyclotomic_polynomial.__wrapped__)
+    rng = random.Random(RNG_SEED + 7)
+    for n in (12, 36, 46, 105, 210):
+        ring = CyclotomicRing(n)
+        x, y = _random_element(ring, rng), _random_element(ring, rng)
+        k = next(k for k in range(2, n) if gcd(k, n) == 1)
+        assert conjugate(x * y, k) == conjugate(x, k) * conjugate(y, k)
+        assert norm(x * y) == norm(x) * norm(y)
+        assert (x * ring.alpha(n - 1)) * ring.alpha() == x
 
 
 def test_periods_pinned():

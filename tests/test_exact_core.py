@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from kummerlab.arith import (
+    FactorizationError,
     factorize_int,
     is_prime,
     least_primitive_root,
@@ -38,6 +39,8 @@ def test_is_prime_small():
 def test_is_prime_large_composites():
     assert is_prime(2**61 - 1)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+    # strong pseudoprime to the first 12 prime bases, 2 through 37
+    assert not is_prime(399165290221 * 798330580441)
 
 
 def test_factorize_int():
@@ -46,6 +49,17 @@ def test_factorize_int():
     assert factorize_int(-97) == {97: 1}
     # prime cofactor beyond the bound is accepted via the primality test
     assert factorize_int(2 * (10**9 + 7), bound=100) == {2: 1, 10**9 + 7: 1}
+
+
+def test_factorize_int_prime_cofactors():
+    # a proven-prime cofactor ends trial division; above the proof limit of
+    # the Miller-Rabin bases, division runs to the bound as before
+    big, huge = 10**12 + 39, 4 * 10**24 + 27
+    assert factorize_int(-(2**3) * 3 * 7**2 * big) == {2: 3, 3: 1, 7: 2, big: 1}
+    assert factorize_int(5 * big * 11) == {5: 1, 11: 1, big: 1}
+    assert factorize_int(2 * 5 * huge) == {2: 1, 5: 1, huge: 1}
+    with pytest.raises(FactorizationError):
+        factorize_int(13 * 399165290221 * 798330580441)
 
 
 def test_multiplicative_order():
@@ -96,6 +110,19 @@ def test_cyclotomic_product_identity():
                 prod = mul(prod, list(cyclotomic_polynomial(d)))
         expected = [-1] + [0] * (n - 1) + [1]
         assert prod == expected
+
+
+def test_cyclotomic_polynomials_match_division():
+    # reference: X^n - 1 divided by Phi_d for every proper divisor d
+    phi = {}
+    for n in range(1, 501):
+        f = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                f, r = divmod_exact(f, phi[d])
+                assert r == []
+        phi[n] = f
+        assert cyclotomic_polynomial(n) == tuple(f)
 
 
 def test_divmod_exact_roundtrip():

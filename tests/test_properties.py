@@ -1,5 +1,6 @@
-"""Properties on generated inputs: ring axioms, the norm, Kummer
-multiplicities, the p-adic valuation oracle and the expression round trip.
+"""Properties on generated inputs: ring axioms and the norm at prime and
+composite conductors, Kummer multiplicities, the p-adic valuation oracle
+and the expression round trip.
 
 Examples are derandomized, so every run draws the same inputs.
 """
@@ -15,6 +16,8 @@ from kummerlab.quadorder import QuadOrder
 from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
 
 LAMBDAS = [3, 5, 7]
+# composite conductors: 4q, 2q and odd with three prime factors
+CONDUCTORS = LAMBDAS + [12, 46, 105]
 GENERATED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 
@@ -30,7 +33,7 @@ def nonzero_elements(lam, spread=20):
     return elements(lam, spread).filter(lambda x: not x.is_zero())
 
 
-@pytest.mark.parametrize("lam", LAMBDAS)
+@pytest.mark.parametrize("lam", CONDUCTORS)
 @GENERATED
 @given(data=st.data())
 def test_ring_axioms(lam, data):
@@ -48,7 +51,7 @@ def test_ring_axioms(lam, data):
     assert x * (y + z) == x * y + x * z
 
 
-@pytest.mark.parametrize("lam", LAMBDAS)
+@pytest.mark.parametrize("lam", CONDUCTORS)
 @GENERATED
 @given(data=st.data())
 def test_norm_is_multiplicative(lam, data):
