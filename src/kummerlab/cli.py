@@ -11,6 +11,7 @@ import sys
 from math import gcd
 
 from kummerlab import charsum, monoid, quadorder
+from kummerlab.arith import factorize_int, is_prime
 from kummerlab.cyclotomic import conjugate, cyclotomic_ring, gaussian_periods
 from kummerlab.exprparse import ElementParseError, parse_element, render_element
 from kummerlab.idealprimes import enumerate_jacobi_maps
@@ -20,6 +21,7 @@ from kummerlab.valuation import (
     divides,
     factorize,
     find_uniformizer,
+    kummer_prime,
     multiplicity,
     valuation_oracle,
 )
@@ -197,25 +199,32 @@ def _cmd_maps(args) -> int:
     return _emit(args, "maps", {"lambda": args.lam, "p": args.p, "maps": maps})
 
 
+def _factor_record(x, r) -> dict:
+    """A factorization record; a nonzero mu is certified by Kummer's route."""
+    psi = u = None
+    if r.mu:
+        K = kummer_prime(r.map)
+        if multiplicity(x, K) != r.mu:
+            raise ArithmeticError(
+                f"Kummer multiplicity and oracle disagree at {r.map!r}"
+            )
+        psi = render_element(K.psi)
+        u = list(r.map.period_residues(K.periods))
+    return {
+        "p": r.map.p,
+        "f": r.map.f,
+        "xi": r.map.label(),
+        "u": u,
+        "psi": psi,
+        "mu": r.mu,
+    }
+
+
 def _cmd_factor(args) -> int:
     ring = cyclotomic_ring(args.lam)
     x = parse_element(args.expr, ring)
     fact = factorize(x, args.trial_div)
-    records = [
-        {
-            "p": r.map.p,
-            "f": r.map.f,
-            "xi": r.map.label(),
-            "u": list(
-                r.kummer.map.period_residues(r.kummer.periods)
-            )
-            if r.kummer
-            else None,
-            "psi": render_element(r.kummer.psi) if r.kummer else None,
-            "mu": r.mu,
-        }
-        for r in fact.records
-    ]
+    records = [_factor_record(x, r) for r in fact.records]
     result = {
         "element": render_element(x),
         "norm": fact.norm_value,
@@ -294,6 +303,8 @@ def _cmd_gauss_sum(args) -> int:
 
 def _cmd_fc_check(args) -> int:
     if args.all:
+        if not is_prime(args.p):
+            raise UsageError(f"{args.p} is not prime")
         checks = []
         failed = False
         for i in range(1, args.p - 1):
@@ -360,6 +371,15 @@ def _cmd_monoid(args) -> int:
         }
         return _emit(args, "monoid", result)
     if args.action == "classgroup":
+        phi_m = 1
+        for p, e in factorize_int(args.m, args.trial_div).items():
+            phi_m *= (p - 1) * p ** (e - 1)
+        n = phi_m // len(M.subgroup)
+        if n * n > args.enum_cap:
+            raise UsageError(
+                f"class group of order {n} needs {n * n} coset products, "
+                f"over --enum-cap {args.enum_cap}"
+            )
         return _emit(args, "monoid", monoid.class_group(M))
     if args.action == "defined-at":
         rep = monoid.defined_at(M, args.p, args.a, args.b)

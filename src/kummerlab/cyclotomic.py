@@ -28,7 +28,6 @@ class CyclotomicRing:
         self.n = n
         self.modulus = polyint.cyclotomic_polynomial(n)
         self.degree = len(self.modulus) - 1
-        self._odd_prime = n > 2 and is_prime(n)
         # alpha^(n/2) = -1 for even n, so Phi_n divides X^(n/2) + 1
         self._fold, self._fold_sign = (n // 2, -1) if n % 2 == 0 else (n, 1)
         self._tail = tuple((i, c) for i, c in enumerate(self.modulus[:-1]) if c)
@@ -54,11 +53,10 @@ class CyclotomicRing:
 
         The input is first folded mod the shortest binomial that Phi_n
         divides: X^(n/2) + 1 for even n, chunks added with alternating
-        sign, and X^n - 1 for odd n.  For odd prime n, Phi_n = 1 + X + ... +
-        X^(n-1), and the folded top coefficient is subtracted from the
-        others; otherwise the positions at and above phi(n) are cleared
-        from the top down, each step touching only the nonzero terms of
-        Phi_n.
+        sign, and X^n - 1 for odd n.  The positions at and above phi(n) are
+        then cleared from the top down, each step touching only the nonzero
+        terms of Phi_n.  For odd prime n that is one step, which subtracts
+        the folded top coefficient from all the others.
         """
         m, sign = self._fold, self._fold_sign
         folded = list(coeffs[:m])
@@ -73,9 +71,6 @@ class CyclotomicRing:
             else:
                 for i, c in enumerate(chunk):
                     folded[i] -= c
-        if self._odd_prime:
-            top = folded.pop()
-            return tuple(c - top for c in folded)
         d = self.degree
         for k in range(m - 1, d - 1, -1):
             c = folded[k]

@@ -12,10 +12,13 @@ x in (ker phi)^mu, by exact p-adic arithmetic and no uniformizer at all.
 For p != lam, Z[alpha]/P^mu is the Galois ring (Z/p^mu)[X]/(F), F the
 map's factor, with alpha at the Teichmueller lift of X, so membership in
 P^mu is one evaluation there (an integer mod p^mu when f = 1).  At p = lam
-the valuation is read off the coefficients of x(1 + t).  The two routes are
-compared wholesale in the test suite; divisibility and definedness are
-likewise implemented twice (valuations vs. colon lattices / exact
-division).
+the valuation is read off the coefficients of x(1 + t).
+
+factorize and divides take every valuation from the oracle, and factorize
+checks the records against the norm.  The `kummerlab factor` report
+certifies each nonzero record by both routes; the test suite compares them
+wholesale.  Divisibility and definedness are likewise implemented twice
+(valuations vs. colon lattices / exact division).
 """
 
 from dataclasses import dataclass
@@ -40,17 +43,6 @@ from kummerlab.idealprimes import (
 )
 from kummerlab.lattice import kernel_mod, principal_lattice
 from kummerlab.polymod import gf_add, gf_eval, gf_mod, gf_mul, gf_pow_mod
-
-# Up to this prime, factorize/divides certify each valuation with Kummer's
-# uniformizer, and `kummerlab factor` reports its psi and u-vector; above
-# it they go straight to the p-adic oracle.  Both routes are exact, and cost
-# no longer favours the uniformizer at any prime: the oracle answers a map
-# that does not kill x with one evaluation mod p, and each further level
-# with one Teichmueller lift and one evaluation mod p^mu, while a
-# uniformizer costs e - 1 ring multiplies per map to build Psi and one
-# multiply per level.  The value stays so that reports keep their
-# certificates.
-ORACLE_PRIME_THRESHOLD = 200
 
 
 @dataclass(frozen=True)
@@ -268,7 +260,6 @@ class ValuationRecord:
     map: JacobiMap
     element: CyclotomicElement
     mu: int
-    kummer: KummerPrime | None  # None when the oracle certified mu instead
 
 
 @dataclass(frozen=True)
@@ -288,16 +279,6 @@ class IdealFactorization:
         return tuple(r for r in self.records if r.mu > 0)
 
 
-def _valuation_with_fallback(
-    x: CyclotomicElement, phi: JacobiMap
-) -> tuple[int, KummerPrime | None]:
-    """Kummer multiplicity up to ORACLE_PRIME_THRESHOLD, else the oracle."""
-    if phi.p > ORACLE_PRIME_THRESHOLD:
-        return valuation_oracle(x, phi), None
-    K = kummer_prime(phi)
-    return multiplicity(x, K), K
-
-
 def factorize(
     x: CyclotomicElement,
     trial_bound: int = DEFAULT_TRIAL_DIVISION_BOUND,
@@ -311,9 +292,9 @@ def factorize(
     for p in sorted(factorize_int(nval, trial_bound)):
         total = 0
         for phi in enumerate_jacobi_maps(x.ring.n, p):
-            mu, K = _valuation_with_fallback(x, phi)
+            mu = valuation_oracle(x, phi)
             total += phi.f * mu
-            records.append(ValuationRecord(phi, x, mu, K))
+            records.append(ValuationRecord(phi, x, mu))
         if total != valuation_int(nval, p):
             raise ArithmeticError(
                 f"norm consistency failed at p={p}: sum f*mu = {total}, "
@@ -369,8 +350,7 @@ def divides(
     by_valuation = True
     for p in sorted(factorize_int(norm_d, trial_bound)):
         for phi in enumerate_jacobi_maps(d.ring.n, p):
-            v_d = _valuation_with_fallback(d, phi)[0]
-            if v_d > _valuation_with_fallback(x, phi)[0]:
+            if valuation_oracle(d, phi) > valuation_oracle(x, phi):
                 by_valuation = False
     if by_division != by_valuation:
         raise ArithmeticError(

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from kummerlab import cli
 from kummerlab.cli import main
 from kummerlab.cyclotomic import cyclotomic_ring
 from kummerlab.exprparse import ElementParseError, parse_element, render_element
@@ -97,6 +98,30 @@ def test_cli_factor(capsys):
     ]
 
 
+def test_cli_factor_certifies_every_nonzero_record(capsys):
+    # norm 211 * 44171: each nonzero record gets Kummer's psi and u-vector,
+    # however large its prime; a record with mu = 0 gets none
+    code, out = _run(capsys, ["factor", "--lambda", "5", "a - 55", "--json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["norm"] == 211 * 44171
+    nonzero = [(r["p"], r["psi"], r["u"]) for r in result["records"] if r["mu"]]
+    assert nonzero == [
+        (211, "-55 + a", [55, 71, 188, 107]),
+        (44171, "-55 + a", [55, 3025, 7228, 33862]),
+    ]
+    for r in result["records"]:
+        if not r["mu"]:
+            assert r["psi"] is None and r["u"] is None
+
+
+def test_cli_factor_disagreement_exit_code(capsys, monkeypatch):
+    real = cli.multiplicity
+    monkeypatch.setattr(cli, "multiplicity", lambda x, K: real(x, K) + 1)
+    assert main(["factor", "--lambda", "5", "2 + a"]) == 1
+    assert "disagree" in capsys.readouterr().err
+
+
 def test_cli_valuation_and_divides(capsys):
     code, out = _run(
         capsys, ["valuation", "--lambda", "5", "--p", "11", "--xi", "9", "11"]
@@ -149,6 +174,9 @@ def test_cli_usage_error_exit_code():
             ["maps", "--lambda", "5", "--p", "11", "--periods", "-2"],
             "e=-2 must be a positive divisor of lambda-1=4",
         ),
+        (["fc-check", "--p", "1", "--all"], "1 is not prime"),
+        (["fc-check", "--p", "0", "--all"], "0 is not prime"),
+        (["fc-check", "--p", "-7", "--all"], "-7 is not prime"),
     ],
 )
 def test_cli_out_of_range_input_exit_code(capsys, argv, message):
@@ -173,6 +201,20 @@ def test_cli_fc_check_all(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["all_hold"] and doc["result"]["cases"] == 6
+
+
+def test_cli_monoid_classgroup_enum_cap(capsys):
+    # phi(15) = 8 cosets make 64 products; the refusal comes from phi(M)
+    # alone, so M = 100000 (40000 cosets) answers at once
+    code, out = _run(
+        capsys, ["monoid", "--m", "15", "classgroup", "--enum-cap", "64", "--json"]
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["isomorphic_to"] == "C2 x C4"
+    assert main(["monoid", "--m", "15", "classgroup", "--enum-cap", "63"]) == 2
+    assert "over --enum-cap 63" in capsys.readouterr().err
+    assert main(["monoid", "--m", "100000", "classgroup"]) == 2
+    assert "1600000000 coset products" in capsys.readouterr().err
 
 
 def test_cli_stickelberger(capsys):

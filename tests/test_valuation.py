@@ -362,6 +362,29 @@ def test_factorize_pinned():
         factorize(ring.zero())
 
 
+def test_factorize_builds_no_uniformizer(monkeypatch):
+    # every valuation comes from the oracle; Kummer's route, run afterwards,
+    # gives the same records
+    ring41 = cyclotomic_ring(41)
+    xs = _elements(5, 15, RNG_SEED + 2005) + _elements(7, 15, RNG_SEED + 2007)
+    xs.append(ring41.element([2, 1]))
+
+    def no_uniformizer(phi):
+        raise RuntimeError("uniformizer built")
+
+    monkeypatch.setattr(valuation, "find_uniformizer", no_uniformizer)
+    kummer_prime.cache_clear()
+    facts = [factorize(x) for x in xs]
+    monkeypatch.undo()
+    for x, fact in zip(xs, facts):
+        for r in fact.records:
+            assert r.mu == multiplicity(x, kummer_prime(r.map)), (x, r.map)
+    assert [(r.map.p, r.map.label(), r.mu) for r in facts[-1].nonzero()] == [
+        (83, 81, 1),
+        (8831418697, 8831418695, 1),
+    ]
+
+
 def test_factorize_norm_consistency():
     for lam in (3, 5, 7):
         for x in _elements(lam, 25, RNG_SEED + 1000 + lam):
