@@ -1,6 +1,11 @@
 """Gauss and Jacobi sums, Jacobi's fundamental congruence, and the
 prime-ideal support of J(chi, chi).
 
+Jacobi sums live in Z[alpha], alpha a primitive lam-th root of unity.
+Gauss sums live in Z[zeta_{lam p}], one cyclotomic ring, with
+alpha = zeta^p and the p-th root of unity x = zeta^lam; their lam-th
+powers come back down to Z[alpha].
+
 Sign conventions.  Two Jacobi-sum conventions are in circulation; both are
 carried explicitly so every report can print both:
 
@@ -30,7 +35,6 @@ from kummerlab.cyclotomic import (
     norm,
 )
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
-from kummerlab.polyint import cyclotomic_polynomial
 
 
 class Character:
@@ -104,192 +108,74 @@ def reflection_identity(chi: Character, i: int, k: int) -> dict:
     }
 
 
-class GaussSumRing:
-    """The tensor ring Z[X, Y] / (Phi_lam(X), Phi_p(Y)).
+def gauss_sum(chi: Character, i: int) -> CyclotomicElement:
+    """(alpha^i, x) = sum_t chi^i(t) x^t over t = 1 .. p-1, in Z[zeta].
 
-    Elements are phi(lam) x (p-1) coefficient matrices: the X-part carries
-    the lam-th root of unity alpha, the Y-part the p-th root x.  Gauss sums
-    (alpha^i, x) = sum_j alpha^{ij} x^{g^j} live here; their lam-th powers
-    collapse into the X-part alone.
+    zeta is a primitive lam*p-th root of unity, alpha = zeta^p and
+    x = zeta^lam.  lam and p are coprime because lam | p - 1, so
+    Z[zeta] = Z[alpha] (x) Z[x] and the Gauss sum needs no second ring.
     """
-
-    def __init__(self, lam: int, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.lam = lam
-        self.p = p
-        self.g = least_primitive_root(p)
-        self.xdim = len(cyclotomic_polynomial(lam)) - 1
-        self.ydim = p - 1
-        self.xring = cyclotomic_ring(lam)
-
-    def zero_matrix(self) -> list[list[int]]:
-        return [[0] * self.p for _ in range(self.lam)]
-
-    def reduce(self, raw: list[list[int]]) -> "TensorElement":
-        """Reduce a lam x p exponent array modulo both cyclotomic relations."""
-        lam, p = self.lam, self.p
-        # X-direction: divide each Y-column by Phi_lam.
-        cols = []
-        for b in range(p):
-            col = [raw[a][b] for a in range(lam)]
-            cols.append(list(self.xring._reduce(col)))
-        # Y-direction: Y^{p-1} = -(1 + Y + ... + Y^{p-2}).
-        mat = []
-        for a in range(self.xdim):
-            row = [cols[b][a] for b in range(p)]
-            top = row[p - 1]
-            if top:
-                row = [c - top for c in row[: p - 1]]
-            else:
-                row = row[: p - 1]
-            mat.append(row)
-        return TensorElement(self, mat)
-
-    def gauss_sum(self, i: int) -> "TensorElement":
-        """(alpha^i, x) = sum_j alpha^{ij} x^{g^j} over j = 0 .. p-2."""
-        raw = self.zero_matrix()
-        power = 1
-        for j in range(self.p - 1):
-            raw[(i * j) % self.lam][power] += 1
-            power = power * self.g % self.p
-        return self.reduce(raw)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GaussSumRing)
-            and (self.lam, self.p) == (other.lam, other.p)
-        )
-
-    def __hash__(self):
-        return hash(("GaussSumRing", self.lam, self.p))
+    lam, p = chi.lam, chi.p
+    n = lam * p
+    raw = [0] * n
+    for t in range(1, p):
+        raw[(p * i * chi.index[t] + lam * t) % n] += 1
+    return cyclotomic_ring(n).element(raw)
 
 
-class TensorElement:
-    __slots__ = ("ring", "mat")
+def _descend(chi: Character, z: CyclotomicElement) -> CyclotomicElement:
+    """z as an element of Z[alpha], alpha = zeta^p; ArithmeticError if it
+    has a Y-part.
 
-    def __init__(self, ring: GaussSumRing, mat: list[list[int]]):
-        self.ring = ring
-        self.mat = tuple(tuple(row) for row in mat)
-
-    def __add__(self, other):
-        assert self.ring == other.ring
-        return TensorElement(
-            self.ring,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.mat, other.mat)
-            ],
-        )
-
-    def __mul__(self, other):
-        assert self.ring == other.ring
-        lam, p = self.ring.lam, self.ring.p
-        raw = self.ring.zero_matrix()
-        for a1, row1 in enumerate(self.mat):
-            for b1, c1 in enumerate(row1):
-                if not c1:
-                    continue
-                for a2, row2 in enumerate(other.mat):
-                    for b2, c2 in enumerate(row2):
-                        if c2:
-                            raw[(a1 + a2) % lam][(b1 + b2) % p] += c1 * c2
-        return self.ring.reduce(raw)
-
-    def __pow__(self, e: int):
-        result = None
-        base = self
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        if result is None:
-            raise ValueError("zeroth tensor power not needed")
-        return result
-
-    def scale_exact(self, num: int, den: int) -> "TensorElement":
-        out = []
-        for row in self.mat:
-            new = []
-            for c in row:
-                val = c * num
-                if val % den:
-                    raise ArithmeticError("inexact division in tensor ring")
-                new.append(val // den)
-            out.append(new)
-        return TensorElement(self.ring, out)
-
-    def substitute_y(self, j: int) -> "TensorElement":
-        """The ring map x -> x^j (j coprime to p) applied to the Y-part."""
-        p = self.ring.p
-        if j % p == 0:
-            raise ValueError("substitution exponent must be a unit mod p")
-        raw = self.ring.zero_matrix()
-        for a, row in enumerate(self.mat):
-            for b, c in enumerate(row):
-                if c:
-                    raw[a][(j * b) % p] += c
-        return self.ring.reduce(raw)
-
-    def y_free(self) -> bool:
-        return all(not any(row[1:]) for row in self.mat)
-
-    def x_part(self) -> CyclotomicElement:
-        if not self.y_free():
-            raise ValueError("element has a nontrivial Y-part")
-        return self.ring.xring.element([row[0] for row in self.mat])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.ring == other.ring
-            and self.mat == other.mat
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.mat))
+    p * (phi(lam) - 1) < phi(lam * p) because phi(lam) <= lam < p, so the
+    image of Z[alpha] is exactly the reduced elements supported on the
+    positions p * a: read those, and any other nonzero coefficient is a
+    Y-part.
+    """
+    p = chi.p
+    if any(c for e, c in enumerate(z.coeffs) if e % p):
+        raise ArithmeticError("descent failed: result has a nontrivial Y-part")
+    return chi.ring.element(z.coeffs[::p])
 
 
-def gauss_sum_ratio(G: GaussSumRing, i: int, k: int) -> CyclotomicElement:
+def gauss_sum_ratio(chi: Character, i: int, k: int) -> CyclotomicElement:
     """(alpha^i, x)(alpha^k, x) / (alpha^{i+k}, x), divided out exactly.
 
     Division is by the inverse-sum trick: multiplying by (alpha^{-(i+k)}, x)
     turns the denominator into chi^{i+k}(-1) * p, which is then removed
     exactly.  The result is Y-free and equals jacobi_sum_positive.
     """
-    lam = G.lam
+    lam, p = chi.lam, chi.p
     if i % lam == 0 or k % lam == 0 or (i + k) % lam == 0:
         raise ValueError("degenerate index for the Gauss-sum ratio")
-    t = G.gauss_sum(i) * G.gauss_sum(k) * G.gauss_sum(-(i + k))
-    value = t.scale_exact(1, G.p).x_part()
-    # remove chi^{i+k}(-1) = zeta^{(i+k)(p-1)/2}
-    exponent = (i + k) * ((G.p - 1) // 2) % lam
-    correction = G.xring.alpha((-exponent) % lam)
-    return value * correction
+    t = gauss_sum(chi, i) * gauss_sum(chi, k) * gauss_sum(chi, -(i + k))
+    if not t.content_divisible_by(p):
+        raise ArithmeticError(f"inexact division by {p}")
+    value = _descend(chi, t.ring.element([c // p for c in t.coeffs]))
+    # remove chi^{i+k}(-1) = alpha^{(i+k)(p-1)/2}
+    exponent = (i + k) * ((p - 1) // 2) % lam
+    return value * chi.ring.alpha(-exponent)
 
 
 def gauss_power_descent(lam: int, p: int, i: int = 1) -> dict:
-    """Compute (alpha^i, x)^lam, check it is Y-free and substitution
-    invariant, and return it as an element of Z[alpha]."""
+    """Compute (alpha^i, x)^lam, check it is invariant under every x -> x^j
+    and Y-free, and return it as an element of Z[alpha]."""
     if lam < 2:
         raise ValueError(f"order {lam} must be at least 2")
-    if (p - 1) % lam != 0:
-        raise ValueError(f"lam = {lam} must divide p - 1 = {p - 1}")
+    chi = character(p, lam)
     if i % lam == 0:
         raise ValueError("index must be nonzero mod lam")
-    G = GaussSumRing(lam, p)
-    power = G.gauss_sum(i) ** lam
+    power = gauss_sum(chi, i) ** lam
+    # x -> x^j fixing alpha is zeta -> zeta^k, k = 1 mod lam and j mod p
+    step = pow(lam, -1, p)
     for j in range(1, p):
-        if power.substitute_y(j) != power:
+        k = 1 + lam * ((j - 1) * step % p)
+        if conjugate(power, k) != power:
             raise ArithmeticError(
                 f"descent failed: (alpha^{i}, x)^{lam} is not invariant "
                 f"under x -> x^{j}"
             )
-    if not power.y_free():
-        raise ArithmeticError("descent failed: result has a nontrivial Y-part")
-    element = power.x_part()
+    element = _descend(chi, power)
     return {
         "p": p,
         "order": lam,

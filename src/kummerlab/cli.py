@@ -35,28 +35,48 @@ class UsageError(ValueError):
     pass
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kummerlab",
-        description="Exact ideal-prime arithmetic, character sums, and "
-        "their failure modes in singular rings.",
-    )
+def _common_options(keep_earlier: bool = False) -> argparse.ArgumentParser:
+    """The --json, --enum-cap and --trial-div options.
+
+    With keep_earlier they have no defaults, so a monoid or quad action
+    parser leaves a value written before the action in place.
+    """
+
+    def default(value):
+        return argparse.SUPPRESS if keep_earlier else value
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON reports")
+    common.add_argument(
+        "--json",
+        action="store_true",
+        default=default(False),
+        help="emit JSON reports",
+    )
     common.add_argument(
         "--enum-cap",
         type=int,
-        default=10000,
+        default=default(10000),
         metavar="N",
         help="cap for exhaustive monoid enumerations (default 10000)",
     )
     common.add_argument(
         "--trial-div",
         type=int,
-        default=10**6,
+        default=default(10**6),
         metavar="N",
         help="trial-division bound for norm factorizations (default 10^6)",
     )
+    return common
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="kummerlab",
+        description="Exact ideal-prime arithmetic, character sums, and "
+        "their failure modes in singular rings.",
+    )
+    common = _common_options()
+    action_common = _common_options(keep_earlier=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_maps = sub.add_parser("maps", parents=[common], help="list Jacobi maps")
@@ -126,28 +146,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mon.add_argument("--m", type=int, default=4)
     p_mon.add_argument("--subgroup", default="1", help="comma-separated residues")
     mon_sub = p_mon.add_subparsers(dest="action", required=True)
-    mon_factor = mon_sub.add_parser("factor", parents=[common])
+    mon_factor = mon_sub.add_parser("factor", parents=[action_common])
     mon_factor.add_argument("a", type=int)
-    mon_sub.add_parser("classgroup", parents=[common])
-    mon_def = mon_sub.add_parser("defined-at", parents=[common])
+    mon_sub.add_parser("classgroup", parents=[action_common])
+    mon_def = mon_sub.add_parser("defined-at", parents=[action_common])
     mon_def.add_argument("p", type=int)
     mon_def.add_argument("a", type=int)
     mon_def.add_argument("b", type=int)
-    mon_sub.add_parser("demo-singular", parents=[common])
+    mon_sub.add_parser("demo-singular", parents=[action_common])
 
     p_quad = sub.add_parser("quad", parents=[common], help="quadratic orders")
     p_quad.add_argument(
         "--theta", required=True, metavar="u,v", help="theta^2 + u theta + v = 0"
     )
     quad_sub = p_quad.add_subparsers(dest="action", required=True)
-    quad_maps = quad_sub.add_parser("maps", parents=[common])
+    quad_maps = quad_sub.add_parser("maps", parents=[action_common])
     quad_maps.add_argument("--p", type=int, required=True)
-    quad_b2 = quad_sub.add_parser("check-b2", parents=[common])
+    quad_b2 = quad_sub.add_parser("check-b2", parents=[action_common])
     quad_b2.add_argument("--p", type=int, required=True)
     quad_b2.add_argument("numerator")
     quad_b2.add_argument("denominator")
-    quad_sub.add_parser("conductor", parents=[common])
-    quad_gl = quad_sub.add_parser("gauss-lemma", parents=[common])
+    quad_sub.add_parser("conductor", parents=[action_common])
+    quad_gl = quad_sub.add_parser("gauss-lemma", parents=[action_common])
     quad_gl.add_argument("poly", help="c1,c0 for T^2 + c1 T + c0")
 
     p_rep = sub.add_parser(

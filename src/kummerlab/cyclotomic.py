@@ -180,14 +180,17 @@ class CyclotomicElement:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers are not ring elements")
-        out = self.ring.one()
+        if e == 0:
+            return self.ring.one()
+        out = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if not e:
+                return out
+            base = base * base
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -295,24 +298,3 @@ class PeriodSystem:
 def gaussian_periods(lam: int, e: int) -> PeriodSystem:
     return PeriodSystem(lam, e)
 
-
-def express_in_periods(
-    x: CyclotomicElement, system: PeriodSystem
-) -> tuple[int, ...] | None:
-    """Integer coordinates of x in the period basis, or None if x is outside.
-
-    The periods are an integral basis of their subring, so the
-    representation x = sum c_i eta_i is unique when it exists.
-    """
-    if x.ring != system.ring:
-        raise ValueError("element does not live in the system's ring")
-    # Z[alpha] = Z^lam / (1, ..., 1) and eta_i is the indicator of the coset
-    # {g^j : j = i mod e}, so x = sum c_i eta_i exactly when the lifted
-    # coefficients minus x[0] are constant on each coset.
-    lifted = list(x.coeffs) + [0]
-    lam, g = system.lam, system.g
-    diffs = [lifted[pow(g, j, lam)] - lifted[0] for j in range(lam - 1)]
-    coords = tuple(diffs[: system.e])
-    if any(c != coords[j % system.e] for j, c in enumerate(diffs)):
-        return None
-    return coords

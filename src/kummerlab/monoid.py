@@ -159,10 +159,13 @@ def defined_at(M, p: int, a: int, b: int) -> dict:
     """Extend the reduction map mod p to the fraction a/b of Q(M).
 
     The fraction equals c/d for c, d in M exactly when (c, d) = (a0*s, b0*s)
-    for the lowest-terms pair (a0, b0) and a natural scale s; membership and
-    p-divisibility of the scaled pair only depend on s mod m*p, so the
-    search is finite.  Returns the decision, the finite value when defined,
-    and "oo" when the reciprocal takes the value 0.
+    for the lowest-terms pair (a0, b0) and a natural scale s.  Membership
+    of the scaled pair depends only on s mod m, and its p-divisibility only
+    on whether p divides s, so the least valid scale, if any, is at most 2m:
+    if p divides the least residue r of a valid class, then p divides
+    r + m only when it divides every scale in the class.  Returns the
+    decision, the finite value when defined, and "oo" when the reciprocal
+    takes the value 0.
     """
     if a not in M or b not in M:
         raise ValueError("both entries must be elements of the monoid")
@@ -174,7 +177,7 @@ def defined_at(M, p: int, a: int, b: int) -> dict:
     a0, b0 = a // g, b // g
 
     def witness(num: int, den: int):
-        for s in range(1, m * p + 1):
+        for s in range(1, 2 * m + 1):
             if (num * s) % m in residues and (den * s) % m in residues:
                 if (den * s) % p != 0:
                     return s

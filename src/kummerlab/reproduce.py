@@ -273,15 +273,13 @@ def _claim_reflection(cfg: Config) -> dict:
 
 @claim("charsum/gauss-sum-ratio")
 def _claim_ratio(cfg: Config) -> dict:
-    G = charsum.GaussSumRing(5, 11)
-    ratio = charsum.gauss_sum_ratio(G, 1, 1)
+    chi = charsum.character(11, 5)
+    ratio = charsum.gauss_sum_ratio(chi, 1, 1)
     j = _jacobi(11, 5, 1, 1)
     assert ratio == -j
-    one_sum = G.gauss_sum(0)
-    assert one_sum.y_free() and one_sum.x_part() == G.xring.element(-1)
-    prod7 = charsum.GaussSumRing(3, 7)
-    t = prod7.gauss_sum(1) * prod7.gauss_sum(2)
-    assert t.y_free() and t.x_part() == prod7.xring.element(7)
+    assert charsum.gauss_sum(chi, 0) == -1
+    chi7 = charsum.character(7, 3)
+    assert charsum.gauss_sum(chi7, 1) * charsum.gauss_sum(chi7, 2) == 7
     return {"ratio_equals_minus_J": True, "trivial_sum": -1}
 
 

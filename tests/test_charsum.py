@@ -4,15 +4,16 @@ from math import comb
 
 import pytest
 
+from kummerlab import charsum
 from kummerlab.arith import primes_below
 from kummerlab.charsum import (
     Character,
-    GaussSumRing,
     binomial_congruence,
     character,
     fc_divisibility_criterion,
     fundamental_congruence_check,
     gauss_power_descent,
+    gauss_sum,
     gauss_sum_ratio,
     jacobi_sum,
     jacobi_sum_positive,
@@ -90,63 +91,94 @@ def test_galois_equivariance():
 
 
 def test_gauss_sum_trivial_character():
-    G = GaussSumRing(5, 11)
-    s = G.gauss_sum(0)
-    assert s.y_free()
-    assert s.x_part() == G.xring.element(-1)
+    chi = character(11, 5)
+    s = gauss_sum(chi, 0)
+    assert s.ring == cyclotomic_ring(55)
+    assert s == -1
+
+
+def test_gauss_sum_pinned():
+    # the quadratic sum at p = 5 is sum (t/5) x^t with x = zeta_10^2
+    s = gauss_sum(character(5, 2), 1)
+    assert s == cyclotomic_ring(10).element([0, 0, 1, 0, -1, 0, -1, 0, 1, 0])
+
+
+def test_descent_failure_raises(monkeypatch):
+    real = charsum.gauss_sum
+
+    def plus_x(chi, i):
+        # a stray x = zeta^lam makes the power move under x -> x^j
+        g = real(chi, i)
+        return g + g.ring.alpha(chi.lam)
+
+    monkeypatch.setattr(charsum, "gauss_sum", plus_x)
+    with pytest.raises(ArithmeticError, match="not invariant"):
+        gauss_power_descent(3, 7)
+    # with the invariance check blind, the Y-part is still caught
+    monkeypatch.setattr(charsum, "conjugate", lambda z, k: z)
+    with pytest.raises(ArithmeticError, match="Y-part"):
+        gauss_power_descent(3, 7)
+
+
+def test_gauss_sum_needs_order_dividing_p_minus_1():
+    with pytest.raises(ValueError):
+        gauss_sum(Character(5, 3), 1)
+    with pytest.raises(ValueError):
+        gauss_sum_ratio(Character(5, 3), 1, 1)
 
 
 def test_gauss_sum_ratio_equals_positive_jacobi_sum():
-    for p, lam, i, k in [(11, 5, 1, 1), (7, 3, 1, 1), (13, 3, 1, 1), (13, 4, 1, 2)]:
-        G = GaussSumRing(lam, p)
+    for p, lam, i, k in [
+        (11, 5, 1, 1),
+        (7, 3, 1, 1),
+        (13, 3, 1, 1),
+        (13, 4, 1, 2),
+        (31, 6, 1, 1),
+        (31, 6, 2, 3),
+        (41, 8, 1, 2),
+        (41, 8, 3, 3),
+        (31, 10, 1, 1),
+        (31, 10, 3, 4),
+    ]:
         chi = character(p, lam)
-        assert gauss_sum_ratio(G, i, k) == jacobi_sum_positive(chi, i, k)
+        assert gauss_sum_ratio(chi, i, k) == jacobi_sum_positive(chi, i, k)
 
 
 def test_gauss_sum_product_identity():
-    # g_i * g_k = J+ * g_{i+k} inside the tensor ring
-    G = GaussSumRing(5, 11)
+    # g_i * g_k = J+ * g_{i+k} in Z[zeta_55], J+ placed on the powers of
+    # alpha = zeta^11
     chi = character(11, 5)
+    big = cyclotomic_ring(55)
     for i, k in [(1, 1), (1, 2), (2, 2)]:
-        left = G.gauss_sum(i) * G.gauss_sum(k)
-        jplus = jacobi_sum_positive(chi, i, k)
-        right = G.gauss_sum(i + k)
-        # multiply right by the cyclotomic coefficient of J+
-        acc = None
-        for e, c in enumerate(jplus.coeffs):
-            if c:
-                raw = G.zero_matrix()
-                for a, row in enumerate(right.mat):
-                    for b, val in enumerate(row):
-                        raw[(a + e) % G.lam][b] += c * val
-                term = G.reduce(raw)
-                acc = term if acc is None else acc + term
-        assert left == acc
+        lifted = [0] * 55
+        for a, c in enumerate(jacobi_sum_positive(chi, i, k).coeffs):
+            lifted[11 * a] = c
+        left = gauss_sum(chi, i) * gauss_sum(chi, k)
+        assert left == big.element(lifted) * gauss_sum(chi, i + k)
 
 
 def test_conjugate_gauss_sum_pair():
-    G = GaussSumRing(3, 7)
-    prod = G.gauss_sum(1) * G.gauss_sum(2)
-    assert prod.y_free()
-    assert prod.x_part() == G.xring.element(7)
+    chi = character(7, 3)
+    assert gauss_sum(chi, 1) * gauss_sum(chi, 2) == 7
 
 
-@pytest.mark.parametrize("lam,p", [(2, 5), (3, 7), (3, 13), (5, 11)])
+@pytest.mark.parametrize(
+    "lam,p",
+    [(2, 5), (2, 7), (3, 7), (3, 13), (5, 11), (4, 13), (4, 17), (6, 7), (6, 13)],
+)
 def test_gauss_power_descent(lam, p):
+    # g^lam = chi(-1) * p * prod_{t=1}^{lam-2} J+(1, t), chi(-1) = alpha^((p-1)/2)
     rep = gauss_power_descent(lam, p)
     assert rep["substitution_invariant"]
     ring = cyclotomic_ring(lam)
     element = ring.element(rep["element"])
-    if lam == 2:
-        assert element == ring.element(5)
-    else:
-        expected = ring.element(p)
-        chi = character(p, lam)
-        for t in range(1, lam - 1):
-            expected = expected * jacobi_sum_positive(chi, 1, t)
-        assert element == expected
-        # each embedding has absolute value p^(lam/2)
-        assert abs(norm(element)) == p ** (lam * (lam - 1) // 2)
+    chi = character(p, lam)
+    expected = ring.alpha((p - 1) // 2) * p
+    for t in range(1, lam - 1):
+        expected = expected * jacobi_sum_positive(chi, 1, t)
+    assert element == expected
+    # each embedding has absolute value p^(lam/2)
+    assert abs(norm(element)) == p ** (lam * ring.degree // 2)
 
 
 def test_descent_rejects_bad_input():

@@ -217,6 +217,30 @@ def test_cli_monoid_classgroup_enum_cap(capsys):
     assert "1600000000 coset products" in capsys.readouterr().err
 
 
+def test_cli_enum_cap_before_action(capsys):
+    assert main(["monoid", "--m", "15", "--enum-cap", "63", "classgroup"]) == 2
+    assert "over --enum-cap 63" in capsys.readouterr().err
+    # a value written after the action still wins
+    argv = ["monoid", "--enum-cap", "63", "--m", "15", "classgroup", "--enum-cap", "64"]
+    assert main(argv) == 0
+
+
+def test_cli_json_before_action(capsys):
+    code, out = _run(capsys, ["monoid", "--json", "--m", "15", "factor", "16"])
+    assert code == 0
+    assert json.loads(out)["result"]["a"] == 16
+    code, out = _run(capsys, ["quad", "--json", "--theta", "0,3", "conductor"])
+    assert code == 0
+    assert json.loads(out)["command"] == "quad"
+
+
+def test_cli_trial_div_before_action(capsys):
+    # 25 is composite and passes trial division only with a bound of 5
+    assert main(["monoid", "--m", "25", "--trial-div", "1", "classgroup"]) == 2
+    assert "trial-division bound 1" in capsys.readouterr().err
+    assert main(["monoid", "--m", "25", "classgroup"]) == 0
+
+
 def test_cli_stickelberger(capsys):
     code, out = _run(capsys, ["stickelberger", "--lambda", "3", "--p", "7"])
     assert code == 0

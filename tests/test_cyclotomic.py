@@ -10,7 +10,6 @@ from kummerlab.cyclotomic import (
     CyclotomicRing,
     conjugate,
     cyclotomic_ring,
-    express_in_periods,
     gaussian_periods,
     norm,
 )
@@ -29,6 +28,32 @@ def test_ring_basics():
     assert a**5 == ring.one()
     assert ring.alpha(4) == ring.element([-1, -1, -1, -1])
     assert sum((ring.alpha(k) for k in range(1, 5)), ring.zero()) == ring.element(-1)
+
+
+def test_pow_multiply_count(monkeypatch):
+    # square-and-multiply from the base: bit_length - 1 squarings and
+    # popcount - 1 multiplies, none by one and no squaring past the top bit
+    ring = cyclotomic_ring(12)
+    x = ring.element([2, -1, 0, 3])
+    calls = []
+    mul = polyint.mul
+
+    def counted(f, g):
+        calls.append(1)
+        return mul(f, g)
+
+    expected = ring.one()
+    for e in range(1, 41):
+        expected = expected * x
+        monkeypatch.setattr(polyint, "mul", counted)
+        calls.clear()
+        power = x**e
+        monkeypatch.setattr(polyint, "mul", mul)
+        assert power == expected
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1
+    assert x**0 == ring.one()
+    with pytest.raises(ValueError):
+        x ** -1
 
 
 def test_conjugation_pinned():
@@ -179,41 +204,6 @@ def test_period_sums_and_galois_action():
         fix = pow(system.g, e, lam)
         for eta in system.periods:
             assert conjugate(eta, fix) == eta
-
-
-def test_express_in_periods():
-    system = gaussian_periods(5, 2)
-    ring = system.ring
-    assert express_in_periods(system.periods[0], system) == (1, 0)
-    assert express_in_periods(ring.element(-1), system) == (1, 1)
-    assert express_in_periods(ring.alpha(), system) is None
-    combo = system.combine(3, [2, -1])
-    coords = express_in_periods(combo, system)
-    # the constant folds through eta_0 + eta_1 = -1: 3 - eta_0 ... stays exact
-    rebuilt = ring.zero()
-    for c, eta in zip(coords, system.periods):
-        rebuilt = rebuilt + c * eta
-    assert rebuilt == combo
-
-
-def test_express_in_periods_generated():
-    # eta_0 + ... + eta_{e-1} = -1, so c0 + sum c_i eta_i has coordinates
-    # c_i - c0; bumping one alpha-coefficient leaves the period subring
-    # whenever the periods have length f > 1
-    rng = random.Random(RNG_SEED + 5)
-    for lam, e in [(5, 1), (5, 2), (5, 4), (7, 2), (7, 3), (11, 5), (13, 4),
-                   (13, 6), (17, 8), (19, 9), (23, 11)]:
-        system = gaussian_periods(lam, e)
-        ring = system.ring
-        for _ in range(20):
-            c0 = rng.randint(-9, 9)
-            cs = [rng.randint(-9, 9) for _ in range(e)]
-            x = system.combine(c0, cs)
-            assert express_in_periods(x, system) == tuple(c - c0 for c in cs)
-            if e < lam - 1:
-                k = rng.choice([-2, -1, 1, 2])
-                bump = k * ring.alpha(rng.randint(1, lam - 2))
-                assert express_in_periods(x + bump, system) is None
 
 
 def test_period_system_validation():

@@ -84,6 +84,58 @@ def test_defined_at_cancellation_chain():
     assert defined_at(M4, 3, 21, 9) == {"defined": False, "value": "oo"}
 
 
+def _defined_at_full_scan(M, p, a, b):
+    # the reference: scan every scale s up to m*p, the period of both
+    # conditions
+    m = M.m
+    residues = {r for r in range(m) if r + m in M}
+    g = gcd(a, b)
+    a0, b0 = a // g, b // g
+
+    def witness(num, den):
+        for s in range(1, m * p + 1):
+            if (num * s) % m in residues and (den * s) % m in residues:
+                if (den * s) % p != 0:
+                    return s
+        return None
+
+    s = witness(a0, b0)
+    if s is not None:
+        return {"defined": True, "value": a0 * s % p * pow(b0 * s % p, -1, p) % p}
+    s_inv = witness(b0, a0)
+    if s_inv is not None and (b0 * s_inv) % p == 0:
+        return {"defined": False, "value": "oo"}
+    return {"defined": False, "value": None}
+
+
+def test_defined_at_scale_bound_matches_full_scan():
+    monoids = [
+        M4,
+        HilbertMonoid(5, [1]),
+        HilbertMonoid(8, [1, 3]),
+        HilbertMonoid(9, [1, 8]),
+        HilbertMonoid(12, [1]),
+        SingularMonoid(),
+    ]
+    outcomes = set()
+    for M in monoids:
+        members = [a for a in range(1, 41) if a in M]
+        for p in (2, 3, 5, 7, 11):
+            for a in members:
+                for b in members:
+                    rep = defined_at(M, p, a, b)
+                    assert rep == _defined_at_full_scan(M, p, a, b), (M, p, a, b)
+                    outcomes.add(str(rep["value"]) if not rep["defined"] else "finite")
+    assert outcomes == {"finite", "oo", "None"}
+
+
+def test_defined_at_large_prime_answers_at_once():
+    # the scale search is bounded by 2m, not m*p
+    p = 100000007
+    assert defined_at(M4, p, 1, p * p) == {"defined": False, "value": "oo"}
+    assert defined_at(M4, p, p * p, 1) == {"defined": True, "value": 0}
+
+
 def test_uniformizers():
     assert uniformizer(M4, 3) == 21
     assert uniformizer(M4, 5) == 5
