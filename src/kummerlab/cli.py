@@ -57,7 +57,8 @@ def _common_options(keep_earlier: bool = False) -> argparse.ArgumentParser:
         type=int,
         default=default(10000),
         metavar="N",
-        help="cap for exhaustive monoid enumerations (default 10000)",
+        help="cap for exhaustive monoid enumerations and for the p - 1 "
+        "substitution checks of gauss-sum (default 10000)",
     )
     common.add_argument(
         "--trial-div",
@@ -315,6 +316,12 @@ def _cmd_jacobi_sum(args) -> int:
 
 
 def _cmd_gauss_sum(args) -> int:
+    # the descent checks p - 1 substitutions in a ring of degree phi(order*p)
+    if args.p - 1 > args.enum_cap:
+        raise UsageError(
+            f"p - 1 = {args.p - 1} substitution checks exceed "
+            f"--enum-cap {args.enum_cap}"
+        )
     report = charsum.gauss_power_descent(args.order, args.p, args.i)
     ring = cyclotomic_ring(args.order)
     report["element_expr"] = render_element(ring.element(report["element"]))

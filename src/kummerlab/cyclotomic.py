@@ -171,9 +171,7 @@ class CyclotomicElement:
     def __mul__(self, other):
         other = self._lift(other)
         self._check(other)
-        return self.ring.element(
-            polyint.mul(list(self.coeffs), list(other.coeffs))
-        )
+        return self.ring.element(polyint.mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

@@ -177,6 +177,11 @@ def test_cli_usage_error_exit_code():
         (["fc-check", "--p", "1", "--all"], "1 is not prime"),
         (["fc-check", "--p", "0", "--all"], "0 is not prime"),
         (["fc-check", "--p", "-7", "--all"], "-7 is not prime"),
+        (["gauss-sum", "--p", "100003", "--order", "2"], "exceed --enum-cap 10000"),
+        (
+            ["gauss-sum", "--p", "13", "--order", "3", "--enum-cap", "11"],
+            "p - 1 = 12 substitution checks exceed --enum-cap 11",
+        ),
     ],
 )
 def test_cli_out_of_range_input_exit_code(capsys, argv, message):

@@ -24,6 +24,7 @@ from kummerlab.lattice import (
     multiply_coords,
     principal_lattice,
 )
+from kummerlab import polyint
 from kummerlab.polyint import cyclotomic_polynomial, divmod_exact, mul, resultant
 from kummerlab.polymod import factor_mod_p, gf_mul, gf_normalize
 
@@ -152,6 +153,89 @@ def test_resultant_vs_product_of_roots():
     f = [3, 1, 2]
     assert resultant([-1, 0, 1], f) == (3 + 1 + 2) * (3 - 1 + 2)
     assert resultant([1, 1], [1, 1]) == 0
+
+
+def test_resultant_of_split_polynomials():
+    # Res(prod (X - a_i), prod (X - b_j)) = prod (a_i - b_j); shared roots
+    # give 0, and zero pivots force row swaps in the elimination
+    rng = random.Random(RNG_SEED)
+    for _ in range(60):
+        roots_f = [rng.randint(-4, 4) for _ in range(rng.randint(1, 6))]
+        roots_g = [rng.randint(-4, 4) for _ in range(rng.randint(1, 6))]
+        f, g, expected = [1], [1], 1
+        for a in roots_f:
+            f = mul(f, [-a, 1])
+        for b in roots_g:
+            g = mul(g, [-b, 1])
+        for a in roots_f:
+            for b in roots_g:
+                expected *= a - b
+        assert resultant(f, g) == expected
+    assert resultant([1, 0, 1], [-1, 0, 1]) == 4
+    assert resultant([0, 0, 1], [5]) == 25
+
+
+def _schoolbook(f, g):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def test_mul_matches_schoolbook(monkeypatch):
+    t = polyint.KRONECKER_MIN_TERMS
+    rng = random.Random(RNG_SEED)
+
+    def draw(length, bits, zeros=0.2):
+        return [
+            0 if rng.random() < zeros else rng.randint(-(2**bits), 2**bits)
+            for _ in range(length)
+        ]
+
+    cases = []
+    # the selection's boundary: t - 1 and t nonzero terms in long operands
+    for nonzero in (t - 1, t, t + 1):
+        for length in (nonzero, 2 * t):
+            f = [0] * length
+            for i in rng.sample(range(length), nonzero):
+                f[i] = rng.choice([-3, -1, 1, 2, 7])
+            cases += [(f, draw(length, 5, 0)), (draw(length, 5, 0), f)]
+    # lengths 1 to 500 with negative and zero coefficients, and
+    # coefficients past 2^64 and 2^1000
+    for length in list(range(1, 45)) + [63, 64, 65, 127, 239, 499, 500]:
+        cases.append((draw(length, 8), draw(rng.randint(1, 500), 8)))
+    for length in (1, t - 1, t, 40, 120):
+        for bits in (64, 65, 1001):
+            cases.append((draw(length, bits), draw(length + 3, bits)))
+    # all -B times all +B: a product coefficient is -B^2 * min(len) exactly,
+    # the width bound; B near powers of two walks it across byte boundaries
+    for length, other in ((t, t), (t, 3 * t), (64, 64), (100, 37)):
+        for k in list(range(1, 20)) + [63, 64, 65, 1000]:
+            for big in (2**k - 1, 2**k, 2**k + 1):
+                cases.append(([-big] * length, [big] * other))
+                cases.append(([big] * length, [big] * other))
+    # leading and trailing zeros, as in padded ring coefficients
+    cases.append(([0] * 5 + draw(60, 30, 0) + [0] * 7, [0, 0] + draw(30, 3, 0)))
+
+    packed = []
+    kronecker = polyint._kronecker_mul
+
+    def spy(f, g):
+        packed.append((f, g))
+        return kronecker(f, g)
+
+    monkeypatch.setattr(polyint, "_kronecker_mul", spy)
+    for f, g in cases:
+        expected = _schoolbook(f, g)
+        assert mul(f, g) == expected
+        assert mul(tuple(f), tuple(g)) == expected
+        dense = min(len(f) - f.count(0), len(g) - g.count(0)) >= t
+        assert packed == ([(f, g), (tuple(f), tuple(g))] if dense else [])
+        packed.clear()
+    assert mul([], [1, 2]) == mul([3], []) == []
 
 
 # --- polynomials mod p ---------------------------------------------------

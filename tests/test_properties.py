@@ -1,6 +1,6 @@
 """Properties on generated inputs: ring axioms and the norm at prime and
-composite conductors, Kummer multiplicities, the p-adic valuation oracle
-and the expression round trip.
+composite conductors, integer polynomial products, Kummer multiplicities,
+the p-adic valuation oracle and the expression round trip.
 
 Examples are derandomized, so every run draws the same inputs.
 """
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element, render_element
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
+from kummerlab.polyint import mul
 from kummerlab.quadorder import QuadOrder
 from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
 
@@ -57,6 +58,29 @@ def test_ring_axioms(lam, data):
 def test_norm_is_multiplicative(lam, data):
     x, y = data.draw(elements(lam)), data.draw(elements(lam))
     assert norm(x * y) == norm(x) * norm(y)
+
+
+def _value(f, x):
+    out = 0
+    for c in reversed(f):
+        out = out * x + c
+    return out
+
+
+BIG = 2**70
+TERMS = st.lists(st.integers(-BIG, BIG), min_size=20, max_size=120)
+
+
+@GENERATED
+@given(TERMS, TERMS)
+def test_mul_is_evaluation(f, g):
+    # product coefficients stay below 2^140 * 120 < 2^199 in absolute value,
+    # so the value at 2^200 determines the product; the small points check
+    # signs on their own
+    h = mul(f, g)
+    assert not h or h[-1]
+    for x in (-1, 2, 2**200):
+        assert _value(h, x) == _value(f, x) * _value(g, x)
 
 
 @GENERATED
