@@ -159,22 +159,25 @@ def gauss_sum_ratio(chi: Character, i: int, k: int) -> CyclotomicElement:
 
 def gauss_power_descent(lam: int, p: int, i: int = 1) -> dict:
     """Compute (alpha^i, x)^lam, check it is invariant under every x -> x^j
-    and Y-free, and return it as an element of Z[alpha]."""
+    and Y-free, and return it as an element of Z[alpha].
+
+    Those substitutions form Gal(Q(zeta_{lam p})/Q(alpha)), cyclic of
+    order p - 1 and generated by x -> x^g for the primitive root g = chi.g,
+    so invariance under that one conjugation is invariance under all.
+    """
     if lam < 2:
         raise ValueError(f"order {lam} must be at least 2")
     chi = character(p, lam)
     if i % lam == 0:
         raise ValueError("index must be nonzero mod lam")
     power = gauss_sum(chi, i) ** lam
-    # x -> x^j fixing alpha is zeta -> zeta^k, k = 1 mod lam and j mod p
-    step = pow(lam, -1, p)
-    for j in range(1, p):
-        k = 1 + lam * ((j - 1) * step % p)
-        if conjugate(power, k) != power:
-            raise ArithmeticError(
-                f"descent failed: (alpha^{i}, x)^{lam} is not invariant "
-                f"under x -> x^{j}"
-            )
+    # x -> x^g fixing alpha is zeta -> zeta^k, k = 1 mod lam and g mod p
+    k = 1 + lam * ((chi.g - 1) * pow(lam, -1, p) % p)
+    if conjugate(power, k) != power:
+        raise ArithmeticError(
+            f"descent failed: (alpha^{i}, x)^{lam} is not invariant "
+            f"under x -> x^{chi.g}"
+        )
     element = _descend(chi, power)
     return {
         "p": p,

@@ -57,8 +57,8 @@ def _common_options(keep_earlier: bool = False) -> argparse.ArgumentParser:
         type=int,
         default=default(10000),
         metavar="N",
-        help="cap for exhaustive monoid enumerations and for the p - 1 "
-        "substitution checks of gauss-sum (default 10000)",
+        help="cap for exhaustive monoid enumerations and for the conductor "
+        "order * p of gauss-sum (default 10000)",
     )
     common.add_argument(
         "--trial-div",
@@ -194,10 +194,10 @@ def _map_report(phi, periods=None) -> dict:
 
 def _find_map(lam: int, p: int, xi_text: str):
     parts = [int(c) for c in xi_text.split(",")]
-    for phi in enumerate_jacobi_maps(lam, p):
-        if phi.f == 1 and len(parts) == 1 and phi.xi.residue() == parts[0] % p:
-            return phi
-        if phi.f > 1 and list(phi.xi.coeffs) == parts:
+    maps = enumerate_jacobi_maps(lam, p)  # rejects p before it is a modulus
+    label = parts[0] % p if len(parts) == 1 else parts
+    for phi in maps:
+        if phi.label() == label:
             return phi
     raise UsageError(f"no Jacobi map with xi = {xi_text} for lambda={lam}, p={p}")
 
@@ -316,10 +316,10 @@ def _cmd_jacobi_sum(args) -> int:
 
 
 def _cmd_gauss_sum(args) -> int:
-    # the descent checks p - 1 substitutions in a ring of degree phi(order*p)
-    if args.p - 1 > args.enum_cap:
+    # gauss_sum allocates one coefficient per residue mod order * p
+    if args.order * args.p > args.enum_cap:
         raise UsageError(
-            f"p - 1 = {args.p - 1} substitution checks exceed "
+            f"order * p = {args.order * args.p} Gauss-sum coefficients exceed "
             f"--enum-cap {args.enum_cap}"
         )
     report = charsum.gauss_power_descent(args.order, args.p, args.i)

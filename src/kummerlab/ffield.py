@@ -1,134 +1,32 @@
-"""Explicit finite fields F_{p^f} presented by an irreducible polynomial.
+"""Ring maps out of Z[X] into (Z/m)[X]/(F), given by their power rows.
 
-A field is (p, defining polynomial); elements are residue polynomials of
-degree < f, coefficient lists in [0, p) with trailing zeros stripped.  The
-degree-1 case collapses to plain residues mod p but keeps the same API.
+A map that sends X to a root r is fixed by the images of 1, r, ..., r^(n-1),
+so their coordinate rows over the basis 1, X, ..., X^(f-1) of
+(Z/m)[X]/(F), f = deg F, are the whole map: applying it to a coefficient
+vector is a row-vector product, and its kernel is the kernel of the rows.
+For m = p prime and F irreducible this is a map into the field F_{p^f};
+at f = 1 the rows are the integer powers of r mod m.
 """
 
-from kummerlab import polymod
-from kummerlab.arith import is_prime
+from operator import mul
+
+from kummerlab.polymod import gf_mod, gf_mul
 
 
-class FiniteField:
-    __slots__ = ("p", "f", "poly")
+def power_rows(root, count: int, factor, m: int) -> list[list[int]]:
+    """root^0 .. root^(count-1) in (Z/m)[X]/(F) as length-f coordinate rows.
 
-    def __init__(self, p: int, poly):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        poly = tuple(polymod.gf_normalize(list(poly), p))
-        if len(poly) < 2 or poly[-1] != 1:
-            raise ValueError("defining polynomial must be monic of degree >= 1")
-        self.p = p
-        self.f = len(poly) - 1
-        self.poly = poly
-
-    @property
-    def order(self) -> int:
-        return self.p**self.f
-
-    def element(self, coeffs) -> "FieldElement":
-        if isinstance(coeffs, int):
-            coeffs = [coeffs]
-        return FieldElement(self, polymod.gf_normalize(list(coeffs), self.p))
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, [])
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, [1])
-
-    def generator(self) -> "FieldElement":
-        """The class of X (reduced if f == 1)."""
-        return self.element([0, 1])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteField)
-            and self.p == other.p
-            and self.poly == other.poly
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.poly))
-
-    def __repr__(self):
-        return f"FiniteField(p={self.p}, f={self.f})"
+    root is a coefficient list and F a monic integer polynomial.
+    """
+    f = len(factor) - 1
+    rows = []
+    power = [1]
+    for _ in range(count):
+        rows.append(power + [0] * (f - len(power)))
+        power = gf_mod(gf_mul(power, root, m), factor, m)
+    return rows
 
 
-class FieldElement:
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FiniteField, coeffs: list[int]):
-        self.field = field
-        self.coeffs = tuple(
-            polymod.gf_mod(list(coeffs), list(field.poly), field.p)
-        )
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.field != other.field:
-            raise ValueError("elements of different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(
-            self.field,
-            polymod.gf_add(list(self.coeffs), list(other.coeffs), self.field.p),
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(
-            self.field,
-            polymod.gf_sub(list(self.coeffs), list(other.coeffs), self.field.p),
-        )
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(
-            self.field,
-            polymod.gf_mul(list(self.coeffs), list(other.coeffs), self.field.p),
-        )
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FieldElement(
-            self.field,
-            polymod.gf_pow_mod(
-                list(self.coeffs), e, list(self.field.poly), self.field.p
-            ),
-        )
-
-    def inverse(self) -> "FieldElement":
-        if not self.coeffs:
-            raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.field.order - 2)
-
-    def scale(self, c: int) -> "FieldElement":
-        c %= self.field.p
-        return FieldElement(self.field, [c * a for a in self.coeffs])
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def in_prime_field(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def residue(self) -> int:
-        """The value as an integer mod p; only defined in the prime field."""
-        if not self.in_prime_field():
-            raise ValueError("element does not lie in the prime field")
-        return self.coeffs[0] if self.coeffs else 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self):
-        return f"FieldElement({list(self.coeffs)} over {self.field!r})"
+def image(coeffs, rows, m: int) -> tuple[int, ...]:
+    """The coordinates mod m of sum_i coeffs[i] * rows[i]."""
+    return tuple(sum(map(mul, coeffs, column)) % m for column in zip(*rows))

@@ -5,7 +5,10 @@ factor P_j of Phi_lam mod p yields one map: the target field is
 F_p[X]/(P_j) itself and alpha goes to a root of P_j in it.  The kernel of
 such a map is a maximal ideal of Z[alpha] -- an ideal prime of p.  Maps
 with equal kernels are identified; each map carries a canonical root label,
-the smallest element of the Frobenius orbit of its root.
+the smallest element of the Frobenius orbit of its root.  A map is stored
+as the F_p-coordinate rows of the powers of that root (ffield.power_rows):
+applying it is a row-vector product, and its kernel is kernel_mod of the
+rows.
 
 Degree-1 maps are constructed as Jacobi did, without factoring: for
 p = 1 mod lam, z = a^((p-1)/lam) mod p with a >= 2 least such that z != 1
@@ -23,54 +26,46 @@ from kummerlab.cyclotomic import (
     PeriodSystem,
     cyclotomic_ring,
 )
-from kummerlab.ffield import FieldElement, FiniteField
+from kummerlab.ffield import image, power_rows
 from kummerlab.lattice import IntLattice, kernel_mod
 from kummerlab.polyint import cyclotomic_polynomial
-from kummerlab.polymod import factor_mod_p, gf_eval
+from kummerlab.polymod import factor_mod_p, gf_mod, gf_pow_mod
 
 
 class JacobiMap:
-    """A surjective ring homomorphism Z[alpha] -> F_{p^f}."""
+    """A surjective ring homomorphism Z[alpha] -> F_{p^f} = F_p[X]/(F).
 
-    __slots__ = ("lam", "p", "f", "factor", "field", "xi", "ring")
+    alpha goes to xi, the canonical root; rows holds the F_p-coordinates
+    of xi^0 .. xi^(lam-2), which are the whole map.
+    """
+
+    __slots__ = ("lam", "p", "f", "factor", "xi", "rows", "ring")
 
     def __init__(self, lam: int, p: int, factor: tuple[int, ...]):
         self.lam = lam
         self.p = p
         self.factor = tuple(factor)
         self.f = len(factor) - 1
-        self.field = FiniteField(p, factor)
         self.ring = cyclotomic_ring(lam)
-        root = self.field.generator()
-        orbit = []
-        x = root
-        for _ in range(self.f):
-            orbit.append(x)
-            x = x**p
-        pad = lambda e: tuple(e.coeffs) + (0,) * (self.f - len(e.coeffs))
-        self.xi = min(orbit, key=pad)
+        orbit = [gf_mod([0, 1], self.factor, p)]
+        for _ in range(self.f - 1):
+            orbit.append(gf_pow_mod(orbit[-1], p, self.factor, p))
+        self.xi = tuple(min(orbit, key=lambda e: e + [0] * (self.f - len(e))))
+        self.rows = power_rows(self.xi, lam - 1, self.factor, p)
 
-    def apply(self, x: CyclotomicElement) -> FieldElement:
-        """Evaluate the coefficient polynomial of x at xi.
-
-        For f = 1 this is integer Horner mod p.
-        """
+    def apply(self, x: CyclotomicElement) -> tuple[int, ...]:
+        """The F_p-coordinates of x's image: x.coeffs times the rows mod p."""
         if x.ring.n != self.lam:
             raise ValueError(
                 f"element lives in conductor {x.ring.n}, map expects {self.lam}"
             )
-        if self.f == 1:
-            return self.field.element(gf_eval(x.coeffs, self.xi.residue(), self.p))
-        out = self.field.zero()
-        for c in reversed(x.coeffs):
-            out = out * self.xi + self.field.element(c)
-        return out
+        return image(x.coeffs, self.rows, self.p)
 
     def kills(self, x: CyclotomicElement) -> bool:
-        return self.apply(x).is_zero()
+        return not any(self.apply(x))
 
     def kernel(self) -> IntLattice:
-        return _kernel_lattice(self.lam, self.p, self.factor)
+        return _kernel_lattice(self)
 
     def period_residues(self, system: PeriodSystem) -> tuple[int, ...]:
         """Images of the Gaussian periods; always in the prime field."""
@@ -84,16 +79,16 @@ class JacobiMap:
         out = []
         for eta in system.periods:
             img = self.apply(eta)
-            if not img.in_prime_field():
+            if any(img[1:]):
                 raise AssertionError("period image must lie in the prime field")
-            out.append(img.residue())
+            out.append(img[0])
         return tuple(out)
 
     def label(self):
         """Canonical printable identity: root residue (f=1) or coefficients."""
         if self.f == 1:
-            return self.xi.residue()
-        return list(self.xi.coeffs)
+            return self.xi[0]
+        return list(self.xi)
 
     def __eq__(self, other):
         return (
@@ -110,19 +105,9 @@ class JacobiMap:
 
 
 @lru_cache(maxsize=None)
-def _kernel_lattice(lam: int, p: int, factor: tuple[int, ...]) -> IntLattice:
-    phi = JacobiMap(lam, p, factor)
-    d = lam - 1
-    f = phi.f
-    rows = []
-    power = phi.field.one()
-    for _ in range(d):
-        rows.append(
-            list(power.coeffs) + [0] * (f - len(power.coeffs))
-        )
-        power = power * phi.xi
-    lattice = kernel_mod(rows, p)
-    if lattice.index() != p**f:
+def _kernel_lattice(phi: JacobiMap) -> IntLattice:
+    lattice = kernel_mod(phi.rows, phi.p)
+    if lattice.index() != phi.p**phi.f:
         raise AssertionError("kernel index must be p^f")
     return lattice
 
@@ -163,7 +148,7 @@ def enumerate_jacobi_maps(lam: int, p: int) -> list[JacobiMap]:
 def map_for_root(maps: list[JacobiMap], residue: int) -> JacobiMap:
     """The degree-1 map sending alpha to the given residue."""
     for phi in maps:
-        if phi.f == 1 and phi.xi.residue() == residue % phi.p:
+        if phi.label() == residue % phi.p:
             return phi
     raise ValueError(f"no degree-1 map with root {residue}")
 

@@ -99,14 +99,6 @@ def gf_pow_mod(f: list[int], e: int, mod: list[int], p: int) -> list[int]:
     return out
 
 
-def gf_eval(f: list[int], x: int, p: int) -> int:
-    """f(x) mod p by Horner's rule; p may be any modulus >= 2."""
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def gf_deriv(f: list[int], p: int) -> list[int]:
     return gf_trim([i * c % p for i, c in enumerate(f)][1:])
 

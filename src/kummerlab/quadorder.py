@@ -15,7 +15,7 @@ from importlib import resources
 from math import isqrt
 
 from kummerlab.arith import is_prime, squarefree_decomposition
-from kummerlab.ffield import FieldElement, FiniteField
+from kummerlab.ffield import image, power_rows
 from kummerlab.lattice import (
     IntLattice,
     MultTable,
@@ -110,41 +110,35 @@ class QuadElement:
 class QuadJacobiMap:
     """A surjective homomorphism Z[theta] -> F_p or F_{p^2}."""
 
-    __slots__ = ("order", "p", "f", "factor", "field", "image", "_kernel")
+    __slots__ = ("order", "p", "f", "factor", "rows", "_kernel")
 
     def __init__(self, order: QuadOrder, p: int, factor: tuple[int, ...]):
         self.order = order
         self.p = p
         self.factor = tuple(factor)
         self.f = len(factor) - 1
-        self.field = FiniteField(p, factor)
-        self.image = self.field.generator()
+        self.rows = power_rows([0, 1], 2, factor, p)  # images of 1, theta
         self._kernel = None
 
-    def apply(self, elt: QuadElement) -> FieldElement:
+    def apply(self, elt: QuadElement) -> tuple[int, ...]:
         if elt.order != self.order:
             raise ValueError("element belongs to a different order")
-        return self.field.element(elt.x) + self.image.scale(elt.y)
+        return image(elt.coords(), self.rows, self.p)
 
     def kills(self, elt: QuadElement) -> bool:
-        return self.apply(elt).is_zero()
+        return not any(self.apply(elt))
 
     def kernel(self) -> IntLattice:
         if self._kernel is None:
-            f = self.f
-            rows = [
-                [1] + [0] * (f - 1),
-                list(self.image.coeffs) + [0] * (f - len(self.image.coeffs)),
-            ]
-            lattice = kernel_mod(rows, self.p)
-            assert lattice.index() == self.p**f
+            lattice = kernel_mod(self.rows, self.p)
+            assert lattice.index() == self.p**self.f
             self._kernel = lattice
         return self._kernel
 
     def label(self):
         if self.f == 1:
-            return self.image.residue()
-        return list(self.image.coeffs)
+            return self.rows[1][0]
+        return list(self.rows[1])
 
     def __repr__(self):
         return f"QuadJacobiMap(p={self.p}, theta->{self.label()})"

@@ -10,9 +10,9 @@ that every coefficient of x * Psi^mu is divisible by q^mu.
 An independent oracle computes the same number as the largest mu with
 x in (ker phi)^mu, by exact p-adic arithmetic and no uniformizer at all.
 For p != lam, Z[alpha]/P^mu is the Galois ring (Z/p^mu)[X]/(F), F the
-map's factor, with alpha at the Teichmueller lift of X, so membership in
-P^mu is one evaluation there (an integer mod p^mu when f = 1).  At p = lam
-the valuation is read off the coefficients of x(1 + t).
+map's factor, with alpha at the Teichmueller lift of the map's root, so
+membership in P^mu is one evaluation there.  At p = lam the valuation is
+read off the coefficients of x(1 + t).
 
 factorize and divides take every valuation from the oracle, and factorize
 checks the records against the norm.  The `kummerlab factor` report
@@ -36,13 +36,14 @@ from kummerlab.cyclotomic import (
     gaussian_periods,
     norm,
 )
+from kummerlab.ffield import image, power_rows
 from kummerlab.idealprimes import (
     JacobiMap,
     check_conductor,
     enumerate_jacobi_maps,
 )
 from kummerlab.lattice import kernel_mod, principal_lattice
-from kummerlab.polymod import gf_add, gf_eval, gf_mod, gf_mul, gf_pow_mod
+from kummerlab.polymod import gf_pow_mod
 
 
 @dataclass(frozen=True)
@@ -170,20 +171,15 @@ def _vanishes_at_lift(x: CyclotomicElement, phi: JacobiMap, mu: int) -> bool:
 
     p is unramified, so Z[alpha]/P^mu is the Galois ring
     W = (Z/p^mu)[X]/(F), F the map's factor read as a monic integer
-    polynomial, and alpha goes to the lam-th root of unity above the class
-    of X: its Teichmueller lift X^(p^(f(mu-1))).  x is in P^mu iff x
-    vanishes there.  For f = 1, W is Z/p^mu and the lift is an integer.
+    polynomial, and alpha goes to the Teichmueller lift of the map's root
+    xi: the lam-th root of unity xi^(p^(f(mu-1))) above it.  x is in P^mu
+    iff x vanishes there, that is iff x.coeffs times the power rows of the
+    lift is 0 mod p^mu.
     """
-    p, m = phi.p, phi.p**mu
-    if phi.f == 1:
-        root = pow(phi.xi.residue(), p ** (mu - 1), m)
-        return gf_eval(x.coeffs, root, m) == 0
-    factor = list(phi.factor)
-    root = gf_pow_mod([0, 1], p ** (phi.f * (mu - 1)), factor, m)
-    acc: list[int] = []
-    for c in reversed(x.coeffs):
-        acc = gf_add(gf_mod(gf_mul(acc, root, m), factor, m), [c % m], m)
-    return not acc
+    m = phi.p**mu
+    lift = gf_pow_mod(phi.xi, phi.p ** (phi.f * (mu - 1)), phi.factor, m)
+    rows = power_rows(lift, phi.lam - 1, phi.factor, m)
+    return not any(image(x.coeffs, rows, m))
 
 
 def _ramified_valuation(x: CyclotomicElement) -> int:

@@ -6,11 +6,14 @@ with different hash seeds print the same full JSON report, byte for byte,
 with the golden sha256 and inside the runtime budget.
 """
 
+import ast
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -79,3 +82,19 @@ def test_acceptance_criterion_12_determinism():
         f"ACCEPTANCE 12 determinism: PASS "
         f"{{'bytes': {len(first)}, 'runs': [{t_first:.1f}s, {t_second:.1f}s]}}"
     )
+
+
+def test_benchmark_tracer_modules_import():
+    # perfbench/tracer.py imports every module in its MODULES list by name
+    # before a traced run; a module missing from the package breaks that run
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text())
+    modules = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "MODULES" for t in node.targets)
+    )
+    assert "idealprimes" in modules
+    for name in modules:
+        importlib.import_module(f"kummerlab.{name}")

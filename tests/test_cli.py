@@ -180,7 +180,7 @@ def test_cli_usage_error_exit_code():
         (["gauss-sum", "--p", "100003", "--order", "2"], "exceed --enum-cap 10000"),
         (
             ["gauss-sum", "--p", "13", "--order", "3", "--enum-cap", "11"],
-            "p - 1 = 12 substitution checks exceed --enum-cap 11",
+            "order * p = 39 Gauss-sum coefficients exceed --enum-cap 11",
         ),
     ],
 )

@@ -15,7 +15,8 @@ from kummerlab.idealprimes import (
 )
 from kummerlab.lattice import IntLattice
 from kummerlab.polyint import cyclotomic_polynomial
-from kummerlab.polymod import factor_mod_p
+from kummerlab.polymod import factor_mod_p, gf_add, gf_mod, gf_mul, gf_pow_mod
+from kummerlab.valuation import _vanishes_at_lift
 
 RNG_SEED = 77911
 
@@ -26,13 +27,26 @@ def test_enumerate_split():
     assert all(m.f == 1 for m in maps)
 
 
+def _coords(poly, f):
+    """A residue polynomial as its f coordinates."""
+    return tuple(poly) + (0,) * (f - len(poly))
+
+
+def _horner(coeffs, root, factor, m):
+    """The evaluation the power rows replace: Horner's rule in (Z/m)[X]/(F)."""
+    acc = []
+    for c in reversed(coeffs):
+        acc = gf_add(gf_mod(gf_mul(acc, root, m), list(factor), m), [c % m], m)
+    return _coords(acc, len(factor) - 1)
+
+
 def test_enumerate_inert():
     maps = enumerate_jacobi_maps(5, 2)
     assert len(maps) == 1
     phi = maps[0]
-    assert phi.f == 4 and phi.field.order == 16
-    xi = phi.apply(phi.ring.alpha())
-    assert (xi**5).coeffs == (1,)
+    assert phi.f == 4 and phi.factor == (1, 1, 1, 1, 1)
+    xi = list(phi.apply(phi.ring.alpha()))
+    assert gf_pow_mod(xi, 5, list(phi.factor), 2) == [1]
 
 
 def test_enumerate_ramified():
@@ -40,7 +54,7 @@ def test_enumerate_ramified():
     assert len(maps) == 1
     phi = maps[0]
     ring = phi.ring
-    assert phi.apply(ring.alpha()).residue() == 1
+    assert phi.apply(ring.alpha()) == (1,)
     assert phi.kills(ring.one() - ring.alpha())
 
 
@@ -87,8 +101,8 @@ def test_apply_pinned():
     maps = enumerate_jacobi_maps(5, 11)
     phi3 = map_for_root(maps, 3)
     ring = phi3.ring
-    assert phi3.apply(ring.zero()).is_zero()
-    assert phi3.apply(ring.element([2, 1])).residue() == 5
+    assert phi3.apply(ring.zero()) == (0,)
+    assert phi3.apply(ring.element([2, 1])) == (5,)
     with pytest.raises(ValueError):
         phi3.apply(cyclotomic_ring(7).alpha())
 
@@ -97,12 +111,64 @@ def test_apply_is_homomorphism():
     rng = random.Random(RNG_SEED)
     for lam, p in [(5, 11), (5, 2), (7, 13), (3, 3)]:
         for phi in enumerate_jacobi_maps(lam, p):
-            ring = phi.ring
+            ring, factor = phi.ring, list(phi.factor)
             for _ in range(40):
                 x = ring.element([rng.randint(-9, 9) for _ in range(lam - 1)])
                 y = ring.element([rng.randint(-9, 9) for _ in range(lam - 1)])
-                assert phi.apply(x + y) == phi.apply(x) + phi.apply(y)
-                assert phi.apply(x * y) == phi.apply(x) * phi.apply(y)
+                a, b = phi.apply(x), phi.apply(y)
+                assert phi.apply(x + y) == tuple((u + v) % p for u, v in zip(a, b))
+                product = gf_mod(gf_mul(list(a), list(b), p), factor, p)
+                assert phi.apply(x * y) == _coords(product, phi.f)
+
+
+# (lam, p) with f = ord_lam(p) = 1, 2, 3, 4, 6, and p = lam
+APPLY_CASES = [(5, 11), (5, 19), (7, 2), (5, 2), (7, 3), (5, 5), (7, 7)]
+
+
+def test_apply_matches_horner_reference():
+    rng = random.Random(RNG_SEED + 2)
+    degrees = set()
+    for lam, p in APPLY_CASES:
+        for phi in enumerate_jacobi_maps(lam, p):
+            degrees.add(phi.f)
+            factor = list(phi.factor)
+            # xi is the least element of the Frobenius orbit of X
+            orbit = [
+                _coords(gf_pow_mod([0, 1], p**k, factor, p), phi.f)
+                for k in range(phi.f)
+            ]
+            assert _coords(phi.xi, phi.f) == min(orbit)
+            assert phi.apply(phi.ring.alpha()) == min(orbit)
+            for _ in range(30):
+                c = [rng.randint(-50, 50) for _ in range(lam - 1)]
+                x = phi.ring.element(c)
+                assert phi.apply(x) == _horner(x.coeffs, list(phi.xi), factor, p)
+    assert degrees == {1, 2, 3, 4, 6}
+
+
+def test_vanishes_at_lift_matches_horner_reference():
+    # the reference evaluates at the Teichmueller lift of X itself, not of
+    # the canonical root xi; both lie above the same prime
+    rng = random.Random(RNG_SEED + 3)
+    outcomes = set()
+    for lam, p in APPLY_CASES[:5]:
+        for phi in enumerate_jacobi_maps(lam, p)[:2]:
+            ring, d, factor = phi.ring, lam - 1, list(phi.factor)
+            basis = phi.kernel().rows
+            for k in range(5):
+                for _ in range(4):
+                    x = ring.element([rng.randint(-9, 9) for _ in range(d)])
+                    for _ in range(k):
+                        c = [rng.randint(-2, 2) for _ in range(d)]
+                        g = [sum(a * r[i] for a, r in zip(c, basis)) for i in range(d)]
+                        x = x * ring.element(g) if any(g) else x * p
+                    for mu in range(1, 5):
+                        m = p**mu
+                        lift = gf_pow_mod([0, 1], p ** (phi.f * (mu - 1)), factor, m)
+                        expected = not any(_horner(x.coeffs, lift, factor, m))
+                        assert _vanishes_at_lift(x, phi, mu) == expected, (phi, x, mu)
+                        outcomes.add((mu, expected))
+    assert outcomes == {(mu, b) for mu in range(1, 5) for b in (False, True)}
 
 
 def test_kernel_primality_surrogate():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from kummerlab.arith import primes_below
+from kummerlab.polymod import gf_mod, gf_normalize
 from kummerlab.quadorder import (
     QuadOrder,
     catalog,
@@ -45,7 +46,7 @@ def test_map_enumeration():
     phi = maps[0]
     assert phi.kills(SQRT_M3.element(1, 1))
     assert phi.kills(SQRT_M3.element(2, 0))
-    assert phi.apply(SQRT_M3.element(0, 1)).residue() == 1
+    assert phi.apply(SQRT_M3.element(0, 1)) == (1,)
 
     assert sorted(m.label() for m in enumerate_quad_maps(GAUSSIAN, 5)) == [2, 3]
     inert = enumerate_quad_maps(GAUSSIAN, 7)
@@ -54,6 +55,22 @@ def test_map_enumeration():
     for p in (2, 3, 5):
         maps = enumerate_quad_maps(QuadOrder(0, p * p), p)
         assert len(maps) == 1 and maps[0].label() == 0
+
+
+def test_apply_is_x_plus_y_theta():
+    # theta goes to the class of X in F_p[X]/(F): x + y*theta to x + y*X mod F
+    rng = random.Random(RNG_SEED + 1)
+    degrees = set()
+    for order in (SQRT_M3, GAUSSIAN, QuadOrder(-1, -1), QuadOrder(1, 5)):
+        for p in (2, 3, 5, 7, 11):
+            for phi in enumerate_quad_maps(order, p):
+                degrees.add(phi.f)
+                for _ in range(20):
+                    x, y = rng.randint(-30, 30), rng.randint(-30, 30)
+                    expected = gf_mod(gf_normalize([x, y], p), list(phi.factor), p)
+                    expected = tuple(expected) + (0,) * (phi.f - len(expected))
+                    assert phi.apply(order.element(x, y)) == expected
+    assert degrees == {1, 2}
 
 
 def test_kernels():
