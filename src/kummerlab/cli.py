@@ -14,7 +14,7 @@ from kummerlab import charsum, monoid, quadorder
 from kummerlab.arith import factorize_int, is_prime
 from kummerlab.cyclotomic import conjugate, cyclotomic_ring, gaussian_periods
 from kummerlab.exprparse import ElementParseError, parse_element, render_element
-from kummerlab.idealprimes import enumerate_jacobi_maps
+from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.reports import render_json, render_text
 from kummerlab.reproduce import Config, reproduce_all
 from kummerlab.valuation import (
@@ -192,16 +192,6 @@ def _map_report(phi, periods=None) -> dict:
     return report
 
 
-def _find_map(lam: int, p: int, xi_text: str):
-    parts = [int(c) for c in xi_text.split(",")]
-    maps = enumerate_jacobi_maps(lam, p)  # rejects p before it is a modulus
-    label = parts[0] % p if len(parts) == 1 else parts
-    for phi in maps:
-        if phi.label() == label:
-            return phi
-    raise UsageError(f"no Jacobi map with xi = {xi_text} for lambda={lam}, p={p}")
-
-
 def _emit(args, command: str, result, failed: bool = False) -> int:
     if args.json:
         sys.stdout.write(render_json(command, result))
@@ -260,7 +250,9 @@ def _cmd_valuation(args) -> int:
     x = parse_element(args.expr, ring)
     if x.is_zero():
         raise UsageError("valuation of 0 is infinite")
-    phi = _find_map(args.lam, args.p, args.xi)
+    maps = enumerate_jacobi_maps(args.lam, args.p)
+    xi = [int(c) for c in args.xi.split(",")]
+    phi = map_for_root(maps, xi[0] if len(xi) == 1 else xi)
     K = find_uniformizer(phi)
     mu = multiplicity(x, K)
     oracle = valuation_oracle(x, phi)

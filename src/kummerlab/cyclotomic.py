@@ -11,7 +11,6 @@ from math import gcd
 
 from kummerlab import polyint
 from kummerlab.arith import is_prime, least_primitive_root
-from kummerlab.lattice import MultTable
 
 
 @lru_cache(maxsize=None)
@@ -80,8 +79,13 @@ class CyclotomicRing:
                     folded[shift + i] -= c * b
         return tuple(folded[:d])
 
-    def mult_table(self) -> MultTable:
-        return _mult_table(self.n)
+    def mul_matrix(self, v) -> list[tuple[int, ...]]:
+        """Coordinate rows of v * alpha^i, i < phi(n): row i + 1 is row i
+        shifted one place and reduced."""
+        rows = [self._reduce(list(v))]
+        for _ in range(1, self.degree):
+            rows.append(self._reduce([0, *rows[-1]]))
+        return rows
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicRing) and self.n == other.n
@@ -114,20 +118,6 @@ def _norm_schedule(n: int) -> tuple[tuple[int, int], ...]:
             group = {h * pow(step, j, n) % n for h in group for j in range(r)}
             steps.append((step, r))
     return tuple(steps)
-
-
-@lru_cache(maxsize=None)
-def _mult_table(n: int) -> MultTable:
-    ring = cyclotomic_ring(n)
-    d = ring.degree
-    table = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            prod = [0] * (i + j) + [1]
-            row.append(ring._reduce(prod))
-        table.append(tuple(row))
-    return tuple(table)
 
 
 class CyclotomicElement:

@@ -145,29 +145,14 @@ def enumerate_jacobi_maps(lam: int, p: int) -> list[JacobiMap]:
     return maps
 
 
-def map_for_root(maps: list[JacobiMap], residue: int) -> JacobiMap:
-    """The degree-1 map sending alpha to the given residue."""
+def map_for_root(maps: list[JacobiMap], label) -> JacobiMap:
+    """The map whose label() is the given root: an int residue, taken mod p,
+    for a degree-1 map, or the root's coefficient list for f > 1."""
     for phi in maps:
-        if phi.label() == residue % phi.p:
+        want = label % phi.p if isinstance(label, int) else list(label)
+        if phi.label() == want:
             return phi
-    raise ValueError(f"no degree-1 map with root {residue}")
-
-
-def conjugate_lattice(lattice: IntLattice, k: int, lam: int) -> IntLattice:
-    """Image of a coefficient lattice in Z[alpha] under sigma_k."""
-    from kummerlab.cyclotomic import conjugate
-
-    ring = cyclotomic_ring(lam)
-    return lattice.transformed(
-        lambda row: list(conjugate(ring.element(list(row)), k).coeffs)
+    xi = label if isinstance(label, int) else ",".join(map(str, label))
+    raise ValueError(
+        f"no Jacobi map with xi = {xi} for lambda={maps[0].lam}, p={maps[0].p}"
     )
-
-
-def conjugated_map(phi: JacobiMap, k: int) -> JacobiMap:
-    """The map x -> phi(sigma_k(x)); its kernel is sigma_k^{-1}(ker phi)."""
-    k_inv = pow(k, -1, phi.lam)
-    target = conjugate_lattice(phi.kernel(), k_inv, phi.lam)
-    for candidate in enumerate_jacobi_maps(phi.lam, phi.p):
-        if candidate.kernel() == target:
-            return candidate
-    raise AssertionError("conjugated map must exist in the enumeration")

@@ -6,12 +6,14 @@ the entries above each pivot reduced into [0, pivot).  Two bases of the same
 lattice always produce the identical canonical matrix, so lattice equality
 is matrix equality.
 
-Orders (rings with a distinguished Z-basis) enter through structure-constant
-tables: ``table[i][j]`` is the coordinate vector of e_i * e_j.  Ideal
-arithmetic (products, colon ideals) is done relative to such a table.
+An order (a ring with a distinguished Z-basis e_0 .. e_(d-1)) enters
+through its own multiplication: ``order.mul_matrix(v)`` returns the rows
+v * e_i, so x -> x @ M is multiplication by v.  Ideal arithmetic (products,
+colon ideals, the extension test of a map to a fraction) asks nothing else
+of the ring.
 """
 
-MultTable = tuple[tuple[tuple[int, ...], ...], ...]
+from operator import mul
 
 
 def _triangularize(rows: list[list[int]], transform: list[list[int]] | None):
@@ -94,10 +96,6 @@ class IntLattice:
     def standard(cls, dim: int) -> "IntLattice":
         return cls([[int(i == j) for j in range(dim)] for i in range(dim)])
 
-    @classmethod
-    def scaled_standard(cls, dim: int, c: int) -> "IntLattice":
-        return cls([[c * int(i == j) for j in range(dim)] for i in range(dim)])
-
     def index(self) -> int:
         """Index [Z^d : L] = product of the HNF diagonal."""
         out = 1
@@ -123,33 +121,21 @@ class IntLattice:
             raise ValueError("dimension mismatch")
         return all(r in self for r in other.rows)
 
-    def product(self, other: "IntLattice", table: MultTable) -> "IntLattice":
-        """Lattice generated by all pairwise products under the order's table."""
+    def product(self, other: "IntLattice", order) -> "IntLattice":
+        """The lattice spanned by all products a * b, a in self, b in other."""
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        gens = [
-            multiply_coords(a, b, table) for a in self.rows for b in other.rows
-        ]
+        gens = []
+        for b in other.rows:
+            columns = list(zip(*_mul_matrix(order, b, self.dim)))
+            gens += [[sum(map(mul, a, col)) for col in columns] for a in self.rows]
         return IntLattice(gens)
 
-    def power(self, e: int, table: MultTable) -> "IntLattice":
-        if e < 0:
-            raise ValueError("negative lattice power")
-        out = IntLattice.standard(self.dim)
-        for _ in range(e):
-            out = out.product(self, table)
-        return out
-
-    def colon(self, v, table: MultTable) -> "IntLattice":
+    def colon(self, v, order) -> "IntLattice":
         """The colon lattice {delta : v * delta in L}."""
-        d = self.dim
-        if len(list(v)) != d or len(table) != d:
+        if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        return _preimage(multiplication_matrix(v, table), self.rows)
-
-    def transformed(self, func) -> "IntLattice":
-        """Image lattice under a Z-linear map given on coordinate rows."""
-        return IntLattice([func(r) for r in self.rows])
+        return _preimage(_mul_matrix(order, v, self.dim), self.rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntLattice) and self.rows == other.rows
@@ -166,37 +152,27 @@ def hnf(rows) -> IntLattice:
     return IntLattice(rows)
 
 
-def multiply_coords(a, b, table: MultTable) -> list[int]:
-    """Coordinates of the product of two order elements given by coordinates."""
-    d = len(table)
-    out = [0] * d
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    row = table[i][j]
-                    c = ai * bj
-                    for k in range(d):
-                        if row[k]:
-                            out[k] += c * row[k]
-    return out
+def _mul_matrix(order, v, dim: int):
+    """order.mul_matrix(v), refused unless the order has rank dim."""
+    mat = order.mul_matrix(v)
+    if len(mat) != dim:
+        raise ValueError("dimension mismatch")
+    return mat
 
 
-def multiplication_matrix(v, table: MultTable) -> list[list[int]]:
-    """Rows are the coordinates of v * e_i, so x -> x @ M is multiplication by v."""
-    d = len(table)
-    unit = [0] * d
-    rows = []
-    for i in range(d):
-        unit[i] = 1
-        rows.append(multiply_coords(v, unit, table))
-        unit[i] = 0
-    return rows
-
-
-def principal_lattice(v, table: MultTable) -> IntLattice:
+def principal_lattice(v, order) -> IntLattice:
     """The lattice v * O for an order element v (v must be a nonzerodivisor)."""
-    return IntLattice(multiplication_matrix(v, table))
+    return IntLattice(order.mul_matrix(v))
+
+
+def extends_to(kernel: IntLattice, num, den, order) -> bool:
+    """Whether the map with this kernel extends to the fraction num/den.
+
+    It does iff the colon ideal {delta : num * delta in den * O} is not
+    contained in the kernel.
+    """
+    colon = principal_lattice(den, order).colon(num, order)
+    return not kernel.contains_lattice(colon)
 
 
 def _preimage(nmat, target_rows) -> IntLattice:

@@ -18,7 +18,7 @@ from kummerlab.arith import is_prime, squarefree_decomposition
 from kummerlab.ffield import image, power_rows
 from kummerlab.lattice import (
     IntLattice,
-    MultTable,
+    extends_to,
     hnf,
     kernel_mod,
     principal_lattice,
@@ -41,11 +41,12 @@ class QuadOrder:
     def element(self, x: int, y: int = 0) -> "QuadElement":
         return QuadElement(self, x, y)
 
-    def mult_table(self) -> MultTable:
-        return (
-            ((1, 0), (0, 1)),
-            ((0, 1), (-self.v, -self.u)),
-        )
+    def mul_matrix(self, v) -> list[tuple[int, int]]:
+        """Coordinate rows of v * 1 and v * theta."""
+        if len(v) != 2:
+            raise ValueError("dimension mismatch")
+        x, y = v
+        return [(x, y), (-self.v * y, x - self.u * y)]
 
     def minimal_polynomial(self) -> list[int]:
         return [self.v, self.u, 1]
@@ -167,17 +168,10 @@ def dichotomy_check(
     """
     if numerator.is_zero() or denominator.is_zero():
         raise ValueError("numerator and denominator must be nonzero")
-    table = order.mult_table()
-    kernel = phi.kernel()
-
-    def defined(num: QuadElement, den: QuadElement) -> bool:
-        den_lattice = principal_lattice(list(den.coords()), table)
-        col = den_lattice.colon(list(num.coords()), table)
-        return not kernel.contains_lattice(col)
-
+    kernel, num, den = phi.kernel(), numerator.coords(), denominator.coords()
     return {
-        "at_fraction": defined(numerator, denominator),
-        "at_inverse": defined(denominator, numerator),
+        "at_fraction": extends_to(kernel, num, den, order),
+        "at_inverse": extends_to(kernel, den, num, order),
     }
 
 
@@ -188,11 +182,10 @@ def prime_square_anomaly() -> dict:
     minimal polynomial stays irreducible mod 2, so (2) is itself prime.
     """
     order = QuadOrder(0, 3)
-    table = order.mult_table()
-    two = principal_lattice([2, 0], table)
+    two = principal_lattice([2, 0], order)
     p_ideal = hnf([[2, 0], [1, 1], [0, 2], [-3, 1]])
-    p_squared = p_ideal.product(p_ideal, table)
-    two_p = two.product(p_ideal, table)
+    p_squared = p_ideal.product(p_ideal, order)
+    two_p = two.product(p_ideal, order)
     maximal = QuadOrder(-1, 1)
     maps_of_two = enumerate_quad_maps(maximal, 2)
     return {

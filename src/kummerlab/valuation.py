@@ -42,7 +42,7 @@ from kummerlab.idealprimes import (
     check_conductor,
     enumerate_jacobi_maps,
 )
-from kummerlab.lattice import kernel_mod, principal_lattice
+from kummerlab.lattice import extends_to, kernel_mod
 from kummerlab.polymod import gf_pow_mod
 
 
@@ -226,18 +226,10 @@ def valuation_oracle(x: CyclotomicElement, phi: JacobiMap) -> int:
 def is_defined_at(
     numerator: CyclotomicElement, denominator: CyclotomicElement, phi: JacobiMap
 ) -> bool:
-    """Whether the map extends to numerator/denominator (colon-lattice test).
-
-    phi is defined at the fraction iff the colon ideal
-    {delta : numerator * delta in denominator * O} is not contained in
-    ker phi.
-    """
+    """Whether the map extends to numerator/denominator (colon-lattice test)."""
     if denominator.is_zero():
         raise ZeroDivisionError("zero denominator")
-    table = phi.ring.mult_table()
-    den_lattice = principal_lattice(list(denominator.coeffs), table)
-    col = den_lattice.colon(list(numerator.coeffs), table)
-    return not phi.kernel().contains_lattice(col)
+    return extends_to(phi.kernel(), numerator.coeffs, denominator.coeffs, phi.ring)
 
 
 def is_defined_at_by_valuation(

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import kummerlab
 from kummerlab.reproduce import _CLAIMS, Config
 
 CFG = Config()
@@ -53,8 +54,15 @@ def test_acceptance_criterion(number, name, claim_id):
 
 def _reproduce_in_fresh_process(hash_seed: str) -> tuple[bytes, float]:
     # a fresh interpreter starts with cold caches, and another hash seed
-    # changes str hashes and so the iteration order of sets of str
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    # changes str hashes and so the iteration order of sets of str; it
+    # imports the same kummerlab package as this process
+    package_root = str(Path(kummerlab.__file__).resolve().parents[1])
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=hash_seed,
+        PYTHONPATH=os.pathsep.join(filter(None, path)),
+    )
     t0 = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "kummerlab.cli", "reproduce", "--json"],

@@ -147,6 +147,18 @@ def test_cli_valuation_large_split_prime(capsys):
     assert doc["result"]["agree"] is True
 
 
+def test_cli_valuation_inert_map_by_coefficients(capsys):
+    # 2 is inert in Z[alpha_5]: one map of degree 4, labelled by the least
+    # element X^3 of the Frobenius orbit of X in F_2[X]/(Phi_5)
+    argv = ["valuation", "--lambda", "5", "--p", "2", "--xi", "0,0,0,1", "2"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert "mu: 1" in out
+    argv[argv.index("0,0,0,1")] = "0,1"
+    assert main(argv) == 2
+    assert "no Jacobi map with xi = 0,1 for lambda=5, p=2" in capsys.readouterr().err
+
+
 def test_cli_parse_error_exit_code(capsys):
     code = main(["factor", "--lambda", "5", "1 ++ a"])
     assert code == 2

@@ -16,13 +16,7 @@ from kummerlab.arith import (
     squarefree_decomposition,
 )
 from kummerlab.cyclotomic import cyclotomic_ring
-from kummerlab.lattice import (
-    IntLattice,
-    hnf,
-    kernel_mod,
-    multiply_coords,
-    principal_lattice,
-)
+from kummerlab.lattice import IntLattice, hnf, kernel_mod, principal_lattice
 from kummerlab import polyint
 from kummerlab.polyint import cyclotomic_polynomial, divmod_exact, mul, resultant
 from kummerlab.polymod import (
@@ -32,6 +26,7 @@ from kummerlab.polymod import (
     gf_normalize,
     gf_pow_mod,
 )
+from kummerlab.quadorder import QuadOrder
 
 RNG_SEED = 9157
 
@@ -415,8 +410,53 @@ def test_membership():
     assert [3, 1] in lat
 
 
-GAUSSIAN = (((1, 0), (0, 1)), ((0, 1), (-1, 0)))  # Z[i]
-SQRT_M3 = (((1, 0), (0, 1)), ((0, 1), (-3, 0)))  # Z[sqrt(-3)]
+GAUSSIAN = QuadOrder(0, 1)  # Z[i]
+SQRT_M3 = QuadOrder(0, 3)  # Z[sqrt(-3)]
+
+
+def _rank(order):
+    return 2 if isinstance(order, QuadOrder) else order.degree
+
+
+def _times(order, a, b):
+    """Coordinates of a * b, multiplied as ring elements."""
+    if isinstance(order, QuadOrder):
+        return list((order.element(*a) * order.element(*b)).coords())
+    return list((order.element(list(a)) * order.element(list(b))).coeffs)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [cyclotomic_ring(n) for n in (5, 12, 15, 41)]
+    + [QuadOrder(0, 1), QuadOrder(0, 3), QuadOrder(-1, 1), QuadOrder(1, 5)],
+    ids=repr,
+)
+def test_mul_matrix_matches_ring_multiplication(order):
+    # row i of mul_matrix(v) is v * e_i, e_i = alpha^i or (1, theta)
+    rng = random.Random(RNG_SEED + 29)
+    d = _rank(order)
+    basis = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(5):
+        v = [rng.randint(-9, 9) for _ in range(d)]
+        assert [list(r) for r in order.mul_matrix(v)] == [
+            _times(order, v, e) for e in basis
+        ]
+
+
+def test_product_and_colon_check_the_order_rank():
+    lat = hnf([[2, 0], [1, 1]])
+    ring = cyclotomic_ring(5)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lat.product(lat, ring)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lat.colon([1, 1], ring)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lat.colon([1, 1, 0], SQRT_M3)
+    square = IntLattice.standard(4)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        square.product(square, SQRT_M3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        square.colon([1, 0, 0, 0], SQRT_M3)
 
 
 def test_colon_examples():
@@ -447,14 +487,14 @@ def test_product_index_divisibility():
         assert prod.index() == la.index() * lb.index()
 
 
-def _random_ideal(table, rng):
-    d = len(table)
+def _random_ideal(order, rng):
+    d = _rank(order)
     n = rng.randint(1, 15)
     rows = [[n * int(i == j) for j in range(d)] for i in range(d)]
     for _ in range(2):
         e = [rng.randint(-5, 5) for _ in range(d)]
         if any(e):
-            rows += [list(r) for r in principal_lattice(e, table).rows]
+            rows += [list(r) for r in principal_lattice(e, order).rows]
     return hnf(rows)
 
 
@@ -463,11 +503,11 @@ def test_product_index_is_multiple_of_index_product():
     # product of indices; it exceeds it exactly in the non-invertible case
     # (p^2 = (2) p in Z[sqrt(-3)]: index 8 over 2 * 2)
     rng = random.Random(RNG_SEED + 37)
-    for table in (GAUSSIAN, SQRT_M3):
+    for order in (GAUSSIAN, SQRT_M3):
         for _ in range(150):
-            la = _random_ideal(table, rng)
-            lb = _random_ideal(table, rng)
-            prod = la.product(lb, table)
+            la = _random_ideal(order, rng)
+            lb = _random_ideal(order, rng)
+            prod = la.product(lb, order)
             assert prod.index() % (la.index() * lb.index()) == 0
     p_ideal = hnf([[2, 0], [1, 1]])
     assert p_ideal.product(p_ideal, SQRT_M3).index() == 8 > 4
@@ -487,20 +527,18 @@ def _box(d, r):
 
 def test_colon_and_kernel_mod_generated():
     rng = random.Random(RNG_SEED + 41)
-    for table in (GAUSSIAN, SQRT_M3, cyclotomic_ring(5).mult_table()):
-        d = len(table)
+    for order in (GAUSSIAN, SQRT_M3, cyclotomic_ring(5)):
+        d = _rank(order)
         for _ in range(25):
-            lat = _random_ideal(table, rng)
+            lat = _random_ideal(order, rng)
             v = [0] * d
             while not any(v):
                 v = [rng.randint(-5, 5) for _ in range(d)]
-            col = lat.colon(v, table)
+            col = lat.colon(v, order)
             for delta in col.rows:
-                assert multiply_coords(v, delta, table) in lat
+                assert _times(order, v, delta) in lat
             for delta in _box(d, 2 if d == 2 else 1):
-                assert (list(delta) in col) == (
-                    multiply_coords(v, delta, table) in lat
-                )
+                assert (list(delta) in col) == (_times(order, v, delta) in lat)
     for _ in range(40):
         d, m = rng.randint(1, 3), rng.randint(1, 3)
         q = rng.randint(1, 12)

@@ -6,19 +6,50 @@ import pytest
 
 from kummerlab import idealprimes
 from kummerlab.arith import multiplicative_order, primes_below
-from kummerlab.cyclotomic import cyclotomic_ring, gaussian_periods
-from kummerlab.idealprimes import (
-    conjugate_lattice,
-    conjugated_map,
-    enumerate_jacobi_maps,
-    map_for_root,
-)
+from kummerlab.cyclotomic import conjugate, cyclotomic_ring, gaussian_periods
+from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.lattice import IntLattice
 from kummerlab.polyint import cyclotomic_polynomial
 from kummerlab.polymod import factor_mod_p, gf_add, gf_mod, gf_mul, gf_pow_mod
 from kummerlab.valuation import _vanishes_at_lift
 
 RNG_SEED = 77911
+
+
+def _scaled_standard(dim, c):
+    return IntLattice([[c * int(i == j) for j in range(dim)] for i in range(dim)])
+
+
+def _transformed(lattice, func):
+    """Image lattice under a Z-linear map given on coordinate rows."""
+    return IntLattice([func(r) for r in lattice.rows])
+
+
+def _power(lattice, e, order):
+    if e < 0:
+        raise ValueError("negative lattice power")
+    out = IntLattice.standard(lattice.dim)
+    for _ in range(e):
+        out = out.product(lattice, order)
+    return out
+
+
+def _conjugate_lattice(lattice, k, lam):
+    """Image of a coefficient lattice in Z[alpha] under sigma_k."""
+    ring = cyclotomic_ring(lam)
+    return _transformed(
+        lattice, lambda row: list(conjugate(ring.element(list(row)), k).coeffs)
+    )
+
+
+def _conjugated_map(phi, k):
+    """The map x -> phi(sigma_k(x)); its kernel is sigma_k^{-1}(ker phi)."""
+    k_inv = pow(k, -1, phi.lam)
+    target = _conjugate_lattice(phi.kernel(), k_inv, phi.lam)
+    for candidate in enumerate_jacobi_maps(phi.lam, phi.p):
+        if candidate.kernel() == target:
+            return candidate
+    raise AssertionError("conjugated map must exist in the enumeration")
 
 
 def test_enumerate_split():
@@ -238,8 +269,9 @@ def test_kernel_closed_under_alpha_multiplication():
         ring = cyclotomic_ring(lam)
         for phi in enumerate_jacobi_maps(lam, p):
             kernel = phi.kernel()
-            shifted = kernel.transformed(
-                lambda row: list((ring.element(list(row)) * ring.alpha()).coeffs)
+            shifted = _transformed(
+                kernel,
+                lambda row: list((ring.element(list(row)) * ring.alpha()).coeffs),
             )
             assert kernel.contains_lattice(shifted)
 
@@ -251,8 +283,8 @@ def test_conjugation_action_and_transitivity():
         base = maps[0]
         orbit = set()
         for k in range(1, lam):
-            moved = conjugated_map(base, k)
-            assert moved.kernel() == conjugate_lattice(
+            moved = _conjugated_map(base, k)
+            assert moved.kernel() == _conjugate_lattice(
                 base.kernel(), pow(k, -1, lam), lam
             )
             orbit.add(moved.kernel())
@@ -262,15 +294,24 @@ def test_conjugation_action_and_transitivity():
 def test_kernel_product_reconstructs_p():
     for lam, p in [(5, 11), (5, 19), (5, 2), (7, 13)]:
         ring = cyclotomic_ring(lam)
-        table = ring.mult_table()
         maps = enumerate_jacobi_maps(lam, p)
         prod = IntLattice.standard(lam - 1)
         for phi in maps:
-            prod = prod.product(phi.kernel(), table)
+            prod = prod.product(phi.kernel(), ring)
         assert prod.index() == p ** (lam - 1)
-        assert prod == IntLattice.scaled_standard(lam - 1, p)
+        assert prod == _scaled_standard(lam - 1, p)
     # ramified: the kernel power reconstructs (lam)
-    ring = cyclotomic_ring(5)
     ram = enumerate_jacobi_maps(5, 5)[0]
-    power = ram.kernel().power(4, ring.mult_table())
-    assert power == IntLattice.scaled_standard(4, 5)
+    power = _power(ram.kernel(), 4, cyclotomic_ring(5))
+    assert power == _scaled_standard(4, 5)
+
+
+def test_map_for_root_takes_residue_or_coefficients():
+    split = enumerate_jacobi_maps(5, 11)
+    assert map_for_root(split, 9) is map_for_root(split, 20) is split[0]
+    inert = enumerate_jacobi_maps(5, 2)
+    assert map_for_root(inert, [0, 0, 0, 1]) is inert[0]
+    with pytest.raises(ValueError, match="no Jacobi map with xi = 0,1"):
+        map_for_root(inert, [0, 1])
+    with pytest.raises(ValueError, match="no Jacobi map with xi = 1 "):
+        map_for_root(split, 1)
