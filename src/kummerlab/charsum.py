@@ -7,10 +7,10 @@ alpha = zeta^p and the p-th root of unity x = zeta^lam; their lam-th
 powers come back down to Z[alpha].
 
 Sign conventions.  Two Jacobi-sum conventions are in circulation; both are
-carried explicitly so every report can print both:
+carried explicitly so every report can print both (as J and psi = -J):
 
-  jacobi_sum(chi, i, k)          = -sum_t chi^i(t) chi^k(1-t)
-  jacobi_sum_positive(chi, i, k) = +sum_t chi^i(t) chi^k(1-t)
+  jacobi_sum(chi, i, k) = -sum_t chi^i(t) chi^k(1-t)
+  the plain summation   = +sum_t chi^i(t) chi^k(1-t)
 
 The first is the convention used throughout this module (it is the one
 whose image under the substitution that sends the root of unity to a
@@ -81,11 +81,6 @@ def jacobi_sum(chi: Character, i: int, k: int) -> CyclotomicElement:
     return chi.ring.element(neg_hist)
 
 
-def jacobi_sum_positive(chi: Character, i: int, k: int) -> CyclotomicElement:
-    """The same sum without the leading minus (the Gauss-sum-ratio value)."""
-    return -jacobi_sum(chi, i, k)
-
-
 def reflection_identity(chi: Character, i: int, k: int) -> dict:
     """Verify J(chi^i, chi^k) * sigma_{-1}(J(chi^i, chi^k)) == p exactly."""
     lam = chi.lam
@@ -143,7 +138,7 @@ def gauss_sum_ratio(chi: Character, i: int, k: int) -> CyclotomicElement:
 
     Division is by the inverse-sum trick: multiplying by (alpha^{-(i+k)}, x)
     turns the denominator into chi^{i+k}(-1) * p, which is then removed
-    exactly.  The result is Y-free and equals jacobi_sum_positive.
+    exactly.  The result is Y-free and equals -jacobi_sum(chi, i, k).
     """
     lam, p = chi.lam, chi.p
     if i % lam == 0 or k % lam == 0 or (i + k) % lam == 0:
@@ -221,17 +216,6 @@ def fundamental_congruence_check(p: int, i: int, k: int) -> dict:
         "holds": value == expected,
         "branch": "zero" if i + k < p - 1 else "binomial",
     }
-
-
-def fc_divisibility_criterion(lam: int, p: int, i: int, k: int) -> bool:
-    """Whether the congruence predicts p | psi for order-lam indices.
-
-    Scaling (i, k) by m = (p-1)/lam turns the order-lam sum into the
-    order-(p-1) congruence with indices (im, km): divisibility happens
-    exactly when im + km < p - 1.
-    """
-    m = (p - 1) // lam
-    return (i % lam) * m + (k % lam) * m < p - 1
 
 
 def quartic_decomposition(p: int) -> dict:

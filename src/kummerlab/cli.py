@@ -35,6 +35,22 @@ class UsageError(ValueError):
     pass
 
 
+def _int_list(option: str, text: str, count: int | None = None) -> list[int]:
+    """The comma-separated integers of an option; blank parts are skipped.
+
+    With count, exactly that many must be given.
+    """
+    try:
+        values = [int(c) for c in text.split(",") if c.strip()]
+    except ValueError:
+        raise UsageError(
+            f"{option} expects comma-separated integers, got {text!r}"
+        ) from None
+    if count is not None and len(values) != count:
+        raise UsageError(f"{option} expects {count} integers, got {text!r}")
+    return values
+
+
 def _common_options(keep_earlier: bool = False) -> argparse.ArgumentParser:
     """The --json, --enum-cap and --trial-div options.
 
@@ -251,7 +267,7 @@ def _cmd_valuation(args) -> int:
     if x.is_zero():
         raise UsageError("valuation of 0 is infinite")
     maps = enumerate_jacobi_maps(args.lam, args.p)
-    xi = [int(c) for c in args.xi.split(",")]
+    xi = _int_list("--xi", args.xi)
     phi = map_for_root(maps, xi[0] if len(xi) == 1 else xi)
     K = find_uniformizer(phi)
     mu = multiplicity(x, K)
@@ -358,16 +374,11 @@ def _cmd_binomial(args) -> int:
     return _emit(args, "binomial", rep, failed=not rep["congruence_holds"])
 
 
-def _parse_monoid(args) -> monoid.HilbertMonoid:
-    residues = [int(c) for c in args.subgroup.split(",") if c.strip()]
-    return monoid.HilbertMonoid(args.m, residues)
-
-
 def _cmd_monoid(args) -> int:
     if args.action == "demo-singular":
         rep = monoid.singular_monoid_report()
         return _emit(args, "monoid", rep, failed=not rep["holds"])
-    M = _parse_monoid(args)
+    M = monoid.HilbertMonoid(args.m, _int_list("--subgroup", args.subgroup))
     if args.action == "factor":
         if args.a > args.enum_cap:
             raise UsageError(
@@ -413,7 +424,7 @@ def _cmd_monoid(args) -> int:
 
 
 def _cmd_quad(args) -> int:
-    u, v = (int(c) for c in args.theta.split(","))
+    u, v = _int_list("--theta", args.theta, 2)
     order = quadorder.QuadOrder(u, v)
     if args.action == "maps":
         maps = [
@@ -431,7 +442,7 @@ def _cmd_quad(args) -> int:
         den = parse_element(args.denominator, order)
         reports = []
         for phi in quadorder.enumerate_quad_maps(order, args.p):
-            rep = quadorder.dichotomy_check(order, phi, num, den)
+            rep = quadorder.dichotomy_check(phi, num, den)
             reports.append(
                 {
                     "theta_image": phi.label(),

@@ -1,14 +1,16 @@
-"""Jacobi maps: the surjective homomorphisms Z[alpha] -> F_{p^f}.
+"""Jacobi maps: the surjective homomorphisms Z[theta] -> F_{p^f}.
 
-For an odd prime conductor lam and a rational prime p, each irreducible
-factor P_j of Phi_lam mod p yields one map: the target field is
-F_p[X]/(P_j) itself and alpha goes to a root of P_j in it.  The kernel of
-such a map is a maximal ideal of Z[alpha] -- an ideal prime of p.  Maps
-with equal kernels are identified; each map carries a canonical root label,
-the smallest element of the Frobenius orbit of its root.  A map is stored
-as the F_p-coordinate rows of the powers of that root (ffield.power_rows):
-applying it is a row-vector product, and its kernel is kernel_mod of the
-rows.
+A ring here is Z[theta] with theta a root of a monic integer polynomial,
+its modulus (Phi_lam for Z[alpha], T^2 + uT + v for a quadratic order),
+and elements are coefficient vectors over 1, theta, ..., theta^(d-1).
+For a rational prime p, each irreducible factor P_j of the modulus mod p
+yields one map: the target field is F_p[X]/(P_j) itself and theta goes to
+a root of P_j in it.  Maps with equal kernels are identified; each map
+carries a canonical root label, the smallest element of the Frobenius
+orbit of its root.  A map is stored as the F_p-coordinate rows of the
+powers of that root (ffield.power_rows): applying it is a row-vector
+product, and its kernel is kernel_mod of the rows.  For Z[alpha], lam an
+odd prime, the kernel is a maximal ideal -- an ideal prime of p.
 
 Degree-1 maps are constructed as Jacobi did, without factoring: for
 p = 1 mod lam, z = a^((p-1)/lam) mod p with a >= 2 least such that z != 1
@@ -21,47 +23,39 @@ from functools import lru_cache
 from itertools import count
 
 from kummerlab.arith import is_prime, multiplicative_order
-from kummerlab.cyclotomic import (
-    CyclotomicElement,
-    PeriodSystem,
-    cyclotomic_ring,
-)
+from kummerlab.cyclotomic import PeriodSystem, cyclotomic_ring
 from kummerlab.ffield import image, power_rows
 from kummerlab.lattice import IntLattice, kernel_mod
-from kummerlab.polyint import cyclotomic_polynomial
-from kummerlab.polymod import factor_mod_p, gf_mod, gf_pow_mod
+from kummerlab.polymod import factor_mod_p, gf_mod, gf_normalize, gf_pow_mod
 
 
 class JacobiMap:
-    """A surjective ring homomorphism Z[alpha] -> F_{p^f} = F_p[X]/(F).
+    """A surjective ring homomorphism Z[theta] -> F_{p^f} = F_p[X]/(F).
 
-    alpha goes to xi, the canonical root; rows holds the F_p-coordinates
-    of xi^0 .. xi^(lam-2), which are the whole map.
+    theta goes to xi, the canonical root; rows holds the F_p-coordinates
+    of xi^0 .. xi^(d-1), d = ring.degree, which are the whole map.
     """
 
-    __slots__ = ("lam", "p", "f", "factor", "xi", "rows", "ring")
+    __slots__ = ("ring", "p", "f", "factor", "xi", "rows")
 
-    def __init__(self, lam: int, p: int, factor: tuple[int, ...]):
-        self.lam = lam
+    def __init__(self, ring, p: int, factor: tuple[int, ...]):
+        self.ring = ring
         self.p = p
         self.factor = tuple(factor)
         self.f = len(factor) - 1
-        self.ring = cyclotomic_ring(lam)
         orbit = [gf_mod([0, 1], self.factor, p)]
         for _ in range(self.f - 1):
             orbit.append(gf_pow_mod(orbit[-1], p, self.factor, p))
         self.xi = tuple(min(orbit, key=lambda e: e + [0] * (self.f - len(e))))
-        self.rows = power_rows(self.xi, lam - 1, self.factor, p)
+        self.rows = power_rows(self.xi, ring.degree, self.factor, p)
 
-    def apply(self, x: CyclotomicElement) -> tuple[int, ...]:
+    def apply(self, x) -> tuple[int, ...]:
         """The F_p-coordinates of x's image: x.coeffs times the rows mod p."""
-        if x.ring.n != self.lam:
-            raise ValueError(
-                f"element lives in conductor {x.ring.n}, map expects {self.lam}"
-            )
+        if x.ring != self.ring:
+            raise ValueError(f"element lives in {x.ring!r}, map expects {self.ring!r}")
         return image(x.coeffs, self.rows, self.p)
 
-    def kills(self, x: CyclotomicElement) -> bool:
+    def kills(self, x) -> bool:
         return not any(self.apply(x))
 
     def kernel(self) -> IntLattice:
@@ -69,9 +63,9 @@ class JacobiMap:
 
     def period_residues(self, system: PeriodSystem) -> tuple[int, ...]:
         """Images of the Gaussian periods; always in the prime field."""
-        if system.lam != self.lam:
+        if system.ring != self.ring:
             raise ValueError("period system has the wrong conductor")
-        if system.e * self.f != self.lam - 1:
+        if system.e * self.f != self.ring.degree:
             raise ValueError(
                 f"period count e={system.e} does not match residue degree "
                 f"f={self.f}"
@@ -87,21 +81,21 @@ class JacobiMap:
     def label(self):
         """Canonical printable identity: root residue (f=1) or coefficients."""
         if self.f == 1:
-            return self.xi[0]
+            return self.rows[1][0]
         return list(self.xi)
 
     def __eq__(self, other):
         return (
             isinstance(other, JacobiMap)
-            and (self.lam, self.p, self.factor)
-            == (other.lam, other.p, other.factor)
+            and (self.ring, self.p, self.factor)
+            == (other.ring, other.p, other.factor)
         )
 
     def __hash__(self):
-        return hash((self.lam, self.p, self.factor))
+        return hash((self.ring, self.p, self.factor))
 
     def __repr__(self):
-        return f"JacobiMap(lam={self.lam}, p={self.p}, xi={self.label()})"
+        return f"JacobiMap({self.ring!r}, p={self.p}, xi={self.label()})"
 
 
 @lru_cache(maxsize=None)
@@ -129,30 +123,40 @@ def enumerate_jacobi_maps(lam: int, p: int) -> list[JacobiMap]:
     check_conductor(lam)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    ring = cyclotomic_ring(lam)
     if p == lam:
-        factors = [(p - 1, 1)]
-    elif p % lam == 1:
+        return [JacobiMap(ring, p, (p - 1, 1))]
+    if p % lam == 1:
         # Jacobi's root: z^lam = a^(p-1) = 1 and z != 1, so z has order lam
         powers = (pow(a, (p - 1) // lam, p) for a in count(2))
         z = next(w for w in powers if w != 1)
         factors = sorted((p - pow(z, k, p), 1) for k in range(1, lam))
+        maps = [JacobiMap(ring, p, fac) for fac in factors]
     else:
-        factored = factor_mod_p(list(cyclotomic_polynomial(lam)), p)
-        factors = [tuple(fac) for fac, _ in factored]
-    maps = [JacobiMap(lam, p, fac) for fac in factors]
-    if p != lam:
-        assert len(maps) == (lam - 1) // multiplicative_order(p, lam)
+        maps = factor_maps(ring, p)
+    assert len(maps) == (lam - 1) // multiplicative_order(p, lam)
     return maps
 
 
+def factor_maps(ring, p: int) -> list[JacobiMap]:
+    """One map per irreducible factor of the ring's modulus mod p (a repeated
+    factor yields a single map), in factor_mod_p's order."""
+    factored = factor_mod_p(list(ring.modulus), p)
+    return [JacobiMap(ring, p, tuple(fac)) for fac, _ in factored]
+
+
 def map_for_root(maps: list[JacobiMap], label) -> JacobiMap:
-    """The map whose label() is the given root: an int residue, taken mod p,
-    for a degree-1 map, or the root's coefficient list for f > 1."""
+    """The map whose label() is the given root: an int residue for a
+    degree-1 map, or the root's coefficient list for f > 1.  Both are taken
+    mod p, and a list loses its trailing zeros."""
     for phi in maps:
-        want = label % phi.p if isinstance(label, int) else list(label)
+        if isinstance(label, int):
+            want = label % phi.p
+        else:
+            want = gf_normalize(list(label), phi.p)
         if phi.label() == want:
             return phi
     xi = label if isinstance(label, int) else ",".join(map(str, label))
     raise ValueError(
-        f"no Jacobi map with xi = {xi} for lambda={maps[0].lam}, p={maps[0].p}"
+        f"no Jacobi map with xi = {xi} for lambda={maps[0].ring.n}, p={maps[0].p}"
     )

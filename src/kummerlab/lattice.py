@@ -92,10 +92,6 @@ class IntLattice:
         _reduce_above(rows, self.dim)
         self.rows = tuple(tuple(r) for r in rows)
 
-    @classmethod
-    def standard(cls, dim: int) -> "IntLattice":
-        return cls([[int(i == j) for j in range(dim)] for i in range(dim)])
-
     def index(self) -> int:
         """Index [Z^d : L] = product of the HNF diagonal."""
         out = 1

@@ -6,8 +6,7 @@ built from binomials X^d - 1 without general division, and for the exact
 resultant used to cross-check norms.  Products of long dense operands go
 through one big-integer multiply (Kronecker substitution), all others
 through the schoolbook loop; the resultant is a fraction-free Bareiss
-determinant.  General division by a monic polynomial is kept as the
-tests' reference for the ring's reduction mod Phi_n.
+determinant.  Nothing here divides by a general polynomial.
 """
 
 from collections.abc import Sequence
@@ -25,24 +24,6 @@ def trim(c: list[int]) -> list[int]:
 def degree(f: list[int]) -> int:
     """Degree, with deg 0 = -1."""
     return len(f) - 1
-
-
-def add(f: list[int], g: list[int]) -> list[int]:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] += c
-    for i, c in enumerate(g):
-        out[i] += c
-    return trim(out)
-
-
-def neg(f: list[int]) -> list[int]:
-    return [-c for c in f]
-
-
-def sub(f: list[int], g: list[int]) -> list[int]:
-    return add(f, neg(g))
 
 
 # Products whose operands both have at least this many nonzero terms are
@@ -109,29 +90,6 @@ def _evaluate(f: Sequence[int], w: int) -> int:
     positive = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in f)
     negative = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in f)
     return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
-
-
-def divmod_exact(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    """Polynomial division by a monic g over the integers.
-
-    Nothing in the library divides by a general polynomial: the tests keep
-    this as the independent reference for `CyclotomicRing._reduce`.
-    """
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    if g[-1] != 1:
-        raise ValueError("divisor must be monic")
-    r = list(f)
-    dg = degree(g)
-    q = [0] * max(len(f) - dg, 0)
-    while degree(r) >= dg:
-        c = r[-1]
-        k = degree(r) - dg
-        q[k] = c
-        for i, b in enumerate(g):
-            r[i + k] -= c * b
-        trim(r)
-    return trim(q), r
 
 
 @lru_cache(maxsize=None)

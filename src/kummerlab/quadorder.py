@@ -1,12 +1,14 @@
 """Quadratic orders Z[theta]: where the ideal-prime construction breaks.
 
-theta has monic minimal polynomial T^2 + u T + v; the order is Z + Z theta.
-Reduction maps onto finite fields exist exactly as in the cyclotomic case,
-but for a non-maximal order the maps at primes dividing the conductor fail
-to extend to fractions in either direction, Gauss's Lemma for monic
-polynomials fails, and prime-ideal powers collapse (p^2 = (2) p without
-p = (2) in Z[sqrt(-3)]).  All definedness decisions run through the exact
-colon-lattice test.
+theta has monic minimal polynomial T^2 + u T + v, the order's modulus; the
+order is Z + Z theta.  A QuadOrder offers the ring interface the cyclotomic
+ring does (degree, modulus, mul_matrix, elements with coeffs), so its
+reduction maps onto finite fields are idealprimes.JacobiMap objects, built
+exactly as in the cyclotomic case.  For a non-maximal order the maps at
+primes dividing the conductor fail to extend to fractions in either
+direction, Gauss's Lemma for monic polynomials fails, and prime-ideal powers
+collapse (p^2 = (2) p without p = (2) in Z[sqrt(-3)]).  All definedness
+decisions run through valuation.is_defined_at, the exact colon-lattice test.
 """
 
 import json
@@ -15,19 +17,15 @@ from importlib import resources
 from math import isqrt
 
 from kummerlab.arith import is_prime, squarefree_decomposition
-from kummerlab.ffield import image, power_rows
-from kummerlab.lattice import (
-    IntLattice,
-    extends_to,
-    hnf,
-    kernel_mod,
-    principal_lattice,
-)
-from kummerlab.polymod import factor_mod_p
+from kummerlab.idealprimes import JacobiMap, factor_maps
+from kummerlab.lattice import hnf, principal_lattice
+from kummerlab.valuation import is_defined_at
 
 
 class QuadOrder:
     """The order Z[theta] with theta^2 = -u theta - v."""
+
+    degree = 2
 
     def __init__(self, u: int, v: int):
         disc = u * u - 4 * v
@@ -37,6 +35,7 @@ class QuadOrder:
         self.u = u
         self.v = v
         self.disc = disc
+        self.modulus = (v, u, 1)
 
     def element(self, x: int, y: int = 0) -> "QuadElement":
         return QuadElement(self, x, y)
@@ -47,9 +46,6 @@ class QuadOrder:
             raise ValueError("dimension mismatch")
         x, y = v
         return [(x, y), (-self.v * y, x - self.u * y)]
-
-    def minimal_polynomial(self) -> list[int]:
-        return [self.v, self.u, 1]
 
     def __eq__(self, other):
         return isinstance(other, QuadOrder) and (self.u, self.v) == (
@@ -65,27 +61,28 @@ class QuadOrder:
 
 
 class QuadElement:
-    __slots__ = ("order", "x", "y")
+    __slots__ = ("ring", "x", "y")
 
-    def __init__(self, order: QuadOrder, x: int, y: int):
-        self.order = order
+    def __init__(self, ring: QuadOrder, x: int, y: int):
+        self.ring = ring
         self.x = x
         self.y = y
 
-    def coords(self) -> tuple[int, int]:
+    @property
+    def coeffs(self) -> tuple[int, int]:
         return (self.x, self.y)
 
     def __add__(self, other):
-        return QuadElement(self.order, self.x + other.x, self.y + other.y)
+        return QuadElement(self.ring, self.x + other.x, self.y + other.y)
 
     def __sub__(self, other):
-        return QuadElement(self.order, self.x - other.x, self.y - other.y)
+        return QuadElement(self.ring, self.x - other.x, self.y - other.y)
 
     def __mul__(self, other):
-        u, v = self.order.u, self.order.v
+        u, v = self.ring.u, self.ring.v
         x1, y1, x2, y2 = self.x, self.y, other.x, other.y
         return QuadElement(
-            self.order,
+            self.ring,
             x1 * x2 - v * y1 * y2,
             x1 * y2 + y1 * x2 - u * y1 * y2,
         )
@@ -94,13 +91,13 @@ class QuadElement:
         return self.x == 0 and self.y == 0
 
     def norm(self) -> int:
-        u, v = self.order.u, self.order.v
+        u, v = self.ring.u, self.ring.v
         return self.x * self.x - u * self.x * self.y + v * self.y * self.y
 
     def __eq__(self, other):
         return (
             isinstance(other, QuadElement)
-            and self.order == other.order
+            and self.ring == other.ring
             and (self.x, self.y) == (other.x, other.y)
         )
 
@@ -108,70 +105,27 @@ class QuadElement:
         return f"QuadElement({self.x} + {self.y}*theta)"
 
 
-class QuadJacobiMap:
-    """A surjective homomorphism Z[theta] -> F_p or F_{p^2}."""
-
-    __slots__ = ("order", "p", "f", "factor", "rows", "_kernel")
-
-    def __init__(self, order: QuadOrder, p: int, factor: tuple[int, ...]):
-        self.order = order
-        self.p = p
-        self.factor = tuple(factor)
-        self.f = len(factor) - 1
-        self.rows = power_rows([0, 1], 2, factor, p)  # images of 1, theta
-        self._kernel = None
-
-    def apply(self, elt: QuadElement) -> tuple[int, ...]:
-        if elt.order != self.order:
-            raise ValueError("element belongs to a different order")
-        return image(elt.coords(), self.rows, self.p)
-
-    def kills(self, elt: QuadElement) -> bool:
-        return not any(self.apply(elt))
-
-    def kernel(self) -> IntLattice:
-        if self._kernel is None:
-            lattice = kernel_mod(self.rows, self.p)
-            assert lattice.index() == self.p**self.f
-            self._kernel = lattice
-        return self._kernel
-
-    def label(self):
-        if self.f == 1:
-            return self.rows[1][0]
-        return list(self.rows[1])
-
-    def __repr__(self):
-        return f"QuadJacobiMap(p={self.p}, theta->{self.label()})"
-
-
-def enumerate_quad_maps(order: QuadOrder, p: int) -> list[QuadJacobiMap]:
-    """One map per root of the minimal polynomial mod p (a repeated root
-    yields a single map), or one degree-2 map when it stays irreducible."""
+def enumerate_quad_maps(order: QuadOrder, p: int) -> list[JacobiMap]:
+    """One map per root of the modulus mod p (a repeated root yields a
+    single map), or one degree-2 map when it stays irreducible."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    factors = factor_mod_p(order.minimal_polynomial(), p)
-    return [QuadJacobiMap(order, p, tuple(fac)) for fac, _ in factors]
+    return factor_maps(order, p)
 
 
 def dichotomy_check(
-    order: QuadOrder,
-    phi: QuadJacobiMap,
-    numerator: QuadElement,
-    denominator: QuadElement,
+    phi: JacobiMap, numerator: QuadElement, denominator: QuadElement
 ) -> dict:
     """Is the map defined at the fraction, at its inverse, or at neither?
 
-    Decided by the colon-lattice test on both sides.  A (False, False)
-    outcome witnesses the failure of the valuation dichotomy, which happens
-    only at primes dividing the conductor.
+    Decided by the colon-lattice test on both sides, so both elements must
+    be nonzero.  A (False, False) outcome witnesses the failure of the
+    valuation dichotomy, which happens only at primes dividing the
+    conductor.
     """
-    if numerator.is_zero() or denominator.is_zero():
-        raise ValueError("numerator and denominator must be nonzero")
-    kernel, num, den = phi.kernel(), numerator.coords(), denominator.coords()
     return {
-        "at_fraction": extends_to(kernel, num, den, order),
-        "at_inverse": extends_to(kernel, den, num, order),
+        "at_fraction": is_defined_at(numerator, denominator, phi),
+        "at_inverse": is_defined_at(denominator, numerator, phi),
     }
 
 
@@ -266,7 +220,7 @@ def gauss_lemma_check(order: QuadOrder, b: QuadElement, c: QuadElement) -> dict:
     Over K the polynomial splits iff b^2 - 4c is a square there; over O it
     splits iff the roots additionally have integer coordinates.
     """
-    if b.order != order or c.order != order:
+    if b.ring != order or c.ring != order:
         raise ValueError("coefficients must lie in the order")
     delta = b * b - QuadElement(order, 4, 0) * c
     s = _field_sqrt(order, Fraction(delta.x), Fraction(delta.y))

@@ -591,9 +591,7 @@ def _acc_monoid(cfg: Config) -> dict:
 def _acc_singular_orders(cfg: Config) -> dict:
     o_m3 = quadorder.QuadOrder(0, 3)
     phi2 = quadorder.enumerate_quad_maps(o_m3, 2)[0]
-    rep = quadorder.dichotomy_check(
-        o_m3, phi2, o_m3.element(1, 1), o_m3.element(2)
-    )
+    rep = quadorder.dichotomy_check(phi2, o_m3.element(1, 1), o_m3.element(2))
     assert rep == {"at_fraction": False, "at_inverse": False}
     anomaly = quadorder.prime_square_anomaly()
     assert anomaly["holds"]
@@ -603,9 +601,7 @@ def _acc_singular_orders(cfg: Config) -> dict:
     for p in (2, 3, 5):
         order = quadorder.QuadOrder(0, p * p)  # Z[pi]
         phi = quadorder.enumerate_quad_maps(order, p)[0]
-        rep = quadorder.dichotomy_check(
-            order, phi, order.element(0, 1), order.element(p)
-        )
+        rep = quadorder.dichotomy_check(phi, order.element(0, 1), order.element(p))
         assert rep == {"at_fraction": False, "at_inverse": False}, p
     fractions = 0
     for u, v in [(0, 1), (-1, -1), (0, 5)]:  # maximal-order controls
@@ -625,7 +621,7 @@ def _acc_singular_orders(cfg: Config) -> dict:
             seen += 1
             fractions += 1
             for phi in maps:
-                rep = quadorder.dichotomy_check(order, phi, num, den)
+                rep = quadorder.dichotomy_check(phi, num, den)
                 assert rep["at_fraction"] or rep["at_inverse"], (u, v, phi)
     return {"maximal_order_fractions": fractions}
 

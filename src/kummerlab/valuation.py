@@ -17,8 +17,9 @@ read off the coefficients of x(1 + t).
 factorize and divides take every valuation from the oracle, and factorize
 checks the records against the norm.  The `kummerlab factor` report
 certifies each nonzero record by both routes; the test suite compares them
-wholesale.  Divisibility and definedness are likewise implemented twice
-(valuations vs. colon lattices / exact division).
+wholesale.  divides likewise runs two routes, valuations and exact
+division.  Definedness at a fraction is the colon-lattice test alone, for
+any ring a Jacobi map is built on; the tests compare it with valuations.
 """
 
 from dataclasses import dataclass
@@ -96,14 +97,14 @@ def find_uniformizer(phi: JacobiMap) -> KummerPrime:
     there, so psi + q lies in the prime exactly once).  The result must
     pass the certificate: phi kills psi and q divides psi * Psi exactly once.
     """
-    q = phi.p
-    system = gaussian_periods(phi.lam, (phi.lam - 1) // phi.f)
+    q, lam = phi.p, phi.ring.n
+    system = gaussian_periods(lam, (lam - 1) // phi.f)
     ring = system.ring
     e = system.e
     if e == 1:
         return KummerPrime(phi, system, ring.element(q), ring.one(), q)
     u = phi.period_residues(system)
-    if q == phi.lam or u.count(u[0]) == 1:
+    if q == lam or u.count(u[0]) == 1:
         psi = system.periods[0] - (u[0] - q if 2 * u[0] > q else u[0])
     else:
         # y = (1, x) with y N = 0 mod q: row 0 puts -1 = q - 1 in every
@@ -178,7 +179,7 @@ def _vanishes_at_lift(x: CyclotomicElement, phi: JacobiMap, mu: int) -> bool:
     """
     m = phi.p**mu
     lift = gf_pow_mod(phi.xi, phi.p ** (phi.f * (mu - 1)), phi.factor, m)
-    rows = power_rows(lift, phi.lam - 1, phi.factor, m)
+    rows = power_rows(lift, phi.ring.degree, phi.factor, m)
     return not any(image(x.coeffs, rows, m))
 
 
@@ -208,7 +209,7 @@ def valuation_oracle(x: CyclotomicElement, phi: JacobiMap) -> int:
         raise ValueError("valuation of 0 is infinite")
     if not phi.kills(x):
         return 0
-    if phi.p == phi.lam:
+    if phi.p == phi.ring.n:
         v = _ramified_valuation(x)
         in_power = lambda mu: mu <= v
     else:
@@ -223,24 +224,15 @@ def valuation_oracle(x: CyclotomicElement, phi: JacobiMap) -> int:
     return mu
 
 
-def is_defined_at(
-    numerator: CyclotomicElement, denominator: CyclotomicElement, phi: JacobiMap
-) -> bool:
-    """Whether the map extends to numerator/denominator (colon-lattice test)."""
+def is_defined_at(numerator, denominator, phi: JacobiMap) -> bool:
+    """Whether the map extends to numerator/denominator (colon-lattice test).
+
+    The elements may come from any ring a Jacobi map is built on: Z[alpha]
+    or a quadratic order.
+    """
     if denominator.is_zero():
         raise ZeroDivisionError("zero denominator")
     return extends_to(phi.kernel(), numerator.coeffs, denominator.coeffs, phi.ring)
-
-
-def is_defined_at_by_valuation(
-    numerator: CyclotomicElement, denominator: CyclotomicElement, K: KummerPrime
-) -> bool:
-    """Valuation form of the same test: v(numerator) >= v(denominator)."""
-    if denominator.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    if numerator.is_zero():
-        return True
-    return multiplicity(numerator, K) >= multiplicity(denominator, K)
 
 
 @dataclass(frozen=True)

@@ -10,20 +10,40 @@ from kummerlab.charsum import (
     Character,
     binomial_congruence,
     character,
-    fc_divisibility_criterion,
     fundamental_congruence_check,
     gauss_power_descent,
     gauss_sum,
     gauss_sum_ratio,
     jacobi_sum,
-    jacobi_sum_positive,
     quartic_decomposition,
     reflection_identity,
     stickelberger_check,
 )
-from kummerlab.cyclotomic import conjugate, cyclotomic_ring, norm
+from kummerlab.cyclotomic import (
+    CyclotomicElement,
+    conjugate,
+    cyclotomic_ring,
+    norm,
+)
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
+
+
+def jacobi_sum_positive(chi: Character, i: int, k: int) -> CyclotomicElement:
+    """The same sum without the leading minus (the Gauss-sum-ratio value)."""
+    return -jacobi_sum(chi, i, k)
+
+
+def fc_divisibility_criterion(lam: int, p: int, i: int, k: int) -> bool:
+    """Whether the congruence predicts p | psi for order-lam indices.
+
+    Scaling (i, k) by m = (p-1)/lam turns the order-lam sum into the
+    order-(p-1) congruence with indices (im, km): divisibility happens
+    exactly when im + km < p - 1.
+    """
+    m = (p - 1) // lam
+    return (i % lam) * m + (k % lam) * m < p - 1
+
 
 def test_character_validation():
     with pytest.raises(ValueError):

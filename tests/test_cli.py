@@ -17,7 +17,7 @@ R5 = cyclotomic_ring(5)
 def test_parse_pinned():
     assert parse_element("1 - a + 2a^3", R5).coeffs == (1, -1, 0, 2)
     assert parse_element("a^5", R5) == R5.one()
-    assert parse_element("2 + t", QuadOrder(0, 3)).coords() == (2, 1)
+    assert parse_element("2 + t", QuadOrder(0, 3)).coeffs == (2, 1)
 
 
 def test_parse_whitespace_and_forms():
@@ -31,8 +31,8 @@ def test_parse_whitespace_and_forms():
 
 def test_parse_quadratic_power_reduction():
     order = QuadOrder(0, 3)
-    assert parse_element("t^2", order).coords() == (-3, 0)
-    assert parse_element("1 + t - t^2", order).coords() == (4, 1)
+    assert parse_element("t^2", order).coeffs == (-3, 0)
+    assert parse_element("1 + t - t^2", order).coeffs == (4, 1)
 
 
 def test_parse_errors_carry_position():
@@ -149,12 +149,14 @@ def test_cli_valuation_large_split_prime(capsys):
 
 def test_cli_valuation_inert_map_by_coefficients(capsys):
     # 2 is inert in Z[alpha_5]: one map of degree 4, labelled by the least
-    # element X^3 of the Frobenius orbit of X in F_2[X]/(Phi_5)
-    argv = ["valuation", "--lambda", "5", "--p", "2", "--xi", "0,0,0,1", "2"]
-    code, out = _run(capsys, argv)
-    assert code == 0
-    assert "mu: 1" in out
-    argv[argv.index("0,0,0,1")] = "0,1"
+    # element X^3 of the Frobenius orbit of X in F_2[X]/(Phi_5); a label is
+    # read mod p and without trailing zeros
+    for xi in ("0,0,0,1", "0,0,0,3", "0,0,0,1,0"):
+        argv = ["valuation", "--lambda", "5", "--p", "2", "--xi", xi, "2"]
+        code, out = _run(capsys, argv)
+        assert code == 0
+        assert "mu: 1" in out
+    argv[argv.index(xi)] = "0,1"
     assert main(argv) == 2
     assert "no Jacobi map with xi = 0,1 for lambda=5, p=2" in capsys.readouterr().err
 
@@ -193,6 +195,27 @@ def test_cli_usage_error_exit_code():
         (
             ["gauss-sum", "--p", "13", "--order", "3", "--enum-cap", "11"],
             "order * p = 39 Gauss-sum coefficients exceed --enum-cap 11",
+        ),
+        (
+            ["valuation", "--lambda", "5", "--p", "11", "--xi", "x", "11"],
+            "--xi expects comma-separated integers, got 'x'",
+        ),
+        (
+            ["valuation", "--lambda", "5", "--p", "11", "--xi", "1,x", "11"],
+            "--xi expects comma-separated integers, got '1,x'",
+        ),
+        (
+            ["monoid", "--subgroup", "x", "classgroup"],
+            "--subgroup expects comma-separated integers, got 'x'",
+        ),
+        (
+            ["quad", "--theta", "x,1", "conductor"],
+            "--theta expects comma-separated integers, got 'x,1'",
+        ),
+        (["quad", "--theta", "1", "conductor"], "--theta expects 2 integers, got '1'"),
+        (
+            ["quad", "--theta", "1,2,3", "conductor"],
+            "--theta expects 2 integers, got '1,2,3'",
         ),
     ],
 )

@@ -12,6 +12,7 @@ from kummerlab.lattice import IntLattice
 from kummerlab.polyint import cyclotomic_polynomial
 from kummerlab.polymod import factor_mod_p, gf_add, gf_mod, gf_mul, gf_pow_mod
 from kummerlab.valuation import _vanishes_at_lift
+from reference import standard_lattice
 
 RNG_SEED = 77911
 
@@ -28,7 +29,7 @@ def _transformed(lattice, func):
 def _power(lattice, e, order):
     if e < 0:
         raise ValueError("negative lattice power")
-    out = IntLattice.standard(lattice.dim)
+    out = standard_lattice(lattice.dim)
     for _ in range(e):
         out = out.product(lattice, order)
     return out
@@ -44,9 +45,9 @@ def _conjugate_lattice(lattice, k, lam):
 
 def _conjugated_map(phi, k):
     """The map x -> phi(sigma_k(x)); its kernel is sigma_k^{-1}(ker phi)."""
-    k_inv = pow(k, -1, phi.lam)
-    target = _conjugate_lattice(phi.kernel(), k_inv, phi.lam)
-    for candidate in enumerate_jacobi_maps(phi.lam, phi.p):
+    k_inv = pow(k, -1, phi.ring.n)
+    target = _conjugate_lattice(phi.kernel(), k_inv, phi.ring.n)
+    for candidate in enumerate_jacobi_maps(phi.ring.n, phi.p):
         if candidate.kernel() == target:
             return candidate
     raise AssertionError("conjugated map must exist in the enumeration")
@@ -295,7 +296,7 @@ def test_kernel_product_reconstructs_p():
     for lam, p in [(5, 11), (5, 19), (5, 2), (7, 13)]:
         ring = cyclotomic_ring(lam)
         maps = enumerate_jacobi_maps(lam, p)
-        prod = IntLattice.standard(lam - 1)
+        prod = standard_lattice(lam - 1)
         for phi in maps:
             prod = prod.product(phi.kernel(), ring)
         assert prod.index() == p ** (lam - 1)

@@ -5,6 +5,9 @@ import random
 import pytest
 
 from kummerlab.arith import primes_below
+from kummerlab.cyclotomic import cyclotomic_ring
+from kummerlab.idealprimes import JacobiMap, enumerate_jacobi_maps
+from kummerlab.lattice import IntLattice
 from kummerlab.polymod import gf_mod, gf_normalize
 from kummerlab.quadorder import (
     QuadOrder,
@@ -57,6 +60,46 @@ def test_map_enumeration():
         assert len(maps) == 1 and maps[0].label() == 0
 
 
+def test_quad_maps_match_a_reference():
+    # the reference: theta goes to each root r of T^2 + uT + v mod p, found
+    # by trial, with rows 1, r and kernel (p, 0), (-r, 1); with no root it
+    # goes to X in F_p[X]/(F), with rows 1, X and kernel p Z^2.  Z[p i]
+    # has the root r = 0 at p.
+    orders = [catalog_order(entry) for entry in catalog()]
+    orders += [QuadOrder(0, p * p) for p in (2, 3, 5)] + [QuadOrder(-1, 1)]
+    for order in orders:
+        for p in primes_below(30):
+            maps = enumerate_quad_maps(order, p)
+            assert all(isinstance(phi, JacobiMap) for phi in maps)
+            roots = [
+                r for r in range(p) if (r * r + order.u * r + order.v) % p == 0
+            ]
+            if not roots:
+                (phi,) = maps
+                assert (phi.f, phi.label()) == (2, [0, 1])
+                assert phi.rows == [[1, 0], [0, 1]]
+                assert phi.kernel() == IntLattice([[p, 0], [0, p]])
+                continue
+            assert sorted(phi.label() for phi in maps) == roots
+            for phi in maps:
+                r = phi.label()
+                assert phi.f == 1 and phi.rows == [[1], [r]]
+                assert phi.kernel() == IntLattice([[p, 0], [-r, 1]])
+
+
+def test_apply_refuses_foreign_elements():
+    quad_map = enumerate_quad_maps(GAUSSIAN, 5)[0]
+    cyclotomic_map = enumerate_jacobi_maps(5, 11)[0]
+    with pytest.raises(ValueError):
+        cyclotomic_map.apply(GAUSSIAN.element(1, 1))
+    with pytest.raises(ValueError):
+        quad_map.apply(cyclotomic_ring(5).one())
+    with pytest.raises(ValueError):
+        cyclotomic_map.apply(cyclotomic_ring(7).alpha())
+    with pytest.raises(ValueError):
+        quad_map.apply(SQRT_M3.element(1, 1))
+
+
 def test_apply_is_x_plus_y_theta():
     # theta goes to the class of X in F_p[X]/(F): x + y*theta to x + y*X mod F
     rng = random.Random(RNG_SEED + 1)
@@ -84,12 +127,12 @@ def test_kernels():
 
 def test_singularity_witnesses():
     phi2 = enumerate_quad_maps(SQRT_M3, 2)[0]
-    rep = dichotomy_check(SQRT_M3, phi2, SQRT_M3.element(1, 1), SQRT_M3.element(2))
+    rep = dichotomy_check(phi2, SQRT_M3.element(1, 1), SQRT_M3.element(2))
     assert rep == {"at_fraction": False, "at_inverse": False}
     for p in (2, 3, 5):
         order = QuadOrder(0, p * p)
         phi = enumerate_quad_maps(order, p)[0]
-        rep = dichotomy_check(order, phi, order.element(0, 1), order.element(p))
+        rep = dichotomy_check(phi, order.element(0, 1), order.element(p))
         assert rep == {"at_fraction": False, "at_inverse": False}
 
 
@@ -106,7 +149,7 @@ def test_integral_element_witnesses():
         p = witness["p"]
         hit = False
         for phi in enumerate_quad_maps(order, p):
-            rep = dichotomy_check(order, phi, num, den)
+            rep = dichotomy_check(phi, num, den)
             if not rep["at_fraction"] and not rep["at_inverse"]:
                 hit = True
         assert hit, entry["name"]
@@ -114,7 +157,7 @@ def test_integral_element_witnesses():
 
 def test_nonsingular_fraction():
     phi = enumerate_quad_maps(GAUSSIAN, 2)[0]
-    rep = dichotomy_check(GAUSSIAN, phi, GAUSSIAN.element(1, 1), GAUSSIAN.element(1))
+    rep = dichotomy_check(phi, GAUSSIAN.element(1, 1), GAUSSIAN.element(1))
     assert rep["at_fraction"]
 
 
@@ -136,7 +179,7 @@ def test_maximal_orders_keep_dichotomy():
                 continue
             count += 1
             for phi in maps:
-                rep = dichotomy_check(order, phi, num, den)
+                rep = dichotomy_check(phi, num, den)
                 assert rep["at_fraction"] or rep["at_inverse"]
 
 
@@ -153,7 +196,7 @@ def test_singular_orders_fail_only_at_conductor_primes():
                     (order.element(0, 1), order.element(p)),
                     (order.element(1, 1), order.element(2)),
                 ]:
-                    rep = dichotomy_check(order, phi, num, den)
+                    rep = dichotomy_check(phi, num, den)
                     if not rep["at_fraction"] and not rep["at_inverse"]:
                         witnesses += 1
             assert witnesses > 0, (u, v, p)
@@ -172,7 +215,7 @@ def test_singular_orders_fail_only_at_conductor_primes():
                 continue
             count += 1
             for phi in maps:
-                rep = dichotomy_check(order, phi, num, den)
+                rep = dichotomy_check(phi, num, den)
                 assert rep["at_fraction"] or rep["at_inverse"], (u, v, phi.p)
 
 

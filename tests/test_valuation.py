@@ -7,21 +7,22 @@ import pytest
 
 from kummerlab import idealprimes, valuation
 from kummerlab.arith import primes_below, valuation_int
-from kummerlab.cyclotomic import cyclotomic_ring, norm
+from kummerlab.cyclotomic import CyclotomicElement, cyclotomic_ring, norm
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.lattice import IntLattice
 from kummerlab.valuation import (
+    KummerPrime,
     divides,
     divisibility_step,
     exact_quotient,
     factorize,
     find_uniformizer,
     is_defined_at,
-    is_defined_at_by_valuation,
     kummer_prime,
     multiplicity,
     valuation_oracle,
 )
+from reference import standard_lattice
 
 RNG_SEED = 52361
 
@@ -208,13 +209,13 @@ def test_oracle_matches_kernel_powers():
     pairs = 0
     seen = set()
     for kind, phi in _oracle_maps():
-        ring, d = phi.ring, phi.lam - 1
+        ring, d = phi.ring, phi.ring.degree
         kernel = phi.kernel()
         basis = kernel.rows
-        powers = [IntLattice.standard(d)]
+        powers = [standard_lattice(d)]
         for k in range(4):
             for _ in range(10):
-                x = _elements(phi.lam, 1, rng.random())[0]
+                x = _elements(phi.ring.n, 1, rng.random())[0]
                 for _ in range(k):
                     # a random element of the kernel, or p if that is 0
                     c = [rng.randint(-2, 2) for _ in range(d)]
@@ -247,7 +248,7 @@ def test_oracle_builds_no_lattice(monkeypatch):
         ring = phi.ring
         g = ring.element(list(phi.factor)) + phi.p
         v_g = valuation_oracle(g, phi)
-        v_p = phi.lam - 1 if phi.p == phi.lam else 1
+        v_p = phi.ring.n - 1 if phi.p == phi.ring.n else 1
         assert v_g >= 1
         for a in range(4):
             for b in range(2):
@@ -306,6 +307,17 @@ def test_valuation_axioms(lam):
                 assert multiplicity(s, K) >= min(
                     multiplicity(x, K), multiplicity(y, K)
                 )
+
+
+def is_defined_at_by_valuation(
+    numerator: CyclotomicElement, denominator: CyclotomicElement, K: KummerPrime
+) -> bool:
+    """Valuation form of the same test: v(numerator) >= v(denominator)."""
+    if denominator.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    if numerator.is_zero():
+        return True
+    return multiplicity(numerator, K) >= multiplicity(denominator, K)
 
 
 def test_defined_at_pinned():
