@@ -23,6 +23,7 @@ modulus and valuation statement holds for both.
 from functools import lru_cache
 from math import comb, isqrt
 
+from kummerlab import polyint
 from kummerlab.arith import (
     discrete_log_table,
     is_prime,
@@ -70,36 +71,45 @@ def character(p: int, lam: int) -> Character:
     return Character(p, lam)
 
 
+def _counts(chi: Character, i: int, k: int) -> list[int]:
+    """N_e = #{t in 2 .. p-1 : i ind t + k ind(1-t) = e mod lam}, e < lam."""
+    lam, p, index = chi.lam, chi.p, chi.index
+    counts = [0] * lam
+    # 1 - t = p + 1 - t mod p: as t runs up from 2, 1 - t runs down from p - 1
+    for a, b in zip(index[2:p], index[p - 1 : 1 : -1]):
+        counts[(i * a + k * b) % lam] += 1
+    return counts
+
+
 def jacobi_sum(chi: Character, i: int, k: int) -> CyclotomicElement:
     """J(chi^i, chi^k) = -sum over t of chi^i(t) chi^k(1-t), exactly."""
-    lam = chi.lam
-    p = chi.p
-    neg_hist = [0] * lam  # minus the count of t per exponent of alpha
-    for t in range(2, p):
-        e = (i * chi.index[t] + k * chi.index[(1 - t) % p]) % lam
-        neg_hist[e] -= 1
-    return chi.ring.element(neg_hist)
+    return chi.ring.element([-c for c in _counts(chi, i, k)])
 
 
 def reflection_identity(chi: Character, i: int, k: int) -> dict:
-    """Verify J(chi^i, chi^k) * sigma_{-1}(J(chi^i, chi^k)) == p exactly."""
+    """Verify J(chi^i, chi^k) * sigma_{-1}(J(chi^i, chi^k)) == p exactly.
+
+    J = -sum_e N_e alpha^e for the counts N of _counts, so J times its
+    conjugate is sum_s c_s alpha^s with c the cyclic autocorrelation of N:
+    the product is formed in Z[X]/(X^lam - 1) and reduced once.
+    """
     lam = chi.lam
     if i % lam == 0 or k % lam == 0 or (i + k) % lam == 0:
         raise ValueError(
             f"degenerate index: i, k, i+k must all be nonzero mod {lam}"
         )
-    j = jacobi_sum(chi, i, k)
-    prod = j * conjugate(j, -1)
-    ok = prod == chi.ring.element(chi.p)
+    counts = _counts(chi, i, k)
+    j = chi.ring.element([-c for c in counts])
+    prod = chi.ring.element(polyint.autocorrelation(counts))
     return {
         "p": chi.p,
         "order": lam,
         "i": i,
         "k": k,
         "J": list(j.coeffs),
-        "psi": list((-j).coeffs),
+        "psi": [-c for c in j.coeffs],
         "product": list(prod.coeffs),
-        "holds": ok,
+        "holds": prod.is_rational() and prod.coeffs[0] == chi.p,
     }
 
 

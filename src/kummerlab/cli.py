@@ -12,7 +12,7 @@ from math import gcd
 
 from kummerlab import charsum, monoid, quadorder
 from kummerlab.arith import factorize_int, is_prime
-from kummerlab.cyclotomic import conjugate, cyclotomic_ring, gaussian_periods
+from kummerlab.cyclotomic import cyclotomic_ring, gaussian_periods
 from kummerlab.exprparse import ElementParseError, parse_element, render_element
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.reports import render_json, render_text
@@ -36,19 +36,29 @@ class UsageError(ValueError):
 
 
 def _int_list(option: str, text: str, count: int | None = None) -> list[int]:
-    """The comma-separated integers of an option; blank parts are skipped.
+    """The comma-separated integers of an option, at least one; blank parts
+    are skipped.
 
     With count, exactly that many must be given.
     """
     try:
         values = [int(c) for c in text.split(",") if c.strip()]
     except ValueError:
-        raise UsageError(
-            f"{option} expects comma-separated integers, got {text!r}"
-        ) from None
+        values = []
+    if not values:
+        raise UsageError(f"{option} expects comma-separated integers, got {text!r}")
     if count is not None and len(values) != count:
         raise UsageError(f"{option} expects {count} integers, got {text!r}")
     return values
+
+
+def _check_table_cap(args) -> None:
+    """Refuse a prime whose p - 1 discrete-log entries exceed --enum-cap."""
+    if args.p - 1 > args.enum_cap:
+        raise UsageError(
+            f"p - 1 = {args.p - 1} discrete-log entries exceed "
+            f"--enum-cap {args.enum_cap}"
+        )
 
 
 def _common_options(keep_earlier: bool = False) -> argparse.ArgumentParser:
@@ -73,8 +83,11 @@ def _common_options(keep_earlier: bool = False) -> argparse.ArgumentParser:
         type=int,
         default=default(10000),
         metavar="N",
-        help="cap for exhaustive monoid enumerations and for the conductor "
-        "order * p of gauss-sum (default 10000)",
+        help="cap for exhaustive monoid enumerations, for the conductor "
+        "order * p of gauss-sum, for the p - 1 discrete-log entries of "
+        "jacobi-sum, quartic, stickelberger and fc-check, for the p - 1 "
+        "of binomial, and for the (p - 2)^2 index pairs of fc-check --all "
+        "(default 10000)",
     )
     common.add_argument(
         "--trial-div",
@@ -267,8 +280,7 @@ def _cmd_valuation(args) -> int:
     if x.is_zero():
         raise UsageError("valuation of 0 is infinite")
     maps = enumerate_jacobi_maps(args.lam, args.p)
-    xi = _int_list("--xi", args.xi)
-    phi = map_for_root(maps, xi[0] if len(xi) == 1 else xi)
+    phi = map_for_root(maps, _int_list("--xi", args.xi))
     K = find_uniformizer(phi)
     mu = multiplicity(x, K)
     oracle = valuation_oracle(x, phi)
@@ -298,8 +310,18 @@ def _cmd_divides(args) -> int:
 
 
 def _cmd_jacobi_sum(args) -> int:
+    _check_table_cap(args)
     chi = charsum.character(args.p, args.order)
-    j = charsum.jacobi_sum(chi, args.i, args.k)
+    degenerate = (
+        args.i % args.order == 0
+        or args.k % args.order == 0
+        or (args.i + args.k) % args.order == 0
+    )
+    if degenerate:
+        j = charsum.jacobi_sum(chi, args.i, args.k)
+    else:
+        rep = charsum.reflection_identity(chi, args.i, args.k)
+        j = chi.ring.element(rep["J"])
     result = {
         "p": args.p,
         "order": args.order,
@@ -309,16 +331,11 @@ def _cmd_jacobi_sum(args) -> int:
         "psi": render_element(-j),
         "J_coeffs": list(j.coeffs),
     }
-    degenerate = (
-        args.i % args.order == 0
-        or args.k % args.order == 0
-        or (args.i + args.k) % args.order == 0
-    )
     if not degenerate:
-        product = j * conjugate(j, -1)
+        product = chi.ring.element(rep["product"])
         result["reflection_product"] = render_element(product)
-        result["reflection_holds"] = product == chi.ring.element(args.p)
-        return _emit(args, "jacobi-sum", result, failed=not result["reflection_holds"])
+        result["reflection_holds"] = rep["holds"]
+        return _emit(args, "jacobi-sum", result, failed=not rep["holds"])
     result["degenerate"] = True
     return _emit(args, "jacobi-sum", result)
 
@@ -340,6 +357,12 @@ def _cmd_fc_check(args) -> int:
     if args.all:
         if not is_prime(args.p):
             raise UsageError(f"{args.p} is not prime")
+        cases = (args.p - 2) ** 2
+        if cases > args.enum_cap:
+            raise UsageError(
+                f"(p - 2)^2 = {cases} index pairs exceed "
+                f"--enum-cap {args.enum_cap}"
+            )
         checks = []
         failed = False
         for i in range(1, args.p - 1):
@@ -355,21 +378,29 @@ def _cmd_fc_check(args) -> int:
         return _emit(args, "fc-check", result, failed=failed)
     if args.i is None or args.k is None:
         raise UsageError("fc-check requires --all or both --i and --k")
+    _check_table_cap(args)
     rep = charsum.fundamental_congruence_check(args.p, args.i, args.k)
     return _emit(args, "fc-check", rep, failed=not rep["holds"])
 
 
 def _cmd_stickelberger(args) -> int:
+    _check_table_cap(args)
     rep = charsum.stickelberger_check(args.lam, args.p)
     return _emit(args, "stickelberger", rep, failed=not rep["holds"])
 
 
 def _cmd_quartic(args) -> int:
+    _check_table_cap(args)
     rep = charsum.quartic_decomposition(args.p)
     return _emit(args, "quartic", rep, failed=not rep["congruence_holds"])
 
 
 def _cmd_binomial(args) -> int:
+    if args.p - 1 > args.enum_cap:
+        raise UsageError(
+            f"p - 1 = {args.p - 1} exceeds --enum-cap {args.enum_cap}: "
+            f"C(2n, n) has about (p - 1)/2 bits"
+        )
     rep = charsum.binomial_congruence(args.p)
     return _emit(args, "binomial", rep, failed=not rep["congruence_holds"])
 

@@ -146,15 +146,13 @@ def factor_maps(ring, p: int) -> list[JacobiMap]:
 
 
 def map_for_root(maps: list[JacobiMap], label) -> JacobiMap:
-    """The map whose label() is the given root: an int residue for a
-    degree-1 map, or the root's coefficient list for f > 1.  Both are taken
-    mod p, and a list loses its trailing zeros."""
+    """The map whose root xi is the given label: an int residue, or the
+    root's coefficient list.  Both are taken mod p and a list loses its
+    trailing zeros, so [r] and [r, 0] name the degree-1 map with root r."""
+    want = [label] if isinstance(label, int) else list(label)
+    want = gf_normalize(want, maps[0].p)
     for phi in maps:
-        if isinstance(label, int):
-            want = label % phi.p
-        else:
-            want = gf_normalize(list(label), phi.p)
-        if phi.label() == want:
+        if list(phi.xi) == want:
             return phi
     xi = label if isinstance(label, int) else ",".join(map(str, label))
     raise ValueError(

@@ -5,10 +5,14 @@ These are the carriers for ring products, for cyclotomic polynomials,
 built from binomials X^d - 1 without general division, and for the exact
 resultant used to cross-check norms.  Products of long dense operands go
 through one big-integer multiply (Kronecker substitution), all others
-through the schoolbook loop; the resultant is a fraction-free Bareiss
+through the schoolbook loop; the cyclic autocorrelation of a nonnegative
+vector, its product with its own reflection in Z[X]/(X^n - 1), is one
+multiply of packed machine words.  The resultant is a fraction-free Bareiss
 determinant.  Nothing here divides by a general polynomial.
 """
 
+import sys
+from array import array
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -32,6 +36,11 @@ def degree(f: list[int]) -> int:
 # and 24 at 1024 bits.  At length 40 and 5 bits the loop takes 173 us and
 # packing 67 us; on 3-term operands of length 40 they take 17 and 41 us.
 KRONECKER_MIN_TERMS = 20
+
+# (bits, typecode) of the unsigned array words that autocorrelation packs,
+# narrowest first; the packed integers are read little-endian
+_WORDS = sorted((8 * array(code).itemsize, code) for code in "BHIQ")
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
@@ -90,6 +99,41 @@ def _evaluate(f: Sequence[int], w: int) -> int:
     positive = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in f)
     negative = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in f)
     return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+
+
+def autocorrelation(h: Sequence[int]) -> list[int]:
+    """c[s] = sum over e of h[e] * h[(e - s) mod n], n = len(h), for h >= 0.
+
+    This is h(X) * h(X^-1) in Z[X]/(X^n - 1).  h and h reversed are packed
+    as unsigned w-bit words and multiplied once; coefficient t of the
+    product is lag t - (n - 1), so folding mod 2^(wn) - 1 and rotating by
+    n - 1 gives c.  Every product and cyclic coefficient is at most
+    (sum h)^2, so with w the narrowest array word that holds that bound the
+    words never carry and one fold is exact.  w is at most 64, so a larger
+    bound raises ValueError.  Halving w makes the multiply about 3 times
+    faster at n = 60 to 400 (CPython 3.11, x86-64).
+    """
+    n = len(h)
+    bound = sum(h) ** 2
+    if min(h, default=0) < 0 or bound >> 64:
+        raise ValueError("autocorrelation needs h >= 0 with (sum h)^2 < 2^64")
+    if not n:
+        return []
+    w, code = next(word for word in _WORDS if not bound >> word[0])
+    words, back = array(code, h), array(code, reversed(h))
+    if _BIG_ENDIAN:
+        words.byteswap()
+        back.byteswap()
+    x = int.from_bytes(words.tobytes(), "little") * int.from_bytes(
+        back.tobytes(), "little"
+    )
+    bits = w * n
+    x = (x & ((1 << bits) - 1)) + (x >> bits)
+    c = array(code, x.to_bytes(bits // 8, "little"))
+    if _BIG_ENDIAN:
+        c.byteswap()
+    c = c.tolist()
+    return c[n - 1 :] + c[: n - 1]
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,6 @@ and the rendered output is byte-identical across runs.
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from kummerlab import charsum, monoid, quadorder
 from kummerlab.arith import (
@@ -17,12 +16,7 @@ from kummerlab.arith import (
     primes_below,
     valuation_int,
 )
-from kummerlab.cyclotomic import (
-    conjugate,
-    cyclotomic_ring,
-    gaussian_periods,
-    norm,
-)
+from kummerlab.cyclotomic import cyclotomic_ring, gaussian_periods, norm
 from kummerlab.exprparse import render_element
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.polyint import cyclotomic_polynomial
@@ -75,11 +69,6 @@ def _all_kummer_primes(lam: int, prime_bound: int):
         for phi in enumerate_jacobi_maps(lam, p):
             out.append(kummer_prime(phi))
     return out
-
-
-@lru_cache(maxsize=None)
-def _jacobi(p: int, lam: int, i: int, k: int):
-    return charsum.jacobi_sum(charsum.character(p, lam), i, k)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +264,7 @@ def _claim_reflection(cfg: Config) -> dict:
 def _claim_ratio(cfg: Config) -> dict:
     chi = charsum.character(11, 5)
     ratio = charsum.gauss_sum_ratio(chi, 1, 1)
-    j = _jacobi(11, 5, 1, 1)
-    assert ratio == -j
+    assert ratio == -charsum.jacobi_sum(chi, 1, 1)
     assert charsum.gauss_sum(chi, 0) == -1
     chi7 = charsum.character(7, 3)
     assert charsum.gauss_sum(chi7, 1) * charsum.gauss_sum(chi7, 2) == 7
@@ -445,14 +433,13 @@ def _acc_reflection(cfg: Config) -> dict:
         for lam in range(2, p):
             if (p - 1) % lam != 0:
                 continue
-            ring = cyclotomic_ring(lam)
-            target = ring.element(p)
+            chi = charsum.character(p, lam)
             for i in range(1, lam):
                 for k in range(1, lam):
                     if (i + k) % lam == 0:
                         continue
-                    j = _jacobi(p, lam, i, k)
-                    assert j * conjugate(j, -1) == target, (p, lam, i, k)
+                    rep = charsum.reflection_identity(chi, i, k)
+                    assert rep["holds"], (p, lam, i, k)
                     checked += 1
     return {"cases": checked}
 
@@ -636,9 +623,10 @@ def _acc_descent(cfg: Config) -> dict:
         if lam == 2:
             assert element == ring.element(5)
         else:
+            chi = charsum.character(p, lam)
             expected = ring.element(p)
             for t in range(1, lam - 1):
-                expected = expected * (-_jacobi(p, lam, 1, t))
+                expected = expected * (-charsum.jacobi_sum(chi, 1, t))
             assert element == expected, (lam, p)
         out[f"{lam},{p}"] = rep["element"]
     return out

@@ -3,8 +3,10 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kummerlab import charsum
+from kummerlab import charsum, cyclotomic, polyint
 from kummerlab.arith import primes_below
 from kummerlab.charsum import (
     Character,
@@ -100,6 +102,94 @@ def test_reflection_sweep_small():
                         continue
                     j = jacobi_sum(chi, i, k)
                     assert j * conjugate(j, -1) == target
+
+
+# one, two and three distinct primes, 2^k, q^k and 2 q^k
+REFLECTION_ORDERS = [
+    3, 5, 7, 13, 4, 8, 16, 64, 128, 9, 27, 81, 25, 49,
+    6, 10, 12, 18, 50, 54, 98, 162, 30, 42, 60, 84, 210, 330, 420,
+]
+REFLECTION_PRIMES = primes_below(500)
+
+
+def _reference_reflection(chi, j):
+    """The report built as before: J times its conjugate, in the ring."""
+    prod = j * conjugate(j, -1)
+    return {
+        "J": list(j.coeffs),
+        "psi": list((-j).coeffs),
+        "product": list(prod.coeffs),
+        "holds": prod == chi.ring.element(chi.p),
+    }
+
+
+@pytest.mark.parametrize("lam", REFLECTION_ORDERS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(data=st.data())
+def test_reflection_identity_matches_the_ring_product(lam, data):
+    p = data.draw(st.sampled_from([q for q in REFLECTION_PRIMES if q % lam == 1]))
+    i = data.draw(st.integers(1, lam - 1))
+    k = data.draw(st.integers(1, lam - 1).filter(lambda k: (i + k) % lam))
+    chi = character(p, lam)
+    rep = reflection_identity(chi, i, k)
+    expected = {"p": p, "order": lam, "i": i, "k": k}
+    expected.update(_reference_reflection(chi, jacobi_sum(chi, i, k)))
+    assert rep == expected
+    assert list(rep) == ["p", "order", "i", "k", "J", "psi", "product", "holds"]
+    assert rep["holds"]
+
+
+@pytest.mark.parametrize("p,lam,i,k", [(11, 5, 1, 1), (13, 12, 3, 4), (211, 210, 1, 7)])
+def test_reflection_identity_sees_tampered_counts(monkeypatch, p, lam, i, k):
+    # one t moved to the next exponent: the product is no longer p, and the
+    # report carries the product of the tampered sum with its conjugate
+    real = charsum._counts
+
+    def tampered(chi, i, k):
+        counts = real(chi, i, k)
+        e = counts.index(max(counts))
+        counts[e] -= 1
+        counts[(e + 1) % chi.lam] += 1
+        return counts
+
+    monkeypatch.setattr(charsum, "_counts", tampered)
+    chi = character(p, lam)
+    rep = reflection_identity(chi, i, k)
+    j = chi.ring.element([-c for c in tampered(chi, i, k)])
+    assert rep["J"] == list(j.coeffs)
+    assert rep["product"] == _reference_reflection(chi, j)["product"]
+    assert rep["holds"] is False
+
+
+def test_reflection_identity_needs_a_rational_product(monkeypatch):
+    # p + alpha has the right constant term but is not p
+    chi = character(13, 12)
+    monkeypatch.setattr(polyint, "autocorrelation", lambda h: [13, 1] + [0] * 10)
+    rep = reflection_identity(chi, 3, 4)
+    assert rep["product"][:2] == [13, 1] and rep["holds"] is False
+
+
+def test_reflection_identity_reduces_twice_and_multiplies_nothing(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("ring product or conjugate taken")
+
+    reductions = []
+    reduce = cyclotomic.CyclotomicRing._reduce
+
+    def counted(ring, coeffs):
+        reductions.append(len(coeffs))
+        return reduce(ring, coeffs)
+
+    monkeypatch.setattr(charsum, "conjugate", forbidden)
+    monkeypatch.setattr(cyclotomic, "conjugate", forbidden)
+    monkeypatch.setattr(CyclotomicElement, "__mul__", forbidden)
+    monkeypatch.setattr(CyclotomicElement, "__rmul__", forbidden)
+    monkeypatch.setattr(cyclotomic.CyclotomicRing, "_reduce", counted)
+    for p, lam, i, k in [(11, 5, 1, 1), (13, 12, 3, 4), (331, 330, 7, 11)]:
+        chi = character(p, lam)
+        reductions.clear()
+        assert reflection_identity(chi, i, k)["holds"]
+        assert reductions == [lam, lam]
 
 
 def test_galois_equivariance():

@@ -161,6 +161,25 @@ def test_cli_valuation_inert_map_by_coefficients(capsys):
     assert "no Jacobi map with xi = 0,1 for lambda=5, p=2" in capsys.readouterr().err
 
 
+def test_cli_valuation_degree_one_map_by_list(capsys):
+    # a list that trims to one entry names the degree-1 map with that root
+    outs = []
+    for xi in ("9", "9,0", "9,0,0", "20"):
+        argv = ["valuation", "--lambda", "5", "--p", "11", "--xi", xi, "11"]
+        code, out = _run(capsys, argv)
+        assert code == 0
+        outs.append(out)
+    assert "mu: 1" in outs[0]
+    assert outs.count(outs[0]) == 4
+
+
+def test_cli_caps_leave_the_cap_itself(capsys):
+    # p - 1 and (p - 2)^2 equal to --enum-cap still run
+    argv = ["jacobi-sum", "--p", "13", "--order", "3", "--i", "1", "--k", "1"]
+    assert _run(capsys, argv + ["--enum-cap", "12"])[0] == 0
+    assert _run(capsys, ["fc-check", "--p", "13", "--all", "--enum-cap", "121"])[0] == 0
+
+
 def test_cli_parse_error_exit_code(capsys):
     code = main(["factor", "--lambda", "5", "1 ++ a"])
     assert code == 2
@@ -217,6 +236,44 @@ def test_cli_usage_error_exit_code():
             ["quad", "--theta", "1,2,3", "conductor"],
             "--theta expects 2 integers, got '1,2,3'",
         ),
+        (
+            ["valuation", "--lambda", "5", "--p", "11", "--xi", "", "11"],
+            "--xi expects comma-separated integers, got ''",
+        ),
+        (
+            ["jacobi-sum", "--p", "1000003", "--order", "3", "--i", "1", "--k", "1"],
+            "p - 1 = 1000002 discrete-log entries exceed --enum-cap 10000",
+        ),
+        (
+            ["jacobi-sum", "--p", "13", "--order", "3", "--i", "1", "--k", "1",
+             "--enum-cap", "11"],
+            "p - 1 = 12 discrete-log entries exceed --enum-cap 11",
+        ),
+        (
+            ["quartic", "--p", "1000033"],
+            "p - 1 = 1000032 discrete-log entries exceed --enum-cap 10000",
+        ),
+        (
+            ["binomial", "--p", "1000033"],
+            "p - 1 = 1000032 exceeds --enum-cap 10000",
+        ),
+        (
+            ["stickelberger", "--lambda", "3", "--p", "1000003"],
+            "p - 1 = 1000002 discrete-log entries exceed --enum-cap 10000",
+        ),
+        (
+            ["fc-check", "--p", "1000003", "--i", "1", "--k", "2"],
+            "p - 1 = 1000002 discrete-log entries exceed --enum-cap 10000",
+        ),
+        (
+            ["fc-check", "--p", "103", "--all"],
+            "(p - 2)^2 = 10201 index pairs exceed --enum-cap 10000",
+        ),
+        (
+            ["fc-check", "--p", "13", "--all", "--enum-cap", "120"],
+            "(p - 2)^2 = 121 index pairs exceed --enum-cap 120",
+        ),
+        (["fc-check", "--p", "1000001", "--all"], "1000001 is not prime"),
     ],
 )
 def test_cli_out_of_range_input_exit_code(capsys, argv, message):

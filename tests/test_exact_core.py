@@ -18,7 +18,7 @@ from kummerlab.arith import (
 from kummerlab.cyclotomic import cyclotomic_ring
 from kummerlab.lattice import hnf, kernel_mod, principal_lattice
 from kummerlab import polyint
-from kummerlab.polyint import cyclotomic_polynomial, mul, resultant
+from kummerlab.polyint import autocorrelation, cyclotomic_polynomial, mul, resultant
 from kummerlab.polymod import (
     factor_mod_p,
     gf_mod,
@@ -237,6 +237,43 @@ def test_mul_matches_schoolbook(monkeypatch):
         assert packed == ([(f, g), (tuple(f), tuple(g))] if dense else [])
         packed.clear()
     assert mul([], [1, 2]) == mul([3], []) == []
+
+
+def _autocorrelation(h):
+    n = len(h)
+    return [sum(h[e] * h[(e - s) % n] for e in range(n)) for s in range(n)]
+
+
+def test_autocorrelation_pinned():
+    assert autocorrelation([]) == []
+    assert autocorrelation([5]) == [25]
+    assert autocorrelation([1, 2]) == [5, 4]
+    # c[1] = h0 h2 + h1 h0 + h2 h1, c[2] = h0 h1 + h1 h2 + h2 h0: equal
+    # because c[s] = c[n - s]
+    assert autocorrelation([1, 2, 3]) == [14, 11, 11]
+    assert autocorrelation([0, 0, 1, 0]) == [1, 0, 0, 0]
+    assert autocorrelation([0, 1, 0, 0, 0]) == [1, 0, 0, 0, 0]
+    for n in (1, 2, 3, 17):
+        assert autocorrelation([0] * n) == [0] * n
+    # (sum h)^2 at the bound of each word width, 2^8 to 2^64, and entries
+    # near 2^32: one side packs the narrower word, the other the wider
+    for k in (4, 8, 16, 32):
+        for total in (2**k - 1, 2**k - 2, 2**k + 1):
+            for h in ([total], [total - 2, 2], [1, total - 3, 0, 2]):
+                if total**2 < 2**64:
+                    assert autocorrelation(h) == _autocorrelation(h), h
+    top = 2**32 - 1
+    assert autocorrelation([top]) == [top * top]
+    assert autocorrelation([top - 1, 1, 0]) == [(top - 1) ** 2 + 1, top - 1, top - 1]
+    assert autocorrelation([2**31, 2**31 - 1]) == _autocorrelation([2**31, 2**31 - 1])
+
+
+@pytest.mark.parametrize(
+    "h", [[2**32], [2**31, 2**31], [2**32 - 1, 0, 1], [1] * 2**3 + [2**32 - 8], [-1, 2]]
+)
+def test_autocorrelation_refuses_an_inexact_word(h):
+    with pytest.raises(ValueError):
+        autocorrelation(h)
 
 
 # --- polynomials mod p ---------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element, render_element
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
-from kummerlab.polyint import mul
+from kummerlab.polyint import autocorrelation, mul
 from kummerlab.quadorder import QuadOrder
 from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
 
@@ -81,6 +81,21 @@ def test_mul_is_evaluation(f, g):
     assert not h or h[-1]
     for x in (-1, 2, 2**200):
         assert _value(h, x) == _value(f, x) * _value(g, x)
+
+
+@GENERATED
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 3), max_size=60),
+        st.lists(st.integers(0, 2**16), min_size=1, max_size=40),
+        st.lists(st.integers(0, 2**26), min_size=1, max_size=40),
+    )
+)
+def test_autocorrelation_is_a_double_loop(h):
+    n = len(h)
+    assert autocorrelation(h) == [
+        sum(h[e] * h[(e - s) % n] for e in range(n)) for s in range(n)
+    ]
 
 
 @GENERATED
