@@ -40,8 +40,9 @@ from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 
 class Character:
     """The character of order lam mod p with chi(g) = zeta, g the least
-    primitive root.  Values live in Z[X]/(Phi_lam); chi(0) counts as 0 and
-    is simply omitted from sums."""
+    primitive root: chi(t) = alpha^index[t] in Z[X]/(Phi_lam), index the
+    discrete-log table.  chi(0) counts as 0 and is simply omitted from
+    sums."""
 
     def __init__(self, p: int, lam: int):
         if not is_prime(p):
@@ -54,12 +55,6 @@ class Character:
         self.g = least_primitive_root(p)
         self.index = discrete_log_table(p, self.g)
         self.ring = cyclotomic_ring(lam)
-
-    def value(self, t: int, power: int = 1) -> CyclotomicElement:
-        t %= self.p
-        if t == 0:
-            raise ValueError("character value at 0 is excluded from sums")
-        return self.ring.alpha(power * self.index[t])
 
     def __repr__(self):
         return f"Character(p={self.p}, order={self.lam})"

@@ -496,6 +496,10 @@ def _cmd_quad(args) -> int:
         }
         return _emit(args, "quad", result)
     if args.action == "gauss-lemma":
+        if "," not in args.poly:
+            raise UsageError(
+                f"gauss-lemma expects c1,c0 for T^2 + c1 T + c0, got {args.poly!r}"
+            )
         left, right = args.poly.split(",", 1)
         b = parse_element(left, order)
         c = parse_element(right, order)

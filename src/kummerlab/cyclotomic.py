@@ -4,6 +4,8 @@ For prime conductors this is the ring where ideal primes live; composite
 conductors (used by the character-sum layer) get ring arithmetic,
 conjugation and norms only.  Elements are immutable coefficient tuples
 of length phi(n), reduced mod Phi_n; equality is coefficient equality.
+The element class is shared with the quadratic orders, whose rings reduce
+mod their own modulus.
 """
 
 from functools import lru_cache
@@ -20,6 +22,8 @@ def cyclotomic_ring(n: int) -> "CyclotomicRing":
 
 class CyclotomicRing:
     """Z[alpha] with alpha a primitive n-th root of unity."""
+
+    symbol = "a"
 
     def __init__(self, n: int):
         if n < 1:
@@ -121,15 +125,22 @@ def _norm_schedule(n: int) -> tuple[tuple[int, int], ...]:
 
 
 class CyclotomicElement:
+    """An element of any order in the package: Z[alpha] or a quadratic order.
+
+    The ring reduces the coefficients (its ``_reduce``) and owns the rest of
+    the arithmetic; conjugation, norms and valuations exist for Z[alpha]
+    only.
+    """
+
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: CyclotomicRing, coeffs: list[int]):
+    def __init__(self, ring, coeffs: list[int]):
         self.ring = ring
         self.coeffs = ring._reduce(coeffs)
 
     def _check(self, other):
         if self.ring != other.ring:
-            raise ValueError("elements of different cyclotomic rings")
+            raise ValueError("elements of different rings")
 
     def _lift(self, other):
         if isinstance(other, int):
@@ -169,7 +180,7 @@ class CyclotomicElement:
         if e < 0:
             raise ValueError("negative powers are not ring elements")
         if e == 0:
-            return self.ring.one()
+            return self.ring.element(1)
         out = None
         base = self
         while True:
@@ -205,10 +216,10 @@ class CyclotomicElement:
         )
 
     def __hash__(self):
-        return hash((self.ring.n, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
-        return f"CyclotomicElement({self.ring.n}, {list(self.coeffs)})"
+        return f"CyclotomicElement({self.ring!r}, {list(self.coeffs)})"
 
 
 def conjugate(x: CyclotomicElement, k: int) -> CyclotomicElement:

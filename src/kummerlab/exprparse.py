@@ -5,16 +5,16 @@ Grammar (whitespace-insensitive):
     expr  := ['+'|'-'] term (('+'|'-') term)*
     term  := INT | [INT ['*']] SYM ['^' INT]
 
-The symbol is ``a`` in cyclotomic rings and ``t`` in quadratic orders;
-implicit multiplication ("3a^2") is allowed, exponents may reach or exceed
-the conductor (they are reduced).  Parse errors carry the offending
-position and what was expected there.
+The symbol is the ring's ``symbol``: ``a`` in cyclotomic rings and ``t`` in
+quadratic orders.  Implicit multiplication ("3a^2") is allowed; exponents
+may reach or exceed the conductor (the ring reduces them) but not
+MAX_EXPONENT, which bounds the work of an expression.  Parse errors carry
+the offending position and what was expected there.
 """
 
 import re
 
-from kummerlab.cyclotomic import CyclotomicElement, CyclotomicRing
-from kummerlab.quadorder import QuadElement, QuadOrder
+MAX_EXPONENT = 4096
 
 
 class ElementParseError(ValueError):
@@ -87,6 +87,12 @@ def _parse_terms(src: str, symbol: str) -> dict[int, int]:
                 if tokens[i][0] != "int":
                     fail("an exponent")
                 power = tokens[i][1]
+                if power > MAX_EXPONENT:
+                    raise ElementParseError(
+                        f"exponent {power} is too large",
+                        tokens[i][2],
+                        f"an exponent of at most {MAX_EXPONENT}",
+                    )
                 i += 1
             powers[power] = powers.get(power, 0) + sign * (
                 1 if coeff is None else coeff
@@ -101,24 +107,12 @@ def _parse_terms(src: str, symbol: str) -> dict[int, int]:
 
 def parse_element(src: str, ring):
     """Parse an expression into an element of the given ring or order."""
-    if isinstance(ring, CyclotomicRing):
-        powers = _parse_terms(src, "a")
-        out = ring.zero()
-        for power, coeff in powers.items():
-            if coeff:
-                out = out + coeff * ring.alpha(power)
-        return out
-    if isinstance(ring, QuadOrder):
-        powers = _parse_terms(src, "t")
-        out = ring.element(0)
-        theta = ring.element(0, 1)
-        for power, coeff in powers.items():
-            term = ring.element(coeff)
-            for _ in range(power):
-                term = term * theta
-            out = out + term
-        return out
-    raise TypeError(f"cannot parse elements of {ring!r}")
+    theta = ring.element([0, 1])
+    out = ring.element(0)
+    for power, coeff in _parse_terms(src, ring.symbol).items():
+        if coeff:
+            out = out + coeff * theta**power
+    return out
 
 
 def _render_terms(pairs, symbol: str) -> str:
@@ -141,8 +135,4 @@ def _render_terms(pairs, symbol: str) -> str:
 
 def render_element(x) -> str:
     """Canonical string form; parse(render(x)) reproduces x."""
-    if isinstance(x, CyclotomicElement):
-        return _render_terms(enumerate(x.coeffs), "a")
-    if isinstance(x, QuadElement):
-        return _render_terms([(0, x.x), (1, x.y)], "t")
-    raise TypeError(f"cannot render {x!r}")
+    return _render_terms(enumerate(x.coeffs), x.ring.symbol)

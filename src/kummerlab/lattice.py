@@ -8,9 +8,9 @@ is matrix equality.
 
 An order (a ring with a distinguished Z-basis e_0 .. e_(d-1)) enters
 through its own multiplication: ``order.mul_matrix(v)`` returns the rows
-v * e_i, so x -> x @ M is multiplication by v.  Ideal arithmetic (products,
-colon ideals, the extension test of a map to a fraction) asks nothing else
-of the ring.
+v * e_i, so x -> x @ M is multiplication by v.  Ideal products and the
+extension test of a map to a fraction (a colon ideal against a kernel)
+ask nothing else of the ring.
 """
 
 from operator import mul
@@ -75,16 +75,13 @@ class IntLattice:
 
     __slots__ = ("dim", "rows")
 
-    def __init__(self, rows, _canonical: bool = False):
+    def __init__(self, rows):
         rows = [list(r) for r in rows]
         if not rows:
             raise ValueError("empty generating set")
         self.dim = len(rows[0])
         if any(len(r) != self.dim for r in rows):
             raise ValueError("generators have mixed dimensions")
-        if _canonical:
-            self.rows = tuple(tuple(r) for r in rows)
-            return
         pivots = _triangularize(rows, None)
         if any(p is None for p in pivots):
             raise ValueError("generators do not span a full-rank lattice")
@@ -112,11 +109,6 @@ class IntLattice:
                 v = [a - q * b for a, b in zip(v, self.rows[i])]
         return not any(v)
 
-    def contains_lattice(self, other: "IntLattice") -> bool:
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return all(r in self for r in other.rows)
-
     def product(self, other: "IntLattice", order) -> "IntLattice":
         """The lattice spanned by all products a * b, a in self, b in other."""
         if other.dim != self.dim:
@@ -126,12 +118,6 @@ class IntLattice:
             columns = list(zip(*_mul_matrix(order, b, self.dim)))
             gens += [[sum(map(mul, a, col)) for col in columns] for a in self.rows]
         return IntLattice(gens)
-
-    def colon(self, v, order) -> "IntLattice":
-        """The colon lattice {delta : v * delta in L}."""
-        if len(v) != self.dim:
-            raise ValueError("dimension mismatch")
-        return _preimage(_mul_matrix(order, v, self.dim), self.rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntLattice) and self.rows == other.rows
@@ -156,23 +142,23 @@ def _mul_matrix(order, v, dim: int):
     return mat
 
 
-def principal_lattice(v, order) -> IntLattice:
-    """The lattice v * O for an order element v (v must be a nonzerodivisor)."""
-    return IntLattice(order.mul_matrix(v))
-
-
 def extends_to(kernel: IntLattice, num, den, order) -> bool:
     """Whether the map with this kernel extends to the fraction num/den.
 
     It does iff the colon ideal {delta : num * delta in den * O} is not
-    contained in the kernel.
+    contained in the kernel.  The colon ideal is the preimage of den * O
+    under multiplication by num, spanned by the relation rows of
+    [num * O; den * O]; each is tested against the kernel as it stands,
+    with no canonical form of its own.
     """
-    colon = principal_lattice(den, order).colon(num, order)
-    return not kernel.contains_lattice(colon)
+    if len(num) != kernel.dim or len(den) != kernel.dim:
+        raise ValueError("dimension mismatch")
+    nmat = _mul_matrix(order, num, kernel.dim)
+    return not all(g in kernel for g in _preimage(nmat, order.mul_matrix(den)))
 
 
-def _preimage(nmat, target_rows) -> IntLattice:
-    """The lattice {x in Z^d : x @ N in span_Z(target_rows)} for a d x m N.
+def _preimage(nmat, target_rows) -> list[list[int]]:
+    """Generators of {x in Z^d : x @ N in span_Z(target_rows)} for a d x m N.
 
     The transform rows that clear the stacked matrix [N; T] are exactly the
     relations x @ N + y @ T = 0, so their first d entries span the preimage.
@@ -182,13 +168,11 @@ def _preimage(nmat, target_rows) -> IntLattice:
     total = len(stacked)
     transform = [[int(i == j) for j in range(total)] for i in range(total)]
     _triangularize(stacked, transform)
-    return IntLattice(
-        [transform[r][:d] for r in range(total) if not any(stacked[r])]
-    )
+    return [transform[r][:d] for r in range(total) if not any(stacked[r])]
 
 
 def kernel_mod(nmat: list[list[int]], q: int) -> IntLattice:
     """The lattice {x in Z^d : x @ N == 0 mod q} for a d x m integer N."""
     m = len(nmat[0])
     target = [[q * int(i == j) for j in range(m)] for i in range(m)]
-    return _preimage(nmat, target)
+    return IntLattice(_preimage(nmat, target))

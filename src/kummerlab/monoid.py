@@ -11,7 +11,7 @@ not a subgroup; there the extension of the reduction map to fractions
 breaks down in exactly the way square roots do.
 """
 
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from kummerlab.arith import factorize_int, is_prime
 
@@ -252,7 +252,7 @@ def class_group(M: HilbertMonoid) -> dict:
         return order
 
     orders = sorted(element_order(i) for i in range(n))
-    invariants = _abelian_invariants(n, orders)
+    invariants = _invariant_factors(n, orders)
     return {
         "order": n,
         "cosets": [list(c) for c in cosets],
@@ -263,42 +263,33 @@ def class_group(M: HilbertMonoid) -> dict:
     }
 
 
-def _invariant_chains(n: int) -> list[list[int]]:
-    """All chains d_1 | d_2 | ... with product n and every d_i > 1."""
-    if n == 1:
-        return [[]]
-    out = []
+def _invariant_factors(n: int, orders: list[int]) -> list[int]:
+    """Invariant factors d_1 | d_2 | ... of an abelian group of order n,
+    read from the multiset of its element orders.
 
-    def recurse(remaining: int, max_d: int, chain: list[int]):
-        if remaining == 1:
-            out.append(list(reversed(chain)))
-            return
-        for d in _divisors(remaining):
-            if 1 < d <= max_d and max_d % d == 0 and remaining % d == 0:
-                recurse(remaining // d, d, chain + [d])
-
-    recurse(n, n, [])
-    return out
-
-
-def _abelian_invariants(n: int, orders: list[int]) -> list[int]:
-    """Invariant factors of an abelian group from its element-order multiset.
-
-    The multiset of element orders determines a finite abelian group up to
-    isomorphism, so matching against every invariant-factor chain of the
-    right order is a complete decision procedure.
+    For each prime q | n the elements of order dividing q^j form a subgroup
+    of order q^(s_j), and s_j - s_(j-1) counts the cyclic q-factors of
+    exponent at least j.  The largest invariant factor takes the largest
+    exponent of every prime, the next one the next largest, and so on.
     """
-    from itertools import product as iter_product
-    from math import lcm
-
-    for chain in _invariant_chains(n):
-        model = sorted(
-            lcm(*[d // gcd(x, d) for d, x in zip(chain, combo)], 1)
-            for combo in iter_product(*[range(d) for d in chain])
-        )
-        if model == orders:
-            return chain
-    raise AssertionError("element orders must match some abelian group")
+    columns = []  # per prime q: the exponents of its cyclic factors, descending
+    for q, k in sorted(factorize_int(n).items()):
+        at_least, s = [], 0
+        while s < k:
+            count = sum(1 for o in orders if q ** (len(at_least) + 1) % o == 0)
+            prev, s = s, 0
+            while count % q == 0:
+                count, s = count // q, s + 1
+            if count != 1 or s <= prev:
+                raise AssertionError("element orders must come from an abelian group")
+            at_least.append(s - prev)
+        exps = [sum(c >= i for c in at_least) for i in range(1, at_least[0] + 1)]
+        columns.append((q, exps))
+    width = max((len(exps) for _, exps in columns), default=0)
+    return [
+        prod(q ** exps[i] for q, exps in columns if i < len(exps))
+        for i in reversed(range(width))
+    ]
 
 
 def square_test(M: HilbertMonoid, a: int) -> dict:

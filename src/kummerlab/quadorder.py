@@ -1,8 +1,9 @@
 """Quadratic orders Z[theta]: where the ideal-prime construction breaks.
 
 theta has monic minimal polynomial T^2 + u T + v, the order's modulus; the
-order is Z + Z theta.  A QuadOrder offers the ring interface the cyclotomic
-ring does (degree, modulus, mul_matrix, elements with coeffs), so its
+order is Z + Z theta.  A QuadOrder is a ring in the sense the cyclotomic
+ring is (degree, modulus, _reduce, mul_matrix, symbol), and its elements
+are cyclotomic.CyclotomicElement objects reduced mod the modulus, so its
 reduction maps onto finite fields are idealprimes.JacobiMap objects, built
 exactly as in the cyclotomic case.  For a non-maximal order the maps at
 primes dividing the conductor fail to extend to fractions in either
@@ -17,8 +18,9 @@ from importlib import resources
 from math import isqrt
 
 from kummerlab.arith import is_prime, squarefree_decomposition
+from kummerlab.cyclotomic import CyclotomicElement
 from kummerlab.idealprimes import JacobiMap, factor_maps
-from kummerlab.lattice import hnf, principal_lattice
+from kummerlab.lattice import hnf
 from kummerlab.valuation import is_defined_at
 
 
@@ -26,6 +28,7 @@ class QuadOrder:
     """The order Z[theta] with theta^2 = -u theta - v."""
 
     degree = 2
+    symbol = "t"
 
     def __init__(self, u: int, v: int):
         disc = u * u - 4 * v
@@ -37,8 +40,21 @@ class QuadOrder:
         self.disc = disc
         self.modulus = (v, u, 1)
 
-    def element(self, x: int, y: int = 0) -> "QuadElement":
-        return QuadElement(self, x, y)
+    def element(self, coeffs) -> CyclotomicElement:
+        if isinstance(coeffs, int):
+            coeffs = [coeffs]
+        return CyclotomicElement(self, list(coeffs))
+
+    def _reduce(self, coeffs: list[int]) -> tuple[int, int]:
+        """Coefficients of the residue mod T^2 + uT + v, padded to length 2:
+        T^k = -u T^(k-1) - v T^(k-2), cleared from the top down."""
+        c = list(coeffs) + [0] * (2 - len(coeffs))
+        for k in range(len(c) - 1, 1, -1):
+            top = c[k]
+            if top:
+                c[k - 1] -= self.u * top
+                c[k - 2] -= self.v * top
+        return (c[0], c[1])
 
     def mul_matrix(self, v) -> list[tuple[int, int]]:
         """Coordinate rows of v * 1 and v * theta."""
@@ -60,51 +76,6 @@ class QuadOrder:
         return f"QuadOrder(u={self.u}, v={self.v})"
 
 
-class QuadElement:
-    __slots__ = ("ring", "x", "y")
-
-    def __init__(self, ring: QuadOrder, x: int, y: int):
-        self.ring = ring
-        self.x = x
-        self.y = y
-
-    @property
-    def coeffs(self) -> tuple[int, int]:
-        return (self.x, self.y)
-
-    def __add__(self, other):
-        return QuadElement(self.ring, self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other):
-        return QuadElement(self.ring, self.x - other.x, self.y - other.y)
-
-    def __mul__(self, other):
-        u, v = self.ring.u, self.ring.v
-        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        return QuadElement(
-            self.ring,
-            x1 * x2 - v * y1 * y2,
-            x1 * y2 + y1 * x2 - u * y1 * y2,
-        )
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
-    def norm(self) -> int:
-        u, v = self.ring.u, self.ring.v
-        return self.x * self.x - u * self.x * self.y + v * self.y * self.y
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadElement)
-            and self.ring == other.ring
-            and (self.x, self.y) == (other.x, other.y)
-        )
-
-    def __repr__(self):
-        return f"QuadElement({self.x} + {self.y}*theta)"
-
-
 def enumerate_quad_maps(order: QuadOrder, p: int) -> list[JacobiMap]:
     """One map per root of the modulus mod p (a repeated root yields a
     single map), or one degree-2 map when it stays irreducible."""
@@ -114,7 +85,7 @@ def enumerate_quad_maps(order: QuadOrder, p: int) -> list[JacobiMap]:
 
 
 def dichotomy_check(
-    phi: JacobiMap, numerator: QuadElement, denominator: QuadElement
+    phi: JacobiMap, numerator: CyclotomicElement, denominator: CyclotomicElement
 ) -> dict:
     """Is the map defined at the fraction, at its inverse, or at neither?
 
@@ -136,7 +107,7 @@ def prime_square_anomaly() -> dict:
     minimal polynomial stays irreducible mod 2, so (2) is itself prime.
     """
     order = QuadOrder(0, 3)
-    two = principal_lattice([2, 0], order)
+    two = hnf(order.mul_matrix([2, 0]))
     p_ideal = hnf([[2, 0], [1, 1], [0, 2], [-3, 1]])
     p_squared = p_ideal.product(p_ideal, order)
     two_p = two.product(p_ideal, order)
@@ -214,7 +185,9 @@ def _field_sqrt(order: QuadOrder, d0: Fraction, d1: Fraction):
     return None
 
 
-def gauss_lemma_check(order: QuadOrder, b: QuadElement, c: QuadElement) -> dict:
+def gauss_lemma_check(
+    order: QuadOrder, b: CyclotomicElement, c: CyclotomicElement
+) -> dict:
     """Reducibility of the monic quadratic T^2 + bT + c over K versus O.
 
     Over K the polynomial splits iff b^2 - 4c is a square there; over O it
@@ -222,14 +195,13 @@ def gauss_lemma_check(order: QuadOrder, b: QuadElement, c: QuadElement) -> dict:
     """
     if b.ring != order or c.ring != order:
         raise ValueError("coefficients must lie in the order")
-    delta = b * b - QuadElement(order, 4, 0) * c
-    s = _field_sqrt(order, Fraction(delta.x), Fraction(delta.y))
+    delta = b * b - 4 * c
+    s = _field_sqrt(order, *map(Fraction, delta.coeffs))
     if s is None:
         return {"reducible_over_K": False, "reducible_over_O": False}
     sx, sy = s
-    roots = [
-        ((-b.x + sgn * sx) / 2, (-b.y + sgn * sy) / 2) for sgn in (1, -1)
-    ]
+    bx, by = b.coeffs
+    roots = [((-bx + sgn * sx) / 2, (-by + sgn * sy) / 2) for sgn in (1, -1)]
     in_order = all(
         rx.denominator == 1 and ry.denominator == 1 for rx, ry in roots
     )

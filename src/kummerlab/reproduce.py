@@ -578,7 +578,7 @@ def _acc_monoid(cfg: Config) -> dict:
 def _acc_singular_orders(cfg: Config) -> dict:
     o_m3 = quadorder.QuadOrder(0, 3)
     phi2 = quadorder.enumerate_quad_maps(o_m3, 2)[0]
-    rep = quadorder.dichotomy_check(phi2, o_m3.element(1, 1), o_m3.element(2))
+    rep = quadorder.dichotomy_check(phi2, o_m3.element([1, 1]), o_m3.element(2))
     assert rep == {"at_fraction": False, "at_inverse": False}
     anomaly = quadorder.prime_square_anomaly()
     assert anomaly["holds"]
@@ -588,7 +588,7 @@ def _acc_singular_orders(cfg: Config) -> dict:
     for p in (2, 3, 5):
         order = quadorder.QuadOrder(0, p * p)  # Z[pi]
         phi = quadorder.enumerate_quad_maps(order, p)[0]
-        rep = quadorder.dichotomy_check(phi, order.element(0, 1), order.element(p))
+        rep = quadorder.dichotomy_check(phi, order.element([0, 1]), order.element(p))
         assert rep == {"at_fraction": False, "at_inverse": False}, p
     fractions = 0
     for u, v in [(0, 1), (-1, -1), (0, 5)]:  # maximal-order controls
@@ -601,8 +601,8 @@ def _acc_singular_orders(cfg: Config) -> dict:
         rng = random.Random(SEED + 400 + v)
         seen = 0
         while seen < 200:
-            num = order.element(rng.randint(-9, 9), rng.randint(-9, 9))
-            den = order.element(rng.randint(-9, 9), rng.randint(-9, 9))
+            num = order.element([rng.randint(-9, 9), rng.randint(-9, 9)])
+            den = order.element([rng.randint(-9, 9), rng.randint(-9, 9)])
             if num.is_zero() or den.is_zero():
                 continue
             seen += 1

@@ -3,7 +3,7 @@
 Nothing in the package uses them, so they live with the tests.
 """
 
-from kummerlab.lattice import IntLattice
+from kummerlab.lattice import IntLattice, _mul_matrix, _preimage
 from kummerlab.polyint import degree, trim
 
 
@@ -33,3 +33,37 @@ def divmod_exact(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
 def standard_lattice(dim: int) -> IntLattice:
     """Z^dim itself, the unit ideal."""
     return IntLattice([[int(i == j) for j in range(dim)] for i in range(dim)])
+
+
+def principal_lattice(v, order) -> IntLattice:
+    """The lattice v * O for an order element v (v must be a nonzerodivisor)."""
+    return IntLattice(order.mul_matrix(v))
+
+
+def colon(lattice: IntLattice, v, order) -> IntLattice:
+    """The colon lattice {delta : v * delta in L}, in canonical form."""
+    if len(v) != lattice.dim:
+        raise ValueError("dimension mismatch")
+    nmat = _mul_matrix(order, v, lattice.dim)
+    return IntLattice(_preimage(nmat, lattice.rows))
+
+
+def contains_lattice(outer: IntLattice, inner: IntLattice) -> bool:
+    if inner.dim != outer.dim:
+        raise ValueError("dimension mismatch")
+    return all(r in outer for r in inner.rows)
+
+
+def colon_extends_to(kernel: IntLattice, num, den, order) -> bool:
+    """The extension test through the canonical colon lattice: the map
+    extends to num/den iff colon(den * O, num) is not inside the kernel."""
+    ideal = colon(principal_lattice(den, order), num, order)
+    return not contains_lattice(kernel, ideal)
+
+
+def quad_product(order, a, b) -> tuple[int, int]:
+    """(x1 + y1 theta)(x2 + y2 theta) with theta^2 = -u theta - v, by the
+    closed formula."""
+    (x1, y1), (x2, y2) = a, b
+    u, v = order.u, order.v
+    return (x1 * x2 - v * y1 * y2, x1 * y2 + x2 * y1 - u * y1 * y2)

@@ -10,6 +10,7 @@ from kummerlab import charsum, cyclotomic, polyint
 from kummerlab.arith import primes_below
 from kummerlab.charsum import (
     Character,
+    _counts,
     binomial_congruence,
     character,
     fundamental_congruence_check,
@@ -54,11 +55,14 @@ def test_character_validation():
         Character(11, 3)  # 3 does not divide 10
     chi = Character(11, 5)
     assert chi.g == 2 and chi.m == 2
-    assert chi.value(chi.g) == chi.ring.alpha(1)
-    assert chi.value(chi.g, power=3) == chi.ring.alpha(3)
-    assert chi.value(1) == chi.ring.one()
-    with pytest.raises(ValueError):
-        chi.value(0)
+    # chi(t) = alpha^index[t]: chi(g) = alpha, chi(g^3) = alpha^3, chi(1) = 1
+    assert chi.index[chi.g] == 1 and chi.index[1] == 0
+    assert chi.index[pow(chi.g, 3, 11)] == 3
+    # the table holds a log for every unit exactly once and none for t = 0,
+    # which no power of g reaches: chi(0) is left out of every sum
+    assert sorted(chi.index[1:]) == list(range(10))
+    assert 0 not in {pow(chi.g, e, 11) for e in range(10)}
+    assert sum(_counts(chi, 1, 1)) == 11 - 2
 
 
 def test_jacobi_sum_is_integral_and_signed():

@@ -1,13 +1,15 @@
 """Expression parsing, report rendering, and the command-line surface."""
 
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from kummerlab import cli
+from kummerlab import cli, exprparse, quadorder
 from kummerlab.cli import main
-from kummerlab.cyclotomic import cyclotomic_ring
+from kummerlab.cyclotomic import CyclotomicElement, cyclotomic_ring
 from kummerlab.exprparse import ElementParseError, parse_element, render_element
 from kummerlab.quadorder import QuadOrder
 
@@ -54,7 +56,59 @@ def test_render_pinned():
     assert render_element(R5.zero()) == "0"
     assert render_element(R5.element([0, 1])) == "a"
     assert render_element(R5.element([-1, 0, 0, -3])) == "-1 - 3a^3"
-    assert render_element(QuadOrder(0, 3).element(2, 1)) == "2 + t"
+    assert render_element(QuadOrder(0, 3).element([2, 1])) == "2 + t"
+
+
+def test_parse_exponent_cap():
+    # exponents up to the cap reduce mod the conductor in Z[alpha] and
+    # mod T^2 + uT + v in a quadratic order; above it the parse stops at
+    # the exponent's position
+    cap = exprparse.MAX_EXPONENT
+    assert parse_element(f"a^{cap}", R5) == R5.alpha(cap % 5)
+    assert parse_element(f"2a^{cap - 1} - a^{cap}", R5) == (
+        2 * R5.alpha((cap - 1) % 5) - R5.alpha(cap % 5)
+    )
+    order = QuadOrder(0, 3)
+    assert parse_element(f"t^{cap}", order) == order.element(-3) ** (cap // 2)
+    for ring, text in [(R5, f"1 + a^{cap + 1}"), (order, f"1 + t^{cap + 1}")]:
+        with pytest.raises(ElementParseError) as err:
+            parse_element(text, ring)
+        assert err.value.position == 6
+        assert str(cap) in err.value.expected
+
+
+def test_exprparse_has_one_path_for_every_ring():
+    # exprparse knows no ring class: it reads the ring's symbol and element
+    # constructor, so a ring it has never seen parses and renders too
+    nodes = list(ast.walk(ast.parse(Path(exprparse.__file__).read_text())))
+    imported = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+    imported |= {n.module for n in nodes if isinstance(n, ast.ImportFrom)}
+    assert not {"kummerlab.cyclotomic", "kummerlab.quadorder"} & imported
+    assert not any(isinstance(n, ast.Name) and n.id == "isinstance" for n in nodes)
+    tree = ast.parse(Path(quadorder.__file__).read_text())
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert classes == ["QuadOrder"]
+
+    class CubeRootOfTwo:
+        """Z[z] with z^3 = 2: the element class reduces through _reduce."""
+
+        symbol = "z"
+
+        def element(self, coeffs):
+            if isinstance(coeffs, int):
+                coeffs = [coeffs]
+            return CyclotomicElement(self, list(coeffs))
+
+        def _reduce(self, coeffs):
+            c = list(coeffs) + [0] * (3 - len(coeffs))
+            for k in range(len(c) - 1, 2, -1):
+                c[k - 3] += 2 * c[k]
+            return tuple(c[:3])
+
+    ring = CubeRootOfTwo()
+    x = parse_element("1 - 3z^4 + z^2", ring)
+    assert x.coeffs == (1, -6, 1)
+    assert render_element(x) == "1 - 6z + z^2"
 
 
 def test_render_parse_roundtrip():
@@ -274,6 +328,35 @@ def test_cli_usage_error_exit_code():
             "(p - 2)^2 = 121 index pairs exceed --enum-cap 120",
         ),
         (["fc-check", "--p", "1000001", "--all"], "1000001 is not prime"),
+        (
+            ["quad", "--theta", "0,3", "check-b2", "--p", "2", "t^1000000", "2"],
+            "exponent 1000000 is too large at position 2 "
+            "(expected an exponent of at most 4096)",
+        ),
+        (
+            ["quad", "--theta", "0,3", "check-b2", "--p", "2", "1", "1 + 2t^200000"],
+            "exponent 200000 is too large at position 7",
+        ),
+        (
+            ["quad", "--theta", "0,3", "gauss-lemma", "t, 1 - t^4097"],
+            "exponent 4097 is too large at position 7",
+        ),
+        (
+            ["factor", "--lambda", "5", "a^4097"],
+            "exponent 4097 is too large at position 2",
+        ),
+        (
+            ["divides", "--lambda", "7", "1 - a", "3a^99999999999999999999"],
+            "exponent 99999999999999999999 is too large at position 3",
+        ),
+        (
+            ["quad", "--theta", "0,3", "gauss-lemma", "1"],
+            "gauss-lemma expects c1,c0 for T^2 + c1 T + c0, got '1'",
+        ),
+        (
+            ["quad", "--theta", "0,3", "gauss-lemma", ""],
+            "gauss-lemma expects c1,c0 for T^2 + c1 T + c0, got ''",
+        ),
     ],
 )
 def test_cli_out_of_range_input_exit_code(capsys, argv, message):

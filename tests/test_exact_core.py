@@ -16,7 +16,8 @@ from kummerlab.arith import (
     squarefree_decomposition,
 )
 from kummerlab.cyclotomic import cyclotomic_ring
-from kummerlab.lattice import hnf, kernel_mod, principal_lattice
+from kummerlab.idealprimes import enumerate_jacobi_maps
+from kummerlab.lattice import extends_to, hnf, kernel_mod
 from kummerlab import polyint
 from kummerlab.polyint import autocorrelation, cyclotomic_polynomial, mul, resultant
 from kummerlab.polymod import (
@@ -26,8 +27,14 @@ from kummerlab.polymod import (
     gf_normalize,
     gf_pow_mod,
 )
-from kummerlab.quadorder import QuadOrder
-from reference import divmod_exact, standard_lattice
+from kummerlab.quadorder import QuadOrder, enumerate_quad_maps
+from reference import (
+    colon,
+    colon_extends_to,
+    divmod_exact,
+    principal_lattice,
+    standard_lattice,
+)
 
 RNG_SEED = 9157
 
@@ -452,14 +459,8 @@ GAUSSIAN = QuadOrder(0, 1)  # Z[i]
 SQRT_M3 = QuadOrder(0, 3)  # Z[sqrt(-3)]
 
 
-def _rank(order):
-    return 2 if isinstance(order, QuadOrder) else order.degree
-
-
 def _times(order, a, b):
     """Coordinates of a * b, multiplied as ring elements."""
-    if isinstance(order, QuadOrder):
-        return list((order.element(*a) * order.element(*b)).coeffs)
     return list((order.element(list(a)) * order.element(list(b))).coeffs)
 
 
@@ -472,7 +473,7 @@ def _times(order, a, b):
 def test_mul_matrix_matches_ring_multiplication(order):
     # row i of mul_matrix(v) is v * e_i, e_i = alpha^i or (1, theta)
     rng = random.Random(RNG_SEED + 29)
-    d = _rank(order)
+    d = order.degree
     basis = [[int(i == j) for j in range(d)] for i in range(d)]
     for _ in range(5):
         v = [rng.randint(-9, 9) for _ in range(d)]
@@ -487,21 +488,26 @@ def test_product_and_colon_check_the_order_rank():
     with pytest.raises(ValueError, match="dimension mismatch"):
         lat.product(lat, ring)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        lat.colon([1, 1], ring)
+        extends_to(lat, [1, 1], [1, 1], ring)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        lat.colon([1, 1, 0], SQRT_M3)
+        extends_to(lat, [1, 1, 0], [1, 0], SQRT_M3)
     square = standard_lattice(4)
     with pytest.raises(ValueError, match="dimension mismatch"):
         square.product(square, SQRT_M3)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        square.colon([1, 0, 0, 0], SQRT_M3)
+        extends_to(square, [1, 0, 0, 0], [1, 0, 0, 0], SQRT_M3)
+    # Z[alpha]'s mul_matrix reduces a long vector; extends_to still refuses it
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        extends_to(square, [1, 1, 0, 0, 1], [1, 0, 0, 0], ring)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        extends_to(square, [1, 0, 0, 0], [1, 0, 0], ring)
 
 
 def test_colon_examples():
     two = principal_lattice([2, 0], GAUSSIAN)
-    assert two.colon([2, 0], GAUSSIAN) == standard_lattice(2)
+    assert colon(two, [2, 0], GAUSSIAN) == standard_lattice(2)
     two_m3 = principal_lattice([2, 0], SQRT_M3)
-    assert two_m3.colon([1, 1], SQRT_M3) == hnf([[2, 0], [1, 1]])
+    assert colon(two_m3, [1, 1], SQRT_M3) == hnf([[2, 0], [1, 1]])
 
 
 def test_ideal_product_anomaly():
@@ -526,7 +532,7 @@ def test_product_index_divisibility():
 
 
 def _random_ideal(order, rng):
-    d = _rank(order)
+    d = order.degree
     n = rng.randint(1, 15)
     rows = [[n * int(i == j) for j in range(d)] for i in range(d)]
     for _ in range(2):
@@ -551,6 +557,36 @@ def test_product_index_is_multiple_of_index_product():
     assert p_ideal.product(p_ideal, SQRT_M3).index() == 8 > 4
 
 
+def test_extends_to_matches_the_colon_containment():
+    # the relation rows of [num * O; den * O] against the kernel, versus
+    # the canonical colon lattice and a containment test of HNF rows
+    rng = random.Random(RNG_SEED + 43)
+    maps = [
+        phi
+        for lam in (5, 7)
+        for p in primes_below(30)
+        for phi in enumerate_jacobi_maps(lam, p)
+    ]
+    # maximal controls, then Z[sqrt(-3)] and Z[p i] for p = 2, 3, 5
+    for u, v in [(0, 1), (-1, -1), (0, 5), (0, 3), (0, 4), (0, 9), (0, 25)]:
+        order = QuadOrder(u, v)
+        maps += [phi for p in primes_below(12) for phi in enumerate_quad_maps(order, p)]
+    outcomes = set()
+    for phi in maps:
+        order, d = phi.ring, phi.ring.degree
+        for _ in range(12):
+            num = [rng.randint(-6, 6) for _ in range(d)]
+            den = [0] * d
+            while not any(den):
+                den = [rng.randint(-6, 6) for _ in range(d)]
+            if rng.random() < 0.3:  # den in p * O, where the map can fail
+                den = [phi.p * c for c in den]
+            got = extends_to(phi.kernel(), num, den, order)
+            assert got == colon_extends_to(phi.kernel(), num, den, order)
+            outcomes.add((isinstance(order, QuadOrder), got))
+    assert len(outcomes) == 4
+
+
 def test_kernel_mod():
     lat = kernel_mod([[1], [3]], 11)  # {(a, b): a + 3b = 0 mod 11}
     assert lat.index() == 11
@@ -566,13 +602,13 @@ def _box(d, r):
 def test_colon_and_kernel_mod_generated():
     rng = random.Random(RNG_SEED + 41)
     for order in (GAUSSIAN, SQRT_M3, cyclotomic_ring(5)):
-        d = _rank(order)
+        d = order.degree
         for _ in range(25):
             lat = _random_ideal(order, rng)
             v = [0] * d
             while not any(v):
                 v = [rng.randint(-5, 5) for _ in range(d)]
-            col = lat.colon(v, order)
+            col = colon(lat, v, order)
             for delta in col.rows:
                 assert _times(order, v, delta) in lat
             for delta in _box(d, 2 if d == 2 else 1):

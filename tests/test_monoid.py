@@ -1,6 +1,7 @@
 """Hilbert monoid divisor theory and the singular monoid counterexample."""
 
-from math import gcd
+import itertools
+from math import gcd, lcm
 
 import pytest
 
@@ -8,6 +9,7 @@ from kummerlab.arith import factorize_int
 from kummerlab.monoid import (
     HilbertMonoid,
     SingularMonoid,
+    _invariant_factors,
     class_group,
     defined_at,
     factor_into_irreducibles,
@@ -187,6 +189,63 @@ def test_class_groups():
     assert klein["isomorphic_to"] == "C2 x C2"
     cyclic = class_group(HilbertMonoid(5, [1]))
     assert cyclic["order"] == 4 and cyclic["invariant_factors"] == [4]
+
+
+def _invariant_chains(n: int) -> list[list[int]]:
+    """All chains d_1 | d_2 | ... with product n and every d_i > 1."""
+    if n == 1:
+        return [[]]
+    out = []
+
+    def recurse(remaining: int, max_d: int, chain: list[int]):
+        if remaining == 1:
+            out.append(list(reversed(chain)))
+            return
+        for d in range(2, max_d + 1):
+            if max_d % d == 0 and remaining % d == 0:
+                recurse(remaining // d, d, chain + [d])
+
+    recurse(n, n, [])
+    return out
+
+
+def _model_orders(chain: list[int]) -> list[int]:
+    """The sorted element orders of C_d1 x C_d2 x ..."""
+    return sorted(
+        lcm(*[d // gcd(x, d) for d, x in zip(chain, combo)], 1)
+        for combo in itertools.product(*[range(d) for d in chain])
+    )
+
+
+def _invariants_by_search(n: int, orders: list[int]) -> list[int]:
+    """The chain whose model group has the given element-order multiset,
+    found by trying every chain of order n."""
+    for chain in _invariant_chains(n):
+        if _model_orders(chain) == orders:
+            return chain
+    raise AssertionError("element orders must match some abelian group")
+
+
+def test_invariant_factors_of_every_model_group():
+    for n in range(1, 130):
+        for chain in _invariant_chains(n):
+            assert _invariant_factors(n, _model_orders(chain)) == chain
+    with pytest.raises(AssertionError):
+        _invariant_factors(4, [1, 2, 4, 4, 4])
+
+
+def test_class_group_invariants_match_the_search():
+    # H = {1}, the squares, cubes and fourth powers of the units mod m
+    seen = set()
+    for m in range(2, 90):
+        units = [a for a in range(1, m) if gcd(a, m) == 1]
+        for k in (1, 2, 3, 4):
+            H = {pow(a, k, m) for a in units} if k > 1 else {1}
+            rep = class_group(HilbertMonoid(m, H))
+            n, orders = rep["order"], rep["element_orders"]
+            assert rep["invariant_factors"] == _invariants_by_search(n, orders)
+            seen.add(tuple(rep["invariant_factors"]))
+    assert {(2, 2, 2), (2, 12), (2, 2, 4), (3, 3)} <= seen
 
 
 def test_class_group_law_well_defined():

@@ -143,5 +143,5 @@ def test_parse_render_round_trip(lam, data):
 @given(st.integers(-1000, 1000), st.integers(-1000, 1000))
 def test_parse_render_round_trip_quadratic(a, b):
     order = QuadOrder(0, 3)
-    x = order.element(a, b)
+    x = order.element([a, b])
     assert parse_element(render_element(x), order) == x

@@ -20,6 +20,7 @@ from kummerlab.quadorder import (
     is_integrally_closed,
     prime_square_anomaly,
 )
+from reference import quad_product
 
 RNG_SEED = 83231
 
@@ -35,21 +36,41 @@ def test_order_validation():
 
 
 def test_element_arithmetic_and_norm():
-    theta = SQRT_M3.element(0, 1)
+    theta = SQRT_M3.element([0, 1])
     assert theta * theta == SQRT_M3.element(-3)
-    assert SQRT_M3.element(1, 1).norm() == 4  # |1 + sqrt(-3)|^2
+    x, y = SQRT_M3.element([1, 1]).coeffs
+    assert x * x - SQRT_M3.u * x * y + SQRT_M3.v * y * y == 4  # |1 + sqrt(-3)|^2
     golden = QuadOrder(-1, -1)
-    t = golden.element(0, 1)
-    assert t * t == golden.element(1, 0) + t  # theta^2 = theta + 1
+    t = golden.element([0, 1])
+    assert t * t == golden.element([1, 0]) + t  # theta^2 = theta + 1
+
+
+def test_products_match_the_closed_formula():
+    # (x1 + y1 t)(x2 + y2 t) = x1 x2 - v y1 y2 + (x1 y2 + x2 y1 - u y1 y2) t
+    rng = random.Random(RNG_SEED + 2)
+    orders = 0
+    while orders < 60:
+        u, v = rng.randint(-20, 20), rng.randint(-50, 50)
+        try:
+            order = QuadOrder(u, v)
+        except ValueError:
+            continue
+        orders += 1
+        for _ in range(30):
+            a = [rng.randint(-10**6, 10**6) for _ in range(2)]
+            b = [rng.randint(-10**6, 10**6) for _ in range(2)]
+            product = order.element(a) * order.element(b)
+            assert product.coeffs == quad_product(order, a, b)
+            assert (order.element(a) ** 2).coeffs == quad_product(order, a, a)
 
 
 def test_map_enumeration():
     maps = enumerate_quad_maps(SQRT_M3, 2)
     assert len(maps) == 1 and maps[0].label() == 1
     phi = maps[0]
-    assert phi.kills(SQRT_M3.element(1, 1))
-    assert phi.kills(SQRT_M3.element(2, 0))
-    assert phi.apply(SQRT_M3.element(0, 1)) == (1,)
+    assert phi.kills(SQRT_M3.element([1, 1]))
+    assert phi.kills(SQRT_M3.element([2, 0]))
+    assert phi.apply(SQRT_M3.element([0, 1])) == (1,)
 
     assert sorted(m.label() for m in enumerate_quad_maps(GAUSSIAN, 5)) == [2, 3]
     inert = enumerate_quad_maps(GAUSSIAN, 7)
@@ -91,13 +112,13 @@ def test_apply_refuses_foreign_elements():
     quad_map = enumerate_quad_maps(GAUSSIAN, 5)[0]
     cyclotomic_map = enumerate_jacobi_maps(5, 11)[0]
     with pytest.raises(ValueError):
-        cyclotomic_map.apply(GAUSSIAN.element(1, 1))
+        cyclotomic_map.apply(GAUSSIAN.element([1, 1]))
     with pytest.raises(ValueError):
         quad_map.apply(cyclotomic_ring(5).one())
     with pytest.raises(ValueError):
         cyclotomic_map.apply(cyclotomic_ring(7).alpha())
     with pytest.raises(ValueError):
-        quad_map.apply(SQRT_M3.element(1, 1))
+        quad_map.apply(SQRT_M3.element([1, 1]))
 
 
 def test_apply_is_x_plus_y_theta():
@@ -112,7 +133,7 @@ def test_apply_is_x_plus_y_theta():
                     x, y = rng.randint(-30, 30), rng.randint(-30, 30)
                     expected = gf_mod(gf_normalize([x, y], p), list(phi.factor), p)
                     expected = tuple(expected) + (0,) * (phi.f - len(expected))
-                    assert phi.apply(order.element(x, y)) == expected
+                    assert phi.apply(order.element([x, y])) == expected
     assert degrees == {1, 2}
 
 
@@ -127,12 +148,12 @@ def test_kernels():
 
 def test_singularity_witnesses():
     phi2 = enumerate_quad_maps(SQRT_M3, 2)[0]
-    rep = dichotomy_check(phi2, SQRT_M3.element(1, 1), SQRT_M3.element(2))
+    rep = dichotomy_check(phi2, SQRT_M3.element([1, 1]), SQRT_M3.element(2))
     assert rep == {"at_fraction": False, "at_inverse": False}
     for p in (2, 3, 5):
         order = QuadOrder(0, p * p)
         phi = enumerate_quad_maps(order, p)[0]
-        rep = dichotomy_check(phi, order.element(0, 1), order.element(p))
+        rep = dichotomy_check(phi, order.element([0, 1]), order.element(p))
         assert rep == {"at_fraction": False, "at_inverse": False}
 
 
@@ -144,7 +165,7 @@ def test_integral_element_witnesses():
         if witness is None:
             continue
         order = catalog_order(entry)
-        num = order.element(*witness["numerator"])
+        num = order.element(witness["numerator"])
         den = order.element(witness["denominator"])
         p = witness["p"]
         hit = False
@@ -157,7 +178,7 @@ def test_integral_element_witnesses():
 
 def test_nonsingular_fraction():
     phi = enumerate_quad_maps(GAUSSIAN, 2)[0]
-    rep = dichotomy_check(phi, GAUSSIAN.element(1, 1), GAUSSIAN.element(1))
+    rep = dichotomy_check(phi, GAUSSIAN.element([1, 1]), GAUSSIAN.element(1))
     assert rep["at_fraction"]
 
 
@@ -173,8 +194,8 @@ def test_maximal_orders_keep_dichotomy():
         ]
         count = 0
         while count < 200:
-            num = order.element(rng.randint(-9, 9), rng.randint(-9, 9))
-            den = order.element(rng.randint(-9, 9), rng.randint(-9, 9))
+            num = order.element([rng.randint(-9, 9), rng.randint(-9, 9)])
+            den = order.element([rng.randint(-9, 9), rng.randint(-9, 9)])
             if num.is_zero() or den.is_zero():
                 continue
             count += 1
@@ -193,8 +214,8 @@ def test_singular_orders_fail_only_at_conductor_primes():
             witnesses = 0
             for phi in enumerate_quad_maps(order, p):
                 for num, den in [
-                    (order.element(0, 1), order.element(p)),
-                    (order.element(1, 1), order.element(2)),
+                    (order.element([0, 1]), order.element(p)),
+                    (order.element([1, 1]), order.element(2)),
                 ]:
                     rep = dichotomy_check(phi, num, den)
                     if not rep["at_fraction"] and not rep["at_inverse"]:
@@ -209,8 +230,8 @@ def test_singular_orders_fail_only_at_conductor_primes():
         ]
         count = 0
         while count < 100:
-            num = order.element(rng.randint(-9, 9), rng.randint(-9, 9))
-            den = order.element(rng.randint(-9, 9), rng.randint(-9, 9))
+            num = order.element([rng.randint(-9, 9), rng.randint(-9, 9)])
+            den = order.element([rng.randint(-9, 9), rng.randint(-9, 9)])
             if num.is_zero() or den.is_zero():
                 continue
             count += 1
@@ -263,8 +284,8 @@ def test_gauss_lemma_witness_iff_not_integrally_closed():
         if witness is not None:
             rep = gauss_lemma_check(
                 order,
-                order.element(*witness["b"]),
-                order.element(*witness["c"]),
+                order.element(witness["b"]),
+                order.element(witness["c"]),
             )
             assert rep["reducible_over_K"] and not rep["reducible_over_O"]
         else:
@@ -273,7 +294,7 @@ def test_gauss_lemma_witness_iff_not_integrally_closed():
                 (order.element(1), order.element(1)),
                 (order.element(0), order.element(-4)),
                 (order.element(-1), order.element(-1)),
-                (order.element(0, 1), order.element(0)),
+                (order.element([0, 1]), order.element(0)),
             ]
             for b, c in probes:
                 rep = gauss_lemma_check(order, b, c)
