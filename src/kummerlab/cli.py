@@ -7,6 +7,7 @@ no floating-point values.
 """
 
 import argparse
+import re
 import sys
 from math import gcd
 
@@ -50,6 +51,24 @@ def _int_list(option: str, text: str, count: int | None = None) -> list[int]:
     if count is not None and len(values) != count:
         raise UsageError(f"{option} expects {count} integers, got {text!r}")
     return values
+
+
+# Options whose value is a comma-separated integer list, and such a value
+# that starts with a negative number, e.g. "-1,-1".
+_LIST_OPTIONS = ("--theta", "--xi", "--subgroup")
+_SIGNED_LIST = re.compile(r"-\d[\d,\s+-]*")
+
+
+def _join_signed_lists(argv: list[str]) -> list[str]:
+    """Write "--theta -1,-1" as "--theta=-1,-1": argparse reads a separate
+    value that starts with "-" and is not a single number as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _LIST_OPTIONS and _SIGNED_LIST.fullmatch(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _check_table_cap(args) -> None:
@@ -537,7 +556,8 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_signed_lists(argv))
     try:
         return _DISPATCH[args.command](args)
     except ElementParseError as exc:

@@ -8,13 +8,17 @@ Grammar (whitespace-insensitive):
 The symbol is the ring's ``symbol``: ``a`` in cyclotomic rings and ``t`` in
 quadratic orders.  Implicit multiplication ("3a^2") is allowed; exponents
 may reach or exceed the conductor (the ring reduces them) but not
-MAX_EXPONENT, which bounds the work of an expression.  Parse errors carry
-the offending position and what was expected there.
+MAX_EXPONENT, which bounds the work of an expression.  Integers, written
+or computed, are kept to MAX_COEFFICIENT_DIGITS digits, so every element
+parsed can be rendered back.  Parse errors carry the offending position
+and what was expected there.
 """
 
 import re
 
 MAX_EXPONENT = 4096
+MAX_COEFFICIENT_DIGITS = 4000
+_COEFFICIENT_BOUND = 10**MAX_COEFFICIENT_DIGITS
 
 
 class ElementParseError(ValueError):
@@ -32,6 +36,12 @@ def _tokenize(src: str, symbol: str):
     for m in _TOKEN.finditer(src):
         pos = m.start(m.lastindex)
         if m.group(1):
+            if len(m.group(1)) > MAX_COEFFICIENT_DIGITS:
+                raise ElementParseError(
+                    f"integer of {len(m.group(1))} digits is too large",
+                    pos,
+                    f"an integer of at most {MAX_COEFFICIENT_DIGITS} digits",
+                )
             tokens.append(("int", int(m.group(1)), pos))
         elif m.group(2):
             if m.group(2) != symbol:
@@ -106,12 +116,22 @@ def _parse_terms(src: str, symbol: str) -> dict[int, int]:
 
 
 def parse_element(src: str, ring):
-    """Parse an expression into an element of the given ring or order."""
+    """Parse an expression into an element of the given ring or order.
+
+    Its reduced coefficients must keep to MAX_COEFFICIENT_DIGITS digits: a
+    power within the exponent cap can still outgrow them in an order whose
+    modulus has large coefficients.
+    """
     theta = ring.element([0, 1])
     out = ring.element(0)
     for power, coeff in _parse_terms(src, ring.symbol).items():
         if coeff:
             out = out + coeff * theta**power
+    if any(abs(c) >= _COEFFICIENT_BOUND for c in out.coeffs):
+        raise ValueError(
+            f"expression {src!r} has a coefficient of more than "
+            f"{MAX_COEFFICIENT_DIGITS} digits"
+        )
     return out
 
 

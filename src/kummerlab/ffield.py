@@ -10,20 +10,39 @@ at f = 1 the rows are the integer powers of r mod m.
 
 from operator import mul
 
-from kummerlab.polymod import gf_mod, gf_mul
+from kummerlab.polymod import gf_mod
 
 
 def power_rows(root, count: int, factor, m: int) -> list[list[int]]:
     """root^0 .. root^(count-1) in (Z/m)[X]/(F) as length-f coordinate rows.
 
-    root is a coefficient list and F a monic integer polynomial.
+    root is a coefficient list and F a monic integer polynomial.  Row i of
+    the f x f matrix of multiplication by the root is X^i * root mod F, each
+    row one shift of the last with its top coefficient folded back by F.
+    Each power is then the last one times that matrix: f^2 products and no
+    polynomial division, and at f = 1 simply v = v * r mod m.
     """
     f = len(factor) - 1
+    row = gf_mod(list(root), list(factor), m)
+    row += [0] * (f - len(row))
+    if f == 1:
+        r = row[0]
+        rows, v = [], 1
+        for _ in range(count):
+            rows.append([v])
+            v = v * r % m
+        return rows
+    matrix = []
+    for _ in range(f):
+        matrix.append(row)
+        top = row[-1]
+        row = [(a - top * c) % m for a, c in zip([0, *row[:-1]], factor)]
+    columns = list(zip(*matrix))
     rows = []
-    power = [1]
+    v = [1] + [0] * (f - 1)
     for _ in range(count):
-        rows.append(power + [0] * (f - len(power)))
-        power = gf_mod(gf_mul(power, root, m), factor, m)
+        rows.append(v)
+        v = [sum(map(mul, v, column)) % m for column in columns]
     return rows
 
 

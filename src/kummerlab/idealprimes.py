@@ -16,17 +16,30 @@ Degree-1 maps are constructed as Jacobi did, without factoring: for
 p = 1 mod lam, z = a^((p-1)/lam) mod p with a >= 2 least such that z != 1
 is a primitive lam-th root of unity, and the maps send alpha to z^k,
 k = 1 .. lam-1.  For p = lam there is a single map, alpha -> 1 in F_lam.
-Only primes of residue degree f > 1 go through factor_mod_p.
+Maps of residue degree f > 1 come from Kummer's period congruences: with
+e = (lam-1)/f, p splits completely in the field of the e Gaussian periods
+of length f, so their period polynomial prod (Y - eta_i) has e roots u
+mod p, and each factor of Phi_lam mod p is gcd(Phi_lam, eta_0(X) - u).
+Only a residue u repeated mod p gives a gcd of several factors, and only
+that gcd goes through factor_mod_p, as do the period polynomial itself
+and, in factor_maps, the modulus of a quadratic order.
 """
 
 from functools import lru_cache
 from itertools import count
 
 from kummerlab.arith import is_prime, multiplicative_order
-from kummerlab.cyclotomic import PeriodSystem, cyclotomic_ring
+from kummerlab.cyclotomic import PeriodSystem, cyclotomic_ring, gaussian_periods
 from kummerlab.ffield import image, power_rows
 from kummerlab.lattice import IntLattice, kernel_mod
-from kummerlab.polymod import factor_mod_p, gf_mod, gf_normalize, gf_pow_mod
+from kummerlab.polymod import (
+    factor_mod_p,
+    gf_gcd,
+    gf_mod,
+    gf_normalize,
+    gf_pow_mod,
+    gf_trim,
+)
 
 
 class JacobiMap:
@@ -43,10 +56,15 @@ class JacobiMap:
         self.p = p
         self.factor = tuple(factor)
         self.f = len(factor) - 1
-        orbit = [gf_mod([0, 1], self.factor, p)]
-        for _ in range(self.f - 1):
-            orbit.append(gf_pow_mod(orbit[-1], p, self.factor, p))
-        self.xi = tuple(min(orbit, key=lambda e: e + [0] * (self.f - len(e))))
+        # the Frobenius orbit of X, stepped by the matrix of x -> x^p
+        x = gf_mod([0, 1], self.factor, p)
+        orbit = [tuple(x + [0] * (self.f - len(x)))]
+        if self.f > 1:
+            x_p = gf_pow_mod([0, 1], p, self.factor, p)
+            frobenius = power_rows(x_p, self.f, self.factor, p)
+            for _ in range(self.f - 1):
+                orbit.append(image(orbit[-1], frobenius, p))
+        self.xi = tuple(gf_trim(list(min(orbit))))
         self.rows = power_rows(self.xi, ring.degree, self.factor, p)
 
     def apply(self, x) -> tuple[int, ...]:
@@ -126,16 +144,61 @@ def enumerate_jacobi_maps(lam: int, p: int) -> list[JacobiMap]:
     ring = cyclotomic_ring(lam)
     if p == lam:
         return [JacobiMap(ring, p, (p - 1, 1))]
-    if p % lam == 1:
+    f = multiplicative_order(p, lam)
+    if f == 1:
         # Jacobi's root: z^lam = a^(p-1) = 1 and z != 1, so z has order lam
         powers = (pow(a, (p - 1) // lam, p) for a in count(2))
         z = next(w for w in powers if w != 1)
         factors = sorted((p - pow(z, k, p), 1) for k in range(1, lam))
-        maps = [JacobiMap(ring, p, fac) for fac in factors]
     else:
-        maps = factor_maps(ring, p)
-    assert len(maps) == (lam - 1) // multiplicative_order(p, lam)
-    return maps
+        factors = _period_factors(ring, p, f)
+    assert len(factors) == (lam - 1) // f
+    return [JacobiMap(ring, p, fac) for fac in factors]
+
+
+def _period_factors(ring, p: int, f: int) -> list[tuple[int, ...]]:
+    """The factors of Phi_lam mod p, p of order f > 1 mod lam, from the
+    roots u of the period polynomial mod p: gcd(Phi_lam, eta_0(X) - u) is
+    the product of the factors whose maps send eta_0 to u."""
+    lam = ring.n
+    modulus = gf_normalize(list(ring.modulus), p)
+    e = (lam - 1) // f
+    if e == 1:
+        return [tuple(modulus)]
+    poly, eta0 = _period_polynomial(lam, e)
+    factors = []
+    for (c, _), _ in factor_mod_p(list(poly), p):
+        g = gf_gcd(modulus, gf_normalize([eta0[0] + c, *eta0[1:]], p), p)
+        if len(g) - 1 == f:
+            factors.append(tuple(g))
+        else:  # u = -c is a repeated root: the gcd holds several factors
+            factors += [tuple(fac) for fac, _ in factor_mod_p(g, p)]
+    return sorted(factors, key=lambda fac: (len(fac), fac))
+
+
+@lru_cache(maxsize=64)
+def _period_polynomial(lam: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """prod_i (Y - eta_i) over the e Gaussian periods of conductor lam,
+    lowest degree first, and the coefficients of eta_0 in Z[alpha].
+
+    The power sums s_k = sum_i eta_i^k are integers: eta_0^k lies in the
+    period field, s_k is its trace down to Q, 1/f of its trace from
+    Q(alpha), and that trace of sum c_j alpha^j is lam c_0 - sum_j c_j.
+    Newton's identities k a_k = -sum_{i<=k} s_i a_{k-i} then give the
+    coefficients of Y^e + a_1 Y^(e-1) + ... + a_e from e ring products.
+    """
+    system = gaussian_periods(lam, e)
+    eta0 = system.periods[0]
+    sums = []
+    power = system.ring.one()
+    for _ in range(e):
+        power = power * eta0
+        c = power.coeffs
+        sums.append((lam * c[0] - sum(c)) // system.f)
+    a = [1]
+    for k in range(1, e + 1):
+        a.append(-sum(s * a[k - 1 - i] for i, s in enumerate(sums[:k])) // k)
+    return tuple(reversed(a)), eta0.coeffs
 
 
 def factor_maps(ring, p: int) -> list[JacobiMap]:

@@ -89,8 +89,10 @@ def gf_monic(f: list[int], p: int) -> list[int]:
 
 
 def gf_pow_mod(f: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    out = [1]
     base = gf_mod(f, mod, p)
+    if len(mod) == 2:  # residues mod a linear polynomial are constants
+        return gf_trim([pow(base[0] if base else 0, e, p)])
+    out = [1]
     while e:
         if e & 1:
             out = gf_mod(gf_mul(out, base, p), mod, p)

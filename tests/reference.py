@@ -5,6 +5,7 @@ Nothing in the package uses them, so they live with the tests.
 
 from kummerlab.lattice import IntLattice, _mul_matrix, _preimage
 from kummerlab.polyint import degree, trim
+from kummerlab.polymod import gf_mod, gf_mul
 
 
 def divmod_exact(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
@@ -67,3 +68,15 @@ def quad_product(order, a, b) -> tuple[int, int]:
     (x1, y1), (x2, y2) = a, b
     u, v = order.u, order.v
     return (x1 * x2 - v * y1 * y2, x1 * y2 + x2 * y1 - u * y1 * y2)
+
+
+def power_rows_reference(root, count: int, factor, m: int) -> list[list[int]]:
+    """root^0 .. root^(count-1) in (Z/m)[X]/(F), one polynomial product
+    and one division by F per power: the reference for ffield.power_rows."""
+    f = len(factor) - 1
+    rows = []
+    power = [1]
+    for _ in range(count):
+        rows.append(power + [0] * (f - len(power)))
+        power = gf_mod(gf_mul(power, list(root), m), list(factor), m)
+    return rows

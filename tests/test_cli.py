@@ -357,6 +357,14 @@ def test_cli_usage_error_exit_code():
             ["quad", "--theta", "0,3", "gauss-lemma", ""],
             "gauss-lemma expects c1,c0 for T^2 + c1 T + c0, got ''",
         ),
+        (
+            ["quad", "--theta", "0,1000000", "check-b2", "--p", "2", "t^4096", "1"],
+            "expression 't^4096' has a coefficient of more than 4000 digits",
+        ),
+        (
+            ["factor", "--lambda", "5", "1 + " + "9" * 4001],
+            "integer of 4001 digits is too large at position 4",
+        ),
     ],
 )
 def test_cli_out_of_range_input_exit_code(capsys, argv, message):
@@ -497,3 +505,18 @@ def test_json_reports_never_contain_floats(capsys):
                     walk(v)
 
         walk(json.loads(out))
+
+
+def test_cli_signed_list_values(capsys):
+    # a list value that starts with a minus sign may follow its option as
+    # a separate argument, as any other value does
+    spaced = _run(capsys, ["quad", "--theta", "-1,-1", "conductor", "--json"])
+    joined = _run(capsys, ["quad", "--theta=-1,-1", "conductor", "--json"])
+    assert spaced == joined
+    assert json.loads(spaced[1])["result"]["conductor"] == 1
+    code, out = _run(
+        capsys, ["valuation", "--lambda", "5", "--p", "11", "--xi", "-2", "11"]
+    )
+    assert code == 0 and "mu: 1" in out
+    inert = ["valuation", "--lambda", "5", "--p", "2", "--xi", "-2,0,0,1", "2"]
+    assert main(inert) == 0

@@ -382,6 +382,17 @@ def test_field_prime_field_detection():
     assert gf_mod([0, 1], [8, 1], 11) == [3]
 
 
+def test_pow_mod_a_linear_modulus_by_repeated_products():
+    # (Z/m)[X]/(X + c) is Z/m, so a power there is an integer power
+    for m in (2, 11, 7**3):
+        for c in (0, 1, 5, m - 1):
+            for base in ([0, 1], [3, 2, 1], [], [m]):
+                power = [1]
+                for e in range(12):
+                    assert gf_pow_mod(base, e, [c, 1], m) == power, (m, c, base, e)
+                    power = gf_mod(gf_mul(power, base, m), [c, 1], m)
+
+
 # --- lattices ------------------------------------------------------------
 
 

@@ -12,7 +12,7 @@ from kummerlab.lattice import IntLattice
 from kummerlab.polyint import cyclotomic_polynomial
 from kummerlab.polymod import factor_mod_p, gf_add, gf_mod, gf_mul, gf_pow_mod
 from kummerlab.valuation import _vanishes_at_lift
-from reference import contains_lattice, standard_lattice
+from reference import contains_lattice, power_rows_reference, standard_lattice
 
 RNG_SEED = 77911
 
@@ -116,6 +116,87 @@ def test_degree_one_maps_are_constructed(monkeypatch):
     assert [phi.factor for phi in enumerate_jacobi_maps(5, 5)] == [(4, 1)]
     with pytest.raises(AssertionError, match="factor_mod_p called"):
         enumerate_jacobi_maps(5, 19)
+
+
+# (lam, p) where the period polynomial has a repeated root mod p, so one
+# gcd with eta_0(X) - u holds several factors of Phi_lam
+REPEATED_RESIDUES = [(13, 3), (19, 7), (19, 11), (29, 7), (29, 17)]
+
+
+def _higher_degree_pairs(lam_bound, p_bound):
+    for lam in primes_below(lam_bound + 1)[1:]:
+        for p in primes_below(p_bound):
+            if p != lam and 1 < multiplicative_order(p, lam) < lam - 1:
+                yield lam, p
+
+
+def test_period_route_matches_factor_mod_p(monkeypatch):
+    # every factor list, order included, against the full factorization;
+    # the route itself factors only period polynomials and repeated-residue
+    # gcds, never Phi_lam
+    pairs = list(_higher_degree_pairs(23, 200)) + REPEATED_RESIDUES
+    assert len(pairs) == 141 + len(REPEATED_RESIDUES)
+    expected = {
+        (lam, p): [
+            tuple(f) for f, _ in factor_mod_p(list(cyclotomic_polynomial(lam)), p)
+        ]
+        for lam, p in pairs
+    }
+    factored = []
+
+    def recording(f, p):
+        factored.append(len(f) - 1)
+        return factor_mod_p(f, p)
+
+    monkeypatch.setattr(idealprimes, "factor_mod_p", recording)
+    for (lam, p), factors in expected.items():
+        del factored[:]
+        assert [phi.factor for phi in enumerate_jacobi_maps(lam, p)] == factors
+        assert max(factored) < lam - 1
+
+
+def test_period_polynomial_repeated_residues():
+    for lam, p in REPEATED_RESIDUES:
+        e = (lam - 1) // multiplicative_order(p, lam)
+        poly, _ = idealprimes._period_polynomial(lam, e)
+        assert max(mult for _, mult in factor_mod_p(list(poly), p)) == 2
+        assert len(enumerate_jacobi_maps(lam, p)) == e
+
+
+def test_period_polynomial_matches_the_product():
+    # prod (Y - eta_i) multiplied out in Z[alpha][Y], lowest degree first
+    for lam in (3, 5, 7, 11, 13):
+        for e in range(1, lam):
+            if (lam - 1) % e:
+                continue
+            system = gaussian_periods(lam, e)
+            ring = system.ring
+            product = [ring.one()]
+            for eta in system.periods:
+                shifted = [ring.zero()] + product
+                product = [a - eta * b for a, b in zip(shifted, product + [0])]
+            expected = tuple(c.rational_value() for c in product)
+            poly, eta0 = idealprimes._period_polynomial(lam, e)
+            assert poly == expected and eta0 == system.periods[0].coeffs
+
+
+def test_period_polynomial_cache_is_bounded():
+    assert idealprimes._period_polynomial.cache_info().maxsize is not None
+
+
+def test_maps_match_the_reference_rows_on_the_census_grid():
+    # claim 01's grid: xi is the least of X^(p^k) mod F over k < f, and the
+    # rows are its powers by one polynomial product and division each
+    for lam in (3, 5, 7, 11, 13):
+        for p in primes_below(200):
+            for phi in enumerate_jacobi_maps(lam, p):
+                factor = list(phi.factor)
+                orbit = [
+                    _coords(gf_pow_mod([0, 1], p**k, factor, p), phi.f)
+                    for k in range(phi.f)
+                ]
+                assert _coords(phi.xi, phi.f) == min(orbit)
+                assert phi.rows == power_rows_reference(phi.xi, lam - 1, factor, p)
 
 
 def test_census_counts():

@@ -1,6 +1,7 @@
 """Properties on generated inputs: ring axioms and the norm at prime and
-composite conductors, integer polynomial products, Kummer multiplicities,
-the p-adic valuation oracle and the expression round trip.
+composite conductors, integer polynomial products, power rows of a root,
+Kummer multiplicities, the p-adic valuation oracle and the expression
+round trip.
 
 Examples are derandomized, so every run draws the same inputs.
 """
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element, render_element
+from kummerlab.ffield import power_rows
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.polyint import autocorrelation, mul
 from kummerlab.quadorder import QuadOrder
 from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
+from reference import power_rows_reference
 
 LAMBDAS = [3, 5, 7]
 # composite conductors: 4q, 2q and odd with three prime factors
@@ -110,6 +113,22 @@ def test_multiplicity_is_additive(x, y, k):
     K = kummer_prime(map_for_root(enumerate_jacobi_maps(5, 11), 9))
     x = x * cyclotomic_ring(5).element([2, 1]) ** k
     assert multiplicity(x * y, K) == multiplicity(x, K) + multiplicity(y, K)
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 6])
+@GENERATED
+@given(data=st.data())
+def test_power_rows_match_the_reference(f, data):
+    # any monic F of degree f and any root, at a prime modulus and at a
+    # prime power, as for the oracle's Teichmueller lifts
+    p = data.draw(st.sampled_from([2, 3, 5, 11, 101]))
+    m = p ** data.draw(st.integers(1, 4))
+    coeffs = st.integers(-m, m)
+    factor = data.draw(st.lists(coeffs, min_size=f, max_size=f)) + [1]
+    root = data.draw(st.lists(coeffs, max_size=2 * f))
+    count = data.draw(st.integers(0, 24))
+    expected = power_rows_reference(root, count, factor, m)
+    assert power_rows(root, count, factor, m) == expected
 
 
 @pytest.mark.parametrize("p", [211, 5, 19])
