@@ -14,7 +14,12 @@ from math import gcd
 from kummerlab import charsum, monoid, quadorder
 from kummerlab.arith import factorize_int, is_prime
 from kummerlab.cyclotomic import cyclotomic_ring, gaussian_periods
-from kummerlab.exprparse import ElementParseError, parse_element, render_element
+from kummerlab.exprparse import (
+    MAX_COEFFICIENT_DIGITS,
+    ElementParseError,
+    parse_element,
+    render_element,
+)
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.reports import render_json, render_text
 from kummerlab.reproduce import Config, reproduce_all
@@ -40,17 +45,36 @@ def _int_list(option: str, text: str, count: int | None = None) -> list[int]:
     """The comma-separated integers of an option, at least one; blank parts
     are skipped.
 
-    With count, exactly that many must be given.
+    With count, exactly that many must be given.  A part of more than
+    MAX_COEFFICIENT_DIGITS digits is refused before int() reads it, and
+    errors echo a long value by its length and a short prefix only.
     """
+    parts = [c.strip() for c in text.split(",") if c.strip()]
+    for part in parts:
+        if len(part.lstrip("+-")) > MAX_COEFFICIENT_DIGITS:
+            raise UsageError(
+                f"{option} takes integers of at most {MAX_COEFFICIENT_DIGITS} "
+                f"digits, got a part of {_excerpt(part)}"
+            )
     try:
-        values = [int(c) for c in text.split(",") if c.strip()]
+        values = [int(c) for c in parts]
     except ValueError:
         values = []
     if not values:
-        raise UsageError(f"{option} expects comma-separated integers, got {text!r}")
+        raise UsageError(
+            f"{option} expects comma-separated integers, got {_excerpt(text)}"
+        )
     if count is not None and len(values) != count:
-        raise UsageError(f"{option} expects {count} integers, got {text!r}")
+        raise UsageError(f"{option} expects {count} integers, got {_excerpt(text)}")
     return values
+
+
+def _excerpt(text: str) -> str:
+    """text quoted whole, or its length and first 12 characters if it is
+    longer than 60."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{len(text)} characters: {text[:12]!r}..."
 
 
 # Options whose value is a comma-separated integer list, and such a value
@@ -490,17 +514,16 @@ def _cmd_quad(args) -> int:
     if args.action == "check-b2":
         num = parse_element(args.numerator, order)
         den = parse_element(args.denominator, order)
-        reports = []
-        for phi in quadorder.enumerate_quad_maps(order, args.p):
-            rep = quadorder.dichotomy_check(phi, num, den)
-            reports.append(
-                {
-                    "theta_image": phi.label(),
-                    "at_fraction": rep["at_fraction"],
-                    "at_inverse": rep["at_inverse"],
-                    "dichotomy_holds": rep["at_fraction"] or rep["at_inverse"],
-                }
-            )
+        maps = quadorder.enumerate_quad_maps(order, args.p)
+        reports = [
+            {
+                "theta_image": phi.label(),
+                "at_fraction": rep["at_fraction"],
+                "at_inverse": rep["at_inverse"],
+                "dichotomy_holds": rep["at_fraction"] or rep["at_inverse"],
+            }
+            for phi, rep in zip(maps, quadorder.dichotomy_check(maps, num, den))
+        ]
         result = {
             "order": repr(order),
             "fraction": f"({render_element(num)}) / ({render_element(den)})",

@@ -116,7 +116,7 @@ class JacobiMap:
         return f"JacobiMap({self.ring!r}, p={self.p}, xi={self.label()})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _kernel_lattice(phi: JacobiMap) -> IntLattice:
     lattice = kernel_mod(phi.rows, phi.p)
     if lattice.index() != phi.p**phi.f:

@@ -8,8 +8,9 @@ is matrix equality.
 
 An order (a ring with a distinguished Z-basis e_0 .. e_(d-1)) enters
 through its own multiplication: ``order.mul_matrix(v)`` returns the rows
-v * e_i, so x -> x @ M is multiplication by v.  Ideal products and the
-extension test of a map to a fraction (a colon ideal against a kernel)
+v * e_i, so x -> x @ M is multiplication by v, and ``order.degree`` is
+its rank.  Ideal products and the extension test of a map to a fraction
+(the colon ideal's rows, solved once per fraction, against each kernel)
 ask nothing else of the ring.
 """
 
@@ -142,19 +143,29 @@ def _mul_matrix(order, v, dim: int):
     return mat
 
 
-def extends_to(kernel: IntLattice, num, den, order) -> bool:
-    """Whether the map with this kernel extends to the fraction num/den.
+def colon_rows(num, den, order) -> list[list[int]]:
+    """Generators of the colon ideal {delta : num * delta in den * O}.
 
-    It does iff the colon ideal {delta : num * delta in den * O} is not
-    contained in the kernel.  The colon ideal is the preimage of den * O
-    under multiplication by num, spanned by the relation rows of
-    [num * O; den * O]; each is tested against the kernel as it stands,
-    with no canonical form of its own.
+    The colon ideal is the preimage of den * O under multiplication by
+    num, spanned by the relation rows of [num * O; den * O].  It depends on
+    the fraction alone, so one solve serves every map tested against it.
     """
-    if len(num) != kernel.dim or len(den) != kernel.dim:
+    if not any(den):
+        raise ZeroDivisionError("zero denominator")
+    dim = order.degree
+    if len(num) != dim or len(den) != dim:
         raise ValueError("dimension mismatch")
-    nmat = _mul_matrix(order, num, kernel.dim)
-    return not all(g in kernel for g in _preimage(nmat, order.mul_matrix(den)))
+    return _preimage(order.mul_matrix(num), order.mul_matrix(den))
+
+
+def extends_to(kernel: IntLattice, rows) -> bool:
+    """Whether the map with this kernel extends to the fraction whose
+    colon_rows these are: iff the colon ideal is not inside the kernel.
+
+    Each row is tested against the kernel as it stands, with no canonical
+    form of its own.
+    """
+    return not all(g in kernel for g in rows)
 
 
 def _preimage(nmat, target_rows) -> list[list[int]]:

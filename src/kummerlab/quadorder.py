@@ -9,7 +9,8 @@ exactly as in the cyclotomic case.  For a non-maximal order the maps at
 primes dividing the conductor fail to extend to fractions in either
 direction, Gauss's Lemma for monic polynomials fails, and prime-ideal powers
 collapse (p^2 = (2) p without p = (2) in Z[sqrt(-3)]).  All definedness
-decisions run through valuation.is_defined_at, the exact colon-lattice test.
+decisions run through the exact colon-lattice test: lattice.colon_rows
+once per fraction and direction, lattice.extends_to once per map.
 """
 
 import json
@@ -20,8 +21,7 @@ from math import isqrt
 from kummerlab.arith import is_prime, squarefree_decomposition
 from kummerlab.cyclotomic import CyclotomicElement
 from kummerlab.idealprimes import JacobiMap, factor_maps
-from kummerlab.lattice import hnf
-from kummerlab.valuation import is_defined_at
+from kummerlab.lattice import colon_rows, extends_to, hnf
 
 
 class QuadOrder:
@@ -85,19 +85,28 @@ def enumerate_quad_maps(order: QuadOrder, p: int) -> list[JacobiMap]:
 
 
 def dichotomy_check(
-    phi: JacobiMap, numerator: CyclotomicElement, denominator: CyclotomicElement
-) -> dict:
-    """Is the map defined at the fraction, at its inverse, or at neither?
+    maps: list[JacobiMap],
+    numerator: CyclotomicElement,
+    denominator: CyclotomicElement,
+) -> list[dict]:
+    """Is each map defined at the fraction, at its inverse, or at neither?
 
-    Decided by the colon-lattice test on both sides, so both elements must
-    be nonzero.  A (False, False) outcome witnesses the failure of the
-    valuation dichotomy, which happens only at primes dividing the
-    conductor.
+    One dict per map, in order.  Decided by the colon-lattice test on both
+    sides, so both elements must be nonzero; the colon rows of each
+    direction are solved once and tested against every kernel.  A
+    (False, False) outcome witnesses the failure of the valuation
+    dichotomy, which happens only at primes dividing the conductor.
     """
-    return {
-        "at_fraction": is_defined_at(numerator, denominator, phi),
-        "at_inverse": is_defined_at(denominator, numerator, phi),
-    }
+    order = numerator.ring
+    at_fraction = colon_rows(numerator.coeffs, denominator.coeffs, order)
+    at_inverse = colon_rows(denominator.coeffs, numerator.coeffs, order)
+    return [
+        {
+            "at_fraction": extends_to(phi.kernel(), at_fraction),
+            "at_inverse": extends_to(phi.kernel(), at_inverse),
+        }
+        for phi in maps
+    ]
 
 
 def prime_square_anomaly() -> dict:

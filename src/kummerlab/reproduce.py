@@ -19,6 +19,7 @@ from kummerlab.arith import (
 from kummerlab.cyclotomic import cyclotomic_ring, gaussian_periods, norm
 from kummerlab.exprparse import render_element
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
+from kummerlab.lattice import colon_rows, extends_to
 from kummerlab.polyint import cyclotomic_polynomial
 from kummerlab.reports import render_json
 from kummerlab.valuation import (
@@ -538,8 +539,9 @@ def _acc_completeness(cfg: Config) -> dict:
     for x, y in cases:
         by_division = exact_quotient(y, x) is not None
         assert divides(y, x) == by_division  # internal dual-route cross-check
+        rows = colon_rows(x.coeffs, y.coeffs, ring)
         defined_everywhere = all(
-            is_defined_at(x, y, phi)
+            extends_to(phi.kernel(), rows)
             for p in sorted(factorize_int(norm(y), cfg.trial_division_bound))
             for phi in enumerate_jacobi_maps(5, p)
         )
@@ -578,7 +580,7 @@ def _acc_monoid(cfg: Config) -> dict:
 def _acc_singular_orders(cfg: Config) -> dict:
     o_m3 = quadorder.QuadOrder(0, 3)
     phi2 = quadorder.enumerate_quad_maps(o_m3, 2)[0]
-    rep = quadorder.dichotomy_check(phi2, o_m3.element([1, 1]), o_m3.element(2))
+    [rep] = quadorder.dichotomy_check([phi2], o_m3.element([1, 1]), o_m3.element(2))
     assert rep == {"at_fraction": False, "at_inverse": False}
     anomaly = quadorder.prime_square_anomaly()
     assert anomaly["holds"]
@@ -588,7 +590,9 @@ def _acc_singular_orders(cfg: Config) -> dict:
     for p in (2, 3, 5):
         order = quadorder.QuadOrder(0, p * p)  # Z[pi]
         phi = quadorder.enumerate_quad_maps(order, p)[0]
-        rep = quadorder.dichotomy_check(phi, order.element([0, 1]), order.element(p))
+        [rep] = quadorder.dichotomy_check(
+            [phi], order.element([0, 1]), order.element(p)
+        )
         assert rep == {"at_fraction": False, "at_inverse": False}, p
     fractions = 0
     for u, v in [(0, 1), (-1, -1), (0, 5)]:  # maximal-order controls
@@ -607,8 +611,8 @@ def _acc_singular_orders(cfg: Config) -> dict:
                 continue
             seen += 1
             fractions += 1
-            for phi in maps:
-                rep = quadorder.dichotomy_check(phi, num, den)
+            reps = quadorder.dichotomy_check(maps, num, den)
+            for phi, rep in zip(maps, reps):
                 assert rep["at_fraction"] or rep["at_inverse"], (u, v, phi)
     return {"maximal_order_fractions": fractions}
 

@@ -43,7 +43,7 @@ from kummerlab.idealprimes import (
     check_conductor,
     enumerate_jacobi_maps,
 )
-from kummerlab.lattice import extends_to, kernel_mod
+from kummerlab.lattice import colon_rows, extends_to, kernel_mod
 from kummerlab.polymod import gf_pow_mod
 
 
@@ -126,7 +126,7 @@ def find_uniformizer(phi: JacobiMap) -> KummerPrime:
     return K
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def kummer_prime(phi: JacobiMap) -> KummerPrime:
     """Cached uniformizer for a map."""
     return find_uniformizer(phi)
@@ -228,11 +228,11 @@ def is_defined_at(numerator, denominator, phi: JacobiMap) -> bool:
     """Whether the map extends to numerator/denominator (colon-lattice test).
 
     The elements may come from any ring a Jacobi map is built on: Z[alpha]
-    or a quadratic order.
+    or a quadratic order.  To test many maps at one fraction, take its
+    lattice.colon_rows once and pass them to extends_to for each kernel.
     """
-    if denominator.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    return extends_to(phi.kernel(), numerator.coeffs, denominator.coeffs, phi.ring)
+    rows = colon_rows(numerator.coeffs, denominator.coeffs, phi.ring)
+    return extends_to(phi.kernel(), rows)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from kummerlab import cli, exprparse, quadorder
-from kummerlab.cli import main
+from kummerlab.cli import _int_list, main
 from kummerlab.cyclotomic import CyclotomicElement, cyclotomic_ring
 from kummerlab.exprparse import ElementParseError, parse_element, render_element
 from kummerlab.quadorder import QuadOrder
@@ -365,6 +365,33 @@ def test_cli_usage_error_exit_code():
             ["factor", "--lambda", "5", "1 + " + "9" * 4001],
             "integer of 4001 digits is too large at position 4",
         ),
+        (
+            ["quad", "--theta", "0," + "1" * 5000, "conductor"],
+            "--theta takes integers of at most 4000 digits, "
+            "got a part of 5000 characters: '111111111111'...",
+        ),
+        (
+            ["quad", "--theta", "0,-" + "1" * 4001, "conductor"],
+            "--theta takes integers of at most 4000 digits, "
+            "got a part of 4002 characters: '-11111111111'...",
+        ),
+        (
+            ["valuation", "--lambda", "5", "--p", "11", "--xi", "9" * 4001, "11"],
+            "--xi takes integers of at most 4000 digits",
+        ),
+        (
+            ["monoid", "--m", "4", "--subgroup", "1," + "3" * 4300, "factor", "9"],
+            "--subgroup takes integers of at most 4000 digits",
+        ),
+        (
+            ["quad", "--theta", "1," * 3000 + "x", "conductor"],
+            "--theta expects comma-separated integers, got 6001 characters: "
+            "'1,1,1,1,1,1,'...",
+        ),
+        (
+            ["quad", "--theta", "1," * 3000, "conductor"],
+            "--theta expects 2 integers, got 6000 characters: '1,1,1,1,1,1,'...",
+        ),
     ],
 )
 def test_cli_out_of_range_input_exit_code(capsys, argv, message):
@@ -520,3 +547,15 @@ def test_cli_signed_list_values(capsys):
     assert code == 0 and "mu: 1" in out
     inert = ["valuation", "--lambda", "5", "--p", "2", "--xi", "-2,0,0,1", "2"]
     assert main(inert) == 0
+
+
+def test_cli_long_list_values_are_not_echoed(capsys):
+    # a part past the digit cap, or a long malformed list, is named by its
+    # length and a short prefix, never echoed whole; a part at the cap is
+    # still read
+    assert main(["quad", "--theta", "0," + "7" * 5000, "conductor"]) == 2
+    err = capsys.readouterr().err
+    assert "5000 characters" in err and len(err) < 120
+    assert main(["quad", "--theta", "1," * 3000, "conductor"]) == 2
+    assert len(capsys.readouterr().err) < 120
+    assert _int_list("--theta", "0, -" + "7" * 4000) == [0, -int("7" * 4000)]

@@ -17,7 +17,7 @@ from kummerlab.arith import (
 )
 from kummerlab.cyclotomic import cyclotomic_ring
 from kummerlab.idealprimes import enumerate_jacobi_maps
-from kummerlab.lattice import extends_to, hnf, kernel_mod
+from kummerlab.lattice import colon_rows, extends_to, hnf, kernel_mod
 from kummerlab import polyint
 from kummerlab.polyint import autocorrelation, cyclotomic_polynomial, mul, resultant
 from kummerlab.polymod import (
@@ -499,19 +499,24 @@ def test_product_and_colon_check_the_order_rank():
     with pytest.raises(ValueError, match="dimension mismatch"):
         lat.product(lat, ring)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        extends_to(lat, [1, 1], [1, 1], ring)
+        colon_rows([1, 1], [1, 1], ring)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        extends_to(lat, [1, 1, 0], [1, 0], SQRT_M3)
+        colon_rows([1, 1, 0], [1, 0], SQRT_M3)
     square = standard_lattice(4)
     with pytest.raises(ValueError, match="dimension mismatch"):
         square.product(square, SQRT_M3)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        extends_to(square, [1, 0, 0, 0], [1, 0, 0, 0], SQRT_M3)
-    # Z[alpha]'s mul_matrix reduces a long vector; extends_to still refuses it
+        colon_rows([1, 0, 0, 0], [1, 0, 0, 0], SQRT_M3)
+    # Z[alpha]'s mul_matrix reduces a long vector; colon_rows still refuses it
     with pytest.raises(ValueError, match="dimension mismatch"):
-        extends_to(square, [1, 1, 0, 0, 1], [1, 0, 0, 0], ring)
+        colon_rows([1, 1, 0, 0, 1], [1, 0, 0, 0], ring)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        extends_to(square, [1, 0, 0, 0], [1, 0, 0], ring)
+        colon_rows([1, 0, 0, 0], [1, 0, 0], ring)
+    # rows of a rank-4 order against a rank-2 kernel
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        extends_to(lat, colon_rows([1, 1, 0, 0], [1, 0, 0, 0], ring))
+    with pytest.raises(ZeroDivisionError):
+        colon_rows([1, 1], [0, 0], SQRT_M3)
 
 
 def test_colon_examples():
@@ -592,7 +597,7 @@ def test_extends_to_matches_the_colon_containment():
                 den = [rng.randint(-6, 6) for _ in range(d)]
             if rng.random() < 0.3:  # den in p * O, where the map can fail
                 den = [phi.p * c for c in den]
-            got = extends_to(phi.kernel(), num, den, order)
+            got = extends_to(phi.kernel(), colon_rows(num, den, order))
             assert got == colon_extends_to(phi.kernel(), num, den, order)
             outcomes.add((isinstance(order, QuadOrder), got))
     assert len(outcomes) == 4

@@ -11,7 +11,7 @@ from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.lattice import IntLattice
 from kummerlab.polyint import cyclotomic_polynomial
 from kummerlab.polymod import factor_mod_p, gf_add, gf_mod, gf_mul, gf_pow_mod
-from kummerlab.valuation import _vanishes_at_lift
+from kummerlab.valuation import _vanishes_at_lift, kummer_prime
 from reference import contains_lattice, power_rows_reference, standard_lattice
 
 RNG_SEED = 77911
@@ -182,6 +182,12 @@ def test_period_polynomial_matches_the_product():
 
 def test_period_polynomial_cache_is_bounded():
     assert idealprimes._period_polynomial.cache_info().maxsize is not None
+
+
+def test_map_keyed_caches_are_bounded():
+    # one kernel lattice and one uniformizer per map seen
+    assert idealprimes._kernel_lattice.cache_info().maxsize is not None
+    assert kummer_prime.cache_info().maxsize is not None
 
 
 def test_maps_match_the_reference_rows_on_the_census_grid():

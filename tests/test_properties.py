@@ -1,23 +1,27 @@
 """Properties on generated inputs: ring axioms and the norm at prime and
 composite conductors, integer polynomial products, power rows of a root,
-Kummer multiplicities, the p-adic valuation oracle and the expression
-round trip.
+Kummer multiplicities, the p-adic valuation oracle, the colon test of a
+map at a fraction and the expression round trip.
 
 Examples are derandomized, so every run draws the same inputs.
 """
+
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kummerlab.arith import primes_below
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element, render_element
 from kummerlab.ffield import power_rows
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
+from kummerlab.lattice import colon_rows, extends_to
 from kummerlab.polyint import autocorrelation, mul
-from kummerlab.quadorder import QuadOrder
+from kummerlab.quadorder import QuadOrder, enumerate_quad_maps
 from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
-from reference import power_rows_reference
+from reference import colon_extends_to, power_rows_reference
 
 LAMBDAS = [3, 5, 7]
 # composite conductors: 4q, 2q and odd with three prime factors
@@ -148,6 +152,57 @@ def test_oracle_is_additive(p, x, y, j, k):
     x, y = x * g**j, y * g**k
     v_xy = valuation_oracle(x * y, phi)
     assert v_xy == valuation_oracle(x, phi) + valuation_oracle(y, phi)
+
+
+def _colon_rows_agree(maps, order, num, den):
+    # one solve per direction, tested against every map, versus the
+    # canonical colon lattice built anew for each map
+    for a, b in ((num, den), (den, num)):
+        rows = colon_rows(a, b, order)
+        for phi in maps:
+            kernel = phi.kernel()
+            assert extends_to(kernel, rows) == colon_extends_to(kernel, a, b, order)
+
+
+def _is_square(n):
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+QUAD_ORDERS = (
+    st.tuples(st.integers(-4, 4), st.integers(-30, 30))
+    .filter(lambda uv: not _is_square(uv[0] ** 2 - 4 * uv[1]))
+    .map(lambda uv: QuadOrder(*uv))
+)
+# a denominator scaled by a small prime is where singular maps fail
+SCALES = st.sampled_from([1, 1, 2, 3, 5])
+
+
+def _nonzero_coeffs(d, spread):
+    return st.lists(
+        st.integers(-spread, spread), min_size=d, max_size=d
+    ).filter(any)
+
+
+@GENERATED
+@given(order=QUAD_ORDERS, data=st.data())
+def test_colon_rows_match_the_colon_lattice_on_quadratic_orders(order, data):
+    maps = [phi for p in primes_below(30) for phi in enumerate_quad_maps(order, p)]
+    num = data.draw(_nonzero_coeffs(2, 9))
+    scale = data.draw(SCALES)
+    den = [scale * c for c in data.draw(_nonzero_coeffs(2, 9))]
+    _colon_rows_agree(maps, order, num, den)
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+@GENERATED
+@given(data=st.data())
+def test_colon_rows_match_the_colon_lattice_in_z_alpha(lam, data):
+    ring = cyclotomic_ring(lam)
+    maps = [phi for p in primes_below(30) for phi in enumerate_jacobi_maps(lam, p)]
+    num = data.draw(_nonzero_coeffs(ring.degree, 6))
+    scale = data.draw(SCALES)
+    den = [scale * c for c in data.draw(_nonzero_coeffs(ring.degree, 6))]
+    _colon_rows_agree(maps, ring, num, den)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)

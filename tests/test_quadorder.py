@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from kummerlab import lattice
 from kummerlab.arith import primes_below
 from kummerlab.cyclotomic import cyclotomic_ring
 from kummerlab.idealprimes import JacobiMap, enumerate_jacobi_maps
@@ -20,6 +21,7 @@ from kummerlab.quadorder import (
     is_integrally_closed,
     prime_square_anomaly,
 )
+from kummerlab.valuation import is_defined_at
 from reference import quad_product
 
 RNG_SEED = 83231
@@ -148,12 +150,12 @@ def test_kernels():
 
 def test_singularity_witnesses():
     phi2 = enumerate_quad_maps(SQRT_M3, 2)[0]
-    rep = dichotomy_check(phi2, SQRT_M3.element([1, 1]), SQRT_M3.element(2))
+    [rep] = dichotomy_check([phi2], SQRT_M3.element([1, 1]), SQRT_M3.element(2))
     assert rep == {"at_fraction": False, "at_inverse": False}
     for p in (2, 3, 5):
         order = QuadOrder(0, p * p)
         phi = enumerate_quad_maps(order, p)[0]
-        rep = dichotomy_check(phi, order.element([0, 1]), order.element(p))
+        [rep] = dichotomy_check([phi], order.element([0, 1]), order.element(p))
         assert rep == {"at_fraction": False, "at_inverse": False}
 
 
@@ -169,8 +171,7 @@ def test_integral_element_witnesses():
         den = order.element(witness["denominator"])
         p = witness["p"]
         hit = False
-        for phi in enumerate_quad_maps(order, p):
-            rep = dichotomy_check(phi, num, den)
+        for rep in dichotomy_check(enumerate_quad_maps(order, p), num, den):
             if not rep["at_fraction"] and not rep["at_inverse"]:
                 hit = True
         assert hit, entry["name"]
@@ -178,8 +179,33 @@ def test_integral_element_witnesses():
 
 def test_nonsingular_fraction():
     phi = enumerate_quad_maps(GAUSSIAN, 2)[0]
-    rep = dichotomy_check(phi, GAUSSIAN.element([1, 1]), GAUSSIAN.element(1))
+    [rep] = dichotomy_check([phi], GAUSSIAN.element([1, 1]), GAUSSIAN.element(1))
     assert rep["at_fraction"]
+
+
+@pytest.mark.parametrize("k", [1, 14])
+def test_dichotomy_check_solves_once_per_direction(monkeypatch, k):
+    maps = [
+        phi for p in primes_below(31) for phi in enumerate_quad_maps(GAUSSIAN, p)
+    ][:k]
+    assert len(maps) == k
+    for phi in maps:
+        phi.kernel()  # kernels are solved once per map and cached apart
+    calls = []
+    solve = lattice._preimage
+    monkeypatch.setattr(
+        lattice, "_preimage", lambda *args: calls.append(args) or solve(*args)
+    )
+    num, den = GAUSSIAN.element([3, 1]), GAUSSIAN.element([2, -1])
+    reps = dichotomy_check(maps, num, den)
+    assert len(calls) == 2
+    assert reps == [
+        {
+            "at_fraction": is_defined_at(num, den, phi),
+            "at_inverse": is_defined_at(den, num, phi),
+        }
+        for phi in maps
+    ]
 
 
 def test_maximal_orders_keep_dichotomy():
@@ -199,8 +225,7 @@ def test_maximal_orders_keep_dichotomy():
             if num.is_zero() or den.is_zero():
                 continue
             count += 1
-            for phi in maps:
-                rep = dichotomy_check(phi, num, den)
+            for rep in dichotomy_check(maps, num, den):
                 assert rep["at_fraction"] or rep["at_inverse"]
 
 
@@ -212,12 +237,11 @@ def test_singular_orders_fail_only_at_conductor_primes():
         # a witness exists at every prime dividing the conductor
         for p in {cond}:
             witnesses = 0
-            for phi in enumerate_quad_maps(order, p):
-                for num, den in [
-                    (order.element([0, 1]), order.element(p)),
-                    (order.element([1, 1]), order.element(2)),
-                ]:
-                    rep = dichotomy_check(phi, num, den)
+            for num, den in [
+                (order.element([0, 1]), order.element(p)),
+                (order.element([1, 1]), order.element(2)),
+            ]:
+                for rep in dichotomy_check(enumerate_quad_maps(order, p), num, den):
                     if not rep["at_fraction"] and not rep["at_inverse"]:
                         witnesses += 1
             assert witnesses > 0, (u, v, p)
@@ -235,8 +259,7 @@ def test_singular_orders_fail_only_at_conductor_primes():
             if num.is_zero() or den.is_zero():
                 continue
             count += 1
-            for phi in maps:
-                rep = dichotomy_check(phi, num, den)
+            for phi, rep in zip(maps, dichotomy_check(maps, num, den)):
                 assert rep["at_fraction"] or rep["at_inverse"], (u, v, phi.p)
 
 
