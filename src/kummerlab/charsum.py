@@ -60,7 +60,7 @@ class Character:
         return f"Character(p={self.p}, order={self.lam})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def character(p: int, lam: int) -> Character:
     """Shared Character instances; the discrete-log table is worth reusing."""
     return Character(p, lam)

@@ -104,6 +104,16 @@ def _check_table_cap(args) -> None:
         )
 
 
+def _check_conductor_cap(args) -> None:
+    """Refuse a conductor whose (lambda - 1)^2 exceeds --enum-cap, before
+    any ring is built: that is the entry count of a map's kernel basis."""
+    if (args.lam - 1) ** 2 > args.enum_cap:
+        raise UsageError(
+            f"--lambda {args.lam}: (lambda - 1)^2 = {(args.lam - 1) ** 2} "
+            f"exceeds --enum-cap {args.enum_cap}"
+        )
+
+
 def _common_options(keep_earlier: bool = False) -> argparse.ArgumentParser:
     """The --json, --enum-cap and --trial-div options.
 
@@ -129,8 +139,9 @@ def _common_options(keep_earlier: bool = False) -> argparse.ArgumentParser:
         help="cap for exhaustive monoid enumerations, for the conductor "
         "order * p of gauss-sum, for the p - 1 discrete-log entries of "
         "jacobi-sum, quartic, stickelberger and fc-check, for the p - 1 "
-        "of binomial, and for the (p - 2)^2 index pairs of fc-check --all "
-        "(default 10000)",
+        "of binomial, for the (p - 2)^2 index pairs of fc-check --all, and "
+        "for the (lambda - 1)^2 kernel-basis entries of maps, factor, "
+        "valuation and divides (default 10000)",
     )
     common.add_argument(
         "--trial-div",
@@ -273,6 +284,7 @@ def _emit(args, command: str, result, failed: bool = False) -> int:
 
 
 def _cmd_maps(args) -> int:
+    _check_conductor_cap(args)
     periods = None
     if args.periods is not None:
         periods = gaussian_periods(args.lam, args.periods)
@@ -304,6 +316,7 @@ def _factor_record(x, r) -> dict:
 
 
 def _cmd_factor(args) -> int:
+    _check_conductor_cap(args)
     ring = cyclotomic_ring(args.lam)
     x = parse_element(args.expr, ring)
     fact = factorize(x, args.trial_div)
@@ -318,6 +331,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_valuation(args) -> int:
+    _check_conductor_cap(args)
     ring = cyclotomic_ring(args.lam)
     x = parse_element(args.expr, ring)
     if x.is_zero():
@@ -340,6 +354,7 @@ def _cmd_valuation(args) -> int:
 
 
 def _cmd_divides(args) -> int:
+    _check_conductor_cap(args)
     ring = cyclotomic_ring(args.lam)
     d = parse_element(args.divisor, ring)
     x = parse_element(args.element, ring)

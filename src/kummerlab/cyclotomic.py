@@ -15,7 +15,7 @@ from kummerlab import polyint
 from kummerlab.arith import is_prime, least_primitive_root
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def cyclotomic_ring(n: int) -> "CyclotomicRing":
     return CyclotomicRing(n)
 

@@ -136,7 +136,7 @@ def autocorrelation(h: Sequence[int]) -> list[int]:
     return c[n - 1 :] + c[: n - 1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """The n-th cyclotomic polynomial, as prod over d | n of (X^d - 1)^mu(n/d).
 

@@ -5,7 +5,13 @@ Kummer did, from the map's period residues u = (u_0, ..., u_{e-1}): psi is
 killed by the map and its period-field norm psi * Psi (with Psi the product
 of the remaining period conjugates) is divisible by q exactly once.  The
 multiplicity of the ideal prime in an element x is then the largest mu such
-that every coefficient of x * Psi^mu is divisible by q^mu.
+that every coefficient of x * Psi^mu is divisible by q^mu.  multiplicity
+runs that test one level and one coefficient at a time: it carries the
+exact quotient w = x * Psi^mu / q^mu, so level mu + 1 only asks whether q
+divides each coefficient of w * Psi, a dot product of w with one column of
+Psi's multiplication matrix, and it stops at the first coefficient that q
+does not divide.  divisibility_step keeps the literal test, the element
+product x * Psi^mu against q^mu, and the tests compare the two.
 
 An independent oracle computes the same number as the largest mu with
 x in (ker phi)^mu, by exact p-adic arithmetic and no uniformizer at all.
@@ -23,7 +29,8 @@ any ring a Jacobi map is built on; the tests compare it with valuations.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 
 from kummerlab.arith import (
     DEFAULT_TRIAL_DIVISION_BOUND,
@@ -60,6 +67,13 @@ class KummerPrime:
     @property
     def q(self) -> int:
         return self.map.p
+
+    @cached_property
+    def psi_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Columns of Psi's multiplication matrix: coefficient l of w * Psi
+        is the dot product of w's coefficients with column l."""
+        big_psi = self.psi_conjugates
+        return tuple(zip(*big_psi.ring.mul_matrix(big_psi.coeffs)))
 
     def certificate(self) -> dict:
         q = self.q
@@ -148,19 +162,32 @@ def _norm_cap(x: CyclotomicElement, q: int) -> int:
 
 
 def multiplicity(x: CyclotomicElement, K: KummerPrime) -> int:
-    """Largest mu with x * Psi^mu divisible by q^mu coefficientwise."""
+    """Largest mu with x * Psi^mu divisible by q^mu coefficientwise.
+
+    It keeps w = x * Psi^mu / q^mu, which lies in Z[alpha] while the test
+    holds.  Since x * Psi^(mu+1) = q^mu * (w * Psi), level mu + 1 holds iff
+    q divides every coefficient of w * Psi, so the result is the same as
+    divisibility_step's.  Each step takes coefficient l of w * Psi as the
+    dot product of w with column l of Psi's multiplication matrix, divides
+    it by q, and returns mu at the first coefficient q does not divide; w
+    becomes the exact quotients only when all of them divide.
+    """
     if x.is_zero():
         raise ValueError("valuation of 0 is infinite")
+    x._check(K.psi_conjugates)
     q = K.q
-    w = x
+    columns = K.psi_columns
+    w = x.coeffs
     mu = cap = 0
-    qpow = q
     while True:
-        w = w * K.psi_conjugates
-        if not w.content_divisible_by(qpow):
-            return mu
+        quotients = []
+        for col in columns:
+            quotient, remainder = divmod(sum(map(mul, w, col)), q)
+            if remainder:
+                return mu
+            quotients.append(quotient)
+        w = quotients
         mu += 1
-        qpow *= q
         if mu > x.ring.degree:
             cap = cap or _norm_cap(x, q)
             if mu > cap:

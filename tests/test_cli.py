@@ -3,6 +3,7 @@
 import ast
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -228,10 +229,21 @@ def test_cli_valuation_degree_one_map_by_list(capsys):
 
 
 def test_cli_caps_leave_the_cap_itself(capsys):
-    # p - 1 and (p - 2)^2 equal to --enum-cap still run
+    # p - 1, (p - 2)^2 and (lambda - 1)^2 equal to --enum-cap still run
     argv = ["jacobi-sum", "--p", "13", "--order", "3", "--i", "1", "--k", "1"]
     assert _run(capsys, argv + ["--enum-cap", "12"])[0] == 0
     assert _run(capsys, ["fc-check", "--p", "13", "--all", "--enum-cap", "121"])[0] == 0
+    argv = ["maps", "--lambda", "11", "--p", "23", "--enum-cap", "100"]
+    assert _run(capsys, argv)[0] == 0
+
+
+def test_cli_huge_conductor_fails_fast(capsys):
+    # a ring of degree 1008 would take minutes to build maps for
+    start = time.perf_counter()
+    assert main(["maps", "--lambda", "1009", "--p", "3"]) == 2
+    assert time.perf_counter() - start < 1.0
+    message = "--lambda 1009: (lambda - 1)^2 = 1016064 exceeds --enum-cap 10000"
+    assert message in capsys.readouterr().err
 
 
 def test_cli_parse_error_exit_code(capsys):
@@ -391,6 +403,18 @@ def test_cli_usage_error_exit_code():
         (
             ["quad", "--theta", "1," * 3000, "conductor"],
             "--theta expects 2 integers, got 6000 characters: '1,1,1,1,1,1,'...",
+        ),
+        (
+            ["factor", "--lambda", "4001", "a+2"],
+            "--lambda 4001: (lambda - 1)^2 = 16000000 exceeds --enum-cap 10000",
+        ),
+        (
+            ["valuation", "--lambda", "103", "--p", "3", "--xi", "1", "a"],
+            "--lambda 103: (lambda - 1)^2 = 10404 exceeds --enum-cap 10000",
+        ),
+        (
+            ["divides", "--lambda", "11", "--enum-cap", "99", "1-a", "2"],
+            "--lambda 11: (lambda - 1)^2 = 100 exceeds --enum-cap 99",
         ),
     ],
 )

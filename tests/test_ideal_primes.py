@@ -6,6 +6,7 @@ import pytest
 
 from kummerlab import idealprimes
 from kummerlab.arith import multiplicative_order, primes_below
+from kummerlab.charsum import character
 from kummerlab.cyclotomic import conjugate, cyclotomic_ring, gaussian_periods
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.lattice import IntLattice
@@ -188,6 +189,13 @@ def test_map_keyed_caches_are_bounded():
     # one kernel lattice and one uniformizer per map seen
     assert idealprimes._kernel_lattice.cache_info().maxsize is not None
     assert kummer_prime.cache_info().maxsize is not None
+
+
+def test_conductor_keyed_caches_are_bounded():
+    # one ring, one Phi_n and one character table per conductor seen
+    assert cyclotomic_ring.cache_info().maxsize is not None
+    assert cyclotomic_polynomial.cache_info().maxsize is not None
+    assert character.cache_info().maxsize is not None
 
 
 def test_maps_match_the_reference_rows_on_the_census_grid():

@@ -1,7 +1,8 @@
 """Properties on generated inputs: ring axioms and the norm at prime and
 composite conductors, integer polynomial products, power rows of a root,
-Kummer multiplicities, the p-adic valuation oracle, the colon test of a
-map at a fraction and the expression round trip.
+Kummer multiplicities (additive, and equal to the literal level test), the
+p-adic valuation oracle, the colon test of a map at a fraction and the
+expression round trip.
 
 Examples are derandomized, so every run draws the same inputs.
 """
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kummerlab.arith import primes_below
+from kummerlab.arith import primes_below, valuation_int
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element, render_element
 from kummerlab.ffield import power_rows
@@ -20,7 +21,12 @@ from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.lattice import colon_rows, extends_to
 from kummerlab.polyint import autocorrelation, mul
 from kummerlab.quadorder import QuadOrder, enumerate_quad_maps
-from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
+from kummerlab.valuation import (
+    divisibility_step,
+    kummer_prime,
+    multiplicity,
+    valuation_oracle,
+)
 from reference import colon_extends_to, power_rows_reference
 
 LAMBDAS = [3, 5, 7]
@@ -117,6 +123,23 @@ def test_multiplicity_is_additive(x, y, k):
     K = kummer_prime(map_for_root(enumerate_jacobi_maps(5, 11), 9))
     x = x * cyclotomic_ring(5).element([2, 1]) ** k
     assert multiplicity(x * y, K) == multiplicity(x, K) + multiplicity(y, K)
+
+
+@pytest.mark.parametrize("lam", [3, 5, 7, 11, 13])
+@GENERATED
+@given(data=st.data())
+def test_multiplicity_is_the_last_literal_level(lam, data):
+    # multiplicity divides by q one coefficient at a time; the literal test
+    # forms x * Psi^mu and checks its content against q^mu, at every level
+    # up to the norm bound degree * v_q(norm(x))
+    maps = [phi for p in primes_below(50) for phi in enumerate_jacobi_maps(lam, p)]
+    K = kummer_prime(data.draw(st.sampled_from(maps)))
+    x = data.draw(nonzero_elements(lam, spread=6)) * K.psi ** data.draw(
+        st.integers(0, 2)
+    )
+    bound = x.ring.degree * valuation_int(norm(x), K.q)
+    levels = [mu for mu in range(bound + 1) if divisibility_step(x, K, mu)]
+    assert multiplicity(x, K) == max(levels)
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 6])
