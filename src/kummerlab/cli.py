@@ -141,7 +141,7 @@ def _common_options(keep_earlier: bool = False) -> argparse.ArgumentParser:
         "jacobi-sum, quartic, stickelberger and fc-check, for the p - 1 "
         "of binomial, for the (p - 2)^2 index pairs of fc-check --all, and "
         "for the (lambda - 1)^2 kernel-basis entries of maps, factor, "
-        "valuation and divides (default 10000)",
+        "valuation, divides and stickelberger (default 10000)",
     )
     common.add_argument(
         "--trial-div",
@@ -443,6 +443,7 @@ def _cmd_fc_check(args) -> int:
 
 def _cmd_stickelberger(args) -> int:
     _check_table_cap(args)
+    _check_conductor_cap(args)
     rep = charsum.stickelberger_check(args.lam, args.p)
     return _emit(args, "stickelberger", rep, failed=not rep["holds"])
 

@@ -101,15 +101,15 @@ class CyclotomicRing:
         return f"CyclotomicRing({self.n})"
 
 
-def _norm_schedule(n: int) -> tuple[tuple[int, int], ...]:
-    """Steps (k, r), r prime, of a subgroup tower {1} = H_0 < H_1 < ... of (Z/n)^*.
+def _norm_schedule(n: int, subgroup=(1,)) -> tuple[tuple[int, int], ...]:
+    """Steps (k, r), r prime, of a tower H = H_0 < H_1 < ... of (Z/n)^*.
 
-    H_i is generated by H_{i-1} and k_i and has prime index r_i over it, so
-    the products k_1^j_1 k_2^j_2 ... with 0 <= j_i < r_i run over (Z/n)^*
-    exactly once.
+    H_0 is the given subgroup, H_i is generated by H_{i-1} and k_i and has
+    prime index r_i over it, so the products k_1^j_1 k_2^j_2 ... with
+    0 <= j_i < r_i run over the cosets of H exactly once.
     """
     units = [k for k in range(1, n) if gcd(k, n) == 1]
-    group = {1 % n}
+    group = {h % n for h in subgroup}
     steps = []
     for k in units:
         while k not in group:
@@ -235,32 +235,43 @@ def conjugate(x: CyclotomicElement, k: int) -> CyclotomicElement:
     return x.ring.element(out)
 
 
+def conjugate_tower(x: CyclotomicElement, schedule) -> tuple[CyclotomicElement, list]:
+    """Walk a tower from x, which H = H_0 fixes: the norm y and the step factors.
+
+    At a step (k, r), T = prod_{1<=j<r} sigma_k^j(y) and y <- y * T, the
+    norm down to the fixed ring of H_i, for r - 1 multiplies.  The product
+    c of the T_i is x's cofactor: x * c = y, the other conjugates' product.
+    """
+    y = x
+    factors = []
+    for k, r in schedule:
+        t = z = conjugate(y, k)
+        for _ in range(r - 2):
+            z = conjugate(z, k)
+            t = t * z
+        factors.append(t)
+        y = y * t
+    return y, factors
+
+
 def norm(x: CyclotomicElement) -> int:
     """Product of all conjugates; a rational integer, multiplicative.
 
-    Computed up the ring's subgroup tower of (Z/n)^*: at a step (k, r),
-    y is fixed by H_{i-1}, and y <- prod_{j<r} sigma_k^j(y) is its norm down
-    to the fixed ring of H_i.  That costs sum (r_i - 1) multiplies in all,
-    7 instead of 39 at n = 41.
+    Taken up the tower from {1}: sum (r_i - 1) multiplies, 7 at n = 41.
     """
-    y = x
-    for k, r in x.ring.norm_schedule:
-        prod = z = y
-        for _ in range(r - 1):
-            z = conjugate(z, k)
-            prod = prod * z
-        y = prod
-    return y.rational_value()
+    return conjugate_tower(x, x.ring.norm_schedule)[0].rational_value()
 
 
 class PeriodSystem:
     """Gaussian periods for a prime conductor: e periods of length f.
 
     eta_i = sum of alpha^(g^j) over j = i mod e, with g the least primitive
-    root mod lam.  sigma_g rotates the periods cyclically.
+    root mod lam.  sigma_g rotates the periods cyclically.  norm_schedule
+    is the tower from H = <g^e>, the subgroup of order f that fixes the
+    periods, so conjugate_tower takes period-field norms with it.
     """
 
-    __slots__ = ("ring", "lam", "e", "f", "g", "periods")
+    __slots__ = ("ring", "lam", "e", "f", "g", "periods", "norm_schedule")
 
     def __init__(self, lam: int, e: int):
         if not is_prime(lam):
@@ -281,6 +292,9 @@ class PeriodSystem:
                 coeffs[pow(self.g, j, lam)] += 1
             periods.append(self.ring.element(coeffs))
         self.periods = tuple(periods)
+        self.norm_schedule = _norm_schedule(
+            lam, [pow(self.g, e * j, lam) for j in range(self.f)]
+        )
 
     def combine(self, const: int, coeffs) -> CyclotomicElement:
         """The element const + sum coeffs[i] * eta_i."""

@@ -32,13 +32,13 @@ from kummerlab.arith import is_prime, multiplicative_order
 from kummerlab.cyclotomic import PeriodSystem, cyclotomic_ring, gaussian_periods
 from kummerlab.ffield import image, power_rows
 from kummerlab.lattice import IntLattice, kernel_mod
+from kummerlab.polyint import trim
 from kummerlab.polymod import (
     factor_mod_p,
     gf_gcd,
     gf_mod,
     gf_normalize,
     gf_pow_mod,
-    gf_trim,
 )
 
 
@@ -64,7 +64,7 @@ class JacobiMap:
             frobenius = power_rows(x_p, self.f, self.factor, p)
             for _ in range(self.f - 1):
                 orbit.append(image(orbit[-1], frobenius, p))
-        self.xi = tuple(gf_trim(list(min(orbit))))
+        self.xi = tuple(trim(list(min(orbit))))
         self.rows = power_rows(self.xi, ring.degree, self.factor, p)
 
     def apply(self, x) -> tuple[int, ...]:

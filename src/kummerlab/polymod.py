@@ -11,16 +11,11 @@ reproducible bit for bit.
 """
 
 from kummerlab.arith import is_prime
-
-
-def gf_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+from kummerlab.polyint import trim
 
 
 def gf_normalize(c: list[int], p: int) -> list[int]:
-    return gf_trim([x % p for x in c])
+    return trim([x % p for x in c])
 
 
 def gf_add(f: list[int], g: list[int], p: int) -> list[int]:
@@ -30,7 +25,7 @@ def gf_add(f: list[int], g: list[int], p: int) -> list[int]:
         out[i] = c
     for i, c in enumerate(g):
         out[i] = (out[i] + c) % p
-    return gf_trim(out)
+    return trim(out)
 
 
 def gf_sub(f: list[int], g: list[int], p: int) -> list[int]:
@@ -40,7 +35,7 @@ def gf_sub(f: list[int], g: list[int], p: int) -> list[int]:
         out[i] = c
     for i, c in enumerate(g):
         out[i] = (out[i] - c) % p
-    return gf_trim(out)
+    return trim(out)
 
 
 def gf_mul(f: list[int], g: list[int], p: int) -> list[int]:
@@ -51,7 +46,7 @@ def gf_mul(f: list[int], g: list[int], p: int) -> list[int]:
         if a:
             for j, b in enumerate(g):
                 out[i + j] = (out[i + j] + a * b) % p
-    return gf_trim(out)
+    return trim(out)
 
 
 def gf_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -67,8 +62,8 @@ def gf_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]
         q[k] = c
         for i, b in enumerate(g):
             r[i + k] = (r[i + k] - c * b) % p
-        gf_trim(r)
-    return gf_trim(q), r
+        trim(r)
+    return trim(q), r
 
 
 def gf_mod(f: list[int], g: list[int], p: int) -> list[int]:
@@ -91,7 +86,7 @@ def gf_monic(f: list[int], p: int) -> list[int]:
 def gf_pow_mod(f: list[int], e: int, mod: list[int], p: int) -> list[int]:
     base = gf_mod(f, mod, p)
     if len(mod) == 2:  # residues mod a linear polynomial are constants
-        return gf_trim([pow(base[0] if base else 0, e, p)])
+        return trim([pow(base[0] if base else 0, e, p)])
     out = [1]
     while e:
         if e & 1:
@@ -102,7 +97,7 @@ def gf_pow_mod(f: list[int], e: int, mod: list[int], p: int) -> list[int]:
 
 
 def gf_deriv(f: list[int], p: int) -> list[int]:
-    return gf_trim([i * c % p for i, c in enumerate(f)][1:])
+    return trim([i * c % p for i, c in enumerate(f)][1:])
 
 
 def _counter_poly(counter: int, p: int) -> list[int]:

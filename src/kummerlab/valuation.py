@@ -3,7 +3,8 @@
 A KummerPrime packages a Jacobi map with a uniformizer psi constructed, as
 Kummer did, from the map's period residues u = (u_0, ..., u_{e-1}): psi is
 killed by the map and its period-field norm psi * Psi (with Psi the product
-of the remaining period conjugates) is divisible by q exactly once.  The
+of the remaining period conjugates) is divisible by q exactly once; one
+walk up the period system's subgroup tower gives both.  The
 multiplicity of the ideal prime in an element x is then the largest mu such
 that every coefficient of x * Psi^mu is divisible by q^mu.  multiplicity
 runs that test one level and one coefficient at a time: it carries the
@@ -29,7 +30,7 @@ any ring a Jacobi map is built on; the tests compare it with valuations.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from operator import mul
 
 from kummerlab.arith import (
@@ -40,7 +41,7 @@ from kummerlab.arith import (
 from kummerlab.cyclotomic import (
     CyclotomicElement,
     PeriodSystem,
-    conjugate,
+    conjugate_tower,
     gaussian_periods,
     norm,
 )
@@ -84,16 +85,10 @@ class KummerPrime:
         }
 
 
-def _period_conjugate_product(
-    psi: CyclotomicElement, system: PeriodSystem
-) -> CyclotomicElement:
-    """Psi: the product of sigma_g^j(psi) over j = 1 .. e-1."""
-    out = system.ring.one()
-    current = psi
-    for _ in range(system.e - 1):
-        current = conjugate(current, system.g)
-        out = out * current
-    return out
+def _norm_and_cofactor(x: CyclotomicElement, schedule):
+    """The norm y of x along a tower that ends at Q, and c with x * c = y."""
+    y, factors = conjugate_tower(x, schedule)
+    return y.rational_value(), reduce(mul, factors)
 
 
 def find_uniformizer(phi: JacobiMap) -> KummerPrime:
@@ -126,12 +121,10 @@ def find_uniformizer(phi: JacobiMap) -> KummerPrime:
         rows = [[0] + [q - 1] * (e - 1)]
         rows += [[u[(k + l) % e] for l in range(e)] for k in range(e)]
         psi = system.combine(0, kernel_mod(rows, q).rows[0][1:])
-    big_psi = _period_conjugate_product(psi, system)
-    nval = (psi * big_psi).rational_value()
+    nval, big_psi = _norm_and_cofactor(psi, system.norm_schedule)
     if nval % (q * q) == 0:
         psi = psi + q
-        big_psi = _period_conjugate_product(psi, system)
-        nval = (psi * big_psi).rational_value()
+        nval, big_psi = _norm_and_cofactor(psi, system.norm_schedule)
     K = KummerPrime(phi, system, psi, big_psi, nval)
     if not (phi.kills(psi) and K.certificate()["divisible_once"]):
         raise ArithmeticError(
@@ -315,18 +308,14 @@ def _quotient_and_norm(
 ) -> tuple[CyclotomicElement | None, int]:
     """x / d (None when it is not in Z[alpha]) and norm(d).
 
-    The cofactor is the product of the nontrivial conjugates of d, so
-    d * cofactor is norm(d), and x / d = x * cofactor / norm(d) when every
-    coefficient divides.
+    The cofactor is the product of the nontrivial conjugates of d, taken
+    with norm(d) = d * cofactor from the ring's subgroup tower, and
+    x / d = x * cofactor / norm(d) when every coefficient divides.
     """
-    lam = d.ring.n
-    check_conductor(lam)
+    check_conductor(d.ring.n)
     if d.is_zero():
         raise ZeroDivisionError("division by zero element")
-    cofactor = d.ring.one()
-    for k in range(2, lam):
-        cofactor = cofactor * conjugate(d, k)
-    nd = (d * cofactor).rational_value()
+    nd, cofactor = _norm_and_cofactor(d, d.ring.norm_schedule)
     y = x * cofactor
     if not y.content_divisible_by(nd):
         return None, nd

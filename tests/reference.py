@@ -3,6 +3,7 @@
 Nothing in the package uses them, so they live with the tests.
 """
 
+from kummerlab.cyclotomic import conjugate
 from kummerlab.lattice import IntLattice, _mul_matrix, _preimage
 from kummerlab.polyint import degree, trim
 from kummerlab.polymod import gf_mod, gf_mul
@@ -80,3 +81,19 @@ def power_rows_reference(root, count: int, factor, m: int) -> list[list[int]]:
         rows.append(power + [0] * (f - len(power)))
         power = gf_mod(gf_mul(power, list(root), m), list(factor), m)
     return rows
+
+
+def quotient_by_conjugates(d, x):
+    """x / d in Z[alpha], or None, through the cofactor of d taken one
+    conjugate at a time: the product of sigma_k(d) over k = 2 .. lam - 1,
+    lam - 2 ring products.  d * cofactor is norm(d), and x / d is
+    x * cofactor / norm(d) when every coefficient divides.  The reference
+    for valuation.exact_quotient, which takes the cofactor up a tower."""
+    cofactor = d.ring.one()
+    for k in range(2, d.ring.n):
+        cofactor = cofactor * conjugate(d, k)
+    nd = (d * cofactor).rational_value()
+    y = x * cofactor
+    if not y.content_divisible_by(nd):
+        return None
+    return d.ring.element([c // nd for c in y.coeffs])

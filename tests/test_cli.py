@@ -416,6 +416,10 @@ def test_cli_usage_error_exit_code():
             ["divides", "--lambda", "11", "--enum-cap", "99", "1-a", "2"],
             "--lambda 11: (lambda - 1)^2 = 100 exceeds --enum-cap 99",
         ),
+        (
+            ["stickelberger", "--lambda", "199", "--p", "797"],
+            "--lambda 199: (lambda - 1)^2 = 39204 exceeds --enum-cap 10000",
+        ),
     ],
 )
 def test_cli_out_of_range_input_exit_code(capsys, argv, message):

@@ -22,7 +22,7 @@ from kummerlab.valuation import (
     multiplicity,
     valuation_oracle,
 )
-from reference import standard_lattice
+from reference import quotient_by_conjugates, standard_lattice
 
 RNG_SEED = 52361
 
@@ -93,11 +93,18 @@ def test_uniformizer_large_split_prime():
 
 
 def test_uniformizer_psi_conjugate_product_definition():
-    # Psi must equal the product of the e-1 nontrivial period conjugates
+    # Psi, taken up the period system's subgroup tower, must equal the
+    # literal product of the e-1 nontrivial period conjugates; p = 2 and 3
+    # have residue degree f > 1 at 23 and 41, so the tower starts at a
+    # subgroup of order f
     from kummerlab.cyclotomic import conjugate
 
-    for lam, p in [(5, 11), (5, 19), (7, 29)]:
+    cases = [(5, 11), (5, 19), (7, 29), (23, 2), (23, 3), (23, 47),
+             (41, 2), (41, 3), (41, 83)]
+    degrees = set()
+    for lam, p in cases:
         for phi in enumerate_jacobi_maps(lam, p):
+            degrees.add((lam, phi.f))
             K = kummer_prime(phi)
             prod = K.periods.ring.one()
             current = K.psi
@@ -108,6 +115,31 @@ def test_uniformizer_psi_conjugate_product_definition():
             assert (K.psi * K.psi_conjugates) == K.periods.ring.element(
                 K.period_norm
             )
+    assert {(23, 11), (41, 8), (41, 20), (23, 1), (41, 1)} <= degrees
+
+
+def test_tower_multiply_counts(monkeypatch):
+    # norm keeps sum (r_i - 1) products; find_uniformizer takes Psi and the
+    # period norm from one walk up the tower, at most 2 * sum r_i products
+    # with the psi + q retry
+    ring = cyclotomic_ring(41)
+    steps = ring.norm_schedule
+    phi = enumerate_jacobi_maps(41, 83)[0]
+    assert phi.f == 1
+    count = 0
+    original = CyclotomicElement.__mul__
+
+    def counted(self, other):
+        nonlocal count
+        count += 1
+        return original(self, other)
+
+    monkeypatch.setattr(CyclotomicElement, "__mul__", counted)
+    norm(ring.element([2, 1]))
+    assert count == sum(r - 1 for _, r in steps) == 7
+    count = 0
+    find_uniformizer(phi)
+    assert 0 < count <= 2 * sum(r for _, r in steps) == 22
 
 
 def test_multiplicity_pinned():
@@ -430,6 +462,23 @@ def test_exact_quotient():
     prod = x * d
     assert exact_quotient(d, prod) == x
     assert exact_quotient(d, ring.one()) is None
+
+
+def test_exact_quotient_matches_the_conjugate_by_conjugate_cofactor():
+    # the cofactor up the subgroup tower against the lam - 2 products of
+    # the reference, on quotients that exist and on ones that do not
+    rng = random.Random(RNG_SEED + 11)
+    for lam, count in [(3, 30), (5, 30), (7, 20), (11, 10), (23, 4)]:
+        ring = cyclotomic_ring(lam)
+        for i, d in enumerate(_elements(lam, count, rng.randrange(10**6), 2)):
+            y = ring.element([rng.randint(-3, 3) for _ in range(lam - 1)])
+            x = y * d if i % 2 else y
+            quotient = exact_quotient(d, x)
+            assert quotient == quotient_by_conjugates(d, x)
+            if i % 2:
+                assert quotient == y
+            if lam < 23:
+                assert divides(d, x) == (quotient is not None)
 
 
 def test_completeness_property():
