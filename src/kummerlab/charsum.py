@@ -52,8 +52,7 @@ class Character:
         self.p = p
         self.lam = lam
         self.m = (p - 1) // lam
-        self.g = least_primitive_root(p)
-        self.index = discrete_log_table(p, self.g)
+        self.g, self.index = _log_table(p)
         self.ring = cyclotomic_ring(lam)
 
     def __repr__(self):
@@ -61,8 +60,16 @@ class Character:
 
 
 @lru_cache(maxsize=1024)
+def _log_table(p: int) -> tuple[int, tuple[int, ...]]:
+    """The least primitive root g mod p and its discrete-log table, one
+    per prime: the characters of every order mod p share them."""
+    g = least_primitive_root(p)
+    return g, tuple(discrete_log_table(p, g))
+
+
+@lru_cache(maxsize=1024)
 def character(p: int, lam: int) -> Character:
-    """Shared Character instances; the discrete-log table is worth reusing."""
+    """Shared Character instances, one per (p, order)."""
     return Character(p, lam)
 
 

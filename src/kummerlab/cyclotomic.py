@@ -8,11 +8,11 @@ The element class is shared with the quadratic orders, whose rings reduce
 mod their own modulus.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from kummerlab import polyint
-from kummerlab.arith import is_prime, least_primitive_root
+from kummerlab.arith import factorize_int, is_prime, least_primitive_root
 
 
 @lru_cache(maxsize=1024)
@@ -31,10 +31,31 @@ class CyclotomicRing:
         self.n = n
         self.modulus = polyint.cyclotomic_polynomial(n)
         self.degree = len(self.modulus) - 1
-        # alpha^(n/2) = -1 for even n, so Phi_n divides X^(n/2) + 1
-        self._fold, self._fold_sign = (n // 2, -1) if n % 2 == 0 else (n, 1)
         self._tail = tuple((i, c) for i, c in enumerate(self.modulus[:-1]) if c)
-        self.norm_schedule = _norm_schedule(n)
+        # alpha^(n/2) = -1 for even n, so Phi_n divides X^(n/2) + 1
+        m, sign = (n // 2, -1) if n % 2 == 0 else (n, 1)
+        # Phi_n divides Phi_{n/P}(X^P) when the odd prime P divides n exactly
+        # once (the largest such P is taken); with none, P = n and no block
+        # is ever cleared
+        stride = max(
+            (q for q, e in factorize_int(n).items() if q > 2 and e == 1),
+            default=n,
+        )
+        outer = polyint.cyclotomic_polynomial(n // stride)
+        top = stride * (len(outer) - 1)
+        blocks = tuple((a, a + stride) for a in range(m - stride, top - 1, -stride))
+        self._block_tail = tuple(
+            (stride * j - top, c) for j, c in enumerate(outer[:-1]) if c
+        )
+        # the reduction plan: fold length and sign, the blocks (start, end)
+        # from the top down, where the single steps start, and phi(n)
+        self._plan = (m, sign, blocks, min(m, top), self.degree)
+
+    @cached_property
+    def norm_schedule(self) -> tuple[tuple[int, int], ...]:
+        """The tower from {1} that norm walks, built on first use: most
+        composite rings of the character-sum layer never take a norm."""
+        return _norm_schedule(self.n)
 
     def element(self, coeffs) -> "CyclotomicElement":
         if isinstance(coeffs, int):
@@ -56,12 +77,20 @@ class CyclotomicRing:
 
         The input is first folded mod the shortest binomial that Phi_n
         divides: X^(n/2) + 1 for even n, chunks added with alternating
-        sign, and X^n - 1 for odd n.  The positions at and above phi(n) are
-        then cleared from the top down, each step touching only the nonzero
-        terms of Phi_n.  For odd prime n that is one step, which subtracts
-        the folded top coefficient from all the others.
+        sign, and X^n - 1 for odd n.  With P the largest odd prime that
+        divides n exactly once, Phi_n also divides G(X) = Phi_{n/P}(X^P),
+        of degree D = P phi(n/P) and with a term only at every P-th power.
+        So the positions at and above D are cleared from the top down one
+        block of P coefficients at a time, each block subtracted, as one
+        slice, once per nonzero term of Phi_{n/P}.  The positions from
+        min(m, D) down to phi(n) are then cleared one at a time, each step
+        touching only the nonzero terms of Phi_n.  At n = 219 that is one
+        block and 2 single steps in place of 75.  When n is prime, a prime
+        power or 2 times a prime there is no block; for odd prime n the
+        single stage is one step, which subtracts the folded top
+        coefficient from all the others.
         """
-        m, sign = self._fold, self._fold_sign
+        m, sign, blocks, top, d = self._plan
         folded = list(coeffs[:m])
         folded += [0] * (m - len(folded))
         s = 1
@@ -74,8 +103,13 @@ class CyclotomicRing:
             else:
                 for i, c in enumerate(chunk):
                     folded[i] -= c
-        d = self.degree
-        for k in range(m - 1, d - 1, -1):
+        for a, end in blocks:
+            block = folded[a:end]
+            for i, b in self._block_tail:
+                folded[a + i : end + i] = [
+                    x - b * c for x, c in zip(folded[a + i : end + i], block)
+                ]
+        for k in range(top - 1, d - 1, -1):
             c = folded[k]
             if c:
                 shift = k - d
@@ -308,6 +342,8 @@ class PeriodSystem:
         return f"PeriodSystem(lambda={self.lam}, e={self.e})"
 
 
+@lru_cache(maxsize=1024)
 def gaussian_periods(lam: int, e: int) -> PeriodSystem:
+    """Shared period systems: every map above one prime uses the same one."""
     return PeriodSystem(lam, e)
 

@@ -107,18 +107,20 @@ def autocorrelation(h: Sequence[int]) -> list[int]:
     This is h(X) * h(X^-1) in Z[X]/(X^n - 1).  h and h reversed are packed
     as unsigned w-bit words and multiplied once; coefficient t of the
     product is lag t - (n - 1), so folding mod 2^(wn) - 1 and rotating by
-    n - 1 gives c.  Every product and cyclic coefficient is at most
-    (sum h)^2, so with w the narrowest array word that holds that bound the
-    words never carry and one fold is exact.  w is at most 64, so a larger
-    bound raises ValueError.  Halving w makes the multiply about 3 times
-    faster at n = 60 to 400 (CPython 3.11, x86-64).
+    n - 1 gives c.  Every product coefficient, and every cyclic one (the sum
+    of two product coefficients), is a sum of h[e] * h[e - s] with each e
+    at most once, so at most max(h) * sum(h).  With w the narrowest array
+    word above that bound the words never carry and one fold is exact.  w
+    is at most 64, and ValueError is raised unless (sum h)^2 < 2^64.
+    Halving w makes the multiply about 3 times faster at n = 60 to 400
+    (CPython 3.11, x86-64).
     """
-    n = len(h)
-    bound = sum(h) ** 2
-    if min(h, default=0) < 0 or bound >> 64:
+    n, total = len(h), sum(h)
+    if min(h, default=0) < 0 or total * total >> 64:
         raise ValueError("autocorrelation needs h >= 0 with (sum h)^2 < 2^64")
     if not n:
         return []
+    bound = max(h) * total
     w, code = next(word for word in _WORDS if not bound >> word[0])
     words, back = array(code, h), array(code, reversed(h))
     if _BIG_ENDIAN:

@@ -32,6 +32,33 @@ def divmod_exact(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     return trim(q), r
 
 
+def reduce_from_top(ring, coeffs) -> tuple[int, ...]:
+    """The residue of coeffs mod Phi_n, padded to length phi(n), cleared
+    one position at a time: the reference for CyclotomicRing._reduce,
+    which clears whole blocks first at composite n.
+
+    Fold mod X^(n/2) + 1 (even n) or X^n - 1 (odd n), then clear every
+    position from the top of the fold down to phi(n) against Phi_n.
+    """
+    n = ring.n
+    m, sign = (n // 2, -1) if n % 2 == 0 else (n, 1)
+    folded = list(coeffs[:m])
+    folded += [0] * (m - len(folded))
+    s = 1
+    for start in range(m, len(coeffs), m):
+        s *= sign
+        for i, c in enumerate(coeffs[start : start + m]):
+            folded[i] += s * c
+    modulus = ring.modulus
+    d = len(modulus) - 1
+    for k in range(m - 1, d - 1, -1):
+        c = folded[k]
+        if c:
+            for i, b in enumerate(modulus):
+                folded[k - d + i] -= c * b
+    return tuple(folded[:d])
+
+
 def standard_lattice(dim: int) -> IntLattice:
     """Z^dim itself, the unit ideal."""
     return IntLattice([[int(i == j) for j in range(dim)] for i in range(dim)])

@@ -65,6 +65,15 @@ def test_character_validation():
     assert sum(_counts(chi, 1, 1)) == 11 - 2
 
 
+def test_characters_of_one_prime_share_one_log_table():
+    # every order mod p reads the same primitive root and discrete logs
+    for p in (13, 211, 421):
+        orders = [d for d in range(2, p) if (p - 1) % d == 0]
+        chis = [character(p, lam) for lam in orders]
+        assert all(chi.index is chis[0].index for chi in chis)
+        assert {chi.g for chi in chis} == {chis[0].g}
+
+
 def test_jacobi_sum_is_integral_and_signed():
     chi = character(13, 4)
     j = jacobi_sum(chi, 1, 1)

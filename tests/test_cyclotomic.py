@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from kummerlab import polyint
+from kummerlab.arith import primes_below
 from kummerlab.cyclotomic import (
     CyclotomicRing,
     conjugate,
@@ -152,6 +153,20 @@ def test_reduce_matches_division():
                 c = [rng.randint(-spread, spread) for _ in range(length)]
                 _, r = divmod_exact(trim(list(c)), modulus)
                 assert ring._reduce(c) == tuple(r + [0] * (ring.degree - len(r)))
+
+
+def test_reduction_plan():
+    # no block at a prime, a prime power or twice a prime: the single
+    # clear-from-top stage starts at the fold, as it always did
+    for q in primes_below(200):
+        for n in [q ** k for k in range(1, 8) if q ** k < 200] + [2 * q]:
+            m, _, blocks, top, _ = CyclotomicRing(n)._plan
+            assert blocks == () and top == m, n
+    # Phi_219 | Phi_3(X^73) and Phi_498 | Phi_6(X^83): one block of 73 or 83
+    # coefficients, then 2 single steps in place of 75 and 85
+    for n, block in ((219, (146, 219)), (498, (166, 249))):
+        _, _, blocks, top, degree = CyclotomicRing(n)._plan
+        assert blocks == (block,) and top - degree == 2
 
 
 def test_composite_rings_divide_by_no_polynomial(monkeypatch):

@@ -275,6 +275,22 @@ def test_autocorrelation_pinned():
     assert autocorrelation([2**31, 2**31 - 1]) == _autocorrelation([2**31, 2**31 - 1])
 
 
+def test_autocorrelation_packs_the_narrower_word():
+    # max(h) * sum(h) bounds every lag and picks a narrower word than
+    # (sum h)^2 here, up to the very edge of 2^8, 2^16 and 2^32
+    def word(bound):
+        return next(w for w in (8, 16, 32, 64) if not bound >> w)
+
+    for h in ([15, 1], [1] * 16, [1, 0, 14, 0, 1], [255, 1], [1] * 256,
+              [3] * 7 + [1] * 270, [2**16 - 1, 1], [2**15, 2**14, 2**14],
+              [1] * 255, [3] * 28):
+        assert word(max(h) * sum(h)) < word(sum(h) ** 2), h
+        assert autocorrelation(h) == _autocorrelation(h), h
+    # a constant vector meets max(h) * sum(h) at every lag
+    assert autocorrelation([1] * 255) == [255] * 255
+    assert autocorrelation([3] * 28) == [252] * 28
+
+
 @pytest.mark.parametrize(
     "h", [[2**32], [2**31, 2**31], [2**32 - 1, 0, 1], [1] * 2**3 + [2**32 - 8], [-1, 2]]
 )

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kummerlab import idealprimes
+from kummerlab import charsum, idealprimes
 from kummerlab.arith import multiplicative_order, primes_below
 from kummerlab.charsum import character
 from kummerlab.cyclotomic import conjugate, cyclotomic_ring, gaussian_periods
@@ -192,10 +192,13 @@ def test_map_keyed_caches_are_bounded():
 
 
 def test_conductor_keyed_caches_are_bounded():
-    # one ring, one Phi_n and one character table per conductor seen
+    # one ring, one Phi_n, one character and one period system per
+    # conductor seen, one discrete-log table per prime
     assert cyclotomic_ring.cache_info().maxsize is not None
     assert cyclotomic_polynomial.cache_info().maxsize is not None
     assert character.cache_info().maxsize is not None
+    assert charsum._log_table.cache_info().maxsize is not None
+    assert gaussian_periods.cache_info().maxsize is not None
 
 
 def test_maps_match_the_reference_rows_on_the_census_grid():

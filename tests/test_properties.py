@@ -1,6 +1,6 @@
-"""Properties on generated inputs: ring axioms and the norm at prime and
-composite conductors, integer polynomial products, power rows of a root,
-Kummer multiplicities (additive, and equal to the literal level test), the
+"""Properties on generated inputs: ring axioms, the norm and the reduction
+mod Phi_n at prime and composite conductors, integer polynomial products,
+power rows of a root, Kummer multiplicities (additive, and equal to the literal level test), the
 p-adic valuation oracle, the colon test of a map at a fraction and the
 expression round trip.
 
@@ -19,7 +19,7 @@ from kummerlab.exprparse import parse_element, render_element
 from kummerlab.ffield import power_rows
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.lattice import colon_rows, extends_to
-from kummerlab.polyint import autocorrelation, mul
+from kummerlab.polyint import autocorrelation, mul, trim
 from kummerlab.quadorder import QuadOrder, enumerate_quad_maps
 from kummerlab.valuation import (
     divisibility_step,
@@ -27,7 +27,12 @@ from kummerlab.valuation import (
     multiplicity,
     valuation_oracle,
 )
-from reference import colon_extends_to, power_rows_reference
+from reference import (
+    colon_extends_to,
+    divmod_exact,
+    power_rows_reference,
+    reduce_from_top,
+)
 
 LAMBDAS = [3, 5, 7]
 # composite conductors: 4q, 2q and odd with three prime factors
@@ -71,6 +76,26 @@ def test_ring_axioms(lam, data):
 def test_norm_is_multiplicative(lam, data):
     x, y = data.draw(elements(lam)), data.draw(elements(lam))
     assert norm(x * y) == norm(x) * norm(y)
+
+
+# P exactly dividing n (15, 219), an odd square with it (45, 75),
+# n = 2 mod 4 (30, 438), three odd primes (105, 231), no block (1, 27, 46)
+REDUCE_CONDUCTORS = [1, 15, 27, 30, 45, 46, 75, 105, 219, 231, 438]
+
+
+@pytest.mark.parametrize("n", REDUCE_CONDUCTORS)
+@GENERATED
+@given(data=st.data())
+def test_reduce_matches_the_single_step_reference(n, data):
+    ring = cyclotomic_ring(n)
+    length = data.draw(st.integers(0, 3 * n))
+    spread = data.draw(st.sampled_from([1, 50, 10**30]))
+    rng = data.draw(st.randoms(use_true_random=False))
+    coeffs = [rng.randint(-spread, spread) for _ in range(length)]
+    residue = ring._reduce(coeffs)
+    assert residue == reduce_from_top(ring, coeffs)
+    _, r = divmod_exact(trim(list(coeffs)), list(ring.modulus))
+    assert residue == tuple(r + [0] * (ring.degree - len(r)))
 
 
 def _value(f, x):

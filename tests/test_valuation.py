@@ -7,7 +7,13 @@ import pytest
 
 from kummerlab import idealprimes, valuation
 from kummerlab.arith import primes_below, valuation_int
-from kummerlab.cyclotomic import CyclotomicElement, cyclotomic_ring, norm
+from kummerlab.cyclotomic import (
+    CyclotomicElement,
+    PeriodSystem,
+    cyclotomic_ring,
+    gaussian_periods,
+    norm,
+)
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.lattice import IntLattice
 from kummerlab.valuation import (
@@ -140,6 +146,27 @@ def test_tower_multiply_counts(monkeypatch):
     count = 0
     find_uniformizer(phi)
     assert 0 < count <= 2 * sum(r for _, r in steps) == 22
+
+
+def test_maps_above_one_prime_share_one_period_system(monkeypatch):
+    # all maps above p have the same residue degree, so one (lambda, e)
+    built = []
+    original = PeriodSystem.__init__
+
+    def counted(self, lam, e):
+        built.append((lam, e))
+        original(self, lam, e)
+
+    monkeypatch.setattr(PeriodSystem, "__init__", counted)
+    for lam, p in ((41, 83), (23, 2), (13, 3)):
+        gaussian_periods.cache_clear()
+        kummer_prime.cache_clear()
+        built.clear()
+        maps = enumerate_jacobi_maps(lam, p)
+        systems = {kummer_prime(phi).periods for phi in maps}
+        assert len(maps) > 1 and len(systems) == 1
+        assert built == [(lam, (lam - 1) // maps[0].f)]
+    kummer_prime.cache_clear()
 
 
 def test_multiplicity_pinned():
