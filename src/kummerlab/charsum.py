@@ -20,6 +20,7 @@ Gauss-sum ratio g_i g_k / g_{i+k}.  They differ only by sign, so every
 modulus and valuation statement holds for both.
 """
 
+from array import array
 from functools import lru_cache
 from math import comb, isqrt
 
@@ -52,7 +53,7 @@ class Character:
         self.p = p
         self.lam = lam
         self.m = (p - 1) // lam
-        self.g, self.index = _log_table(p)
+        self.g, self.index, self.packed_logs = _log_table(p)
         self.ring = cyclotomic_ring(lam)
 
     def __repr__(self):
@@ -60,11 +61,23 @@ class Character:
 
 
 @lru_cache(maxsize=1024)
-def _log_table(p: int) -> tuple[int, tuple[int, ...]]:
-    """The least primitive root g mod p and its discrete-log table, one
-    per prime: the characters of every order mod p share them."""
+def _log_table(p: int) -> tuple[int, tuple[int, ...], tuple[str, int, int]]:
+    """The least primitive root g mod p, its discrete-log table and the
+    packed logs, one per prime: the characters of every order mod p share
+    them.
+
+    The packed logs (code, A, B) hold ind t and ind(1 - t) for
+    t = 2 .. p - 1 as unsigned array words of typecode code, t = 2 lowest
+    (polyint.pack_words).  The word is the narrowest that holds
+    2 (p - 2)^2, the most that _counts asks of it.
+    """
     g = least_primitive_root(p)
-    return g, tuple(discrete_log_table(p, g))
+    index = tuple(discrete_log_table(p, g))
+    _, code = polyint.narrowest_word(2 * (p - 2) ** 2)
+    # 1 - t = p + 1 - t mod p: as t runs up from 2, 1 - t runs down from p - 1
+    logs = array(code, index[2:p])
+    co_logs = array(code, index[p - 1 : 1 : -1])
+    return g, index, (code, polyint.pack_words(logs), polyint.pack_words(co_logs))
 
 
 @lru_cache(maxsize=1024)
@@ -74,12 +87,22 @@ def character(p: int, lam: int) -> Character:
 
 
 def _counts(chi: Character, i: int, k: int) -> list[int]:
-    """N_e = #{t in 2 .. p-1 : i ind t + k ind(1-t) = e mod lam}, e < lam."""
-    lam, p, index = chi.lam, chi.p, chi.index
+    """N_e = #{t in 2 .. p-1 : i ind t + k ind(1-t) = e mod lam}, e < lam.
+
+    Jacobi's sort of the t by the pair (ind t, ind(1 - t)), which depends
+    on p alone.  With i, k reduced mod lam, one multiply-add of the packed
+    logs, i A + k B, holds every i ind t + k ind(1 - t) as its own word
+    (Kronecker substitution).  Each is at most 2 (p - 2)^2, which the word
+    holds, so no word carries into the next; the words are read back and
+    binned mod lam.
+    """
+    lam = chi.lam
+    code, logs, co_logs = chi.packed_logs
+    packed = (i % lam) * logs + (k % lam) * co_logs
+    values = polyint.unpack_words(packed, code, chi.p - 2)
     counts = [0] * lam
-    # 1 - t = p + 1 - t mod p: as t runs up from 2, 1 - t runs down from p - 1
-    for a, b in zip(index[2:p], index[p - 1 : 1 : -1]):
-        counts[(i * a + k * b) % lam] += 1
+    for v in values:
+        counts[v % lam] += 1
     return counts
 
 

@@ -37,7 +37,7 @@ def degree(f: list[int]) -> int:
 # packing 67 us; on 3-term operands of length 40 they take 17 and 41 us.
 KRONECKER_MIN_TERMS = 20
 
-# (bits, typecode) of the unsigned array words that autocorrelation packs,
+# (bits, typecode) of the unsigned array words that pack_words packs,
 # narrowest first; the packed integers are read little-endian
 _WORDS = sorted((8 * array(code).itemsize, code) for code in "BHIQ")
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -101,40 +101,51 @@ def _evaluate(f: Sequence[int], w: int) -> int:
     return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 
+def narrowest_word(bound: int) -> tuple[int, str]:
+    """(bits, typecode) of the narrowest array word above bound < 2^64."""
+    return next(word for word in _WORDS if not bound >> word[0])
+
+
+def pack_words(words: array) -> int:
+    """The unsigned array words as one integer, word 0 lowest."""
+    if _BIG_ENDIAN:
+        words = array(words.typecode, words)
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def unpack_words(x: int, code: str, count: int) -> array:
+    """The count words of typecode code that pack_words packs to x."""
+    words = array(code, x.to_bytes(count * array(code).itemsize, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
+
+
 def autocorrelation(h: Sequence[int]) -> list[int]:
     """c[s] = sum over e of h[e] * h[(e - s) mod n], n = len(h), for h >= 0.
 
-    This is h(X) * h(X^-1) in Z[X]/(X^n - 1).  h and h reversed are packed
-    as unsigned w-bit words and multiplied once; coefficient t of the
-    product is lag t - (n - 1), so folding mod 2^(wn) - 1 and rotating by
-    n - 1 gives c.  Every product coefficient, and every cyclic one (the sum
-    of two product coefficients), is a sum of h[e] * h[e - s] with each e
-    at most once, so at most max(h) * sum(h).  With w the narrowest array
-    word above that bound the words never carry and one fold is exact.  w
-    is at most 64, and ValueError is raised unless (sum h)^2 < 2^64.
-    Halving w makes the multiply about 3 times faster at n = 60 to 400
-    (CPython 3.11, x86-64).
+    This is h(X) * h(X^-1) in Z[X]/(X^n - 1).  h is packed once as unsigned
+    w-bit words, its reversal is a slice of that array, and the two are
+    multiplied once; coefficient t of the product is lag t - (n - 1), so
+    folding mod 2^(wn) - 1 and rotating by n - 1 gives c.  Every product
+    coefficient, and every cyclic one (the sum of two product
+    coefficients), is a sum of h[e] * h[e - s] with each e at most once, so
+    at most max(h) * sum(h).  With w the narrowest array word above that
+    bound the words never carry and one fold is exact.  w is at most 64,
+    and ValueError is raised unless (sum h)^2 < 2^64.  Halving w makes the
+    multiply about 3 times faster at n = 60 to 400 (CPython 3.11, x86-64).
     """
     n, total = len(h), sum(h)
     if min(h, default=0) < 0 or total * total >> 64:
         raise ValueError("autocorrelation needs h >= 0 with (sum h)^2 < 2^64")
     if not n:
         return []
-    bound = max(h) * total
-    w, code = next(word for word in _WORDS if not bound >> word[0])
-    words, back = array(code, h), array(code, reversed(h))
-    if _BIG_ENDIAN:
-        words.byteswap()
-        back.byteswap()
-    x = int.from_bytes(words.tobytes(), "little") * int.from_bytes(
-        back.tobytes(), "little"
-    )
+    w, code = narrowest_word(max(h) * total)
+    words = array(code, h)
+    x = pack_words(words) * pack_words(words[::-1])
     bits = w * n
-    x = (x & ((1 << bits) - 1)) + (x >> bits)
-    c = array(code, x.to_bytes(bits // 8, "little"))
-    if _BIG_ENDIAN:
-        c.byteswap()
-    c = c.tolist()
+    c = unpack_words((x & ((1 << bits) - 1)) + (x >> bits), code, n).tolist()
     return c[n - 1 :] + c[: n - 1]
 
 

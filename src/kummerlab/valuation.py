@@ -3,15 +3,17 @@
 A KummerPrime packages a Jacobi map with a uniformizer psi constructed, as
 Kummer did, from the map's period residues u = (u_0, ..., u_{e-1}): psi is
 killed by the map and its period-field norm psi * Psi (with Psi the product
-of the remaining period conjugates) is divisible by q exactly once; one
-walk up the period system's subgroup tower gives both.  The
-multiplicity of the ideal prime in an element x is then the largest mu such
-that every coefficient of x * Psi^mu is divisible by q^mu.  multiplicity
-runs that test one level and one coefficient at a time: it carries the
-exact quotient w = x * Psi^mu / q^mu, so level mu + 1 only asks whether q
-divides each coefficient of w * Psi, a dot product of w with one column of
-Psi's multiplication matrix, and it stops at the first coefficient that q
-does not divide.  divisibility_step keeps the literal test, the element
+of the remaining period conjugates) is divisible by q exactly once.  At
+residue degree 1, psi = alpha - r and one synthetic division of Phi by
+X - r gives Psi and the norm; otherwise one walk up the period system's
+subgroup tower gives both.  The multiplicity of the ideal prime in an
+element x is then the largest mu such that every coefficient of
+x * Psi^mu is divisible by q^mu.  multiplicity runs that test one level
+and one coefficient at a time: it carries the exact quotient
+w = x * Psi^mu / q^mu, so level mu + 1 only asks whether q divides each
+coefficient of w * Psi, a dot product of w with one column of Psi's
+multiplication matrix, and it stops at the first coefficient that q does
+not divide.  divisibility_step keeps the literal test, the element
 product x * Psi^mu against q^mu, and the tests compare the two.
 
 An independent oracle computes the same number as the largest mu with
@@ -91,20 +93,42 @@ def _norm_and_cofactor(x: CyclotomicElement, schedule):
     return y.rational_value(), reduce(mul, factors)
 
 
+def _linear_uniformizer(ring, r: int):
+    """psi = alpha - r, Psi = -Q(alpha) and psi * Psi = Phi(r), where
+    Q = (Phi(X) - Phi(r)) / (X - r) comes from one synthetic division.
+
+    psi * Psi = Phi(r) - Phi(alpha) = Phi(r), which is also the norm of
+    psi (Phi has even degree), so Psi is the product of the other
+    conjugates of psi: Z[alpha] has no zero divisors.
+    """
+    modulus = ring.modulus
+    quotient = [0] * ring.degree
+    value = 0
+    for j in range(ring.degree, 0, -1):
+        value = value * r + modulus[j]
+        quotient[j - 1] = -value
+    return ring.element([-r, 1]), ring.element(quotient), value * r + modulus[0]
+
+
 def find_uniformizer(phi: JacobiMap) -> KummerPrime:
     """Construct a certified uniformizer of the map's ideal prime; no search.
 
     With e = (lam - 1) / f periods and u their residues under phi:
     - inert (e = 1): psi = q, the period ring being Z;
-    - ramified (q = lam), or u_0 occurring once in u: psi = eta_0 - u_0,
-      with u_0 taken in (-q/2, q/2];
+    - f = 1, the map sending alpha to r, taken in (-q/2, q/2] (the
+      ramified q = lam has r = 1): psi = alpha - r, and Psi and the norm
+      Phi_lam(r) come from one synthetic division (_linear_uniformizer);
+    - f > 1 and u_0 occurring once in u: psi = eta_0 - u_0, with u_0
+      taken in (-q/2, q/2];
     - otherwise psi = sum x_k eta_k with residues (0, 1, ..., 1) at the e
       conjugate primes of q in the period field, whose u-vectors are the
       rotations of u.  x comes from one kernel_mod call: the circulant of
       u is invertible mod q because q splits completely in the period field.
-    If q^2 divides the norm, psi + q is taken instead (q is unramified
-    there, so psi + q lies in the prime exactly once).  The result must
-    pass the certificate: phi kills psi and q divides psi * Psi exactly once.
+    At f > 1, Psi and the norm psi * Psi come from one walk up the period
+    system's subgroup tower.  If q^2 divides the norm, psi + q is taken
+    instead (q is unramified there, so psi + q lies in the prime exactly
+    once; at f = 1 that is alpha - (r - q)).  The result must pass the
+    certificate: phi kills psi and q divides psi * Psi exactly once.
     """
     q, lam = phi.p, phi.ring.n
     system = gaussian_periods(lam, (lam - 1) // phi.f)
@@ -112,19 +136,26 @@ def find_uniformizer(phi: JacobiMap) -> KummerPrime:
     e = system.e
     if e == 1:
         return KummerPrime(phi, system, ring.element(q), ring.one(), q)
-    u = phi.period_residues(system)
-    if q == lam or u.count(u[0]) == 1:
-        psi = system.periods[0] - (u[0] - q if 2 * u[0] > q else u[0])
+    if phi.f == 1:
+        (r,) = phi.xi
+        r = r - q if 2 * r > q else r
+        psi, big_psi, nval = _linear_uniformizer(ring, r)
+        if nval % (q * q) == 0:
+            psi, big_psi, nval = _linear_uniformizer(ring, r - q)
     else:
-        # y = (1, x) with y N = 0 mod q: row 0 puts -1 = q - 1 in every
-        # column but the first, row k + 1 is x_k's residue at each prime.
-        rows = [[0] + [q - 1] * (e - 1)]
-        rows += [[u[(k + l) % e] for l in range(e)] for k in range(e)]
-        psi = system.combine(0, kernel_mod(rows, q).rows[0][1:])
-    nval, big_psi = _norm_and_cofactor(psi, system.norm_schedule)
-    if nval % (q * q) == 0:
-        psi = psi + q
+        u = phi.period_residues(system)
+        if u.count(u[0]) == 1:
+            psi = system.periods[0] - (u[0] - q if 2 * u[0] > q else u[0])
+        else:
+            # y = (1, x) with y N = 0 mod q: row 0 puts -1 = q - 1 in every
+            # column but the first, row k + 1 is x_k's residue at each prime.
+            rows = [[0] + [q - 1] * (e - 1)]
+            rows += [[u[(k + l) % e] for l in range(e)] for k in range(e)]
+            psi = system.combine(0, kernel_mod(rows, q).rows[0][1:])
         nval, big_psi = _norm_and_cofactor(psi, system.norm_schedule)
+        if nval % (q * q) == 0:
+            psi = psi + q
+            nval, big_psi = _norm_and_cofactor(psi, system.norm_schedule)
     K = KummerPrime(phi, system, psi, big_psi, nval)
     if not (phi.kills(psi) and K.certificate()["divisible_once"]):
         raise ArithmeticError(

@@ -3,10 +3,42 @@
 Nothing in the package uses them, so they live with the tests.
 """
 
-from kummerlab.cyclotomic import conjugate
+from kummerlab.cyclotomic import conjugate, gaussian_periods
 from kummerlab.lattice import IntLattice, _mul_matrix, _preimage
 from kummerlab.polyint import degree, trim
 from kummerlab.polymod import gf_mod, gf_mul
+from kummerlab.valuation import _norm_and_cofactor
+
+
+def counts_reference(chi, i: int, k: int) -> list[int]:
+    """N_e = #{t in 2 .. p-1 : i ind t + k ind(1-t) = e mod lam}, one step
+    per t over the discrete-log table: the reference for charsum._counts,
+    which forms every i ind t + k ind(1-t) in one packed multiply-add."""
+    lam, p, index = chi.lam, chi.p, chi.index
+    counts = [0] * lam
+    # 1 - t = p + 1 - t mod p: as t runs up from 2, 1 - t runs down from p - 1
+    for a, b in zip(index[2:p], index[p - 1 : 1 : -1]):
+        counts[(i * a + k * b) % lam] += 1
+    return counts
+
+
+def uniformizer_by_tower(phi):
+    """psi, Psi and the period norm psi * Psi of a map of residue degree 1,
+    Psi and the norm taken up the period system's subgroup tower: the
+    reference for the synthetic division of valuation.find_uniformizer.
+
+    psi = eta_0 - u_0 with u_0 in (-q/2, q/2], and psi + q when q^2 divides
+    the norm.
+    """
+    q = phi.p
+    system = gaussian_periods(phi.ring.n, phi.ring.degree)
+    u0 = phi.period_residues(system)[0]
+    psi = system.periods[0] - (u0 - q if 2 * u0 > q else u0)
+    nval, big_psi = _norm_and_cofactor(psi, system.norm_schedule)
+    if nval % (q * q) == 0:
+        psi = psi + q
+        nval, big_psi = _norm_and_cofactor(psi, system.norm_schedule)
+    return psi, big_psi, nval
 
 
 def divmod_exact(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:

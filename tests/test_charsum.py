@@ -30,6 +30,7 @@ from kummerlab.cyclotomic import (
 )
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
+from reference import counts_reference
 
 
 def jacobi_sum_positive(chi: Character, i: int, k: int) -> CyclotomicElement:
@@ -71,7 +72,20 @@ def test_characters_of_one_prime_share_one_log_table():
         orders = [d for d in range(2, p) if (p - 1) % d == 0]
         chis = [character(p, lam) for lam in orders]
         assert all(chi.index is chis[0].index for chi in chis)
+        assert all(chi.packed_logs is chis[0].packed_logs for chi in chis)
         assert {chi.g for chi in chis} == {chis[0].g}
+
+
+def test_counts_take_the_wide_word_past_two_to_the_32():
+    # 46349 is the least prime with 2 (p - 2)^2 >= 2^32: the packed logs
+    # take 64-bit words there and 32-bit words at the prime before it
+    assert 2 * (46337 - 2) ** 2 < 2**32 <= 2 * (46349 - 2) ** 2
+    assert character(46337, 4).packed_logs[0] == "I"
+    p = 46349
+    for lam, i, k in ((4, 1, 1), (4, 3, -1), (p - 1, p - 2, p - 2), (p - 1, -1, 2)):
+        chi = character(p, lam)
+        assert chi.packed_logs[0] == "Q"
+        assert _counts(chi, i, k) == counts_reference(chi, i, k), (lam, i, k)
 
 
 def test_jacobi_sum_is_integral_and_signed():

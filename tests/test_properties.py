@@ -1,8 +1,9 @@
 """Properties on generated inputs: ring axioms, the norm and the reduction
 mod Phi_n at prime and composite conductors, integer polynomial products,
-power rows of a root, Kummer multiplicities (additive, and equal to the literal level test), the
-p-adic valuation oracle, the colon test of a map at a fraction and the
-expression round trip.
+power rows of a root, the Jacobi-sum counts, Kummer's uniformizer at
+residue degree 1, Kummer multiplicities (additive, and equal to the literal
+level test), the p-adic valuation oracle, the colon test of a map at a
+fraction and the expression round trip.
 
 Examples are derandomized, so every run draws the same inputs.
 """
@@ -10,10 +11,11 @@ Examples are derandomized, so every run draws the same inputs.
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kummerlab.arith import primes_below, valuation_int
+from kummerlab.charsum import _counts, character
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element, render_element
 from kummerlab.ffield import power_rows
@@ -23,15 +25,18 @@ from kummerlab.polyint import autocorrelation, mul, trim
 from kummerlab.quadorder import QuadOrder, enumerate_quad_maps
 from kummerlab.valuation import (
     divisibility_step,
+    find_uniformizer,
     kummer_prime,
     multiplicity,
     valuation_oracle,
 )
 from reference import (
     colon_extends_to,
+    counts_reference,
     divmod_exact,
     power_rows_reference,
     reduce_from_top,
+    uniformizer_by_tower,
 )
 
 LAMBDAS = [3, 5, 7]
@@ -134,6 +139,53 @@ def test_autocorrelation_is_a_double_loop(h):
     assert autocorrelation(h) == [
         sum(h[e] * h[(e - s) % n] for e in range(n)) for s in range(n)
     ]
+
+
+# every order lam | p - 1 of a character mod p < 500
+CHARACTER_ORDERS = [
+    (p, lam)
+    for p in primes_below(500)[1:]
+    for lam in range(2, p)
+    if (p - 1) % lam == 0
+]
+
+
+def _with_indices(order):
+    # i and k in [-3 lam, 3 lam]: negative, reduced and at least lam
+    indices = st.integers(-3 * order[1], 3 * order[1])
+    return st.tuples(st.just(order), indices, indices)
+
+
+@GENERATED
+@given(st.sampled_from(CHARACTER_ORDERS).flatmap(_with_indices))
+@example(((101, 5), -15, 7))  # prime order
+@example(((257, 64), 130, -1))  # prime power
+@example(((421, 60), 59, 180))  # composite
+@example(((499, 498), 497, -1494))  # lam = p - 1
+def test_counts_match_the_reference(case):
+    order, i, k = case
+    chi = character(*order)
+    assert _counts(chi, i, k) == counts_reference(chi, i, k)
+
+
+# small prime conductors with the primes of residue degree 1 above them:
+# lam itself and p = 1 mod lam below 400
+DEGREE_ONE = [
+    (lam, p)
+    for lam in (3, 5, 7, 11, 13, 17, 19)
+    for p in primes_below(400)
+    if p % lam in (0, 1)
+]
+
+
+@GENERATED
+@given(st.sampled_from(DEGREE_ONE))
+@example((5, 11))  # the map xi = 3 needs psi + q
+def test_degree_one_uniformizer_matches_the_tower(case):
+    for phi in enumerate_jacobi_maps(*case):
+        assert phi.f == 1
+        K = find_uniformizer(phi)
+        assert (K.psi, K.psi_conjugates, K.period_norm) == uniformizer_by_tower(phi)
 
 
 @GENERATED

@@ -28,7 +28,7 @@ from kummerlab.valuation import (
     multiplicity,
     valuation_oracle,
 )
-from reference import quotient_by_conjugates, standard_lattice
+from reference import quotient_by_conjugates, standard_lattice, uniformizer_by_tower
 
 RNG_SEED = 52361
 
@@ -124,10 +124,29 @@ def test_uniformizer_psi_conjugate_product_definition():
     assert {(23, 11), (41, 8), (41, 20), (23, 1), (41, 1)} <= degrees
 
 
+def test_degree_one_uniformizer_is_the_synthetic_division():
+    # psi = alpha - r, Psi = -Q(alpha) and the norm Phi(r) at f = 1 equal
+    # the period system's tower on every map; 5 and 11 take psi + q
+    for lam, p in ((23, 47), (41, 83), (5, 11), (5, 5)):
+        for phi in enumerate_jacobi_maps(lam, p):
+            K = find_uniformizer(phi)
+            psi, big_psi, nval = uniformizer_by_tower(phi)
+            assert (K.psi, K.psi_conjugates, K.period_norm) == (psi, big_psi, nval)
+    # the map xi = 3 of 11 at lambda 5: Phi_5(3) = 121, so r = 3 - 11
+    r = -8
+    K = find_uniformizer(map_for_root(enumerate_jacobi_maps(5, 11), 3))
+    assert K.psi.coeffs == (-r, 1, 0, 0)
+    assert K.period_norm == (r**5 - 1) // (r - 1) == 11 * 331
+    assert K.psi_conjugates.coeffs == (
+        -(r**3 + r**2 + r + 1), -(r**2 + r + 1), -(r + 1), -1
+    )
+
+
 def test_tower_multiply_counts(monkeypatch):
-    # norm keeps sum (r_i - 1) products; find_uniformizer takes Psi and the
-    # period norm from one walk up the tower, at most 2 * sum r_i products
-    # with the psi + q retry
+    # norm keeps sum (r_i - 1) products.  find_uniformizer takes Psi and the
+    # period norm from one synthetic division at f = 1, no ring product,
+    # and at f > 1 from one walk up the period tower, at most 2 * sum r_i
+    # products with the psi + q retry
     ring = cyclotomic_ring(41)
     steps = ring.norm_schedule
     phi = enumerate_jacobi_maps(41, 83)[0]
@@ -145,7 +164,13 @@ def test_tower_multiply_counts(monkeypatch):
     assert count == sum(r - 1 for _, r in steps) == 7
     count = 0
     find_uniformizer(phi)
-    assert 0 < count <= 2 * sum(r for _, r in steps) == 22
+    assert count == 0
+    phi = enumerate_jacobi_maps(41, 3)[0]
+    assert phi.f == 8
+    steps = gaussian_periods(41, 5).norm_schedule
+    count = 0
+    find_uniformizer(phi)
+    assert 0 < count <= 2 * sum(r for _, r in steps) == 10
 
 
 def test_maps_above_one_prime_share_one_period_system(monkeypatch):
