@@ -115,26 +115,39 @@ def reflection_identity(chi: Character, i: int, k: int) -> dict:
     """Verify J(chi^i, chi^k) * sigma_{-1}(J(chi^i, chi^k)) == p exactly.
 
     J = -sum_e N_e alpha^e for the counts N of _counts, so J times its
-    conjugate is sum_s c_s alpha^s with c the cyclic autocorrelation of N:
-    the product is formed in Z[X]/(X^lam - 1) and reduced once.
+    conjugate is sum_s c_s alpha^s with c the cyclic autocorrelation of N.
+    Lemma: c_s depends on s only through gcd(s, lam), so the ring's
+    invariant_residue reads the product off c with no reduction.  Proof:
+    at every lam-th root of unity z, c(z) = |N(z)|^2 is p, 1 or (p - 2)^2,
+    rational and so fixed by every sigma_u; it depends on z only through
+    its order, and c_s = (1/lam) sum_z c(z) z^-s only through gcd(s, lam).
+    c is reduced only when the check fails, as for counts that are not a
+    Jacobi sum's.  Only the counts are reduced for J: psi = N mod Phi_lam
+    and J = -psi.
     """
     lam = chi.lam
     if i % lam == 0 or k % lam == 0 or (i + k) % lam == 0:
         raise ValueError(
             f"degenerate index: i, k, i+k must all be nonzero mod {lam}"
         )
+    ring = chi.ring
     counts = _counts(chi, i, k)
-    j = chi.ring.element([-c for c in counts])
-    prod = chi.ring.element(polyint.autocorrelation(counts))
+    psi = list(ring._reduce(counts))
+    c = polyint.autocorrelation(counts)
+    value = ring.invariant_residue(c)
+    if value is None:
+        product = list(ring._reduce(c))
+    else:
+        product = [value] + [0] * (ring.degree - 1)
     return {
         "p": chi.p,
         "order": lam,
         "i": i,
         "k": k,
-        "J": list(j.coeffs),
-        "psi": [-c for c in j.coeffs],
-        "product": list(prod.coeffs),
-        "holds": prod.is_rational() and prod.coeffs[0] == chi.p,
+        "J": [-x for x in psi],
+        "psi": psi,
+        "product": product,
+        "holds": product[0] == chi.p and not any(product[1:]),
     }
 
 
@@ -232,11 +245,11 @@ def fundamental_congruence_check(p: int, i: int, k: int) -> dict:
         raise ValueError("indices must lie strictly between 0 and p-1")
     if i + k == p - 1:
         raise ValueError("excluded index: i + k = p - 1")
-    chi = Character(p, p - 1)
+    chi = character(p, p - 1)
     psi = jacobi_sum(chi, i, k)
     value = 0
-    for e, c in enumerate(psi.coeffs):
-        value = (value + c * pow(chi.g, e, p)) % p
+    for c in reversed(psi.coeffs):
+        value = (value * chi.g + c) % p
     if i + k < p - 1:
         expected = 0
     else:
@@ -261,7 +274,7 @@ def quartic_decomposition(p: int) -> dict:
     """
     if p % 4 != 1:
         raise ValueError(f"{p} must be 1 mod 4")
-    chi = Character(p, 4)
+    chi = character(p, 4)
     j = jacobi_sum(chi, 1, 1)
     a_raw, b_raw = j.coeffs
     if a_raw * a_raw + b_raw * b_raw != p:
@@ -333,7 +346,7 @@ def stickelberger_check(lam: int, p: int) -> dict:
         raise ValueError("order must be an odd prime")
     if p % lam != 1:
         raise ValueError(f"p = {p} must be 1 mod {lam}")
-    chi = Character(p, lam)
+    chi = character(p, lam)
     j = jacobi_sum(chi, 1, 1)
     maps = enumerate_jacobi_maps(lam, p)
     entries = []

@@ -258,6 +258,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "reproduce", parents=[common], help="run the full claim suite"
     )
     p_rep.add_argument("--filter", default=None, help="substring claim filter")
+    p_rep.add_argument(
+        "--trace",
+        default=None,
+        metavar="FILE",
+        help="write one JSON line per claim to FILE: claim, status, wall_s",
+    )
 
     return parser
 
@@ -571,7 +577,15 @@ def _cmd_quad(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     cfg = Config(enum_cap=args.enum_cap, trial_division_bound=args.trial_div)
-    out, code = reproduce_all(cfg, args.filter, args.json)
+    if args.trace is None:
+        out, code = reproduce_all(cfg, args.filter, args.json)
+    else:
+        try:
+            trace = open(args.trace, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write trace file: {exc}") from None
+        with trace:
+            out, code = reproduce_all(cfg, args.filter, args.json, trace)
     sys.stdout.write(out)
     return code
 

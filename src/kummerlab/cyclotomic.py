@@ -2,14 +2,16 @@
 
 For prime conductors this is the ring where ideal primes live; composite
 conductors (used by the character-sum layer) get ring arithmetic,
-conjugation and norms only.  Elements are immutable coefficient tuples
-of length phi(n), reduced mod Phi_n; equality is coefficient equality.
+conjugation, norms and the residue of vectors constant on gcd classes
+only.  Elements are immutable coefficient tuples of length phi(n),
+reduced mod Phi_n; equality is coefficient equality.
 The element class is shared with the quadratic orders, whose rings reduce
 mod their own modulus.
 """
 
+from array import array
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, prod
 
 from kummerlab import polyint
 from kummerlab.arith import factorize_int, is_prime, least_primitive_root
@@ -56,6 +58,40 @@ class CyclotomicRing:
         """The tower from {1} that norm walks, built on first use: most
         composite rings of the character-sum layer never take a norm."""
         return _norm_schedule(self.n)
+
+    @cached_property
+    def _gcd_classes(self) -> tuple[array, tuple[int, ...], tuple[int, ...]]:
+        """gcd(s, n) mod n for s = 0 .. n/2, each at most n/2, as compact
+        array words, and the d mod n over the d | n with n/d squarefree,
+        split by the sign of mu(n/d); built on first use."""
+        n = self.n
+        code = polyint.narrowest_word(n // 2)[1]
+        classes = array(code, [gcd(s, n) % n for s in range(n // 2 + 1)])
+        signed = ([], [])
+        primes = list(factorize_int(n))
+        for mask in range(1 << len(primes)):
+            chosen = [q for j, q in enumerate(primes) if mask >> j & 1]
+            signed[len(chosen) % 2].append(n // prod(chosen) % n)
+        return classes, tuple(signed[0]), tuple(signed[1])
+
+    def invariant_residue(self, c: list[int]) -> int | None:
+        """The residue mod Phi_n of c, a list of length n in Z[X]/(X^n - 1),
+        when c_s = c_(gcd(s, n) mod n) for every s; None when it is not.
+
+        Lemma: such a c is the rational integer sum over d | n of
+        mu(n/d) c_(d mod n) mod Phi_n (c_0 - c_1 at prime n).  Proof: the
+        alpha^s with gcd(s, n) = d are the primitive (n/d)-th roots of
+        unity, and those sum to mu(n/d).  gcd(n - s, n) = gcd(s, n), so
+        the condition holds exactly when c_s = c_(gcd(s, n) mod n) for
+        s <= n/2, one gather of c over the ring's cached table, and
+        c_(n - s) = c_s there, one slice comparison.
+        """
+        classes, plus, minus = self._gcd_classes
+        h = len(classes)
+        gathered = list(map(c.__getitem__, classes))
+        if gathered != c[:h] or c[1:h] != c[: self.n - h : -1]:
+            return None
+        return sum(map(c.__getitem__, plus)) - sum(map(c.__getitem__, minus))
 
     def element(self, coeffs) -> "CyclotomicElement":
         if isinstance(coeffs, int):

@@ -6,7 +6,9 @@ descriptive ids ("valuation/ramified-multiplicities"), run in sorted order,
 and the rendered output is byte-identical across runs.
 """
 
+import json
 import random
+import time
 from dataclasses import dataclass
 
 from kummerlab import charsum, monoid, quadorder
@@ -655,7 +657,9 @@ def _run_one(name: str, fn, cfg: Config) -> dict:
         }
 
 
-def run_claims(cfg: Config, name_filter: str | None = None) -> list[dict]:
+def run_claims(cfg: Config, name_filter: str | None = None, trace=None) -> list[dict]:
+    """Run the selected claims in sorted order; with a text file trace,
+    write one JSON line per claim to it: claim, status and wall_s."""
     selected = sorted(
         (
             (name, fn)
@@ -664,17 +668,28 @@ def run_claims(cfg: Config, name_filter: str | None = None) -> list[dict]:
         ),
         key=lambda pair: pair[0],
     )
-    return [_run_one(n, f, cfg) for n, f in selected]
+    results = []
+    for name, fn in selected:
+        t0 = time.perf_counter()
+        result = _run_one(name, fn, cfg)
+        if trace is not None:
+            wall = time.perf_counter() - t0
+            line = {"claim": name, "status": result["status"], "wall_s": wall}
+            trace.write(json.dumps(line) + "\n")
+        results.append(result)
+    return results
 
 
 def reproduce_all(
     cfg: Config | None = None,
     name_filter: str | None = None,
     json_mode: bool = False,
+    trace=None,
 ) -> tuple[str, int]:
-    """Run the suite; returns (rendered output, exit code)."""
+    """Run the suite; returns (rendered output, exit code).  trace is
+    passed on to run_claims and never touches the output."""
     cfg = cfg or Config()
-    results = run_claims(cfg, name_filter)
+    results = run_claims(cfg, name_filter, trace)
     failures = [r for r in results if r["status"] != "pass"]
     if json_mode:
         out = render_json("reproduce", {"claims": results})

@@ -22,6 +22,20 @@ def counts_reference(chi, i: int, k: int) -> list[int]:
     return counts
 
 
+def reflection_reference(chi, j) -> dict:
+    """The reflection report with both J and the product reduced in the
+    ring: the product is J times its conjugate, taken there.  The
+    reference for charsum.reflection_identity, which reduces only the
+    counts and reads the product off the autocorrelation's gcd classes."""
+    prod = j * conjugate(j, -1)
+    return {
+        "J": list(j.coeffs),
+        "psi": list((-j).coeffs),
+        "product": list(prod.coeffs),
+        "holds": prod == chi.ring.element(chi.p),
+    }
+
+
 def uniformizer_by_tower(phi):
     """psi, Psi and the period norm psi * Psi of a map of residue degree 1,
     Psi and the norm taken up the period system's subgroup tower: the

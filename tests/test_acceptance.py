@@ -9,6 +9,7 @@ with the golden sha256 and inside the runtime budget.
 import ast
 import hashlib
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import kummerlab
+from kummerlab.cli import main
 from kummerlab.reproduce import _CLAIMS, Config
 
 CFG = Config()
@@ -90,6 +92,26 @@ def test_acceptance_criterion_12_determinism():
         f"ACCEPTANCE 12 determinism: PASS "
         f"{{'bytes': {len(first)}, 'runs': [{t_first:.1f}s, {t_second:.1f}s]}}"
     )
+
+
+def test_reproduce_trace_leaves_stdout_alone(tmp_path, capsys):
+    # the trace is a side channel: stdout keeps the golden bytes, and the
+    # file holds one line per claim, in the order the claims ran
+    trace = tmp_path / "trace.jsonl"
+    assert main(["reproduce", "--json", "--trace", str(trace)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_SHA256
+    lines = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [line["claim"] for line in lines] == sorted(CLAIMS)
+    assert len(lines) == 36
+    for line in lines:
+        assert list(line) == ["claim", "status", "wall_s"]
+        assert line["status"] == "pass" and line["wall_s"] >= 0
+
+
+def test_reproduce_trace_needs_a_writable_file(tmp_path, capsys):
+    assert main(["reproduce", "--trace", str(tmp_path / "none" / "t.jsonl")]) == 2
+    assert "cannot write trace file" in capsys.readouterr().err
 
 
 def test_benchmark_tracer_modules_import():

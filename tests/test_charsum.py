@@ -30,7 +30,7 @@ from kummerlab.cyclotomic import (
 )
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
-from reference import counts_reference
+from reference import counts_reference, reflection_reference
 
 
 def jacobi_sum_positive(chi: Character, i: int, k: int) -> CyclotomicElement:
@@ -139,17 +139,6 @@ REFLECTION_ORDERS = [
 REFLECTION_PRIMES = primes_below(500)
 
 
-def _reference_reflection(chi, j):
-    """The report built as before: J times its conjugate, in the ring."""
-    prod = j * conjugate(j, -1)
-    return {
-        "J": list(j.coeffs),
-        "psi": list((-j).coeffs),
-        "product": list(prod.coeffs),
-        "holds": prod == chi.ring.element(chi.p),
-    }
-
-
 @pytest.mark.parametrize("lam", REFLECTION_ORDERS)
 @settings(derandomize=True, database=None, deadline=None, max_examples=6)
 @given(data=st.data())
@@ -160,7 +149,7 @@ def test_reflection_identity_matches_the_ring_product(lam, data):
     chi = character(p, lam)
     rep = reflection_identity(chi, i, k)
     expected = {"p": p, "order": lam, "i": i, "k": k}
-    expected.update(_reference_reflection(chi, jacobi_sum(chi, i, k)))
+    expected.update(reflection_reference(chi, jacobi_sum(chi, i, k)))
     assert rep == expected
     assert list(rep) == ["p", "order", "i", "k", "J", "psi", "product", "holds"]
     assert rep["holds"]
@@ -182,9 +171,12 @@ def test_reflection_identity_sees_tampered_counts(monkeypatch, p, lam, i, k):
     monkeypatch.setattr(charsum, "_counts", tampered)
     chi = character(p, lam)
     rep = reflection_identity(chi, i, k)
-    j = chi.ring.element([-c for c in tampered(chi, i, k)])
+    counts = tampered(chi, i, k)
+    j = chi.ring.element([-c for c in counts])
+    # the tampered autocorrelation has no gcd-class form, so it is reduced
+    assert chi.ring.invariant_residue(polyint.autocorrelation(counts)) is None
     assert rep["J"] == list(j.coeffs)
-    assert rep["product"] == _reference_reflection(chi, j)["product"]
+    assert rep["product"] == reflection_reference(chi, j)["product"]
     assert rep["holds"] is False
 
 
@@ -196,7 +188,7 @@ def test_reflection_identity_needs_a_rational_product(monkeypatch):
     assert rep["product"][:2] == [13, 1] and rep["holds"] is False
 
 
-def test_reflection_identity_reduces_twice_and_multiplies_nothing(monkeypatch):
+def test_reflection_identity_reduces_once_and_multiplies_nothing(monkeypatch):
     def forbidden(*args):
         raise AssertionError("ring product or conjugate taken")
 
@@ -216,7 +208,8 @@ def test_reflection_identity_reduces_twice_and_multiplies_nothing(monkeypatch):
         chi = character(p, lam)
         reductions.clear()
         assert reflection_identity(chi, i, k)["holds"]
-        assert reductions == [lam, lam]
+        # the counts alone: the product is read off its gcd classes
+        assert reductions == [lam]
 
 
 def test_galois_equivariance():

@@ -1,5 +1,6 @@
 """Properties on generated inputs: ring axioms, the norm and the reduction
-mod Phi_n at prime and composite conductors, integer polynomial products,
+mod Phi_n at prime and composite conductors (and its Moebius-sum form for
+vectors constant on gcd classes), integer polynomial products,
 power rows of a root, the Jacobi-sum counts, Kummer's uniformizer at
 residue degree 1, Kummer multiplicities (additive, and equal to the literal
 level test), the p-adic valuation oracle, the colon test of a map at a
@@ -8,7 +9,7 @@ fraction and the expression round trip.
 Examples are derandomized, so every run draws the same inputs.
 """
 
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -101,6 +102,37 @@ def test_reduce_matches_the_single_step_reference(n, data):
     assert residue == reduce_from_top(ring, coeffs)
     _, r = divmod_exact(trim(list(coeffs)), list(ring.modulus))
     assert residue == tuple(r + [0] * (ring.degree - len(r)))
+
+
+# a prime, prime powers, 2^2 and 3^2 times other primes, and products of
+# two to four distinct primes; 1 and 2 have only one-member gcd classes,
+# and 1155 takes 16-bit table words
+INVARIANT_CONDUCTORS = [1, 2, 3, 4, 9, 12, 30, 36, 50, 105, 210, 221, 330, 420, 1155]
+
+
+@pytest.mark.parametrize("n", INVARIANT_CONDUCTORS)
+@GENERATED
+@given(data=st.data())
+def test_invariant_residue_is_the_reduction(n, data):
+    ring = cyclotomic_ring(n)
+    spread = data.draw(st.sampled_from([1, 50, 10**30]))
+    rng = data.draw(st.randoms(use_true_random=False))
+    by_class = {d: rng.randint(-spread, spread) for d in range(1, n + 1) if n % d == 0}
+    c = [by_class[gcd(s, n)] for s in range(n)]
+    value = ring.invariant_residue(c)
+    assert value is not None
+    assert ring._reduce(c) == (value,) + (0,) * (ring.degree - 1)
+    # one member of a class with two or more members moved off its class,
+    # and, where the class has a third member, its mirror n - s with it
+    shared = [s for s in range(n) if n // gcd(s, n) > 2]
+    assert bool(shared) == (n > 2)
+    if shared:
+        s = data.draw(st.sampled_from(shared))
+        delta = data.draw(st.sampled_from([-1, 1, spread, -(10**30)]))
+        c[s] += delta
+        if data.draw(st.booleans()) and n // gcd(s, n) not in (3, 4, 6):
+            c[n - s] += delta
+        assert ring.invariant_residue(c) is None
 
 
 def _value(f, x):
