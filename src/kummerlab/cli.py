@@ -136,12 +136,13 @@ def _common_options(keep_earlier: bool = False) -> argparse.ArgumentParser:
         type=int,
         default=default(10000),
         metavar="N",
-        help="cap for exhaustive monoid enumerations, for the conductor "
-        "order * p of gauss-sum, for the p - 1 discrete-log entries of "
-        "jacobi-sum, quartic, stickelberger and fc-check, for the p - 1 "
-        "of binomial, for the (p - 2)^2 index pairs of fc-check --all, and "
-        "for the (lambda - 1)^2 kernel-basis entries of maps, factor, "
-        "valuation, divides and stickelberger (default 10000)",
+        help="cap for exhaustive monoid enumerations, the |H|^2 closure "
+        "products of a monoid subgroup H, the 2m scales of monoid defined-at, "
+        "the conductor order * p of gauss-sum, the p - 1 discrete-log entries "
+        "of jacobi-sum, quartic, stickelberger and fc-check, the p - 1 of "
+        "binomial, the (p - 2)^2 index pairs of fc-check --all, and the "
+        "(lambda - 1)^2 kernel-basis entries of maps, factor, valuation, "
+        "divides and stickelberger (default 10000)",
     )
     common.add_argument(
         "--trial-div",
@@ -254,9 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
     quad_gl = quad_sub.add_parser("gauss-lemma", parents=[action_common])
     quad_gl.add_argument("poly", help="c1,c0 for T^2 + c1 T + c0")
 
-    p_rep = sub.add_parser(
-        "reproduce", parents=[common], help="run the full claim suite"
-    )
+    p_rep = sub.add_parser("reproduce", help="run the full claim suite")
+    p_rep.add_argument("--json", action="store_true", help="emit JSON reports")
     p_rep.add_argument("--filter", default=None, help="substring claim filter")
     p_rep.add_argument(
         "--trace",
@@ -474,7 +474,19 @@ def _cmd_monoid(args) -> int:
     if args.action == "demo-singular":
         rep = monoid.singular_monoid_report()
         return _emit(args, "monoid", rep, failed=not rep["holds"])
-    M = monoid.HilbertMonoid(args.m, _int_list("--subgroup", args.subgroup))
+    residues = _int_list("--subgroup", args.subgroup)
+    h = len({r % args.m for r in residues}) if args.m > 1 else 0
+    if h * h > args.enum_cap:
+        raise UsageError(
+            f"{h} subgroup residues need {h * h} closure products, "
+            f"over --enum-cap {args.enum_cap}"
+        )
+    if args.action == "defined-at" and 2 * args.m > args.enum_cap:
+        raise UsageError(
+            f"defined-at scans 2m = {2 * args.m} scales, "
+            f"over --enum-cap {args.enum_cap}"
+        )
+    M = monoid.HilbertMonoid(args.m, residues)
     if args.action == "factor":
         if args.a > args.enum_cap:
             raise UsageError(
@@ -576,16 +588,15 @@ def _cmd_quad(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    cfg = Config(enum_cap=args.enum_cap, trial_division_bound=args.trial_div)
     if args.trace is None:
-        out, code = reproduce_all(cfg, args.filter, args.json)
+        out, code = reproduce_all(Config(), args.filter, args.json)
     else:
         try:
             trace = open(args.trace, "w", encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"cannot write trace file: {exc}") from None
         with trace:
-            out, code = reproduce_all(cfg, args.filter, args.json, trace)
+            out, code = reproduce_all(Config(), args.filter, args.json, trace)
     sys.stdout.write(out)
     return code
 

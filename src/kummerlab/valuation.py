@@ -13,8 +13,7 @@ and one coefficient at a time: it carries the exact quotient
 w = x * Psi^mu / q^mu, so level mu + 1 only asks whether q divides each
 coefficient of w * Psi, a dot product of w with one column of Psi's
 multiplication matrix, and it stops at the first coefficient that q does
-not divide.  divisibility_step keeps the literal test, the element
-product x * Psi^mu against q^mu, and the tests compare the two.
+not divide.  The tests compare it with the literal test of x * Psi^mu.
 
 An independent oracle computes the same number as the largest mu with
 x in (ker phi)^mu, by exact p-adic arithmetic and no uniformizer at all.
@@ -170,11 +169,6 @@ def kummer_prime(phi: JacobiMap) -> KummerPrime:
     return find_uniformizer(phi)
 
 
-def divisibility_step(x: CyclotomicElement, K: KummerPrime, mu: int) -> bool:
-    """Kummer's test at level mu: q^mu divides every coefficient of x*Psi^mu."""
-    return (x * K.psi_conjugates**mu).content_divisible_by(K.q**mu)
-
-
 def _norm_cap(x: CyclotomicElement, q: int) -> int:
     """An upper bound degree * v_q(norm(x)) + 1 on x's valuation above q.
 
@@ -191,7 +185,7 @@ def multiplicity(x: CyclotomicElement, K: KummerPrime) -> int:
     It keeps w = x * Psi^mu / q^mu, which lies in Z[alpha] while the test
     holds.  Since x * Psi^(mu+1) = q^mu * (w * Psi), level mu + 1 holds iff
     q divides every coefficient of w * Psi, so the result is the same as
-    divisibility_step's.  Each step takes coefficient l of w * Psi as the
+    the literal test's.  Each step takes coefficient l of w * Psi as the
     dot product of w with column l of Psi's multiplication matrix, divides
     it by q, and returns mu at the first coefficient q does not divide; w
     becomes the exact quotients only when all of them divide.
@@ -289,7 +283,6 @@ def is_defined_at(numerator, denominator, phi: JacobiMap) -> bool:
 @dataclass(frozen=True)
 class ValuationRecord:
     map: JacobiMap
-    element: CyclotomicElement
     mu: int
 
 
@@ -325,7 +318,7 @@ def factorize(
         for phi in enumerate_jacobi_maps(x.ring.n, p):
             mu = valuation_oracle(x, phi)
             total += phi.f * mu
-            records.append(ValuationRecord(phi, x, mu))
+            records.append(ValuationRecord(phi, mu))
         if total != valuation_int(nval, p):
             raise ArithmeticError(
                 f"norm consistency failed at p={p}: sum f*mu = {total}, "
@@ -334,7 +327,7 @@ def factorize(
     return IdealFactorization(x, nval, tuple(records))
 
 
-def _quotient_and_norm(
+def quotient_and_norm(
     d: CyclotomicElement, x: CyclotomicElement
 ) -> tuple[CyclotomicElement | None, int]:
     """x / d (None when it is not in Z[alpha]) and norm(d).
@@ -357,7 +350,7 @@ def exact_quotient(
     d: CyclotomicElement, x: CyclotomicElement
 ) -> CyclotomicElement | None:
     """x / d when the quotient lies in Z[alpha], else None."""
-    return _quotient_and_norm(d, x)[0]
+    return quotient_and_norm(d, x)[0]
 
 
 def divides(
@@ -370,7 +363,7 @@ def divides(
     Route one is exact division; route two compares valuations at every map
     over every prime dividing norm(d).
     """
-    quotient, norm_d = _quotient_and_norm(d, x)
+    quotient, norm_d = quotient_and_norm(d, x)
     by_division = quotient is not None
     if x.is_zero():
         return True

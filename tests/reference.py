@@ -55,6 +55,13 @@ def uniformizer_by_tower(phi):
     return psi, big_psi, nval
 
 
+def divisibility_step(x, K, mu: int) -> bool:
+    """Kummer's test at level mu, literally: q^mu divides every coefficient
+    of the element product x * Psi^mu.  The reference for
+    valuation.multiplicity, which divides by q one coefficient at a time."""
+    return (x * K.psi_conjugates**mu).content_divisible_by(K.q**mu)
+
+
 def divmod_exact(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     """Polynomial division by a monic g over the integers.
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import kummerlab
+from kummerlab import reproduce
 from kummerlab.cli import main
 from kummerlab.reproduce import _CLAIMS, Config
 
@@ -52,6 +53,19 @@ def test_acceptance_criterion(number, name, claim_id):
         print(f"ACCEPTANCE {number:02d} {name}: FAIL")
         raise
     print(f"ACCEPTANCE {number:02d} {name}: PASS {detail}")
+
+
+def test_completeness_checks_division_against_the_colon_lattice_only(monkeypatch):
+    # claim 08 has two routes, exact division and the colon lattice; the
+    # valuation route of divides is the valuation/divides claim's
+    def refuse(*args, **kwargs):
+        raise AssertionError("claim 08 called divides")
+
+    monkeypatch.setattr(reproduce, "divides", refuse)
+    assert CLAIMS["acceptance/08-completeness"](CFG) == {
+        "pairs": 200,
+        "divisible": 112,
+    }
 
 
 def _reproduce_in_fresh_process(hash_seed: str) -> tuple[bytes, float]:

@@ -540,6 +540,58 @@ def test_cli_reproduce_filtered(capsys):
     assert "1/1 claims passed" in out
 
 
+def test_cli_reproduce_filter_matching_nothing_exits_2(capsys):
+    # a typo in the filter must not report success after checking nothing
+    assert main(["reproduce", "--filter", "nosuchclaim"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--filter 'nosuchclaim' matches no claim" in captured.err
+
+
+@pytest.mark.parametrize("option", ["--enum-cap", "--trial-div"])
+def test_cli_reproduce_takes_no_limits(option):
+    # the suite is one fixed configuration: a limit could only move its
+    # output away from the golden report
+    with pytest.raises(SystemExit) as err:
+        main(["reproduce", option, "5"])
+    assert err.value.code == 2
+
+
+def test_cli_monoid_defined_at_refuses_a_large_modulus(capsys):
+    # defined-at scans up to 2m scales; at m = 10^7 with g = m - 1 the
+    # fraction has no witness, so the scan would run the whole 2m
+    m = 10**7
+    g = m - 1
+    a0 = pow(g, -1, m)
+    argv = ["monoid", "--m", str(m), "--subgroup", "1", "defined-at", "3"]
+    start = time.perf_counter()
+    assert main(argv + [str(g * a0), str(g * (a0 + m))]) == 2
+    assert time.perf_counter() - start < 1.0
+    message = "defined-at scans 2m = 20000000 scales, over --enum-cap 10000"
+    assert message in capsys.readouterr().err
+    # 2m equal to the cap still runs
+    argv = ["monoid", "--m", "4", "defined-at", "3", "9", "9261", "--enum-cap", "8"]
+    assert main(argv) == 0
+    assert main(argv[:-1] + ["7"]) == 2
+
+
+def test_cli_monoid_refuses_a_large_subgroup_before_its_closure_check(capsys):
+    # the closure check of H forms |H|^2 products; all of (Z/1009)^* is
+    # 1008 residues, over a million products
+    subgroup = ",".join(str(h) for h in range(1, 1009))
+    start = time.perf_counter()
+    assert main(["monoid", "--m", "1009", "--subgroup", subgroup, "classgroup"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "1008 subgroup residues need 1016064 closure products" in err
+    # residues are counted mod m: 1 and 16 are one residue mod 15
+    argv = ["monoid", "--m", "15", "--subgroup", "1,16,4", "factor", "4"]
+    assert main(argv + ["--enum-cap", "4"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--enum-cap", "3"]) == 2
+    assert "2 subgroup residues need 4 closure products" in capsys.readouterr().err
+
+
 def test_json_reports_never_contain_floats(capsys):
     for argv in (
         ["maps", "--lambda", "5", "--p", "19", "--periods", "2", "--json"],

@@ -25,7 +25,6 @@ from kummerlab.lattice import colon_rows, extends_to
 from kummerlab.polyint import autocorrelation, mul, trim
 from kummerlab.quadorder import QuadOrder, enumerate_quad_maps
 from kummerlab.valuation import (
-    divisibility_step,
     find_uniformizer,
     kummer_prime,
     multiplicity,
@@ -34,6 +33,7 @@ from kummerlab.valuation import (
 from reference import (
     colon_extends_to,
     counts_reference,
+    divisibility_step,
     divmod_exact,
     power_rows_reference,
     reduce_from_top,

@@ -19,7 +19,6 @@ from kummerlab.lattice import IntLattice
 from kummerlab.valuation import (
     KummerPrime,
     divides,
-    divisibility_step,
     exact_quotient,
     factorize,
     find_uniformizer,
@@ -28,7 +27,12 @@ from kummerlab.valuation import (
     multiplicity,
     valuation_oracle,
 )
-from reference import quotient_by_conjugates, standard_lattice, uniformizer_by_tower
+from reference import (
+    divisibility_step,
+    quotient_by_conjugates,
+    standard_lattice,
+    uniformizer_by_tower,
+)
 
 RNG_SEED = 52361
 
