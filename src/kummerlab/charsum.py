@@ -37,6 +37,7 @@ from kummerlab.cyclotomic import (
     norm,
 )
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
+from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
 
 
 class Character:
@@ -340,8 +341,6 @@ def stickelberger_check(lam: int, p: int) -> dict:
     the conjugate primes indexed by 0 < 2t < lam and 0 elsewhere; both the
     uniformizer multiplicity and the p-adic valuation oracle are consulted.
     """
-    from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
-
     if not is_prime(lam) or lam == 2:
         raise ValueError("order must be an odd prime")
     if p % lam != 1:

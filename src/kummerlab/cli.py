@@ -12,7 +12,7 @@ import sys
 from math import gcd
 
 from kummerlab import charsum, monoid, quadorder
-from kummerlab.arith import factorize_int, is_prime
+from kummerlab.arith import DEFAULT_TRIAL_DIVISION_BOUND, factorize_int, is_prime
 from kummerlab.cyclotomic import cyclotomic_ring, gaussian_periods
 from kummerlab.exprparse import (
     MAX_COEFFICIENT_DIGITS,
@@ -22,7 +22,7 @@ from kummerlab.exprparse import (
 )
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.reports import render_json, render_text
-from kummerlab.reproduce import Config, reproduce_all
+from kummerlab.reproduce import reproduce_all
 from kummerlab.valuation import (
     divides,
     factorize,
@@ -147,7 +147,7 @@ def _common_options(keep_earlier: bool = False) -> argparse.ArgumentParser:
     common.add_argument(
         "--trial-div",
         type=int,
-        default=default(10**6),
+        default=default(DEFAULT_TRIAL_DIVISION_BOUND),
         metavar="N",
         help="trial-division bound for norm factorizations (default 10^6)",
     )
@@ -421,6 +421,8 @@ def _cmd_fc_check(args) -> int:
     if args.all:
         if not is_prime(args.p):
             raise UsageError(f"{args.p} is not prime")
+        if args.p < 5:  # no pair 0 < i, k < p - 1 has i + k != p - 1
+            raise UsageError(f"fc-check --all needs p >= 5, got {args.p}")
         cases = (args.p - 2) ** 2
         if cases > args.enum_cap:
             raise UsageError(
@@ -589,14 +591,14 @@ def _cmd_quad(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     if args.trace is None:
-        out, code = reproduce_all(Config(), args.filter, args.json)
+        out, code = reproduce_all(args.filter, args.json)
     else:
         try:
             trace = open(args.trace, "w", encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"cannot write trace file: {exc}") from None
         with trace:
-            out, code = reproduce_all(Config(), args.filter, args.json, trace)
+            out, code = reproduce_all(args.filter, args.json, trace)
     sys.stdout.write(out)
     return code
 

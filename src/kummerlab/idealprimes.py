@@ -9,8 +9,9 @@ a root of P_j in it.  Maps with equal kernels are identified; each map
 carries a canonical root label, the smallest element of the Frobenius
 orbit of its root.  A map is stored as the F_p-coordinate rows of the
 powers of that root (ffield.power_rows): applying it is a row-vector
-product, and its kernel is kernel_mod of the rows.  For Z[alpha], lam an
-odd prime, the kernel is a maximal ideal -- an ideal prime of p.
+product, as is testing it on a colon row; its kernel is kernel_mod of the
+rows.  For Z[alpha], lam an odd prime, the kernel is a maximal ideal -- an
+ideal prime of p.
 
 Degree-1 maps are constructed as Jacobi did, without factoring: for
 p = 1 mod lam, z = a^((p-1)/lam) mod p with a >= 2 least such that z != 1
@@ -76,8 +77,19 @@ class JacobiMap:
     def kills(self, x) -> bool:
         return not any(self.apply(x))
 
+    def extends_to(self, colon) -> bool:
+        """Whether the map extends to the fraction whose lattice.colon_rows
+        these are: iff it kills not every row of the colon ideal."""
+        if any(len(g) != self.ring.degree for g in colon):
+            raise ValueError("dimension mismatch")
+        return any(any(image(g, self.rows, self.p)) for g in colon)
+
     def kernel(self) -> IntLattice:
-        return _kernel_lattice(self)
+        """The kernel {x : x . rows = 0 mod p} in HNF, built on each call."""
+        lattice = kernel_mod(self.rows, self.p)
+        if lattice.index() != self.p**self.f:
+            raise AssertionError("kernel index must be p^f")
+        return lattice
 
     def period_residues(self, system: PeriodSystem) -> tuple[int, ...]:
         """Images of the Gaussian periods; always in the prime field."""
@@ -114,14 +126,6 @@ class JacobiMap:
 
     def __repr__(self):
         return f"JacobiMap({self.ring!r}, p={self.p}, xi={self.label()})"
-
-
-@lru_cache(maxsize=1024)
-def _kernel_lattice(phi: JacobiMap) -> IntLattice:
-    lattice = kernel_mod(phi.rows, phi.p)
-    if lattice.index() != phi.p**phi.f:
-        raise AssertionError("kernel index must be p^f")
-    return lattice
 
 
 def check_conductor(lam: int) -> None:

@@ -9,9 +9,9 @@ is matrix equality.
 An order (a ring with a distinguished Z-basis e_0 .. e_(d-1)) enters
 through its own multiplication: ``order.mul_matrix(v)`` returns the rows
 v * e_i, so x -> x @ M is multiplication by v, and ``order.degree`` is
-its rank.  Ideal products and the extension test of a map to a fraction
-(the colon ideal's rows, solved once per fraction, against each kernel)
-ask nothing else of the ring.
+its rank.  Ideal products and the colon ideal's rows (solved once per
+fraction; each Jacobi map then tests them with its own power rows) ask
+nothing else of the ring.
 """
 
 from operator import mul
@@ -156,16 +156,6 @@ def colon_rows(num, den, order) -> list[list[int]]:
     if len(num) != dim or len(den) != dim:
         raise ValueError("dimension mismatch")
     return _preimage(order.mul_matrix(num), order.mul_matrix(den))
-
-
-def extends_to(kernel: IntLattice, rows) -> bool:
-    """Whether the map with this kernel extends to the fraction whose
-    colon_rows these are: iff the colon ideal is not inside the kernel.
-
-    Each row is tested against the kernel as it stands, with no canonical
-    form of its own.
-    """
-    return not all(g in kernel for g in rows)
 
 
 def _preimage(nmat, target_rows) -> list[list[int]]:

@@ -9,8 +9,9 @@ exactly as in the cyclotomic case.  For a non-maximal order the maps at
 primes dividing the conductor fail to extend to fractions in either
 direction, Gauss's Lemma for monic polynomials fails, and prime-ideal powers
 collapse (p^2 = (2) p without p = (2) in Z[sqrt(-3)]).  All definedness
-decisions run through the exact colon-lattice test: lattice.colon_rows
-once per fraction and direction, lattice.extends_to once per map.
+decisions run through the exact colon ideal: lattice.colon_rows once per
+fraction and direction, then JacobiMap.extends_to once per map, which
+tests the rows against the map's power rows.
 """
 
 import json
@@ -21,7 +22,7 @@ from math import isqrt
 from kummerlab.arith import is_prime, squarefree_decomposition
 from kummerlab.cyclotomic import CyclotomicElement
 from kummerlab.idealprimes import JacobiMap, factor_maps
-from kummerlab.lattice import colon_rows, extends_to, hnf
+from kummerlab.lattice import colon_rows, hnf
 
 
 class QuadOrder:
@@ -91,19 +92,19 @@ def dichotomy_check(
 ) -> list[dict]:
     """Is each map defined at the fraction, at its inverse, or at neither?
 
-    One dict per map, in order.  Decided by the colon-lattice test on both
-    sides, so both elements must be nonzero; the colon rows of each
-    direction are solved once and tested against every kernel.  A
-    (False, False) outcome witnesses the failure of the valuation
-    dichotomy, which happens only at primes dividing the conductor.
+    One dict per map, in order.  Decided by the colon ideal on both sides,
+    so both elements must be nonzero; the colon rows of each direction are
+    solved once and tested by every map.  A (False, False) outcome
+    witnesses the failure of the valuation dichotomy, which happens only
+    at primes dividing the conductor.
     """
     order = numerator.ring
     at_fraction = colon_rows(numerator.coeffs, denominator.coeffs, order)
     at_inverse = colon_rows(denominator.coeffs, numerator.coeffs, order)
     return [
         {
-            "at_fraction": extends_to(phi.kernel(), at_fraction),
-            "at_inverse": extends_to(phi.kernel(), at_inverse),
+            "at_fraction": phi.extends_to(at_fraction),
+            "at_inverse": phi.extends_to(at_inverse),
         }
         for phi in maps
     ]

@@ -26,8 +26,9 @@ factorize and divides take every valuation from the oracle, and factorize
 checks the records against the norm.  The `kummerlab factor` report
 certifies each nonzero record by both routes; the test suite compares them
 wholesale.  divides likewise runs two routes, valuations and exact
-division.  Definedness at a fraction is the colon-lattice test alone, for
-any ring a Jacobi map is built on; the tests compare it with valuations.
+division.  Definedness at a fraction is decided by the map's own power
+rows on the colon ideal's rows, for any ring a Jacobi map is built on;
+the tests compare it with the colon lattice and with valuations.
 """
 
 from dataclasses import dataclass
@@ -52,7 +53,7 @@ from kummerlab.idealprimes import (
     check_conductor,
     enumerate_jacobi_maps,
 )
-from kummerlab.lattice import colon_rows, extends_to, kernel_mod
+from kummerlab.lattice import colon_rows, kernel_mod
 from kummerlab.polymod import gf_pow_mod
 
 
@@ -270,14 +271,14 @@ def valuation_oracle(x: CyclotomicElement, phi: JacobiMap) -> int:
 
 
 def is_defined_at(numerator, denominator, phi: JacobiMap) -> bool:
-    """Whether the map extends to numerator/denominator (colon-lattice test).
+    """Whether the map extends to numerator/denominator.
 
     The elements may come from any ring a Jacobi map is built on: Z[alpha]
     or a quadratic order.  To test many maps at one fraction, take its
-    lattice.colon_rows once and pass them to extends_to for each kernel.
+    lattice.colon_rows once and pass them to each map's extends_to.
     """
     rows = colon_rows(numerator.coeffs, denominator.coeffs, phi.ring)
-    return extends_to(phi.kernel(), rows)
+    return phi.extends_to(rows)
 
 
 @dataclass(frozen=True)

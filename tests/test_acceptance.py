@@ -20,7 +20,9 @@ import pytest
 
 import kummerlab
 from kummerlab import reproduce
+from kummerlab.arith import DEFAULT_TRIAL_DIVISION_BOUND
 from kummerlab.cli import main
+from kummerlab.idealprimes import JacobiMap
 from kummerlab.reproduce import _CLAIMS, Config
 
 CFG = Config()
@@ -66,6 +68,33 @@ def test_completeness_checks_division_against_the_colon_lattice_only(monkeypatch
         "pairs": 200,
         "divisible": 112,
     }
+
+
+def test_definedness_builds_no_kernel_lattice(monkeypatch, capsys):
+    # a map decides where it is defined from its own power rows; the kernel
+    # HNF is built only for the maps reports
+    def refuse(self):
+        raise RuntimeError("kernel lattice built")
+
+    monkeypatch.setattr(JacobiMap, "kernel", refuse)
+    for claim_id in (
+        "acceptance/08-completeness",
+        "acceptance/10-singular-orders",
+        "valuation/defined-at",
+    ):
+        CLAIMS[claim_id](CFG)
+    argv = ["quad", "--theta", "0,3", "check-b2", "--p", "2", "1+t", "2", "--json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"]["maps"][0]["dichotomy_holds"] is False
+
+
+def test_config_takes_no_arguments():
+    # the suite is one fixed configuration; a setting could only move its
+    # output away from the golden report
+    with pytest.raises(TypeError):
+        Config(enum_cap=5)
+    assert Config().trial_division_bound == DEFAULT_TRIAL_DIVISION_BOUND
 
 
 def _reproduce_in_fresh_process(hash_seed: str) -> tuple[bytes, float]:

@@ -311,6 +311,21 @@ def test_gauss_power_descent(lam, p):
     assert abs(norm(element)) == p ** (lam * ring.degree // 2)
 
 
+def test_gauss_sums_take_the_packed_product(monkeypatch):
+    # the powers of a Gauss sum in Z[zeta_{lam p}] are long and dense: the
+    # schoolbook loop alone makes gauss-sum hundreds of times slower
+    packed = []
+    kronecker = polyint._kronecker_mul
+
+    def spy(f, g):
+        packed.append(len(f))
+        return kronecker(f, g)
+
+    monkeypatch.setattr(polyint, "_kronecker_mul", spy)
+    gauss_power_descent(7, 1289)
+    assert packed
+
+
 def test_descent_rejects_bad_input():
     with pytest.raises(ValueError):
         gauss_power_descent(3, 5)  # 3 does not divide 4

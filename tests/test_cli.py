@@ -420,6 +420,8 @@ def test_cli_usage_error_exit_code():
             ["stickelberger", "--lambda", "199", "--p", "797"],
             "--lambda 199: (lambda - 1)^2 = 39204 exceeds --enum-cap 10000",
         ),
+        (["fc-check", "--p", "2", "--all"], "fc-check --all needs p >= 5, got 2"),
+        (["fc-check", "--p", "3", "--all"], "fc-check --all needs p >= 5, got 3"),
     ],
 )
 def test_cli_out_of_range_input_exit_code(capsys, argv, message):

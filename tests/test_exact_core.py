@@ -17,7 +17,7 @@ from kummerlab.arith import (
 )
 from kummerlab.cyclotomic import cyclotomic_ring
 from kummerlab.idealprimes import enumerate_jacobi_maps
-from kummerlab.lattice import colon_rows, extends_to, hnf, kernel_mod
+from kummerlab.lattice import colon_rows, hnf, kernel_mod
 from kummerlab import polyint
 from kummerlab.polyint import autocorrelation, cyclotomic_polynomial, mul, resultant
 from kummerlab.polymod import (
@@ -528,9 +528,12 @@ def test_product_and_colon_check_the_order_rank():
         colon_rows([1, 1, 0, 0, 1], [1, 0, 0, 0], ring)
     with pytest.raises(ValueError, match="dimension mismatch"):
         colon_rows([1, 0, 0, 0], [1, 0, 0], ring)
-    # rows of a rank-4 order against a rank-2 kernel
+    # rows of a rank-4 order at a map of a rank-2 order, and back
+    quad_map = enumerate_quad_maps(SQRT_M3, 2)[0]
     with pytest.raises(ValueError, match="dimension mismatch"):
-        extends_to(lat, colon_rows([1, 1, 0, 0], [1, 0, 0, 0], ring))
+        quad_map.extends_to(colon_rows([1, 1, 0, 0], [1, 0, 0, 0], ring))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        enumerate_jacobi_maps(5, 11)[0].extends_to(colon_rows([1, 1], [2, 0], SQRT_M3))
     with pytest.raises(ZeroDivisionError):
         colon_rows([1, 1], [0, 0], SQRT_M3)
 
@@ -613,7 +616,7 @@ def test_extends_to_matches_the_colon_containment():
                 den = [rng.randint(-6, 6) for _ in range(d)]
             if rng.random() < 0.3:  # den in p * O, where the map can fail
                 den = [phi.p * c for c in den]
-            got = extends_to(phi.kernel(), colon_rows(num, den, order))
+            got = phi.extends_to(colon_rows(num, den, order))
             assert got == colon_extends_to(phi.kernel(), num, den, order)
             outcomes.add((isinstance(order, QuadOrder), got))
     assert len(outcomes) == 4

@@ -189,8 +189,6 @@ def test_dichotomy_check_solves_once_per_direction(monkeypatch, k):
         phi for p in primes_below(31) for phi in enumerate_quad_maps(GAUSSIAN, p)
     ][:k]
     assert len(maps) == k
-    for phi in maps:
-        phi.kernel()  # kernels are solved once per map and cached apart
     calls = []
     solve = lattice._preimage
     monkeypatch.setattr(

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from kummerlab import idealprimes, valuation
+from kummerlab import valuation
 from kummerlab.arith import primes_below, valuation_int
 from kummerlab.cyclotomic import (
     CyclotomicElement,
@@ -330,7 +330,6 @@ def test_oracle_builds_no_lattice(monkeypatch):
         raise RuntimeError("lattice built")
 
     maps = [phi for _, phi in _oracle_maps()]
-    monkeypatch.setattr(idealprimes, "_kernel_lattice", no_lattice)
     monkeypatch.setattr(IntLattice, "__init__", no_lattice)
     for phi in maps:
         ring = phi.ring
