@@ -106,7 +106,10 @@ def _check_table_cap(args) -> None:
 
 def _check_conductor_cap(args) -> None:
     """Refuse a conductor whose (lambda - 1)^2 exceeds --enum-cap, before
-    any ring is built: that is the entry count of a map's kernel basis."""
+    any ring is built.  That is the entry count of a map's kernel HNF in
+    maps, of Psi's multiplication matrix (KummerPrime.psi_columns) in
+    factor, valuation and stickelberger, and of the ring products that
+    divides takes up the norm tower."""
     if (args.lam - 1) ** 2 > args.enum_cap:
         raise UsageError(
             f"--lambda {args.lam}: (lambda - 1)^2 = {(args.lam - 1) ** 2} "
@@ -114,44 +117,45 @@ def _check_conductor_cap(args) -> None:
         )
 
 
-def _common_options(keep_earlier: bool = False) -> argparse.ArgumentParser:
-    """The --json, --enum-cap and --trial-div options.
-
-    With keep_earlier they have no defaults, so a monoid or quad action
-    parser leaves a value written before the action in place.
-    """
-
-    def default(value):
-        return argparse.SUPPRESS if keep_earlier else value
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json",
-        action="store_true",
-        default=default(False),
-        help="emit JSON reports",
-    )
-    common.add_argument(
-        "--enum-cap",
+# The options shared by several commands, each given only to the commands
+# that read it.
+_SHARED_OPTIONS = {
+    "--json": dict(action="store_true", default=False, help="emit JSON reports"),
+    "--enum-cap": dict(
         type=int,
-        default=default(10000),
+        default=10000,
         metavar="N",
         help="cap for exhaustive monoid enumerations, the |H|^2 closure "
         "products of a monoid subgroup H, the 2m scales of monoid defined-at, "
         "the conductor order * p of gauss-sum, the p - 1 discrete-log entries "
         "of jacobi-sum, quartic, stickelberger and fc-check, the p - 1 of "
         "binomial, the (p - 2)^2 index pairs of fc-check --all, and the "
-        "(lambda - 1)^2 kernel-basis entries of maps, factor, valuation, "
-        "divides and stickelberger (default 10000)",
-    )
-    common.add_argument(
-        "--trial-div",
+        "(lambda - 1)^2 entries of a kernel HNF in maps, of Psi's "
+        "multiplication matrix in factor, valuation and stickelberger, and "
+        "of the norm-tower products of divides (default 10000)",
+    ),
+    "--trial-div": dict(
         type=int,
-        default=default(DEFAULT_TRIAL_DIVISION_BOUND),
+        default=DEFAULT_TRIAL_DIVISION_BOUND,
         metavar="N",
         help="trial-division bound for norm factorizations (default 10^6)",
-    )
-    return common
+    ),
+}
+
+
+def _shared(*flags: str, keep_earlier: bool = False) -> argparse.ArgumentParser:
+    """A parent parser with the named shared options.
+
+    With keep_earlier they have no defaults, so a monoid or quad action
+    parser leaves a value written before the action in place.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag in flags:
+        spec = _SHARED_OPTIONS[flag]
+        if keep_earlier:
+            spec = {**spec, "default": argparse.SUPPRESS}
+        parent.add_argument(flag, **spec)
+    return parent
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,23 +164,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact ideal-prime arithmetic, character sums, and "
         "their failure modes in singular rings.",
     )
-    common = _common_options()
-    action_common = _common_options(keep_earlier=True)
+    plain = _shared("--json")
+    capped = _shared("--json", "--enum-cap")
+    full = _shared("--json", "--enum-cap", "--trial-div")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_maps = sub.add_parser("maps", parents=[common], help="list Jacobi maps")
+    p_maps = sub.add_parser("maps", parents=[capped], help="list Jacobi maps")
     p_maps.add_argument("--lambda", dest="lam", type=int, required=True)
     p_maps.add_argument("--p", type=int, required=True)
     p_maps.add_argument("--periods", type=int, default=None, metavar="E")
 
     p_factor = sub.add_parser(
-        "factor", parents=[common], help="ideal prime factorization"
+        "factor", parents=[full], help="ideal prime factorization"
     )
     p_factor.add_argument("--lambda", dest="lam", type=int, required=True)
     p_factor.add_argument("expr")
 
     p_val = sub.add_parser(
-        "valuation", parents=[common], help="multiplicity at one ideal prime"
+        "valuation", parents=[capped], help="multiplicity at one ideal prime"
     )
     p_val.add_argument("--lambda", dest="lam", type=int, required=True)
     p_val.add_argument("--p", type=int, required=True)
@@ -185,74 +190,73 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_val.add_argument("expr")
 
-    p_div = sub.add_parser("divides", parents=[common], help="divisibility test")
+    p_div = sub.add_parser("divides", parents=[full], help="divisibility test")
     p_div.add_argument("--lambda", dest="lam", type=int, required=True)
     p_div.add_argument("divisor")
     p_div.add_argument("element")
 
-    p_js = sub.add_parser("jacobi-sum", parents=[common], help="Jacobi sum")
+    p_js = sub.add_parser("jacobi-sum", parents=[capped], help="Jacobi sum")
     p_js.add_argument("--p", type=int, required=True)
     p_js.add_argument("--order", type=int, required=True)
     p_js.add_argument("--i", type=int, required=True)
     p_js.add_argument("--k", type=int, required=True)
 
-    p_gs = sub.add_parser(
-        "gauss-sum", parents=[common], help="Gauss-sum power descent"
-    )
+    p_gs = sub.add_parser("gauss-sum", parents=[capped], help="Gauss-sum power descent")
     p_gs.add_argument("--p", type=int, required=True)
     p_gs.add_argument("--order", type=int, required=True)
     p_gs.add_argument("--i", type=int, default=1)
 
-    p_fc = sub.add_parser(
-        "fc-check", parents=[common], help="fundamental congruence"
-    )
+    p_fc = sub.add_parser("fc-check", parents=[capped], help="fundamental congruence")
     p_fc.add_argument("--p", type=int, required=True)
     p_fc.add_argument("--all", action="store_true")
     p_fc.add_argument("--i", type=int)
     p_fc.add_argument("--k", type=int)
 
     p_st = sub.add_parser(
-        "stickelberger", parents=[common], help="support of J(chi,chi)"
+        "stickelberger", parents=[capped], help="support of J(chi,chi)"
     )
     p_st.add_argument("--lambda", dest="lam", type=int, required=True)
     p_st.add_argument("--p", type=int, required=True)
 
     p_q = sub.add_parser(
-        "quartic", parents=[common], help="p = a^2 + b^2 via J(chi,chi)"
+        "quartic", parents=[capped], help="p = a^2 + b^2 via J(chi,chi)"
     )
     p_q.add_argument("--p", type=int, required=True)
 
-    p_b = sub.add_parser(
-        "binomial", parents=[common], help="Gauss binomial congruence"
-    )
+    p_b = sub.add_parser("binomial", parents=[capped], help="Gauss binomial congruence")
     p_b.add_argument("--p", type=int, required=True)
 
-    p_mon = sub.add_parser("monoid", parents=[common], help="Hilbert monoids")
+    # argparse gives a command's options to every one of its actions, so
+    # monoid takes all three, and each action only the ones it reads
+    action_plain = _shared("--json", keep_earlier=True)
+    action_capped = _shared("--json", "--enum-cap", keep_earlier=True)
+    action_full = _shared("--json", "--enum-cap", "--trial-div", keep_earlier=True)
+    p_mon = sub.add_parser("monoid", parents=[full], help="Hilbert monoids")
     p_mon.add_argument("--m", type=int, default=4)
     p_mon.add_argument("--subgroup", default="1", help="comma-separated residues")
     mon_sub = p_mon.add_subparsers(dest="action", required=True)
-    mon_factor = mon_sub.add_parser("factor", parents=[action_common])
+    mon_factor = mon_sub.add_parser("factor", parents=[action_capped])
     mon_factor.add_argument("a", type=int)
-    mon_sub.add_parser("classgroup", parents=[action_common])
-    mon_def = mon_sub.add_parser("defined-at", parents=[action_common])
+    mon_sub.add_parser("classgroup", parents=[action_full])
+    mon_def = mon_sub.add_parser("defined-at", parents=[action_capped])
     mon_def.add_argument("p", type=int)
     mon_def.add_argument("a", type=int)
     mon_def.add_argument("b", type=int)
-    mon_sub.add_parser("demo-singular", parents=[action_common])
+    mon_sub.add_parser("demo-singular", parents=[action_plain])
 
-    p_quad = sub.add_parser("quad", parents=[common], help="quadratic orders")
+    p_quad = sub.add_parser("quad", parents=[plain], help="quadratic orders")
     p_quad.add_argument(
         "--theta", required=True, metavar="u,v", help="theta^2 + u theta + v = 0"
     )
     quad_sub = p_quad.add_subparsers(dest="action", required=True)
-    quad_maps = quad_sub.add_parser("maps", parents=[action_common])
+    quad_maps = quad_sub.add_parser("maps", parents=[action_plain])
     quad_maps.add_argument("--p", type=int, required=True)
-    quad_b2 = quad_sub.add_parser("check-b2", parents=[action_common])
+    quad_b2 = quad_sub.add_parser("check-b2", parents=[action_plain])
     quad_b2.add_argument("--p", type=int, required=True)
     quad_b2.add_argument("numerator")
     quad_b2.add_argument("denominator")
-    quad_sub.add_parser("conductor", parents=[action_common])
-    quad_gl = quad_sub.add_parser("gauss-lemma", parents=[action_common])
+    quad_sub.add_parser("conductor", parents=[action_plain])
+    quad_gl = quad_sub.add_parser("gauss-lemma", parents=[action_plain])
     quad_gl.add_argument("poly", help="c1,c0 for T^2 + c1 T + c0")
 
     p_rep = sub.add_parser("reproduce", help="run the full claim suite")
@@ -521,16 +525,15 @@ def _cmd_monoid(args) -> int:
                 f"over --enum-cap {args.enum_cap}"
             )
         return _emit(args, "monoid", monoid.class_group(M))
-    if args.action == "defined-at":
-        rep = monoid.defined_at(M, args.p, args.a, args.b)
-        result = {
-            "monoid": repr(M),
-            "p": args.p,
-            "fraction": f"{args.a}/{args.b}",
-            **rep,
-        }
-        return _emit(args, "monoid", result)
-    raise UsageError(f"unknown monoid action {args.action!r}")
+    # defined-at
+    rep = monoid.defined_at(M, args.p, args.a, args.b)
+    result = {
+        "monoid": repr(M),
+        "p": args.p,
+        "fraction": f"{args.a}/{args.b}",
+        **rep,
+    }
+    return _emit(args, "monoid", result)
 
 
 def _cmd_quad(args) -> int:
@@ -573,20 +576,17 @@ def _cmd_quad(args) -> int:
             "integrally_closed": quadorder.is_integrally_closed(order),
         }
         return _emit(args, "quad", result)
-    if args.action == "gauss-lemma":
-        if "," not in args.poly:
-            raise UsageError(
-                f"gauss-lemma expects c1,c0 for T^2 + c1 T + c0, got {args.poly!r}"
-            )
-        left, right = args.poly.split(",", 1)
-        b = parse_element(left, order)
-        c = parse_element(right, order)
-        rep = quadorder.gauss_lemma_check(order, b, c)
-        rep["polynomial"] = (
-            f"T^2 + ({render_element(b)}) T + ({render_element(c)})"
+    # gauss-lemma
+    if "," not in args.poly:
+        raise UsageError(
+            f"gauss-lemma expects c1,c0 for T^2 + c1 T + c0, got {args.poly!r}"
         )
-        return _emit(args, "quad", rep)
-    raise UsageError(f"unknown quad action {args.action!r}")
+    left, right = args.poly.split(",", 1)
+    b = parse_element(left, order)
+    c = parse_element(right, order)
+    rep = quadorder.gauss_lemma_check(order, b, c)
+    rep["polynomial"] = f"T^2 + ({render_element(b)}) T + ({render_element(c)})"
+    return _emit(args, "quad", rep)
 
 
 def _cmd_reproduce(args) -> int:

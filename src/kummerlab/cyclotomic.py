@@ -366,9 +366,9 @@ class PeriodSystem:
             lam, [pow(self.g, e * j, lam) for j in range(self.f)]
         )
 
-    def combine(self, const: int, coeffs) -> CyclotomicElement:
-        """The element const + sum coeffs[i] * eta_i."""
-        out = self.ring.element(const)
+    def combine(self, coeffs) -> CyclotomicElement:
+        """The element sum coeffs[i] * eta_i."""
+        out = self.ring.zero()
         for c, eta in zip(coeffs, self.periods):
             if c:
                 out = out + c * eta

@@ -151,7 +151,7 @@ def find_uniformizer(phi: JacobiMap) -> KummerPrime:
             # column but the first, row k + 1 is x_k's residue at each prime.
             rows = [[0] + [q - 1] * (e - 1)]
             rows += [[u[(k + l) % e] for l in range(e)] for k in range(e)]
-            psi = system.combine(0, kernel_mod(rows, q).rows[0][1:])
+            psi = system.combine(kernel_mod(rows, q).rows[0][1:])
         nval, big_psi = _norm_and_cofactor(psi, system.norm_schedule)
         if nval % (q * q) == 0:
             psi = psi + q
@@ -292,11 +292,10 @@ class IdealFactorization:
     """Multiplicities of x at every map of every prime dividing norm(x).
 
     The element is determined by its records only up to a unit multiple;
-    norm consistency (sum of f * mu over the maps of p equals the exponent
-    of p in norm(x)) is validated at construction time.
+    factorize checks norm consistency (sum of f * mu over the maps of p
+    equals the exponent of p in norm(x)) before it returns one.
     """
 
-    element: CyclotomicElement
     norm_value: int
     records: tuple[ValuationRecord, ...]
 
@@ -325,7 +324,7 @@ def factorize(
                 f"norm consistency failed at p={p}: sum f*mu = {total}, "
                 f"v_p(norm) = {valuation_int(nval, p)}"
             )
-    return IdealFactorization(x, nval, tuple(records))
+    return IdealFactorization(nval, tuple(records))
 
 
 def quotient_and_norm(

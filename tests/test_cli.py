@@ -1,5 +1,6 @@
 """Expression parsing, report rendering, and the command-line surface."""
 
+import argparse
 import ast
 import json
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kummerlab import cli, exprparse, quadorder
+from kummerlab import cli, exprparse, quadorder, reproduce
 from kummerlab.cli import _int_list, main
 from kummerlab.cyclotomic import CyclotomicElement, cyclotomic_ring
 from kummerlab.exprparse import ElementParseError, parse_element, render_element
@@ -422,11 +423,39 @@ def test_cli_usage_error_exit_code():
         ),
         (["fc-check", "--p", "2", "--all"], "fc-check --all needs p >= 5, got 2"),
         (["fc-check", "--p", "3", "--all"], "fc-check --all needs p >= 5, got 3"),
+        (
+            ["fc-check", "--p", "13", "--i", "3"],
+            "fc-check requires --all or both --i and --k",
+        ),
+        (
+            ["valuation", "--lambda", "5", "--p", "11", "--xi", "9", "0"],
+            "valuation of 0 is infinite",
+        ),
+        (
+            ["monoid", "--m", "4", "factor", "10001"],
+            "10001 exceeds --enum-cap 10000 for exhaustive factorization search",
+        ),
     ],
 )
 def test_cli_out_of_range_input_exit_code(capsys, argv, message):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_fc_check_single_pair(capsys):
+    # fc-check --i --k checks one pair: J(chi^i, chi^k) at g against zero
+    # below p - 1 and against the binomial coefficient above it
+    argv = ["fc-check", "--p", "13", "--json", "--i"]
+    code, out = _run(capsys, argv + ["3", "--k", "4"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["value"] == result["expected"] == 0
+    assert result["branch"] == "zero" and result["holds"] is True
+    code, out = _run(capsys, argv + ["8", "--k", "9"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["value"] == result["expected"] == 9
+    assert result["branch"] == "binomial" and result["holds"] is True
 
 
 def test_cli_assertion_exit_code(capsys):
@@ -559,6 +588,36 @@ def test_cli_reproduce_takes_no_limits(option):
     assert err.value.code == 2
 
 
+def test_cli_reproduce_reports_failed_and_broken_claims(
+    capsys, monkeypatch, tmp_path
+):
+    # an AssertionError is a failed claim, any other exception a broken one;
+    # both are reported, in sorted order, and both make the run exit 1
+    def fails(cfg):
+        raise AssertionError("the two routes disagree")
+
+    def errs(cfg):
+        raise ValueError("no such map")
+
+    monkeypatch.setattr(reproduce, "_CLAIMS", [("z/errs", errs), ("a/fails", fails)])
+    code, out = _run(capsys, ["reproduce"])
+    assert code == 1
+    assert out == "FAIL a/fails\nERROR z/errs\n0/2 claims passed\n"
+    trace = tmp_path / "claims.jsonl"
+    code, out = _run(capsys, ["reproduce", "--json", "--trace", str(trace)])
+    assert code == 1
+    claims = json.loads(out)["result"]["claims"]
+    assert [(c["claim"], c["status"], c["detail"]) for c in claims] == [
+        ("a/fails", "fail", {"error": "the two routes disagree"}),
+        ("z/errs", "error", {"error": "ValueError: no such map"}),
+    ]
+    lines = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [(line["claim"], line["status"]) for line in lines] == [
+        ("a/fails", "fail"),
+        ("z/errs", "error"),
+    ]
+
+
 def test_cli_monoid_defined_at_refuses_a_large_modulus(capsys):
     # defined-at scans up to 2m scales; at m = 10^7 with g = m - 1 the
     # fraction has no witness, so the scan would run the whole 2m
@@ -641,3 +700,152 @@ def test_cli_long_list_values_are_not_echoed(capsys):
     assert main(["quad", "--theta", "1," * 3000, "conductor"]) == 2
     assert len(capsys.readouterr().err) < 120
     assert _int_list("--theta", "0, -" + "7" * 4000) == [0, -int("7" * 4000)]
+
+
+# One valid invocation of every command and every monoid and quad action,
+# fc-check in both of its modes.
+_INVOCATIONS = [
+    ["maps", "--lambda", "5", "--p", "11"],
+    ["factor", "--lambda", "5", "2 + a"],
+    ["valuation", "--lambda", "5", "--p", "11", "--xi", "9", "11"],
+    ["divides", "--lambda", "5", "1 - a", "5"],
+    ["jacobi-sum", "--p", "13", "--order", "4", "--i", "1", "--k", "1"],
+    ["gauss-sum", "--p", "7", "--order", "3"],
+    ["fc-check", "--p", "5", "--all"],
+    ["fc-check", "--p", "13", "--i", "3", "--k", "4"],
+    ["stickelberger", "--lambda", "5", "--p", "11"],
+    ["quartic", "--p", "13"],
+    ["binomial", "--p", "29"],
+    ["monoid", "--m", "4", "factor", "441"],
+    ["monoid", "--m", "8", "classgroup"],
+    ["monoid", "--m", "4", "defined-at", "3", "9", "9261"],
+    ["monoid", "demo-singular"],
+    ["quad", "--theta", "0,3", "maps", "--p", "2"],
+    ["quad", "--theta", "0,3", "check-b2", "--p", "2", "1+t", "2"],
+    ["quad", "--theta", "0,3", "conductor"],
+    ["quad", "--theta", "0,3", "gauss-lemma", "1,1"],
+    ["reproduce", "--filter", "monoid/defined-at"],
+]
+_SHARED_DESTS = ("json", "enum_cap", "trial_div")
+
+
+def _parse(argv):
+    return cli._build_parser().parse_args(cli._join_signed_lists(argv))
+
+
+def _subcommands(parser):
+    """The parsers of parser's subcommands by name; {} if it has none."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that notes the name of every attribute read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_invocation_table_covers_every_command_and_action():
+    covered = {
+        (argv[0], getattr(_parse(argv), "action", None)) for argv in _INVOCATIONS
+    }
+    expected = set()
+    for command, parser in _subcommands(cli._build_parser()).items():
+        actions = _subcommands(parser) or [None]
+        expected |= {(command, action) for action in actions}
+    assert covered == expected
+    assert {argv[0] for argv in _INVOCATIONS} == set(cli._DISPATCH)
+
+
+def test_every_command_reads_the_shared_options_it_takes(capsys):
+    # an option that a command parses and never reads is one that changes
+    # nothing; over all its invocations, each command must read every
+    # shared option it takes
+    parsed, read = {}, {}
+    for argv in _INVOCATIONS:
+        args = _parse(argv)
+        recorder = _ReadRecorder(**vars(args))
+        recorder._reads = set()
+        assert cli._DISPATCH[args.command](recorder) == 0, argv
+        parsed.setdefault(args.command, set()).update(
+            dest for dest in _SHARED_DESTS if hasattr(args, dest)
+        )
+        read.setdefault(args.command, set()).update(recorder._reads)
+    capsys.readouterr()
+    unread = {
+        command: sorted(dests - read[command])
+        for command, dests in parsed.items()
+        if dests - read[command]
+    }
+    assert unread == {}
+
+
+# The limit options each command and action takes.  With action None the
+# option is written for the command itself: right after its name if it has
+# actions, else at the end; with an action, after that action's arguments.
+_LIMIT_SLOTS = [
+    ("maps", None, {"--enum-cap"}),
+    ("factor", None, {"--enum-cap", "--trial-div"}),
+    ("valuation", None, {"--enum-cap"}),
+    ("divides", None, {"--enum-cap", "--trial-div"}),
+    ("jacobi-sum", None, {"--enum-cap"}),
+    ("gauss-sum", None, {"--enum-cap"}),
+    ("fc-check", None, {"--enum-cap"}),
+    ("stickelberger", None, {"--enum-cap"}),
+    ("quartic", None, {"--enum-cap"}),
+    ("binomial", None, {"--enum-cap"}),
+    ("monoid", None, {"--enum-cap", "--trial-div"}),
+    ("monoid", "factor", {"--enum-cap"}),
+    ("monoid", "classgroup", {"--enum-cap", "--trial-div"}),
+    ("monoid", "defined-at", {"--enum-cap"}),
+    ("monoid", "demo-singular", set()),
+    ("quad", None, set()),
+    ("quad", "maps", set()),
+    ("quad", "check-b2", set()),
+    ("quad", "conductor", set()),
+    ("quad", "gauss-lemma", set()),
+]
+
+
+def _limit_argv(command, action, option):
+    """A valid invocation with option 7 written at the slot."""
+    for argv in _INVOCATIONS:
+        if argv[0] == command and (action is None or action in argv):
+            if action is None and command in ("monoid", "quad"):
+                return [command, option, "7"] + argv[1:]
+            return argv + [option, "7"]
+    raise LookupError((command, action))
+
+
+def _limit_cases(kept):
+    return [
+        pytest.param(
+            _limit_argv(command, action, option),
+            option,
+            id=f"{command}-{action or 'before-action'}-{option.lstrip('-')}"
+            if command in ("monoid", "quad")
+            else f"{command}-{option.lstrip('-')}",
+        )
+        for command, action, takes in _LIMIT_SLOTS
+        for option in ("--enum-cap", "--trial-div")
+        if (option in takes) == kept
+    ]
+
+
+@pytest.mark.parametrize("argv,option", _limit_cases(True))
+def test_cli_limit_is_taken_where_it_is_read(argv, option):
+    dest = option.lstrip("-").replace("-", "_")
+    assert getattr(_parse(argv), dest) == 7
+
+
+@pytest.mark.parametrize("argv,option", _limit_cases(False))
+def test_cli_limit_is_refused_where_nothing_reads_it(capsys, argv, option):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "usage: kummerlab" in capsys.readouterr().err

@@ -559,3 +559,41 @@ def test_completeness_property():
         quotient = exact_quotient(y, x)
         assert defined_everywhere == (quotient is not None)
         assert divides(y, x) == defined_everywhere
+
+
+def test_factorize_refuses_an_inconsistent_norm(monkeypatch, capsys):
+    # valuations that miss the norm's exponent of 11 are refused, and the
+    # CLI reports that as a failed assertion
+    from kummerlab.cli import main
+
+    monkeypatch.setattr(valuation, "valuation_oracle", lambda x, phi: 0)
+    x = cyclotomic_ring(5).element([2, 1])
+    with pytest.raises(ArithmeticError, match="norm consistency failed at p=11"):
+        factorize(x)
+    assert main(["factor", "--lambda", "5", "2 + a"]) == 1
+    assert "assertion failed:" in capsys.readouterr().err
+
+
+def test_divides_refuses_routes_that_disagree(monkeypatch):
+    # 2 + a divides 11 exactly; an oracle that values only the divisor
+    # makes the valuation comparison say no
+    ring = cyclotomic_ring(5)
+    d = ring.element([2, 1])
+    monkeypatch.setattr(valuation, "valuation_oracle", lambda x, phi: int(x == d))
+    message = "exact division and valuation comparison disagree"
+    with pytest.raises(ArithmeticError, match=message):
+        divides(d, ring.element(11))
+
+
+def test_find_uniformizer_refuses_a_failed_certificate(monkeypatch):
+    # a norm with q^2 in it, even after the shift by q, fails the certificate
+    phi = enumerate_jacobi_maps(5, 11)[0]
+    real = valuation._linear_uniformizer
+
+    def inflated(ring, r):
+        psi, big_psi, nval = real(ring, r)
+        return psi, big_psi, nval * phi.p
+
+    monkeypatch.setattr(valuation, "_linear_uniformizer", inflated)
+    with pytest.raises(ArithmeticError, match="failed its certificate"):
+        find_uniformizer(phi)
