@@ -4,8 +4,20 @@ All routines are deterministic and exact.  Primality is a deterministic
 Miller-Rabin valid far beyond 64-bit inputs; factorization is trial division
 with an explicit bound, which is all the desk-scale norms in this package
 need.
+
+Trial division and primes_below share one segmented sieve of Eratosthenes
+(Bays and Hudson, BIT 17, 1977; Crandall and Pomerance, Prime Numbers,
+section 3.2).  Trial division visits the candidates 6k - 1 and 6k + 1 in
+segments of k whose widths start small and double up to a cap, so a small
+input stops as early as a one-by-one loop would and memory stays bounded.
+A segment that starts at _SIEVE_FROM or later is sieved by 3 and the primes
+below the square root of its end, and only its primes are divided into n.
+A cofactor that survives to the default bound of 10**6 takes 80,172
+remainders, against 333,332 for every candidate.
 """
 
+from collections.abc import Iterator
+from itertools import compress
 from math import gcd, isqrt
 
 # Deterministic Miller-Rabin bases: the first 13 primes decide every
@@ -15,6 +27,15 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROOF_LIMIT = 3317044064679887385961981
 
 DEFAULT_TRIAL_DIVISION_BOUND = 10**6
+
+# Trial-division segments run over k: the first holds the candidates 5 to 19,
+# and a full sieved one holds 3 * _SEGMENT_CAP bytes.
+_FIRST_WIDTH = 3
+_SEGMENT_CAP = 1 << 15
+# A segment that starts below this value is not sieved, and every odd number
+# in it is divided into n: there a sieve's set-up and slices cost more than
+# the remainders they save.
+_SIEVE_FROM = 3000
 
 
 class FactorizationError(ValueError):
@@ -46,13 +67,44 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _sieve(lo: int, hi: int, primes: list[int]) -> Iterator[int]:
+    """The odd numbers of [lo, hi) that no p in ``primes`` divides, except p
+    itself, as an ascending iterator (lo and hi odd).
+
+    Only the p of the ascending ``primes`` with p * p < hi strike; when those
+    are 3 and every prime up to sqrt(hi), the survivors are the primes of
+    [lo, hi).
+    """
+    size = (hi - lo) // 2
+    keep = bytearray(b"\x01") * size
+    for p in primes:
+        if p * p >= hi:
+            break
+        # index of p * p, or of the first odd multiple of p at or above lo
+        start = (p * p - lo) // 2 if p * p >= lo else -lo * ((p + 1) // 2) % p
+        keep[start::p] = bytes((size - 1 - start) // p + 1)
+    return compress(range(lo, hi, 2), keep)
+
+
 def factorize_int(n: int, bound: int = DEFAULT_TRIAL_DIVISION_BOUND) -> dict[int, int]:
     """Factor |n| by trial division up to ``bound``.
 
+    After 2 and 3, the candidates are 6k - 1 <= bound and their partners
+    6k + 1 <= bound + 2, while (6k - 1)^2 <= n.  They are visited in ascending
+    order, in segments of k whose widths start at 3 and double up to a cap.
+    A segment that starts below _SIEVE_FROM divides every odd number into n;
+    a later one is sieved first, and only its primes are.  A composite
+    (a multiple of 3 included) never divides n, because its prime factors
+    are smaller and were divided out before it is reached, so either way
+    the primes found, their order and their exponents are those of dividing
+    by every candidate.
+
     Division stops early at a cofactor below _MR_PROOF_LIMIT that the
-    primality test proves prime.  A remaining cofactor is accepted if it
-    passes the primality test; otherwise FactorizationError is raised with
-    the bound echoed.  Returns {prime: exponent}; factorize_int(1) == {}.
+    primality test proves prime; the test is skipped while the first
+    segment alone reaches sqrt(n), and after a hit p that leaves a cofactor
+    below p^2.  A remaining cofactor is accepted if it passes the primality
+    test; otherwise FactorizationError is raised with the bound echoed.
+    Returns {prime: exponent}; factorize_int(1) == {}.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -62,16 +114,32 @@ def factorize_int(n: int, bound: int = DEFAULT_TRIAL_DIVISION_BOUND) -> dict[int
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    d = 5
-    proven = n < _MR_PROOF_LIMIT and is_prime(n)
-    while not proven and d <= bound and d * d <= n:
-        for p in (d, d + 2):
+    # the k with 6k - 1 <= bound and (6k - 1)^2 <= n are 1 <= k < k_end
+    k_end = min(bound + 1, isqrt(n) + 1) // 6 + 1
+    k, width, sieving = 1, _FIRST_WIDTH, None
+    proven = k_end > k + width and n < _MR_PROOF_LIMIT and is_prime(n)
+    while not proven and k < k_end:
+        k1 = min(k + width, k_end)
+        lo, hi = 6 * k - 1, 6 * k1 - 1
+        if lo < _SIEVE_FROM:
+            candidates = range(lo, hi, 2)
+        else:
+            if sieving is None:
+                sieving = primes_below(isqrt(6 * k_end) + 1)[1:]
+            candidates = _sieve(lo, hi, sieving)
+        for p in candidates:
             if n % p == 0:
+                e = 0
                 while n % p == 0:
-                    out[p] = out.get(p, 0) + 1
+                    e += 1
                     n //= p
-                proven = n < _MR_PROOF_LIMIT and is_prime(n)
-        d += 6
+                out[p] = e
+                proven = n < p * p or (n < _MR_PROOF_LIMIT and is_prime(n))
+                if proven:
+                    break
+        k_end = min(k_end, (isqrt(n) + 1) // 6 + 1)
+        k, width = k1, min(2 * width, _SEGMENT_CAP)
+    d = 6 * k - 1
     if n > 1:
         if proven or d * d > n or is_prime(n):
             out[n] = out.get(n, 0) + 1
@@ -132,15 +200,10 @@ def discrete_log_table(p: int, g: int) -> list[int]:
 
 
 def primes_below(bound: int) -> list[int]:
-    """All primes < bound, by sieve."""
-    if bound <= 2:
-        return []
-    sieve = bytearray([1]) * bound
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(bound - 1) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(bound) if sieve[i]]
+    """All primes < bound: the odd ones sieved by the primes up to sqrt(bound)."""
+    if bound <= 3:
+        return [2] if bound == 3 else []
+    return [2, *_sieve(3, bound | 1, primes_below(isqrt(bound) + 1)[1:])]
 
 
 def squarefree_decomposition(n: int) -> tuple[int, int]:

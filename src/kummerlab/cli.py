@@ -259,8 +259,9 @@ def _build_parser() -> argparse.ArgumentParser:
     quad_gl = quad_sub.add_parser("gauss-lemma", parents=[action_plain])
     quad_gl.add_argument("poly", help="c1,c0 for T^2 + c1 T + c0")
 
-    p_rep = sub.add_parser("reproduce", help="run the full claim suite")
-    p_rep.add_argument("--json", action="store_true", help="emit JSON reports")
+    p_rep = sub.add_parser(
+        "reproduce", parents=[plain], help="run the full claim suite"
+    )
     p_rep.add_argument("--filter", default=None, help="substring claim filter")
     p_rep.add_argument(
         "--trace",

@@ -3,6 +3,12 @@
 Nothing in the package uses them, so they live with the tests.
 """
 
+from kummerlab.arith import (
+    _MR_PROOF_LIMIT,
+    DEFAULT_TRIAL_DIVISION_BOUND,
+    FactorizationError,
+    is_prime,
+)
 from kummerlab.cyclotomic import conjugate, gaussian_periods
 from kummerlab.lattice import IntLattice, _mul_matrix, _preimage
 from kummerlab.polyint import degree, trim
@@ -177,3 +183,41 @@ def quotient_by_conjugates(d, x):
     if not y.content_divisible_by(nd):
         return None
     return d.ring.element([c // nd for c in y.coeffs])
+
+
+def trial_division_reference(
+    n: int, bound: int = DEFAULT_TRIAL_DIVISION_BOUND
+) -> dict[int, int]:
+    """Factor |n| by dividing by 2, 3 and then every 6k - 1 <= bound and its
+    partner 6k + 1 while (6k - 1)^2 <= n, one candidate at a time: the
+    reference for arith.factorize_int, which sieves the candidates in
+    segments.  Division stops at a cofactor below _MR_PROOF_LIMIT that the
+    primality test proves prime, as there.
+    """
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    n = abs(n)
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    d = 5
+    proven = n < _MR_PROOF_LIMIT and is_prime(n)
+    while not proven and d <= bound and d * d <= n:
+        for p in (d, d + 2):
+            if n % p == 0:
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
+                proven = n < _MR_PROOF_LIMIT and is_prime(n)
+        d += 6
+    if n > 1:
+        if proven or d * d > n or is_prime(n):
+            out[n] = out.get(n, 0) + 1
+        else:
+            raise FactorizationError(
+                f"cofactor {n} is composite and exceeds the trial-division "
+                f"bound {bound}"
+            )
+    return out

@@ -588,6 +588,29 @@ def test_cli_reproduce_takes_no_limits(option):
     assert err.value.code == 2
 
 
+def test_cli_reproduce_takes_json_from_the_shared_table(monkeypatch):
+    # reproduce's --json is the shared option, as every other command's is
+    assert _parse(["reproduce", "--json"]).json is True
+    assert _parse(["reproduce"]).json is False
+    shared = {**cli._SHARED_OPTIONS["--json"], "help": "shared help"}
+    monkeypatch.setitem(cli._SHARED_OPTIONS, "--json", shared)
+    parser = _subcommands(cli._build_parser())["reproduce"]
+    (action,) = [a for a in parser._actions if "--json" in a.option_strings]
+    assert action.help == "shared help"
+
+
+def test_cli_factor_reports_a_composite_cofactor(capsys):
+    # the pinned lambda-41 norm is 83 times a 60-digit composite that trial
+    # division to 10^6 cannot split: exit 2, and the message names both
+    assert main(["factor", "--lambda", "41", "7+19a+33a^3-5a^17+11a^30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cofactor 160385076307395329492289307784294318290372462207543"
+        "558499843 is composite and exceeds the trial-division bound 1000000\n"
+    )
+
+
 def test_cli_reproduce_reports_failed_and_broken_claims(
     capsys, monkeypatch, tmp_path
 ):

@@ -1,12 +1,19 @@
 """Integer, polynomial, finite-field, and lattice layer."""
 
 import itertools
+import math
 import random
+import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kummerlab.arith import (
+    _MR_PROOF_LIMIT,
+    _SIEVE_FROM,
     FactorizationError,
     factorize_int,
     is_prime,
@@ -15,7 +22,8 @@ from kummerlab.arith import (
     primes_below,
     squarefree_decomposition,
 )
-from kummerlab.cyclotomic import cyclotomic_ring
+from kummerlab.cyclotomic import cyclotomic_ring, norm
+from kummerlab.exprparse import parse_element
 from kummerlab.idealprimes import enumerate_jacobi_maps
 from kummerlab.lattice import colon_rows, hnf, kernel_mod
 from kummerlab import polyint
@@ -34,6 +42,7 @@ from reference import (
     divmod_exact,
     principal_lattice,
     standard_lattice,
+    trial_division_reference,
 )
 
 RNG_SEED = 9157
@@ -69,6 +78,102 @@ def test_factorize_int_prime_cofactors():
     assert factorize_int(2 * 5 * huge) == {2: 1, 5: 1, huge: 1}
     with pytest.raises(FactorizationError):
         factorize_int(13 * 399165290221 * 798330580441)
+
+
+def _outcome(factor, n, bound):
+    """The factors in their order, or the exception's type and text."""
+    try:
+        return list(factor(n, bound).items())
+    except ValueError as err:  # FactorizationError included
+        return type(err), str(err)
+
+
+# bounds around 6k - 1 and its partner 6k + 1, and around the first sieved
+# segment
+_EDGE_BOUNDS = sorted(
+    {6 * k + d for k in (1, 2, 3, 4, 8, 17) for d in (-2, -1, 0, 1, 2)}
+    | {_SIEVE_FROM + d for d in range(-8, 9)}
+    | {4 * _SIEVE_FROM, 20000}
+)
+# products of these reach every branch: repeated and partner factors, hits
+# on both sides of _SIEVE_FROM, and cofactors above _MR_PROOF_LIMIT
+_FACTOR_POOL = [5, 7, 11, 13, 23, 25, 29, 97, 2999, 3001, 3011, 10007, 10009]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    factors=st.lists(st.sampled_from(_FACTOR_POOL), max_size=6),
+    cofactor=st.one_of(
+        st.integers(1, 10**6),
+        st.integers(1, 10**30),
+        st.integers(_MR_PROOF_LIMIT - 10**6, 2 * _MR_PROOF_LIMIT),
+    ),
+    sign=st.sampled_from([1, -1]),
+    bound=st.one_of(st.integers(-2, 40), st.sampled_from(_EDGE_BOUNDS)),
+)
+@example(factors=[13, 10007, 10009], cofactor=1, sign=1, bound=11)
+@example(factors=[], cofactor=1, sign=-1, bound=0)
+@example(factors=[], cofactor=0, sign=1, bound=5)
+@example(factors=[3001, 3011], cofactor=4 * 10**24 + 27, sign=-1, bound=20000)
+# 5 is a candidate from bound 5 on; below it 25 is a composite cofactor
+@example(factors=[25], cofactor=1, sign=1, bound=1)
+@example(factors=[25], cofactor=1, sign=1, bound=2)
+@example(factors=[25], cofactor=1, sign=1, bound=3)
+@example(factors=[25], cofactor=1, sign=1, bound=4)
+@example(factors=[25], cofactor=1, sign=1, bound=5)
+@example(factors=[25], cofactor=1, sign=1, bound=6)
+def test_factorize_int_matches_trial_division_reference(factors, cofactor, sign, bound):
+    # the sieve divides by the primes among the candidates, the reference by
+    # every candidate: the same factors in the same order, or the same error
+    n = sign * math.prod(factors) * cofactor
+    assert _outcome(factorize_int, n, bound) == _outcome(
+        trial_division_reference, n, bound
+    )
+
+
+def test_factorize_int_reaches_the_partner_of_the_last_candidate():
+    # bound 11 admits 6k - 1 = 11 and so its partner 13 = bound + 2
+    with pytest.raises(FactorizationError) as err:
+        factorize_int(13 * 10007 * 10009, 11)
+    assert str(err.value) == (
+        "cofactor 100160063 is composite and exceeds the trial-division bound 11"
+    )
+
+
+def test_primes_below_matches_the_primality_test():
+    known = [p for p in range(10**4) if is_prime(p)]
+    for bound in range(10**4 + 1):
+        assert primes_below(bound) == known[: bisect_left(known, bound)]
+
+
+PINNED_41 = "7+19a+33a^3-5a^17+11a^30"
+
+
+def test_factorize_int_memory_is_bounded():
+    # the pinned lambda-41 norm is 83 times a 60-digit composite, so trial
+    # division runs to the default bound; the sieve holds one segment, and
+    # a second call keeps and allocates no more than the first (a prime
+    # table kept up to 10^6 would hold about 2.8 MB)
+    nval = norm(parse_element(PINNED_41, cyclotomic_ring(41)))
+    peaks, kept = [], []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                factorize_int(nval)
+            except FactorizationError:
+                pass
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - start)
+            kept.append(current - start)
+    finally:
+        tracemalloc.stop()
+    # (a few bytes of interpreter free lists move from call to call)
+    assert peaks[0] < 2**20
+    assert peaks[1] - peaks[0] < 4096
+    assert max(kept) < 4096
 
 
 def test_multiplicative_order():
