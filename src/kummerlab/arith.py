@@ -43,12 +43,14 @@ class FactorizationError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed bases)."""
+    """Deterministic primality test: division by fixed bases, then Miller-Rabin."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:  # no prime up to 41 divides n, so n is prime
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -100,10 +102,10 @@ def factorize_int(n: int, bound: int = DEFAULT_TRIAL_DIVISION_BOUND) -> dict[int
     by every candidate.
 
     Division stops early at a cofactor below _MR_PROOF_LIMIT that the
-    primality test proves prime; the test is skipped while the first
-    segment alone reaches sqrt(n), and after a hit p that leaves a cofactor
-    below p^2.  A remaining cofactor is accepted if it passes the primality
-    test; otherwise FactorizationError is raised with the bound echoed.
+    primality test proves prime; the test is skipped after a hit p that
+    leaves a cofactor below p^2.  A remaining cofactor is accepted if it
+    passes the primality test; otherwise FactorizationError is raised with
+    the bound echoed.
     Returns {prime: exponent}; factorize_int(1) == {}.
     """
     if n == 0:
@@ -117,7 +119,7 @@ def factorize_int(n: int, bound: int = DEFAULT_TRIAL_DIVISION_BOUND) -> dict[int
     # the k with 6k - 1 <= bound and (6k - 1)^2 <= n are 1 <= k < k_end
     k_end = min(bound + 1, isqrt(n) + 1) // 6 + 1
     k, width, sieving = 1, _FIRST_WIDTH, None
-    proven = k_end > k + width and n < _MR_PROOF_LIMIT and is_prime(n)
+    proven = n < _MR_PROOF_LIMIT and is_prime(n)
     while not proven and k < k_end:
         k1 = min(k + width, k_end)
         lo, hi = 6 * k - 1, 6 * k1 - 1

@@ -9,6 +9,7 @@ no floating-point values.
 import argparse
 import re
 import sys
+from itertools import takewhile
 from math import gcd
 
 from kummerlab import charsum, monoid, quadorder
@@ -93,6 +94,21 @@ def _join_signed_lists(argv: list[str]) -> list[str]:
         else:
             out.append(arg)
     return out
+
+
+def _refuse_unknown_before_action(parser, argv: list[str]) -> None:
+    """Name an unknown option written before a monoid or quad action:
+    argparse would pass over it and report its value as a bad action."""
+    commands = parser._subparsers._group_actions[0].choices
+    command = commands.get(argv[0]) if argv else None
+    if command is None or command._subparsers is None:
+        return
+    actions = command._subparsers._group_actions[0].choices
+    for arg in takewhile(lambda arg: arg not in actions, argv[1:]):
+        flag = arg.split("=", 1)[0]
+        known = any(o.startswith(flag) for o in command._option_string_actions)
+        if arg.startswith("-") and not _SIGNED_LIST.fullmatch(arg) and not known:
+            command.error(f"unrecognized arguments: {arg}")
 
 
 def _check_table_cap(args) -> None:
@@ -227,17 +243,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--p", type=int, required=True)
 
     # argparse gives a command's options to every one of its actions, so
-    # monoid takes all three, and each action only the ones it reads
+    # monoid takes --json and --enum-cap, and each action only the ones it reads
     action_plain = _shared("--json", keep_earlier=True)
     action_capped = _shared("--json", "--enum-cap", keep_earlier=True)
-    action_full = _shared("--json", "--enum-cap", "--trial-div", keep_earlier=True)
-    p_mon = sub.add_parser("monoid", parents=[full], help="Hilbert monoids")
+    p_mon = sub.add_parser("monoid", parents=[capped], help="Hilbert monoids")
     p_mon.add_argument("--m", type=int, default=4)
     p_mon.add_argument("--subgroup", default="1", help="comma-separated residues")
     mon_sub = p_mon.add_subparsers(dest="action", required=True)
     mon_factor = mon_sub.add_parser("factor", parents=[action_capped])
     mon_factor.add_argument("a", type=int)
-    mon_sub.add_parser("classgroup", parents=[action_full])
+    mon_sub.add_parser("classgroup", parents=[action_capped])
     mon_def = mon_sub.add_parser("defined-at", parents=[action_capped])
     mon_def.add_argument("p", type=int)
     mon_def.add_argument("a", type=int)
@@ -504,7 +519,7 @@ def _cmd_monoid(args) -> int:
             M, args.a, all_factorizations=True
         )
         ideal = (
-            [[pr.p, e] for pr, e in monoid.ideal_factorization(M, args.a)]
+            [[p, e] for p, e in monoid.ideal_factorization(M, args.a)]
             if gcd(args.a, M.m) == 1
             else None
         )
@@ -517,7 +532,7 @@ def _cmd_monoid(args) -> int:
         return _emit(args, "monoid", result)
     if args.action == "classgroup":
         phi_m = 1
-        for p, e in factorize_int(args.m, args.trial_div).items():
+        for p, e in factorize_int(args.m).items():
             phi_m *= (p - 1) * p ** (e - 1)
         n = phi_m // len(M.subgroup)
         if n * n > args.enum_cap:
@@ -623,8 +638,9 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_join_signed_lists(argv))
+    argv = _join_signed_lists(sys.argv[1:] if argv is None else argv)
+    _refuse_unknown_before_action(parser, argv)
+    args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except ElementParseError as exc:

@@ -23,7 +23,7 @@ of length f, so their period polynomial prod (Y - eta_i) has e roots u
 mod p, and each factor of Phi_lam mod p is gcd(Phi_lam, eta_0(X) - u).
 Only a residue u repeated mod p gives a gcd of several factors, and only
 that gcd goes through factor_mod_p, as do the period polynomial itself
-and, in factor_maps, the modulus of a quadratic order.
+and, in quadorder.enumerate_quad_maps, the modulus of a quadratic order.
 """
 
 from functools import lru_cache
@@ -203,13 +203,6 @@ def _period_polynomial(lam: int, e: int) -> tuple[tuple[int, ...], tuple[int, ..
     for k in range(1, e + 1):
         a.append(-sum(s * a[k - 1 - i] for i, s in enumerate(sums[:k])) // k)
     return tuple(reversed(a)), eta0.coeffs
-
-
-def factor_maps(ring, p: int) -> list[JacobiMap]:
-    """One map per irreducible factor of the ring's modulus mod p (a repeated
-    factor yields a single map), in factor_mod_p's order."""
-    factored = factor_mod_p(list(ring.modulus), p)
-    return [JacobiMap(ring, p, tuple(fac)) for fac, _ in factored]
 
 
 def map_for_root(maps: list[JacobiMap], label) -> JacobiMap:

@@ -4,7 +4,9 @@ M is the set of naturals whose residue mod m lies in a subgroup H of
 (Z/mZ)^*.  Factorization into irreducibles is generally non-unique, but
 every rational prime p coprime to m acts as an "ideal prime" through the
 reduction map onto F_p, and unique factorization into these ideal primes
-holds with exponents equal to the ordinary ones.  The class group is G/H.
+holds with exponents equal to the ordinary ones.  The map is reduction mod
+p, so p alone names its ideal prime, which is principal iff p mod m lies
+in H.  The class group is G/H.
 
 The singular monoid N (naturals = 0, 1, 2 mod 4) uses a residue set that is
 not a subgroup; there the extension of the reduction map to fractions
@@ -32,13 +34,10 @@ class HilbertMonoid:
                 if (a * b) % m not in H:
                     raise ValueError("residue set is not closed under products")
         self.m = m
-        self.subgroup = tuple(H)
+        self.subgroup = self.residues = tuple(H)
 
     def __contains__(self, a: int) -> bool:
         return a >= 1 and a % self.m in self.subgroup
-
-    def units_mod_m(self) -> list[int]:
-        return [a for a in range(1, self.m) if gcd(a, self.m) == 1]
 
     def __repr__(self):
         return f"HilbertMonoid(m={self.m}, H={list(self.subgroup)})"
@@ -96,7 +95,7 @@ def factor_into_irreducibles(
         for d in _divisors(remaining):
             if d < least or d == 1:
                 continue
-            if d in M and is_irreducible(M, d) and remaining // d in M:
+            if is_irreducible(M, d) and remaining // d in M:
                 if recurse(remaining // d, d, chosen + (d,)):
                     return True
         return False
@@ -106,53 +105,17 @@ def factor_into_irreducibles(
     return results if all_factorizations else results[0]
 
 
-class MonoidIdealPrime:
-    """The ideal prime of M attached to the reduction map onto F_p."""
-
-    __slots__ = ("monoid", "p")
-
-    def __init__(self, monoid: HilbertMonoid, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if gcd(p, monoid.m) != 1:
-            raise ValueError(
-                f"prime {p} divides the modulus {monoid.m}: outside theory"
-            )
-        self.monoid = monoid
-        self.p = p
-
-    @property
-    def residue_class(self) -> int:
-        return self.p % self.monoid.m
-
-    def is_principal(self) -> bool:
-        return self.residue_class in self.monoid.subgroup
-
-    def __repr__(self):
-        return f"MonoidIdealPrime(p={self.p})"
-
-
-def ideal_factorization(M: HilbertMonoid, a: int) -> list[tuple[MonoidIdealPrime, int]]:
-    """Unique factorization of a into ideal primes (ordinary exponents)."""
+def ideal_factorization(M: HilbertMonoid, a: int) -> list[tuple[int, int]]:
+    """Unique factorization of a into ideal primes: the pairs (p, e) of its
+    ordinary factorization, ascending, each ideal prime named by p."""
     if a not in M:
         raise ValueError(f"{a} is not in {M!r}")
     if gcd(a, M.m) != 1:
         raise ValueError(f"{a} shares a factor with the modulus: outside theory")
-    out = [
-        (MonoidIdealPrime(M, p), e) for p, e in sorted(factorize_int(a).items())
-    ]
-    cls = 1
-    for prime, e in out:
-        cls = cls * pow(prime.residue_class, e, M.m) % M.m
-    if cls not in M.subgroup:
+    out = sorted(factorize_int(a).items())
+    if prod(pow(p, e, M.m) for p, e in out) % M.m not in M.subgroup:
         raise AssertionError("class product of an element of M must lie in H")
     return out
-
-
-def _residue_set(M) -> tuple[int, ...]:
-    if isinstance(M, HilbertMonoid):
-        return M.subgroup
-    return M.residues
 
 
 def defined_at(M, p: int, a: int, b: int) -> dict:
@@ -171,8 +134,7 @@ def defined_at(M, p: int, a: int, b: int) -> dict:
         raise ValueError("both entries must be elements of the monoid")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    m = M.m
-    residues = _residue_set(M)
+    m, residues = M.m, M.residues
     g = gcd(a, b)
     a0, b0 = a // g, b // g
 
@@ -194,17 +156,16 @@ def defined_at(M, p: int, a: int, b: int) -> dict:
 
 
 def uniformizer(M: HilbertMonoid, p: int) -> int:
-    """p itself when its class is principal, else p times the least
-    corrector r with [r] = [p]^{-1}, r coprime to p."""
-    prime = MonoidIdealPrime(M, p)
-    if prime.is_principal():
-        return p
-    target = pow(prime.residue_class, -1, M.m)
-    r = target
-    while True:
-        if r % M.m == target and gcd(r, p) == 1 and r > 1:
-            return p * r
-        r += M.m
+    """p times the least r >= 1 coprime to p with p * r in M: p itself when
+    its class is principal, else p times a corrector of class [p]^{-1}."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if gcd(p, M.m) != 1:
+        raise ValueError(f"prime {p} divides the modulus {M.m}: outside theory")
+    r = 1
+    while gcd(r, p) != 1 or p * r % M.m not in M.subgroup:
+        r += 1
+    return p * r
 
 
 def multiplicity_monoid(M: HilbertMonoid, p: int, a: int, q: int | None = None) -> int:
@@ -222,36 +183,25 @@ def multiplicity_monoid(M: HilbertMonoid, p: int, a: int, q: int | None = None) 
 def class_group(M: HilbertMonoid) -> dict:
     """Cosets of H in G with their multiplication table and the invariant
     factors identifying the abelian group."""
-    units = M.units_mod_m()
-    H = set(M.subgroup)
+    m, H = M.m, set(M.subgroup)
+    # each coset is found at its least residue, so they come sorted, H first
     cosets: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for u in units:
-        if u not in seen:
-            coset = tuple(sorted(u * h % M.m for h in H))
+    index: dict[int, int] = {}  # residue -> the index of its coset
+    for u in range(1, m):
+        if gcd(u, m) == 1 and u not in index:
+            coset = tuple(sorted(u * h % m for h in H))
+            index.update((r, len(cosets)) for r in coset)
             cosets.append(coset)
-            seen.update(coset)
-    cosets.sort()
-    index = {c: i for i, c in enumerate(cosets)}
 
-    def mul(i: int, j: int) -> int:
-        rep = cosets[i][0] * cosets[j][0] % M.m
-        coset = tuple(sorted(rep * h % M.m for h in H))
-        return index[coset]
-
-    n = len(cosets)
-    table = [[mul(i, j) for j in range(n)] for i in range(n)]
-    identity = index[tuple(sorted(M.subgroup))]
-
-    def element_order(i: int) -> int:
-        order = 1
-        x = i
-        while x != identity:
-            x = mul(x, i)
-            order += 1
+    def element_order(r: int) -> int:
+        order, x = 1, r
+        while x not in H:
+            x, order = x * r % m, order + 1
         return order
 
-    orders = sorted(element_order(i) for i in range(n))
+    n = len(cosets)
+    table = [[index[a[0] * b[0] % m] for b in cosets] for a in cosets]
+    orders = sorted(element_order(c[0]) for c in cosets)
     invariants = _invariant_factors(n, orders)
     return {
         "order": n,
@@ -310,10 +260,8 @@ def square_test(M: HilbertMonoid, a: int) -> dict:
         if any(e % 2 for _, e in factors):
             in_qm = False
         else:
-            cls = 1
-            for prime, e in factors:
-                cls = cls * pow(prime.residue_class, e // 2, M.m) % M.m
-            in_qm = cls in M.subgroup
+            root = prod(pow(p, e // 2, M.m) for p, e in factors)
+            in_qm = root % M.m in M.subgroup
     return {"square_in_M": in_m, "square_in_QM": in_qm}
 
 

@@ -21,8 +21,9 @@ from math import isqrt
 
 from kummerlab.arith import is_prime, squarefree_decomposition
 from kummerlab.cyclotomic import CyclotomicElement
-from kummerlab.idealprimes import JacobiMap, factor_maps
+from kummerlab.idealprimes import JacobiMap
 from kummerlab.lattice import colon_rows, hnf
+from kummerlab.polymod import factor_mod_p
 
 
 class QuadOrder:
@@ -79,10 +80,12 @@ class QuadOrder:
 
 def enumerate_quad_maps(order: QuadOrder, p: int) -> list[JacobiMap]:
     """One map per root of the modulus mod p (a repeated root yields a
-    single map), or one degree-2 map when it stays irreducible."""
+    single map), or one degree-2 map when it stays irreducible, in
+    factor_mod_p's order."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return factor_maps(order, p)
+    factored = factor_mod_p(list(order.modulus), p)
+    return [JacobiMap(order, p, tuple(fac)) for fac, _ in factored]
 
 
 def dichotomy_check(

@@ -312,7 +312,7 @@ def _claim_monoid_factor(cfg: Config) -> dict:
     ]
     assert monoid.factor_into_irreducibles(M, 9) == (9,)
     assert monoid.factor_into_irreducibles(M, 1) == ()
-    ideal = [(pr.p, e) for pr, e in monoid.ideal_factorization(M, 441)]
+    ideal = monoid.ideal_factorization(M, 441)
     assert ideal == [(3, 2), (7, 2)]
     return {"factorizations_of_441": [[9, 49], [21, 21]], "ideal": ideal}
 

@@ -509,10 +509,53 @@ def test_cli_json_before_action(capsys):
 
 
 def test_cli_trial_div_before_action(capsys):
-    # 25 is composite and passes trial division only with a bound of 5
-    assert main(["monoid", "--m", "25", "--trial-div", "1", "classgroup"]) == 2
-    assert "trial-division bound 1" in capsys.readouterr().err
+    # monoid takes no --trial-div, before its action or after it:
+    # classgroup factors m at the default bound
+    for argv in (
+        ["monoid", "--m", "25", "--trial-div", "1", "classgroup"],
+        ["monoid", "--m", "25", "classgroup", "--trial-div", "1"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments: --trial-div" in capsys.readouterr().err
     assert main(["monoid", "--m", "25", "classgroup"]) == 0
+    capsys.readouterr()
+    # 1000003 * 1000033: both factors exceed the default bound
+    start = time.perf_counter()
+    assert main(["monoid", "--m", "1000036000099", "classgroup"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: cofactor 1000036000099 is composite and exceeds the "
+        "trial-division bound 1000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["quad", "--enum-cap", "7", "--theta", "0,3", "conductor"], "--enum-cap"),
+        (["quad", "--foo", "7", "--theta", "0,3", "conductor"], "--foo"),
+        (["monoid", "--trial-div", "1", "--m", "25", "classgroup"], "--trial-div"),
+        (["quad", "-x", "7", "--theta", "0,3", "conductor"], "-x"),
+    ],
+)
+def test_cli_unknown_option_before_action_is_named(capsys, argv, option):
+    # argparse alone would read the option's value as the action
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {option}\n" in err_text
+    assert "invalid choice" not in err_text
+
+
+def test_cli_abbreviated_option_before_action_still_parses(capsys):
+    # the unknown-option check accepts what argparse accepts
+    argv = ["monoid", "--sub", "1,7", "--m", "8", "--js", "classgroup"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["result"]["order"] == 2
 
 
 def test_cli_stickelberger(capsys):
@@ -822,9 +865,9 @@ _LIMIT_SLOTS = [
     ("stickelberger", None, {"--enum-cap"}),
     ("quartic", None, {"--enum-cap"}),
     ("binomial", None, {"--enum-cap"}),
-    ("monoid", None, {"--enum-cap", "--trial-div"}),
+    ("monoid", None, {"--enum-cap"}),
     ("monoid", "factor", {"--enum-cap"}),
-    ("monoid", "classgroup", {"--enum-cap", "--trial-div"}),
+    ("monoid", "classgroup", {"--enum-cap"}),
     ("monoid", "defined-at", {"--enum-cap"}),
     ("monoid", "demo-singular", set()),
     ("quad", None, set()),

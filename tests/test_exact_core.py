@@ -26,7 +26,7 @@ from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element
 from kummerlab.idealprimes import enumerate_jacobi_maps
 from kummerlab.lattice import colon_rows, hnf, kernel_mod
-from kummerlab import polyint
+from kummerlab import arith, polyint
 from kummerlab.polyint import autocorrelation, cyclotomic_polynomial, mul, resultant
 from kummerlab.polymod import (
     factor_mod_p,
@@ -52,6 +52,21 @@ def test_is_prime_small():
     known = set(primes_below(200))
     for n in range(200):
         assert is_prime(n) == (n in known)
+
+
+def test_is_prime_below_43_squared_needs_no_miller_rabin(monkeypatch):
+    # below 43^2 a number that no base up to 41 divides is prime, so no
+    # Miller-Rabin round (one pow each) runs
+    known = set(primes_below(43 * 43))
+
+    def no_pow(*args):
+        raise AssertionError("Miller-Rabin ran below 43^2")
+
+    monkeypatch.setattr(arith, "pow", no_pow, raising=False)
+    for n in range(43 * 43):
+        assert is_prime(n) == (n in known), n
+    with pytest.raises(AssertionError, match="Miller-Rabin ran"):
+        is_prime(43 * 43)  # no base divides it, and it is composite
 
 
 def test_is_prime_large_composites():

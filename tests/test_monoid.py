@@ -1,11 +1,13 @@
 """Hilbert monoid divisor theory and the singular monoid counterexample."""
 
 import itertools
+import math
+import random
 from math import gcd, lcm
 
 import pytest
 
-from kummerlab.arith import factorize_int
+from kummerlab.arith import factorize_int, primes_below
 from kummerlab.monoid import (
     HilbertMonoid,
     SingularMonoid,
@@ -53,15 +55,13 @@ def test_factorizations_of_441():
 
 
 def test_ideal_factorization():
-    assert [(pr.p, e) for pr, e in ideal_factorization(M4, 441)] == [
-        (3, 2),
-        (7, 2),
-    ]
-    assert [(pr.p, e) for pr, e in ideal_factorization(M4, 9)] == [(3, 2)]
-    five = ideal_factorization(M4, 5)
-    assert five[0][0].is_principal()
-    three = ideal_factorization(M4, 9)[0][0]
-    assert not three.is_principal()
+    assert ideal_factorization(M4, 441) == [(3, 2), (7, 2)]
+    assert ideal_factorization(M4, 9) == [(3, 2)]
+    # the ideal prime of p is principal iff p mod m lies in H
+    [(five, _)] = ideal_factorization(M4, 5)
+    assert five % M4.m in M4.subgroup
+    [(three, _)] = ideal_factorization(M4, 9)
+    assert three % M4.m not in M4.subgroup
     with pytest.raises(ValueError):
         ideal_factorization(M4, 12)  # not in M / shares factor with modulus
 
@@ -70,10 +70,11 @@ def test_ideal_factorization_matches_integers():
     for a in range(1, 10001):
         if a in M4:
             factors = ideal_factorization(M4, a)
-            assert {pr.p: e for pr, e in factors} == factorize_int(a)
+            assert dict(factors) == factorize_int(a)
+            assert factors == sorted(factors)
             prod = 1
-            for pr, e in factors:
-                prod *= pr.p**e
+            for p, e in factors:
+                prod *= p**e
             assert prod == a
 
 
@@ -259,6 +260,66 @@ def test_class_group_law_well_defined():
             for a in ci:
                 for b in cj:
                     assert a * b % 8 in cosets[table[i][j]]
+
+
+def _generated_monoids(seed: int = 2718) -> list[HilbertMonoid]:
+    """For every m from 2 to 60, the subgroups closed from 0, 1 and 2 units
+    drawn at random."""
+    rng = random.Random(seed)
+    out = []
+    for m in range(2, 61):
+        units = [a for a in range(1, m) if gcd(a, m) == 1]
+        for k in (0, 1, 2):
+            gens = rng.sample(units, min(k, len(units)))
+            H, grown = set(), {1}
+            while grown != H:
+                H, grown = grown, grown | {h * g % m for h in grown for g in gens}
+            out.append(HilbertMonoid(m, H))
+    return out
+
+
+GENERATED = _generated_monoids()
+
+
+def test_class_group_table_and_orders_by_brute_force():
+    for M in GENERATED:
+        m, H = M.m, set(M.subgroup)
+        rep = class_group(M)
+        cosets = [tuple(c) for c in rep["cosets"]]
+        units = [a for a in range(1, m) if gcd(a, m) == 1]
+        assert sorted(r for c in cosets for r in c) == units, M
+        assert all(set(c) == {c[0] * h % m for h in H} for c in cosets), M
+        for i, ci in enumerate(cosets):
+            for j, cj in enumerate(cosets):
+                holders = [k for k, c in enumerate(cosets) if ci[0] * cj[0] % m in c]
+                assert holders == [rep["table"][i][j]], (M, i, j)
+        orders = [
+            next(k for k in itertools.count(1) if pow(c[0], k, m) in H)
+            for c in cosets
+        ]
+        assert rep["element_orders"] == sorted(orders), M
+
+
+def test_class_group_invariant_factors_on_generated_monoids():
+    for M in GENERATED:
+        rep = class_group(M)
+        inv = rep["invariant_factors"]
+        assert math.prod(inv) == rep["order"], M
+        assert all(b % a == 0 for a, b in zip(inv, inv[1:])), M
+        assert (inv[-1] if inv else 1) == max(rep["element_orders"]), M
+
+
+def test_uniformizer_is_the_least_on_generated_monoids():
+    for M in GENERATED:
+        for p in primes_below(60):
+            if M.m % p == 0:
+                with pytest.raises(ValueError):
+                    uniformizer(M, p)
+                continue
+            r = next(r for r in itertools.count(1) if r % p and p * r in M)
+            q = uniformizer(M, p)
+            assert q == p * r, (M, p)
+            assert multiplicity_monoid(M, p, q, q) == 1, (M, p)
 
 
 def test_square_tests():
