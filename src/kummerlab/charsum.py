@@ -235,10 +235,11 @@ def gauss_power_descent(lam: int, p: int, i: int = 1) -> dict:
 def fundamental_congruence_check(p: int, i: int, k: int) -> dict:
     """Jacobi's congruence for the order p-1 sums in Z[zeta_{p-1}].
 
-    The sum is formed by direct summation, the substitution sends the root
-    of unity to the least primitive root g mod p, and the result must be
-    0 mod p when i + k < p - 1 and the exact binomial quotient
-    (2(p-1)-i-k)! / ((p-1-i)!(p-1-k)!) mod p when i + k > p - 1.
+    The substitution sends the root of unity to the least primitive root g
+    mod p, a root of Phi_{p-1} mod p, so the sum -sum_e N_e X^e of _counts
+    is evaluated unreduced.  The result must be 0 mod p when i + k < p - 1
+    and the exact binomial quotient (2(p-1)-i-k)! / ((p-1-i)!(p-1-k)!)
+    mod p when i + k > p - 1.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -247,10 +248,9 @@ def fundamental_congruence_check(p: int, i: int, k: int) -> dict:
     if i + k == p - 1:
         raise ValueError("excluded index: i + k = p - 1")
     chi = character(p, p - 1)
-    psi = jacobi_sum(chi, i, k)
     value = 0
-    for c in reversed(psi.coeffs):
-        value = (value * chi.g + c) % p
+    for c in reversed(_counts(chi, i, k)):
+        value = (value * chi.g - c) % p
     if i + k < p - 1:
         expected = 0
     else:

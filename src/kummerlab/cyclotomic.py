@@ -153,14 +153,6 @@ class CyclotomicRing:
                     folded[shift + i] -= c * b
         return tuple(folded[:d])
 
-    def mul_matrix(self, v) -> list[tuple[int, ...]]:
-        """Coordinate rows of v * alpha^i, i < phi(n): row i + 1 is row i
-        shifted one place and reduced."""
-        rows = [self._reduce(list(v))]
-        for _ in range(1, self.degree):
-            rows.append(self._reduce([0, *rows[-1]]))
-        return rows
-
     def __eq__(self, other):
         return isinstance(other, CyclotomicRing) and self.n == other.n
 

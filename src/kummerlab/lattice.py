@@ -6,12 +6,12 @@ the entries above each pivot reduced into [0, pivot).  Two bases of the same
 lattice always produce the identical canonical matrix, so lattice equality
 is matrix equality.
 
-An order (a ring with a distinguished Z-basis e_0 .. e_(d-1)) enters
-through its own multiplication: ``order.mul_matrix(v)`` returns the rows
-v * e_i, so x -> x @ M is multiplication by v, and ``order.degree`` is
-its rank.  Ideal products and the colon ideal's rows (solved once per
-fraction; each Jacobi map then tests them with its own power rows) ask
-nothing else of the ring.
+An order Z[T]/(F) of rank d = ``order.degree`` enters only through
+``order._reduce`` (the residue mod F): ``mul_matrix(order, v)`` returns
+the rows v * theta^i, i < d, so x -> x @ M is multiplication by v.  Ideal
+products and the colon ideal's rows (solved once per fraction; each
+Jacobi map then tests them with its own power rows) ask nothing else of
+the ring.
 """
 
 from operator import mul
@@ -112,11 +112,11 @@ class IntLattice:
 
     def product(self, other: "IntLattice", order) -> "IntLattice":
         """The lattice spanned by all products a * b, a in self, b in other."""
-        if other.dim != self.dim:
+        if other.dim != self.dim or order.degree != self.dim:
             raise ValueError("dimension mismatch")
         gens = []
         for b in other.rows:
-            columns = list(zip(*_mul_matrix(order, b, self.dim)))
+            columns = list(zip(*mul_matrix(order, b)))
             gens += [[sum(map(mul, a, col)) for col in columns] for a in self.rows]
         return IntLattice(gens)
 
@@ -135,12 +135,13 @@ def hnf(rows) -> IntLattice:
     return IntLattice(rows)
 
 
-def _mul_matrix(order, v, dim: int):
-    """order.mul_matrix(v), refused unless the order has rank dim."""
-    mat = order.mul_matrix(v)
-    if len(mat) != dim:
-        raise ValueError("dimension mismatch")
-    return mat
+def mul_matrix(order, v) -> list[tuple[int, ...]]:
+    """Coordinate rows of v * theta^i, i < order.degree: row i + 1 is row i
+    shifted one place and reduced."""
+    rows = [order._reduce(list(v))]
+    for _ in range(1, order.degree):
+        rows.append(order._reduce([0, *rows[-1]]))
+    return rows
 
 
 def colon_rows(num, den, order) -> list[list[int]]:
@@ -155,7 +156,7 @@ def colon_rows(num, den, order) -> list[list[int]]:
     dim = order.degree
     if len(num) != dim or len(den) != dim:
         raise ValueError("dimension mismatch")
-    return _preimage(order.mul_matrix(num), order.mul_matrix(den))
+    return _preimage(mul_matrix(order, num), mul_matrix(order, den))
 
 
 def _preimage(nmat, target_rows) -> list[list[int]]:

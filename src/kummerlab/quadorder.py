@@ -2,7 +2,7 @@
 
 theta has monic minimal polynomial T^2 + u T + v, the order's modulus; the
 order is Z + Z theta.  A QuadOrder is a ring in the sense the cyclotomic
-ring is (degree, modulus, _reduce, mul_matrix, symbol), and its elements
+ring is (degree, modulus, _reduce, element, symbol), and its elements
 are cyclotomic.CyclotomicElement objects reduced mod the modulus, so its
 reduction maps onto finite fields are idealprimes.JacobiMap objects, built
 exactly as in the cyclotomic case.  For a non-maximal order the maps at
@@ -22,7 +22,7 @@ from math import isqrt
 from kummerlab.arith import is_prime, squarefree_decomposition
 from kummerlab.cyclotomic import CyclotomicElement
 from kummerlab.idealprimes import JacobiMap
-from kummerlab.lattice import colon_rows, hnf
+from kummerlab.lattice import colon_rows, hnf, mul_matrix
 from kummerlab.polymod import factor_mod_p
 
 
@@ -57,13 +57,6 @@ class QuadOrder:
                 c[k - 1] -= self.u * top
                 c[k - 2] -= self.v * top
         return (c[0], c[1])
-
-    def mul_matrix(self, v) -> list[tuple[int, int]]:
-        """Coordinate rows of v * 1 and v * theta."""
-        if len(v) != 2:
-            raise ValueError("dimension mismatch")
-        x, y = v
-        return [(x, y), (-self.v * y, x - self.u * y)]
 
     def __eq__(self, other):
         return isinstance(other, QuadOrder) and (self.u, self.v) == (
@@ -101,6 +94,8 @@ def dichotomy_check(
     witnesses the failure of the valuation dichotomy, which happens only
     at primes dividing the conductor.
     """
+    if not any(numerator.coeffs):
+        raise ZeroDivisionError("zero numerator")
     order = numerator.ring
     at_fraction = colon_rows(numerator.coeffs, denominator.coeffs, order)
     at_inverse = colon_rows(denominator.coeffs, numerator.coeffs, order)
@@ -120,7 +115,7 @@ def prime_square_anomaly() -> dict:
     minimal polynomial stays irreducible mod 2, so (2) is itself prime.
     """
     order = QuadOrder(0, 3)
-    two = hnf(order.mul_matrix([2, 0]))
+    two = hnf(mul_matrix(order, [2, 0]))
     p_ideal = hnf([[2, 0], [1, 1], [0, 2], [-3, 1]])
     p_squared = p_ideal.product(p_ideal, order)
     two_p = two.product(p_ideal, order)

@@ -53,7 +53,7 @@ from kummerlab.idealprimes import (
     check_conductor,
     enumerate_jacobi_maps,
 )
-from kummerlab.lattice import colon_rows, kernel_mod
+from kummerlab.lattice import colon_rows, kernel_mod, mul_matrix
 from kummerlab.polymod import gf_pow_mod
 
 
@@ -73,10 +73,10 @@ class KummerPrime:
 
     @cached_property
     def psi_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Columns of Psi's multiplication matrix: coefficient l of w * Psi
+        """Columns of Psi's lattice.mul_matrix: coefficient l of w * Psi
         is the dot product of w's coefficients with column l."""
         big_psi = self.psi_conjugates
-        return tuple(zip(*big_psi.ring.mul_matrix(big_psi.coeffs)))
+        return tuple(zip(*mul_matrix(big_psi.ring, big_psi.coeffs)))
 
     def certificate(self) -> dict:
         q = self.q

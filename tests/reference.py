@@ -9,8 +9,9 @@ from kummerlab.arith import (
     FactorizationError,
     is_prime,
 )
+from kummerlab.charsum import character, jacobi_sum
 from kummerlab.cyclotomic import conjugate, gaussian_periods
-from kummerlab.lattice import IntLattice, _mul_matrix, _preimage
+from kummerlab.lattice import IntLattice, _preimage, mul_matrix
 from kummerlab.polyint import degree, trim
 from kummerlab.polymod import gf_mod, gf_mul
 from kummerlab.valuation import _norm_and_cofactor
@@ -26,6 +27,18 @@ def counts_reference(chi, i: int, k: int) -> list[int]:
     for a, b in zip(index[2:p], index[p - 1 : 1 : -1]):
         counts[(i * a + k * b) % lam] += 1
     return counts
+
+
+def fc_value_reference(p: int, i: int, k: int) -> int:
+    """J(chi^i, chi^k) of order p - 1, reduced mod Phi_{p-1} in
+    Z[zeta_{p-1}], at the least primitive root g mod p: the reference for
+    charsum.fundamental_congruence_check, which evaluates the unreduced
+    counts."""
+    chi = character(p, p - 1)
+    value = 0
+    for c in reversed(jacobi_sum(chi, i, k).coeffs):
+        value = (value * chi.g + c) % p
+    return value
 
 
 def reflection_reference(chi, j) -> dict:
@@ -125,14 +138,14 @@ def standard_lattice(dim: int) -> IntLattice:
 
 def principal_lattice(v, order) -> IntLattice:
     """The lattice v * O for an order element v (v must be a nonzerodivisor)."""
-    return IntLattice(order.mul_matrix(v))
+    return IntLattice(mul_matrix(order, v))
 
 
 def colon(lattice: IntLattice, v, order) -> IntLattice:
     """The colon lattice {delta : v * delta in L}, in canonical form."""
-    if len(v) != lattice.dim:
+    if len(v) != lattice.dim or order.degree != lattice.dim:
         raise ValueError("dimension mismatch")
-    nmat = _mul_matrix(order, v, lattice.dim)
+    nmat = mul_matrix(order, v)
     return IntLattice(_preimage(nmat, lattice.rows))
 
 

@@ -30,7 +30,7 @@ from kummerlab.cyclotomic import (
 )
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
-from reference import counts_reference, reflection_reference
+from reference import counts_reference, fc_value_reference, reflection_reference
 
 
 def jacobi_sum_positive(chi: Character, i: int, k: int) -> CyclotomicElement:
@@ -348,6 +348,17 @@ def test_fundamental_congruence_exhaustive_small():
                 if i + k == p - 1:
                     continue
                 assert fundamental_congruence_check(p, i, k)["holds"]
+
+
+def test_fundamental_congruence_skips_the_reduction_mod_phi():
+    # g is a root of Phi_{p-1} mod p, so the unreduced counts give the
+    # value of the reduced Jacobi sum at g
+    for p in primes_below(60):
+        for i in range(1, p - 1):
+            for k in range(1, p - 1):
+                if i + k != p - 1:
+                    value = fundamental_congruence_check(p, i, k)["value"]
+                    assert value == fc_value_reference(p, i, k), (p, i, k)
 
 
 def test_fundamental_congruence_excluded_index():

@@ -435,6 +435,14 @@ def test_cli_usage_error_exit_code():
             ["monoid", "--m", "4", "factor", "10001"],
             "10001 exceeds --enum-cap 10000 for exhaustive factorization search",
         ),
+        (
+            ["quad", "--theta", "0,3", "check-b2", "--p", "2", "0", "1"],
+            "error: zero numerator",
+        ),
+        (
+            ["quad", "--theta", "0,3", "check-b2", "--p", "2", "1", "0"],
+            "error: zero denominator",
+        ),
     ],
 )
 def test_cli_out_of_range_input_exit_code(capsys, argv, message):

@@ -25,7 +25,7 @@ from kummerlab.arith import (
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element
 from kummerlab.idealprimes import enumerate_jacobi_maps
-from kummerlab.lattice import colon_rows, hnf, kernel_mod
+from kummerlab.lattice import colon_rows, hnf, kernel_mod, mul_matrix
 from kummerlab import arith, polyint
 from kummerlab.polyint import autocorrelation, cyclotomic_polynomial, mul, resultant
 from kummerlab.polymod import (
@@ -624,9 +624,54 @@ def test_mul_matrix_matches_ring_multiplication(order):
     basis = [[int(i == j) for j in range(d)] for i in range(d)]
     for _ in range(5):
         v = [rng.randint(-9, 9) for _ in range(d)]
-        assert [list(r) for r in order.mul_matrix(v)] == [
+        assert [list(r) for r in mul_matrix(order, v)] == [
             _times(order, v, e) for e in basis
         ]
+
+
+def _generated_orders(rng):
+    """Z[alpha] for every conductor 1 .. 60, and 60 QuadOrder(u, v) with
+    u, v drawn from [-30, 30], square discriminants skipped."""
+    orders = [cyclotomic_ring(n) for n in range(1, 61)]
+    while len(orders) < 120:
+        u, v = rng.randint(-30, 30), rng.randint(-30, 30)
+        disc = u * u - 4 * v
+        if disc < 0 or math.isqrt(disc) ** 2 != disc:
+            orders.append(QuadOrder(u, v))
+    return orders
+
+
+def test_mul_matrix_matches_ring_multiplication_on_generated_orders():
+    # the rows v * theta^i by ring multiplication, for vectors v of every
+    # length up to twice the degree: a long v is reduced first
+    rng = random.Random(RNG_SEED + 37)
+    for order in _generated_orders(rng):
+        d = order.degree
+        basis = [[int(i == j) for j in range(d)] for i in range(d)]
+        for length in (1, d, d + 1, 2 * d):
+            v = [rng.randint(-30, 30) for _ in range(length)]
+            assert [list(r) for r in mul_matrix(order, v)] == [
+                _times(order, v, e) for e in basis
+            ], (order, v)
+
+
+def test_product_and_colon_refuse_every_rank_mismatch_on_generated_orders():
+    rng = random.Random(RNG_SEED + 41)
+    for order in _generated_orders(rng):
+        d = order.degree
+        for dim in sorted({1, 2, d - 1, d, d + 1, rng.randint(1, 60)} - {0}):
+            unit = standard_lattice(dim)
+            v = [rng.randint(-9, 9) for _ in range(dim - 1)] + [1]
+            if dim == d:
+                if d > 8:  # a product of rank d takes d^2 generators
+                    continue
+                assert unit.product(unit, order) == unit
+                assert hnf(colon_rows(v, v, order)) == unit
+                continue
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                unit.product(unit, order)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                colon_rows(v, v, order)
 
 
 def test_product_and_colon_check_the_order_rank():
@@ -643,7 +688,7 @@ def test_product_and_colon_check_the_order_rank():
         square.product(square, SQRT_M3)
     with pytest.raises(ValueError, match="dimension mismatch"):
         colon_rows([1, 0, 0, 0], [1, 0, 0, 0], SQRT_M3)
-    # Z[alpha]'s mul_matrix reduces a long vector; colon_rows still refuses it
+    # mul_matrix reduces a long vector; colon_rows still refuses it
     with pytest.raises(ValueError, match="dimension mismatch"):
         colon_rows([1, 1, 0, 0, 1], [1, 0, 0, 0], ring)
     with pytest.raises(ValueError, match="dimension mismatch"):
