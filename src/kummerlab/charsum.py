@@ -49,7 +49,9 @@ class Character:
     def __init__(self, p: int, lam: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if lam < 2 or (p - 1) % lam != 0:
+        if lam < 2:
+            raise ValueError(f"order {lam} must be at least 2")
+        if (p - 1) % lam != 0:
             raise ValueError(f"order {lam} must divide p - 1 = {p - 1}")
         self.p = p
         self.lam = lam

@@ -14,7 +14,7 @@ from math import gcd
 
 from kummerlab import charsum, monoid, quadorder
 from kummerlab.arith import DEFAULT_TRIAL_DIVISION_BOUND, factorize_int, is_prime
-from kummerlab.cyclotomic import cyclotomic_ring, gaussian_periods
+from kummerlab.cyclotomic import cyclotomic_ring
 from kummerlab.exprparse import (
     MAX_COEFFICIENT_DIGITS,
     ElementParseError,
@@ -188,7 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_maps = sub.add_parser("maps", parents=[capped], help="list Jacobi maps")
     p_maps.add_argument("--lambda", dest="lam", type=int, required=True)
     p_maps.add_argument("--p", type=int, required=True)
-    p_maps.add_argument("--periods", type=int, default=None, metavar="E")
 
     p_factor = sub.add_parser(
         "factor", parents=[full], help="ideal prime factorization"
@@ -288,17 +287,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _map_report(phi, periods=None) -> dict:
-    report = {
+def _map_report(phi) -> dict:
+    return {
         "p": phi.p,
         "f": phi.f,
         "xi": phi.label(),
         "factor": list(phi.factor),
         "kernel_hnf": [list(r) for r in phi.kernel().rows],
+        "u_vector": list(phi.period_residues()),
     }
-    if periods is not None:
-        report["u_vector"] = list(phi.period_residues(periods))
-    return report
 
 
 def _emit(args, command: str, result, failed: bool = False) -> int:
@@ -311,12 +308,7 @@ def _emit(args, command: str, result, failed: bool = False) -> int:
 
 def _cmd_maps(args) -> int:
     _check_conductor_cap(args)
-    periods = None
-    if args.periods is not None:
-        periods = gaussian_periods(args.lam, args.periods)
-    maps = [
-        _map_report(phi, periods) for phi in enumerate_jacobi_maps(args.lam, args.p)
-    ]
+    maps = [_map_report(phi) for phi in enumerate_jacobi_maps(args.lam, args.p)]
     return _emit(args, "maps", {"lambda": args.lam, "p": args.p, "maps": maps})
 
 
@@ -330,7 +322,7 @@ def _factor_record(x, r) -> dict:
                 f"Kummer multiplicity and oracle disagree at {r.map!r}"
             )
         psi = render_element(K.psi)
-        u = list(r.map.period_residues(K.periods))
+        u = list(r.map.period_residues())
     return {
         "p": r.map.p,
         "f": r.map.f,

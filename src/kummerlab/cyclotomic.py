@@ -358,14 +358,6 @@ class PeriodSystem:
             lam, [pow(self.g, e * j, lam) for j in range(self.f)]
         )
 
-    def combine(self, coeffs) -> CyclotomicElement:
-        """The element sum coeffs[i] * eta_i."""
-        out = self.ring.zero()
-        for c, eta in zip(coeffs, self.periods):
-            if c:
-                out = out + c * eta
-        return out
-
     def __repr__(self):
         return f"PeriodSystem(lambda={self.lam}, e={self.e})"
 

@@ -24,13 +24,15 @@ mod p, and each factor of Phi_lam mod p is gcd(Phi_lam, eta_0(X) - u).
 Only a residue u repeated mod p gives a gcd of several factors, and only
 that gcd goes through factor_mod_p, as do the period polynomial itself
 and, in quadorder.enumerate_quad_maps, the modulus of a quadratic order.
+A map's period_residues() are these u: its images of the e periods of its
+own residue degree, the map restricted to the period ring.
 """
 
 from functools import lru_cache
 from itertools import count
 
 from kummerlab.arith import is_prime, multiplicative_order
-from kummerlab.cyclotomic import PeriodSystem, cyclotomic_ring, gaussian_periods
+from kummerlab.cyclotomic import cyclotomic_ring, gaussian_periods
 from kummerlab.ffield import image, power_rows
 from kummerlab.lattice import IntLattice, kernel_mod
 from kummerlab.polyint import trim
@@ -91,15 +93,11 @@ class JacobiMap:
             raise AssertionError("kernel index must be p^f")
         return lattice
 
-    def period_residues(self, system: PeriodSystem) -> tuple[int, ...]:
-        """Images of the Gaussian periods; always in the prime field."""
-        if system.ring != self.ring:
-            raise ValueError("period system has the wrong conductor")
-        if system.e * self.f != self.ring.degree:
-            raise ValueError(
-                f"period count e={system.e} does not match residue degree "
-                f"f={self.f}"
-            )
+    def period_residues(self) -> tuple[int, ...]:
+        """Images of the e = (lam - 1) / f Gaussian periods of Z[alpha]:
+        the map restricted to the period ring, in which p splits completely
+        (p != lam), so every image lies in the prime field."""
+        system = gaussian_periods(self.ring.n, self.ring.degree // self.f)
         out = []
         for eta in system.periods:
             img = self.apply(eta)

@@ -1,7 +1,7 @@
 """Discrete valuations on Z[alpha] built from uniformizers.
 
 A KummerPrime packages a Jacobi map with a uniformizer psi constructed, as
-Kummer did, from the map's period residues u = (u_0, ..., u_{e-1}): psi is
+Kummer did, from the map's period_residues() u = (u_0, ..., u_{e-1}): psi is
 killed by the map and its period-field norm psi * Psi (with Psi the product
 of the remaining period conjugates) is divisible by q exactly once.  At
 residue degree 1, psi = alpha - r and one synthetic division of Phi by
@@ -13,7 +13,9 @@ and one coefficient at a time: it carries the exact quotient
 w = x * Psi^mu / q^mu, so level mu + 1 only asks whether q divides each
 coefficient of w * Psi, a dot product of w with one column of Psi's
 multiplication matrix, and it stops at the first coefficient that q does
-not divide.  The tests compare it with the literal test of x * Psi^mu.
+not divide.  That matrix is taken of Psi mod q, its coefficients in
+(-q/2, q/2], which leaves every multiplicity as it is.  The tests compare
+it with the literal test of x * Psi^mu.
 
 An independent oracle computes the same number as the largest mu with
 x in (ker phi)^mu, by exact p-adic arithmetic and no uniformizer at all.
@@ -42,7 +44,6 @@ from kummerlab.arith import (
 )
 from kummerlab.cyclotomic import (
     CyclotomicElement,
-    PeriodSystem,
     conjugate_tower,
     gaussian_periods,
     norm,
@@ -62,7 +63,6 @@ class KummerPrime:
     """An ideal prime with a certified uniformizer."""
 
     map: JacobiMap
-    periods: PeriodSystem
     psi: CyclotomicElement
     psi_conjugates: CyclotomicElement  # Psi = product of the other conjugates
     period_norm: int  # psi * Psi as a rational integer
@@ -73,18 +73,21 @@ class KummerPrime:
 
     @cached_property
     def psi_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Columns of Psi's lattice.mul_matrix: coefficient l of w * Psi
-        is the dot product of w's coefficients with column l."""
-        big_psi = self.psi_conjugates
-        return tuple(zip(*mul_matrix(big_psi.ring, big_psi.coeffs)))
+        """Columns of the lattice.mul_matrix of Psi' = Psi - q z, Psi's
+        coefficients taken in (-q/2, q/2]: coefficient l of w * Psi' is the
+        dot product of w's coefficients with column l.
 
-    def certificate(self) -> dict:
-        q = self.q
-        return {
-            "norm": self.period_norm,
-            "divisible_once": self.period_norm % q == 0
-            and (self.period_norm // q) % q != 0,
-        }
+        Kummer's test may use Psi' for Psi.  Psi' still lies in every other
+        prime above q, and v_P(Psi') = v_P(Psi), since q z lies deeper in P:
+        0 for q != lam, and lam - 2 at q = lam, where v_P(q) = lam - 1.  So
+        q^mu divides x * Psi'^mu exactly when v_P(x) >= mu, as for Psi.
+        Each row of the table is a rotation of (Psi', 0) minus one of its
+        entries, so every entry has |c| < q.
+        """
+        q, big_psi = self.q, self.psi_conjugates
+        residues = (c % q for c in big_psi.coeffs)
+        small = [c - q if 2 * c > q else c for c in residues]
+        return tuple(zip(*mul_matrix(big_psi.ring, small)))
 
 
 def _norm_and_cofactor(x: CyclotomicElement, schedule):
@@ -130,12 +133,10 @@ def find_uniformizer(phi: JacobiMap) -> KummerPrime:
     once; at f = 1 that is alpha - (r - q)).  The result must pass the
     certificate: phi kills psi and q divides psi * Psi exactly once.
     """
-    q, lam = phi.p, phi.ring.n
-    system = gaussian_periods(lam, (lam - 1) // phi.f)
-    ring = system.ring
-    e = system.e
+    q, ring = phi.p, phi.ring
+    e = ring.degree // phi.f
     if e == 1:
-        return KummerPrime(phi, system, ring.element(q), ring.one(), q)
+        return KummerPrime(phi, ring.element(q), ring.one(), q)
     if phi.f == 1:
         (r,) = phi.xi
         r = r - q if 2 * r > q else r
@@ -143,7 +144,8 @@ def find_uniformizer(phi: JacobiMap) -> KummerPrime:
         if nval % (q * q) == 0:
             psi, big_psi, nval = _linear_uniformizer(ring, r - q)
     else:
-        u = phi.period_residues(system)
+        system = gaussian_periods(ring.n, e)
+        u = phi.period_residues()
         if u.count(u[0]) == 1:
             psi = system.periods[0] - (u[0] - q if 2 * u[0] > q else u[0])
         else:
@@ -151,17 +153,17 @@ def find_uniformizer(phi: JacobiMap) -> KummerPrime:
             # column but the first, row k + 1 is x_k's residue at each prime.
             rows = [[0] + [q - 1] * (e - 1)]
             rows += [[u[(k + l) % e] for l in range(e)] for k in range(e)]
-            psi = system.combine(kernel_mod(rows, q).rows[0][1:])
+            x = kernel_mod(rows, q).rows[0][1:]
+            psi = sum((c * eta for c, eta in zip(x, system.periods)), ring.zero())
         nval, big_psi = _norm_and_cofactor(psi, system.norm_schedule)
         if nval % (q * q) == 0:
             psi = psi + q
             nval, big_psi = _norm_and_cofactor(psi, system.norm_schedule)
-    K = KummerPrime(phi, system, psi, big_psi, nval)
-    if not (phi.kills(psi) and K.certificate()["divisible_once"]):
+    if not (phi.kills(psi) and nval % q == 0 and nval // q % q):
         raise ArithmeticError(
             f"constructed uniformizer for {phi!r} failed its certificate"
         )
-    return K
+    return KummerPrime(phi, psi, big_psi, nval)
 
 
 @lru_cache(maxsize=1024)

@@ -65,7 +65,7 @@ def uniformizer_by_tower(phi):
     """
     q = phi.p
     system = gaussian_periods(phi.ring.n, phi.ring.degree)
-    u0 = phi.period_residues(system)[0]
+    u0 = phi.period_residues()[0]
     psi = system.periods[0] - (u0 - q if 2 * u0 > q else u0)
     nval, big_psi = _norm_and_cofactor(psi, system.norm_schedule)
     if nval % (q * q) == 0:

@@ -136,6 +136,21 @@ def test_cli_maps_json(capsys):
     assert "." not in out.replace("kummerlab/1", "")  # no floats anywhere
 
 
+def test_cli_maps_list_every_u_vector(capsys):
+    # every map carries its images of the (lambda - 1) / f periods: all ones
+    # at the ramified p = 5, [p - 1] at the inert p = 2, and at f = 1 the
+    # images of alpha^(g^i), which start at the root xi
+    expected = {"5": [[1, 1, 1, 1]], "2": [[1]], "19": [[4, 14], [14, 4]]}
+    for p, vectors in expected.items():
+        code, out = _run(capsys, ["maps", "--lambda", "5", "--p", p, "--json"])
+        assert code == 0
+        maps = json.loads(out)["result"]["maps"]
+        assert sorted(m["u_vector"] for m in maps) == vectors
+    code, out = _run(capsys, ["maps", "--lambda", "5", "--p", "11", "--json"])
+    for m in json.loads(out)["result"]["maps"]:
+        assert len(m["u_vector"]) == 4 and m["u_vector"][0] == m["xi"]
+
+
 def test_cli_factor(capsys):
     code, out = _run(capsys, ["factor", "--lambda", "5", "2 + a", "--json"])
     assert code == 0
@@ -267,12 +282,12 @@ def test_cli_usage_error_exit_code():
         (["divides", "--lambda", "9", "1+a", "2"], "conductor 9 must be an odd prime"),
         (["factor", "--lambda", "9", "1+a"], "conductor 9 must be an odd prime"),
         (
-            ["maps", "--lambda", "5", "--p", "11", "--periods", "0"],
-            "e=0 must be a positive divisor of lambda-1=4",
+            ["jacobi-sum", "--p", "7", "--order", "1", "--i", "1", "--k", "1"],
+            "order 1 must be at least 2",
         ),
         (
-            ["maps", "--lambda", "5", "--p", "11", "--periods", "-2"],
-            "e=-2 must be a positive divisor of lambda-1=4",
+            ["jacobi-sum", "--p", "7", "--order", "0", "--i", "1", "--k", "1"],
+            "order 0 must be at least 2",
         ),
         (["fc-check", "--p", "1", "--all"], "1 is not prime"),
         (["fc-check", "--p", "0", "--all"], "0 is not prime"),
@@ -442,6 +457,10 @@ def test_cli_usage_error_exit_code():
         (
             ["quad", "--theta", "0,3", "check-b2", "--p", "2", "1", "0"],
             "error: zero denominator",
+        ),
+        (
+            ["jacobi-sum", "--p", "7", "--order", "-3", "--i", "1", "--k", "1"],
+            "order -3 must be at least 2",
         ),
     ],
 )
@@ -729,7 +748,7 @@ def test_cli_monoid_refuses_a_large_subgroup_before_its_closure_check(capsys):
 
 def test_json_reports_never_contain_floats(capsys):
     for argv in (
-        ["maps", "--lambda", "5", "--p", "19", "--periods", "2", "--json"],
+        ["maps", "--lambda", "5", "--p", "19", "--json"],
         ["quartic", "--p", "13", "--json"],
         ["binomial", "--p", "29", "--json"],
         ["gauss-sum", "--p", "7", "--order", "3", "--json"],

@@ -314,26 +314,23 @@ def test_kernel_primality_surrogate():
 
 
 def test_period_residues_pinned():
-    sys52 = gaussian_periods(5, 2)
-    vectors = sorted(m.period_residues(sys52) for m in enumerate_jacobi_maps(5, 19))
+    vectors = sorted(m.period_residues() for m in enumerate_jacobi_maps(5, 19))
     assert vectors == [(4, 14), (14, 4)]
     for u0, u1 in vectors:
         assert (u0 * u0 + u0 - 1) % 19 == 0  # roots of the period polynomial
     phi3 = map_for_root(enumerate_jacobi_maps(5, 11), 3)
-    assert phi3.period_residues(gaussian_periods(5, 4)) == (3, 9, 4, 5)
+    assert phi3.period_residues() == (3, 9, 4, 5)
 
 
 def test_period_residue_sums():
-    sys52 = gaussian_periods(5, 2)
     for p in (19, 29):
         for phi in enumerate_jacobi_maps(5, p):
-            assert sum(phi.period_residues(sys52)) % p == p - 1
+            assert sum(phi.period_residues()) % p == p - 1
 
 
 def test_period_residues_are_rotations():
     for lam, e, p in [(5, 2, 19), (7, 2, 2), (13, 4, 3)]:
-        system = gaussian_periods(lam, e)
-        vectors = [m.period_residues(system) for m in enumerate_jacobi_maps(lam, p)]
+        vectors = [m.period_residues() for m in enumerate_jacobi_maps(lam, p)]
         base = vectors[0]
         rotations = {
             tuple(base[(i + j) % e] for i in range(e)) for j in range(e)
@@ -342,10 +339,16 @@ def test_period_residues_are_rotations():
         assert len(set(vectors)) == len(vectors)
 
 
-def test_period_residue_degree_mismatch():
-    phi = enumerate_jacobi_maps(5, 19)[0]  # f = 2
-    with pytest.raises(ValueError):
-        phi.period_residues(gaussian_periods(5, 4))
+def test_period_residues_are_the_images_of_the_map_s_own_periods():
+    # the period system is the one of e = (lam - 1) / f periods, at every
+    # prime below 100: split, ramified (p = lam) and inert p alike
+    for lam in (3, 5, 7, 11, 13, 23):
+        for p in primes_below(100):
+            for phi in enumerate_jacobi_maps(lam, p):
+                system = gaussian_periods(lam, (lam - 1) // phi.f)
+                images = [phi.apply(eta) for eta in system.periods]
+                assert not any(c for img in images for c in img[1:])  # in F_p
+                assert phi.period_residues() == tuple(img[0] for img in images)
 
 
 def test_kernel_pinned():

@@ -55,7 +55,6 @@ def test_uniformizer_certificate_split():
         assert phi.kills(K.psi)
         assert K.period_norm % 11 == 0
         assert (K.period_norm // 11) % 11 != 0
-        assert K.certificate()["divisible_once"]
     # 2 + alpha certifiably uniformizes the xi = 9 map; alpha - 3 is
     # rejected for the xi = 3 map because its norm is 121
     ring = maps[0].ring
@@ -97,7 +96,7 @@ def test_uniformizer_large_split_prime():
         assert phi.f == 1
         K = find_uniformizer(phi)
         assert phi.kills(K.psi)
-        assert K.certificate()["divisible_once"]
+        assert valuation_int(K.period_norm, 193) == 1
         x = K.psi * ring.element([2, 1])
         assert multiplicity(x, K) == valuation_oracle(x, phi) == 1
 
@@ -116,15 +115,14 @@ def test_uniformizer_psi_conjugate_product_definition():
         for phi in enumerate_jacobi_maps(lam, p):
             degrees.add((lam, phi.f))
             K = kummer_prime(phi)
-            prod = K.periods.ring.one()
+            system = gaussian_periods(lam, (lam - 1) // phi.f)
+            prod = phi.ring.one()
             current = K.psi
-            for _ in range(K.periods.e - 1):
-                current = conjugate(current, K.periods.g)
+            for _ in range(system.e - 1):
+                current = conjugate(current, system.g)
                 prod = prod * current
             assert prod == K.psi_conjugates
-            assert (K.psi * K.psi_conjugates) == K.periods.ring.element(
-                K.period_norm
-            )
+            assert (K.psi * K.psi_conjugates) == phi.ring.element(K.period_norm)
     assert {(23, 11), (41, 8), (41, 20), (23, 1), (41, 1)} <= degrees
 
 
@@ -178,7 +176,8 @@ def test_tower_multiply_counts(monkeypatch):
 
 
 def test_maps_above_one_prime_share_one_period_system(monkeypatch):
-    # all maps above p have the same residue degree, so one (lambda, e)
+    # all maps above p have the same residue degree, so one (lambda, e);
+    # at f = 1 (83 at lambda 41) no period system is built at all
     built = []
     original = PeriodSystem.__init__
 
@@ -192,10 +191,32 @@ def test_maps_above_one_prime_share_one_period_system(monkeypatch):
         kummer_prime.cache_clear()
         built.clear()
         maps = enumerate_jacobi_maps(lam, p)
-        systems = {kummer_prime(phi).periods for phi in maps}
-        assert len(maps) > 1 and len(systems) == 1
-        assert built == [(lam, (lam - 1) // maps[0].f)]
+        for phi in maps:
+            kummer_prime(phi)
+        assert len(maps) > 1
+        if maps[0].f == 1:
+            assert built == []
+        else:
+            assert built == [(lam, (lam - 1) // maps[0].f)]
     kummer_prime.cache_clear()
+
+
+def test_kummer_test_reads_psi_mod_q():
+    # psi_columns hold Psi' = Psi - q z with coefficients in (-q/2, q/2]:
+    # every entry of the table is below q, and the multiplicities of
+    # psi^k * y are still the oracle's, at f = 1, at f = 11 and at q = lambda
+    rng = random.Random(RNG_SEED)
+    cases = [(41, 83), (23, 2), (7, 7)]
+    maps = [phi for lam, p in cases for phi in enumerate_jacobi_maps(lam, p)]
+    maps.append(enumerate_jacobi_maps(101, 607)[0])
+    for phi in maps:
+        K = kummer_prime(phi)
+        assert all(abs(c) < K.q for col in K.psi_columns for c in col)
+        ring = phi.ring
+        y = ring.element([rng.randint(-3, 3) for _ in range(ring.degree)])
+        for k in (0, 1, 3):
+            for x in (K.psi**k * y, K.psi**k * ring.element(K.q + 1)):
+                assert multiplicity(x, K) == valuation_oracle(x, phi)
 
 
 def test_multiplicity_pinned():
