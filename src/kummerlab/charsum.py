@@ -47,10 +47,10 @@ class Character:
     sums."""
 
     def __init__(self, p: int, lam: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if lam < 2:
             raise ValueError(f"order {lam} must be at least 2")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         if (p - 1) % lam != 0:
             raise ValueError(f"order {lam} must divide p - 1 = {p - 1}")
         self.p = p
@@ -114,19 +114,19 @@ def jacobi_sum(chi: Character, i: int, k: int) -> CyclotomicElement:
     return chi.ring.element([-c for c in _counts(chi, i, k)])
 
 
-def reflection_identity(chi: Character, i: int, k: int) -> dict:
-    """Verify J(chi^i, chi^k) * sigma_{-1}(J(chi^i, chi^k)) == p exactly.
+def reflection_product(chi: Character, i: int, k: int) -> tuple[list[int], list[int]]:
+    """The counts N of _counts and the residue of J(chi^i, chi^k) times
+    sigma_{-1}(J) mod Phi_lam, without reducing J.
 
-    J = -sum_e N_e alpha^e for the counts N of _counts, so J times its
-    conjugate is sum_s c_s alpha^s with c the cyclic autocorrelation of N.
-    Lemma: c_s depends on s only through gcd(s, lam), so the ring's
-    invariant_residue reads the product off c with no reduction.  Proof:
-    at every lam-th root of unity z, c(z) = |N(z)|^2 is p, 1 or (p - 2)^2,
-    rational and so fixed by every sigma_u; it depends on z only through
-    its order, and c_s = (1/lam) sum_z c(z) z^-s only through gcd(s, lam).
-    c is reduced only when the check fails, as for counts that are not a
-    Jacobi sum's.  Only the counts are reduced for J: psi = N mod Phi_lam
-    and J = -psi.
+    J = -sum_e N_e alpha^e, so J times its conjugate is sum_s c_s alpha^s
+    with c the cyclic autocorrelation of N.  Lemma: c_s depends on s only
+    through gcd(s, lam), so the ring's invariant_residue reads the product
+    off c with no reduction.  Proof: at every lam-th root of unity z,
+    c(z) = |N(z)|^2 is p, 1 or (p - 2)^2, rational and so fixed by every
+    sigma_u; it depends on z only through its order, and
+    c_s = (1/lam) sum_z c(z) z^-s only through gcd(s, lam).  c is reduced
+    only when the check fails, as for counts that are not a Jacobi sum's.
+    The identity holds when the residue is [p, 0, ..., 0].
     """
     lam = chi.lam
     if i % lam == 0 or k % lam == 0 or (i + k) % lam == 0:
@@ -135,16 +135,25 @@ def reflection_identity(chi: Character, i: int, k: int) -> dict:
         )
     ring = chi.ring
     counts = _counts(chi, i, k)
-    psi = list(ring._reduce(counts))
     c = polyint.autocorrelation(counts)
     value = ring.invariant_residue(c)
     if value is None:
-        product = list(ring._reduce(c))
-    else:
-        product = [value] + [0] * (ring.degree - 1)
+        return counts, list(ring._reduce(c))
+    return counts, [value] + [0] * (ring.degree - 1)
+
+
+def reflection_identity(chi: Character, i: int, k: int) -> dict:
+    """Verify J(chi^i, chi^k) * sigma_{-1}(J(chi^i, chi^k)) == p exactly,
+    as a report of J, psi = -J, the product and whether it is p.
+
+    The product is reflection_product's; only the counts are reduced, for
+    psi = N mod Phi_lam and J = -psi.
+    """
+    counts, product = reflection_product(chi, i, k)
+    psi = list(chi.ring._reduce(counts))
     return {
         "p": chi.p,
-        "order": lam,
+        "order": chi.lam,
         "i": i,
         "k": k,
         "J": [-x for x in psi],
@@ -211,8 +220,6 @@ def gauss_power_descent(lam: int, p: int, i: int = 1) -> dict:
     order p - 1 and generated by x -> x^g for the primitive root g = chi.g,
     so invariance under that one conjugation is invariance under all.
     """
-    if lam < 2:
-        raise ValueError(f"order {lam} must be at least 2")
     chi = character(p, lam)
     if i % lam == 0:
         raise ValueError("index must be nonzero mod lam")

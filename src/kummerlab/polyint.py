@@ -43,6 +43,10 @@ KRONECKER_MIN_TERMS = 20
 # (bits, typecode) of the unsigned array words that pack_words packs,
 # narrowest first; the packed integers are read little-endian
 _WORDS = sorted((8 * array(code).itemsize, code) for code in "BHIQ")
+# the narrowest word above a bound of each bit length 0 .. 64, and the
+# byte size of each word
+_NARROWEST = [next(w for w in _WORDS if w[0] >= bits) for bits in range(65)]
+_WORD_BYTES = {code: bits // 8 for bits, code in _WORDS}
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -105,21 +109,25 @@ def _evaluate(f: Sequence[int], w: int) -> int:
 
 
 def narrowest_word(bound: int) -> tuple[int, str]:
-    """(bits, typecode) of the narrowest array word above bound < 2^64."""
-    return next(word for word in _WORDS if not bound >> word[0])
+    """(bits, typecode) of the narrowest array word above 0 <= bound < 2^64;
+    ValueError for any other bound (bound >> 64 is -1 for a negative one)."""
+    if bound >> 64:
+        raise ValueError(f"no unsigned array word of at most 64 bits holds {bound}")
+    return _NARROWEST[bound.bit_length()]
 
 
 def pack_words(words: array) -> int:
-    """The unsigned array words as one integer, word 0 lowest."""
+    """The unsigned array words as one integer, word 0 lowest, read
+    straight from the array's buffer."""
     if _BIG_ENDIAN:
         words = array(words.typecode, words)
         words.byteswap()
-    return int.from_bytes(words.tobytes(), "little")
+    return int.from_bytes(words, "little")
 
 
 def unpack_words(x: int, code: str, count: int) -> array:
     """The count words of typecode code that pack_words packs to x."""
-    words = array(code, x.to_bytes(count * array(code).itemsize, "little"))
+    words = array(code, x.to_bytes(count * _WORD_BYTES[code], "little"))
     if _BIG_ENDIAN:
         words.byteswap()
     return words
@@ -129,10 +137,12 @@ def autocorrelation(h: Sequence[int]) -> list[int]:
     """c[s] = sum over e of h[e] * h[(e - s) mod n], n = len(h), for h >= 0.
 
     This is h(X) * h(X^-1) in Z[X]/(X^n - 1).  h is packed once as unsigned
-    w-bit words, its reversal is a slice of that array, and the two are
-    multiplied once; coefficient t of the product is lag t - (n - 1), so
-    folding mod 2^(wn) - 1 and rotating by n - 1 gives c.  Every product
-    coefficient, and every cyclic one (the sum of two product
+    w-bit words and multiplied once by its packed reflection
+    h[0], h[n-1], ..., h[1], the coefficients of h(X^-1) mod X^n - 1, a
+    slice of the same array.  Coefficient t of the product is the sum of
+    h[e] * h[(e - t) mod n] over t - n < e <= t, 0 <= e < n, so folding
+    mod 2^(wn) - 1, which adds coefficient t + n to t, gives c in order.
+    Every product coefficient, and every cyclic one (the sum of two product
     coefficients), is a sum of h[e] * h[e - s] with each e at most once, so
     at most max(h) * sum(h).  With w the narrowest array word above that
     bound the words never carry and one fold is exact.  w is at most 64,
@@ -146,10 +156,9 @@ def autocorrelation(h: Sequence[int]) -> list[int]:
         return []
     w, code = narrowest_word(max(h) * total)
     words = array(code, h)
-    x = pack_words(words) * pack_words(words[::-1])
+    x = pack_words(words) * pack_words(words[:1] + words[:0:-1])
     bits = w * n
-    c = unpack_words((x & ((1 << bits) - 1)) + (x >> bits), code, n).tolist()
-    return c[n - 1 :] + c[: n - 1]
+    return unpack_words((x & ((1 << bits) - 1)) + (x >> bits), code, n).tolist()
 
 
 @lru_cache(maxsize=1024)

@@ -432,12 +432,13 @@ def _acc_reflection(cfg: Config) -> dict:
             if (p - 1) % lam != 0:
                 continue
             chi = charsum.character(p, lam)
+            expected = [p] + [0] * (chi.ring.degree - 1)
             for i in range(1, lam):
                 for k in range(1, lam):
                     if (i + k) % lam == 0:
                         continue
-                    rep = charsum.reflection_identity(chi, i, k)
-                    assert rep["holds"], (p, lam, i, k)
+                    _, product = charsum.reflection_product(chi, i, k)
+                    assert product == expected, (p, lam, i, k)
                     checked += 1
     return {"cases": checked}
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import kummerlab
-from kummerlab import reproduce
+from kummerlab import cyclotomic, reproduce
 from kummerlab.arith import DEFAULT_TRIAL_DIVISION_BOUND
 from kummerlab.cli import main
 from kummerlab.idealprimes import JacobiMap
@@ -55,6 +55,21 @@ def test_acceptance_criterion(number, name, claim_id):
         print(f"ACCEPTANCE {number:02d} {name}: FAIL")
         raise
     print(f"ACCEPTANCE {number:02d} {name}: PASS {detail}")
+
+
+def test_reflection_claim_reduces_nothing(monkeypatch):
+    # the work count of claim 03: every case reads J sigma_{-1}(J) off the
+    # autocorrelation's gcd classes, so no ring reduction is taken
+    reductions = []
+    reduce = cyclotomic.CyclotomicRing._reduce
+
+    def counted(ring, coeffs):
+        reductions.append(ring.n)
+        return reduce(ring, coeffs)
+
+    monkeypatch.setattr(cyclotomic.CyclotomicRing, "_reduce", counted)
+    assert CLAIMS["acceptance/03-reflection-identity"](CFG) == {"cases": 11644}
+    assert reductions == []
 
 
 def test_completeness_checks_division_against_the_colon_lattice_only(monkeypatch):

@@ -20,6 +20,7 @@ from kummerlab.charsum import (
     jacobi_sum,
     quartic_decomposition,
     reflection_identity,
+    reflection_product,
     stickelberger_check,
 )
 from kummerlab.cyclotomic import (
@@ -153,6 +154,65 @@ def test_reflection_identity_matches_the_ring_product(lam, data):
     assert rep == expected
     assert list(rep) == ["p", "order", "i", "k", "J", "psi", "product", "holds"]
     assert rep["holds"]
+
+
+@pytest.mark.parametrize("lam", REFLECTION_ORDERS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(data=st.data())
+def test_reflection_product_matches_the_report_and_the_ring_product(lam, data):
+    p = data.draw(st.sampled_from([q for q in REFLECTION_PRIMES if q % lam == 1]))
+    # indices outside 1 .. lam - 1 too: the counts read them mod lam
+    index = st.integers(-2 * lam, 2 * lam)
+    i = data.draw(index.filter(lambda i: i % lam))
+    k = data.draw(index.filter(lambda k: k % lam and (i + k) % lam))
+    chi = character(p, lam)
+    counts, product = reflection_product(chi, i, k)
+    assert counts == counts_reference(chi, i, k)
+    assert product == [p] + [0] * (chi.ring.degree - 1)
+    rep = reflection_identity(chi, i, k)
+    assert rep["product"] == product and rep["holds"] is True
+    assert product == reflection_reference(chi, jacobi_sum(chi, i, k))["product"]
+
+
+@pytest.mark.parametrize("p,lam", [(7, 2), (13, 3), (13, 12), (211, 210)])
+def test_reflection_product_refuses_degenerate_indices(p, lam):
+    chi = character(p, lam)
+    for i, k in ((0, 1), (1, 0), (1, lam - 1), (lam, 2 * lam), (-1, 1 + lam)):
+        with pytest.raises(ValueError, match="degenerate index"):
+            reflection_product(chi, i, k)
+        with pytest.raises(ValueError, match="degenerate index"):
+            reflection_identity(chi, i, k)
+
+
+@pytest.mark.parametrize("p,lam,i,k", [(11, 5, 1, 1), (13, 12, 3, 4), (211, 210, 1, 7)])
+def test_reflection_product_reduces_tampered_counts(monkeypatch, p, lam, i, k):
+    # one t moved to the next exponent: the autocorrelation leaves the gcd
+    # classes, so the product is reduced, and it is not p
+    real = charsum._counts
+
+    def tampered(chi, i, k):
+        counts = real(chi, i, k)
+        e = counts.index(max(counts))
+        counts[e] -= 1
+        counts[(e + 1) % chi.lam] += 1
+        return counts
+
+    reductions = []
+    reduce = cyclotomic.CyclotomicRing._reduce
+
+    def counted(ring, coeffs):
+        reductions.append(len(coeffs))
+        return reduce(ring, coeffs)
+
+    monkeypatch.setattr(charsum, "_counts", tampered)
+    monkeypatch.setattr(cyclotomic.CyclotomicRing, "_reduce", counted)
+    chi = character(p, lam)
+    counts, product = reflection_product(chi, i, k)
+    assert counts == tampered(chi, i, k)
+    assert reductions == [lam]
+    j = chi.ring.element([-c for c in counts])
+    assert product == reflection_reference(chi, j)["product"]
+    assert product != [p] + [0] * (chi.ring.degree - 1)
 
 
 @pytest.mark.parametrize("p,lam,i,k", [(11, 5, 1, 1), (13, 12, 3, 4), (211, 210, 1, 7)])

@@ -462,6 +462,11 @@ def test_cli_usage_error_exit_code():
             ["jacobi-sum", "--p", "7", "--order", "-3", "--i", "1", "--k", "1"],
             "order -3 must be at least 2",
         ),
+        (["gauss-sum", "--p", "12", "--order", "0"], "order 0 must be at least 2"),
+        (
+            ["jacobi-sum", "--p", "12", "--order", "0", "--i", "1", "--k", "1"],
+            "order 0 must be at least 2",
+        ),
     ],
 )
 def test_cli_out_of_range_input_exit_code(capsys, argv, message):

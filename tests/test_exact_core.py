@@ -419,6 +419,24 @@ def test_autocorrelation_refuses_an_inexact_word(h):
         autocorrelation(h)
 
 
+def test_narrowest_word_at_every_edge():
+    # the narrowest word w with bound < 2^w, from the one-byte word up
+    assert polyint.narrowest_word(0) == (8, "B")
+    for bits, code in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")):
+        assert polyint.narrowest_word(2**bits - 1) == (bits, code)
+        if bits < 64:
+            assert polyint.narrowest_word(2**bits)[0] == 2 * bits
+    for bound in range(1, 2**17, 997):
+        bits = polyint.narrowest_word(bound)[0]
+        assert bound < 2**bits and (bits == 8 or bound >= 2 ** (bits // 2))
+
+
+@pytest.mark.parametrize("bound", [2**64, 2**64 + 1, 2**100, -1])
+def test_narrowest_word_refuses_a_bound_no_word_holds(bound):
+    with pytest.raises(ValueError, match=f"holds {bound}$"):
+        polyint.narrowest_word(bound)
+
+
 # --- polynomials mod p ---------------------------------------------------
 
 
