@@ -2,8 +2,10 @@
 
 A map that sends X to a root r is fixed by the images of 1, r, ..., r^(n-1),
 so their coordinate rows over the basis 1, X, ..., X^(f-1) of
-(Z/m)[X]/(F), f = deg F, are the whole map: applying it to a coefficient
-vector is a row-vector product, and its kernel is the kernel of the rows.
+(Z/m)[X]/(F), f = deg F, are the whole map, and its kernel is the kernel of
+the rows.  Applying it to a coefficient vector is one dot product with each
+of the f columns of those rows, so a caller that applies a map more than
+once transposes its rows once and keeps the columns.
 For m = p prime and F irreducible this is a map into the field F_{p^f};
 at f = 1 the rows are the integer powers of r mod m.
 """
@@ -46,6 +48,7 @@ def power_rows(root, count: int, factor, m: int) -> list[list[int]]:
     return rows
 
 
-def image(coeffs, rows, m: int) -> tuple[int, ...]:
-    """The coordinates mod m of sum_i coeffs[i] * rows[i]."""
-    return tuple(sum(map(mul, coeffs, column)) % m for column in zip(*rows))
+def image(coeffs, columns, m: int) -> tuple[int, ...]:
+    """The coordinates mod m of sum_i coeffs[i] * rows[i], given the columns
+    of the rows: one dot product per column."""
+    return tuple(sum(map(mul, coeffs, column)) % m for column in columns)

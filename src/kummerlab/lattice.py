@@ -9,9 +9,11 @@ is matrix equality.
 An order Z[T]/(F) of rank d = ``order.degree`` enters only through
 ``order._reduce`` (the residue mod F): ``mul_matrix(order, v)`` returns
 the rows v * theta^i, i < d, so x -> x @ M is multiplication by v.  Ideal
-products and the colon ideal's rows (solved once per fraction; each
-Jacobi map then tests them with its own power rows) ask nothing else of
-the ring.
+products and the colon ideals ask nothing else of the ring.  One relation
+solve of a fraction num/den gives both of its colon ideals: the relations
+(x | y) with x * num + y * den = 0 have x-halves spanning (den : num) and
+y-halves spanning (num : den), and each Jacobi map tests either half with
+its own columns.
 """
 
 from operator import mul
@@ -148,29 +150,46 @@ def colon_rows(num, den, order) -> list[list[int]]:
     """Generators of the colon ideal {delta : num * delta in den * O}.
 
     The colon ideal is the preimage of den * O under multiplication by
-    num, spanned by the relation rows of [num * O; den * O].  It depends on
-    the fraction alone, so one solve serves every map tested against it.
+    num: the x-halves of colon_relations.  It depends on the fraction
+    alone, so one solve serves every map tested against it.
+    """
+    return [r[: order.degree] for r in colon_relations(num, den, order)]
+
+
+def colon_relations(num, den, order) -> list[list[int]]:
+    """The relation rows (x | y) of [num * O; den * O], x * num + y * den = 0.
+
+    x runs over {x : num * x in den * O} and y over {y : den * y in
+    num * O}, so the x-halves generate colon_rows(num, den) and the
+    y-halves colon_rows(den, num): both directions of a fraction from one
+    solve.
     """
     if not any(den):
         raise ZeroDivisionError("zero denominator")
     dim = order.degree
     if len(num) != dim or len(den) != dim:
         raise ValueError("dimension mismatch")
-    return _preimage(mul_matrix(order, num), mul_matrix(order, den))
+    return _relations(mul_matrix(order, num), mul_matrix(order, den))
 
 
-def _preimage(nmat, target_rows) -> list[list[int]]:
-    """Generators of {x in Z^d : x @ N in span_Z(target_rows)} for a d x m N.
+def _relations(nmat, target_rows) -> list[list[int]]:
+    """Generators (x | y) of the relations x @ N + y @ T = 0.
 
-    The transform rows that clear the stacked matrix [N; T] are exactly the
-    relations x @ N + y @ T = 0, so their first d entries span the preimage.
+    The transform rows that clear the stacked matrix [N; T] are exactly
+    these relations: the HNF with transform of Cohen, GTM 138, ch. 2.
     """
-    d = len(nmat)
     stacked = [list(r) for r in nmat] + [list(r) for r in target_rows]
     total = len(stacked)
     transform = [[int(i == j) for j in range(total)] for i in range(total)]
     _triangularize(stacked, transform)
-    return [transform[r][:d] for r in range(total) if not any(stacked[r])]
+    return [transform[r] for r in range(total) if not any(stacked[r])]
+
+
+def _preimage(nmat, target_rows) -> list[list[int]]:
+    """Generators of {x in Z^d : x @ N in span_Z(target_rows)} for a d x m N:
+    the first d entries of the relations of [N; T]."""
+    d = len(nmat)
+    return [r[:d] for r in _relations(nmat, target_rows)]
 
 
 def kernel_mod(nmat: list[list[int]], q: int) -> IntLattice:

@@ -9,9 +9,10 @@ exactly as in the cyclotomic case.  For a non-maximal order the maps at
 primes dividing the conductor fail to extend to fractions in either
 direction, Gauss's Lemma for monic polynomials fails, and prime-ideal powers
 collapse (p^2 = (2) p without p = (2) in Z[sqrt(-3)]).  All definedness
-decisions run through the exact colon ideal: lattice.colon_rows once per
-fraction and direction, then JacobiMap.extends_to once per map, which
-tests the rows against the map's power rows.
+decisions run through the exact colon ideals: one relation solve per
+fraction (lattice.colon_relations) gives the colon rows of both
+directions, then JacobiMap.extends_to tests each half against the map's
+columns.
 """
 
 import json
@@ -22,7 +23,7 @@ from math import isqrt
 from kummerlab.arith import is_prime, squarefree_decomposition
 from kummerlab.cyclotomic import CyclotomicElement
 from kummerlab.idealprimes import JacobiMap
-from kummerlab.lattice import colon_rows, hnf, mul_matrix
+from kummerlab.lattice import colon_relations, hnf, mul_matrix
 from kummerlab.polymod import factor_mod_p
 
 
@@ -89,16 +90,19 @@ def dichotomy_check(
     """Is each map defined at the fraction, at its inverse, or at neither?
 
     One dict per map, in order.  Decided by the colon ideal on both sides,
-    so both elements must be nonzero; the colon rows of each direction are
-    solved once and tested by every map.  A (False, False) outcome
-    witnesses the failure of the valuation dichotomy, which happens only
-    at primes dividing the conductor.
+    so both elements must be nonzero; one relation solve gives the colon
+    rows of both directions, its x-halves and its y-halves, and every map
+    tests them.  A (False, False) outcome witnesses the failure of the
+    valuation dichotomy, which happens only at primes dividing the
+    conductor.
     """
     if not any(numerator.coeffs):
         raise ZeroDivisionError("zero numerator")
     order = numerator.ring
-    at_fraction = colon_rows(numerator.coeffs, denominator.coeffs, order)
-    at_inverse = colon_rows(denominator.coeffs, numerator.coeffs, order)
+    d = order.degree
+    relations = colon_relations(numerator.coeffs, denominator.coeffs, order)
+    at_fraction = [r[:d] for r in relations]
+    at_inverse = [r[d:] for r in relations]
     return [
         {
             "at_fraction": phi.extends_to(at_fraction),

@@ -28,9 +28,9 @@ factorize and divides take every valuation from the oracle, and factorize
 checks the records against the norm.  The `kummerlab factor` report
 certifies each nonzero record by both routes; the test suite compares them
 wholesale.  divides likewise runs two routes, valuations and exact
-division.  Definedness at a fraction is decided by the map's own power
-rows on the colon ideal's rows, for any ring a Jacobi map is built on;
-the tests compare it with the colon lattice and with valuations.
+division.  Definedness at a fraction is decided by dotting the colon
+ideal's rows with the map's own columns, for any ring a Jacobi map is built
+on; the tests compare it with the colon lattice and with valuations.
 """
 
 from dataclasses import dataclass
@@ -227,8 +227,8 @@ def _vanishes_at_lift(x: CyclotomicElement, phi: JacobiMap, mu: int) -> bool:
     """
     m = phi.p**mu
     lift = gf_pow_mod(phi.xi, phi.p ** (phi.f * (mu - 1)), phi.factor, m)
-    rows = power_rows(lift, phi.ring.degree, phi.factor, m)
-    return not any(image(x.coeffs, rows, m))
+    columns = zip(*power_rows(lift, phi.ring.degree, phi.factor, m))
+    return not any(image(x.coeffs, columns, m))
 
 
 def _ramified_valuation(x: CyclotomicElement) -> int:

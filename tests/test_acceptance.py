@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import kummerlab
-from kummerlab import cyclotomic, reproduce
+from kummerlab import cyclotomic, lattice, reproduce
 from kummerlab.arith import DEFAULT_TRIAL_DIVISION_BOUND
 from kummerlab.cli import main
 from kummerlab.idealprimes import JacobiMap
@@ -70,6 +70,19 @@ def test_reflection_claim_reduces_nothing(monkeypatch):
     monkeypatch.setattr(cyclotomic.CyclotomicRing, "_reduce", counted)
     assert CLAIMS["acceptance/03-reflection-identity"](CFG) == {"cases": 11644}
     assert reductions == []
+
+
+def test_singular_orders_claim_solves_once_per_fraction(monkeypatch):
+    # the work count of claim 10: each of its 604 dichotomy checks takes
+    # the colon rows of both directions from one relation solve
+    solves = []
+    solve = lattice._relations
+    monkeypatch.setattr(
+        lattice, "_relations", lambda *args: solves.append(args) or solve(*args)
+    )
+    detail = CLAIMS["acceptance/10-singular-orders"](CFG)
+    assert detail == {"maximal_order_fractions": 600}
+    assert len(solves) == 604
 
 
 def test_completeness_checks_division_against_the_colon_lattice_only(monkeypatch):

@@ -4,7 +4,8 @@ vectors constant on gcd classes), integer polynomial products,
 power rows of a root, the Jacobi-sum counts, Kummer's uniformizer at
 residue degree 1, Kummer multiplicities (additive, and equal to the literal
 level test), the p-adic valuation oracle, the colon test of a map at a
-fraction and the expression round trip.
+fraction, the one relation solve that gives both colon ideals of a
+fraction, a map's reads of its columns and the expression round trip.
 
 Examples are derandomized, so every run draws the same inputs.
 """
@@ -21,7 +22,7 @@ from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element, render_element
 from kummerlab.ffield import power_rows
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
-from kummerlab.lattice import colon_rows
+from kummerlab.lattice import colon_relations, colon_rows, hnf, kernel_mod
 from kummerlab.polyint import autocorrelation, mul, trim
 from kummerlab.quadorder import QuadOrder, enumerate_quad_maps
 from kummerlab.valuation import (
@@ -31,11 +32,13 @@ from kummerlab.valuation import (
     valuation_oracle,
 )
 from reference import (
+    colon,
     colon_extends_to,
     counts_reference,
     divisibility_step,
     divmod_exact,
     power_rows_reference,
+    principal_lattice,
     reduce_from_top,
     uniformizer_by_tower,
 )
@@ -334,6 +337,103 @@ def test_colon_rows_match_the_colon_lattice_in_z_alpha(lam, data):
     scale = data.draw(SCALES)
     den = [scale * c for c in data.draw(_nonzero_coeffs(ring.degree, 6))]
     _colon_rows_agree(maps, ring, num, den)
+
+
+def _one_solve_agrees(maps, order, num, den):
+    # the x-halves and the y-halves of one relation solve span the colon
+    # ideals of the fraction and of its inverse
+    d = order.degree
+    relations = colon_relations(num, den, order)
+    halves = ([r[:d] for r in relations], [r[d:] for r in relations])
+    for half, (a, b) in zip(halves, ((num, den), (den, num))):
+        lattice = hnf(half)
+        assert lattice == hnf(colon_rows(a, b, order))
+        assert lattice == colon(principal_lattice(b, order), a, order)
+    _colon_rows_agree(maps, order, num, den)
+
+
+# Z[sqrt(-3)] and Z[2i] are singular at 2
+SINGULAR_OR_DRAWN = st.one_of(
+    st.sampled_from([QuadOrder(0, 3), QuadOrder(0, 4)]), QUAD_ORDERS
+)
+
+
+@GENERATED
+@given(order=SINGULAR_OR_DRAWN, data=st.data())
+def test_one_solve_gives_both_colon_ideals_on_quadratic_orders(order, data):
+    maps = [phi for p in primes_below(12) for phi in enumerate_quad_maps(order, p)]
+    num = data.draw(_nonzero_coeffs(2, 9))
+    scale = data.draw(SCALES)
+    den = [scale * c for c in data.draw(_nonzero_coeffs(2, 9))]
+    _one_solve_agrees(maps, order, num, den)
+
+
+@pytest.mark.parametrize("lam", [3, 5])
+@GENERATED
+@given(data=st.data())
+def test_one_solve_gives_both_colon_ideals_in_z_alpha(lam, data):
+    ring = cyclotomic_ring(lam)
+    maps = [phi for p in primes_below(12) for phi in enumerate_jacobi_maps(lam, p)]
+    num = data.draw(_nonzero_coeffs(ring.degree, 6))
+    scale = data.draw(SCALES)
+    den = [scale * c for c in data.draw(_nonzero_coeffs(ring.degree, 6))]
+    _one_solve_agrees(maps, ring, num, den)
+
+
+def _full_image(phi, coeffs):
+    # every coordinate of the image, a full dot product with the reference
+    # power rows
+    rows = power_rows_reference(phi.xi, phi.ring.degree, phi.factor, phi.p)
+    return tuple(
+        sum(c * row[j] for c, row in zip(coeffs, rows)) % phi.p for j in range(phi.f)
+    )
+
+
+def _column_reads_agree(phi, data):
+    d, p = phi.ring.degree, phi.p
+    vectors = st.lists(st.integers(-30, 30), min_size=d, max_size=d)
+    kernel_lattice = phi.kernel()
+    kernel = [list(r) for r in kernel_lattice.rows]
+    weights = data.draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+    killed = [sum(w * r[i] for w, r in zip(weights, kernel)) for i in range(d)]
+    for coeffs in (data.draw(vectors), killed):
+        x = phi.ring.element(coeffs)
+        assert phi.apply(x) == _full_image(phi, coeffs)
+        assert phi.kills(x) == (not any(_full_image(phi, coeffs)))
+    colon = data.draw(st.lists(vectors, max_size=4))
+    assert phi.extends_to(colon) == any(any(_full_image(phi, g)) for g in colon)
+    # a last row whose image is 0 but in its last coordinate: the rows that
+    # kill the first f - 1 coordinates, less those that kill all f
+    if phi.f == 1:
+        last = [1] + [0] * (d - 1)
+    else:
+        partial = kernel_mod([row[:-1] for row in phi.rows], p).rows
+        last = next(list(r) for r in partial if r not in kernel_lattice)
+    image = _full_image(phi, last)
+    assert not any(image[:-1]) and image[-1]
+    assert not phi.extends_to(kernel)
+    assert phi.extends_to(kernel + [last])
+
+
+@pytest.mark.parametrize("lam, p", [(5, 11), (7, 29), (5, 5), (7, 13), (7, 2), (5, 3)])
+@GENERATED
+@given(data=st.data())
+def test_column_reads_are_full_dot_products_in_z_alpha(lam, p, data):
+    # residue degrees 1, 1, 1 (ramified), 2, 3 and 4
+    phi = data.draw(st.sampled_from(enumerate_jacobi_maps(lam, p)))
+    _column_reads_agree(phi, data)
+    with pytest.raises(ValueError):
+        phi.kills(cyclotomic_ring(12 - lam).alpha())
+
+
+@GENERATED
+@given(order=SINGULAR_OR_DRAWN, data=st.data())
+def test_column_reads_are_full_dot_products_on_quadratic_orders(order, data):
+    p = data.draw(st.sampled_from(primes_below(30)))
+    phi = data.draw(st.sampled_from(enumerate_quad_maps(order, p)))
+    _column_reads_agree(phi, data)
+    with pytest.raises(ValueError):  # a ring of the same degree
+        phi.kills(cyclotomic_ring(3).alpha())
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)

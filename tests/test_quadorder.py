@@ -184,19 +184,20 @@ def test_nonsingular_fraction():
 
 
 @pytest.mark.parametrize("k", [1, 14])
-def test_dichotomy_check_solves_once_per_direction(monkeypatch, k):
+def test_dichotomy_check_solves_once_per_fraction(monkeypatch, k):
+    # one relation solve gives the colon rows of both directions
     maps = [
         phi for p in primes_below(31) for phi in enumerate_quad_maps(GAUSSIAN, p)
     ][:k]
     assert len(maps) == k
     calls = []
-    solve = lattice._preimage
+    solve = lattice._relations
     monkeypatch.setattr(
-        lattice, "_preimage", lambda *args: calls.append(args) or solve(*args)
+        lattice, "_relations", lambda *args: calls.append(args) or solve(*args)
     )
     num, den = GAUSSIAN.element([3, 1]), GAUSSIAN.element([2, -1])
     reps = dichotomy_check(maps, num, den)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert reps == [
         {
             "at_fraction": is_defined_at(num, den, phi),
@@ -204,6 +205,14 @@ def test_dichotomy_check_solves_once_per_direction(monkeypatch, k):
         }
         for phi in maps
     ]
+
+
+def test_dichotomy_check_refuses_a_zero_numerator_first():
+    phi = enumerate_quad_maps(SQRT_M3, 2)[0]
+    with pytest.raises(ZeroDivisionError, match="zero numerator"):
+        dichotomy_check([phi], SQRT_M3.element(0), SQRT_M3.element(0))
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        dichotomy_check([phi], SQRT_M3.element(1), SQRT_M3.element(0))
 
 
 def test_maximal_orders_keep_dichotomy():
