@@ -1,4 +1,5 @@
-"""Integer utilities: primality, factorization, primitive roots, discrete logs.
+"""Integer utilities: primality, factorization, primitive roots, discrete
+logs and exact square roots.
 
 All routines are deterministic and exact.  Primality is a deterministic
 Miller-Rabin valid far beyond 64-bit inputs; factorization is trial division
@@ -176,6 +177,14 @@ def multiplicative_order(a: int, n: int) -> int:
         x = x * a % n
         order += 1
     return order
+
+
+def exact_sqrt(n: int) -> int | None:
+    """The r >= 0 with r * r == n, or None for a negative n or a non-square."""
+    if n < 0:
+        return None
+    r = isqrt(n)
+    return r if r * r == n else None
 
 
 def least_primitive_root(p: int) -> int:

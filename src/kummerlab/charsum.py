@@ -22,11 +22,12 @@ modulus and valuation statement holds for both.
 
 from array import array
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb
 
 from kummerlab import polyint
 from kummerlab.arith import (
     discrete_log_table,
+    exact_sqrt,
     is_prime,
     least_primitive_root,
 )
@@ -305,11 +306,6 @@ def quartic_decomposition(p: int) -> dict:
     }
 
 
-def _integer_sqrt(n: int) -> int | None:
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
 def binomial_congruence(p: int) -> dict:
     """Gauss: for p = a^2 + 4b^2 = 4n + 1, 2a = +-C(2n, n) mod p."""
     if not is_prime(p):
@@ -322,7 +318,7 @@ def binomial_congruence(p: int) -> dict:
     while a * a < p:
         rest = p - a * a
         if rest % 4 == 0:
-            b = _integer_sqrt(rest // 4)
+            b = exact_sqrt(rest // 4)
             if b is not None:
                 pair = (a, b)
                 break

@@ -601,12 +601,13 @@ def _cmd_reproduce(args) -> int:
     if args.trace is None:
         out, code = reproduce_all(args.filter, args.json)
     else:
+        # the claims catch their own errors, so an OSError here comes from
+        # opening, writing or closing the trace
         try:
-            trace = open(args.trace, "w", encoding="utf-8")
+            with open(args.trace, "w", encoding="utf-8") as trace:
+                out, code = reproduce_all(args.filter, args.json, trace)
         except OSError as exc:
             raise UsageError(f"cannot write trace file: {exc}") from None
-        with trace:
-            out, code = reproduce_all(args.filter, args.json, trace)
     sys.stdout.write(out)
     return code
 

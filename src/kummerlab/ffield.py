@@ -1,13 +1,13 @@
-"""Ring maps out of Z[X] into (Z/m)[X]/(F), given by their power rows.
+"""Ring maps out of Z[X] into (Z/m)[X]/(F), given by their power columns.
 
-A map that sends X to a root r is fixed by the images of 1, r, ..., r^(n-1),
-so their coordinate rows over the basis 1, X, ..., X^(f-1) of
-(Z/m)[X]/(F), f = deg F, are the whole map, and its kernel is the kernel of
-the rows.  Applying it to a coefficient vector is one dot product with each
-of the f columns of those rows, so a caller that applies a map more than
-once transposes its rows once and keeps the columns.
-For m = p prime and F irreducible this is a map into the field F_{p^f};
-at f = 1 the rows are the integer powers of r mod m.
+A map that sends X to a root r is fixed by the images of 1, r, ..., r^(n-1).
+Their coordinates over the basis 1, X, ..., X^(f-1) of (Z/m)[X]/(F),
+f = deg F, form f columns of length n, and every read of the map is a dot
+product with those columns: image gives all f coordinates of one vector,
+vanishes asks whether a list of vectors all map to 0 and stops at the first
+nonzero coordinate.  The kernel of the map is the kernel of the transposed
+columns.  For m = p prime and F irreducible this is a map into the field
+F_{p^f}; at f = 1 the single column holds the integer powers of r mod m.
 """
 
 from operator import mul
@@ -15,8 +15,9 @@ from operator import mul
 from kummerlab.polymod import gf_mod
 
 
-def power_rows(root, count: int, factor, m: int) -> list[list[int]]:
-    """root^0 .. root^(count-1) in (Z/m)[X]/(F) as length-f coordinate rows.
+def power_columns(root, count: int, factor, m: int) -> list[list[int]]:
+    """The f coordinate columns of root^0 .. root^(count-1) in
+    (Z/m)[X]/(F): column j holds the X^j coefficient of every power.
 
     root is a coefficient list and F a monic integer polynomial.  Row i of
     the f x f matrix of multiplication by the root is X^i * root mod F, each
@@ -29,26 +30,36 @@ def power_rows(root, count: int, factor, m: int) -> list[list[int]]:
     row += [0] * (f - len(row))
     if f == 1:
         r = row[0]
-        rows, v = [], 1
+        column, v = [], 1
         for _ in range(count):
-            rows.append([v])
+            column.append(v)
             v = v * r % m
-        return rows
+        return [column]
     matrix = []
     for _ in range(f):
         matrix.append(row)
         top = row[-1]
         row = [(a - top * c) % m for a, c in zip([0, *row[:-1]], factor)]
-    columns = list(zip(*matrix))
-    rows = []
+    steps = list(zip(*matrix))
+    powers = []  # the coordinates of every power, one after the other
     v = [1] + [0] * (f - 1)
     for _ in range(count):
-        rows.append(v)
-        v = [sum(map(mul, v, column)) % m for column in columns]
-    return rows
+        powers += v
+        v = [sum(map(mul, v, step)) % m for step in steps]
+    return [powers[j::f] for j in range(f)]
 
 
 def image(coeffs, columns, m: int) -> tuple[int, ...]:
-    """The coordinates mod m of sum_i coeffs[i] * rows[i], given the columns
-    of the rows: one dot product per column."""
+    """The coordinates mod m of the image of coeffs: one dot product per
+    column."""
     return tuple(sum(map(mul, coeffs, column)) % m for column in columns)
+
+
+def vanishes(vectors, columns, m: int) -> bool:
+    """Whether every vector's image is 0 mod m, read one coordinate at a
+    time up to the first nonzero one."""
+    for v in vectors:
+        for column in columns:
+            if sum(map(mul, v, column)) % m:
+                return False
+    return True

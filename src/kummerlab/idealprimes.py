@@ -7,12 +7,12 @@ For a rational prime p, each irreducible factor P_j of the modulus mod p
 yields one map: the target field is F_p[X]/(P_j) itself and theta goes to
 a root of P_j in it.  Maps with equal kernels are identified; each map
 carries a canonical root label, the smallest element of the Frobenius
-orbit of its root.  A map is stored as the f columns of the F_p-coordinate
-rows of the powers of that root (ffield.power_rows), transposed once when
-the map is built: applying it is one dot product per column, and kills and
-extends_to stop at the first nonzero coordinate.  Its kernel is kernel_mod
-of the rows.  For Z[alpha], lam an odd prime, the kernel is a maximal
-ideal -- an ideal prime of p.
+orbit of its root.  A map is stored as the f F_p-coordinate columns of the
+powers of that root (ffield.power_columns), and every read of it is
+ffield's: apply is image, kills and extends_to are vanishes, which stops at
+the first nonzero coordinate.  Its kernel is kernel_mod of the transposed
+columns.  For Z[alpha], lam an odd prime, the kernel is a maximal ideal --
+an ideal prime of p.
 
 Degree-1 maps are constructed as Jacobi did, without factoring: for
 p = 1 mod lam, z = a^((p-1)/lam) mod p with a >= 2 least such that z != 1
@@ -31,11 +31,10 @@ own residue degree, the map restricted to the period ring.
 
 from functools import lru_cache
 from itertools import count
-from operator import mul
 
 from kummerlab.arith import is_prime, multiplicative_order
 from kummerlab.cyclotomic import cyclotomic_ring, gaussian_periods
-from kummerlab.ffield import image, power_rows
+from kummerlab.ffield import image, power_columns, vanishes
 from kummerlab.lattice import IntLattice, kernel_mod
 from kummerlab.polyint import trim
 from kummerlab.polymod import (
@@ -50,9 +49,9 @@ from kummerlab.polymod import (
 class JacobiMap:
     """A surjective ring homomorphism Z[theta] -> F_{p^f} = F_p[X]/(F).
 
-    theta goes to xi, the canonical root.  The F_p-coordinate rows of
+    theta goes to xi, the canonical root.  The F_p-coordinates of
     xi^0 .. xi^(d-1), d = ring.degree, are the whole map; columns holds
-    them transposed, the f length-d vectors that every application dots.
+    them as the f length-d vectors that every read of the map dots.
     """
 
     __slots__ = ("ring", "p", "f", "factor", "xi", "columns")
@@ -67,53 +66,38 @@ class JacobiMap:
         orbit = [tuple(x + [0] * (self.f - len(x)))]
         if self.f > 1:
             x_p = gf_pow_mod([0, 1], p, self.factor, p)
-            frobenius = list(zip(*power_rows(x_p, self.f, self.factor, p)))
+            frobenius = power_columns(x_p, self.f, self.factor, p)
             for _ in range(self.f - 1):
                 orbit.append(image(orbit[-1], frobenius, p))
         self.xi = tuple(trim(list(min(orbit))))
-        self.columns = tuple(zip(*power_rows(self.xi, ring.degree, self.factor, p)))
-
-    @property
-    def rows(self) -> list[list[int]]:
-        """The power rows of xi, read back from the columns."""
-        return [list(row) for row in zip(*self.columns)]
+        self.columns = power_columns(self.xi, ring.degree, self.factor, p)
 
     def _check_ring(self, x) -> None:
         if x.ring != self.ring:
             raise ValueError(f"element lives in {x.ring!r}, map expects {self.ring!r}")
 
     def apply(self, x) -> tuple[int, ...]:
-        """The F_p-coordinates of x's image: x.coeffs times the rows mod p."""
+        """The F_p-coordinates of x's image."""
         self._check_ring(x)
         return image(x.coeffs, self.columns, self.p)
 
     def kills(self, x) -> bool:
-        """Whether x's image is 0, read one coordinate at a time."""
+        """Whether x's image is 0."""
         self._check_ring(x)
-        p, coeffs = self.p, x.coeffs
-        for col in self.columns:
-            if sum(map(mul, coeffs, col)) % p:
-                return False
-        return True
+        return vanishes((x.coeffs,), self.columns, self.p)
 
     def extends_to(self, colon) -> bool:
         """Whether the map extends to the fraction whose lattice.colon_rows
-        these are: iff it kills not every row of the colon ideal, read one
-        coordinate at a time."""
+        these are: iff it kills not every row of the colon ideal."""
         d = self.ring.degree
         for g in colon:
             if len(g) != d:
                 raise ValueError("dimension mismatch")
-        p = self.p
-        for g in colon:
-            for col in self.columns:
-                if sum(map(mul, g, col)) % p:
-                    return True
-        return False
+        return not vanishes(colon, self.columns, self.p)
 
     def kernel(self) -> IntLattice:
-        """The kernel {x : x . rows = 0 mod p} in HNF, built on each call."""
-        lattice = kernel_mod(self.rows, self.p)
+        """The kernel of the map in HNF, built on each call."""
+        lattice = kernel_mod(list(zip(*self.columns)), self.p)
         if lattice.index() != self.p**self.f:
             raise AssertionError("kernel index must be p^f")
         return lattice

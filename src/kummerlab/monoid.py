@@ -15,7 +15,7 @@ breaks down in exactly the way square roots do.
 
 from math import gcd, isqrt, prod
 
-from kummerlab.arith import factorize_int, is_prime
+from kummerlab.arith import exact_sqrt, factorize_int, is_prime
 
 
 class HilbertMonoid:
@@ -251,9 +251,9 @@ def square_test(M: HilbertMonoid, a: int) -> dict:
     """
     if a not in M:
         raise ValueError(f"{a} is not in {M!r}")
-    r = isqrt(a)
-    in_m = r * r == a and r in M
-    if r * r != a:
+    r = exact_sqrt(a)
+    in_m = r is not None and r in M
+    if r is None:
         in_qm = False
     else:
         factors = ideal_factorization(M, a)

@@ -18,9 +18,8 @@ columns.
 import json
 from fractions import Fraction
 from importlib import resources
-from math import isqrt
 
-from kummerlab.arith import is_prime, squarefree_decomposition
+from kummerlab.arith import exact_sqrt, is_prime, squarefree_decomposition
 from kummerlab.cyclotomic import CyclotomicElement
 from kummerlab.idealprimes import JacobiMap
 from kummerlab.lattice import colon_relations, hnf, mul_matrix
@@ -35,8 +34,7 @@ class QuadOrder:
 
     def __init__(self, u: int, v: int):
         disc = u * u - 4 * v
-        root = isqrt(abs(disc))
-        if disc == 0 or (disc > 0 and root * root == disc):
+        if exact_sqrt(disc) is not None:
             raise ValueError("discriminant must not be a perfect square")
         self.u = u
         self.v = v
@@ -145,9 +143,8 @@ def conductor(order: QuadOrder) -> int:
     """Index of the order in the maximal order, from the discriminants."""
     s, d = squarefree_decomposition(order.disc)
     field_disc = d if d % 4 == 1 else 4 * d
-    ratio = order.disc // field_disc
-    f = isqrt(ratio)
-    assert f * f == ratio
+    f = exact_sqrt(order.disc // field_disc)
+    assert f is not None
     return f
 
 
@@ -156,13 +153,10 @@ def is_integrally_closed(order: QuadOrder) -> bool:
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
+    rn, rd = exact_sqrt(q.numerator), exact_sqrt(q.denominator)
+    if rn is None or rd is None:
         return None
-    num, den = q.numerator, q.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+    return Fraction(rn, rd)
 
 
 def _field_sqrt(order: QuadOrder, d0: Fraction, d1: Fraction):

@@ -28,9 +28,11 @@ factorize and divides take every valuation from the oracle, and factorize
 checks the records against the norm.  The `kummerlab factor` report
 certifies each nonzero record by both routes; the test suite compares them
 wholesale.  divides likewise runs two routes, valuations and exact
-division.  Definedness at a fraction is decided by dotting the colon
-ideal's rows with the map's own columns, for any ring a Jacobi map is built
-on; the tests compare it with the colon lattice and with valuations.
+division.  Definedness at a fraction and membership in P^mu are one
+ffield.vanishes read each: of the colon ideal's rows against the map's own
+columns, for any ring a Jacobi map is built on, and of x against the power
+columns of the root's lift.  The tests compare definedness with the colon
+lattice and with valuations.
 """
 
 from dataclasses import dataclass
@@ -48,7 +50,7 @@ from kummerlab.cyclotomic import (
     gaussian_periods,
     norm,
 )
-from kummerlab.ffield import image, power_rows
+from kummerlab.ffield import power_columns, vanishes
 from kummerlab.idealprimes import (
     JacobiMap,
     check_conductor,
@@ -222,13 +224,13 @@ def _vanishes_at_lift(x: CyclotomicElement, phi: JacobiMap, mu: int) -> bool:
     W = (Z/p^mu)[X]/(F), F the map's factor read as a monic integer
     polynomial, and alpha goes to the Teichmueller lift of the map's root
     xi: the lam-th root of unity xi^(p^(f(mu-1))) above it.  x is in P^mu
-    iff x vanishes there, that is iff x.coeffs times the power rows of the
-    lift is 0 mod p^mu.
+    iff x vanishes there: one ffield.vanishes read of x against the power
+    columns of the lift mod p^mu.
     """
     m = phi.p**mu
     lift = gf_pow_mod(phi.xi, phi.p ** (phi.f * (mu - 1)), phi.factor, m)
-    columns = zip(*power_rows(lift, phi.ring.degree, phi.factor, m))
-    return not any(image(x.coeffs, columns, m))
+    columns = power_columns(lift, phi.ring.degree, phi.factor, m)
+    return vanishes((x.coeffs,), columns, m)
 
 
 def _ramified_valuation(x: CyclotomicElement) -> int:

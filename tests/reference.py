@@ -172,7 +172,8 @@ def quad_product(order, a, b) -> tuple[int, int]:
 
 def power_rows_reference(root, count: int, factor, m: int) -> list[list[int]]:
     """root^0 .. root^(count-1) in (Z/m)[X]/(F), one polynomial product
-    and one division by F per power: the reference for ffield.power_rows."""
+    and one division by F per power: transposed, the reference for
+    ffield.power_columns."""
     f = len(factor) - 1
     rows = []
     power = [1]
@@ -180,6 +181,11 @@ def power_rows_reference(root, count: int, factor, m: int) -> list[list[int]]:
         rows.append(power + [0] * (f - len(power)))
         power = gf_mod(gf_mul(power, list(root), m), list(factor), m)
     return rows
+
+
+def transpose(rows, width: int) -> list[list[int]]:
+    """The width columns of rows of that length, empty ones if no rows."""
+    return [[row[j] for row in rows] for j in range(width)]
 
 
 def quotient_by_conjugates(d, x):

@@ -7,8 +7,10 @@ with the golden sha256 and inside the runtime budget.
 """
 
 import ast
+import errno
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -19,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import kummerlab
-from kummerlab import cyclotomic, lattice, reproduce
+from kummerlab import cli, cyclotomic, lattice, reproduce
 from kummerlab.arith import DEFAULT_TRIAL_DIVISION_BOUND
 from kummerlab.cli import main
 from kummerlab.idealprimes import JacobiMap
@@ -183,6 +185,21 @@ def test_reproduce_trace_leaves_stdout_alone(tmp_path, capsys):
 def test_reproduce_trace_needs_a_writable_file(tmp_path, capsys):
     assert main(["reproduce", "--trace", str(tmp_path / "none" / "t.jsonl")]) == 2
     assert "cannot write trace file" in capsys.readouterr().err
+
+
+def test_reproduce_trace_write_failure_is_a_usage_error(monkeypatch, capsys):
+    # a full disk fails the trace write, not a claim: exit 2, no report
+    class FullTrace(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    fake = lambda *args, **kwargs: FullTrace()
+    monkeypatch.setattr(cli, "open", fake, raising=False)
+    assert main(["reproduce", "--filter", "core/cyclo", "--trace", "t.jsonl"]) == 2
+    captured = capsys.readouterr()
+    assert "cannot write trace file" in captured.err
+    assert "No space left on device" in captured.err
+    assert captured.out == ""
 
 
 def test_benchmark_tracer_modules_import():

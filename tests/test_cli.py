@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import hashlib
 import json
 import random
 import time
@@ -125,6 +126,48 @@ def test_render_parse_roundtrip():
 def _run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
+
+
+# full stdout sha256 of the reports that read Jacobi maps: census rows, the
+# circulant uniformizer branch at f > 1, a Galois-ring lift at mu = 2 and the
+# quadratic-order maps and colon tests
+MAP_READING_REPORTS = [
+    (
+        ["maps", "--lambda", "13", "--p", "3", "--json"],
+        "616a0cb0942dddb970c1d34302a7baf56f66b5ae81793fafb7c46c4787b97e86",
+    ),
+    (
+        ["maps", "--lambda", "31", "--p", "2", "--json"],
+        "bfd554b235b0ef8bc988ec5144a37305d0977897ef60d8939d3a5f14e251910d",
+    ),
+    (
+        ["factor", "--lambda", "31", "--json", "2"],
+        "aa38075c4682ac7bb2e20ebdf1e19ea16254509b7e223b89de59ff066ce5e374",
+    ),
+    (
+        ["factor", "--lambda", "13", "--json", "9 + 3a"],
+        "94a0bd7f38513193fe9be3142f6f95be677a2d4b0eaca5370a3ecb0262f21d24",
+    ),
+    (
+        ["valuation", "--lambda", "7", "--p", "2", "--xi", "0,0,1", "--json", "4"],
+        "7562007e9ca1fc98d417878d199933b430af78bda90c940f9757c30bc4386809",
+    ),
+    (
+        ["quad", "--theta", "0,3", "maps", "--p", "2", "--json"],
+        "e52f7f1e237451dd87061fe4ca5cc5ae61322ad2c27c281875db786a5b863751",
+    ),
+    (
+        ["quad", "--theta", "0,3", "check-b2", "--p", "2", "1+t", "2", "--json"],
+        "648d0acadc272fd9561009b3e80b555f9b1defd9348bbdaf887c5bcf190ac34f",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", MAP_READING_REPORTS)
+def test_map_reading_reports_keep_their_bytes(capsys, argv, digest):
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_maps_json(capsys):

@@ -15,6 +15,7 @@ from kummerlab.arith import (
     _MR_PROOF_LIMIT,
     _SIEVE_FROM,
     FactorizationError,
+    exact_sqrt,
     factorize_int,
     is_prime,
     least_primitive_root,
@@ -208,6 +209,20 @@ def test_squarefree_decomposition():
     assert squarefree_decomposition(-12) == (2, -3)
     assert squarefree_decomposition(20) == (2, 5)
     assert squarefree_decomposition(1) == (1, 1)
+
+
+def test_exact_sqrt():
+    assert exact_sqrt(0) == 0 and exact_sqrt(1) == 1
+    assert exact_sqrt(2) is None and exact_sqrt(3) is None
+    rng = random.Random(RNG_SEED)
+    roots = [2, 3, 10**9 + 7] + [rng.randrange(10**k) + 2 for k in range(1, 2001, 37)]
+    roots.append(10**2000 - 1)  # its square has 4000 digits
+    for r in roots:
+        n = r * r
+        assert exact_sqrt(n) == r
+        assert exact_sqrt(n - 1) is None and exact_sqrt(n + 1) is None
+        assert exact_sqrt(-n) is None
+    assert exact_sqrt(-1) is None
 
 
 def test_integer_arithmetic_identities():

@@ -13,7 +13,12 @@ from kummerlab.lattice import IntLattice
 from kummerlab.polyint import cyclotomic_polynomial
 from kummerlab.polymod import factor_mod_p, gf_add, gf_mod, gf_mul, gf_pow_mod
 from kummerlab.valuation import _vanishes_at_lift, kummer_prime
-from reference import contains_lattice, power_rows_reference, standard_lattice
+from reference import (
+    contains_lattice,
+    power_rows_reference,
+    standard_lattice,
+    transpose,
+)
 
 RNG_SEED = 77911
 
@@ -202,7 +207,8 @@ def test_conductor_keyed_caches_are_bounded():
 
 def test_maps_match_the_reference_rows_on_the_census_grid():
     # claim 01's grid: xi is the least of X^(p^k) mod F over k < f, and the
-    # rows are its powers by one polynomial product and division each
+    # columns are the rows of its powers by one polynomial product and
+    # division each, transposed
     for lam in (3, 5, 7, 11, 13):
         for p in primes_below(200):
             for phi in enumerate_jacobi_maps(lam, p):
@@ -212,7 +218,8 @@ def test_maps_match_the_reference_rows_on_the_census_grid():
                     for k in range(phi.f)
                 ]
                 assert _coords(phi.xi, phi.f) == min(orbit)
-                assert phi.rows == power_rows_reference(phi.xi, lam - 1, factor, p)
+                rows = power_rows_reference(phi.xi, lam - 1, factor, p)
+                assert phi.columns == transpose(rows, phi.f)
 
 
 def test_census_counts():

@@ -1,11 +1,12 @@
 """Properties on generated inputs: ring axioms, the norm and the reduction
 mod Phi_n at prime and composite conductors (and its Moebius-sum form for
 vectors constant on gcd classes), integer polynomial products,
-power rows of a root, the Jacobi-sum counts, Kummer's uniformizer at
-residue degree 1, Kummer multiplicities (additive, and equal to the literal
-level test), the p-adic valuation oracle, the colon test of a map at a
-fraction, the one relation solve that gives both colon ideals of a
-fraction, a map's reads of its columns and the expression round trip.
+power columns of a root and the vanishing read of them, the Jacobi-sum
+counts, Kummer's uniformizer at residue degree 1, Kummer multiplicities
+(additive, and equal to the literal level test), the p-adic valuation
+oracle, the colon test of a map at a fraction, the one relation solve that
+gives both colon ideals of a fraction, a map's reads of its columns and the
+expression round trip.
 
 Examples are derandomized, so every run draws the same inputs.
 """
@@ -20,7 +21,7 @@ from kummerlab.arith import primes_below, valuation_int
 from kummerlab.charsum import _counts, character
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element, render_element
-from kummerlab.ffield import power_rows
+from kummerlab.ffield import power_columns, vanishes
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.lattice import colon_relations, colon_rows, hnf, kernel_mod
 from kummerlab.polyint import autocorrelation, mul, trim
@@ -40,6 +41,7 @@ from reference import (
     power_rows_reference,
     principal_lattice,
     reduce_from_top,
+    transpose,
     uniformizer_by_tower,
 )
 
@@ -257,7 +259,7 @@ def test_multiplicity_is_the_last_literal_level(lam, data):
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 6])
 @GENERATED
 @given(data=st.data())
-def test_power_rows_match_the_reference(f, data):
+def test_power_columns_match_the_reference(f, data):
     # any monic F of degree f and any root, at a prime modulus and at a
     # prime power, as for the oracle's Teichmueller lifts
     p = data.draw(st.sampled_from([2, 3, 5, 11, 101]))
@@ -266,8 +268,41 @@ def test_power_rows_match_the_reference(f, data):
     factor = data.draw(st.lists(coeffs, min_size=f, max_size=f)) + [1]
     root = data.draw(st.lists(coeffs, max_size=2 * f))
     count = data.draw(st.integers(0, 24))
-    expected = power_rows_reference(root, count, factor, m)
-    assert power_rows(root, count, factor, m) == expected
+    expected = transpose(power_rows_reference(root, count, factor, m), f)
+    assert power_columns(root, count, factor, m) == expected
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 6])
+@GENERATED
+@given(data=st.data())
+def test_vanishes_matches_full_images(f, data):
+    # the draws of the test above, read at m = p and at m = p^mu, mu >= 2:
+    # vanishes says whether every coordinate of every full image is 0
+    p = data.draw(st.sampled_from([2, 3, 5, 11, 101]))
+    mu = data.draw(st.integers(2, 4))
+    coeffs = st.integers(-(p**mu), p**mu)
+    factor = data.draw(st.lists(coeffs, min_size=f, max_size=f)) + [1]
+    root = data.draw(st.lists(coeffs, max_size=2 * f))
+    count = data.draw(st.integers(0, 24))
+    vector = st.lists(coeffs, min_size=count, max_size=count)
+    vectors = data.draw(st.lists(vector, max_size=4))
+    # over the root X the powers X^0 .. X^(f-1) are the unit coordinates, so
+    # the unit vector at X^(f-1) maps to 0 but in its last coordinate
+    width = max(count, f)
+    last = [int(i == f - 1) for i in range(width)]
+    for m in (p, p**mu):
+        killed = [[m * c for c in v] for v in vectors]
+        rows = power_rows_reference(root, count, factor, m)
+        columns = power_columns(root, count, factor, m)
+        for vs in (vectors, killed, killed + vectors[:1], []):
+            images = [_full_image_of(rows, f, m, v) for v in vs]
+            assert vanishes(vs, columns, m) == (not any(map(any, images)))
+        rows = power_rows_reference([0, 1], width, factor, m)
+        assert _full_image_of(rows, f, m, last) == (0,) * (f - 1) + (1,)
+        columns = power_columns([0, 1], width, factor, m)
+        killed = [[m * c for c in v] + [0] * (width - count) for v in vectors]
+        assert vanishes(killed, columns, m)
+        assert not vanishes(killed + [last], columns, m)
 
 
 @pytest.mark.parametrize("p", [211, 5, 19])
@@ -380,13 +415,14 @@ def test_one_solve_gives_both_colon_ideals_in_z_alpha(lam, data):
     _one_solve_agrees(maps, ring, num, den)
 
 
+def _full_image_of(rows, f, m, coeffs):
+    # every coordinate of the image mod m, a full dot product with the rows
+    return tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % m for j in range(f))
+
+
 def _full_image(phi, coeffs):
-    # every coordinate of the image, a full dot product with the reference
-    # power rows
     rows = power_rows_reference(phi.xi, phi.ring.degree, phi.factor, phi.p)
-    return tuple(
-        sum(c * row[j] for c, row in zip(coeffs, rows)) % phi.p for j in range(phi.f)
-    )
+    return _full_image_of(rows, phi.f, phi.p, coeffs)
 
 
 def _column_reads_agree(phi, data):
@@ -407,7 +443,8 @@ def _column_reads_agree(phi, data):
     if phi.f == 1:
         last = [1] + [0] * (d - 1)
     else:
-        partial = kernel_mod([row[:-1] for row in phi.rows], p).rows
+        rows = power_rows_reference(phi.xi, d, phi.factor, p)
+        partial = kernel_mod([row[:-1] for row in rows], p).rows
         last = next(list(r) for r in partial if r not in kernel_lattice)
     image = _full_image(phi, last)
     assert not any(image[:-1]) and image[-1]

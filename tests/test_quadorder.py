@@ -22,7 +22,7 @@ from kummerlab.quadorder import (
     prime_square_anomaly,
 )
 from kummerlab.valuation import is_defined_at
-from reference import quad_product
+from reference import quad_product, transpose
 
 RNG_SEED = 83231
 
@@ -100,13 +100,13 @@ def test_quad_maps_match_a_reference():
             if not roots:
                 (phi,) = maps
                 assert (phi.f, phi.label()) == (2, [0, 1])
-                assert phi.rows == [[1, 0], [0, 1]]
+                assert phi.columns == transpose([[1, 0], [0, 1]], 2)
                 assert phi.kernel() == IntLattice([[p, 0], [0, p]])
                 continue
             assert sorted(phi.label() for phi in maps) == roots
             for phi in maps:
                 r = phi.label()
-                assert phi.f == 1 and phi.rows == [[1], [r]]
+                assert phi.f == 1 and phi.columns == transpose([[1], [r]], 1)
                 assert phi.kernel() == IntLattice([[p, 0], [-r, 1]])
 
 
