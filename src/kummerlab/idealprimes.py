@@ -8,16 +8,21 @@ yields one map: the target field is F_p[X]/(P_j) itself and theta goes to
 a root of P_j in it.  Maps with equal kernels are identified; each map
 carries a canonical root label, the smallest element of the Frobenius
 orbit of its root.  A map is stored as the f F_p-coordinate columns of the
-powers of that root (ffield.power_columns), and every read of it is
-ffield's: apply is image, kills and extends_to are vanishes, which stops at
-the first nonzero coordinate.  Its kernel is kernel_mod of the transposed
-columns.  For Z[alpha], lam an odd prime, the kernel is a maximal ideal --
-an ideal prime of p.
+powers of that root, and every read of it is ffield's: apply is image,
+kills and extends_to are vanishes, which stops at the first nonzero
+coordinate.  Its kernel is kernel_mod of the transposed columns.  For
+Z[alpha], lam an odd prime, the kernel is a maximal ideal -- an ideal
+prime of p.
 
-Degree-1 maps are constructed as Jacobi did, without factoring: for
-p = 1 mod lam, z = a^((p-1)/lam) mod p with a >= 2 least such that z != 1
-is a primitive lam-th root of unity, and the maps send alpha to z^k,
-k = 1 .. lam-1.  For p = lam there is a single map, alpha -> 1 in F_lam.
+The maps of each (lam, p) are built once per process, in a bounded cache,
+and handed out as a tuple.  Degree-1 maps are constructed as Jacobi did,
+without factoring: for p = 1 mod lam, z = a^((p-1)/lam) mod p with a >= 2
+least such that z != 1 is a primitive lam-th root of unity, and the maps
+send alpha to z^k, k = 1 .. lam-1.  Their columns are reorderings of one
+table t of z^0 .. z^(lam-1): the map alpha -> z^k sends alpha^j to
+t[kj mod lam].  Every other map is JacobiMap.of_factor's, which reads its
+columns off ffield.power_columns.  For p = lam there is a single map,
+alpha -> 1 in F_lam.
 Maps of residue degree f > 1 come from Kummer's period congruences: with
 e = (lam-1)/f, p splits completely in the field of the e Gaussian periods
 of length f, so their period polynomial prod (Y - eta_i) has e roots u
@@ -29,6 +34,7 @@ A map's period_residues() are these u: its images of the e periods of its
 own residue degree, the map restricted to the period ring.
 """
 
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import count
 
@@ -51,26 +57,44 @@ class JacobiMap:
 
     theta goes to xi, the canonical root.  The F_p-coordinates of
     xi^0 .. xi^(d-1), d = ring.degree, are the whole map; columns holds
-    them as the f length-d vectors that every read of the map dots.
+    them as the f length-d vectors that every read of the map dots.  The
+    constructor stores the fields as given; of_factor derives xi and the
+    columns from F.
     """
 
     __slots__ = ("ring", "p", "f", "factor", "xi", "columns")
 
-    def __init__(self, ring, p: int, factor: tuple[int, ...]):
+    def __init__(
+        self,
+        ring,
+        p: int,
+        factor: tuple[int, ...],
+        xi: tuple[int, ...],
+        columns: list[list[int]],
+    ):
         self.ring = ring
         self.p = p
-        self.factor = tuple(factor)
+        self.factor = factor
         self.f = len(factor) - 1
+        self.xi = xi
+        self.columns = columns
+
+    @classmethod
+    def of_factor(cls, ring, p: int, factor) -> "JacobiMap":
+        """The map onto F_p[X]/(F), theta going to the least root of F in
+        the Frobenius orbit of X, its columns read off ffield.power_columns."""
+        factor = tuple(factor)
+        f = len(factor) - 1
         # the Frobenius orbit of X, stepped by the matrix of x -> x^p
-        x = gf_mod([0, 1], self.factor, p)
-        orbit = [tuple(x + [0] * (self.f - len(x)))]
-        if self.f > 1:
-            x_p = gf_pow_mod([0, 1], p, self.factor, p)
-            frobenius = power_columns(x_p, self.f, self.factor, p)
-            for _ in range(self.f - 1):
+        x = gf_mod([0, 1], factor, p)
+        orbit = [tuple(x + [0] * (f - len(x)))]
+        if f > 1:
+            x_p = gf_pow_mod([0, 1], p, factor, p)
+            frobenius = power_columns(x_p, f, factor, p)
+            for _ in range(f - 1):
                 orbit.append(image(orbit[-1], frobenius, p))
-        self.xi = tuple(trim(list(min(orbit))))
-        self.columns = power_columns(self.xi, ring.degree, self.factor, p)
+        xi = tuple(trim(list(min(orbit))))
+        return cls(ring, p, factor, xi, power_columns(xi, ring.degree, factor, p))
 
     def _check_ring(self, x) -> None:
         if x.ring != self.ring:
@@ -141,8 +165,10 @@ def check_conductor(lam: int) -> None:
         raise ValueError(f"conductor {lam} must be an odd prime")
 
 
-def enumerate_jacobi_maps(lam: int, p: int) -> list[JacobiMap]:
-    """All Jacobi maps out of Z[alpha] for the prime p, in canonical order.
+@lru_cache(maxsize=512)
+def enumerate_jacobi_maps(lam: int, p: int) -> tuple[JacobiMap, ...]:
+    """All Jacobi maps out of Z[alpha] for the prime p, in canonical order,
+    built once per (lam, p).
 
     For p = lam there is exactly one (alpha -> 1); otherwise one per
     irreducible factor of Phi_lam mod p, which is (lam-1)/f maps of residue
@@ -154,17 +180,31 @@ def enumerate_jacobi_maps(lam: int, p: int) -> list[JacobiMap]:
         raise ValueError(f"{p} is not prime")
     ring = cyclotomic_ring(lam)
     if p == lam:
-        return [JacobiMap(ring, p, (p - 1, 1))]
+        return (JacobiMap.of_factor(ring, p, (p - 1, 1)),)
     f = multiplicative_order(p, lam)
-    if f == 1:
-        # Jacobi's root: z^lam = a^(p-1) = 1 and z != 1, so z has order lam
-        powers = (pow(a, (p - 1) // lam, p) for a in count(2))
-        z = next(w for w in powers if w != 1)
-        factors = sorted((p - pow(z, k, p), 1) for k in range(1, lam))
-    else:
+    if f > 1:
         factors = _period_factors(ring, p, f)
-    assert len(factors) == (lam - 1) // f
-    return [JacobiMap(ring, p, fac) for fac in factors]
+        assert len(factors) == (lam - 1) // f
+        return tuple(JacobiMap.of_factor(ring, p, fac) for fac in factors)
+    # Jacobi's root: z^lam = a^(p-1) = 1 and z != 1, so z has order lam.
+    # The map alpha -> z^k sends alpha^j to z^(kj), entry kj mod lam of
+    # one table of z's powers.
+    powers = (pow(a, (p - 1) // lam, p) for a in count(2))
+    z = next(w for w in powers if w != 1)
+    table = [1]
+    for _ in range(lam - 1):
+        table.append(table[-1] * z % p)
+    maps = [
+        JacobiMap(
+            ring,
+            p,
+            (p - table[k], 1),
+            (table[k],),
+            [[table[k * j % lam] for j in range(lam - 1)]],
+        )
+        for k in range(1, lam)
+    ]
+    return tuple(sorted(maps, key=lambda phi: phi.factor))
 
 
 def _period_factors(ring, p: int, f: int) -> list[tuple[int, ...]]:
@@ -212,7 +252,7 @@ def _period_polynomial(lam: int, e: int) -> tuple[tuple[int, ...], tuple[int, ..
     return tuple(reversed(a)), eta0.coeffs
 
 
-def map_for_root(maps: list[JacobiMap], label) -> JacobiMap:
+def map_for_root(maps: Sequence[JacobiMap], label) -> JacobiMap:
     """The map whose root xi is the given label: an int residue, or the
     root's coefficient list.  Both are taken mod p and a list loses its
     trailing zeros, so [r] and [r, 0] name the degree-1 map with root r."""

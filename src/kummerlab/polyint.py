@@ -5,7 +5,8 @@ These are the carriers for ring products, for cyclotomic polynomials,
 built from binomials X^d - 1 without general division, and for the exact
 resultant used to cross-check norms.  Long dense products (Gauss sums,
 the norm tower at large conductors) are one big-integer multiply
-(Kronecker substitution), all others the schoolbook loop; the cyclic
+(Kronecker substitution), all others the schoolbook loop over the
+operands' nonzero terms; the cyclic
 autocorrelation of a nonnegative vector, its product with its own
 reflection in Z[X]/(X^n - 1), is one multiply of packed machine words.
 The resultant is a fraction-free Bareiss determinant.  Nothing here
@@ -34,10 +35,11 @@ def degree(f: list[int]) -> int:
 # Products whose operands both have at least this many nonzero terms are
 # packed.  Gauss sums in Z[zeta_{lam p}] need it: with the loop alone,
 # `gauss-sum --p 1289 --order 7` took 29.6 s in place of 0.11 s.  Measured
-# crossover on fully dense operands (CPython 3.11.7, 2-core x86-64 VM):
-# length 14-16 for 5- to 64-bit coefficients, 20 at 256 bits and 24 at
-# 1024 bits.  At length 40 and 5 bits the loop takes 173 us and packing
-# 67 us; on 3-term operands of length 40 they take 17 and 41 us.
+# crossover of the loop over nonzero terms and packing, on fully dense
+# operands (CPython 3.11.7, 2-core x86-64 VM): length 14-16 for 5- to
+# 64-bit coefficients and 20-24 at 256 and 1024 bits.  At length 40 and
+# 5 bits the loop takes 120-180 us and packing 50-70 us; on 3-term
+# operands of length 40 the loop takes 11 us and packing 64 us.
 KRONECKER_MIN_TERMS = 20
 
 # (bits, typecode) of the unsigned array words that pack_words packs,
@@ -53,8 +55,9 @@ _BIG_ENDIAN = sys.byteorder == "big"
 def mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """The product f * g of two coefficient sequences, as a trimmed list.
 
-    The schoolbook loop makes one interpreted step per pair of terms, so
-    its cost grows with the nonzero terms of f times the length of g.
+    The schoolbook loop makes one interpreted step per pair of nonzero
+    terms: the outer loop runs over the operand with fewer of them, the
+    inner one over the other's (index, coefficient) pairs.
     Kronecker substitution costs a pass over each operand and one
     big-integer product, which CPython does by Karatsuba.  So a product is
     packed when both operands have at least KRONECKER_MIN_TERMS nonzero
@@ -72,11 +75,14 @@ def mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
         and len(g) - g.count(0) >= KRONECKER_MIN_TERMS
     ):
         return _kronecker_mul(f, g)
+    f_terms = [(i, a) for i, a in enumerate(f) if a]
+    g_terms = [(j, b) for j, b in enumerate(g) if b]
+    if len(f_terms) > len(g_terms):
+        f_terms, g_terms = g_terms, f_terms
     out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
+    for i, a in f_terms:
+        for j, b in g_terms:
+            out[i + j] += a * b
     return trim(out)
 
 

@@ -77,7 +77,7 @@ def enumerate_quad_maps(order: QuadOrder, p: int) -> list[JacobiMap]:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     factored = factor_mod_p(list(order.modulus), p)
-    return [JacobiMap(order, p, tuple(fac)) for fac, _ in factored]
+    return [JacobiMap.of_factor(order, p, fac) for fac, _ in factored]
 
 
 def dichotomy_check(

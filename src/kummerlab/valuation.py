@@ -21,8 +21,9 @@ An independent oracle computes the same number as the largest mu with
 x in (ker phi)^mu, by exact p-adic arithmetic and no uniformizer at all.
 For p != lam, Z[alpha]/P^mu is the Galois ring (Z/p^mu)[X]/(F), F the
 map's factor, with alpha at the Teichmueller lift of the map's root, so
-membership in P^mu is one evaluation there.  At p = lam the valuation is
-read off the coefficients of x(1 + t).
+membership in P^mu is one evaluation there, against the lift's power
+columns, built once per (map, mu) in a bounded cache.  At p = lam the
+valuation is read off the coefficients of x(1 + t).
 
 factorize and divides take every valuation from the oracle, and factorize
 checks the records against the norm.  The `kummerlab factor` report
@@ -217,20 +218,26 @@ def multiplicity(x: CyclotomicElement, K: KummerPrime) -> int:
                 raise AssertionError("multiplicity exceeded its norm bound")
 
 
+@lru_cache(maxsize=1024)
+def _lift_columns(phi: JacobiMap, mu: int) -> list[list[int]]:
+    """The power columns of the Teichmueller lift of the map's root in the
+    Galois ring (Z/p^mu)[X]/(F), p != lam: the lam-th root of unity
+    xi^(p^(f(mu-1))) above xi.  Built once per (map, mu)."""
+    m = phi.p**mu
+    lift = gf_pow_mod(phi.xi, phi.p ** (phi.f * (mu - 1)), phi.factor, m)
+    return power_columns(lift, phi.ring.degree, phi.factor, m)
+
+
 def _vanishes_at_lift(x: CyclotomicElement, phi: JacobiMap, mu: int) -> bool:
     """Whether x lies in P^mu, P = ker phi, for a prime p != lam.
 
     p is unramified, so Z[alpha]/P^mu is the Galois ring
     W = (Z/p^mu)[X]/(F), F the map's factor read as a monic integer
-    polynomial, and alpha goes to the Teichmueller lift of the map's root
-    xi: the lam-th root of unity xi^(p^(f(mu-1))) above it.  x is in P^mu
-    iff x vanishes there: one ffield.vanishes read of x against the power
-    columns of the lift mod p^mu.
+    polynomial, and alpha goes to the Teichmueller lift of the map's root.
+    x is in P^mu iff x vanishes there: one ffield.vanishes read of x
+    against the lift's columns.
     """
-    m = phi.p**mu
-    lift = gf_pow_mod(phi.xi, phi.p ** (phi.f * (mu - 1)), phi.factor, m)
-    columns = power_columns(lift, phi.ring.degree, phi.factor, m)
-    return vanishes((x.coeffs,), columns, m)
+    return vanishes((x.coeffs,), _lift_columns(phi, mu), phi.p**mu)
 
 
 def _ramified_valuation(x: CyclotomicElement) -> int:

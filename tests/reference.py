@@ -170,6 +170,17 @@ def quad_product(order, a, b) -> tuple[int, int]:
     return (x1 * x2 - v * y1 * y2, x1 * y2 + x2 * y1 - u * y1 * y2)
 
 
+def schoolbook_reference(f, g) -> list[int]:
+    """f * g with one product for every pair of terms, zero or not: the
+    reference for polyint.mul, whose loop multiplies only nonzero terms and
+    which packs long dense operands."""
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return trim(out)
+
+
 def power_rows_reference(root, count: int, factor, m: int) -> list[list[int]]:
     """root^0 .. root^(count-1) in (Z/m)[X]/(F), one polynomial product
     and one division by F per power: transposed, the reference for

@@ -167,6 +167,42 @@ def test_acceptance_criterion_12_determinism():
     )
 
 
+# Run in a fresh interpreter, with the package root as argv[1]: counts the
+# JacobiMaps constructed and the Teichmueller lifts raised (the only
+# gf_pow_mod of valuation) during a cold `reproduce --json`.
+_WORK_COUNTS = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from kummerlab import cli, idealprimes, valuation
+counts = {"maps": 0, "lifts": 0}
+construct, power = idealprimes.JacobiMap.__init__, valuation.gf_pow_mod
+def counted_construct(self, *args):
+    counts["maps"] += 1
+    construct(self, *args)
+def counted_power(*args):
+    counts["lifts"] += 1
+    return power(*args)
+idealprimes.JacobiMap.__init__ = counted_construct
+valuation.gf_pow_mod = counted_power
+with contextlib.redirect_stdout(io.StringIO()):
+    counts["exit"] = cli.main(["reproduce", "--json"])
+print(json.dumps(counts))
+"""
+
+
+def test_cold_reproduce_builds_each_map_and_lift_once():
+    # the maps of each (lambda, p) and the lift of each (map, mu) are built
+    # once per process; the counts do not depend on the machine's speed
+    package_root = str(Path(kummerlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORK_COUNTS, package_root],
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == {"maps": 896, "lifts": 131, "exit": 0}
+
+
 def test_reproduce_trace_leaves_stdout_alone(tmp_path, capsys):
     # the trace is a side channel: stdout keeps the golden bytes, and the
     # file holds one line per claim, in the order the claims ran

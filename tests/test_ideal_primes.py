@@ -115,6 +115,7 @@ def test_degree_one_maps_are_constructed(monkeypatch):
     def no_factoring(*args):
         raise AssertionError("factor_mod_p called")
 
+    enumerate_jacobi_maps.cache_clear()
     monkeypatch.setattr(idealprimes, "factor_mod_p", no_factoring)
     for (lam, p), factors in expected.items():
         maps = enumerate_jacobi_maps(lam, p)
@@ -122,6 +123,32 @@ def test_degree_one_maps_are_constructed(monkeypatch):
     assert [phi.factor for phi in enumerate_jacobi_maps(5, 5)] == [(4, 1)]
     with pytest.raises(AssertionError, match="factor_mod_p called"):
         enumerate_jacobi_maps(5, 19)
+
+
+def test_maps_are_built_once_per_prime(monkeypatch):
+    # a second call builds no JacobiMap and hands out the same tuple; a
+    # refusal is no result, so it is raised again on every call
+    enumerate_jacobi_maps.cache_clear()
+    built = []
+    construct = idealprimes.JacobiMap.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        construct(self, *args)
+
+    monkeypatch.setattr(idealprimes.JacobiMap, "__init__", counting)
+    for lam, p in [(5, 11), (5, 19), (7, 7), (7, 29), (23, 47), (41, 83)]:
+        maps = enumerate_jacobi_maps(lam, p)
+        assert isinstance(maps, tuple) and len(built) == len(maps)
+        del built[:]
+        assert enumerate_jacobi_maps(lam, p) is maps
+        assert not built
+    for _ in range(2):
+        with pytest.raises(ValueError, match="must be an odd prime"):
+            enumerate_jacobi_maps(9, 11)
+        with pytest.raises(ValueError, match="is not prime"):
+            enumerate_jacobi_maps(5, 21)
+    assert enumerate_jacobi_maps.cache_info().maxsize is not None
 
 
 # (lam, p) where the period polynomial has a repeated root mod p, so one
@@ -154,6 +181,7 @@ def test_period_route_matches_factor_mod_p(monkeypatch):
         factored.append(len(f) - 1)
         return factor_mod_p(f, p)
 
+    enumerate_jacobi_maps.cache_clear()
     monkeypatch.setattr(idealprimes, "factor_mod_p", recording)
     for (lam, p), factors in expected.items():
         del factored[:]

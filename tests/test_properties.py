@@ -1,7 +1,8 @@
 """Properties on generated inputs: ring axioms, the norm and the reduction
 mod Phi_n at prime and composite conductors (and its Moebius-sum form for
-vectors constant on gcd classes), integer polynomial products,
-power columns of a root and the vanishing read of them, the Jacobi-sum
+vectors constant on gcd classes), integer polynomial products (against
+the full schoolbook too), power columns of a root and the vanishing read
+of them, the degree-1 maps read off Jacobi's root table, the Jacobi-sum
 counts, Kummer's uniformizer at residue degree 1, Kummer multiplicities
 (additive, and equal to the literal level test), the p-adic valuation
 oracle, the colon test of a map at a fraction, the one relation solve that
@@ -22,9 +23,9 @@ from kummerlab.charsum import _counts, character
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element, render_element
 from kummerlab.ffield import power_columns, vanishes
-from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
+from kummerlab.idealprimes import JacobiMap, enumerate_jacobi_maps, map_for_root
 from kummerlab.lattice import colon_relations, colon_rows, hnf, kernel_mod
-from kummerlab.polyint import autocorrelation, mul, trim
+from kummerlab.polyint import KRONECKER_MIN_TERMS, autocorrelation, mul, trim
 from kummerlab.quadorder import QuadOrder, enumerate_quad_maps
 from kummerlab.valuation import (
     find_uniformizer,
@@ -41,6 +42,7 @@ from reference import (
     power_rows_reference,
     principal_lattice,
     reduce_from_top,
+    schoolbook_reference,
     transpose,
     uniformizer_by_tower,
 )
@@ -163,6 +165,36 @@ def test_mul_is_evaluation(f, g):
         assert _value(h, x) == _value(f, x) * _value(g, x)
 
 
+@st.composite
+def sparse_terms(draw):
+    """A coefficient list of length 0 to 30 with one to all of its terms
+    nonzero, each of absolute value at most 2^70."""
+    n = draw(st.integers(0, 30))
+    if not n:
+        return []
+    support = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    nonzero = st.integers(-BIG, BIG).filter(bool)
+    return [draw(nonzero) if i in support else 0 for i in range(n)]
+
+
+DENSE = [3**70 - 5 * i for i in range(30)]
+
+
+@GENERATED
+@given(sparse_terms(), sparse_terms())
+@example(DENSE[:KRONECKER_MIN_TERMS], DENSE[:KRONECKER_MIN_TERMS])  # packed
+@example(DENSE[: KRONECKER_MIN_TERMS - 1], DENSE)  # one side too short
+@example(DENSE[:1], DENSE)  # one term against a dense operand
+@example([0, 0, 0], DENSE)  # no nonzero term at all
+@example([], DENSE)
+def test_mul_matches_the_full_schoolbook(f, g):
+    # the loop multiplies only nonzero terms, over the sparser operand
+    # first; the reference multiplies every pair in the order given
+    expected = schoolbook_reference(f, g)
+    assert mul(f, g) == expected
+    assert mul(g, f) == expected
+
+
 @GENERATED
 @given(
     st.one_of(
@@ -223,6 +255,53 @@ def test_degree_one_uniformizer_matches_the_tower(case):
         assert phi.f == 1
         K = find_uniformizer(phi)
         assert (K.psi, K.psi_conjugates, K.period_norm) == uniformizer_by_tower(phi)
+
+
+# every odd prime lam < 42 with the primes p = 1 mod lam below 2000, and
+# the largest census the CLI allows
+ROOT_TABLE_PRIMES = [
+    (lam, p) for lam in primes_below(42)[1:] for p in primes_below(2000) if p % lam == 1
+] + [(101, 607)]
+
+
+def _by_power_columns(phi):
+    return JacobiMap.of_factor(phi.ring, phi.p, phi.factor)
+
+
+def test_root_table_builds_the_power_column_maps():
+    # Jacobi's root table against each map rebuilt from its factor through
+    # ffield.power_columns; the factors are X - r over lam - 1 distinct
+    # roots r of Phi_lam mod p, in factor_mod_p's order
+    for lam, p in ROOT_TABLE_PRIMES:
+        maps = enumerate_jacobi_maps(lam, p)
+        factors = [phi.factor for phi in maps]
+        assert len(factors) == lam - 1 and factors == sorted(set(factors))
+        for phi in maps:
+            assert sum(pow(phi.xi[0], j, p) for j in range(lam)) % p == 0
+            ref = _by_power_columns(phi)
+            assert (phi.factor, phi.xi, phi.columns) == (ref.factor, ref.xi, ref.columns)
+
+
+@GENERATED
+@given(data=st.data())
+def test_root_table_maps_read_like_power_column_maps(data):
+    # kills and extends_to on vectors that half the time lie in the drawn
+    # map's kernel: y * (alpha - r) + p z for r the root of some map
+    lam, p = data.draw(st.sampled_from(ROOT_TABLE_PRIMES))
+    maps = enumerate_jacobi_maps(lam, p)
+    phi = data.draw(st.sampled_from(maps))
+    ref = _by_power_columns(phi)
+    ring = phi.ring
+
+    def vector():
+        killer = phi if data.draw(st.booleans()) else data.draw(st.sampled_from(maps))
+        y, z = data.draw(elements(lam, spread=9)), data.draw(elements(lam, spread=2))
+        return y * ring.element([-killer.xi[0], 1]) + z * p
+
+    x = vector()
+    assert phi.kills(x) == ref.kills(x)
+    rows = [vector().coeffs for _ in range(data.draw(st.integers(1, 3)))]
+    assert phi.extends_to(rows) == ref.extends_to(rows)
 
 
 @GENERATED

@@ -618,3 +618,23 @@ def test_find_uniformizer_refuses_a_failed_certificate(monkeypatch):
     monkeypatch.setattr(valuation, "_linear_uniformizer", inflated)
     with pytest.raises(ArithmeticError, match="failed its certificate"):
         find_uniformizer(phi)
+
+
+def test_lifts_are_built_once_per_map_and_level(monkeypatch):
+    # the oracle tests x in P^mu against the power columns of the root's
+    # Teichmueller lift mod p^mu; each (map, mu) raises a power only once
+    valuation._lift_columns.cache_clear()
+    raised = []
+    power = valuation.gf_pow_mod
+
+    def counting(*args):
+        raised.append(args)
+        return power(*args)
+
+    monkeypatch.setattr(valuation, "gf_pow_mod", counting)
+    phi = map_for_root(enumerate_jacobi_maps(5, 11), 9)
+    x = cyclotomic_ring(5).element([2, 1]) ** 3
+    assert valuation_oracle(x, phi) == 3
+    assert len(raised) == 3  # mu = 2, 3 and the 4 that fails
+    assert valuation_oracle(x * 7, phi) == 3 and len(raised) == 3
+    assert valuation._lift_columns.cache_info().maxsize is not None
