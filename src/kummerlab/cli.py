@@ -22,7 +22,7 @@ from kummerlab.exprparse import (
     render_element,
 )
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
-from kummerlab.reports import render_json, render_text
+from kummerlab.reports import render_text, write_json
 from kummerlab.reproduce import reproduce_all
 from kummerlab.valuation import (
     divides,
@@ -300,7 +300,7 @@ def _map_report(phi) -> dict:
 
 def _emit(args, command: str, result, failed: bool = False) -> int:
     if args.json:
-        sys.stdout.write(render_json(command, result))
+        write_json(command, result, sys.stdout)
     else:
         sys.stdout.write(render_text(result))
     return EXIT_ASSERTION if failed else EXIT_OK

@@ -7,11 +7,22 @@ never contain floating-point values; repeated runs are byte-identical.
 import json
 
 SCHEMA = "kummerlab/1"
+_LAYOUT = {"sort_keys": True, "indent": 2}
+
+
+def _document(command: str, result) -> dict:
+    return {"schema": SCHEMA, "command": command, "result": result}
 
 
 def render_json(command: str, result) -> str:
-    doc = {"schema": SCHEMA, "command": command, "result": result}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_document(command, result), **_LAYOUT) + "\n"
+
+
+def write_json(command: str, result, stream) -> None:
+    """Write render_json's text to ``stream`` chunk by chunk, as json's
+    encoder yields it, without holding the whole report as one string."""
+    json.dump(_document(command, result), stream, **_LAYOUT)
+    stream.write("\n")
 
 
 def _text_lines(value, indent: int):

@@ -531,7 +531,9 @@ def _acc_completeness(cfg: Config) -> dict:
         rows = colon_rows(x.coeffs, y.coeffs, ring)
         defined_everywhere = all(
             phi.extends_to(rows)
-            for p in sorted(factorize_int(norm_y, cfg.trial_division_bound))
+            for p in sorted(
+                factorize_int(norm_y, cfg.trial_division_bound, conductor=ring.n)
+            )
             for phi in enumerate_jacobi_maps(5, p)
         )
         assert defined_everywhere == by_division, (x, y)

@@ -318,13 +318,19 @@ def factorize(
     x: CyclotomicElement,
     trial_bound: int = DEFAULT_TRIAL_DIVISION_BOUND,
 ) -> IdealFactorization:
-    """Complete ideal prime factorization of a nonzero element."""
+    """Complete ideal prime factorization of a nonzero element.
+
+    The norm is trial-divided at the ring's conductor lam: a prime p != lam
+    divides it only as a power of p^f, f the residue degree of p, so
+    factorize_int divides only by the primes whose p^f is at most the
+    cofactor, and finds the same primes as dividing by every one.
+    """
     check_conductor(x.ring.n)
     if x.is_zero():
         raise ValueError("cannot factor 0")
     nval = norm(x)
     records = []
-    for p in sorted(factorize_int(nval, trial_bound)):
+    for p in sorted(factorize_int(nval, trial_bound, conductor=x.ring.n)):
         total = 0
         for phi in enumerate_jacobi_maps(x.ring.n, p):
             mu = valuation_oracle(x, phi)
@@ -379,7 +385,7 @@ def divides(
     if x.is_zero():
         return True
     by_valuation = True
-    for p in sorted(factorize_int(norm_d, trial_bound)):
+    for p in sorted(factorize_int(norm_d, trial_bound, conductor=d.ring.n)):
         for phi in enumerate_jacobi_maps(d.ring.n, p):
             if valuation_oracle(d, phi) > valuation_oracle(x, phi):
                 by_valuation = False

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kummerlab import cli, exprparse, quadorder, reproduce
+from kummerlab import cli, exprparse, quadorder, reports, reproduce
 from kummerlab.cli import _int_list, main
 from kummerlab.cyclotomic import CyclotomicElement, cyclotomic_ring
 from kummerlab.exprparse import ElementParseError, parse_element, render_element
@@ -168,6 +168,25 @@ def test_map_reading_reports_keep_their_bytes(capsys, argv, digest):
     code, out = _run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_json_reports_stream_the_rendered_bytes(monkeypatch, capsys):
+    # --json writes the report piece by piece as json encodes it, never as
+    # one string of the whole report, and the pieces are render_json's text
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    result = {"lambda": 5, "maps": [{"p": 11, "kernel_hnf": [[11, 0], [2, 1]]}]}
+    reports.write_json("maps", result, Recorder())
+    assert "".join(writes) == reports.render_json("maps", result)
+    assert len(writes) > 10
+    # the CLI reaches the same bytes without calling render_json
+    monkeypatch.setattr(cli, "render_json", None, raising=False)
+    code, out = _run(capsys, ["maps", "--lambda", "5", "--p", "11", "--json"])
+    assert code == 0 and out == reports.render_json("maps", json.loads(out)["result"])
 
 
 def test_cli_maps_json(capsys):

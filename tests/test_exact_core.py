@@ -8,12 +8,13 @@ from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kummerlab.arith import (
     _MR_PROOF_LIMIT,
     _SIEVE_FROM,
+    DEFAULT_TRIAL_DIVISION_BOUND,
     FactorizationError,
     exact_sqrt,
     factorize_int,
@@ -37,6 +38,7 @@ from kummerlab.polymod import (
     gf_pow_mod,
 )
 from kummerlab.quadorder import QuadOrder, enumerate_quad_maps
+from kummerlab.valuation import divides, factorize
 from reference import (
     colon,
     colon_extends_to,
@@ -167,34 +169,136 @@ PINNED_41 = "7+19a+33a^3-5a^17+11a^30"
 
 def test_factorize_int_memory_is_bounded():
     # the pinned lambda-41 norm is 83 times a 60-digit composite, so trial
-    # division runs to the default bound; the sieve holds one segment, and
-    # a second call keeps and allocates no more than the first (a prime
-    # table kept up to 10^6 would hold about 2.8 MB)
+    # division runs to the default bound; the sieve holds one segment and
+    # the primes read out of it, and a second call keeps and allocates no
+    # more than the first (a prime table kept up to 10^6 would hold about
+    # 2.8 MB).  The residue-degree table of conductor 41 (a few KB) stays in
+    # its bounded cache, so it is built before the count starts.
     nval = norm(parse_element(PINNED_41, cyclotomic_ring(41)))
-    peaks, kept = [], []
-    tracemalloc.start()
-    try:
-        for _ in range(2):
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            try:
-                factorize_int(nval)
-            except FactorizationError:
-                pass
-            current, peak = tracemalloc.get_traced_memory()
-            peaks.append(peak - start)
-            kept.append(current - start)
-    finally:
-        tracemalloc.stop()
-    # (a few bytes of interpreter free lists move from call to call)
-    assert peaks[0] < 2**20
-    assert peaks[1] - peaks[0] < 4096
-    assert max(kept) < 4096
+    arith._residue_degrees(41)
+    for conductor in (1, 41):
+        peaks, kept = [], []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                try:
+                    factorize_int(nval, conductor=conductor)
+                except FactorizationError:
+                    pass
+                current, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak - start)
+                kept.append(current - start)
+        finally:
+            tracemalloc.stop()
+        # (a few bytes of interpreter free lists move from call to call)
+        assert peaks[0] < 2**20, conductor
+        assert peaks[1] - peaks[0] < 4096, conductor
+        assert max(kept) < 4096, conductor
+
+
+def test_pinned_norm_reads_only_the_classes_that_can_divide_it(monkeypatch):
+    # an exact work count, which does not drift with the machine's speed:
+    # every sieve entry that itertools.compress reads, and every prime it
+    # hands out, for the pinned lambda-41 norm, which is trial-divided to
+    # the default bound.  Each count includes the table of sieving primes
+    # below 1001 (516 entries, 179 primes).  Reading every odd number of
+    # each segment would take 498,219 entries and 78,056 primes.
+    counts = {}
+    real = arith.compress
+
+    def counted(data, selectors):
+        counts["read"] += len(selectors)
+        for value in real(data, selectors):
+            counts["primes"] += 1
+            yield value
+
+    monkeypatch.setattr(arith, "compress", counted)
+    x = parse_element(PINNED_41, cyclotomic_ring(41))
+    nval = norm(x)
+
+    def work(call):
+        counts.update(read=0, primes=0)
+        with pytest.raises(FactorizationError):
+            call()
+        return counts["read"], counts["primes"]
+
+    # conductor 1: the classes 1 and 5 mod 6, every prime
+    assert work(lambda: factorize_int(nval)) == (332_318, 78_056)
+    # conductor 41: only the classes whose residue degree f has lo^f <= n
+    assert work(lambda: factorize_int(nval, conductor=41)) == (134_342, 30_447)
+    # factorize and divides trial-divide their norms at the ring's conductor
+    assert work(lambda: factorize(x)) == (134_342, 30_447)
+    assert work(lambda: divides(x, x)) == (134_342, 30_447)
+
+
+@st.composite
+def _drawn_norms(draw):
+    lam = draw(st.sampled_from([3, 5, 7, 11, 13, 23, 41]))
+    terms = draw(
+        st.dictionaries(
+            st.integers(0, lam - 2), st.integers(-60, 60), min_size=1, max_size=4
+        )
+    )
+    x = cyclotomic_ring(lam).element([terms.get(i, 0) for i in range(lam - 1)])
+    assume(not x.is_zero())
+    return lam, norm(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=_drawn_norms())
+def test_factorize_int_at_a_conductor_matches_trial_division_reference(drawn):
+    # a prime that the residue-degree rule skips cannot divide the norm, so
+    # the factors, their order and the error text are those of dividing by
+    # every candidate
+    lam, nval = drawn
+    for bound in (*_EDGE_BOUNDS, DEFAULT_TRIAL_DIVISION_BOUND):
+        assert _outcome(
+            lambda n, b: factorize_int(n, b, conductor=lam), nval, bound
+        ) == _outcome(trial_division_reference, nval, bound), (lam, bound)
+
+
+def test_factorize_int_reads_a_class_whose_power_equals_the_cofactor():
+    # 9203 = 6 * 1534 - 1 is prime and starts a sieved segment (k = 1534),
+    # and its order mod each lam below is lam - 1, so the norm of x = 9203
+    # is 9203^(lam - 1): at that segment lo^f equals the cofactor exactly.
+    # Its class must be read when lo^f <= n; reading it only when lo^f < n
+    # would miss the factor.
+    q = 9203
+    assert is_prime(q) and (q + 1) // 6 == 1 + 3 * (2**9 - 1) and q > _SIEVE_FROM
+    for lam in (3, 5, 7, 11, 41):
+        assert multiplicative_order(q, lam) == lam - 1
+        nval = norm(cyclotomic_ring(lam).element([q] + [0] * (lam - 2)))
+        assert nval == q ** (lam - 1)
+        assert factorize_int(nval, conductor=lam) == {q: lam - 1}
+        for bound in (*_EDGE_BOUNDS, DEFAULT_TRIAL_DIVISION_BOUND):
+            assert _outcome(
+                lambda n, b: factorize_int(n, b, conductor=lam), nval, bound
+            ) == _outcome(trial_division_reference, nval, bound), (lam, bound)
+
+
+def test_factorize_int_merges_the_classes_of_a_segment_in_ascending_order():
+    # the sieved segment [9203, 18419) is read one residue class at a time,
+    # and a later class can hold a smaller prime: 10009 = 1 and 10007 = 5
+    # mod 6, 9221 = 5 and 9209 = 11 mod 18.  Dividing in class order would
+    # put 10009 first, and at conductor 3 would take the cofactor 9209^2 for
+    # a prime once 9221^2 is divided out, since 9209^2 < 9221^2.
+    assert list(factorize_int(10007 * 10009).items()) == [(10007, 1), (10009, 1)]
+    nval = norm(cyclotomic_ring(3).element([9209 * 9221, 0]))
+    assert list(factorize_int(nval, conductor=3).items()) == [(9209, 2), (9221, 2)]
+
+
+def test_factorize_int_refuses_a_conductor_below_1():
+    for conductor in (0, -41):
+        with pytest.raises(ValueError, match="must be positive"):
+            factorize_int(83, conductor=conductor)
 
 
 def test_multiplicative_order():
     assert multiplicative_order(2, 5) == 4
     assert multiplicative_order(11, 5) == 1
+    assert multiplicative_order(7, 1) == multiplicative_order(0, 1) == 1
     with pytest.raises(ValueError):
         multiplicative_order(5, 10)
 
