@@ -10,11 +10,11 @@ import argparse
 import re
 import sys
 from itertools import takewhile
-from math import gcd
+from math import gcd, log10
 
 from kummerlab import charsum, monoid, quadorder
 from kummerlab.arith import DEFAULT_TRIAL_DIVISION_BOUND, factorize_int, is_prime
-from kummerlab.cyclotomic import cyclotomic_ring
+from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import (
     MAX_COEFFICIENT_DIGITS,
     ElementParseError,
@@ -333,10 +333,24 @@ def _factor_record(x, r) -> dict:
     }
 
 
+def _check_printable_norm(n: int) -> None:
+    """Refuse a norm too long for Python to print: more digits than
+    sys.get_int_max_str_digits(), when that limit is set."""
+    limit = sys.get_int_max_str_digits()
+    k = int(n.bit_length() * log10(2))  # |n| has k or k + 1 digits
+    digits = k + (abs(n) >= 10**k)
+    if limit and digits > limit:
+        raise UsageError(
+            f"the norm has {digits} digits, more than the {limit} that a "
+            "report can print"
+        )
+
+
 def _cmd_factor(args) -> int:
     _check_conductor_cap(args)
     ring = cyclotomic_ring(args.lam)
     x = parse_element(args.expr, ring)
+    _check_printable_norm(norm(x))
     fact = factorize(x, args.trial_div)
     records = [_factor_record(x, r) for r in fact.records]
     result = {

@@ -116,17 +116,16 @@ def _parse_terms(src: str, symbol: str) -> dict[int, int]:
 
 
 def parse_element(src: str, ring):
-    """Parse an expression into an element of the given ring or order.
+    """Parse an expression into an element of the given ring or order: its
+    terms, summed per power, form one coefficient vector that the ring
+    reduces once.
 
     Its reduced coefficients must keep to MAX_COEFFICIENT_DIGITS digits: a
     power within the exponent cap can still outgrow them in an order whose
     modulus has large coefficients.
     """
-    theta = ring.element([0, 1])
-    out = ring.element(0)
-    for power, coeff in _parse_terms(src, ring.symbol).items():
-        if coeff:
-            out = out + coeff * theta**power
+    terms = _parse_terms(src, ring.symbol)
+    out = ring.element([terms.get(k, 0) for k in range(max(terms) + 1)])
     if any(abs(c) >= _COEFFICIENT_BOUND for c in out.coeffs):
         raise ValueError(
             f"expression {src!r} has a coefficient of more than "

@@ -18,16 +18,6 @@ def gf_normalize(c: list[int], p: int) -> list[int]:
     return trim([x % p for x in c])
 
 
-def gf_add(f: list[int], g: list[int], p: int) -> list[int]:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return trim(out)
-
-
 def gf_sub(f: list[int], g: list[int], p: int) -> list[int]:
     n = max(len(f), len(g))
     out = [0] * n
@@ -181,7 +171,7 @@ def _equal_degree_split(f: list[int], d: int, p: int) -> list[list[int]]:
             acc = h
             for _ in range(d - 1):
                 t = gf_mod(gf_mul(t, t, p), f, p)
-                acc = gf_add(acc, t, p)
+                acc = gf_sub(acc, t, p)  # a + b = a - b mod 2
             g = gf_gcd(acc, f, p)
         else:
             t = gf_pow_mod(h, (p**d - 1) // 2, f, p)

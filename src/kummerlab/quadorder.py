@@ -48,14 +48,16 @@ class QuadOrder:
 
     def _reduce(self, coeffs: list[int]) -> tuple[int, int]:
         """Coefficients of the residue mod T^2 + uT + v, padded to length 2:
-        T^k = -u T^(k-1) - v T^(k-2), cleared from the top down."""
-        c = list(coeffs) + [0] * (2 - len(coeffs))
-        for k in range(len(c) - 1, 1, -1):
-            top = c[k]
-            if top:
-                c[k - 1] -= self.u * top
-                c[k - 2] -= self.v * top
-        return (c[0], c[1])
+        T^2 = -u T - v clears a product's top coefficient.  A longer vector
+        (a parsed expression) is summed term by term, each power of theta
+        taken by squaring: the residue's coefficients grow with the exponent,
+        and clearing them one position at a time would cost its square."""
+        if len(coeffs) > 3:
+            theta = self.element([0, 1])
+            terms = (c * theta**k for k, c in enumerate(coeffs) if c)
+            return sum(terms, self.element(0)).coeffs
+        c = list(coeffs) + [0] * (3 - len(coeffs))
+        return (c[0] - self.v * c[2], c[1] - self.u * c[2])
 
     def __eq__(self, other):
         return isinstance(other, QuadOrder) and (self.u, self.v) == (
@@ -160,35 +162,30 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 
 
 def _field_sqrt(order: QuadOrder, d0: Fraction, d1: Fraction):
-    """A square root of d0 + d1 theta in Q(theta), or None.
+    """The square root x + y theta of delta = d0 + d1 theta in Q(theta)
+    with y > 0, or x >= 0 when y = 0; None when delta is not a square.
 
-    Solving (x + y theta)^2 = delta reduces to a quadratic in y^2 with
-    rational coefficients; everything is decided by exact rational square
-    tests.
+    If s^2 = delta and n = N(s), then Tr delta + 2n = Tr(s)^2 and
+    delta + n = s Tr(s).  So n is +-sqrt(N(delta)), and the sign that makes
+    Tr delta + 2n a nonzero square t^2 gives s = (delta + n) / t.  If
+    neither does, Tr s = 0 and s = w (2 theta + u), whose square is
+    w^2 disc: delta is rational and w^2 = delta / disc.
     """
     u, v = order.u, order.v
-    if d1 == 0:
-        x = _rational_sqrt(d0)
-        if x is not None:
-            return (x, Fraction(0))
-        # fall through: delta may still be a square with y != 0
-    disc = Fraction(u * u - 4 * v)
-    a2 = disc
-    a1 = 2 * u * d1 - 4 * d0
-    a0 = d1 * d1
-    inner = a1 * a1 - 4 * a2 * a0
-    root = _rational_sqrt(inner)
-    if root is None:
+    root_norm = _rational_sqrt(d0 * d0 - u * d0 * d1 + v * d1 * d1)
+    if root_norm is None:
         return None
-    for sign in (1, -1):
-        z = (-a1 + sign * root) / (2 * a2)
-        y = _rational_sqrt(z)
-        if y is None or y == 0:
-            continue
-        x = (d1 + u * y * y) / (2 * y)
-        if (x * x - v * y * y, 2 * x * y - u * y * y) == (d0, d1):
-            return (x, y)
-    return None
+    for n in (root_norm, -root_norm):
+        t = _rational_sqrt(2 * d0 - u * d1 + 2 * n)
+        if t:
+            x, y = (d0 + n) / t, d1 / t
+            break
+    else:
+        w = _rational_sqrt(d0 / order.disc) if d1 == 0 else None
+        if w is None:
+            return None
+        x, y = u * w, 2 * w
+    return (-x, -y) if y < 0 or (y == 0 and x < 0) else (x, y)
 
 
 def gauss_lemma_check(

@@ -19,21 +19,24 @@ it with the literal test of x * Psi^mu.
 
 An independent oracle computes the same number as the largest mu with
 x in (ker phi)^mu, by exact p-adic arithmetic and no uniformizer at all.
-For p != lam, Z[alpha]/P^mu is the Galois ring (Z/p^mu)[X]/(F), F the
-map's factor, with alpha at the Teichmueller lift of the map's root, so
-membership in P^mu is one evaluation there, against the lift's power
-columns, built once per (map, mu) in a bounded cache.  At p = lam the
-valuation is read off the coefficients of x(1 + t).
+For p != lam, Z[alpha]/P^M is the Galois ring (Z/p^M)[X]/(F), F the
+map's factor, with alpha at the Teichmueller lift of the map's root, and
+P^mu / P^M is p^mu times it.  So x lies in P^mu, mu <= M, exactly when its
+image there is 0 mod p^mu: once the least v_p of the image's coordinates
+is below M, it is the valuation.  The oracle reads the image, one
+ffield.image against the lift's power columns, at M = 2, 4, 8, ...; the
+columns are built once per (map, M) in a bounded cache, and a valuation
+v >= 1 takes floor(log2 v) + 1 of them.  At p = lam the valuation is read
+off the coefficients of x(1 + t).
 
 factorize and divides take every valuation from the oracle, and factorize
 checks the records against the norm.  The `kummerlab factor` report
 certifies each nonzero record by both routes; the test suite compares them
 wholesale.  divides likewise runs two routes, valuations and exact
-division.  Definedness at a fraction and membership in P^mu are one
-ffield.vanishes read each: of the colon ideal's rows against the map's own
-columns, for any ring a Jacobi map is built on, and of x against the power
-columns of the root's lift.  The tests compare definedness with the colon
-lattice and with valuations.
+division.  Definedness at a fraction is one ffield.vanishes read of the
+colon ideal's rows against the map's own columns, for any ring a Jacobi
+map is built on.  The tests compare definedness with the colon lattice
+and with valuations.
 """
 
 from dataclasses import dataclass
@@ -51,7 +54,7 @@ from kummerlab.cyclotomic import (
     gaussian_periods,
     norm,
 )
-from kummerlab.ffield import power_columns, vanishes
+from kummerlab.ffield import image, power_columns
 from kummerlab.idealprimes import (
     JacobiMap,
     check_conductor,
@@ -219,25 +222,13 @@ def multiplicity(x: CyclotomicElement, K: KummerPrime) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _lift_columns(phi: JacobiMap, mu: int) -> list[list[int]]:
+def _lift_columns(phi: JacobiMap, precision: int) -> list[list[int]]:
     """The power columns of the Teichmueller lift of the map's root in the
-    Galois ring (Z/p^mu)[X]/(F), p != lam: the lam-th root of unity
-    xi^(p^(f(mu-1))) above xi.  Built once per (map, mu)."""
-    m = phi.p**mu
-    lift = gf_pow_mod(phi.xi, phi.p ** (phi.f * (mu - 1)), phi.factor, m)
+    Galois ring (Z/p^M)[X]/(F), M the precision and p != lam: the lam-th
+    root of unity xi^(p^(f(M-1))) above xi.  Built once per (map, M)."""
+    m = phi.p**precision
+    lift = gf_pow_mod(phi.xi, phi.p ** (phi.f * (precision - 1)), phi.factor, m)
     return power_columns(lift, phi.ring.degree, phi.factor, m)
-
-
-def _vanishes_at_lift(x: CyclotomicElement, phi: JacobiMap, mu: int) -> bool:
-    """Whether x lies in P^mu, P = ker phi, for a prime p != lam.
-
-    p is unramified, so Z[alpha]/P^mu is the Galois ring
-    W = (Z/p^mu)[X]/(F), F the map's factor read as a monic integer
-    polynomial, and alpha goes to the Teichmueller lift of the map's root.
-    x is in P^mu iff x vanishes there: one ffield.vanishes read of x
-    against the lift's columns.
-    """
-    return vanishes((x.coeffs,), _lift_columns(phi, mu), phi.p**mu)
 
 
 def _ramified_valuation(x: CyclotomicElement) -> int:
@@ -260,25 +251,32 @@ def _ramified_valuation(x: CyclotomicElement) -> int:
 def valuation_oracle(x: CyclotomicElement, phi: JacobiMap) -> int:
     """Largest mu with x in (ker phi)^mu, by exact p-adic arithmetic.
 
-    It uses no uniformizer, so it is independent of the Kummer route.
+    It uses no uniformizer, so it is independent of the Kummer route.  For
+    p != lam it evaluates x at the Teichmueller lift mod p^M, M = 2, 4,
+    8, ..., until the least v_p of the image's coordinates is below M; that
+    least v_p is the valuation.
     """
     if x.is_zero():
         raise ValueError("valuation of 0 is infinite")
     if not phi.kills(x):
         return 0
-    if phi.p == phi.ring.n:
+    p, degree = phi.p, x.ring.degree
+    if p == phi.ring.n:
         v = _ramified_valuation(x)
-        in_power = lambda mu: mu <= v
-    else:
-        in_power = lambda mu: _vanishes_at_lift(x, phi, mu)
-    mu, cap = 1, 0
-    while in_power(mu + 1):
-        mu += 1
-        if mu > x.ring.degree:
-            cap = cap or _norm_cap(x, phi.p)
-            if mu > cap:
+        if v > degree and v > _norm_cap(x, p):
+            raise AssertionError("oracle valuation exceeded its norm bound")
+        return v
+    precision, cap = 2, 0
+    while True:
+        coords = image(x.coeffs, _lift_columns(phi, precision), p**precision)
+        v = min((valuation_int(c, p) for c in coords if c), default=precision)
+        if v < precision:
+            return v
+        if precision > degree:
+            cap = cap or _norm_cap(x, p)
+            if precision > cap:
                 raise AssertionError("oracle valuation exceeded its norm bound")
-    return mu
+        precision *= 2
 
 
 def is_defined_at(numerator, denominator, phi: JacobiMap) -> bool:

@@ -3,6 +3,8 @@
 Nothing in the package uses them, so they live with the tests.
 """
 
+from fractions import Fraction
+
 from kummerlab.arith import (
     _MR_PROOF_LIMIT,
     DEFAULT_TRIAL_DIVISION_BOUND,
@@ -14,6 +16,7 @@ from kummerlab.cyclotomic import conjugate, gaussian_periods
 from kummerlab.lattice import IntLattice, _preimage, mul_matrix
 from kummerlab.polyint import degree, trim
 from kummerlab.polymod import gf_mod, gf_mul
+from kummerlab.quadorder import _rational_sqrt
 from kummerlab.valuation import _norm_and_cofactor
 
 
@@ -85,7 +88,8 @@ def divmod_exact(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     """Polynomial division by a monic g over the integers.
 
     Nothing in the library divides by a general polynomial: the tests keep
-    this as the independent reference for `CyclotomicRing._reduce`.
+    this as the independent reference for `CyclotomicRing._reduce` and
+    `QuadOrder._reduce`.
     """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
@@ -251,3 +255,33 @@ def trial_division_reference(
                 f"bound {bound}"
             )
     return out
+
+
+def field_sqrt_reference(order, d0, d1):
+    """A square root of d0 + d1 theta in Q(theta), or None, by solving
+    (x + y theta)^2 = delta as a quadratic in y^2 with rational
+    coefficients: the reference for quadorder._field_sqrt, which reads the
+    root off delta's trace and norm."""
+    u, v = order.u, order.v
+    if d1 == 0:
+        x = _rational_sqrt(d0)
+        if x is not None:
+            return (x, Fraction(0))
+        # fall through: delta may still be a square with y != 0
+    disc = Fraction(u * u - 4 * v)
+    a2 = disc
+    a1 = 2 * u * d1 - 4 * d0
+    a0 = d1 * d1
+    inner = a1 * a1 - 4 * a2 * a0
+    root = _rational_sqrt(inner)
+    if root is None:
+        return None
+    for sign in (1, -1):
+        z = (-a1 + sign * root) / (2 * a2)
+        y = _rational_sqrt(z)
+        if y is None or y == 0:
+            continue
+        x = (d1 + u * y * y) / (2 * y)
+        if (x * x - v * y * y, 2 * x * y - u * y * y) == (d0, d1):
+            return (x, y)
+    return None

@@ -5,6 +5,7 @@ import ast
 import hashlib
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -253,6 +254,22 @@ def test_cli_factor_disagreement_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "multiplicity", lambda x, K: real(x, K) + 1)
     assert main(["factor", "--lambda", "5", "2 + a"]) == 1
     assert "disagree" in capsys.readouterr().err
+
+
+def test_cli_factor_refuses_a_norm_too_long_to_print(capsys, monkeypatch):
+    # norm(2^7200) = 2^14400 at lambda 3 has 4,335 digits, past Python's
+    # default limit of 4,300 for printing an int: refused before factoring
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    monkeypatch.setattr(cli, "factorize", None)
+    assert main(["factor", "--lambda", "3", str(2**7200)]) == 2
+    err = capsys.readouterr().err
+    assert "the norm has 4335 digits, more than the 4300" in err
+    # the digits are counted exactly, at either sign
+    for n in (10**4299, -(10**4300) + 1, 2**14284):  # 4,300 digits
+        cli._check_printable_norm(n)
+    for n in (10**4300, -(10**4300)):
+        with pytest.raises(cli.UsageError, match="norm has 4301 digits"):
+            cli._check_printable_norm(n)
 
 
 def test_cli_valuation_and_divides(capsys):

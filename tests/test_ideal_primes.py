@@ -5,14 +5,15 @@ import random
 import pytest
 
 from kummerlab import charsum, idealprimes
-from kummerlab.arith import multiplicative_order, primes_below
+from kummerlab.arith import multiplicative_order, primes_below, valuation_int
 from kummerlab.charsum import character
 from kummerlab.cyclotomic import conjugate, cyclotomic_ring, gaussian_periods
+from kummerlab.ffield import image
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.lattice import IntLattice
 from kummerlab.polyint import cyclotomic_polynomial
-from kummerlab.polymod import factor_mod_p, gf_add, gf_mod, gf_mul, gf_pow_mod
-from kummerlab.valuation import _vanishes_at_lift, kummer_prime
+from kummerlab.polymod import factor_mod_p, gf_mod, gf_mul, gf_pow_mod, gf_sub
+from kummerlab.valuation import _lift_columns, kummer_prime
 from reference import (
     contains_lattice,
     power_rows_reference,
@@ -74,7 +75,7 @@ def _horner(coeffs, root, factor, m):
     """The evaluation the power rows replace: Horner's rule in (Z/m)[X]/(F)."""
     acc = []
     for c in reversed(coeffs):
-        acc = gf_add(gf_mod(gf_mul(acc, root, m), list(factor), m), [c % m], m)
+        acc = gf_sub(gf_mod(gf_mul(acc, root, m), list(factor), m), [-c % m], m)
     return _coords(acc, len(factor) - 1)
 
 
@@ -310,9 +311,17 @@ def test_apply_matches_horner_reference():
     assert degrees == {1, 2, 3, 4, 6}
 
 
-def test_vanishes_at_lift_matches_horner_reference():
+def _least_valuation(coords, p: int, precision: int) -> int:
+    """The least v_p of the coordinates of a residue mod p^precision, and
+    the precision when all of them are 0."""
+    return min((valuation_int(c, p) for c in coords if c), default=precision)
+
+
+def test_lift_image_matches_horner_reference():
     # the reference evaluates at the Teichmueller lift of X itself, not of
-    # the canonical root xi; both lie above the same prime
+    # the canonical root xi.  The two lifts differ by a power of Frobenius,
+    # an automorphism of the Galois ring, so the images differ but their
+    # least v_p, which is x's valuation while below M, is the same.
     rng = random.Random(RNG_SEED + 3)
     outcomes = set()
     for lam, p in APPLY_CASES[:5]:
@@ -326,13 +335,17 @@ def test_vanishes_at_lift_matches_horner_reference():
                         c = [rng.randint(-2, 2) for _ in range(d)]
                         g = [sum(a * r[i] for a, r in zip(c, basis)) for i in range(d)]
                         x = x * ring.element(g) if any(g) else x * p
-                    for mu in range(1, 5):
-                        m = p**mu
-                        lift = gf_pow_mod([0, 1], p ** (phi.f * (mu - 1)), factor, m)
-                        expected = not any(_horner(x.coeffs, lift, factor, m))
-                        assert _vanishes_at_lift(x, phi, mu) == expected, (phi, x, mu)
-                        outcomes.add((mu, expected))
-    assert outcomes == {(mu, b) for mu in range(1, 5) for b in (False, True)}
+                    for precision in range(1, 5):
+                        m = p**precision
+                        power = p ** (phi.f * (precision - 1))
+                        lift = gf_pow_mod([0, 1], power, factor, m)
+                        reference = _horner(x.coeffs, lift, factor, m)
+                        expected = _least_valuation(reference, p, precision)
+                        coords = image(x.coeffs, _lift_columns(phi, precision), m)
+                        got = _least_valuation(coords, p, precision)
+                        assert got == expected, (phi, x, precision)
+                        outcomes.add((precision, expected))
+    assert outcomes == {(m, v) for m in range(1, 5) for v in range(m + 1)}
 
 
 def test_kernel_primality_surrogate():

@@ -6,12 +6,13 @@ of them, the degree-1 maps read off Jacobi's root table, the Jacobi-sum
 counts, Kummer's uniformizer at residue degree 1, Kummer multiplicities
 (additive, and equal to the literal level test), the p-adic valuation
 oracle, the colon test of a map at a fraction, the one relation solve that
-gives both colon ideals of a fraction, a map's reads of its columns and the
-expression round trip.
+gives both colon ideals of a fraction, a map's reads of its columns, the
+expression round trip and the square root in a quadratic field.
 
 Examples are derandomized, so every run draws the same inputs.
 """
 
+from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
@@ -26,7 +27,7 @@ from kummerlab.ffield import power_columns, vanishes
 from kummerlab.idealprimes import JacobiMap, enumerate_jacobi_maps, map_for_root
 from kummerlab.lattice import colon_relations, colon_rows, hnf, kernel_mod
 from kummerlab.polyint import KRONECKER_MIN_TERMS, autocorrelation, mul, trim
-from kummerlab.quadorder import QuadOrder, enumerate_quad_maps
+from kummerlab.quadorder import QuadOrder, _field_sqrt, enumerate_quad_maps
 from kummerlab.valuation import (
     find_uniformizer,
     kummer_prime,
@@ -39,6 +40,7 @@ from reference import (
     counts_reference,
     divisibility_step,
     divmod_exact,
+    field_sqrt_reference,
     power_rows_reference,
     principal_lattice,
     reduce_from_top,
@@ -566,3 +568,40 @@ def test_parse_render_round_trip_quadratic(a, b):
     order = QuadOrder(0, 3)
     x = order.element([a, b])
     assert parse_element(render_element(x), order) == x
+
+
+@GENERATED
+@given(order=QUAD_ORDERS, data=st.data())
+def test_quad_reduce_matches_long_division(order, data):
+    # up to length 3, a product's vector; longer, a parsed expression's,
+    # summed term by term.  The top entry is nonzero, so every length counts.
+    length = data.draw(st.one_of(st.integers(0, 5), st.integers(0, 40)))
+    entry = st.one_of(st.just(0), st.integers(-50, 50))
+    coeffs = data.draw(st.lists(entry, min_size=length, max_size=length))
+    coeffs.append(data.draw(st.integers(1, 50)))
+    _, r = divmod_exact(trim(list(coeffs)), list(order.modulus))
+    assert order._reduce(coeffs) == tuple(r + [0] * (2 - len(r)))
+
+
+def _fractions(spread, denominators):
+    return st.builds(Fraction, st.integers(-spread, spread), denominators)
+
+
+@settings(GENERATED, max_examples=150)
+@given(order=QUAD_ORDERS, data=st.data())
+def test_field_sqrt_matches_the_quadratic_solve(order, data):
+    # delta is the square of a drawn s, of a drawn s of trace 0 (then delta
+    # is rational), or drawn itself; both routes give the same root or None
+    denominators = st.sampled_from([1, 1, 2, 3])
+    kind = data.draw(st.sampled_from(["square", "trace 0", "any"]))
+    x, y = (data.draw(_fractions(30, denominators)) for _ in range(2))
+    if kind == "trace 0":
+        x = order.u * y / 2
+    if kind == "any":
+        delta = (x, y)
+    else:
+        delta = (x * x - order.v * y * y, 2 * x * y - order.u * y * y)
+    root = _field_sqrt(order, *delta)
+    assert root == field_sqrt_reference(order, *delta)
+    if kind != "any":
+        assert root is not None and root in ((x, y), (-x, -y))

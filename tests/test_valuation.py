@@ -1,6 +1,7 @@
 """Uniformizers, Kummer multiplicity vs the p-adic oracle, divisibility."""
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -621,8 +622,8 @@ def test_find_uniformizer_refuses_a_failed_certificate(monkeypatch):
 
 
 def test_lifts_are_built_once_per_map_and_level(monkeypatch):
-    # the oracle tests x in P^mu against the power columns of the root's
-    # Teichmueller lift mod p^mu; each (map, mu) raises a power only once
+    # the oracle reads x's image at the Teichmueller lift mod p^M for
+    # M = 2, 4, ...; each (map, M) raises a power only once
     valuation._lift_columns.cache_clear()
     raised = []
     power = valuation.gf_pow_mod
@@ -635,6 +636,53 @@ def test_lifts_are_built_once_per_map_and_level(monkeypatch):
     phi = map_for_root(enumerate_jacobi_maps(5, 11), 9)
     x = cyclotomic_ring(5).element([2, 1]) ** 3
     assert valuation_oracle(x, phi) == 3
-    assert len(raised) == 3  # mu = 2, 3 and the 4 that fails
-    assert valuation_oracle(x * 7, phi) == 3 and len(raised) == 3
+    assert len(raised) == 2  # M = 2, and the 4 that 3 is below
+    assert valuation_oracle(x * 7, phi) == 3 and len(raised) == 2
     assert valuation._lift_columns.cache_info().maxsize is not None
+
+
+def test_a_valuation_of_1000_takes_10_lifts(monkeypatch, capsys):
+    # 11^1000 lies in P^1000 and not P^1001: the images mod 11^M vanish for
+    # M = 2, ..., 512 and read v_11 = 1000 at M = 1024, and the Kummer
+    # route in the same report agrees
+    from kummerlab.cli import main
+
+    valuation._lift_columns.cache_clear()
+    precisions = []
+    power = valuation.gf_pow_mod
+
+    def counting(root, exponent, factor, m):
+        precisions.append(valuation_int(m, 11))
+        return power(root, exponent, factor, m)
+
+    monkeypatch.setattr(valuation, "gf_pow_mod", counting)
+    args = ["valuation", "--lambda", "5", "--p", "11", "--xi", "9", "--json"]
+    assert main(args + [str(11**1000)]) == 0
+    report = json.loads(capsys.readouterr().out)["result"]
+    assert report["mu"] == report["oracle"] == 1000
+    assert precisions == [2**k for k in range(1, 11)]
+
+
+# Per conductor: a split map, a map of degree f > 1 and the ramified map.
+PLANTED_PRIMES = {5: (11, 19, 5), 7: (29, 2, 7)}
+
+
+def test_oracle_reads_planted_valuations():
+    # x = psi^k u p^j, u a unit at P, has valuation k + e j, e = v_P(p):
+    # 1 for p != lam and lam - 1 at p = lam
+    rng = random.Random(RNG_SEED + 13)
+    for lam, primes in PLANTED_PRIMES.items():
+        ring = cyclotomic_ring(lam)
+        for p in primes:
+            phi = enumerate_jacobi_maps(lam, p)[0]
+            K = kummer_prime(phi)
+            e = lam - 1 if p == lam else 1
+            pairs = [(0, 0), (60, 30), (1, 0), (0, 1)]
+            pairs += [(rng.randint(0, 60), rng.randint(0, 30)) for _ in range(6)]
+            for k, j in pairs:
+                u = ring.zero()
+                while phi.kills(u):
+                    u = ring.element([rng.randint(-3, 3) for _ in range(lam - 1)])
+                x = K.psi**k * u * p**j
+                assert valuation_oracle(x, phi) == k + e * j, (phi, k, j)
+                assert multiplicity(x, K) == k + e * j, (phi, k, j)
