@@ -8,17 +8,17 @@ Grammar (whitespace-insensitive):
 The symbol is the ring's ``symbol``: ``a`` in cyclotomic rings and ``t`` in
 quadratic orders.  Implicit multiplication ("3a^2") is allowed; exponents
 may reach or exceed the conductor (the ring reduces them) but not
-MAX_EXPONENT, which bounds the work of an expression.  Integers, written
-or computed, are kept to MAX_COEFFICIENT_DIGITS digits, so every element
-parsed can be rendered back.  Parse errors carry the offending position
-and what was expected there.
+MAX_EXPONENT, which bounds the work of an expression.  Integers, written or
+computed, keep to MAX_COEFFICIENT_DIGITS digits (a quadratic order checks
+its residue as it reduces), so every parsed element renders back.  Parse
+errors carry the offending position and what was expected there.
 """
 
 import re
 
 MAX_EXPONENT = 4096
 MAX_COEFFICIENT_DIGITS = 4000
-_COEFFICIENT_BOUND = 10**MAX_COEFFICIENT_DIGITS
+COEFFICIENT_BOUND = 10**MAX_COEFFICIENT_DIGITS
 
 
 class ElementParseError(ValueError):
@@ -122,11 +122,14 @@ def parse_element(src: str, ring):
 
     Its reduced coefficients must keep to MAX_COEFFICIENT_DIGITS digits: a
     power within the exponent cap can still outgrow them in an order whose
-    modulus has large coefficients.
+    modulus has large coefficients, whose reduction refuses it on the way.
     """
     terms = _parse_terms(src, ring.symbol)
-    out = ring.element([terms.get(k, 0) for k in range(max(terms) + 1)])
-    if any(abs(c) >= _COEFFICIENT_BOUND for c in out.coeffs):
+    try:
+        out = ring.element([terms.get(k, 0) for k in range(max(terms) + 1)])
+    except OverflowError:
+        out = None
+    if out is None or any(abs(c) >= COEFFICIENT_BOUND for c in out.coeffs):
         raise ValueError(
             f"expression {src!r} has a coefficient of more than "
             f"{MAX_COEFFICIENT_DIGITS} digits"

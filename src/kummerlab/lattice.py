@@ -99,19 +99,6 @@ class IntLattice:
             out *= self.rows[i][i]
         return out
 
-    def __contains__(self, vec) -> bool:
-        v = list(vec)
-        if len(v) != self.dim:
-            raise ValueError("dimension mismatch")
-        for i in range(self.dim):
-            piv = self.rows[i][i]
-            if v[i] % piv != 0:
-                return False
-            q = v[i] // piv
-            if q:
-                v = [a - q * b for a, b in zip(v, self.rows[i])]
-        return not any(v)
-
     def product(self, other: "IntLattice", order) -> "IntLattice":
         """The lattice spanned by all products a * b, a in self, b in other."""
         if other.dim != self.dim or order.degree != self.dim:

@@ -2,17 +2,17 @@
 
 theta has monic minimal polynomial T^2 + u T + v, the order's modulus; the
 order is Z + Z theta.  A QuadOrder is a ring in the sense the cyclotomic
-ring is (degree, modulus, _reduce, element, symbol), and its elements
-are cyclotomic.CyclotomicElement objects reduced mod the modulus, so its
-reduction maps onto finite fields are idealprimes.JacobiMap objects, built
-exactly as in the cyclotomic case.  For a non-maximal order the maps at
-primes dividing the conductor fail to extend to fractions in either
-direction, Gauss's Lemma for monic polynomials fails, and prime-ideal powers
-collapse (p^2 = (2) p without p = (2) in Z[sqrt(-3)]).  All definedness
-decisions run through the exact colon ideals: one relation solve per
-fraction (lattice.colon_relations) gives the colon rows of both
-directions, then JacobiMap.extends_to tests each half against the map's
-columns.
+ring is (degree, modulus, _reduce, element, symbol); _reduce is one Horner
+loop, which refuses a parsed residue that outgrows the parser's cap.  Its
+elements are cyclotomic.CyclotomicElement objects, so its reduction maps
+onto finite fields are idealprimes.JacobiMap objects, built exactly as in
+the cyclotomic case.  For a non-maximal order the maps at primes dividing
+the conductor fail to extend to fractions in either direction, Gauss's Lemma
+for monic polynomials fails, and prime-ideal powers collapse (p^2 = (2) p
+without p = (2) in Z[sqrt(-3)]).  All definedness decisions run through the
+exact colon ideals: one relation solve per fraction
+(lattice.colon_relations) gives the colon rows of both directions, then
+JacobiMap.extends_to tests each half against the map's columns.
 """
 
 import json
@@ -21,9 +21,12 @@ from importlib import resources
 
 from kummerlab.arith import exact_sqrt, is_prime, squarefree_decomposition
 from kummerlab.cyclotomic import CyclotomicElement
+from kummerlab.exprparse import COEFFICIENT_BOUND, MAX_COEFFICIENT_DIGITS
 from kummerlab.idealprimes import JacobiMap
 from kummerlab.lattice import colon_relations, hnf, mul_matrix
 from kummerlab.polymod import factor_mod_p
+
+_CARRY_LIMIT = 4 * COEFFICIENT_BOUND  # |b| >= 2(2X + S) is |b| - 2S >= 4X
 
 
 class QuadOrder:
@@ -47,17 +50,20 @@ class QuadOrder:
         return CyclotomicElement(self, list(coeffs))
 
     def _reduce(self, coeffs: list[int]) -> tuple[int, int]:
-        """Coefficients of the residue mod T^2 + uT + v, padded to length 2:
-        T^2 = -u T - v clears a product's top coefficient.  A longer vector
-        (a parsed expression) is summed term by term, each power of theta
-        taken by squaring: the residue's coefficients grow with the exponent,
-        and clearing them one position at a time would cost its square."""
-        if len(coeffs) > 3:
-            theta = self.element([0, 1])
-            terms = (c * theta**k for k, c in enumerate(coeffs) if c)
-            return sum(terms, self.element(0)).coeffs
-        c = list(coeffs) + [0] * (3 - len(coeffs))
-        return (c[0] - self.v * c[2], c[1] - self.u * c[2])
+        """The residue a + b theta mod T^2 + uT + v by Horner's rule from the top:
+        after c_n .. c_j the pair is the residue of the tail
+        C_j(T) = sum_{i >= j} c_i T^(i-j).  A carried b (j >= 1) with |b| >= 2(2X + S),
+        X = 10^4000 and S = sum |c_i|, raises OverflowError: the residue then has a
+        coefficient of at least X.  For were all below X, at a root r |C_j(r)| <= S if
+        |r| < 1, C_j(r) = (C(r) - sum_{i<j} c_i r^i) / r^j is below 2X + S if |r| >= 1,
+        and b is C_j(r1) - C_j(r2) over r1 - r2, of size sqrt|disc| >= sqrt 3."""
+        slack = 2 * sum(map(abs, coeffs))
+        a = b = 0
+        for c in reversed(coeffs):
+            if abs(b) - slack >= _CARRY_LIMIT:
+                raise OverflowError(f"residue over {MAX_COEFFICIENT_DIGITS} digits")
+            a, b = c - self.v * b, a - self.u * b
+        return a, b
 
     def __eq__(self, other):
         return isinstance(other, QuadOrder) and (self.u, self.v) == (

@@ -58,12 +58,12 @@ def claim(name: str):
     return register
 
 
-def _elements(lam: int, count: int, seed_offset: int, spread: int = 4):
+def _elements(lam: int, count: int, seed_offset: int):
     rng = random.Random(SEED + seed_offset)
     ring = cyclotomic_ring(lam)
     out = []
     while len(out) < count:
-        x = ring.element([rng.randint(-spread, spread) for _ in range(lam - 1)])
+        x = ring.element([rng.randint(-4, 4) for _ in range(lam - 1)])
         if not x.is_zero():
             out.append(x)
     return out

@@ -24,10 +24,10 @@ map's factor, with alpha at the Teichmueller lift of the map's root, and
 P^mu / P^M is p^mu times it.  So x lies in P^mu, mu <= M, exactly when its
 image there is 0 mod p^mu: once the least v_p of the image's coordinates
 is below M, it is the valuation.  The oracle reads the image, one
-ffield.image against the lift's power columns, at M = 2, 4, 8, ...; the
-columns are built once per (map, M) in a bounded cache, and a valuation
-v >= 1 takes floor(log2 v) + 1 of them.  At p = lam the valuation is read
-off the coefficients of x(1 + t).
+ffield.image against the lift's power columns, at M = 2, 4, 8, ...; each
+lift is one Newton step on X^lam - 1 from the last, built once per (map, M)
+in a bounded cache, and a valuation v >= 1 takes floor(log2 v) + 1 of them.
+At p = lam the valuation is read off the coefficients of x(1 + t).
 
 factorize and divides take every valuation from the oracle, and factorize
 checks the records against the norm.  The `kummerlab factor` report
@@ -223,11 +223,15 @@ def multiplicity(x: CyclotomicElement, K: KummerPrime) -> int:
 
 @lru_cache(maxsize=1024)
 def _lift_columns(phi: JacobiMap, precision: int) -> list[list[int]]:
-    """The power columns of the Teichmueller lift of the map's root in the
-    Galois ring (Z/p^M)[X]/(F), M the precision and p != lam: the lam-th
-    root of unity xi^(p^(f(M-1))) above xi.  Built once per (map, M)."""
-    m = phi.p**precision
-    lift = gf_pow_mod(phi.xi, phi.p ** (phi.f * (precision - 1)), phi.factor, m)
+    """The power columns of the Teichmueller lift z in (Z/p^M)[X]/(F), M the
+    precision, p != lam: one Newton step z - z(z^lam - 1)/lam from the lift
+    mod p^ceil(M/2), at M <= 2 from xi.  Built once per (map, M)."""
+    half = (precision + 1) // 2
+    z = [c[1] for c in (phi.columns if half == 1 else _lift_columns(phi, half))]
+    lam, m = phi.ring.n, phi.p**precision
+    power = gf_pow_mod(z, lam + 1, phi.factor, m) + [0] * len(z)
+    inverse = pow(lam, -1, m)  # the step is ((lam + 1) z - z^(lam + 1)) / lam
+    lift = [((lam + 1) * a - b) * inverse % m for a, b in zip(z, power)]
     return power_columns(lift, phi.ring.degree, phi.factor, m)
 
 

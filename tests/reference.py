@@ -15,7 +15,7 @@ from kummerlab.charsum import character, jacobi_sum
 from kummerlab.cyclotomic import conjugate, gaussian_periods
 from kummerlab.lattice import IntLattice, _preimage, mul_matrix
 from kummerlab.polyint import degree, trim
-from kummerlab.polymod import gf_mod, gf_mul
+from kummerlab.polymod import gf_mod, gf_mul, gf_pow_mod
 from kummerlab.quadorder import _rational_sqrt
 from kummerlab.valuation import _norm_and_cofactor
 
@@ -153,10 +153,24 @@ def colon(lattice: IntLattice, v, order) -> IntLattice:
     return IntLattice(_preimage(nmat, lattice.rows))
 
 
+def lattice_contains(lattice: IntLattice, vec) -> bool:
+    """Whether vec lies in the lattice: each entry in turn is cleared by a
+    multiple of its HNF row, which must divide it.  Only the tests ask."""
+    v = list(vec)
+    if len(v) != lattice.dim:
+        raise ValueError("dimension mismatch")
+    for i, row in enumerate(lattice.rows):
+        q, r = divmod(v[i], row[i])
+        if r:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
 def contains_lattice(outer: IntLattice, inner: IntLattice) -> bool:
     if inner.dim != outer.dim:
         raise ValueError("dimension mismatch")
-    return all(r in outer for r in inner.rows)
+    return all(lattice_contains(outer, r) for r in inner.rows)
 
 
 def colon_extends_to(kernel: IntLattice, num, den, order) -> bool:
@@ -196,6 +210,15 @@ def power_rows_reference(root, count: int, factor, m: int) -> list[list[int]]:
         rows.append(power + [0] * (f - len(power)))
         power = gf_mod(gf_mul(power, list(root), m), list(factor), m)
     return rows
+
+
+def lift_by_power_chain(phi, precision: int) -> list[int]:
+    """The Teichmueller lift of the map's root xi mod p^M, M the precision,
+    as xi^(p^(f(M-1))): the p-power chain, the reference for
+    valuation._lift_columns, which takes Newton steps."""
+    m = phi.p**precision
+    power = phi.p ** (phi.f * (precision - 1))
+    return gf_pow_mod(list(phi.xi), power, list(phi.factor), m)
 
 
 def transpose(rows, width: int) -> list[list[int]]:

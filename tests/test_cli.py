@@ -5,6 +5,7 @@ import ast
 import hashlib
 import json
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -1026,3 +1027,143 @@ def test_cli_limit_is_refused_where_nothing_reads_it(capsys, argv, option):
         main(argv)
     assert err.value.code == 2
     assert "usage: kummerlab" in capsys.readouterr().err
+
+
+# Every CLI cap, the worst input it admits (exit 0, nothing on stderr) and
+# the input just past it (exit 2 and the refusal text).  The admitted
+# inputs are built to cost the most: the longest exponent and --theta, the
+# largest printable norm and valuation, a conductor and primes at
+# --enum-cap 10000.
+_U = str(10**3999 + 1)  # a --theta coefficient of 4000 digits
+_C = "9" * 4000  # the largest coefficient written
+# in Z[i]: 5c + t + c t^2 - c t^4 + c t^6 - c t^8 + c t^10, its residue t and
+# a carried pair 5c, as the parser sums the constant terms past 4000 digits
+_FIVE_C = " + ".join([_C] * 5 + ["t"]) + "".join(
+    f" {sign} {_C}t^{k}" for sign, k in zip("+-+-+", (2, 4, 6, 8, 10))
+)
+# c t^24 with theta^2 = -theta - 2 and the largest c whose residue stays below
+# 10^4000: a carried pair exceeds 2S by 0.73 * 10^4000 (QuadOrder._reduce)
+_T24 = (10**4000 - 1) // max(map(abs, QuadOrder(1, 2).element([0] * 24 + [1]).coeffs))
+_TOO_LONG = "has a coefficient of more than 4000 digits"
+_QUAD_B2 = ["quad", "--theta", f"{_U},7", "check-b2", "--p", "3"]
+CAP_TABLE = [
+    # MAX_EXPONENT and the computed coefficients: t^4096 reduces to 1
+    (_QUAD_B2 + [f"t^4096 + {_U}t^4095 + 7t^4094 + 1", "t"], 0, ""),
+    (["factor", "--lambda", "5", "a^4097"], 2, "exponent 4097 is too large"),
+    # the largest carried pairs known: 5c = 5 * 10^4000 - 5, and 2S + 0.73 X
+    (["quad", "--theta", "0,1", "check-b2", "--p", "3", _FIVE_C, "t"], 0, ""),
+    (["quad", "--theta", "1,2", "check-b2", "--p", "3", f"{_T24}t^24", "t"], 0, ""),
+    (_QUAD_B2 + ["t^4096", "t"], 2, f"expression 't^4096' {_TOO_LONG}"),
+    (
+        ["quad", "--theta", f"{10**500 + 1},7", "check-b2", "--p", "3", "t^4096", "t"],
+        2,
+        f"expression 't^4096' {_TOO_LONG}",
+    ),
+    # MAX_COEFFICIENT_DIGITS, written, and the --theta digits
+    (["divides", "--lambda", "3", "1 - a", str(10**3999)], 0, ""),
+    (["factor", "--lambda", "5", "9" * 4001], 2, "integer of 4001 digits is too large"),
+    (
+        ["quad", "--theta", f"0,{10**4000}", "conductor"],
+        2,
+        "--theta takes integers of at most 4000 digits",
+    ),
+    # the printable norm, at valuations of 2544 and 2149; one of 1000
+    (["factor", "--lambda", "3", str(7**2544)], 0, ""),
+    (["factor", "--lambda", "3", str(4 * 10**2149)], 0, ""),
+    (["factor", "--lambda", "3", str(2**7200)], 2, "the norm has 4335 digits"),
+    (["valuation", "--lambda", "5", "--p", "11", "--xi", "9", str(11**1000)], 0, ""),
+    # the default trial-division bound 10^6: two primes below it, then past it
+    (["factor", "--lambda", "3", str(999979 * 999983)], 0, ""),
+    (
+        ["factor", "--lambda", "3", str(1000003 * 1000033)],
+        2,
+        "is composite and exceeds the trial-division bound 1000000",
+    ),
+    # --enum-cap: the conductor's (lambda - 1)^2
+    (["stickelberger", "--lambda", "101", "--p", "607"], 0, ""),
+    (["factor", "--lambda", "101", "a + 2"], 0, ""),
+    (
+        ["stickelberger", "--lambda", "103", "--p", "619"],
+        2,
+        "(lambda - 1)^2 = 10404 exceeds --enum-cap 10000",
+    ),
+    # --enum-cap: p - 1 discrete-log entries, order * p, (p - 2)^2 pairs
+    (["jacobi-sum", "--p", "9901", "--order", "9900", "--i", "1", "--k", "2"], 0, ""),
+    (
+        ["jacobi-sum", "--p", "10007", "--order", "2", "--i", "1", "--k", "1"],
+        2,
+        "p - 1 = 10006 discrete-log entries exceed --enum-cap 10000",
+    ),
+    (["quartic", "--p", "9973"], 0, ""),
+    (["quartic", "--p", "10009"], 2, "p - 1 = 10008 discrete-log entries exceed"),
+    (["gauss-sum", "--p", "4999", "--order", "2"], 0, ""),
+    (
+        ["gauss-sum", "--p", "5003", "--order", "2"],
+        2,
+        "order * p = 10006 Gauss-sum coefficients exceed --enum-cap 10000",
+    ),
+    (["fc-check", "--p", "101", "--all"], 0, ""),
+    (["fc-check", "--p", "103", "--all"], 2, "(p - 2)^2 = 10201 index pairs exceed"),
+    (["binomial", "--p", "9973"], 0, ""),
+    (["binomial", "--p", "10007"], 2, "p - 1 = 10006 exceeds --enum-cap 10000"),
+    # --enum-cap in monoids: |H|^2, the number searched, 2m scales, |Cl|^2
+    (
+        ["monoid", "--m", "101", "--subgroup", ",".join(map(str, range(1, 101)))]
+        + ["factor", "9998"],
+        0,
+        "",
+    ),
+    (
+        ["monoid", "--m", "103", "--subgroup", ",".join(map(str, range(1, 103)))]
+        + ["factor", "9998"],
+        2,
+        "102 subgroup residues need 10404 closure products",
+    ),
+    (["monoid", "--m", "4", "factor", "9997"], 0, ""),
+    (["monoid", "--m", "4", "factor", "10001"], 2, "10001 exceeds --enum-cap 10000"),
+    (["monoid", "--m", "5000", "defined-at", "5003", "5001", "1"], 0, ""),
+    (["monoid", "--m", "5001", "defined-at", "5003", "5002", "1"], 2, "2m = 10002"),
+    (["monoid", "--m", "101", "classgroup"], 0, ""),
+    (["monoid", "--m", "103", "classgroup"], 2, "class group of order 102"),
+]
+
+# Run in a fresh interpreter, with the package root as argv[1]: each argv
+# read from stdin goes through cli.main under a 10 s alarm, and one line
+# [exit code or "hang", stderr] is printed per row.
+_CAP_RUNNER = """
+import contextlib, io, json, signal, sys
+sys.path.insert(0, sys.argv[1])
+from kummerlab import cli
+def hang(signum, frame):
+    raise TimeoutError
+signal.signal(signal.SIGALRM, hang)
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    signal.alarm(10)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+    except TimeoutError:
+        code = "hang"
+    signal.alarm(0)
+    print(json.dumps([code, err.getvalue()]), flush=True)
+"""
+
+
+def test_every_cap_admits_its_worst_input_and_refuses_the_next():
+    # a hang check, not a speed gate: the whole table takes a few seconds
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAP_RUNNER, package_root],
+        input=json.dumps([argv for argv, _, _ in CAP_TABLE]),
+        capture_output=True,
+        text=True,
+        timeout=10 * len(CAP_TABLE),
+    )
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(CAP_TABLE), proc.stderr
+    for (argv, code, text), (got, err) in zip(CAP_TABLE, results):
+        row = " ".join(argv)[:80]
+        assert got == code, (row, err)
+        assert text in err if code else err == "", (row, err)

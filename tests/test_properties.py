@@ -5,9 +5,11 @@ the full schoolbook too), power columns of a root and the vanishing read
 of them, the degree-1 maps read off Jacobi's root table, the Jacobi-sum
 counts, Kummer's uniformizer at residue degree 1, Kummer multiplicities
 (additive, and equal to the literal level test), the p-adic valuation
-oracle, the colon test of a map at a fraction, the one relation solve that
-gives both colon ideals of a fraction, a map's reads of its columns, the
-expression round trip and the square root in a quadratic field.
+oracle and its Newton lifts against the p-power chain, the colon test of a
+map at a fraction, the one relation solve that gives both colon ideals of a
+fraction, a map's reads of its columns, the expression round trip, the
+quadratic reduction (its carried pairs stay below its refusal bound) and the
+square root in a quadratic field.
 
 Examples are derandomized, so every run draws the same inputs.
 """
@@ -29,6 +31,7 @@ from kummerlab.lattice import colon_relations, colon_rows, hnf, kernel_mod
 from kummerlab.polyint import KRONECKER_MIN_TERMS, autocorrelation, mul, trim
 from kummerlab.quadorder import QuadOrder, _field_sqrt, enumerate_quad_maps
 from kummerlab.valuation import (
+    _lift_columns,
     find_uniformizer,
     kummer_prime,
     multiplicity,
@@ -41,6 +44,8 @@ from reference import (
     divisibility_step,
     divmod_exact,
     field_sqrt_reference,
+    lattice_contains,
+    lift_by_power_chain,
     power_rows_reference,
     principal_lattice,
     reduce_from_top,
@@ -353,6 +358,20 @@ def test_power_columns_match_the_reference(f, data):
     assert power_columns(root, count, factor, m) == expected
 
 
+@settings(GENERATED, max_examples=100)
+@given(data=st.data())
+def test_newton_lifts_match_the_power_chain(data):
+    # every map at p != lam, f from 1 to 12, at precisions 1 to 16
+    lam = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
+    p = data.draw(st.sampled_from([q for q in primes_below(60) if q != lam]))
+    phi = data.draw(st.sampled_from(enumerate_jacobi_maps(lam, p)))
+    precision = data.draw(st.integers(1, 16))
+    m = p**precision
+    lift = lift_by_power_chain(phi, precision)
+    rows = power_rows_reference(lift, lam - 1, phi.factor, m)
+    assert _lift_columns(phi, precision) == transpose(rows, phi.f)
+
+
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 6])
 @GENERATED
 @given(data=st.data())
@@ -526,7 +545,7 @@ def _column_reads_agree(phi, data):
     else:
         rows = power_rows_reference(phi.xi, d, phi.factor, p)
         partial = kernel_mod([row[:-1] for row in rows], p).rows
-        last = next(list(r) for r in partial if r not in kernel_lattice)
+        last = next(list(r) for r in partial if not lattice_contains(kernel_lattice, r))
     image = _full_image(phi, last)
     assert not any(image[:-1]) and image[-1]
     assert not phi.extends_to(kernel)
@@ -573,14 +592,46 @@ def test_parse_render_round_trip_quadratic(a, b):
 @GENERATED
 @given(order=QUAD_ORDERS, data=st.data())
 def test_quad_reduce_matches_long_division(order, data):
-    # up to length 3, a product's vector; longer, a parsed expression's,
-    # summed term by term.  The top entry is nonzero, so every length counts.
+    # up to length 3, a product's vector; longer, a parsed expression's.
+    # The top entry is nonzero, so every length counts.
     length = data.draw(st.one_of(st.integers(0, 5), st.integers(0, 40)))
     entry = st.one_of(st.just(0), st.integers(-50, 50))
     coeffs = data.draw(st.lists(entry, min_size=length, max_size=length))
     coeffs.append(data.draw(st.integers(1, 50)))
     _, r = divmod_exact(trim(list(coeffs)), list(order.modulus))
     assert order._reduce(coeffs) == tuple(r + [0] * (2 - len(r)))
+
+
+# orders with roots far from the unit circle too
+WIDE_QUAD_ORDERS = st.one_of(
+    QUAD_ORDERS,
+    st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**9), 10**9))
+    .filter(lambda uv: not _is_square(uv[0] ** 2 - 4 * uv[1]))
+    .map(lambda uv: QuadOrder(*uv)),
+)
+
+
+@GENERATED
+@given(order=WIDE_QUAD_ORDERS, data=st.data())
+def test_quad_reduce_carries_stay_below_the_refusal_bound(order, data):
+    # the lemma behind QuadOrder._reduce's refusal, for any X above the
+    # residue's coefficients: the b of every tail C_j, j >= 1, is below
+    # 2(2X + S).  A drawn multiple of the modulus plus a small remainder
+    # keeps the residue small against its tails.
+    modulus = list(order.modulus)
+    cofactor = data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=30))
+    remainder = data.draw(st.lists(st.integers(-9, 9), min_size=2, max_size=2))
+    coeffs = mul(cofactor, modulus)
+    coeffs[:2] = [c + r for c, r in zip(coeffs, remainder)]
+    coeffs = trim(coeffs) or [0]
+    _, residue = divmod_exact(list(coeffs), modulus)
+    assert order._reduce(coeffs) == tuple(residue + [0] * (2 - len(residue)))
+    x = max(map(abs, residue), default=0) + 1
+    s = sum(map(abs, coeffs))
+    for j in range(1, len(coeffs)):
+        _, tail = divmod_exact(trim(coeffs[j:]), modulus)
+        b = tail[1] if len(tail) > 1 else 0
+        assert abs(b) < 2 * (2 * x + s)
 
 
 def _fractions(spread, denominators):

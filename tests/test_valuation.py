@@ -30,6 +30,7 @@ from kummerlab.valuation import (
 )
 from reference import (
     divisibility_step,
+    lattice_contains,
     quotient_by_conjugates,
     standard_lattice,
     uniformizer_by_tower,
@@ -334,8 +335,8 @@ def test_oracle_matches_kernel_powers():
                 mu = valuation_oracle(x, phi)
                 while len(powers) < mu + 2:
                     powers.append(powers[-1].product(kernel, ring))
-                assert list(x.coeffs) in powers[mu], (phi, x, mu)
-                assert list(x.coeffs) not in powers[mu + 1], (phi, x, mu)
+                assert lattice_contains(powers[mu], x.coeffs), (phi, x, mu)
+                assert not lattice_contains(powers[mu + 1], x.coeffs), (phi, x, mu)
                 pairs += 1
                 seen.add((kind, min(mu, 3)))
     assert pairs >= 900
@@ -661,6 +662,27 @@ def test_a_valuation_of_1000_takes_10_lifts(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)["result"]
     assert report["mu"] == report["oracle"] == 1000
     assert precisions == [2**k for k in range(1, 11)]
+
+
+def test_a_valuation_of_2544_builds_lifts_at_2_to_4096(monkeypatch, capsys):
+    # 7^2544 at lambda 3: both maps above 7 read v = 2544 at M = 4096, each
+    # lift a Newton step from the one below it, so every (map, M) takes one
+    # power and no other precision is built
+    from kummerlab.cli import main
+
+    valuation._lift_columns.cache_clear()
+    precisions = []
+    power = valuation.gf_pow_mod
+
+    def counting(root, exponent, factor, m):
+        precisions.append(valuation_int(m, 7))
+        return power(root, exponent, factor, m)
+
+    monkeypatch.setattr(valuation, "gf_pow_mod", counting)
+    assert main(["factor", "--lambda", "3", "--json", str(7**2544)]) == 0
+    records = json.loads(capsys.readouterr().out)["result"]["records"]
+    assert [(r["p"], r["mu"]) for r in records] == [(7, 2544), (7, 2544)]
+    assert sorted(precisions) == sorted(2 * [2**k for k in range(1, 13)])
 
 
 # Per conductor: a split map, a map of degree f > 1 and the ramified map.
