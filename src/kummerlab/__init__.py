@@ -22,7 +22,6 @@ from kummerlab.valuation import (
     divides,
     factorize,
     find_uniformizer,
-    is_defined_at,
     multiplicity,
     valuation_oracle,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "divides",
     "factorize",
     "find_uniformizer",
-    "is_defined_at",
     "multiplicity",
     "valuation_oracle",
     "__version__",

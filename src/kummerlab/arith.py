@@ -35,9 +35,10 @@ primes, against 332,318 and 77,877 at c = 1; reading every odd number of
 each segment took 498,219 entries.
 """
 
+import sys
 from functools import lru_cache
 from itertools import chain, compress
-from math import gcd, isqrt
+from math import gcd, isqrt, log10
 
 # Deterministic Miller-Rabin bases: the first 13 primes decide every
 # n < _MR_PROOF_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017); the
@@ -170,7 +171,8 @@ def factorize_int(
     primality test proves prime; the test is skipped after a hit p that
     leaves a cofactor below p^2.  A remaining cofactor is accepted if it
     passes the primality test; otherwise FactorizationError is raised with
-    the bound echoed.
+    the bound echoed and the cofactor named, by its digit count if Python
+    would not print it.
     Returns {prime: exponent}; factorize_int(1) == {}.
     """
     if n == 0:
@@ -209,11 +211,20 @@ def factorize_int(
         if proven or d * d > n or is_prime(n):
             out[n] = out.get(n, 0) + 1
         else:
+            limit, digits = sys.get_int_max_str_digits(), decimal_digits(n)
+            name = f"of {digits} digits" if limit and digits > limit else n
             raise FactorizationError(
-                f"cofactor {n} is composite and exceeds the trial-division "
+                f"cofactor {name} is composite and exceeds the trial-division "
                 f"bound {bound}"
             )
     return out
+
+
+def decimal_digits(n: int) -> int:
+    """The number of decimal digits of |n|, counted from its bit length, so
+    that no string is made of an n longer than Python prints."""
+    k = int(n.bit_length() * log10(2))  # |n| has k or k + 1 digits
+    return k + (abs(n) >= 10**k)
 
 
 def valuation_int(n: int, p: int) -> int:

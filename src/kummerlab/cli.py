@@ -10,9 +10,9 @@ import argparse
 import re
 import sys
 from itertools import takewhile
-from math import gcd, log10
+from math import gcd
 
-from kummerlab import charsum, monoid, quadorder
+from kummerlab import arith, charsum, monoid, quadorder
 from kummerlab.arith import DEFAULT_TRIAL_DIVISION_BOUND, factorize_int, is_prime
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import (
@@ -133,6 +133,17 @@ def _check_conductor_cap(args) -> None:
         )
 
 
+# The largest --trial-div.  A scan's cost grows linearly with the bound; one to
+# 10^8 took 2.0 to 2.6 s in a fresh process (factor --lambda 3, 2-core x86-64).
+_MAX_TRIAL_DIV = 10**8
+
+
+def _check_trial_div(args) -> None:
+    """Refuse a bound above _MAX_TRIAL_DIV before any norm is factored."""
+    if args.trial_div > _MAX_TRIAL_DIV:
+        raise UsageError(f"--trial-div {_excerpt(str(args.trial_div))} is over 10^8")
+
+
 # The options shared by several commands, each given only to the commands
 # that read it.
 _SHARED_OPTIONS = {
@@ -154,7 +165,7 @@ _SHARED_OPTIONS = {
         type=int,
         default=DEFAULT_TRIAL_DIVISION_BOUND,
         metavar="N",
-        help="trial-division bound for norm factorizations (default 10^6)",
+        help="trial-division bound for norm factorizations, <= 10^8 (default 10^6)",
     ),
 }
 
@@ -337,8 +348,7 @@ def _check_printable_norm(n: int) -> None:
     """Refuse a norm too long for Python to print: more digits than
     sys.get_int_max_str_digits(), when that limit is set."""
     limit = sys.get_int_max_str_digits()
-    k = int(n.bit_length() * log10(2))  # |n| has k or k + 1 digits
-    digits = k + (abs(n) >= 10**k)
+    digits = arith.decimal_digits(n)
     if limit and digits > limit:
         raise UsageError(
             f"the norm has {digits} digits, more than the {limit} that a "
@@ -348,6 +358,7 @@ def _check_printable_norm(n: int) -> None:
 
 def _cmd_factor(args) -> int:
     _check_conductor_cap(args)
+    _check_trial_div(args)
     ring = cyclotomic_ring(args.lam)
     x = parse_element(args.expr, ring)
     _check_printable_norm(norm(x))
@@ -387,6 +398,7 @@ def _cmd_valuation(args) -> int:
 
 def _cmd_divides(args) -> int:
     _check_conductor_cap(args)
+    _check_trial_div(args)
     ring = cyclotomic_ring(args.lam)
     d = parse_element(args.divisor, ring)
     x = parse_element(args.element, ring)

@@ -9,10 +9,10 @@ a root of P_j in it.  Maps with equal kernels are identified; each map
 carries a canonical root label, the smallest element of the Frobenius
 orbit of its root.  A map is stored as the f F_p-coordinate columns of the
 powers of that root, and every read of it is ffield's: apply is image,
-kills and extends_to are vanishes, which stops at the first nonzero
-coordinate.  Its kernel is kernel_mod of the transposed columns.  For
-Z[alpha], lam an odd prime, the kernel is a maximal ideal -- an ideal
-prime of p.
+and kills and quadorder.dichotomy_check's read of a colon ideal are
+vanishes, which stops at the first nonzero coordinate.  Its kernel is
+kernel_mod of the transposed columns.  For Z[alpha], lam an odd prime,
+the kernel is a maximal ideal -- an ideal prime of p.
 
 The maps of each (lam, p) are built once per process, in a bounded cache,
 and handed out as a tuple.  Degree-1 maps are constructed as Jacobi did,
@@ -109,15 +109,6 @@ class JacobiMap:
         """Whether x's image is 0."""
         self._check_ring(x)
         return vanishes((x.coeffs,), self.columns, self.p)
-
-    def extends_to(self, colon) -> bool:
-        """Whether the map extends to the fraction whose lattice.colon_rows
-        these are: iff it kills not every row of the colon ideal."""
-        d = self.ring.degree
-        for g in colon:
-            if len(g) != d:
-                raise ValueError("dimension mismatch")
-        return not vanishes(colon, self.columns, self.p)
 
     def kernel(self) -> IntLattice:
         """The kernel of the map in HNF, built on each call."""

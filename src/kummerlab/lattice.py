@@ -12,8 +12,8 @@ the rows v * theta^i, i < d, so x -> x @ M is multiplication by v.  Ideal
 products and the colon ideals ask nothing else of the ring.  One relation
 solve of a fraction num/den gives both of its colon ideals: the relations
 (x | y) with x * num + y * den = 0 have x-halves spanning (den : num) and
-y-halves spanning (num : den), and each Jacobi map tests either half with
-its own columns.
+y-halves spanning (num : den).  quadorder.dichotomy_check, the one caller
+of colon_relations, reads both halves against each Jacobi map's columns.
 """
 
 from operator import mul
@@ -133,23 +133,12 @@ def mul_matrix(order, v) -> list[tuple[int, ...]]:
     return rows
 
 
-def colon_rows(num, den, order) -> list[list[int]]:
-    """Generators of the colon ideal {delta : num * delta in den * O}.
-
-    The colon ideal is the preimage of den * O under multiplication by
-    num: the x-halves of colon_relations.  It depends on the fraction
-    alone, so one solve serves every map tested against it.
-    """
-    return [r[: order.degree] for r in colon_relations(num, den, order)]
-
-
 def colon_relations(num, den, order) -> list[list[int]]:
     """The relation rows (x | y) of [num * O; den * O], x * num + y * den = 0.
 
     x runs over {x : num * x in den * O} and y over {y : den * y in
-    num * O}, so the x-halves generate colon_rows(num, den) and the
-    y-halves colon_rows(den, num): both directions of a fraction from one
-    solve.
+    num * O}, so the x-halves generate the colon ideal (den : num) and the
+    y-halves (num : den): both directions of a fraction from one solve.
     """
     if not any(den):
         raise ZeroDivisionError("zero denominator")
@@ -172,15 +161,9 @@ def _relations(nmat, target_rows) -> list[list[int]]:
     return [transform[r] for r in range(total) if not any(stacked[r])]
 
 
-def _preimage(nmat, target_rows) -> list[list[int]]:
-    """Generators of {x in Z^d : x @ N in span_Z(target_rows)} for a d x m N:
-    the first d entries of the relations of [N; T]."""
-    d = len(nmat)
-    return [r[:d] for r in _relations(nmat, target_rows)]
-
-
 def kernel_mod(nmat: list[list[int]], q: int) -> IntLattice:
-    """The lattice {x in Z^d : x @ N == 0 mod q} for a d x m integer N."""
-    m = len(nmat[0])
+    """The lattice {x in Z^d : x @ N == 0 mod q} for a d x m integer N: the
+    first d entries of the relations of [N; q I]."""
+    d, m = len(nmat), len(nmat[0])
     target = [[q * int(i == j) for j in range(m)] for i in range(m)]
-    return IntLattice(_preimage(nmat, target))
+    return IntLattice([r[:d] for r in _relations(nmat, target)])

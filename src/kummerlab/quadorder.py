@@ -9,10 +9,10 @@ onto finite fields are idealprimes.JacobiMap objects, built exactly as in
 the cyclotomic case.  For a non-maximal order the maps at primes dividing
 the conductor fail to extend to fractions in either direction, Gauss's Lemma
 for monic polynomials fails, and prime-ideal powers collapse (p^2 = (2) p
-without p = (2) in Z[sqrt(-3)]).  All definedness decisions run through the
-exact colon ideals: one relation solve per fraction
-(lattice.colon_relations) gives the colon rows of both directions, then
-JacobiMap.extends_to tests each half against the map's columns.
+without p = (2) in Z[sqrt(-3)]).  dichotomy_check is the one definedness
+read, for Z[alpha] and quadratic orders alike: it refuses maps and
+elements of different rings, solves once per fraction for the colon rows
+of both directions, and reads each half against each map's columns.
 """
 
 import json
@@ -22,6 +22,7 @@ from importlib import resources
 from kummerlab.arith import exact_sqrt, is_prime, squarefree_decomposition
 from kummerlab.cyclotomic import CyclotomicElement
 from kummerlab.exprparse import COEFFICIENT_BOUND, MAX_COEFFICIENT_DIGITS
+from kummerlab.ffield import vanishes
 from kummerlab.idealprimes import JacobiMap
 from kummerlab.lattice import colon_relations, hnf, mul_matrix
 from kummerlab.polymod import factor_mod_p
@@ -95,24 +96,30 @@ def dichotomy_check(
 ) -> list[dict]:
     """Is each map defined at the fraction, at its inverse, or at neither?
 
-    One dict per map, in order.  Decided by the colon ideal on both sides,
-    so both elements must be nonzero; one relation solve gives the colon
-    rows of both directions, its x-halves and its y-halves, and every map
-    tests them.  A (False, False) outcome witnesses the failure of the
-    valuation dichotomy, which happens only at primes dividing the
-    conductor.
+    The one definedness read, for any ring a Jacobi map is built on: a map
+    extends to num/den iff it kills not all of the colon ideal
+    {x : num * x in den * O}.  One dict per map, in order.  Both elements
+    must be nonzero and share the maps' ring.  One relation solve gives the
+    colon rows of both directions, its x-halves and its y-halves, and each
+    map reads them against its columns with ffield.vanishes.  A (False,
+    False) outcome witnesses the failure of the valuation dichotomy, which
+    happens only at primes dividing the conductor.
     """
     if not any(numerator.coeffs):
         raise ZeroDivisionError("zero numerator")
     order = numerator.ring
+    if denominator.ring != order:
+        raise ValueError(f"denominator lives in {denominator.ring!r}, not {order!r}")
+    for phi in maps:
+        phi._check_ring(numerator)
     d = order.degree
     relations = colon_relations(numerator.coeffs, denominator.coeffs, order)
     at_fraction = [r[:d] for r in relations]
     at_inverse = [r[d:] for r in relations]
     return [
         {
-            "at_fraction": phi.extends_to(at_fraction),
-            "at_inverse": phi.extends_to(at_inverse),
+            "at_fraction": not vanishes(at_fraction, phi.columns, phi.p),
+            "at_inverse": not vanishes(at_inverse, phi.columns, phi.p),
         }
         for phi in maps
     ]

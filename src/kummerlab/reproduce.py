@@ -21,16 +21,13 @@ from kummerlab.arith import (
 from kummerlab.cyclotomic import cyclotomic_ring, gaussian_periods, norm
 from kummerlab.exprparse import render_element
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
-from kummerlab.lattice import colon_rows
 from kummerlab.polyint import cyclotomic_polynomial
 from kummerlab.polymod import factor_mod_p
 from kummerlab.reports import render_json
 from kummerlab.valuation import (
     divides,
-    exact_quotient,
     factorize,
     find_uniformizer,
-    is_defined_at,
     kummer_prime,
     multiplicity,
     quotient_and_norm,
@@ -211,8 +208,9 @@ def _claim_defined_at(cfg: Config) -> dict:
     maps11 = enumerate_jacobi_maps(5, 11)
     phi9 = map_for_root(maps11, 9)
     eleven, d = ring.element(11), ring.element([2, 1])
-    assert is_defined_at(eleven, d, phi9)
-    q = exact_quotient(d, eleven)
+    [rep] = quadorder.dichotomy_check([phi9], eleven, d)
+    assert rep["at_fraction"]
+    q = quotient_and_norm(d, eleven)[0]
     assert q is not None
     vals = sorted(valuation_oracle(q, m) for m in maps11)
     assert vals == [0, 1, 1, 1]
@@ -528,14 +526,10 @@ def _acc_completeness(cfg: Config) -> dict:
     for x, y in cases:
         quotient, norm_y = quotient_and_norm(y, x)
         by_division = quotient is not None
-        rows = colon_rows(x.coeffs, y.coeffs, ring)
-        defined_everywhere = all(
-            phi.extends_to(rows)
-            for p in sorted(
-                factorize_int(norm_y, cfg.trial_division_bound, conductor=ring.n)
-            )
-            for phi in enumerate_jacobi_maps(5, p)
-        )
+        primes = factorize_int(norm_y, cfg.trial_division_bound, conductor=ring.n)
+        maps = [phi for p in sorted(primes) for phi in enumerate_jacobi_maps(5, p)]
+        reps = quadorder.dichotomy_check(maps, x, y)
+        defined_everywhere = all(rep["at_fraction"] for rep in reps)
         assert defined_everywhere == by_division, (x, y)
         divisible += by_division
     return {"pairs": len(cases), "divisible": divisible}

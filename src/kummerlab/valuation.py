@@ -33,10 +33,9 @@ factorize and divides take every valuation from the oracle, and factorize
 checks the records against the norm.  The `kummerlab factor` report
 certifies each nonzero record by both routes; the test suite compares them
 wholesale.  divides likewise runs two routes, valuations and exact
-division.  Definedness at a fraction is one ffield.vanishes read of the
-colon ideal's rows against the map's own columns, for any ring a Jacobi
-map is built on.  The tests compare definedness with the colon lattice
-and with valuations.
+division.  Definedness at a fraction is not read here: for any ring a
+Jacobi map is built on, quadorder.dichotomy_check reads it off the colon
+ideals, and the tests compare that read with valuations.
 """
 
 from dataclasses import dataclass
@@ -60,7 +59,7 @@ from kummerlab.idealprimes import (
     check_conductor,
     enumerate_jacobi_maps,
 )
-from kummerlab.lattice import colon_rows, kernel_mod, mul_matrix
+from kummerlab.lattice import kernel_mod, mul_matrix
 from kummerlab.polymod import gf_pow_mod
 
 
@@ -283,17 +282,6 @@ def valuation_oracle(x: CyclotomicElement, phi: JacobiMap) -> int:
         precision *= 2
 
 
-def is_defined_at(numerator, denominator, phi: JacobiMap) -> bool:
-    """Whether the map extends to numerator/denominator.
-
-    The elements may come from any ring a Jacobi map is built on: Z[alpha]
-    or a quadratic order.  To test many maps at one fraction, take its
-    lattice.colon_rows once and pass them to each map's extends_to.
-    """
-    rows = colon_rows(numerator.coeffs, denominator.coeffs, phi.ring)
-    return phi.extends_to(rows)
-
-
 @dataclass(frozen=True)
 class ValuationRecord:
     map: JacobiMap
@@ -363,13 +351,6 @@ def quotient_and_norm(
     if not y.content_divisible_by(nd):
         return None, nd
     return d.ring.element([c // nd for c in y.coeffs]), nd
-
-
-def exact_quotient(
-    d: CyclotomicElement, x: CyclotomicElement
-) -> CyclotomicElement | None:
-    """x / d when the quotient lies in Z[alpha], else None."""
-    return quotient_and_norm(d, x)[0]
 
 
 def divides(

@@ -13,7 +13,7 @@ from kummerlab.arith import (
 )
 from kummerlab.charsum import character, jacobi_sum
 from kummerlab.cyclotomic import conjugate, gaussian_periods
-from kummerlab.lattice import IntLattice, _preimage, mul_matrix
+from kummerlab.lattice import IntLattice, _relations, mul_matrix
 from kummerlab.polyint import degree, trim
 from kummerlab.polymod import gf_mod, gf_mul, gf_pow_mod
 from kummerlab.quadorder import _rational_sqrt
@@ -150,7 +150,7 @@ def colon(lattice: IntLattice, v, order) -> IntLattice:
     if len(v) != lattice.dim or order.degree != lattice.dim:
         raise ValueError("dimension mismatch")
     nmat = mul_matrix(order, v)
-    return IntLattice(_preimage(nmat, lattice.rows))
+    return IntLattice([r[: len(v)] for r in _relations(nmat, lattice.rows)])
 
 
 def lattice_contains(lattice: IntLattice, vec) -> bool:
@@ -231,7 +231,7 @@ def quotient_by_conjugates(d, x):
     conjugate at a time: the product of sigma_k(d) over k = 2 .. lam - 1,
     lam - 2 ring products.  d * cofactor is norm(d), and x / d is
     x * cofactor / norm(d) when every coefficient divides.  The reference
-    for valuation.exact_quotient, which takes the cofactor up a tower."""
+    for valuation.quotient_and_norm, which takes the cofactor up a tower."""
     cofactor = d.ring.one()
     for k in range(2, d.ring.n):
         cofactor = cofactor * conjugate(d, k)

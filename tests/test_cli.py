@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from kummerlab import cli, exprparse, quadorder, reports, reproduce
+from kummerlab import cli, exprparse, quadorder, reports, reproduce, valuation
 from kummerlab.cli import _int_list, main
 from kummerlab.cyclotomic import CyclotomicElement, cyclotomic_ring
 from kummerlab.exprparse import ElementParseError, parse_element, render_element
@@ -766,6 +766,19 @@ def test_cli_factor_reports_a_composite_cofactor(capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["factor", "divides"])
+def test_cli_refuses_a_trial_div_over_its_ceiling_before_factoring(
+    capsys, monkeypatch, command
+):
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("a norm was factored")
+
+    monkeypatch.setattr(valuation, "factorize_int", no_factoring)
+    argv = [command, "--lambda", "3", "--trial-div", "100000001", "2 + a"]
+    assert main(argv + ["1"] if command == "divides" else argv) == 2
+    assert capsys.readouterr().err == "error: --trial-div '100000001' is over 10^8\n"
+
+
 def test_cli_reproduce_reports_failed_and_broken_claims(
     capsys, monkeypatch, tmp_path
 ):
@@ -1046,6 +1059,8 @@ _FIVE_C = " + ".join([_C] * 5 + ["t"]) + "".join(
 _T24 = (10**4000 - 1) // max(map(abs, QuadOrder(1, 2).element([0] * 24 + [1]).coeffs))
 _TOO_LONG = "has a coefficient of more than 4000 digits"
 _QUAD_B2 = ["quad", "--theta", f"{_U},7", "check-b2", "--p", "3"]
+_FACTOR_3 = ["factor", "--lambda", "3"]
+_BELOW_10_8 = str(99999971 * 99999989)
 CAP_TABLE = [
     # MAX_EXPONENT and the computed coefficients: t^4096 reduces to 1
     (_QUAD_B2 + [f"t^4096 + {_U}t^4095 + 7t^4094 + 1", "t"], 0, ""),
@@ -1078,6 +1093,14 @@ CAP_TABLE = [
         ["factor", "--lambda", "3", str(1000003 * 1000033)],
         2,
         "is composite and exceeds the trial-division bound 1000000",
+    ),
+    # the --trial-div ceiling 10^8: the two largest primes below it, found by
+    # a scan to the ceiling, then the same input one past it
+    (_FACTOR_3 + ["--trial-div", str(10**8), _BELOW_10_8], 0, ""),
+    (
+        _FACTOR_3 + ["--trial-div", str(10**8 + 1), _BELOW_10_8],
+        2,
+        "--trial-div '100000001' is over 10^8",
     ),
     # --enum-cap: the conductor's (lambda - 1)^2
     (["stickelberger", "--lambda", "101", "--p", "607"], 0, ""),

@@ -27,7 +27,7 @@ from kummerlab.arith import (
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element
 from kummerlab.idealprimes import enumerate_jacobi_maps
-from kummerlab.lattice import colon_rows, hnf, kernel_mod, mul_matrix
+from kummerlab.lattice import colon_relations, hnf, kernel_mod, mul_matrix
 from kummerlab import arith, polyint
 from kummerlab.polyint import autocorrelation, cyclotomic_polynomial, mul, resultant
 from kummerlab.polymod import (
@@ -37,7 +37,7 @@ from kummerlab.polymod import (
     gf_normalize,
     gf_pow_mod,
 )
-from kummerlab.quadorder import QuadOrder, enumerate_quad_maps
+from kummerlab.quadorder import QuadOrder, dichotomy_check, enumerate_quad_maps
 from kummerlab.valuation import divides, factorize
 from reference import (
     colon,
@@ -156,6 +156,16 @@ def test_factorize_int_reaches_the_partner_of_the_last_candidate():
         factorize_int(13 * 10007 * 10009, 11)
     assert str(err.value) == (
         "cofactor 100160063 is composite and exceeds the trial-division bound 11"
+    )
+
+
+def test_factorize_int_names_a_long_cofactor_by_its_digit_count():
+    # 5 (10^4400 + 1) is refused at once, since is_prime stops at the base 5,
+    # and its 4401 digits are more than Python prints
+    with pytest.raises(FactorizationError) as err:
+        factorize_int(5 * (10**4400 + 1), 1)
+    assert str(err.value) == (
+        "cofactor of 4401 digits is composite and exceeds the trial-division bound 1"
     )
 
 
@@ -804,12 +814,12 @@ def test_product_and_colon_refuse_every_rank_mismatch_on_generated_orders():
                 if d > 8:  # a product of rank d takes d^2 generators
                     continue
                 assert unit.product(unit, order) == unit
-                assert hnf(colon_rows(v, v, order)) == unit
+                assert hnf([r[:d] for r in colon_relations(v, v, order)]) == unit
                 continue
             with pytest.raises(ValueError, match="dimension mismatch"):
                 unit.product(unit, order)
             with pytest.raises(ValueError, match="dimension mismatch"):
-                colon_rows(v, v, order)
+                colon_relations(v, v, order)
 
 
 def test_product_and_colon_check_the_order_rank():
@@ -818,27 +828,44 @@ def test_product_and_colon_check_the_order_rank():
     with pytest.raises(ValueError, match="dimension mismatch"):
         lat.product(lat, ring)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        colon_rows([1, 1], [1, 1], ring)
+        colon_relations([1, 1], [1, 1], ring)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        colon_rows([1, 1, 0], [1, 0], SQRT_M3)
+        colon_relations([1, 1, 0], [1, 0], SQRT_M3)
     square = standard_lattice(4)
     with pytest.raises(ValueError, match="dimension mismatch"):
         square.product(square, SQRT_M3)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        colon_rows([1, 0, 0, 0], [1, 0, 0, 0], SQRT_M3)
-    # mul_matrix reduces a long vector; colon_rows still refuses it
+        colon_relations([1, 0, 0, 0], [1, 0, 0, 0], SQRT_M3)
+    # mul_matrix reduces a long vector; colon_relations still refuses it
     with pytest.raises(ValueError, match="dimension mismatch"):
-        colon_rows([1, 1, 0, 0, 1], [1, 0, 0, 0], ring)
+        colon_relations([1, 1, 0, 0, 1], [1, 0, 0, 0], ring)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        colon_rows([1, 0, 0, 0], [1, 0, 0], ring)
-    # rows of a rank-4 order at a map of a rank-2 order, and back
-    quad_map = enumerate_quad_maps(SQRT_M3, 2)[0]
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        quad_map.extends_to(colon_rows([1, 1, 0, 0], [1, 0, 0, 0], ring))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        enumerate_jacobi_maps(5, 11)[0].extends_to(colon_rows([1, 1], [2, 0], SQRT_M3))
+        colon_relations([1, 0, 0, 0], [1, 0, 0], ring)
     with pytest.raises(ZeroDivisionError):
-        colon_rows([1, 1], [0, 0], SQRT_M3)
+        colon_relations([1, 1], [0, 0], SQRT_M3)
+
+
+def test_dichotomy_check_refuses_maps_and_elements_of_another_ring():
+    z5, gaussian_maps = cyclotomic_ring(5), enumerate_quad_maps(GAUSSIAN, 5)
+    # a fraction of a rank-4 ring at a map of a rank-2 order, and back
+    with pytest.raises(ValueError, match="map expects QuadOrder"):
+        dichotomy_check(
+            enumerate_quad_maps(SQRT_M3, 2), z5.element([1, 1]), z5.element(1)
+        )
+    with pytest.raises(ValueError, match="map expects CyclotomicRing"):
+        dichotomy_check(
+            enumerate_jacobi_maps(5, 11), SQRT_M3.element([1, 1]), SQRT_M3.element(2)
+        )
+    # equal degrees: the maps of Z[i] at a fraction of Z[sqrt(-3)], which
+    # reads (True, True) at both maps unless the rings are compared
+    with pytest.raises(ValueError, match=r"element lives in QuadOrder\(u=0, v=3\)"):
+        dichotomy_check(gaussian_maps, SQRT_M3.element([1, 1]), SQRT_M3.element(2))
+    # a numerator and a denominator from two orders, with and without maps
+    for maps in (gaussian_maps, []):
+        with pytest.raises(ValueError, match="denominator lives in QuadOrder"):
+            dichotomy_check(maps, GAUSSIAN.element([1, 1]), SQRT_M3.element(2))
+    reps = dichotomy_check(gaussian_maps, GAUSSIAN.element([1, 1]), GAUSSIAN.element(2))
+    assert len(reps) == 2
 
 
 def test_colon_examples():
@@ -896,8 +923,9 @@ def test_product_index_is_multiple_of_index_product():
 
 
 def test_extends_to_matches_the_colon_containment():
-    # the relation rows of [num * O; den * O] against the kernel, versus
-    # the canonical colon lattice and a containment test of HNF rows
+    # both halves of the one relation solve, at the fraction and at its
+    # inverse, versus the canonical colon lattice and a containment test of
+    # HNF rows against the kernel
     rng = random.Random(RNG_SEED + 43)
     maps = [
         phi
@@ -911,17 +939,20 @@ def test_extends_to_matches_the_colon_containment():
         maps += [phi for p in primes_below(12) for phi in enumerate_quad_maps(order, p)]
     outcomes = set()
     for phi in maps:
-        order, d = phi.ring, phi.ring.degree
+        order, d, kernel = phi.ring, phi.ring.degree, phi.kernel()
         for _ in range(12):
-            num = [rng.randint(-6, 6) for _ in range(d)]
-            den = [0] * d
-            while not any(den):
+            num, den = [0] * d, [0] * d
+            while not any(num) or not any(den):
+                num = [rng.randint(-6, 6) for _ in range(d)]
                 den = [rng.randint(-6, 6) for _ in range(d)]
             if rng.random() < 0.3:  # den in p * O, where the map can fail
                 den = [phi.p * c for c in den]
-            got = phi.extends_to(colon_rows(num, den, order))
-            assert got == colon_extends_to(phi.kernel(), num, den, order)
-            outcomes.add((isinstance(order, QuadOrder), got))
+            [rep] = dichotomy_check([phi], order.element(num), order.element(den))
+            assert rep == {
+                "at_fraction": colon_extends_to(kernel, num, den, order),
+                "at_inverse": colon_extends_to(kernel, den, num, order),
+            }, (phi.ring, phi.p, num, den)
+            outcomes.add((isinstance(order, QuadOrder), rep["at_fraction"]))
     assert len(outcomes) == 4
 
 

@@ -5,11 +5,12 @@ the full schoolbook too), power columns of a root and the vanishing read
 of them, the degree-1 maps read off Jacobi's root table, the Jacobi-sum
 counts, Kummer's uniformizer at residue degree 1, Kummer multiplicities
 (additive, and equal to the literal level test), the p-adic valuation
-oracle and its Newton lifts against the p-power chain, the colon test of a
-map at a fraction, the one relation solve that gives both colon ideals of a
-fraction, a map's reads of its columns, the expression round trip, the
-quadratic reduction (its carried pairs stay below its refusal bound) and the
-square root in a quadratic field.
+oracle and its Newton lifts against the p-power chain, dichotomy_check's
+colon test of every map at a fraction and its inverse, the one relation
+solve that gives both colon ideals of a fraction, a map's reads of its
+columns, the expression round trip, the quadratic reduction (its carried
+pairs stay below its refusal bound) and the square root in a quadratic
+field.
 
 Examples are derandomized, so every run draws the same inputs.
 """
@@ -27,9 +28,14 @@ from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element, render_element
 from kummerlab.ffield import power_columns, vanishes
 from kummerlab.idealprimes import JacobiMap, enumerate_jacobi_maps, map_for_root
-from kummerlab.lattice import colon_relations, colon_rows, hnf, kernel_mod
+from kummerlab.lattice import colon_relations, hnf, kernel_mod
 from kummerlab.polyint import KRONECKER_MIN_TERMS, autocorrelation, mul, trim
-from kummerlab.quadorder import QuadOrder, _field_sqrt, enumerate_quad_maps
+from kummerlab.quadorder import (
+    QuadOrder,
+    _field_sqrt,
+    dichotomy_check,
+    enumerate_quad_maps,
+)
 from kummerlab.valuation import (
     _lift_columns,
     find_uniformizer,
@@ -292,8 +298,9 @@ def test_root_table_builds_the_power_column_maps():
 @GENERATED
 @given(data=st.data())
 def test_root_table_maps_read_like_power_column_maps(data):
-    # kills and extends_to on vectors that half the time lie in the drawn
-    # map's kernel: y * (alpha - r) + p z for r the root of some map
+    # kills and the vanishing read of rows, on vectors that half the time lie
+    # in the drawn map's kernel: y * (alpha - r) + p z for r the root of some
+    # map
     lam, p = data.draw(st.sampled_from(ROOT_TABLE_PRIMES))
     maps = enumerate_jacobi_maps(lam, p)
     phi = data.draw(st.sampled_from(maps))
@@ -308,7 +315,7 @@ def test_root_table_maps_read_like_power_column_maps(data):
     x = vector()
     assert phi.kills(x) == ref.kills(x)
     rows = [vector().coeffs for _ in range(data.draw(st.integers(1, 3)))]
-    assert phi.extends_to(rows) == ref.extends_to(rows)
+    assert vanishes(rows, phi.columns, p) == vanishes(rows, ref.columns, p)
 
 
 @GENERATED
@@ -424,15 +431,6 @@ def test_oracle_is_additive(p, x, y, j, k):
     assert v_xy == valuation_oracle(x, phi) + valuation_oracle(y, phi)
 
 
-def _colon_rows_agree(maps, order, num, den):
-    # one solve per direction, tested against every map, versus the
-    # canonical colon lattice built anew for each map
-    for a, b in ((num, den), (den, num)):
-        rows = colon_rows(a, b, order)
-        for phi in maps:
-            assert phi.extends_to(rows) == colon_extends_to(phi.kernel(), a, b, order)
-
-
 def _is_square(n):
     return n >= 0 and isqrt(n) ** 2 == n
 
@@ -450,6 +448,18 @@ def _nonzero_coeffs(d, spread):
     return st.lists(
         st.integers(-spread, spread), min_size=d, max_size=d
     ).filter(any)
+
+
+def _colon_rows_agree(maps, order, num, den):
+    # one solve for both directions, read against every map, versus the
+    # canonical colon lattice built anew for each map
+    reps = dichotomy_check(maps, order.element(num), order.element(den))
+    for phi, rep in zip(maps, reps):
+        kernel = phi.kernel()
+        assert rep == {
+            "at_fraction": colon_extends_to(kernel, num, den, order),
+            "at_inverse": colon_extends_to(kernel, den, num, order),
+        }
 
 
 @GENERATED
@@ -481,9 +491,7 @@ def _one_solve_agrees(maps, order, num, den):
     relations = colon_relations(num, den, order)
     halves = ([r[:d] for r in relations], [r[d:] for r in relations])
     for half, (a, b) in zip(halves, ((num, den), (den, num))):
-        lattice = hnf(half)
-        assert lattice == hnf(colon_rows(a, b, order))
-        assert lattice == colon(principal_lattice(b, order), a, order)
+        assert hnf(half) == colon(principal_lattice(b, order), a, order)
     _colon_rows_agree(maps, order, num, den)
 
 
@@ -537,7 +545,8 @@ def _column_reads_agree(phi, data):
         assert phi.apply(x) == _full_image(phi, coeffs)
         assert phi.kills(x) == (not any(_full_image(phi, coeffs)))
     colon = data.draw(st.lists(vectors, max_size=4))
-    assert phi.extends_to(colon) == any(any(_full_image(phi, g)) for g in colon)
+    killed_all = not any(any(_full_image(phi, g)) for g in colon)
+    assert vanishes(colon, phi.columns, p) == killed_all
     # a last row whose image is 0 but in its last coordinate: the rows that
     # kill the first f - 1 coordinates, less those that kill all f
     if phi.f == 1:
@@ -548,8 +557,8 @@ def _column_reads_agree(phi, data):
         last = next(list(r) for r in partial if not lattice_contains(kernel_lattice, r))
     image = _full_image(phi, last)
     assert not any(image[:-1]) and image[-1]
-    assert not phi.extends_to(kernel)
-    assert phi.extends_to(kernel + [last])
+    assert vanishes(kernel, phi.columns, p)
+    assert not vanishes(kernel + [last], phi.columns, p)
 
 
 @pytest.mark.parametrize("lam, p", [(5, 11), (7, 29), (5, 5), (7, 13), (7, 2), (5, 3)])

@@ -21,8 +21,7 @@ from kummerlab.quadorder import (
     is_integrally_closed,
     prime_square_anomaly,
 )
-from kummerlab.valuation import is_defined_at
-from reference import lattice_contains, quad_product, transpose
+from reference import colon_extends_to, lattice_contains, quad_product, transpose
 
 RNG_SEED = 83231
 
@@ -201,8 +200,8 @@ def test_dichotomy_check_solves_once_per_fraction(monkeypatch, k):
     assert len(calls) == 1
     assert reps == [
         {
-            "at_fraction": is_defined_at(num, den, phi),
-            "at_inverse": is_defined_at(den, num, phi),
+            "at_fraction": colon_extends_to(phi.kernel(), [3, 1], [2, -1], GAUSSIAN),
+            "at_inverse": colon_extends_to(phi.kernel(), [2, -1], [3, 1], GAUSSIAN),
         }
         for phi in maps
     ]

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from kummerlab import valuation
+from kummerlab import quadorder, valuation
 from kummerlab.arith import primes_below, valuation_int
 from kummerlab.cyclotomic import (
     CyclotomicElement,
@@ -20,12 +20,11 @@ from kummerlab.lattice import IntLattice
 from kummerlab.valuation import (
     KummerPrime,
     divides,
-    exact_quotient,
     factorize,
     find_uniformizer,
-    is_defined_at,
     kummer_prime,
     multiplicity,
+    quotient_and_norm,
     valuation_oracle,
 )
 from reference import (
@@ -436,16 +435,17 @@ def test_defined_at_pinned():
     phi9 = map_for_root(maps, 9)
     eleven = ring.element(11)
     d = ring.element([2, 1])
-    for phi in maps:
-        assert is_defined_at(eleven, ring.one(), phi)  # x/1 always defined
-    assert is_defined_at(eleven, d, phi9)
+    for rep in quadorder.dichotomy_check(maps, eleven, ring.one()):
+        assert rep["at_fraction"]  # x/1 always defined
+    [rep] = quadorder.dichotomy_check([phi9], eleven, d)
+    assert rep["at_fraction"]
     K9 = kummer_prime(phi9)
     assert multiplicity(eleven, K9) == 1 == multiplicity(d, K9)
-    q = exact_quotient(d, eleven)
+    q = quotient_and_norm(d, eleven)[0]
     assert valuation_oracle(q, phi9) == 0
     assert sorted(valuation_oracle(q, m) for m in maps) == [0, 1, 1, 1]
     with pytest.raises(ZeroDivisionError):
-        is_defined_at(eleven, ring.zero(), phi9)
+        quadorder.dichotomy_check([phi9], eleven, ring.zero())
 
 
 def test_defined_at_routes_agree_and_dichotomy():
@@ -460,12 +460,12 @@ def test_defined_at_routes_agree_and_dichotomy():
             if x.is_zero() or y.is_zero():
                 continue
             pairs += 1
-            for K in primes:
-                colon_route = is_defined_at(x, y, K.map)
-                valuation_route = is_defined_at_by_valuation(x, y, K)
-                assert colon_route == valuation_route
+            reps = quadorder.dichotomy_check([K.map for K in primes], x, y)
+            for K, rep in zip(primes, reps):
+                assert rep["at_fraction"] == is_defined_at_by_valuation(x, y, K)
+                assert rep["at_inverse"] == is_defined_at_by_valuation(y, x, K)
                 # the dichotomy: defined at the fraction or its inverse
-                assert colon_route or is_defined_at(y, x, K.map)
+                assert rep["at_fraction"] or rep["at_inverse"]
 
 
 def test_factorize_pinned():
@@ -538,8 +538,8 @@ def test_exact_quotient():
     x = ring.element([1, -2, 0, 3])
     d = ring.element([2, 1, 1, 0])
     prod = x * d
-    assert exact_quotient(d, prod) == x
-    assert exact_quotient(d, ring.one()) is None
+    assert quotient_and_norm(d, prod)[0] == x
+    assert quotient_and_norm(d, ring.one())[0] is None
 
 
 def test_exact_quotient_matches_the_conjugate_by_conjugate_cofactor():
@@ -551,7 +551,7 @@ def test_exact_quotient_matches_the_conjugate_by_conjugate_cofactor():
         for i, d in enumerate(_elements(lam, count, rng.randrange(10**6), 2)):
             y = ring.element([rng.randint(-3, 3) for _ in range(lam - 1)])
             x = y * d if i % 2 else y
-            quotient = exact_quotient(d, x)
+            quotient = quotient_and_norm(d, x)[0]
             assert quotient == quotient_by_conjugates(d, x)
             if i % 2:
                 assert quotient == y
@@ -574,12 +574,14 @@ def test_completeness_property():
         if cases % 2:
             x = x * y  # force divisibility half the time
         cases += 1
-        defined_everywhere = all(
-            is_defined_at(x, y, phi)
+        maps = [
+            phi
             for p in sorted(factorize_int(norm(y)))
             for phi in enumerate_jacobi_maps(5, p)
-        )
-        quotient = exact_quotient(y, x)
+        ]
+        reps = quadorder.dichotomy_check(maps, x, y)
+        defined_everywhere = all(rep["at_fraction"] for rep in reps)
+        quotient = quotient_and_norm(y, x)[0]
         assert defined_everywhere == (quotient is not None)
         assert divides(y, x) == defined_everywhere
 
