@@ -115,42 +115,53 @@ def jacobi_sum(chi: Character, i: int, k: int) -> CyclotomicElement:
     return chi.ring.element([-c for c in _counts(chi, i, k)])
 
 
-def reflection_product(chi: Character, i: int, k: int) -> tuple[list[int], list[int]]:
-    """The counts N of _counts and the residue of J(chi^i, chi^k) times
-    sigma_{-1}(J) mod Phi_lam, without reducing J.
+def reflection_products(chi: Character, pairs):
+    """For each pair (i, k), the counts N of _counts and the residue of
+    J(chi^i, chi^k) times sigma_{-1}(J) mod Phi_lam, without reducing J.
 
-    J = -sum_e N_e alpha^e, so J times its conjugate is sum_s c_s alpha^s
-    with c the cyclic autocorrelation of N.  Lemma: c_s depends on s only
-    through gcd(s, lam), so the ring's invariant_residue reads the product
-    off c with no reduction.  Proof: at every lam-th root of unity z,
-    c(z) = |N(z)|^2 is p, 1 or (p - 2)^2, rational and so fixed by every
-    sigma_u; it depends on z only through its order, and
-    c_s = (1/lam) sum_z c(z) z^-s only through gcd(s, lam).  c is reduced
-    only when the check fails, as for counts that are not a Jacobi sum's.
-    The identity holds when the residue is [p, 0, ..., 0].
+    J = -sum_e N_e alpha^e, so the product is sum_s c_s alpha^s, c the
+    cyclic autocorrelation N(X) N(X^-1) mod X^lam - 1: N packed once as
+    w-bit words, times its packed reflection N_0, N_(lam-1), ..., N_1,
+    folded mod 2^(w lam) - 1.  Word bound: N >= 0 sums to p - 2 (other
+    counts are refused), so each coefficient, a sum of N_e N_(e-s) over
+    distinct e, is at most max(N) (p - 2) <= (p - 2)^2, and w is the
+    narrowest word above that: no word carries.
+    Lemma: c_s depends on s only through gcd(s, lam), so invariant_residue
+    reads the product off c.  Proof: c(z) = |N(z)|^2 is p, 1 or (p - 2)^2
+    at each lam-th root of unity z, fixed by every sigma_u, so it depends
+    on z only through its order, and c_s = (1/lam) sum_z c(z) z^-s only
+    through gcd(s, lam).  c is reduced only when the check fails, as for
+    counts that are not a Jacobi sum's.  The identity holds when the
+    residue is [p, 0, ..., 0].
     """
-    lam = chi.lam
-    if i % lam == 0 or k % lam == 0 or (i + k) % lam == 0:
-        raise ValueError(
-            f"degenerate index: i, k, i+k must all be nonzero mod {lam}"
-        )
-    ring = chi.ring
-    counts = _counts(chi, i, k)
-    c = polyint.autocorrelation(counts)
-    value = ring.invariant_residue(c)
-    if value is None:
-        return counts, list(ring._reduce(c))
-    return counts, [value] + [0] * (ring.degree - 1)
+    lam, p, ring = chi.lam, chi.p, chi.ring
+    zeros = [0] * (ring.degree - 1)
+    for i, k in pairs:
+        if i % lam == 0 or k % lam == 0 or (i + k) % lam == 0:
+            raise ValueError(
+                f"degenerate index: i, k, i+k must all be nonzero mod {lam}"
+            )
+        counts = _counts(chi, i, k)
+        if sum(counts) != p - 2:
+            raise ValueError(f"counts must sum to p - 2 = {p - 2}")
+        bits, code = polyint.narrowest_word(max(counts) * (p - 2))
+        shift = bits * lam
+        words = array(code, counts)
+        x = polyint.pack_words(words) * polyint.pack_words(words[:1] + words[:0:-1])
+        x = (x & ((1 << shift) - 1)) + (x >> shift)
+        c = polyint.unpack_words(x, code, lam).tolist()
+        value = ring.invariant_residue(c)
+        yield counts, list(ring._reduce(c)) if value is None else [value, *zeros]
 
 
 def reflection_identity(chi: Character, i: int, k: int) -> dict:
     """Verify J(chi^i, chi^k) * sigma_{-1}(J(chi^i, chi^k)) == p exactly,
     as a report of J, psi = -J, the product and whether it is p.
 
-    The product is reflection_product's; only the counts are reduced, for
-    psi = N mod Phi_lam and J = -psi.
+    The product is reflection_products' for the one pair; only the counts
+    are reduced, for psi = N mod Phi_lam and J = -psi.
     """
-    counts, product = reflection_product(chi, i, k)
+    ((counts, product),) = reflection_products(chi, [(i, k)])
     psi = list(chi.ring._reduce(counts))
     return {
         "p": chi.p,

@@ -23,9 +23,15 @@ def power_columns(root, count: int, factor, m: int) -> list[list[int]]:
     the f x f matrix of multiplication by the root is X^i * root mod F, each
     row one shift of the last with its top coefficient folded back by F.
     Each power is then the last one times that matrix: f^2 products and no
-    polynomial division, and at f = 1 simply v = v * r mod m.
+    polynomial division.  At f = 1 it is simply v = v * r mod m, and for
+    the root X each power is the last one shifted and folded: f products.
     """
     f = len(factor) - 1
+
+    def times_x(v):
+        top = v[-1]
+        return [(a - top * c) % m for a, c in zip([0, *v[:-1]], factor)]
+
     row = gf_mod(list(root), list(factor), m)
     row += [0] * (f - len(row))
     if f == 1:
@@ -35,17 +41,18 @@ def power_columns(root, count: int, factor, m: int) -> list[list[int]]:
             column.append(v)
             v = v * r % m
         return [column]
-    matrix = []
-    for _ in range(f):
-        matrix.append(row)
-        top = row[-1]
-        row = [(a - top * c) % m for a, c in zip([0, *row[:-1]], factor)]
-    steps = list(zip(*matrix))
+    step = times_x
+    if row != times_x([1] + [0] * (f - 1)):
+        matrix = [row]
+        for _ in range(f - 1):
+            matrix.append(times_x(matrix[-1]))
+        columns = list(zip(*matrix))
+        step = lambda v: [sum(map(mul, v, column)) % m for column in columns]
     powers = []  # the coordinates of every power, one after the other
     v = [1] + [0] * (f - 1)
     for _ in range(count):
         powers += v
-        v = [sum(map(mul, v, step)) % m for step in steps]
+        v = step(v)
     return [powers[j::f] for j in range(f)]
 
 

@@ -10,19 +10,22 @@ carries a canonical root label, the smallest element of the Frobenius
 orbit of its root.  A map is stored as the f F_p-coordinate columns of the
 powers of that root, and every read of it is ffield's: apply is image,
 and kills and quadorder.dichotomy_check's read of a colon ideal are
-vanishes, which stops at the first nonzero coordinate.  Its kernel is
-kernel_mod of the transposed columns.  For Z[alpha], lam an odd prime,
-the kernel is a maximal ideal -- an ideal prime of p.
+vanishes, which stops at the first nonzero coordinate.  Its kernel's HNF
+is read off the RREF of the columns over F_p.  For Z[alpha], lam an odd
+prime, the kernel is a maximal ideal -- an ideal prime of p.
 
 The maps of each (lam, p) are built once per process, in a bounded cache,
-and handed out as a tuple.  Degree-1 maps are constructed as Jacobi did,
-without factoring: for p = 1 mod lam, z = a^((p-1)/lam) mod p with a >= 2
-least such that z != 1 is a primitive lam-th root of unity, and the maps
-send alpha to z^k, k = 1 .. lam-1.  Their columns are reorderings of one
-table t of z^0 .. z^(lam-1): the map alpha -> z^k sends alpha^j to
-t[kj mod lam].  Every other map is JacobiMap.of_factor's, which reads its
-columns off ffield.power_columns.  For p = lam there is a single map,
-alpha -> 1 in F_lam.
+and handed out as a tuple.  Every map of Z[alpha] is read off one power
+table: w^lam = 1 in its field, alpha goes to w^s, and the table t of
+w^0 .. w^(lam-1) sends alpha^j to t[sj mod lam].  Degree-1 maps are
+constructed as Jacobi did, without factoring: for p = 1 mod lam,
+z = a^((p-1)/lam) mod p with a >= 2 least such that z != 1 has order lam,
+w = z and s = k for the map alpha -> z^k, k = 1 .. lam-1.  For p = lam
+the one map is alpha -> 1 in F_lam, and t is all ones.  A map of degree
+f > 1 onto F_p[X]/(F) takes w = X (F divides X^lam - 1), t from
+ffield.power_columns, and X^s the least of the Frobenius orbit
+X^(p^j mod lam), j < f.  JacobiMap.of_factor, which steps that orbit by
+the matrix of x -> x^p, builds the maps of quadratic orders.
 Maps of residue degree f > 1 come from Kummer's period congruences: with
 e = (lam-1)/f, p splits completely in the field of the e Gaussian periods
 of length f, so their period polynomial prod (Y - eta_i) has e roots u
@@ -41,7 +44,7 @@ from itertools import count
 from kummerlab.arith import is_prime, multiplicative_order
 from kummerlab.cyclotomic import cyclotomic_ring, gaussian_periods
 from kummerlab.ffield import image, power_columns, vanishes
-from kummerlab.lattice import IntLattice, kernel_mod
+from kummerlab.lattice import IntLattice
 from kummerlab.polyint import trim
 from kummerlab.polymod import (
     factor_mod_p,
@@ -58,8 +61,9 @@ class JacobiMap:
     theta goes to xi, the canonical root.  The F_p-coordinates of
     xi^0 .. xi^(d-1), d = ring.degree, are the whole map; columns holds
     them as the f length-d vectors that every read of the map dots.  The
-    constructor stores the fields as given; of_factor derives xi and the
-    columns from F.
+    constructor stores the fields as given; the maps of Z[alpha] read them
+    off a power table (_table_map), and of_factor, which builds the maps
+    of quadratic orders, derives them from F.
     """
 
     __slots__ = ("ring", "p", "f", "factor", "xi", "columns")
@@ -111,9 +115,37 @@ class JacobiMap:
         return vanishes((x.coeffs,), self.columns, self.p)
 
     def kernel(self) -> IntLattice:
-        """The kernel of the map in HNF, built on each call."""
-        lattice = kernel_mod(list(zip(*self.columns)), self.p)
-        if lattice.index() != self.p**self.f:
+        """The kernel of the map in HNF, built on each call.
+
+        Row reduction of the columns mod p, pivots taken from the right,
+        gives the HNF: its diagonal is p at the pivots and 1 elsewhere,
+        where the column entries lie in the span of those to the right.
+        A pivot's reduced row is 1 there, 0 at the other pivots and at the
+        free positions right of it, so a free position i has the row e_i
+        minus, at each pivot j > i, row j's entry at i, mod p.
+        """
+        p, d = self.p, self.ring.degree
+        todo = [[a % p for a in column] for column in self.columns]
+        pivots = []  # (position, row): the reduced rows
+        for j in range(d - 1, -1, -1):
+            at = next((n for n, row in enumerate(todo) if row[j]), None)
+            if at is None:
+                continue
+            row = todo.pop(at)
+            inverse = pow(row[j], -1, p)
+            row = [a * inverse % p for a in row]
+            for other in todo + [r for _, r in pivots]:
+                c = other[j]
+                if c:
+                    other[:] = [(a - c * b) % p for a, b in zip(other, row)]
+            pivots.append((j, row))
+        rows = [[int(i == j) for j in range(d)] for i in range(d)]
+        for j, row in pivots:
+            rows[j][j] = p
+            for i in range(j):
+                rows[i][j] = -row[i] % p
+        lattice = IntLattice(rows)
+        if lattice.index() != p**self.f:
             raise AssertionError("kernel index must be p^f")
         return lattice
 
@@ -171,31 +203,37 @@ def enumerate_jacobi_maps(lam: int, p: int) -> tuple[JacobiMap, ...]:
         raise ValueError(f"{p} is not prime")
     ring = cyclotomic_ring(lam)
     if p == lam:
-        return (JacobiMap.of_factor(ring, p, (p - 1, 1)),)
+        return (_table_map(ring, p, (p - 1, 1), [[1] * lam], 1),)
     f = multiplicative_order(p, lam)
     if f > 1:
         factors = _period_factors(ring, p, f)
         assert len(factors) == (lam - 1) // f
-        return tuple(JacobiMap.of_factor(ring, p, fac) for fac in factors)
-    # Jacobi's root: z^lam = a^(p-1) = 1 and z != 1, so z has order lam.
-    # The map alpha -> z^k sends alpha^j to z^(kj), entry kj mod lam of
-    # one table of z's powers.
+        orbit = [pow(p, j, lam) for j in range(f)]
+        maps = []
+        for factor in factors:
+            table = power_columns([0, 1], lam, factor, p)
+            s = min(orbit, key=lambda r: [column[r] for column in table])
+            maps.append(_table_map(ring, p, factor, table, s))
+        return tuple(maps)
+    # Jacobi's root: z^lam = a^(p-1) = 1 and z != 1, so z has order lam
     powers = (pow(a, (p - 1) // lam, p) for a in count(2))
     z = next(w for w in powers if w != 1)
     table = [1]
     for _ in range(lam - 1):
         table.append(table[-1] * z % p)
-    maps = [
-        JacobiMap(
-            ring,
-            p,
-            (p - table[k], 1),
-            (table[k],),
-            [[table[k * j % lam] for j in range(lam - 1)]],
-        )
-        for k in range(1, lam)
-    ]
+    maps = [_table_map(ring, p, (p - table[k], 1), [table], k) for k in range(1, lam)]
     return tuple(sorted(maps, key=lambda phi: phi.factor))
+
+
+def _table_map(ring, p: int, factor, table, s: int) -> JacobiMap:
+    """The map alpha -> w^s, given the f coordinate columns of
+    w^0 .. w^(lam-1) in F_p[X]/(F) and w^lam = 1: alpha^j goes to
+    w^(sj mod lam), so every column is read off the table."""
+    lam = ring.n
+    steps = [s * j % lam for j in range(lam - 1)]
+    xi = tuple(trim([column[s] for column in table]))
+    columns = [[column[r] for r in steps] for column in table]
+    return JacobiMap(ring, p, tuple(factor), xi, columns)
 
 
 def _period_factors(ring, p: int, f: int) -> list[tuple[int, ...]]:

@@ -6,11 +6,12 @@ built from binomials X^d - 1 without general division, and for the exact
 resultant used to cross-check norms.  Long dense products (Gauss sums,
 the norm tower at large conductors) are one big-integer multiply
 (Kronecker substitution), all others the schoolbook loop over the
-operands' nonzero terms; the cyclic
-autocorrelation of a nonnegative vector, its product with its own
-reflection in Z[X]/(X^n - 1), is one multiply of packed machine words.
-The resultant is a fraction-free Bareiss determinant.  Nothing here
-divides by a general polynomial.
+operands' nonzero terms.  Nonnegative vectors whose entries are below a
+known bound pack into one integer of unsigned machine words
+(narrowest_word, pack_words and unpack_words): the packed logs of
+charsum and the autocorrelations of its reflection_products, whose word
+bound is proved there.  The resultant is a fraction-free Bareiss
+determinant.  Nothing here divides by a general polynomial.
 """
 
 import sys
@@ -137,34 +138,6 @@ def unpack_words(x: int, code: str, count: int) -> array:
     if _BIG_ENDIAN:
         words.byteswap()
     return words
-
-
-def autocorrelation(h: Sequence[int]) -> list[int]:
-    """c[s] = sum over e of h[e] * h[(e - s) mod n], n = len(h), for h >= 0.
-
-    This is h(X) * h(X^-1) in Z[X]/(X^n - 1).  h is packed once as unsigned
-    w-bit words and multiplied once by its packed reflection
-    h[0], h[n-1], ..., h[1], the coefficients of h(X^-1) mod X^n - 1, a
-    slice of the same array.  Coefficient t of the product is the sum of
-    h[e] * h[(e - t) mod n] over t - n < e <= t, 0 <= e < n, so folding
-    mod 2^(wn) - 1, which adds coefficient t + n to t, gives c in order.
-    Every product coefficient, and every cyclic one (the sum of two product
-    coefficients), is a sum of h[e] * h[e - s] with each e at most once, so
-    at most max(h) * sum(h).  With w the narrowest array word above that
-    bound the words never carry and one fold is exact.  w is at most 64,
-    and ValueError is raised unless (sum h)^2 < 2^64.  Halving w makes the
-    multiply about 3 times faster at n = 60 to 400 (CPython 3.11, x86-64).
-    """
-    n, total = len(h), sum(h)
-    if min(h, default=0) < 0 or total * total >> 64:
-        raise ValueError("autocorrelation needs h >= 0 with (sum h)^2 < 2^64")
-    if not n:
-        return []
-    w, code = narrowest_word(max(h) * total)
-    words = array(code, h)
-    x = pack_words(words) * pack_words(words[:1] + words[:0:-1])
-    bits = w * n
-    return unpack_words((x & ((1 << bits) - 1)) + (x >> bits), code, n).tolist()
 
 
 @lru_cache(maxsize=1024)

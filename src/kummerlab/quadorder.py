@@ -5,8 +5,8 @@ order is Z + Z theta.  A QuadOrder is a ring in the sense the cyclotomic
 ring is (degree, modulus, _reduce, element, symbol); _reduce is one Horner
 loop, which refuses a parsed residue that outgrows the parser's cap.  Its
 elements are cyclotomic.CyclotomicElement objects, so its reduction maps
-onto finite fields are idealprimes.JacobiMap objects, built exactly as in
-the cyclotomic case.  For a non-maximal order the maps at primes dividing
+onto finite fields are idealprimes.JacobiMap objects, built by
+JacobiMap.of_factor from the factors of the modulus mod p.  For a non-maximal order the maps at primes dividing
 the conductor fail to extend to fractions in either direction, Gauss's Lemma
 for monic polynomials fails, and prime-ideal powers collapse (p^2 = (2) p
 without p = (2) in Z[sqrt(-3)]).  dichotomy_check is the one definedness

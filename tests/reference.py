@@ -3,6 +3,8 @@
 Nothing in the package uses them, so they live with the tests.
 """
 
+from array import array
+from collections.abc import Sequence
 from fractions import Fraction
 
 from kummerlab.arith import (
@@ -14,7 +16,13 @@ from kummerlab.arith import (
 from kummerlab.charsum import character, jacobi_sum
 from kummerlab.cyclotomic import conjugate, gaussian_periods
 from kummerlab.lattice import IntLattice, _relations, mul_matrix
-from kummerlab.polyint import degree, trim
+from kummerlab.polyint import (
+    degree,
+    narrowest_word,
+    pack_words,
+    trim,
+    unpack_words,
+)
 from kummerlab.polymod import gf_mod, gf_mul, gf_pow_mod
 from kummerlab.quadorder import _rational_sqrt
 from kummerlab.valuation import _norm_and_cofactor
@@ -47,8 +55,9 @@ def fc_value_reference(p: int, i: int, k: int) -> int:
 def reflection_reference(chi, j) -> dict:
     """The reflection report with both J and the product reduced in the
     ring: the product is J times its conjugate, taken there.  The
-    reference for charsum.reflection_identity, which reduces only the
-    counts and reads the product off the autocorrelation's gcd classes."""
+    reference for charsum.reflection_identity and reflection_products,
+    which reduce only the counts and read the product off the
+    autocorrelation's gcd classes."""
     prod = j * conjugate(j, -1)
     return {
         "J": list(j.coeffs),
@@ -56,6 +65,36 @@ def reflection_reference(chi, j) -> dict:
         "product": list(prod.coeffs),
         "holds": prod == chi.ring.element(chi.p),
     }
+
+
+def autocorrelation(h: Sequence[int]) -> list[int]:
+    """c[s] = sum over e of h[e] * h[(e - s) mod n], n = len(h), for h >= 0,
+    packed with the narrowest word above max(h) * sum(h): the packing that
+    charsum.reflection_products does inline for each pair.
+
+    This is h(X) * h(X^-1) in Z[X]/(X^n - 1).  h is packed once as unsigned
+    w-bit words and multiplied once by its packed reflection
+    h[0], h[n-1], ..., h[1], the coefficients of h(X^-1) mod X^n - 1, a
+    slice of the same array.  Coefficient t of the product is the sum of
+    h[e] * h[(e - t) mod n] over t - n < e <= t, 0 <= e < n, so folding
+    mod 2^(wn) - 1, which adds coefficient t + n to t, gives c in order.
+    Every product coefficient, and every cyclic one (the sum of two product
+    coefficients), is a sum of h[e] * h[e - s] with each e at most once, so
+    at most max(h) * sum(h).  With w the narrowest array word above that
+    bound the words never carry and one fold is exact.  w is at most 64,
+    and ValueError is raised unless (sum h)^2 < 2^64.  Halving w makes the
+    multiply about 3 times faster at n = 60 to 400 (CPython 3.11, x86-64).
+    """
+    n, total = len(h), sum(h)
+    if min(h, default=0) < 0 or total * total >> 64:
+        raise ValueError("autocorrelation needs h >= 0 with (sum h)^2 < 2^64")
+    if not n:
+        return []
+    w, code = narrowest_word(max(h) * total)
+    words = array(code, h)
+    x = pack_words(words) * pack_words(words[:1] + words[:0:-1])
+    bits = w * n
+    return unpack_words((x & ((1 << bits) - 1)) + (x >> bits), code, n).tolist()
 
 
 def uniformizer_by_tower(phi):

@@ -20,7 +20,7 @@ from kummerlab.charsum import (
     jacobi_sum,
     quartic_decomposition,
     reflection_identity,
-    reflection_product,
+    reflection_products,
     stickelberger_check,
 )
 from kummerlab.cyclotomic import (
@@ -31,7 +31,12 @@ from kummerlab.cyclotomic import (
 )
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
-from reference import counts_reference, fc_value_reference, reflection_reference
+from reference import (
+    autocorrelation,
+    counts_reference,
+    fc_value_reference,
+    reflection_reference,
+)
 
 
 def jacobi_sum_positive(chi: Character, i: int, k: int) -> CyclotomicElement:
@@ -166,7 +171,7 @@ def test_reflection_product_matches_the_report_and_the_ring_product(lam, data):
     i = data.draw(index.filter(lambda i: i % lam))
     k = data.draw(index.filter(lambda k: k % lam and (i + k) % lam))
     chi = character(p, lam)
-    counts, product = reflection_product(chi, i, k)
+    ((counts, product),) = reflection_products(chi, [(i, k)])
     assert counts == counts_reference(chi, i, k)
     assert product == [p] + [0] * (chi.ring.degree - 1)
     rep = reflection_identity(chi, i, k)
@@ -179,7 +184,7 @@ def test_reflection_product_refuses_degenerate_indices(p, lam):
     chi = character(p, lam)
     for i, k in ((0, 1), (1, 0), (1, lam - 1), (lam, 2 * lam), (-1, 1 + lam)):
         with pytest.raises(ValueError, match="degenerate index"):
-            reflection_product(chi, i, k)
+            list(reflection_products(chi, [(i, k)]))
         with pytest.raises(ValueError, match="degenerate index"):
             reflection_identity(chi, i, k)
 
@@ -207,12 +212,15 @@ def test_reflection_product_reduces_tampered_counts(monkeypatch, p, lam, i, k):
     monkeypatch.setattr(charsum, "_counts", tampered)
     monkeypatch.setattr(cyclotomic.CyclotomicRing, "_reduce", counted)
     chi = character(p, lam)
-    counts, product = reflection_product(chi, i, k)
-    assert counts == tampered(chi, i, k)
-    assert reductions == [lam]
-    j = chi.ring.element([-c for c in counts])
-    assert product == reflection_reference(chi, j)["product"]
-    assert product != [p] + [0] * (chi.ring.degree - 1)
+    pairs = [(i, k), (k, i)]
+    results = list(reflection_products(chi, pairs))
+    # one reduction per tampered pair of the pass
+    assert reductions == [lam, lam]
+    for (a, b), (counts, product) in zip(pairs, results):
+        assert counts == tampered(chi, a, b)
+        j = chi.ring.element([-c for c in counts])
+        assert product == reflection_reference(chi, j)["product"]
+        assert product != [p] + [0] * (chi.ring.degree - 1)
 
 
 @pytest.mark.parametrize("p,lam,i,k", [(11, 5, 1, 1), (13, 12, 3, 4), (211, 210, 1, 7)])
@@ -234,7 +242,7 @@ def test_reflection_identity_sees_tampered_counts(monkeypatch, p, lam, i, k):
     counts = tampered(chi, i, k)
     j = chi.ring.element([-c for c in counts])
     # the tampered autocorrelation has no gcd-class form, so it is reduced
-    assert chi.ring.invariant_residue(polyint.autocorrelation(counts)) is None
+    assert chi.ring.invariant_residue(autocorrelation(counts)) is None
     assert rep["J"] == list(j.coeffs)
     assert rep["product"] == reflection_reference(chi, j)["product"]
     assert rep["holds"] is False
@@ -243,9 +251,82 @@ def test_reflection_identity_sees_tampered_counts(monkeypatch, p, lam, i, k):
 def test_reflection_identity_needs_a_rational_product(monkeypatch):
     # p + alpha has the right constant term but is not p
     chi = character(13, 12)
-    monkeypatch.setattr(polyint, "autocorrelation", lambda h: [13, 1] + [0] * 10)
+    real = charsum.reflection_products
+
+    def off_by_alpha(chi, pairs):
+        for counts, _ in real(chi, pairs):
+            yield counts, [13, 1] + [0] * (chi.ring.degree - 2)
+
+    monkeypatch.setattr(charsum, "reflection_products", off_by_alpha)
     rep = reflection_identity(chi, 3, 4)
     assert rep["product"][:2] == [13, 1] and rep["holds"] is False
+
+
+# (p, lam, the indices i of the pass, None for every one): at (211, 210)
+# four rows of every k, since the ring product of all 43,472 pairs takes
+# about half a minute
+PASS_CHARACTERS = [
+    (13, 12, None),
+    (31, 10, None),
+    (47, 46, None),
+    (211, 210, (1, 11, 105, 209)),
+]
+
+
+@pytest.mark.parametrize(
+    "p,lam,rows", PASS_CHARACTERS, ids=["13-12", "31-10", "47-46", "211-210-four-rows"]
+)
+def test_reflection_pass_matches_the_references_on_every_pair(p, lam, rows):
+    # one pass over a character's nondegenerate pairs, in order: the counts
+    # of each pair and its product, J times its conjugate in the ring
+    chi = character(p, lam)
+    pairs = [
+        (i, k)
+        for i in rows or range(1, lam)
+        for k in range(1, lam)
+        if (i + k) % lam
+    ]
+    results = list(reflection_products(chi, pairs))
+    assert len(results) == len(pairs)
+    for (i, k), (counts, product) in zip(pairs, results):
+        assert counts == counts_reference(chi, i, k), (i, k)
+        j = chi.ring.element([-c for c in counts])
+        assert product == reflection_reference(chi, j)["product"], (i, k)
+        assert product == [p] + [0] * (chi.ring.degree - 1)
+
+
+@pytest.mark.parametrize("p,lam", [(13, 12), (31, 10), (211, 210)])
+def test_reflection_pass_refuses_a_degenerate_pair_where_it_meets_it(p, lam):
+    # the pairs before it are yielded, then the pass raises the one-pair
+    # message
+    chi = character(p, lam)
+    pass_ = reflection_products(chi, [(1, 1), (2, 3), (1, lam - 1), (1, 2)])
+    assert next(pass_)[0] == counts_reference(chi, 1, 1)
+    assert next(pass_)[0] == counts_reference(chi, 2, 3)
+    with pytest.raises(ValueError, match=f"degenerate index: .* nonzero mod {lam}$"):
+        next(pass_)
+
+
+@pytest.mark.parametrize("moved", [-1, 1])
+@pytest.mark.parametrize("p,lam", [(13, 12), (47, 46), (211, 210)])
+def test_reflection_pass_refuses_counts_that_do_not_sum_to_p_minus_2(
+    monkeypatch, p, lam, moved
+):
+    # max(N) (p - 2) bounds every lag only when sum(N) = p - 2: one t more
+    # or fewer is refused before anything is packed
+    real = charsum._counts
+
+    def miscounted(chi, i, k):
+        counts = real(chi, i, k)
+        counts[counts.index(max(counts))] += moved
+        return counts
+
+    monkeypatch.setattr(charsum, "_counts", miscounted)
+    chi = character(p, lam)
+    with pytest.raises(ValueError, match=f"counts must sum to p - 2 = {p - 2}$"):
+        list(reflection_products(chi, [(1, 2)]))
+    with pytest.raises(ValueError, match="counts must sum to p - 2"):
+        reflection_identity(chi, 1, 2)
 
 
 def test_reflection_identity_reduces_once_and_multiplies_nothing(monkeypatch):

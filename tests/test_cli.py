@@ -1104,6 +1104,7 @@ CAP_TABLE = [
     ),
     # --enum-cap: the conductor's (lambda - 1)^2
     (["stickelberger", "--lambda", "101", "--p", "607"], 0, ""),
+    (["maps", "--lambda", "101", "--p", "607"], 0, ""),
     (["factor", "--lambda", "101", "a + 2"], 0, ""),
     (
         ["stickelberger", "--lambda", "103", "--p", "619"],

@@ -29,7 +29,7 @@ from kummerlab.exprparse import parse_element
 from kummerlab.idealprimes import enumerate_jacobi_maps
 from kummerlab.lattice import colon_relations, hnf, kernel_mod, mul_matrix
 from kummerlab import arith, polyint
-from kummerlab.polyint import autocorrelation, cyclotomic_polynomial, mul, resultant
+from kummerlab.polyint import cyclotomic_polynomial, mul, resultant
 from kummerlab.polymod import (
     factor_mod_p,
     gf_mod,
@@ -40,6 +40,7 @@ from kummerlab.polymod import (
 from kummerlab.quadorder import QuadOrder, dichotomy_check, enumerate_quad_maps
 from kummerlab.valuation import divides, factorize
 from reference import (
+    autocorrelation,
     colon,
     colon_extends_to,
     divmod_exact,

@@ -9,10 +9,11 @@ from kummerlab.arith import multiplicative_order, primes_below, valuation_int
 from kummerlab.charsum import character
 from kummerlab.cyclotomic import conjugate, cyclotomic_ring, gaussian_periods
 from kummerlab.ffield import image
-from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
-from kummerlab.lattice import IntLattice
+from kummerlab.idealprimes import JacobiMap, enumerate_jacobi_maps, map_for_root
+from kummerlab.lattice import IntLattice, kernel_mod
 from kummerlab.polyint import cyclotomic_polynomial
 from kummerlab.polymod import factor_mod_p, gf_mod, gf_mul, gf_pow_mod, gf_sub
+from kummerlab.quadorder import QuadOrder, enumerate_quad_maps
 from kummerlab.valuation import _lift_columns, kummer_prime
 from reference import (
     contains_lattice,
@@ -250,6 +251,45 @@ def test_maps_match_the_reference_rows_on_the_census_grid():
                 assert _coords(phi.xi, phi.f) == min(orbit)
                 rows = power_rows_reference(phi.xi, lam - 1, factor, p)
                 assert phi.columns == transpose(rows, phi.f)
+
+
+def test_table_maps_match_of_factor_at_every_residue_degree():
+    # every map of degree f > 1 (inert primes included) and every ramified
+    # one, read off one power table, against the map of_factor builds from
+    # the same factor by stepping the Frobenius orbit of X
+    pairs = [
+        (lam, p)
+        for lam in primes_below(42)[1:]
+        for p in primes_below(400)
+        if p == lam or multiplicative_order(p, lam) > 1
+    ] + [(101, 2), (101, 3), (101, 19)]
+    degrees = set()
+    for lam, p in pairs:
+        for phi in enumerate_jacobi_maps(lam, p):
+            ref = JacobiMap.of_factor(phi.ring, p, phi.factor)
+            assert (phi.f, phi.xi, phi.columns) == (ref.f, ref.xi, ref.columns)
+            degrees.add(phi.f)
+    assert {2, 3, 4, 5, 6, 10, 20, 25, 40, 100} <= degrees
+
+
+def test_kernel_is_kernel_mod_of_the_columns():
+    # the HNF read off the RREF of the columns, against the relation solve
+    # of kernel_mod, on maps of every residue degree and of quadratic orders
+    maps = [
+        phi
+        for lam in (3, 5, 7, 11, 13)
+        for p in primes_below(60)
+        for phi in enumerate_jacobi_maps(lam, p)
+    ]
+    maps += enumerate_jacobi_maps(41, 83) + enumerate_jacobi_maps(101, 607)[:3]
+    maps += [
+        phi
+        for u, v in ((0, 1), (1, 1), (0, 5), (1, 6), (3, -7))
+        for p in (2, 3, 5, 7, 13)
+        for phi in enumerate_quad_maps(QuadOrder(u, v), p)
+    ]
+    for phi in maps:
+        assert phi.kernel() == kernel_mod(list(zip(*phi.columns)), phi.p), phi
 
 
 def test_census_counts():

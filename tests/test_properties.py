@@ -29,7 +29,7 @@ from kummerlab.exprparse import parse_element, render_element
 from kummerlab.ffield import power_columns, vanishes
 from kummerlab.idealprimes import JacobiMap, enumerate_jacobi_maps, map_for_root
 from kummerlab.lattice import colon_relations, hnf, kernel_mod
-from kummerlab.polyint import KRONECKER_MIN_TERMS, autocorrelation, mul, trim
+from kummerlab.polyint import KRONECKER_MIN_TERMS, mul, trim
 from kummerlab.quadorder import (
     QuadOrder,
     _field_sqrt,
@@ -44,6 +44,7 @@ from kummerlab.valuation import (
     valuation_oracle,
 )
 from reference import (
+    autocorrelation,
     colon,
     colon_extends_to,
     counts_reference,
@@ -361,6 +362,24 @@ def test_power_columns_match_the_reference(f, data):
     factor = data.draw(st.lists(coeffs, min_size=f, max_size=f)) + [1]
     root = data.draw(st.lists(coeffs, max_size=2 * f))
     count = data.draw(st.integers(0, 24))
+    expected = transpose(power_rows_reference(root, count, factor, m), f)
+    assert power_columns(root, count, factor, m) == expected
+
+
+@pytest.mark.parametrize("f", [2, 3, 5, 8])
+@GENERATED
+@given(data=st.data())
+def test_power_columns_of_x_match_the_reference(f, data):
+    # the root X, written as X or as X plus a multiple of F, takes the
+    # shift-and-fold path: each power the last one times X, folded by F
+    p = data.draw(st.sampled_from([2, 3, 5, 11, 101]))
+    m = p ** data.draw(st.integers(1, 4))
+    coeffs = st.integers(-m, m)
+    factor = data.draw(st.lists(coeffs, min_size=f, max_size=f)) + [1]
+    k = data.draw(st.integers(-m, m))
+    root = [0, 1] + [0] * (f - 1)
+    root = [a + k * c for a, c in zip(root, factor)]
+    count = data.draw(st.integers(0, 3 * f + 3))
     expected = transpose(power_rows_reference(root, count, factor, m), f)
     assert power_columns(root, count, factor, m) == expected
 
