@@ -5,9 +5,9 @@ Their coordinates over the basis 1, X, ..., X^(f-1) of (Z/m)[X]/(F),
 f = deg F, form f columns of length n, and every read of the map is a dot
 product with those columns: image gives all f coordinates of one vector,
 vanishes asks whether a list of vectors all map to 0 and stops at the first
-nonzero coordinate.  The kernel of the map is the kernel of the transposed
-columns.  For m = p prime and F irreducible this is a map into the field
-F_{p^f}; at f = 1 the single column holds the integer powers of r mod m.
+nonzero coordinate.  For m = p prime and F irreducible this is a map into
+the field F_{p^f}, and its kernel is lattice.kernel_mod of the columns; at
+f = 1 the single column holds the integer powers of r mod m.
 """
 
 from operator import mul

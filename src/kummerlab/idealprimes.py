@@ -7,12 +7,13 @@ For a rational prime p, each irreducible factor P_j of the modulus mod p
 yields one map: the target field is F_p[X]/(P_j) itself and theta goes to
 a root of P_j in it.  Maps with equal kernels are identified; each map
 carries a canonical root label, the smallest element of the Frobenius
-orbit of its root.  A map is stored as the f F_p-coordinate columns of the
-powers of that root, and every read of it is ffield's: apply is image,
-and kills and quadorder.dichotomy_check's read of a colon ideal are
-vanishes, which stops at the first nonzero coordinate.  Its kernel's HNF
-is read off the RREF of the columns over F_p.  For Z[alpha], lam an odd
-prime, the kernel is a maximal ideal -- an ideal prime of p.
+orbit of its root.  A map is the f F_p-coordinate columns of the powers
+of that root and nothing else: its root is entry 1 of the columns, and
+every read of it is ffield's: apply is image, and kills and
+quadorder.dichotomy_check's read of a colon ideal are vanishes, which
+stops at the first nonzero coordinate.  Its kernel is lattice.kernel_mod
+of the columns.  For Z[alpha], lam an odd prime, the kernel is a maximal
+ideal -- an ideal prime of p.
 
 The maps of each (lam, p) are built once per process, in a bounded cache,
 and handed out as a tuple.  Every map of Z[alpha] is read off one power
@@ -24,8 +25,7 @@ w = z and s = k for the map alpha -> z^k, k = 1 .. lam-1.  For p = lam
 the one map is alpha -> 1 in F_lam, and t is all ones.  A map of degree
 f > 1 onto F_p[X]/(F) takes w = X (F divides X^lam - 1), t from
 ffield.power_columns, and X^s the least of the Frobenius orbit
-X^(p^j mod lam), j < f.  JacobiMap.of_factor, which steps that orbit by
-the matrix of x -> x^p, builds the maps of quadratic orders.
+X^(p^j mod lam), j < f.
 Maps of residue degree f > 1 come from Kummer's period congruences: with
 e = (lam-1)/f, p splits completely in the field of the e Gaussian periods
 of length f, so their period polynomial prod (Y - eta_i) has e roots u
@@ -44,15 +44,9 @@ from itertools import count
 from kummerlab.arith import is_prime, multiplicative_order
 from kummerlab.cyclotomic import cyclotomic_ring, gaussian_periods
 from kummerlab.ffield import image, power_columns, vanishes
-from kummerlab.lattice import IntLattice
+from kummerlab.lattice import IntLattice, kernel_mod
 from kummerlab.polyint import trim
-from kummerlab.polymod import (
-    factor_mod_p,
-    gf_gcd,
-    gf_mod,
-    gf_normalize,
-    gf_pow_mod,
-)
+from kummerlab.polymod import factor_mod_p, gf_gcd, gf_normalize
 
 
 class JacobiMap:
@@ -60,45 +54,25 @@ class JacobiMap:
 
     theta goes to xi, the canonical root.  The F_p-coordinates of
     xi^0 .. xi^(d-1), d = ring.degree, are the whole map; columns holds
-    them as the f length-d vectors that every read of the map dots.  The
-    constructor stores the fields as given; the maps of Z[alpha] read them
-    off a power table (_table_map), and of_factor, which builds the maps
-    of quadratic orders, derives them from F.
+    them as the f length-d vectors that every read of the map dots, and
+    xi is read off them.  The maps of Z[alpha] take their columns from a
+    power table (_table_map), those of quadratic orders from
+    ffield.power_columns of X (quadorder.enumerate_quad_maps).
     """
 
-    __slots__ = ("ring", "p", "f", "factor", "xi", "columns")
+    __slots__ = ("ring", "p", "f", "factor", "columns")
 
-    def __init__(
-        self,
-        ring,
-        p: int,
-        factor: tuple[int, ...],
-        xi: tuple[int, ...],
-        columns: list[list[int]],
-    ):
+    def __init__(self, ring, p: int, factor: tuple[int, ...], columns: list):
         self.ring = ring
         self.p = p
         self.factor = factor
         self.f = len(factor) - 1
-        self.xi = xi
         self.columns = columns
 
-    @classmethod
-    def of_factor(cls, ring, p: int, factor) -> "JacobiMap":
-        """The map onto F_p[X]/(F), theta going to the least root of F in
-        the Frobenius orbit of X, its columns read off ffield.power_columns."""
-        factor = tuple(factor)
-        f = len(factor) - 1
-        # the Frobenius orbit of X, stepped by the matrix of x -> x^p
-        x = gf_mod([0, 1], factor, p)
-        orbit = [tuple(x + [0] * (f - len(x)))]
-        if f > 1:
-            x_p = gf_pow_mod([0, 1], p, factor, p)
-            frobenius = power_columns(x_p, f, factor, p)
-            for _ in range(f - 1):
-                orbit.append(image(orbit[-1], frobenius, p))
-        xi = tuple(trim(list(min(orbit))))
-        return cls(ring, p, factor, xi, power_columns(xi, ring.degree, factor, p))
+    @property
+    def xi(self) -> tuple[int, ...]:
+        """theta's image, the coordinates of xi^1 without trailing zeros."""
+        return tuple(trim([column[1] for column in self.columns]))
 
     def _check_ring(self, x) -> None:
         if x.ring != self.ring:
@@ -115,37 +89,9 @@ class JacobiMap:
         return vanishes((x.coeffs,), self.columns, self.p)
 
     def kernel(self) -> IntLattice:
-        """The kernel of the map in HNF, built on each call.
-
-        Row reduction of the columns mod p, pivots taken from the right,
-        gives the HNF: its diagonal is p at the pivots and 1 elsewhere,
-        where the column entries lie in the span of those to the right.
-        A pivot's reduced row is 1 there, 0 at the other pivots and at the
-        free positions right of it, so a free position i has the row e_i
-        minus, at each pivot j > i, row j's entry at i, mod p.
-        """
-        p, d = self.p, self.ring.degree
-        todo = [[a % p for a in column] for column in self.columns]
-        pivots = []  # (position, row): the reduced rows
-        for j in range(d - 1, -1, -1):
-            at = next((n for n, row in enumerate(todo) if row[j]), None)
-            if at is None:
-                continue
-            row = todo.pop(at)
-            inverse = pow(row[j], -1, p)
-            row = [a * inverse % p for a in row]
-            for other in todo + [r for _, r in pivots]:
-                c = other[j]
-                if c:
-                    other[:] = [(a - c * b) % p for a, b in zip(other, row)]
-            pivots.append((j, row))
-        rows = [[int(i == j) for j in range(d)] for i in range(d)]
-        for j, row in pivots:
-            rows[j][j] = p
-            for i in range(j):
-                rows[i][j] = -row[i] % p
-        lattice = IntLattice(rows)
-        if lattice.index() != p**self.f:
+        """The kernel of the map in HNF, built on each call."""
+        lattice = kernel_mod(self.columns, self.p)
+        if lattice.index() != self.p**self.f:
             raise AssertionError("kernel index must be p^f")
         return lattice
 
@@ -231,9 +177,8 @@ def _table_map(ring, p: int, factor, table, s: int) -> JacobiMap:
     w^(sj mod lam), so every column is read off the table."""
     lam = ring.n
     steps = [s * j % lam for j in range(lam - 1)]
-    xi = tuple(trim([column[s] for column in table]))
     columns = [[column[r] for r in steps] for column in table]
-    return JacobiMap(ring, p, tuple(factor), xi, columns)
+    return JacobiMap(ring, p, tuple(factor), columns)
 
 
 def _period_factors(ring, p: int, f: int) -> list[tuple[int, ...]]:

@@ -14,6 +14,8 @@ solve of a fraction num/den gives both of its colon ideals: the relations
 (x | y) with x * num + y * den = 0 have x-halves spanning (den : num) and
 y-halves spanning (num : den).  quadorder.dichotomy_check, the one caller
 of colon_relations, reads both halves against each Jacobi map's columns.
+A kernel mod a prime needs no relation solve: kernel_mod writes its HNF
+off one row reduction of the columns over F_p.
 """
 
 from operator import mul
@@ -161,9 +163,35 @@ def _relations(nmat, target_rows) -> list[list[int]]:
     return [transform[r] for r in range(total) if not any(stacked[r])]
 
 
-def kernel_mod(nmat: list[list[int]], q: int) -> IntLattice:
-    """The lattice {x in Z^d : x @ N == 0 mod q} for a d x m integer N: the
-    first d entries of the relations of [N; q I]."""
-    d, m = len(nmat), len(nmat[0])
-    target = [[q * int(i == j) for j in range(m)] for i in range(m)]
-    return IntLattice([r[:d] for r in _relations(nmat, target)])
+def kernel_mod(columns: list[list[int]], p: int) -> IntLattice:
+    """The lattice {x in Z^d : x . c == 0 mod p for every column c}, p prime,
+    for m columns of length d.
+
+    Row reduction of the columns mod p, pivots taken from the right, gives
+    the HNF: its diagonal is p at the pivots and 1 elsewhere, where the
+    column entries lie in the span of those to the right.  A pivot's
+    reduced row is 1 there, 0 at the other pivots and at the positions
+    right of it, so a free position i has the row e_i minus, at each
+    pivot j > i, row j's entry at i, mod p.
+    """
+    d = len(columns[0])
+    todo = [[a % p for a in column] for column in columns]
+    pivots = []  # (position, row): the reduced rows
+    for j in range(d - 1, -1, -1):
+        at = next((n for n, row in enumerate(todo) if row[j]), None)
+        if at is None:
+            continue
+        row = todo.pop(at)
+        inverse = pow(row[j], -1, p)
+        row = [a * inverse % p for a in row]
+        for other in todo + [r for _, r in pivots]:
+            c = other[j]
+            if c:
+                other[:] = [(a - c * b) % p for a, b in zip(other, row)]
+        pivots.append((j, row))
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    for j, row in pivots:
+        rows[j][j] = p
+        for i in range(j):
+            rows[i][j] = -row[i] % p
+    return IntLattice(rows)

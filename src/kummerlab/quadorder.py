@@ -5,14 +5,15 @@ order is Z + Z theta.  A QuadOrder is a ring in the sense the cyclotomic
 ring is (degree, modulus, _reduce, element, symbol); _reduce is one Horner
 loop, which refuses a parsed residue that outgrows the parser's cap.  Its
 elements are cyclotomic.CyclotomicElement objects, so its reduction maps
-onto finite fields are idealprimes.JacobiMap objects, built by
-JacobiMap.of_factor from the factors of the modulus mod p.  For a non-maximal order the maps at primes dividing
-the conductor fail to extend to fractions in either direction, Gauss's Lemma
-for monic polynomials fails, and prime-ideal powers collapse (p^2 = (2) p
-without p = (2) in Z[sqrt(-3)]).  dichotomy_check is the one definedness
-read, for Z[alpha] and quadratic orders alike: it refuses maps and
-elements of different rings, solves once per fraction for the colon rows
-of both directions, and reads each half against each map's columns.
+onto finite fields are idealprimes.JacobiMap objects: theta goes to X in
+F_p[X]/(F), F a factor of the modulus mod p, and the map is the columns of
+ffield.power_columns of X.  For a non-maximal order the maps at primes
+dividing the conductor fail to extend to fractions in either direction,
+Gauss's Lemma for monic polynomials fails, and prime-ideal powers collapse
+(p^2 = (2) p without p = (2) in Z[sqrt(-3)]).  dichotomy_check is the one
+definedness read, for Z[alpha] and quadratic orders alike: it refuses maps
+and elements of different rings, solves once per fraction for the colon
+rows of both directions, and reads each half against each map's columns.
 """
 
 import json
@@ -22,7 +23,7 @@ from importlib import resources
 from kummerlab.arith import exact_sqrt, is_prime, squarefree_decomposition
 from kummerlab.cyclotomic import CyclotomicElement
 from kummerlab.exprparse import COEFFICIENT_BOUND, MAX_COEFFICIENT_DIGITS
-from kummerlab.ffield import vanishes
+from kummerlab.ffield import power_columns, vanishes
 from kummerlab.idealprimes import JacobiMap
 from kummerlab.lattice import colon_relations, hnf, mul_matrix
 from kummerlab.polymod import factor_mod_p
@@ -82,11 +83,16 @@ class QuadOrder:
 def enumerate_quad_maps(order: QuadOrder, p: int) -> list[JacobiMap]:
     """One map per root of the modulus mod p (a repeated root yields a
     single map), or one degree-2 map when it stays irreducible, in
-    factor_mod_p's order."""
+    factor_mod_p's order.  theta goes to X, the least of its Frobenius
+    orbit {X, -u - X}: at degree 2 its coordinates (0, 1) could tie with
+    (-u mod p, p - 1) only at p = 2, u even, where T^2 + v is reducible."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     factored = factor_mod_p(list(order.modulus), p)
-    return [JacobiMap.of_factor(order, p, fac) for fac, _ in factored]
+    return [
+        JacobiMap(order, p, tuple(fac), power_columns([0, 1], 2, fac, p))
+        for fac, _ in factored
+    ]
 
 
 def dichotomy_check(

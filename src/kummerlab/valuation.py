@@ -130,7 +130,8 @@ def find_uniformizer(phi: JacobiMap) -> KummerPrime:
       taken in (-q/2, q/2];
     - otherwise psi = sum x_k eta_k with residues (0, 1, ..., 1) at the e
       conjugate primes of q in the period field, whose u-vectors are the
-      rotations of u.  x comes from one kernel_mod call: the circulant of
+      rotations of u.  x comes from one kernel_mod call, the first row of
+      the kernel mod q of the e columns of that system: the circulant of
       u is invertible mod q because q splits completely in the period field.
     At f > 1, Psi and the norm psi * Psi come from one walk up the period
     system's subgroup tower.  If q^2 divides the norm, psi + q is taken
@@ -154,11 +155,11 @@ def find_uniformizer(phi: JacobiMap) -> KummerPrime:
         if u.count(u[0]) == 1:
             psi = system.periods[0] - (u[0] - q if 2 * u[0] > q else u[0])
         else:
-            # y = (1, x) with y N = 0 mod q: row 0 puts -1 = q - 1 in every
-            # column but the first, row k + 1 is x_k's residue at each prime.
-            rows = [[0] + [q - 1] * (e - 1)]
-            rows += [[u[(k + l) % e] for l in range(e)] for k in range(e)]
-            x = kernel_mod(rows, q).rows[0][1:]
+            # y = (1, x) with y . c = 0 mod q for each column c: column l
+            # is -1 = q - 1 (0 at l = 0), then the periods' residues at the
+            # l-th prime, so that psi's residue there is 1 (0 at l = 0).
+            columns = [[q - 1 if l else 0, *u[l:], *u[:l]] for l in range(e)]
+            x = kernel_mod(columns, q).rows[0][1:]
             psi = sum((c * eta for c, eta in zip(x, system.periods)), ring.zero())
         nval, big_psi = _norm_and_cofactor(psi, system.norm_schedule)
         if nval % (q * q) == 0:

@@ -15,6 +15,8 @@ from kummerlab.arith import (
 )
 from kummerlab.charsum import character, jacobi_sum
 from kummerlab.cyclotomic import conjugate, gaussian_periods
+from kummerlab.ffield import image, power_columns
+from kummerlab.idealprimes import JacobiMap
 from kummerlab.lattice import IntLattice, _relations, mul_matrix
 from kummerlab.polyint import (
     degree,
@@ -190,6 +192,34 @@ def colon(lattice: IntLattice, v, order) -> IntLattice:
         raise ValueError("dimension mismatch")
     nmat = mul_matrix(order, v)
     return IntLattice([r[: len(v)] for r in _relations(nmat, lattice.rows)])
+
+
+def kernel_mod(nmat: list[list[int]], q: int) -> IntLattice:
+    """The lattice {x in Z^d : x @ N == 0 mod q} for a d x m integer N and
+    any q >= 1: the first d entries of the relations of [N; q I].  The
+    reference for lattice.kernel_mod, which takes the columns of N and a
+    prime q and row-reduces them over F_q."""
+    d, m = len(nmat), len(nmat[0])
+    target = [[q * int(i == j) for j in range(m)] for i in range(m)]
+    return IntLattice([r[:d] for r in _relations(nmat, target)])
+
+
+def map_of_factor(ring, p: int, factor) -> JacobiMap:
+    """The map onto F_p[X]/(F), theta going to the least root of F in the
+    Frobenius orbit of X, stepped by the matrix of x -> x^p: the reference
+    for the maps read off a power table (Z[alpha]) and off the powers of X
+    (quadratic orders)."""
+    factor = tuple(factor)
+    f = len(factor) - 1
+    x = gf_mod([0, 1], factor, p)
+    orbit = [tuple(x + [0] * (f - len(x)))]
+    if f > 1:
+        x_p = gf_pow_mod([0, 1], p, factor, p)
+        frobenius = power_columns(x_p, f, factor, p)
+        for _ in range(f - 1):
+            orbit.append(image(orbit[-1], frobenius, p))
+    xi = trim(list(min(orbit)))
+    return JacobiMap(ring, p, factor, power_columns(xi, ring.degree, factor, p))
 
 
 def lattice_contains(lattice: IntLattice, vec) -> bool:

@@ -168,28 +168,22 @@ def test_acceptance_criterion_12_determinism():
 
 
 # Run in a fresh interpreter, with the package root as argv[1]: counts the
-# JacobiMaps constructed, the Teichmueller lifts raised (the only
-# gf_pow_mod of valuation) and the maps of Z[alpha] that of_factor builds
-# during a cold `reproduce --json`.
+# JacobiMaps constructed and the Teichmueller lifts raised (the only
+# gf_pow_mod of valuation) during a cold `reproduce --json`.
 _WORK_COUNTS = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
-from kummerlab import cli, cyclotomic, idealprimes, valuation
-counts = {"maps": 0, "lifts": 0, "of_factor": 0}
+from kummerlab import cli, idealprimes, valuation
+counts = {"maps": 0, "lifts": 0}
 construct, power = idealprimes.JacobiMap.__init__, valuation.gf_pow_mod
-of_factor = idealprimes.JacobiMap.of_factor.__func__
 def counted_construct(self, *args):
     counts["maps"] += 1
     construct(self, *args)
 def counted_power(*args):
     counts["lifts"] += 1
     return power(*args)
-def counted_of_factor(cls, ring, *args):
-    counts["of_factor"] += isinstance(ring, cyclotomic.CyclotomicRing)
-    return of_factor(cls, ring, *args)
 idealprimes.JacobiMap.__init__ = counted_construct
 valuation.gf_pow_mod = counted_power
-idealprimes.JacobiMap.of_factor = classmethod(counted_of_factor)
 with contextlib.redirect_stdout(io.StringIO()):
     counts["exit"] = cli.main(["reproduce", "--json"])
 print(json.dumps(counts))
@@ -207,12 +201,7 @@ def test_cold_reproduce_builds_each_map_and_lift_once():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert json.loads(proc.stdout) == {
-        "maps": 896,
-        "lifts": 131,
-        "of_factor": 0,
-        "exit": 0,
-    }
+    assert json.loads(proc.stdout) == {"maps": 896, "lifts": 131, "exit": 0}
 
 
 def test_reproduce_trace_leaves_stdout_alone(tmp_path, capsys):

@@ -27,7 +27,8 @@ from kummerlab.arith import (
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element
 from kummerlab.idealprimes import enumerate_jacobi_maps
-from kummerlab.lattice import colon_relations, hnf, kernel_mod, mul_matrix
+from kummerlab import lattice
+from kummerlab.lattice import colon_relations, hnf, mul_matrix
 from kummerlab import arith, polyint
 from kummerlab.polyint import cyclotomic_polynomial, mul, resultant
 from kummerlab.polymod import (
@@ -44,6 +45,7 @@ from reference import (
     colon,
     colon_extends_to,
     divmod_exact,
+    kernel_mod,
     lattice_contains,
     principal_lattice,
     standard_lattice,
@@ -963,6 +965,8 @@ def test_kernel_mod():
     assert lattice_contains(lat, [8, 1])
     assert lattice_contains(lat, [11, 0])
     assert not lattice_contains(lat, [1, 0])
+    # the library's one column (1, 3), row-reduced over F_11
+    assert lattice.kernel_mod([[1, 3]], 11) == lat
 
 
 def _box(d, r):
@@ -993,3 +997,5 @@ def test_colon_and_kernel_mod_generated():
         for x in _box(d, 3):
             image = [sum(x[i] * nmat[i][k] for i in range(d)) for k in range(m)]
             assert lattice_contains(lat, x) == all(c % q == 0 for c in image)
+        if is_prime(q):  # the library's kernel: N's columns over F_q
+            assert lattice.kernel_mod([list(c) for c in zip(*nmat)], q) == lat

@@ -5,19 +5,21 @@ import random
 import pytest
 
 from kummerlab import charsum, idealprimes
-from kummerlab.arith import multiplicative_order, primes_below, valuation_int
+from kummerlab.arith import exact_sqrt, multiplicative_order, primes_below, valuation_int
 from kummerlab.charsum import character
 from kummerlab.cyclotomic import conjugate, cyclotomic_ring, gaussian_periods
 from kummerlab.ffield import image
-from kummerlab.idealprimes import JacobiMap, enumerate_jacobi_maps, map_for_root
-from kummerlab.lattice import IntLattice, kernel_mod
+from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
+from kummerlab.lattice import IntLattice
 from kummerlab.polyint import cyclotomic_polynomial
 from kummerlab.polymod import factor_mod_p, gf_mod, gf_mul, gf_pow_mod, gf_sub
 from kummerlab.quadorder import QuadOrder, enumerate_quad_maps
 from kummerlab.valuation import _lift_columns, kummer_prime
 from reference import (
     contains_lattice,
+    kernel_mod,
     lattice_contains,
+    map_of_factor,
     power_rows_reference,
     standard_lattice,
     transpose,
@@ -255,26 +257,42 @@ def test_maps_match_the_reference_rows_on_the_census_grid():
 
 def test_table_maps_match_of_factor_at_every_residue_degree():
     # every map of degree f > 1 (inert primes included) and every ramified
-    # one, read off one power table, against the map of_factor builds from
-    # the same factor by stepping the Frobenius orbit of X
+    # one, read off one power table, and every map of a quadratic order,
+    # read off the powers of X, against the map built from the same factor
+    # by stepping the Frobenius orbit of X
     pairs = [
         (lam, p)
         for lam in primes_below(42)[1:]
         for p in primes_below(400)
         if p == lam or multiplicative_order(p, lam) > 1
     ] + [(101, 2), (101, 3), (101, 19)]
-    degrees = set()
-    for lam, p in pairs:
-        for phi in enumerate_jacobi_maps(lam, p):
-            ref = JacobiMap.of_factor(phi.ring, p, phi.factor)
-            assert (phi.f, phi.xi, phi.columns) == (ref.f, ref.xi, ref.columns)
-            degrees.add(phi.f)
+    maps = [phi for lam, p in pairs for phi in enumerate_jacobi_maps(lam, p)]
+    quad_maps = [
+        phi
+        for u in range(-6, 7)
+        for v in range(-6, 7)
+        if exact_sqrt(u * u - 4 * v) is None
+        for p in primes_below(60)
+        for phi in enumerate_quad_maps(QuadOrder(u, v), p)
+    ]
+    assert len(quad_maps) == 3020
+    degrees, roots = set(), set()
+    for phi in maps + quad_maps:
+        ref = map_of_factor(phi.ring, phi.p, phi.factor)
+        assert (phi.f, phi.xi, phi.columns) == (ref.f, ref.xi, ref.columns), phi
+        degrees.add(phi.f)
+    for phi in quad_maps:
+        roots.add((phi.f, phi.xi == (), phi.ring.disc % phi.p == 0))
     assert {2, 3, 4, 5, 6, 10, 20, 25, 40, 100} <= degrees
+    # degree 2, and degree 1 at a root 0 or not, repeated or not
+    assert {(2, False, False), (1, True, True), (1, True, False)} <= roots
+    assert {(1, False, True), (1, False, False)} <= roots
 
 
 def test_kernel_is_kernel_mod_of_the_columns():
     # the HNF read off the RREF of the columns, against the relation solve
-    # of kernel_mod, on maps of every residue degree and of quadratic orders
+    # of the reference kernel_mod, on maps of every residue degree and of
+    # quadratic orders
     maps = [
         phi
         for lam in (3, 5, 7, 11, 13)

@@ -27,8 +27,8 @@ from kummerlab.charsum import _counts, character
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element, render_element
 from kummerlab.ffield import power_columns, vanishes
-from kummerlab.idealprimes import JacobiMap, enumerate_jacobi_maps, map_for_root
-from kummerlab.lattice import colon_relations, hnf, kernel_mod
+from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
+from kummerlab.lattice import colon_relations, hnf
 from kummerlab.polyint import KRONECKER_MIN_TERMS, mul, trim
 from kummerlab.quadorder import (
     QuadOrder,
@@ -51,8 +51,10 @@ from reference import (
     divisibility_step,
     divmod_exact,
     field_sqrt_reference,
+    kernel_mod,
     lattice_contains,
     lift_by_power_chain,
+    map_of_factor,
     power_rows_reference,
     principal_lattice,
     reduce_from_top,
@@ -278,10 +280,6 @@ ROOT_TABLE_PRIMES = [
 ] + [(101, 607)]
 
 
-def _by_power_columns(phi):
-    return JacobiMap.of_factor(phi.ring, phi.p, phi.factor)
-
-
 def test_root_table_builds_the_power_column_maps():
     # Jacobi's root table against each map rebuilt from its factor through
     # ffield.power_columns; the factors are X - r over lam - 1 distinct
@@ -292,7 +290,7 @@ def test_root_table_builds_the_power_column_maps():
         assert len(factors) == lam - 1 and factors == sorted(set(factors))
         for phi in maps:
             assert sum(pow(phi.xi[0], j, p) for j in range(lam)) % p == 0
-            ref = _by_power_columns(phi)
+            ref = map_of_factor(phi.ring, p, phi.factor)
             assert (phi.factor, phi.xi, phi.columns) == (ref.factor, ref.xi, ref.columns)
 
 
@@ -305,7 +303,7 @@ def test_root_table_maps_read_like_power_column_maps(data):
     lam, p = data.draw(st.sampled_from(ROOT_TABLE_PRIMES))
     maps = enumerate_jacobi_maps(lam, p)
     phi = data.draw(st.sampled_from(maps))
-    ref = _by_power_columns(phi)
+    ref = map_of_factor(phi.ring, p, phi.factor)
     ring = phi.ring
 
     def vector():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from kummerlab import quadorder, valuation
-from kummerlab.arith import primes_below, valuation_int
+from kummerlab.arith import multiplicative_order, primes_below, valuation_int
 from kummerlab.cyclotomic import (
     CyclotomicElement,
     PeriodSystem,
@@ -15,8 +15,13 @@ from kummerlab.cyclotomic import (
     gaussian_periods,
     norm,
 )
-from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
+from kummerlab.idealprimes import (
+    _period_polynomial,
+    enumerate_jacobi_maps,
+    map_for_root,
+)
 from kummerlab.lattice import IntLattice
+from kummerlab.polyint import resultant
 from kummerlab.valuation import (
     KummerPrime,
     divides,
@@ -29,6 +34,7 @@ from kummerlab.valuation import (
 )
 from reference import (
     divisibility_step,
+    kernel_mod,
     lattice_contains,
     quotient_by_conjugates,
     standard_lattice,
@@ -374,8 +380,52 @@ def _all_kummer_primes(lam, bound):
 
 
 # Primes at which u_0 repeats in some map's u-vector, so that psi comes from
-# kernel_mod, and psi + q is needed for some of those maps.
+# the circulant branch's kernel_mod over F_q, and psi + q is needed for some
+# of those maps; test_circulant_branch_below_44 takes every such pair with
+# lam < 44 and q < 700.
 REPEATED_U0_PRIMES = {13: [3], 19: [7, 11]}
+
+
+def test_circulant_branch_below_44():
+    # every map of f > 1 with a repeated u_0 for lam < 44 and q < 700: psi
+    # is sum x_k eta_k, or psi + q, with x the first row of the kernel of
+    # y N = 0 mod q, y = (1, x), by the relation solve; below lam = 32 the
+    # multiplicity of a few elements and of psi matches the oracle's.  u_0
+    # repeats exactly where the period polynomial P has a repeated root mod
+    # q, so q divides its discriminant Res(P, P')
+    maps = []
+    for lam in primes_below(44)[1:]:
+        for q in primes_below(700):
+            f = multiplicative_order(q, lam) if q != lam else 1
+            if f == 1 or f == lam - 1:
+                continue
+            poly = list(_period_polynomial(lam, (lam - 1) // f)[0])
+            if resultant(poly, [k * c for k, c in enumerate(poly)][1:]) % q:
+                continue
+            for phi in enumerate_jacobi_maps(lam, q):
+                u = phi.period_residues()
+                if u.count(u[0]) > 1:
+                    maps.append(phi)
+    pairs = {(phi.ring.n, phi.p) for phi in maps}
+    assert (len(maps), len(pairs)) == (67, 26)
+    assert {(13, 3), (19, 7), (19, 11), (31, 2), (41, 3), (43, 2)} <= pairs
+    shifts = set()
+    for phi in maps:
+        K = find_uniformizer(phi)
+        lam, q = phi.ring.n, phi.p
+        system = gaussian_periods(lam, (lam - 1) // phi.f)
+        u, e = phi.period_residues(), len(system.periods)
+        rows = [[0] + [q - 1] * (e - 1)]
+        rows += [[u[(k + l) % e] for l in range(e)] for k in range(e)]
+        x = kernel_mod(rows, q).rows[0][1:]
+        psi = sum((c * eta for c, eta in zip(x, system.periods)), phi.ring.zero())
+        assert K.psi in (psi, psi + q), phi
+        shifts.add(K.psi == psi + q)
+        if lam < 32:
+            drawn = _elements(lam, 3, RNG_SEED + q)
+            for y in drawn + [g * K.psi for g in drawn] + [K.psi, K.psi * K.psi]:
+                assert multiplicity(y, K) == valuation_oracle(y, phi), (phi, y)
+    assert shifts == {False, True}
 
 
 @pytest.mark.parametrize("lam", [3, 5, 7, 13, 19])
