@@ -16,7 +16,7 @@ from kummerlab.cyclotomic import (
     norm,
 )
 from kummerlab.idealprimes import JacobiMap, enumerate_jacobi_maps
-from kummerlab.lattice import IntLattice, hnf
+from kummerlab.lattice import IntLattice
 from kummerlab.valuation import (
     KummerPrime,
     divides,
@@ -39,7 +39,6 @@ __all__ = [
     "JacobiMap",
     "enumerate_jacobi_maps",
     "IntLattice",
-    "hnf",
     "KummerPrime",
     "divides",
     "factorize",

@@ -21,11 +21,11 @@ table: w^lam = 1 in its field, alpha goes to w^s, and the table t of
 w^0 .. w^(lam-1) sends alpha^j to t[sj mod lam].  Degree-1 maps are
 constructed as Jacobi did, without factoring: for p = 1 mod lam,
 z = a^((p-1)/lam) mod p with a >= 2 least such that z != 1 has order lam,
-w = z and s = k for the map alpha -> z^k, k = 1 .. lam-1.  For p = lam
-the one map is alpha -> 1 in F_lam, and t is all ones.  A map of degree
-f > 1 onto F_p[X]/(F) takes w = X (F divides X^lam - 1), t from
-ffield.power_columns, and X^s the least of the Frobenius orbit
-X^(p^j mod lam), j < f.
+w = z, s = k for the map alpha -> z^k, k = 1 .. lam-1, and t the powers
+of z.  For p = lam the one map is alpha -> 1 in F_lam, and t is all ones.
+A map of degree f > 1 onto F_p[X]/(F) takes w = X (F divides X^lam - 1)
+and X^s the least of the Frobenius orbit X^(p^j mod lam), j < f.  Both
+tables come from ffield.power_columns.
 Maps of residue degree f > 1 come from Kummer's period congruences: with
 e = (lam-1)/f, p splits completely in the field of the e Gaussian periods
 of length f, so their period polynomial prod (Y - eta_i) has e roots u
@@ -164,10 +164,8 @@ def enumerate_jacobi_maps(lam: int, p: int) -> tuple[JacobiMap, ...]:
     # Jacobi's root: z^lam = a^(p-1) = 1 and z != 1, so z has order lam
     powers = (pow(a, (p - 1) // lam, p) for a in count(2))
     z = next(w for w in powers if w != 1)
-    table = [1]
-    for _ in range(lam - 1):
-        table.append(table[-1] * z % p)
-    maps = [_table_map(ring, p, (p - table[k], 1), [table], k) for k in range(1, lam)]
+    table = power_columns([z], lam, (p - z, 1), p)
+    maps = [_table_map(ring, p, (p - table[0][k], 1), table, k) for k in range(1, lam)]
     return tuple(sorted(maps, key=lambda phi: phi.factor))
 
 

@@ -12,7 +12,9 @@ the rows v * theta^i, i < d, so x -> x @ M is multiplication by v.  Ideal
 products and the colon ideals ask nothing else of the ring.  One relation
 solve of a fraction num/den gives both of its colon ideals: the relations
 (x | y) with x * num + y * den = 0 have x-halves spanning (den : num) and
-y-halves spanning (num : den).  quadorder.dichotomy_check, the one caller
+y-halves spanning (num : den).  The solve triangularizes the augmented
+matrix [[N; T] | I] on its first d columns, and the relations are the right
+parts of the rows past the rank.  quadorder.dichotomy_check, the one caller
 of colon_relations, reads both halves against each Jacobi map's columns.
 A kernel mod a prime needs no relation solve: kernel_mod writes its HNF
 off one row reduction of the columns over F_p.
@@ -21,15 +23,15 @@ off one row reduction of the columns over F_p.
 from operator import mul
 
 
-def _triangularize(rows: list[list[int]], transform: list[list[int]] | None):
-    """In-place upper triangularization by unimodular row operations.
+def _triangularize(rows: list[list[int]], width: int) -> int:
+    """Row echelon form of the first ``width`` columns, in place, by
+    unimodular row operations; the entries past ``width`` ride along.
 
-    Returns the list of pivot row indices per column (None if no pivot).
+    Returns the rank r: rows[:r] hold the pivots, each positive, and
+    rows[r:] are zero on the first ``width`` columns.
     """
-    n = len(rows[0])
     cur = 0
-    pivots: list[int | None] = []
-    for col in range(n):
+    for col in range(width):
         # Euclidean elimination within column `col` on rows cur..end.
         while True:
             best = None
@@ -39,31 +41,21 @@ def _triangularize(rows: list[list[int]], transform: list[list[int]] | None):
                 ):
                     best = r
             if best is None:
-                pivots.append(None)
                 break
             rows[cur], rows[best] = rows[best], rows[cur]
-            if transform is not None:
-                transform[cur], transform[best] = transform[best], transform[cur]
             done = True
             for r in range(cur + 1, len(rows)):
                 if rows[r][col] != 0:
                     q = rows[r][col] // rows[cur][col]
                     rows[r] = [a - q * b for a, b in zip(rows[r], rows[cur])]
-                    if transform is not None:
-                        transform[r] = [
-                            a - q * b for a, b in zip(transform[r], transform[cur])
-                        ]
                     if rows[r][col] != 0:
                         done = False
             if done:
                 if rows[cur][col] < 0:
                     rows[cur] = [-a for a in rows[cur]]
-                    if transform is not None:
-                        transform[cur] = [-a for a in transform[cur]]
-                pivots.append(cur)
                 cur += 1
                 break
-    return pivots
+    return cur
 
 
 def _reduce_above(rows: list[list[int]], rank: int) -> None:
@@ -87,8 +79,7 @@ class IntLattice:
         self.dim = len(rows[0])
         if any(len(r) != self.dim for r in rows):
             raise ValueError("generators have mixed dimensions")
-        pivots = _triangularize(rows, None)
-        if any(p is None for p in pivots):
+        if _triangularize(rows, self.dim) < self.dim:
             raise ValueError("generators do not span a full-rank lattice")
         rows = rows[: self.dim]
         _reduce_above(rows, self.dim)
@@ -121,11 +112,6 @@ class IntLattice:
         return f"IntLattice({[list(r) for r in self.rows]})"
 
 
-def hnf(rows) -> IntLattice:
-    """Canonical Hermite normal form of a full-rank generating set."""
-    return IntLattice(rows)
-
-
 def mul_matrix(order, v) -> list[tuple[int, ...]]:
     """Coordinate rows of v * theta^i, i < order.degree: row i + 1 is row i
     shifted one place and reduced."""
@@ -153,14 +139,17 @@ def colon_relations(num, den, order) -> list[list[int]]:
 def _relations(nmat, target_rows) -> list[list[int]]:
     """Generators (x | y) of the relations x @ N + y @ T = 0.
 
-    The transform rows that clear the stacked matrix [N; T] are exactly
-    these relations: the HNF with transform of Cohen, GTM 138, ch. 2.
+    The rows [N_i | e_i] and [T_j | e_(d+j)] of the augmented matrix
+    [[N; T] | I] stay of the form [v @ [N; T] | v] under row operations,
+    so once their first d columns are triangularized, the right parts of
+    the rows past the rank are the relations: the HNF with transform of
+    Cohen, GTM 138, section 2.4.
     """
-    stacked = [list(r) for r in nmat] + [list(r) for r in target_rows]
-    total = len(stacked)
-    transform = [[int(i == j) for j in range(total)] for i in range(total)]
-    _triangularize(stacked, transform)
-    return [transform[r] for r in range(total) if not any(stacked[r])]
+    stacked = [*nmat, *target_rows]
+    width, total = len(stacked[0]), len(stacked)
+    rows = [[*r, *(int(i == j) for j in range(total))] for i, r in enumerate(stacked)]
+    rank = _triangularize(rows, width)
+    return [row[width:] for row in rows[rank:]]
 
 
 def kernel_mod(columns: list[list[int]], p: int) -> IntLattice:

@@ -25,7 +25,7 @@ from kummerlab.cyclotomic import CyclotomicElement
 from kummerlab.exprparse import COEFFICIENT_BOUND, MAX_COEFFICIENT_DIGITS
 from kummerlab.ffield import power_columns, vanishes
 from kummerlab.idealprimes import JacobiMap
-from kummerlab.lattice import colon_relations, hnf, mul_matrix
+from kummerlab.lattice import IntLattice, colon_relations, mul_matrix
 from kummerlab.polymod import factor_mod_p
 
 _CARRY_LIMIT = 4 * COEFFICIENT_BOUND  # |b| >= 2(2X + S) is |b| - 2S >= 4X
@@ -138,8 +138,8 @@ def prime_square_anomaly() -> dict:
     minimal polynomial stays irreducible mod 2, so (2) is itself prime.
     """
     order = QuadOrder(0, 3)
-    two = hnf(mul_matrix(order, [2, 0]))
-    p_ideal = hnf([[2, 0], [1, 1], [0, 2], [-3, 1]])
+    two = IntLattice(mul_matrix(order, [2, 0]))
+    p_ideal = IntLattice([[2, 0], [1, 1], [0, 2], [-3, 1]])
     p_squared = p_ideal.product(p_ideal, order)
     two_p = two.product(p_ideal, order)
     maximal = QuadOrder(-1, 1)

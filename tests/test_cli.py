@@ -1061,6 +1061,7 @@ _TOO_LONG = "has a coefficient of more than 4000 digits"
 _QUAD_B2 = ["quad", "--theta", f"{_U},7", "check-b2", "--p", "3"]
 _FACTOR_3 = ["factor", "--lambda", "3"]
 _BELOW_10_8 = str(99999971 * 99999989)
+_BUDGET = "digits is over the budget of 1000 digits"
 CAP_TABLE = [
     # MAX_EXPONENT and the computed coefficients: t^4096 reduces to 1
     (_QUAD_B2 + [f"t^4096 + {_U}t^4095 + 7t^4094 + 1", "t"], 0, ""),
@@ -1149,6 +1150,13 @@ CAP_TABLE = [
     (["monoid", "--m", "5001", "defined-at", "5003", "5002", "1"], 2, "2m = 10002"),
     (["monoid", "--m", "101", "classgroup"], 0, ""),
     (["monoid", "--m", "103", "classgroup"], 2, "class group of order 102"),
+    # the primality budget of 1000 digits: the largest prime below 10^1000
+    # runs all 13 Miller-Rabin bases, then 10^1000 + 9, which no prime up to
+    # 41 divides, and two cofactors of 7996 digits past trial division
+    (["maps", "--lambda", "3", "--p", str(10**1000 - 1769)], 0, ""),
+    (["maps", "--lambda", "3", "--p", str(10**1000 + 9)], 2, f"1001 {_BUDGET}"),
+    (["quad", "--theta", f"{_U},7", "conductor"], 2, f"7996 {_BUDGET}"),
+    (["divides", "--lambda", "3", str(10**3999 + 7), "1"], 2, f"7996 {_BUDGET}"),
 ]
 
 # Run in a fresh interpreter, with the package root as argv[1]: each argv

@@ -28,7 +28,7 @@ from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element
 from kummerlab.idealprimes import enumerate_jacobi_maps
 from kummerlab import lattice
-from kummerlab.lattice import colon_relations, hnf, mul_matrix
+from kummerlab.lattice import IntLattice, colon_relations, mul_matrix
 from kummerlab import arith, polyint
 from kummerlab.polyint import cyclotomic_polynomial, mul, resultant
 from kummerlab.polymod import (
@@ -81,6 +81,25 @@ def test_is_prime_large_composites():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
     # strong pseudoprime to the first 12 prime bases, 2 through 37
     assert not is_prime(399165290221 * 798330580441)
+
+
+def test_is_prime_refuses_past_its_digit_budget(monkeypatch):
+    # past MAX_PRIME_DIGITS the bases still answer, and an n that none of
+    # them divides is refused before any Miller-Rabin round
+    def no_pow(*args):
+        raise AssertionError("Miller-Rabin ran past the budget")
+
+    monkeypatch.setattr(arith, "pow", no_pow, raising=False)
+    assert not is_prime(41 * 10**1500)
+    # no prime up to 41 divides either, and 4401 digits are more than
+    # Python prints
+    for n, digits in ((10**1000 + 9, 1001), (10**4400 + 9, 4401)):
+        with pytest.raises(ValueError) as err:
+            is_prime(n)
+        assert str(err.value) == (
+            f"primality of an integer of {digits} digits is over the budget of "
+            "1000 digits"
+        )
 
 
 def test_factorize_int():
@@ -704,8 +723,8 @@ def _det_fraction(rows):
 
 
 def test_hnf_pinned_examples():
-    assert hnf([[2, 0], [0, 2]]).rows == ((2, 0), (0, 2))
-    lat = hnf([[2, 0], [1, 1]])
+    assert IntLattice([[2, 0], [0, 2]]).rows == ((2, 0), (0, 2))
+    lat = IntLattice([[2, 0], [1, 1]])
     assert lat.rows == ((1, 1), (0, 2))
     assert lat.index() == 2
 
@@ -717,7 +736,7 @@ def test_hnf_canonical_under_unimodular_changes():
         base = [[rng.randint(-5, 5) for _ in range(d)] for _ in range(d)]
         if _det_fraction(base) == 0:
             continue
-        reference = hnf(base)
+        reference = IntLattice(base)
         rows = [list(r) for r in base]
         for _ in range(15):
             i, j = rng.randrange(d), rng.randrange(d)
@@ -725,8 +744,8 @@ def test_hnf_canonical_under_unimodular_changes():
                 c = rng.randint(-3, 3)
                 rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
         rng.shuffle(rows)
-        assert hnf(rows) == reference
-        assert hnf([list(r) for r in reference.rows]) == reference  # idempotent
+        assert IntLattice(rows) == reference
+        assert IntLattice([list(r) for r in reference.rows]) == reference  # idempotent
 
 
 def test_hnf_index_is_absolute_determinant():
@@ -737,16 +756,22 @@ def test_hnf_index_is_absolute_determinant():
         det = _det_fraction(base)
         if det == 0:
             continue
-        assert hnf(base).index() == abs(int(det))
+        assert IntLattice(base).index() == abs(int(det))
 
 
 def test_hnf_rejects_rank_deficient():
-    with pytest.raises(ValueError):
-        hnf([[1, 2], [2, 4]])
+    for rows in (
+        [[1, 2], [2, 4]],
+        [[0, 1], [0, 2], [0, 3]],  # more generators than the dimension
+        [[1, 0, 0], [0, 0, 1], [0, 0, 2]],  # no pivot in the middle column
+        [[1, 0]],  # fewer generators than the dimension
+    ):
+        with pytest.raises(ValueError, match="full-rank"):
+            IntLattice(rows)
 
 
 def test_membership():
-    lat = hnf([[2, 0], [1, 1]])
+    lat = IntLattice([[2, 0], [1, 1]])
     assert lattice_contains(lat, [1, 1])
     assert lattice_contains(lat, [2, 0])
     assert not lattice_contains(lat, [1, 0])
@@ -817,7 +842,8 @@ def test_product_and_colon_refuse_every_rank_mismatch_on_generated_orders():
                 if d > 8:  # a product of rank d takes d^2 generators
                     continue
                 assert unit.product(unit, order) == unit
-                assert hnf([r[:d] for r in colon_relations(v, v, order)]) == unit
+                relations = colon_relations(v, v, order)
+                assert IntLattice([r[:d] for r in relations]) == unit
                 continue
             with pytest.raises(ValueError, match="dimension mismatch"):
                 unit.product(unit, order)
@@ -826,7 +852,7 @@ def test_product_and_colon_refuse_every_rank_mismatch_on_generated_orders():
 
 
 def test_product_and_colon_check_the_order_rank():
-    lat = hnf([[2, 0], [1, 1]])
+    lat = IntLattice([[2, 0], [1, 1]])
     ring = cyclotomic_ring(5)
     with pytest.raises(ValueError, match="dimension mismatch"):
         lat.product(lat, ring)
@@ -875,11 +901,11 @@ def test_colon_examples():
     two = principal_lattice([2, 0], GAUSSIAN)
     assert colon(two, [2, 0], GAUSSIAN) == standard_lattice(2)
     two_m3 = principal_lattice([2, 0], SQRT_M3)
-    assert colon(two_m3, [1, 1], SQRT_M3) == hnf([[2, 0], [1, 1]])
+    assert colon(two_m3, [1, 1], SQRT_M3) == IntLattice([[2, 0], [1, 1]])
 
 
 def test_ideal_product_anomaly():
-    p_ideal = hnf([[2, 0], [1, 1]])
+    p_ideal = IntLattice([[2, 0], [1, 1]])
     two = principal_lattice([2, 0], SQRT_M3)
     assert p_ideal.product(p_ideal, SQRT_M3) == two.product(p_ideal, SQRT_M3)
     assert p_ideal != two
@@ -907,7 +933,7 @@ def _random_ideal(order, rng):
         e = [rng.randint(-5, 5) for _ in range(d)]
         if any(e):
             rows += [list(r) for r in principal_lattice(e, order).rows]
-    return hnf(rows)
+    return IntLattice(rows)
 
 
 def test_product_index_is_multiple_of_index_product():
@@ -921,7 +947,7 @@ def test_product_index_is_multiple_of_index_product():
             lb = _random_ideal(order, rng)
             prod = la.product(lb, order)
             assert prod.index() % (la.index() * lb.index()) == 0
-    p_ideal = hnf([[2, 0], [1, 1]])
+    p_ideal = IntLattice([[2, 0], [1, 1]])
     assert p_ideal.product(p_ideal, SQRT_M3).index() == 8 > 4
 
 

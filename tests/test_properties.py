@@ -28,7 +28,7 @@ from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element, render_element
 from kummerlab.ffield import power_columns, vanishes
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
-from kummerlab.lattice import colon_relations, hnf
+from kummerlab.lattice import IntLattice, colon_relations
 from kummerlab.polyint import KRONECKER_MIN_TERMS, mul, trim
 from kummerlab.quadorder import (
     QuadOrder,
@@ -508,7 +508,7 @@ def _one_solve_agrees(maps, order, num, den):
     relations = colon_relations(num, den, order)
     halves = ([r[:d] for r in relations], [r[d:] for r in relations])
     for half, (a, b) in zip(halves, ((num, den), (den, num))):
-        assert hnf(half) == colon(principal_lattice(b, order), a, order)
+        assert IntLattice(half) == colon(principal_lattice(b, order), a, order)
     _colon_rows_agree(maps, order, num, den)
 
 
