@@ -201,7 +201,7 @@ class CyclotomicElement:
         self.coeffs = ring._reduce(coeffs)
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("elements of different rings")
 
     def _lift(self, other):

@@ -26,13 +26,18 @@ of z.  For p = lam the one map is alpha -> 1 in F_lam, and t is all ones.
 A map of degree f > 1 onto F_p[X]/(F) takes w = X (F divides X^lam - 1)
 and X^s the least of the Frobenius orbit X^(p^j mod lam), j < f.  Both
 tables come from ffield.power_columns.
-Maps of residue degree f > 1 come from Kummer's period congruences: with
-e = (lam-1)/f, p splits completely in the field of the e Gaussian periods
-of length f, so their period polynomial prod (Y - eta_i) has e roots u
-mod p, and each factor of Phi_lam mod p is gcd(Phi_lam, eta_0(X) - u).
-Only a residue u repeated mod p gives a gcd of several factors, and only
-that gcd goes through factor_mod_p, as do the period polynomial itself
-and, in quadorder.enumerate_quad_maps, the modulus of a quadratic order.
+Maps of residue degree f > 1 come from Kummer's period congruences and
+his conjugate primes: with e = (lam-1)/f, p splits completely in the field
+of the e Gaussian periods of length f, so their period polynomial
+prod (Y - eta_i) has all its roots in F_p.  One root u (polymod.gf_root,
+one branch of an equal-degree split) gives F_1 = gcd(Phi_lam, eta_0(X) - u),
+one factor of Phi_lam mod p unless u is a repeated root, and then the
+first factor that factor_mod_p finds in it.  The other factors are its
+conjugates: for each other coset s<p> of (Z/lam)^*, F_s is the minimal
+polynomial of X^s mod F_1, one relation among columns of the power table
+of X mod F_1, read off lattice.kernel_mod.  Only that repeated-root gcd
+and, in quadorder.enumerate_quad_maps, the modulus of a quadratic order
+go through factor_mod_p.
 A map's period_residues() are these u: its images of the e periods of its
 own residue degree, the map restricted to the period ring.
 """
@@ -46,7 +51,7 @@ from kummerlab.cyclotomic import cyclotomic_ring, gaussian_periods
 from kummerlab.ffield import image, power_columns, vanishes
 from kummerlab.lattice import IntLattice, kernel_mod
 from kummerlab.polyint import trim
-from kummerlab.polymod import factor_mod_p, gf_gcd, gf_normalize
+from kummerlab.polymod import factor_mod_p, gf_gcd, gf_normalize, gf_root
 
 
 class JacobiMap:
@@ -75,7 +80,7 @@ class JacobiMap:
         return tuple(trim([column[1] for column in self.columns]))
 
     def _check_ring(self, x) -> None:
-        if x.ring != self.ring:
+        if x.ring is not self.ring and x.ring != self.ring:
             raise ValueError(f"element lives in {x.ring!r}, map expects {self.ring!r}")
 
     def apply(self, x) -> tuple[int, ...]:
@@ -180,22 +185,38 @@ def _table_map(ring, p: int, factor, table, s: int) -> JacobiMap:
 
 
 def _period_factors(ring, p: int, f: int) -> list[tuple[int, ...]]:
-    """The factors of Phi_lam mod p, p of order f > 1 mod lam, from the
-    roots u of the period polynomial mod p: gcd(Phi_lam, eta_0(X) - u) is
-    the product of the factors whose maps send eta_0 to u."""
+    """The factors of Phi_lam mod p, p of order f > 1 mod lam, as Kummer
+    found them: one factor and its conjugates.
+
+    For a root u of the period polynomial mod p, gcd(Phi_lam, eta_0(X) - u)
+    is the product of the factors whose maps send eta_0 to u; it is one
+    factor F_1 unless u is a repeated root, and then F_1 is its first
+    factor.  In F_p[X]/(F_1), X^s is a root of F_s, the conjugate factor
+    for the coset s<p> in (Z/lam)^*: its coordinates and those of its
+    first f powers, t[sk mod lam] for k = 0 .. f in the power table t of X,
+    have one relation, the first row of their kernel mod p (constant entry
+    1), which is F_s scaled.
+    """
     lam = ring.n
     modulus = gf_normalize(list(ring.modulus), p)
     e = (lam - 1) // f
     if e == 1:
         return [tuple(modulus)]
     poly, eta0 = _period_polynomial(lam, e)
-    factors = []
-    for (c, _), _ in factor_mod_p(list(poly), p):
-        g = gf_gcd(modulus, gf_normalize([eta0[0] + c, *eta0[1:]], p), p)
-        if len(g) - 1 == f:
-            factors.append(tuple(g))
-        else:  # u = -c is a repeated root: the gcd holds several factors
-            factors += [tuple(fac) for fac, _ in factor_mod_p(g, p)]
+    u = gf_root(list(poly), p)
+    first = gf_gcd(modulus, gf_normalize([eta0[0] - u, *eta0[1:]], p), p)
+    if len(first) - 1 > f:  # u is a repeated root: the gcd holds several factors
+        first = factor_mod_p(first, p)[0][0]
+    table = power_columns([0, 1], lam, first, p)
+    orbit = [pow(p, j, lam) for j in range(f)]
+    factors, seen = [tuple(first)], set(orbit)
+    for s in range(2, lam):
+        if s not in seen:
+            seen.update(s * r % lam for r in orbit)
+            powers = [[column[s * k % lam] for k in range(f + 1)] for column in table]
+            relation = kernel_mod(powers, p).rows[0]
+            inverse = pow(relation[f], -1, p)
+            factors.append(tuple(c * inverse % p for c in relation))
     return sorted(factors, key=lambda fac: (len(fac), fac))
 
 

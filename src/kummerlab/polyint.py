@@ -9,9 +9,10 @@ the norm tower at large conductors) are one big-integer multiply
 operands' nonzero terms.  Nonnegative vectors whose entries are below a
 known bound pack into one integer of unsigned machine words
 (narrowest_word, pack_words and unpack_words): the packed logs of
-charsum and the autocorrelations of its reflection_products, whose word
-bound is proved there.  The resultant is a fraction-free Bareiss
-determinant.  Nothing here divides by a general polynomial.
+charsum, the autocorrelations of its reflection_products and the batch
+reads of ffield.zero_images, whose word bounds are proved there.  The
+resultant is a fraction-free Bareiss determinant.  Nothing here divides
+by a general polynomial.
 """
 
 import sys

@@ -7,7 +7,8 @@ Factorization is squarefree decomposition, then distinct-degree splitting,
 then equal-degree splitting.  The equal-degree stage draws its splitting
 elements from a fixed counter sequence instead of a random source, so the
 factor list (and everything downstream that is ordered by it) is
-reproducible bit for bit.
+reproducible bit for bit.  gf_root follows one branch of the same split
+to one root of a polynomial whose roots all lie in F_p.
 """
 
 from kummerlab.arith import is_prime
@@ -148,15 +149,14 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-def _equal_degree_split(f: list[int], d: int, p: int) -> list[list[int]]:
-    """Split a monic squarefree product of degree-d irreducibles completely.
+def _split(f: list[int], d: int, p: int) -> list[int]:
+    """A proper monic factor of f, a monic squarefree product of at least
+    two degree-d irreducibles: the gcd of f with the first splitting
+    element of the counter sequence that splits it.
 
-    Splitting elements come from the deterministic counter sequence; for odd
-    p the usual (p^d - 1)/2 power map is used, for p = 2 the trace map over
-    F_{2^d}.
+    For odd p the element is the (p^d - 1)/2 power of h, less 1, and for
+    p = 2 the trace h + h^2 + ... + h^(2^(d-1)) of h over F_{2^d}.
     """
-    if len(f) - 1 == d:
-        return [gf_monic(f, p)]
     counter = p  # first non-constant polynomial
     while True:
         h = _counter_poly(counter, p)
@@ -177,8 +177,36 @@ def _equal_degree_split(f: list[int], d: int, p: int) -> list[list[int]]:
             t = gf_pow_mod(h, (p**d - 1) // 2, f, p)
             g = gf_gcd(gf_sub(t, [1], p), f, p)
         if 0 < len(g) - 1 < len(f) - 1:
-            rest, _ = gf_divmod(f, g, p)
-            return _equal_degree_split(g, d, p) + _equal_degree_split(rest, d, p)
+            return g
+
+
+def _equal_degree_split(f: list[int], d: int, p: int) -> list[list[int]]:
+    """Split a monic squarefree product of degree-d irreducibles completely,
+    by _split's deterministic splitting elements."""
+    if len(f) - 1 == d:
+        return [gf_monic(f, p)]
+    g = _split(f, d, p)
+    rest, _ = gf_divmod(f, g, p)
+    return _equal_degree_split(g, d, p) + _equal_degree_split(rest, d, p)
+
+
+def gf_root(f: list[int], p: int) -> int:
+    """One root in F_p of a nonconstant f whose roots all lie in F_p.
+
+    f's squarefree part, f / gcd(f, f') (f = h(X^p) = h^p is replaced by h
+    until f' != 0), is a product of distinct linear factors, and one
+    branch of its equal-degree split, the smaller factor of each _split,
+    ends at one of them.  No complete factorization is made.
+    """
+    g = gf_monic(gf_normalize(list(f), p), p)
+    while not (d := gf_deriv(g, p)):
+        g = g[::p]
+    g, _ = gf_divmod(g, gf_gcd(g, d, p), p)
+    while len(g) > 2:
+        h = _split(g, 1, p)
+        rest, _ = gf_divmod(g, h, p)
+        g = min(h, rest, key=len)
+    return -g[0] % p
 
 
 def factor_mod_p(f: list[int], p: int) -> list[tuple[list[int], int]]:

@@ -114,7 +114,7 @@ def dichotomy_check(
     if not any(numerator.coeffs):
         raise ZeroDivisionError("zero numerator")
     order = numerator.ring
-    if denominator.ring != order:
+    if denominator.ring is not order and denominator.ring != order:
         raise ValueError(f"denominator lives in {denominator.ring!r}, not {order!r}")
     for phi in maps:
         phi._check_ring(numerator)

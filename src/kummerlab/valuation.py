@@ -29,6 +29,13 @@ lift is one Newton step on X^lam - 1 from the last, built once per (map, M)
 in a bounded cache, and a valuation v >= 1 takes floor(log2 v) + 1 of them.
 At p = lam the valuation is read off the coefficients of x(1 + t).
 
+multiplicities and valuation_oracles give both numbers for a batch of
+elements at many primes.  Most of those numbers are 0, and each route
+tells a 0 from one dot product mod p: Kummer's the first coefficient of
+x * Psi, the oracle's the image of x.  ffield.zero_images
+reads those for the whole batch, one packed product per column, and only
+the elements that read 0 go on to multiplicity or valuation_oracle.
+
 factorize and divides take every valuation from the oracle, and factorize
 checks the records against the norm.  The `kummerlab factor` report
 certifies each nonzero record by both routes; the test suite compares them
@@ -53,7 +60,7 @@ from kummerlab.cyclotomic import (
     gaussian_periods,
     norm,
 )
-from kummerlab.ffield import image, power_columns
+from kummerlab.ffield import image, power_columns, zero_images
 from kummerlab.idealprimes import (
     JacobiMap,
     check_conductor,
@@ -281,6 +288,51 @@ def valuation_oracle(x: CyclotomicElement, phi: JacobiMap) -> int:
             if precision > cap:
                 raise AssertionError("oracle valuation exceeded its norm bound")
         precision *= 2
+
+
+def _screened(one, xs, keys, maps, reads, message) -> list[list[int]]:
+    """[one(x, key) for x in xs] for each key, with one called only on the
+    xs that ffield.zero_images reads as 0 under the key's read: the others
+    are 0.  An element outside the ring of a map of maps is refused with
+    message(x, ring), each element compared with each distinct ring once;
+    a zero element reads 0 everywhere, so one refuses it."""
+    for ring in {phi.ring for phi in maps}:
+        for x in xs:
+            if x.ring is not ring and x.ring != ring:
+                raise ValueError(message(x, ring))
+    out = []
+    for key, indices in zip(keys, zero_images([x.coeffs for x in xs], reads)):
+        values = [0] * len(xs)
+        for i in indices:
+            values[i] = one(xs[i], key)
+        out.append(values)
+    return out
+
+
+def multiplicities(xs, primes) -> list[list[int]]:
+    """[multiplicity(x, K) for x in xs] for each K of primes.
+
+    multiplicity returns 0 at its first coefficient, the dot product of x
+    with K.psi_columns[0], when q does not divide it; that coefficient is
+    read for the whole batch at once, one packed product per prime, and
+    only the elements that read 0 mod q go to multiplicity.
+    """
+    maps = [K.map for K in primes]
+    reads = [(K.psi_columns[:1], K.q) for K in primes]
+    refuse = lambda x, ring: "elements of different rings"
+    return _screened(multiplicity, xs, primes, maps, reads, refuse)
+
+
+def valuation_oracles(xs, maps) -> list[list[int]]:
+    """[valuation_oracle(x, phi) for x in xs] for each phi of maps.
+
+    The oracle returns 0 when phi does not kill x; that is read for the
+    whole batch at once, one packed product per column of each map, and
+    only the elements phi kills go to valuation_oracle.
+    """
+    reads = [(phi.columns, phi.p) for phi in maps]
+    refuse = lambda x, ring: f"element lives in {x.ring!r}, map expects {ring!r}"
+    return _screened(valuation_oracle, xs, maps, maps, reads, refuse)
 
 
 @dataclass(frozen=True)

@@ -169,12 +169,13 @@ def test_acceptance_criterion_12_determinism():
 
 # Run in a fresh interpreter, with the package root as argv[1]: counts the
 # JacobiMaps constructed and the Teichmueller lifts raised (the only
-# gf_pow_mod of valuation) during a cold `reproduce --json`.
+# gf_pow_mod of valuation) during a cold `reproduce --json`, and the
+# multiplicity and valuation_oracle calls made while claim 06 runs.
 _WORK_COUNTS = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
-from kummerlab import cli, idealprimes, valuation
-counts = {"maps": 0, "lifts": 0}
+from kummerlab import cli, idealprimes, reproduce, valuation
+counts = {"maps": 0, "lifts": 0, "06 multiplicity": 0, "06 valuation_oracle": 0}
 construct, power = idealprimes.JacobiMap.__init__, valuation.gf_pow_mod
 def counted_construct(self, *args):
     counts["maps"] += 1
@@ -184,6 +185,28 @@ def counted_power(*args):
     return power(*args)
 idealprimes.JacobiMap.__init__ = counted_construct
 valuation.gf_pow_mod = counted_power
+in_06 = [False]
+def in_claim_06(name, route):
+    def counted(*args):
+        counts["06 " + name] += in_06[0]
+        return route(*args)
+    return counted
+for name in ("multiplicity", "valuation_oracle"):
+    counted = in_claim_06(name, getattr(valuation, name))
+    setattr(valuation, name, counted)
+    setattr(reproduce, name, counted)
+def claim_06(run):
+    def flagged(cfg):
+        in_06[0] = True
+        try:
+            return run(cfg)
+        finally:
+            in_06[0] = False
+    return flagged
+reproduce._CLAIMS[:] = [
+    (name, claim_06(run) if name == "acceptance/06-kummer-vs-oracle" else run)
+    for name, run in reproduce._CLAIMS
+]
 with contextlib.redirect_stdout(io.StringIO()):
     counts["exit"] = cli.main(["reproduce", "--json"])
 print(json.dumps(counts))
@@ -192,8 +215,11 @@ print(json.dumps(counts))
 
 def test_cold_reproduce_builds_each_map_and_lift_once():
     # the maps of each (lambda, p) and the lift of each (map, mu) are built
-    # once per process, every map of Z[alpha] off one power table; the
-    # counts do not depend on the machine's speed
+    # once per process, every map of Z[alpha] off one power table; claim 06
+    # screens its batches, so only the elements whose first read is 0 go
+    # to multiplicity (32,779 calls without the screen) and only those a
+    # map kills to valuation_oracle (13,600).  The counts do not depend on
+    # the machine's speed
     package_root = str(Path(kummerlab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _WORK_COUNTS, package_root],
@@ -201,7 +227,13 @@ def test_cold_reproduce_builds_each_map_and_lift_once():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert json.loads(proc.stdout) == {"maps": 896, "lifts": 131, "exit": 0}
+    assert json.loads(proc.stdout) == {
+        "maps": 896,
+        "lifts": 131,
+        "06 multiplicity": 3359,
+        "06 valuation_oracle": 480,
+        "exit": 0,
+    }
 
 
 def test_reproduce_trace_leaves_stdout_alone(tmp_path, capsys):

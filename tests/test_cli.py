@@ -1154,6 +1154,8 @@ CAP_TABLE = [
     # runs all 13 Miller-Rabin bases, then 10^1000 + 9, which no prime up to
     # 41 divides, and two cofactors of 7996 digits past trial division
     (["maps", "--lambda", "3", "--p", str(10**1000 - 1769)], 0, ""),
+    # there of order 2 mod 7: one root of the period cubic, no factoring
+    (["maps", "--lambda", "7", "--p", str(10**1000 - 1769)], 0, ""),
     (["maps", "--lambda", "3", "--p", str(10**1000 + 9)], 2, f"1001 {_BUDGET}"),
     (["quad", "--theta", f"{_U},7", "conductor"], 2, f"7996 {_BUDGET}"),
     (["divides", "--lambda", "3", str(10**3999 + 7), "1"], 2, f"7996 {_BUDGET}"),

@@ -5,14 +5,27 @@ import random
 import pytest
 
 from kummerlab import charsum, idealprimes
-from kummerlab.arith import exact_sqrt, multiplicative_order, primes_below, valuation_int
+from kummerlab.arith import (
+    exact_sqrt,
+    is_prime,
+    multiplicative_order,
+    primes_below,
+    valuation_int,
+)
 from kummerlab.charsum import character
 from kummerlab.cyclotomic import conjugate, cyclotomic_ring, gaussian_periods
 from kummerlab.ffield import image
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.lattice import IntLattice
 from kummerlab.polyint import cyclotomic_polynomial
-from kummerlab.polymod import factor_mod_p, gf_mod, gf_mul, gf_pow_mod, gf_sub
+from kummerlab.polymod import (
+    factor_mod_p,
+    gf_mod,
+    gf_mul,
+    gf_pow_mod,
+    gf_root,
+    gf_sub,
+)
 from kummerlab.quadorder import QuadOrder, enumerate_quad_maps
 from kummerlab.valuation import _lift_columns, kummer_prime
 from reference import (
@@ -126,8 +139,9 @@ def test_degree_one_maps_are_constructed(monkeypatch):
         maps = enumerate_jacobi_maps(lam, p)
         assert [phi.factor for phi in maps] == factors
     assert [phi.factor for phi in enumerate_jacobi_maps(5, 5)] == [(4, 1)]
+    # the root u of the period polynomial found at (29, 7) is a repeated one
     with pytest.raises(AssertionError, match="factor_mod_p called"):
-        enumerate_jacobi_maps(5, 19)
+        enumerate_jacobi_maps(29, 7)
 
 
 def test_maps_are_built_once_per_prime(monkeypatch):
@@ -169,16 +183,22 @@ def _higher_degree_pairs(lam_bound, p_bound):
 
 
 def test_period_route_matches_factor_mod_p(monkeypatch):
-    # every factor list, order included, against the full factorization;
-    # the route itself factors only period polynomials and repeated-residue
-    # gcds, never Phi_lam
-    pairs = list(_higher_degree_pairs(23, 200)) + REPEATED_RESIDUES
-    assert len(pairs) == 141 + len(REPEATED_RESIDUES)
+    # every factor list of the 486 pairs is e distinct monic divisors of
+    # Phi_lam of degree f in factor_mod_p's order, which are its factors:
+    # Phi_lam mod p is a product of distinct irreducibles of degree f.  The
+    # lists of the pairs with lam <= 23 and p < 200 and of the repeated
+    # residues are also compared with factor_mod_p itself (all 486 pairs
+    # would take it about 38 s).  The route factors only repeated-residue
+    # gcds, never Phi_lam.
+    pairs = list(_higher_degree_pairs(43, 400))
+    assert len(pairs) == 486 and set(REPEATED_RESIDUES) < set(pairs)
+    literal = [(lam, p) for lam, p in pairs if lam <= 23 and p < 200]
+    assert len(literal) == 141
     expected = {
         (lam, p): [
             tuple(f) for f, _ in factor_mod_p(list(cyclotomic_polynomial(lam)), p)
         ]
-        for lam, p in pairs
+        for lam, p in literal + REPEATED_RESIDUES
     }
     factored = []
 
@@ -188,10 +208,47 @@ def test_period_route_matches_factor_mod_p(monkeypatch):
 
     enumerate_jacobi_maps.cache_clear()
     monkeypatch.setattr(idealprimes, "factor_mod_p", recording)
-    for (lam, p), factors in expected.items():
+    for lam, p in pairs:
         del factored[:]
-        assert [phi.factor for phi in enumerate_jacobi_maps(lam, p)] == factors
-        assert max(factored) < lam - 1
+        factors = [phi.factor for phi in enumerate_jacobi_maps(lam, p)]
+        assert all(d < lam - 1 for d in factored)
+        f = multiplicative_order(p, lam)
+        assert len(set(factors)) == (lam - 1) // f
+        assert factors == sorted(factors, key=lambda fac: (len(fac), fac))
+        for fac in factors:
+            assert len(fac) == f + 1 and fac[-1] == 1 and max(fac) < p
+            assert not gf_mod(list(cyclotomic_polynomial(lam)), list(fac), p)
+        assert factors == expected.get((lam, p), factors)
+
+
+def test_conjugate_route_at_a_large_prime():
+    # the period cubic of lambda = 7 at a 101-digit prime of order 2 mod 7:
+    # one branch of the split finds a root, and the conjugates of its factor
+    # are the other factors of Phi_7
+    start = 10**100 - 10**100 % 7 + 6
+    p = next(q for q in range(start, start + 10**4, 7) if is_prime(q))
+    poly, _ = idealprimes._period_polynomial(7, 3)
+    u = gf_root(list(poly), p)
+    assert sum(c * pow(u, k, p) for k, c in enumerate(poly)) % p == 0
+    factors = [tuple(f) for f, _ in factor_mod_p(list(cyclotomic_polynomial(7)), p)]
+    assert [len(f) - 1 for f in factors] == [2, 2, 2]
+    assert [phi.factor for phi in enumerate_jacobi_maps(7, p)] == factors
+
+
+def test_gf_root_finds_a_root_of_every_split_polynomial():
+    # products of linear factors with repeats, at small primes and a large
+    # one; a p-th power has f' = 0 and is read as its p-th root
+    rng = random.Random(RNG_SEED)
+    for p in (2, 3, 5, 7, 101, 2**127 - 1):
+        for _ in range(20):
+            roots = [rng.randrange(p) for _ in range(rng.randint(1, 7))]
+            f = [1]
+            for r in roots:
+                f = gf_mul(f, [-r % p, 1], p)
+            assert gf_root(f, p) in roots
+    assert gf_root([1, 0, 1], 2) == 1  # (Y + 1)^2 over F_2
+    assert gf_root([2, 0, 0, 1], 3) == 1  # (Y - 1)^3 over F_3
+    assert gf_root([1, 0, 0, 0, 0, 0, 0, 0, 0, 1], 3) == 2  # (Y + 1)^9
 
 
 def test_period_polynomial_repeated_residues():

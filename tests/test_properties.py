@@ -2,8 +2,10 @@
 mod Phi_n at prime and composite conductors (and its Moebius-sum form for
 vectors constant on gcd classes), integer polynomial products (against
 the full schoolbook too), power columns of a root and the vanishing read
-of them, the degree-1 maps read off Jacobi's root table, the Jacobi-sum
-counts, Kummer's uniformizer at residue degree 1, Kummer multiplicities
+of them, the packed batch read zero_images and the batch routes of both
+valuations that screen with it, the degree-1 maps read off Jacobi's root
+table, the Jacobi-sum counts, Kummer's uniformizer at residue degree 1,
+Kummer multiplicities
 (additive, and equal to the literal level test), the p-adic valuation
 oracle and its Newton lifts against the p-power chain, dichotomy_check's
 colon test of every map at a fraction and its inverse, the one relation
@@ -22,11 +24,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kummerlab import ffield
 from kummerlab.arith import primes_below, valuation_int
 from kummerlab.charsum import _counts, character
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element, render_element
-from kummerlab.ffield import power_columns, vanishes
+from kummerlab.ffield import power_columns, vanishes, zero_images
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.lattice import IntLattice, colon_relations
 from kummerlab.polyint import KRONECKER_MIN_TERMS, mul, trim
@@ -40,8 +43,10 @@ from kummerlab.valuation import (
     _lift_columns,
     find_uniformizer,
     kummer_prime,
+    multiplicities,
     multiplicity,
     valuation_oracle,
+    valuation_oracles,
 )
 from reference import (
     autocorrelation,
@@ -427,6 +432,89 @@ def test_vanishes_matches_full_images(f, data):
         killed = [[m * c for c in v] + [0] * (width - count) for v in vectors]
         assert vanishes(killed, columns, m)
         assert not vanishes(killed + [last], columns, m)
+
+
+@pytest.mark.parametrize("width", [2, 4, 12])
+@GENERATED
+@given(data=st.data())
+def test_zero_images_match_vanishes(width, data):
+    # mixed signs, entries within and past the 64-bit word, moduli p and
+    # p^mu, reads of one to three columns
+    spread = data.draw(st.sampled_from([1, 9, 2**20, 2**70]))
+    entry = st.integers(-spread, spread)
+    vectors = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width)))
+    read = st.tuples(
+        st.lists(
+            st.lists(st.integers(-(10**6), 10**6), min_size=width, max_size=width),
+            min_size=1,
+            max_size=3,
+        ),
+        st.sampled_from([2, 3, 4, 9, 101, 101**3]),
+    )
+    reads = data.draw(st.lists(read, max_size=4))
+    # a vector times m reads 0 under every read mod m
+    vectors += [[m * a for a in v] for v in vectors[:1] for _, m in reads]
+    assert zero_images(vectors, reads) == [
+        [i for i, v in enumerate(vectors) if vanishes([v], columns, m)]
+        for columns, m in reads
+    ]
+
+
+def test_zero_images_packs_up_to_the_word_bound(monkeypatch):
+    # 2 B sum c = 2^16 - 2 and 2^64 - 2: the largest offsets B whose words
+    # still fit 16 and 64 bits, where the word of (B, B) is exactly the
+    # bound; one more and the 16-bit read takes 32-bit words, the 64-bit
+    # read the dot products
+    packed = []
+    pack = ffield.pack_words
+    monkeypatch.setattr(ffield, "pack_words", lambda w: packed.append(w) or pack(w))
+    column = [3, 4]  # c sums to 7; read mod 5 and 11 it is [3, 4] as well
+    for bits, top in ((16, 2**15 - 1), (64, 2**63 - 1)):
+        for offset in (top // 7, top // 7 + 1):
+            vectors = [[offset, offset], [-offset, -offset], [offset, -offset]]
+            vectors += [[4, -3], [offset - 4, 3 - offset], [0, 0], [7, 0], [1, 1]]
+            for m in (5, 11):
+                expected = [
+                    i
+                    for i, v in enumerate(vectors)
+                    if (3 * v[0] + 4 * v[1]) % m == 0
+                ]
+                del packed[:]
+                assert zero_images(vectors, [([column], m)]) == [expected]
+                words = {w.itemsize * 8 for w in packed}
+                if offset == top // 7:
+                    assert words == {bits}
+                else:
+                    assert words == ({32} if bits == 16 else set())
+
+
+_BATCH_MAPS = {
+    lam: [phi for p in primes_below(32) for phi in enumerate_jacobi_maps(lam, p)]
+    for lam in (5, 7, 13)
+}
+
+
+@pytest.mark.parametrize("lam", sorted(_BATCH_MAPS))
+@GENERATED
+@given(data=st.data())
+def test_batch_routes_match_the_per_element_routes(lam, data):
+    # split primes, degree f > 1, inert primes and p = lam; each element
+    # times a power of a drawn uniformizer, so nonzero values are common,
+    # and batches with entries past 2^64 read by dot products
+    maps = st.lists(st.sampled_from(_BATCH_MAPS[lam]), min_size=1, max_size=4)
+    maps = data.draw(maps)
+    primes = [kummer_prime(phi) for phi in maps]
+    spread = data.draw(st.sampled_from([4, 4, 2**70]))
+    xs = [
+        x * data.draw(st.sampled_from(primes)).psi ** data.draw(st.integers(0, 2))
+        for x in data.draw(st.lists(nonzero_elements(lam, spread), max_size=8))
+    ]
+    assert multiplicities(xs, primes) == [
+        [multiplicity(x, K) for x in xs] for K in primes
+    ]
+    assert valuation_oracles(xs, maps) == [
+        [valuation_oracle(x, phi) for x in xs] for phi in maps
+    ]
 
 
 @pytest.mark.parametrize("p", [211, 5, 19])

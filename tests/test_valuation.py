@@ -10,6 +10,7 @@ from kummerlab import quadorder, valuation
 from kummerlab.arith import multiplicative_order, primes_below, valuation_int
 from kummerlab.cyclotomic import (
     CyclotomicElement,
+    CyclotomicRing,
     PeriodSystem,
     cyclotomic_ring,
     gaussian_periods,
@@ -28,9 +29,11 @@ from kummerlab.valuation import (
     factorize,
     find_uniformizer,
     kummer_prime,
+    multiplicities,
     multiplicity,
     quotient_and_norm,
     valuation_oracle,
+    valuation_oracles,
 )
 from reference import (
     divisibility_step,
@@ -251,6 +254,58 @@ def test_multiplicity_of_zero_raises():
         multiplicity(phi.ring.zero(), kummer_prime(phi))
     with pytest.raises(ValueError):
         valuation_oracle(phi.ring.zero(), phi)
+
+
+def test_batch_routes_refuse_a_zero_element_and_another_ring():
+    phi = map_for_root(enumerate_jacobi_maps(5, 11), 3)
+    K = kummer_prime(phi)
+    one, zero = phi.ring.one(), phi.ring.zero()
+    assert multiplicities([], [K]) == [[]] and valuation_oracles([], [phi]) == [[]]
+    with pytest.raises(ValueError, match="valuation of 0 is infinite"):
+        multiplicities([one, zero], [K])
+    with pytest.raises(ValueError, match="valuation of 0 is infinite"):
+        valuation_oracles([one, zero], [phi])
+    other = cyclotomic_ring(7).one()
+    with pytest.raises(ValueError, match="elements of different rings"):
+        multiplicities([one, other], [K])
+    with pytest.raises(ValueError, match=r"lives in CyclotomicRing\(7\), map expects"):
+        valuation_oracles([one, other], [phi])
+    # every map's ring is checked, not the first one's
+    phi7 = enumerate_jacobi_maps(7, 29)[0]
+    with pytest.raises(ValueError, match="elements of different rings"):
+        multiplicities([one], [K, kummer_prime(phi7)])
+    with pytest.raises(ValueError, match=r"map expects CyclotomicRing\(7\)"):
+        valuation_oracles([one], [phi, phi7])
+
+
+def test_ring_checks_take_an_equal_ring_and_refuse_another():
+    # every ring check tests identity, then equality: a ring built apart
+    # from the shared one passes, and another ring is refused as before
+    built, shared = CyclotomicRing(7), cyclotomic_ring(7)
+    assert built is not shared and built == shared
+    phi = enumerate_jacobi_maps(7, 29)[0]
+    K = kummer_prime(phi)
+    x = built.element(list(K.psi.coeffs))
+    assert x - shared.one() == K.psi - 1
+    assert phi.apply(x) == phi.apply(K.psi) and phi.kills(x)
+    assert multiplicity(x, K) == valuation_oracle(x, phi) == 1
+    assert multiplicities([x, K.psi], [K]) == [[1, 1]]
+    assert valuation_oracles([x, K.psi], [phi]) == [[1, 1]]
+    y, one = built.element(29), shared.one()
+    check = quadorder.dichotomy_check
+    assert check([phi], K.psi, y) == check([phi], x, y) == check([phi], x, 29 * one)
+    other = cyclotomic_ring(5).element([2, 1])
+    with pytest.raises(ValueError, match="elements of different rings"):
+        x - other
+    with pytest.raises(ValueError, match="elements of different rings"):
+        multiplicity(other, K)
+    expects = r"element lives in CyclotomicRing\(5\), map expects CyclotomicRing\(7\)"
+    with pytest.raises(ValueError, match=expects):
+        phi.apply(other)
+    with pytest.raises(ValueError, match=expects):
+        check([phi], other, other)
+    with pytest.raises(ValueError, match=r"lives in CyclotomicRing\(5\), not Cyc"):
+        check([phi], x, other)
 
 
 def test_norm_cap_stops_a_broken_uniformizer():
