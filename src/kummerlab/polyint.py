@@ -124,18 +124,22 @@ def narrowest_word(bound: int) -> tuple[int, str]:
     return _NARROWEST[bound.bit_length()]
 
 
-def pack_words(words: array) -> int:
-    """The unsigned array words as one integer, word 0 lowest, read
-    straight from the array's buffer."""
-    if _BIG_ENDIAN:
+def pack_words(words: array | bytes) -> int:
+    """The unsigned words as one integer, word 0 lowest, read straight
+    from the buffer: an array, or bytes for words of one byte."""
+    if _BIG_ENDIAN and isinstance(words, array):
         words = array(words.typecode, words)
         words.byteswap()
     return int.from_bytes(words, "little")
 
 
-def unpack_words(x: int, code: str, count: int) -> array:
-    """The count words of typecode code that pack_words packs to x."""
-    words = array(code, x.to_bytes(count * _WORD_BYTES[code], "little"))
+def unpack_words(x: int | bytes, code: str, count: int) -> array:
+    """The count words of typecode code that pack_words packs to x, or
+    that x holds as little-endian bytes (the words of several packed
+    integers, their to_bytes joined)."""
+    if isinstance(x, int):
+        x = x.to_bytes(count * _WORD_BYTES[code], "little")
+    words = array(code, x)
     if _BIG_ENDIAN:
         words.byteswap()
     return words

@@ -30,31 +30,47 @@ def gf_sub(f: list[int], g: list[int], p: int) -> list[int]:
 
 
 def gf_mul(f: list[int], g: list[int], p: int) -> list[int]:
+    """f g over F_p, each output coefficient reduced once (lazy
+    reduction), not once per product."""
+    return trim([c % p for c in _product(f, g)])
+
+
+def _product(f: list[int], g: list[int]) -> list[int]:
+    """f g over Z, untrimmed; a square (g is f) takes each cross product
+    once, doubled."""
     if not f or not g:
         return []
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return trim(out)
+            if g is f:
+                out[2 * i] += a * a
+                for j, b in enumerate(f[i + 1 :], i + 1):
+                    out[i + j] += a * b << 1
+            else:
+                for j, b in enumerate(g, i):
+                    out[j] += a * b
+    return out
 
 
 def gf_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with f = q g + r over F_p, deg r < deg g.  f's coefficients
+    may lie outside [0, p), as gf_pow_mod's unreduced products do: the
+    remainder is reduced where a quotient coefficient reads it and once
+    at the end (lazy reduction), not after every subtraction."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(f)
     dg = len(g) - 1
     inv_lead = pow(g[-1], -1, p)
     q = [0] * max(len(f) - dg, 0)
-    while len(r) - 1 >= dg and r:
-        c = r[-1] * inv_lead % p
-        k = len(r) - 1 - dg
-        q[k] = c
-        for i, b in enumerate(g):
-            r[i + k] = (r[i + k] - c * b) % p
-        trim(r)
-    return trim(q), r
+    low = g[:-1]
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + dg] * inv_lead % p
+        if c:
+            for i, b in enumerate(low, k):
+                r[i] -= c * b
+    return trim(q), trim([x % p for x in r[:dg]])
 
 
 def gf_mod(f: list[int], g: list[int], p: int) -> list[int]:
@@ -78,11 +94,12 @@ def gf_pow_mod(f: list[int], e: int, mod: list[int], p: int) -> list[int]:
     base = gf_mod(f, mod, p)
     if len(mod) == 2:  # residues mod a linear polynomial are constants
         return trim([pow(base[0] if base else 0, e, p)])
+    # gf_divmod reduces what it reads, so the products go in unreduced
     out = [1]
     while e:
         if e & 1:
-            out = gf_mod(gf_mul(out, base, p), mod, p)
-        base = gf_mod(gf_mul(base, base, p), mod, p)
+            out = gf_mod(_product(out, base), mod, p)
+        base = gf_mod(_product(base, base), mod, p)
         e >>= 1
     return out
 
@@ -154,10 +171,14 @@ def _split(f: list[int], d: int, p: int) -> list[int]:
     two degree-d irreducibles: the gcd of f with the first splitting
     element of the counter sequence that splits it.
 
-    For odd p the element is the (p^d - 1)/2 power of h, less 1, and for
-    p = 2 the trace h + h^2 + ... + h^(2^(d-1)) of h over F_{2^d}.
+    For odd p the element is the (p^d - 1)/2 power t of h, less 1, and for
+    p = 2 the trace h + h^2 + ... + h^(2^(d-1)) of h over F_{2^d}, t its
+    last term.  The first h is X, and X^(p^d) = X mod f holds exactly when
+    every irreducible factor of the squarefree f has a degree dividing d;
+    it is read off that first t (X^(p^d) is t^2 X, or t^2 at p = 2), and
+    ValueError is raised when it fails, where the draws would never end.
     """
-    counter = p  # first non-constant polynomial
+    counter = p  # first non-constant polynomial, X
     while True:
         h = _counter_poly(counter, p)
         counter += 1
@@ -176,6 +197,13 @@ def _split(f: list[int], d: int, p: int) -> list[int]:
         else:
             t = gf_pow_mod(h, (p**d - 1) // 2, f, p)
             g = gf_gcd(gf_sub(t, [1], p), f, p)
+        if h == [0, 1]:
+            square = gf_mul(t, t, p)
+            if gf_mod(square if p == 2 else [0, *square], f, p) != h:
+                raise ValueError(
+                    f"the polynomial has an irreducible factor mod {p} "
+                    f"of degree not dividing {d}"
+                )
         if 0 < len(g) - 1 < len(f) - 1:
             return g
 
@@ -196,9 +224,12 @@ def gf_root(f: list[int], p: int) -> int:
     f's squarefree part, f / gcd(f, f') (f = h(X^p) = h^p is replaced by h
     until f' != 0), is a product of distinct linear factors, and one
     branch of its equal-degree split, the smaller factor of each _split,
-    ends at one of them.  No complete factorization is made.
+    ends at one of them.  No complete factorization is made.  ValueError
+    if f is constant mod p or has a root outside F_p (_split's check).
     """
     g = gf_monic(gf_normalize(list(f), p), p)
+    if len(g) < 2:
+        raise ValueError(f"the polynomial is constant mod {p}")
     while not (d := gf_deriv(g, p)):
         g = g[::p]
     g, _ = gf_divmod(g, gf_gcd(g, d, p), p)

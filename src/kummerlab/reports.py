@@ -19,10 +19,45 @@ def render_json(command: str, result) -> str:
 
 
 def write_json(command: str, result, stream) -> None:
-    """Write render_json's text to ``stream`` chunk by chunk, as json's
-    encoder yields it, without holding the whole report as one string."""
-    json.dump(_document(command, result), stream, **_LAYOUT)
+    """Write render_json's text to ``stream`` piece by piece, without
+    holding the whole report as one string."""
+    _write_json(_document(command, result), stream, "\n")
     stream.write("\n")
+
+
+def _write_json(value, stream, newline: str) -> None:
+    """value in json's sort_keys, indent=2 layout, newline being the line
+    break and indentation it starts at.
+
+    json's indented encoder is pure Python, one small piece per token; its
+    C encoder takes no indent but any separators.  So a container of
+    scalars is one C encoding whose item separator is a comma and the
+    inner line break, and only the containers above them are walked here.
+    Keys are converted as json converts them: a str as it is, any other
+    key through its JSON text.
+    """
+    is_dict = isinstance(value, dict)
+    if not is_dict and not isinstance(value, (list, tuple)):
+        stream.write(json.dumps(value))
+        return
+    inner = newline + "  "
+    children = value.values() if is_dict else value
+    if not any(isinstance(v, (dict, list, tuple)) for v in children):
+        text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+        if value:
+            text = text[0] + inner + text[1:-1] + newline + text[-1]
+        stream.write(text)
+        return
+    stream.write("{" if is_dict else "[")
+    separator = inner
+    for key, item in sorted(value.items()) if is_dict else enumerate(value):
+        if is_dict:
+            name = key if isinstance(key, str) else json.dumps(key)
+            separator += json.dumps(name) + ": "
+        stream.write(separator)
+        _write_json(item, stream, inner)
+        separator = "," + inner
+    stream.write(newline + ("}" if is_dict else "]"))
 
 
 def _text_lines(value, indent: int):

@@ -72,7 +72,7 @@ def reflection_reference(chi, j) -> dict:
 def autocorrelation(h: Sequence[int]) -> list[int]:
     """c[s] = sum over e of h[e] * h[(e - s) mod n], n = len(h), for h >= 0,
     packed with the narrowest word above max(h) * sum(h): the packing that
-    charsum.reflection_products does inline for each pair.
+    charsum.reflection_products does for each pair of a row.
 
     This is h(X) * h(X^-1) in Z[X]/(X^n - 1).  h is packed once as unsigned
     w-bit words and multiplied once by its packed reflection

@@ -61,17 +61,30 @@ def test_acceptance_criterion(number, name, claim_id):
 
 def test_reflection_claim_reduces_nothing(monkeypatch):
     # the work count of claim 03: every case reads J sigma_{-1}(J) off the
-    # autocorrelation's gcd classes, so no ring reduction is taken
+    # autocorrelation's gcd classes, so no ring reduction is taken, and a
+    # row of pairs with the same i is read at once by lanes: only the 12
+    # rows of one pair (i = 1 and i = 2 at lambda = 3, six primes) are read
+    # pair by pair
     reductions = []
+    residues = []
     reduce = cyclotomic.CyclotomicRing._reduce
+    residue = cyclotomic.CyclotomicRing.invariant_residue
 
     def counted(ring, coeffs):
         reductions.append(ring.n)
         return reduce(ring, coeffs)
 
+    def counted_residue(ring, c):
+        residues.append(ring.n)
+        return residue(ring, c)
+
     monkeypatch.setattr(cyclotomic.CyclotomicRing, "_reduce", counted)
+    monkeypatch.setattr(
+        cyclotomic.CyclotomicRing, "invariant_residue", counted_residue
+    )
     assert CLAIMS["acceptance/03-reflection-identity"](CFG) == {"cases": 11644}
     assert reductions == []
+    assert residues == [3] * 12
 
 
 def test_singular_orders_claim_solves_once_per_fraction(monkeypatch):

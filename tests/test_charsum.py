@@ -305,6 +305,12 @@ def test_reflection_pass_refuses_a_degenerate_pair_where_it_meets_it(p, lam):
     assert next(pass_)[0] == counts_reference(chi, 2, 3)
     with pytest.raises(ValueError, match=f"degenerate index: .* nonzero mod {lam}$"):
         next(pass_)
+    # inside a row: the row's pairs before it are yielded first
+    pass_ = reflection_products(chi, [(2, 1), (2, 3), (2, lam - 2), (2, 5)])
+    assert next(pass_)[0] == counts_reference(chi, 2, 1)
+    assert next(pass_)[0] == counts_reference(chi, 2, 3)
+    with pytest.raises(ValueError, match=f"degenerate index: .* nonzero mod {lam}$"):
+        next(pass_)
 
 
 @pytest.mark.parametrize("moved", [-1, 1])
@@ -313,18 +319,24 @@ def test_reflection_pass_refuses_counts_that_do_not_sum_to_p_minus_2(
     monkeypatch, p, lam, moved
 ):
     # max(N) (p - 2) bounds every lag only when sum(N) = p - 2: one t more
-    # or fewer is refused before anything is packed
+    # or fewer is refused before anything is packed, here for k >= 2
     real = charsum._counts
 
     def miscounted(chi, i, k):
         counts = real(chi, i, k)
-        counts[counts.index(max(counts))] += moved
+        if k >= 2:
+            counts[counts.index(max(counts))] += moved
         return counts
 
     monkeypatch.setattr(charsum, "_counts", miscounted)
     chi = character(p, lam)
     with pytest.raises(ValueError, match=f"counts must sum to p - 2 = {p - 2}$"):
         list(reflection_products(chi, [(1, 2)]))
+    # inside a row: the row's pairs before it are yielded first
+    pass_ = reflection_products(chi, [(1, 1), (1, 2), (1, 3)])
+    assert next(pass_)[0] == counts_reference(chi, 1, 1)
+    with pytest.raises(ValueError, match=f"counts must sum to p - 2 = {p - 2}$"):
+        next(pass_)
     with pytest.raises(ValueError, match="counts must sum to p - 2"):
         reflection_identity(chi, 1, 2)
 
@@ -580,3 +592,105 @@ def test_descent_factorization_matches_cubed_exponents(p):
     by_xi = {r.map.label(): r.mu for r in fact.records}
     assert by_xi[normalized_xi] == 2
     assert sorted(by_xi.values()) == [1, 2]
+
+
+@pytest.mark.parametrize("p,lam", [(31, 10), (47, 46), (211, 210)])
+def test_reflection_row_reduces_only_its_tampered_pair(monkeypatch, p, lam):
+    # one t moved in one pair of a long row: the row's lane check fails, the
+    # row is read pair by pair, and only the tampered pair is reduced; every
+    # other pair still reads p
+    real = charsum._counts
+    bad = (1, 3)
+
+    def tampered(chi, i, k):
+        counts = real(chi, i, k)
+        if (i, k) == bad:
+            e = counts.index(max(counts))
+            counts[e] -= 1
+            counts[(e + 1) % chi.lam] += 1
+        return counts
+
+    calls = {"_reduce": [], "invariant_residue": 0}
+    reduce = cyclotomic.CyclotomicRing._reduce
+    residue = cyclotomic.CyclotomicRing.invariant_residue
+
+    def counted_reduce(ring, coeffs):
+        calls["_reduce"].append(len(coeffs))
+        return reduce(ring, coeffs)
+
+    def counted_residue(ring, c):
+        calls["invariant_residue"] += 1
+        return residue(ring, c)
+
+    monkeypatch.setattr(charsum, "_counts", tampered)
+    monkeypatch.setattr(cyclotomic.CyclotomicRing, "_reduce", counted_reduce)
+    monkeypatch.setattr(
+        cyclotomic.CyclotomicRing, "invariant_residue", counted_residue
+    )
+    chi = character(p, lam)
+    pairs = [(1, k) for k in range(1, lam) if (1 + k) % lam]
+    results = list(reflection_products(chi, pairs))
+    assert len(results) == len(pairs) == lam - 2
+    assert calls == {"_reduce": [lam], "invariant_residue": lam - 2}
+    target = [p] + [0] * (chi.ring.degree - 1)
+    for (i, k), (counts, product) in zip(pairs, results):
+        assert counts == tampered(chi, i, k), (i, k)
+        j = chi.ring.element([-c for c in counts])
+        assert product == reflection_reference(chi, j)["product"], (i, k)
+        assert (product == target) is ((i, k) != bad), (i, k)
+
+
+def test_reflection_row_array_holds_every_autocorrelation(monkeypatch):
+    # the row's word holds every lag: counts of at most 255 // (p - 2) + 1
+    # = 6 at p = 47 whose squares sum to 261 do not fit a byte, so the row
+    # is packed in wider words and its array is each pair's autocorrelation
+    p, lam = 47, 46
+    base = [6] * 7 + [3] + [0] * (lam - 8)
+    arrays = []
+    unpack = polyint.unpack_words
+
+    def recorded(x, code, count):
+        arrays.append(unpack(x, code, count))
+        return arrays[-1]
+
+    monkeypatch.setattr(charsum, "_counts", lambda chi, i, k: base[k:] + base[:k])
+    monkeypatch.setattr(polyint, "unpack_words", recorded)
+    chi = character(p, lam)
+    pairs = [(1, 1), (1, 2), (1, 3)]
+    results = list(reflection_products(chi, pairs))
+    assert len(results) == len(pairs)
+    for j, (counts, product) in enumerate(results):
+        assert arrays[0][j * lam : (j + 1) * lam].tolist() == autocorrelation(counts)
+        j_sum = chi.ring.element([-c for c in counts])
+        assert product == reflection_reference(chi, j_sum)["product"]
+
+
+REFLECTION_CHARACTERS = [
+    (p, lam) for p in primes_below(200) for lam in range(3, p) if (p - 1) % lam == 0
+]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_reflection_rows_match_the_references_on_generated_passes(data):
+    # rows of one pair and long rows in one pass, indices outside
+    # 1 .. lam - 1 included (the counts read them mod lam); consecutive
+    # rows with the same i make one longer row
+    p, lam = data.draw(st.sampled_from(REFLECTION_CHARACTERS))
+    chi = character(p, lam)
+    index = st.integers(-2 * lam, 2 * lam).filter(lambda i: i % lam)
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        i = data.draw(index)
+        ks = st.integers(-2 * lam, 2 * lam).filter(
+            lambda k, i=i: k % lam and (i + k) % lam
+        )
+        length = data.draw(st.sampled_from([1, 1, 2, lam]))
+        pairs += [(i, data.draw(ks)) for _ in range(length)]
+    results = list(reflection_products(chi, pairs))
+    assert len(results) == len(pairs)
+    target = [p] + [0] * (chi.ring.degree - 1)
+    for (i, k), (counts, product) in zip(pairs, results):
+        assert counts == counts_reference(chi, i, k), (i, k)
+        j = jacobi_sum(chi, i, k)
+        assert product == reflection_reference(chi, j)["product"] == target, (i, k)

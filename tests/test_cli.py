@@ -11,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummerlab import cli, exprparse, quadorder, reports, reproduce, valuation
 from kummerlab.cli import _int_list, main
@@ -189,6 +191,65 @@ def test_json_reports_stream_the_rendered_bytes(monkeypatch, capsys):
     monkeypatch.setattr(cli, "render_json", None, raising=False)
     code, out = _run(capsys, ["maps", "--lambda", "5", "--p", "11", "--json"])
     assert code == 0 and out == reports.render_json("maps", json.loads(out)["result"])
+
+
+def _json_rows():
+    # every admitted row of CAP_TABLE with --json but the three whose time is
+    # arithmetic on a few printed lines (a scan to 10^8 and the maps at a
+    # 1000-digit p), and the map-reading reports
+    slow = ("--trial-div", str(10**1000 - 1769), str(10**1000 - 2227953))
+    rows = [argv for argv, code, _ in CAP_TABLE if code == 0]
+    rows = [argv + ["--json"] for argv in rows if not set(slow) & set(argv)]
+    return rows + [argv for argv, _ in MAP_READING_REPORTS]
+
+
+def test_json_writer_matches_json_dump(monkeypatch, capsys):
+    # write_json's layout is json.dump's with sort_keys and indent=2, byte
+    # for byte, on the reports of the cap rows and the map-reading reports
+    documents = []
+    write = cli.write_json
+
+    def recorded(command, result, stream):
+        documents.append(reports._document(command, result))
+        write(command, result, stream)
+
+    monkeypatch.setattr(cli, "write_json", recorded)
+    for argv in _json_rows():
+        documents.clear()
+        code, out = _run(capsys, argv)
+        assert code == 0 and len(documents) == 1, argv
+        expected = json.dumps(documents[0], sort_keys=True, indent=2) + "\n"
+        assert out == expected, argv
+
+
+JSON_SCALARS = (
+    st.integers(-(10**30), 10**30) | st.booleans() | st.none() | st.text(max_size=4)
+)
+JSON_KEYS = st.text(max_size=3) | st.integers(-5, 5)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    value=st.recursive(
+        JSON_SCALARS,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+        | st.dictionaries(st.integers(-5, 5), inner, max_size=3),
+        max_leaves=20,
+    )
+)
+def test_json_writer_matches_json_dump_on_generated_values(value):
+    # nested lists, tuples and dicts (str or int keys, never mixed, as
+    # sort_keys needs), empty ones among them, and non-ASCII text
+    pieces = []
+
+    class Recorder:
+        def write(self, text):
+            pieces.append(text)
+
+    reports.write_json("value", value, Recorder())
+    assert "".join(pieces) == reports.render_json("value", value)
 
 
 def test_cli_maps_json(capsys):
@@ -1156,6 +1217,9 @@ CAP_TABLE = [
     (["maps", "--lambda", "3", "--p", str(10**1000 - 1769)], 0, ""),
     # there of order 2 mod 7: one root of the period cubic, no factoring
     (["maps", "--lambda", "7", "--p", str(10**1000 - 1769)], 0, ""),
+    # the prime below 10^1000 nearest to it of order 2 mod 11: one root of
+    # the period quintic
+    (["maps", "--lambda", "11", "--p", str(10**1000 - 2227953)], 0, ""),
     (["maps", "--lambda", "3", "--p", str(10**1000 + 9)], 2, f"1001 {_BUDGET}"),
     (["quad", "--theta", f"{_U},7", "conductor"], 2, f"7996 {_BUDGET}"),
     (["divides", "--lambda", "3", str(10**3999 + 7), "1"], 2, f"7996 {_BUDGET}"),

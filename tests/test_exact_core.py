@@ -33,6 +33,7 @@ from kummerlab import arith, polyint
 from kummerlab.polyint import cyclotomic_polynomial, mul, resultant
 from kummerlab.polymod import (
     factor_mod_p,
+    gf_divmod,
     gf_mod,
     gf_mul,
     gf_normalize,
@@ -616,6 +617,48 @@ def _is_irreducible_bruteforce(f, p):
             if not r:
                 return False
     return deg >= 1
+
+
+def _product_step_by_step(f, g, p):
+    # the schoolbook product over F_p, every step reduced
+    prod = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            prod[i + j] = (prod[i + j] + a * b) % p
+    return gf_normalize(prod, p)
+
+
+def _divmod_step_by_step(f, g, p):
+    # the schoolbook division over F_p, every step reduced
+    r = gf_normalize(list(f), p)
+    q = [0] * max(len(r) - len(g) + 1, 0)
+    inv = pow(g[-1], -1, p)
+    while len(r) >= len(g):
+        c = q[len(r) - len(g)] = r[-1] * inv % p
+        for j, b in enumerate(g, len(r) - len(g)):
+            r[j] = (r[j] - c * b) % p
+        r = gf_normalize(r, p)
+    return gf_normalize(q, p), r
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    p=st.sampled_from([2, 3, 7, 101, 2**127 - 1, 2**521 - 1]),
+    data=st.data(),
+)
+def test_gf_mul_and_divmod_reduce_once(p, data):
+    # lazy reduction reads the same product and quotient as reducing after
+    # every step, also for a square (the same list twice) and for a dividend
+    # with coefficients outside [0, p), as gf_pow_mod passes its products
+    coeffs = st.lists(st.integers(0, p - 1), max_size=8)
+    f, g = data.draw(coeffs), data.draw(coeffs)
+    g.append(data.draw(st.integers(1, p - 1)))
+    assert gf_mul(f, g, p) == _product_step_by_step(f, g, p)
+    assert gf_mul(f, f, p) == _product_step_by_step(f, list(f), p)
+    quotient = _divmod_step_by_step(f, g, p)
+    assert gf_divmod(f, g, p) == quotient
+    lifted = [a + p * data.draw(st.integers(-3, 3)) for a in f]
+    assert gf_divmod(lifted, g, p) == quotient
 
 
 def test_factor_phi5_mod_11():

@@ -1,5 +1,6 @@
 """Jacobi map enumeration, application, period residues, kernels."""
 
+import itertools
 import random
 
 import pytest
@@ -249,6 +250,42 @@ def test_gf_root_finds_a_root_of_every_split_polynomial():
     assert gf_root([1, 0, 1], 2) == 1  # (Y + 1)^2 over F_2
     assert gf_root([2, 0, 0, 1], 3) == 1  # (Y - 1)^3 over F_3
     assert gf_root([1, 0, 0, 0, 0, 0, 0, 0, 0, 1], 3) == 2  # (Y + 1)^9
+
+
+def test_gf_root_refuses_a_root_outside_f_p():
+    # the period cubic of lambda = 7 is irreducible mod p of order 3 or 6
+    # mod 7: no root in F_p, where _split would draw splitting elements
+    # forever; X^p = X mod the squarefree part is read off the first one
+    cubic = [-1, -2, 1, 1]
+    assert list(idealprimes._period_polynomial(7, 3)[0]) == cubic
+    large = (q for q in range(10**100 + 1, 10**100 + 10**4, 2) if is_prime(q))
+    for p in (3, 5, 17, 19, 31, *itertools.islice(large, 4)):
+        if multiplicative_order(p % 7, 7) in (3, 6):
+            with pytest.raises(ValueError, match=f"irreducible factor mod {p}"):
+                gf_root(cubic, p)
+        else:
+            u = gf_root(cubic, p)
+            assert sum(c * pow(u, k, p) for k, c in enumerate(cubic)) % p == 0
+    # a root in F_p beside a factor without one, and the same squared
+    for f, p in (([2, 1, 2, 1], 3), ([1, 1, 1], 2), ([1, 0, 0, 1], 2)):
+        for g in (f, gf_mul(f, f, p)):
+            with pytest.raises(ValueError, match="irreducible factor"):
+                gf_root(g, p)
+    for f, p in (([5], 5), ([7, 14], 7), ([0], 3)):
+        with pytest.raises(ValueError, match=f"constant mod {p}"):
+            gf_root(f, p)
+    # every monic polynomial of degree 1 to 4 mod 2 and 3: a root when its
+    # complete factorization is linear, ValueError otherwise
+    for p in (2, 3):
+        for degree in range(1, 5):
+            for low in itertools.product(range(p), repeat=degree):
+                f = [*low, 1]
+                factors = factor_mod_p(f, p)
+                if all(len(g) == 2 for g, _ in factors):
+                    assert gf_root(f, p) in [-g[0] % p for g, _ in factors]
+                else:
+                    with pytest.raises(ValueError):
+                        gf_root(f, p)
 
 
 def test_period_polynomial_repeated_residues():
