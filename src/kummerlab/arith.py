@@ -251,8 +251,9 @@ def valuation_int(n: int, p: int) -> int:
     return v
 
 
-def multiplicative_order(a: int, n: int) -> int:
-    """Order of a in (Z/nZ)^*; requires gcd(a, n) == 1."""
+def multiplicative_order(a: int, n: int, subgroup=(1,)) -> int:
+    """Order of a in (Z/nZ)^* modulo a subgroup, given by its residues:
+    the least s >= 1 with a^s in it.  Requires gcd(a, n) == 1."""
     if n == 1:
         return 1
     a %= n
@@ -260,7 +261,7 @@ def multiplicative_order(a: int, n: int) -> int:
         raise ValueError(f"{a} is not a unit mod {n}")
     order = 1
     x = a
-    while x != 1:
+    while x not in subgroup:
         x = x * a % n
         order += 1
     return order
@@ -318,3 +319,11 @@ def squarefree_decomposition(n: int) -> tuple[int, int]:
         if e % 2:
             d *= p
     return s, sign * d
+
+
+def squarefree_divisors(n: int) -> dict[int, int]:
+    """mu(s) on the squarefree divisors s of n, keyed by s."""
+    divisors = {1: 1}
+    for q in factorize_int(n):
+        divisors.update({s * q: -mu for s, mu in divisors.items()})
+    return divisors

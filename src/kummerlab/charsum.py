@@ -20,14 +20,16 @@ Gauss-sum ratio g_i g_k / g_{i+k}.  They differ only by sign, so every
 modulus and valuation statement holds for both.
 
 The reflection identity J(chi^i, chi^k) sigma_{-1}(J) = p is read off the
-autocorrelation of the counts by its gcd classes, never by reducing J, and
-a row of pairs with the same i at once, lane by lane (reflection_products).
+autocorrelation of the counts by its gcd classes, never by reducing J: one
+pair alone (reflection_identity), or a row of pairs with the same i at
+once (reflection_products).
 """
 
 from array import array
 from functools import lru_cache
+from itertools import groupby
 from math import comb
-from operator import sub
+from operator import itemgetter
 
 from kummerlab import polyint
 from kummerlab.arith import (
@@ -120,73 +122,62 @@ def jacobi_sum(chi: Character, i: int, k: int) -> CyclotomicElement:
     return chi.ring.element([-c for c in _counts(chi, i, k)])
 
 
+def _checked_counts(chi: Character, i: int, k: int) -> list[int]:
+    """_counts(chi, i, k) for a pair of the reflection identity: ValueError
+    for a degenerate index, or for counts that do not sum to p - 2."""
+    lam, p = chi.lam, chi.p
+    if i % lam == 0 or k % lam == 0 or (i + k) % lam == 0:
+        raise ValueError(f"degenerate index: i, k, i+k must all be nonzero mod {lam}")
+    counts = _counts(chi, i, k)
+    if sum(counts) != p - 2:
+        raise ValueError(f"counts must sum to p - 2 = {p - 2}")
+    return counts
+
+
 def reflection_products(chi: Character, pairs):
     """For each pair (i, k), the counts N of _counts and the residue of
     J(chi^i, chi^k) times sigma_{-1}(J) mod Phi_lam, without reducing J.
 
     J = -sum_e N_e alpha^e, so the product is sum_s c_s alpha^s, c the
-    cyclic autocorrelation N(X) N(X^-1) mod X^lam - 1: N packed once as
-    w-bit words, times its packed reflection N_0, N_(lam-1), ..., N_1,
-    folded mod 2^(w lam) - 1.
-    Lemma: c_s depends on s only through gcd(s, lam), so invariant_residue
-    reads the product off c.  Proof: c(z) = |N(z)|^2 is p, 1 or (p - 2)^2
-    at each lam-th root of unity z, fixed by every sigma_u, so it depends
-    on z only through its order, and c_s = (1/lam) sum_z c(z) z^-s only
-    through gcd(s, lam).  c is reduced only when the check fails, as for
-    counts that are not a Jacobi sum's.  The identity holds when the
-    residue is [p, 0, ..., 0].
+    cyclic autocorrelation N(X) N(X^-1) mod X^lam - 1: N packed as w-bit
+    words, times its packed reflection N_0, N_(lam-1), ..., N_1, folded
+    mod 2^(w lam) - 1.  c(z) = |N(z)|^2 is p, 1 or (p - 2)^2 at each
+    lam-th root of unity z, fixed by every sigma_u, so c is constant on
+    gcd classes and the ring's invariant_residue reads the product off c.
+    c is reduced only when that check fails, as for counts that are not
+    a Jacobi sum's.  The identity holds when the residue is [p, 0, ..., 0].
 
-    Rows.  The pairs are read a row at a time, a row being a run of
-    consecutive pairs with the same i.  Word bound, one per row: each N
-    >= 0 sums to p - 2 (other counts are refused), so each coefficient, a
-    sum of N_e N_(e-s) over distinct e, is at most max(N) (p - 2), and w
-    is the narrowest word above the row's largest such bound: no word
-    carries.  The row's autocorrelations are unpacked as one array, c_s
-    of pair j at word j lam + s, so lane s, c[s::lam], holds c_s of every
-    pair.  A lane read is the per-pair read: lane s equal to lane
-    gcd(s, lam) and to lane lam - s, for 0 < s <= lam/2, are the
-    equalities invariant_residue checks for each pair, and the residues
-    are its Moebius sums taken lane by lane.  If a lane comparison fails,
-    the row is read pair by pair, so only the pairs that fail their own
-    check are reduced.  A row of one pair is read alone, since its lanes
-    would cost about lam slices.  Each pair is checked as it is drawn: a
-    degenerate index, or counts that do not sum to p - 2, raises
+    The pairs are read a row at a time, a row being a run of consecutive
+    pairs with the same i, by the ring's invariant_residues.  Each pair is
+    checked as it is drawn (_checked_counts), and a refused pair raises
     ValueError after the pairs before it are yielded.
     """
-    lam, p = chi.lam, chi.p
-    row, row_i = [], None
-    for i, k in pairs:
-        if i != row_i and row:
-            yield from _row_products(chi, row)
-            row = []
-        row_i = i
-        if i % lam == 0 or k % lam == 0 or (i + k) % lam == 0:
-            refusal = f"degenerate index: i, k, i+k must all be nonzero mod {lam}"
-        else:
-            counts = _counts(chi, i, k)
-            if sum(counts) == p - 2:
-                row.append(counts)
-                continue
-            refusal = f"counts must sum to p - 2 = {p - 2}"
-        if row:
-            yield from _row_products(chi, row)
-        raise ValueError(refusal)
-    if row:
+    for _, row_pairs in groupby(pairs, itemgetter(0)):
+        row = []
+        for i, k in row_pairs:
+            try:
+                row.append(_checked_counts(chi, i, k))
+            except ValueError:
+                if row:
+                    yield from _row_products(chi, row)
+                raise
         yield from _row_products(chi, row)
 
 
 def _row_products(chi: Character, row: list[list[int]]) -> list[tuple]:
-    """reflection_products' (counts, product) for each counts of a row:
-    by lanes for a row of several pairs, else pair by pair.
+    """reflection_products' (counts, product) for each counts of a row.
 
-    The row's word is the narrowest above its largest max(N) (p - 2).  A
-    row whose counts may all be at most small = 255 // (p - 2) (their
-    mean (p - 2)/lam is; then p < 258 and every count fits a byte) is
-    read as bytes first, and takes the byte word when one translate of
-    the joined bytes finds no count above small, with no max taken.
+    Word bound: each N >= 0 sums to p - 2, so each coefficient of c, a sum
+    of N_e N_(e-s) over distinct e, is at most max(N) (p - 2), and w is
+    the narrowest word above the row's largest such bound: no word
+    carries.  A row whose counts may all be at most small = 255 // (p - 2)
+    (their mean (p - 2)/lam is; then p < 258 and every count fits a byte)
+    is read as bytes first, and takes the byte word when one translate of
+    the joined bytes finds no count above small, with no max taken.  The
+    row's autocorrelations are unpacked as one array, c of pair j at words
+    j lam .. j lam + lam - 1; a pair that fails its check is reduced from
+    that array.
     """
-    if len(row) == 1:
-        return [(row[0], _pair_product(chi, row[0]))]
     lam, p, ring = chi.lam, chi.p, chi.ring
     small = 255 // (p - 2)
     data = list(map(bytes, row)) if small * lam >= p - 2 else None
@@ -202,17 +193,25 @@ def _row_products(chi: Character, row: list[list[int]]) -> list[tuple]:
         x = pack(words) * pack(words[:1] + words[:0:-1])
         folded.append(((x & mask) + (x >> shift)).to_bytes(size, "little"))
     c = polyint.unpack_words(b"".join(folded), code, lam * len(row))
-    values = _lane_residues(ring, c)
-    if values is None:
-        return [(counts, _pair_product(chi, counts)) for counts in row]
     zeros = [0] * (ring.degree - 1)
-    return [(counts, [value, *zeros]) for counts, value in zip(row, values)]
+    values = ring.invariant_residues(c)
+    return [
+        (counts, [v, *zeros] if v is not None else list(ring._reduce(c[j : j + lam])))
+        for counts, v, j in zip(row, values, range(0, len(c), lam))
+    ]
 
 
-def _pair_product(chi: Character, counts: list[int]) -> list[int]:
-    """The product of one pair read alone: its autocorrelation c in the
-    narrowest word above max(N) (p - 2), read by invariant_residue and
-    reduced only when that check fails."""
+def reflection_identity(chi: Character, i: int, k: int) -> dict:
+    """Verify J(chi^i, chi^k) * sigma_{-1}(J(chi^i, chi^k)) == p exactly,
+    as a report of J, psi = -J, the product and whether it is p.
+
+    The product is reflection_products' for the one pair, read alone: the
+    counts packed in the narrowest word above max(N) (p - 2), and their
+    autocorrelation read by invariant_residue and reduced only when that
+    check fails.  The only other reduction is of the counts, for
+    psi = N mod Phi_lam and J = -psi.
+    """
+    counts = _checked_counts(chi, i, k)
     lam, ring = chi.lam, chi.ring
     bits, code = polyint.narrowest_word(max(counts) * (chi.p - 2))
     shift = bits * lam
@@ -222,36 +221,10 @@ def _pair_product(chi: Character, counts: list[int]) -> list[int]:
     c = polyint.unpack_words(x, code, lam).tolist()
     value = ring.invariant_residue(c)
     if value is None:
-        return list(ring._reduce(c))
-    return [value] + [0] * (ring.degree - 1)
-
-
-def _lane_residues(ring, c: array) -> list[int] | None:
-    """invariant_residue of each run of ring.n words of c, read lane by
-    lane (lane d taken once per divisor d); None when one fails."""
-    n = ring.n
-    classes, plus, minus = ring._gcd_classes
-    lanes = {d: c[d::n] for d in set(classes)}
-    for s in range(1, len(classes)):
-        lane = lanes[classes[s]]
-        if c[n - s :: n] != lane or (classes[s] != s and c[s::n] != lane):
-            return None
-
-    def sums(divisors):
-        return map(sum, zip(*[lanes[d] for d in divisors]))
-
-    return list(map(sub, sums(plus), sums(minus)))
-
-
-def reflection_identity(chi: Character, i: int, k: int) -> dict:
-    """Verify J(chi^i, chi^k) * sigma_{-1}(J(chi^i, chi^k)) == p exactly,
-    as a report of J, psi = -J, the product and whether it is p.
-
-    The product is reflection_products' for the one pair; only the counts
-    are reduced, for psi = N mod Phi_lam and J = -psi.
-    """
-    ((counts, product),) = reflection_products(chi, [(i, k)])
-    psi = list(chi.ring._reduce(counts))
+        product = list(ring._reduce(c))
+    else:
+        product = [value] + [0] * (ring.degree - 1)
+    psi = list(ring._reduce(counts))
     return {
         "p": chi.p,
         "order": chi.lam,

@@ -11,10 +11,12 @@ mod their own modulus.
 
 from array import array
 from functools import cached_property, lru_cache
-from math import gcd, prod
+from math import gcd
+from operator import sub
 
 from kummerlab import polyint
 from kummerlab.arith import factorize_int, is_prime, least_primitive_root
+from kummerlab.arith import multiplicative_order, squarefree_divisors
 
 
 @lru_cache(maxsize=1024)
@@ -67,12 +69,10 @@ class CyclotomicRing:
         n = self.n
         code = polyint.narrowest_word(n // 2)[1]
         classes = array(code, [gcd(s, n) % n for s in range(n // 2 + 1)])
-        signed = ([], [])
-        primes = list(factorize_int(n))
-        for mask in range(1 << len(primes)):
-            chosen = [q for j, q in enumerate(primes) if mask >> j & 1]
-            signed[len(chosen) % 2].append(n // prod(chosen) % n)
-        return classes, tuple(signed[0]), tuple(signed[1])
+        mu = squarefree_divisors(n).items()
+        plus = tuple(n // s % n for s, sign in mu if sign == 1)
+        minus = tuple(n // s % n for s, sign in mu if sign == -1)
+        return classes, plus, minus
 
     def invariant_residue(self, c: list[int]) -> int | None:
         """The residue mod Phi_n of c, a list of length n in Z[X]/(X^n - 1),
@@ -92,6 +92,32 @@ class CyclotomicRing:
         if gathered != c[:h] or c[1:h] != c[: self.n - h : -1]:
             return None
         return sum(map(c.__getitem__, plus)) - sum(map(c.__getitem__, minus))
+
+    def invariant_residues(self, c) -> list[int | None]:
+        """invariant_residue of each run of n words of c (a sequence of
+        whole runs), None for a run that fails.
+
+        Lane s, c[s::n], holds c_s of every run, so one comparison of lane
+        s with lane gcd(s, n) and one with lane n - s, 0 < s <= n/2, check
+        invariant_residue's equalities for every run at once, and the
+        residues are its Moebius sums taken lane by lane.  When a lane
+        comparison fails, each run is checked alone.
+        """
+        n = self.n
+        classes, plus, minus = self._gcd_classes
+        lanes = {d: c[d::n] for d in set(classes)}
+        for s in range(1, len(classes)):
+            lane = lanes[classes[s]]
+            if c[n - s :: n] != lane or (classes[s] != s and c[s::n] != lane):
+                runs = range(0, len(c), n)
+                return [self.invariant_residue(list(c[j : j + n])) for j in runs]
+
+        def sums(divisors):
+            return map(sum, zip(*[lanes[d] for d in divisors]))
+
+        if not minus:  # n = 1: each run is one word, its own residue
+            return list(sums(plus))
+        return list(map(sub, sums(plus), sums(minus)))
 
     def element(self, coeffs) -> "CyclotomicElement":
         if isinstance(coeffs, int):
@@ -175,10 +201,7 @@ def _norm_schedule(n: int, subgroup=(1,)) -> tuple[tuple[int, int], ...]:
     steps = []
     for k in units:
         while k not in group:
-            s, power = 1, k
-            while power not in group:
-                power = power * k % n
-                s += 1
+            s = multiplicative_order(k, n, group)
             r = next(d for d in range(2, s + 1) if s % d == 0)
             step = pow(k, s // r, n)
             group = {h * pow(step, j, n) % n for h in group for j in range(r)}

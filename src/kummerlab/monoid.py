@@ -15,7 +15,7 @@ breaks down in exactly the way square roots do.
 
 from math import gcd, isqrt, prod
 
-from kummerlab.arith import exact_sqrt, factorize_int, is_prime
+from kummerlab.arith import exact_sqrt, factorize_int, is_prime, multiplicative_order
 
 
 class HilbertMonoid:
@@ -193,15 +193,9 @@ def class_group(M: HilbertMonoid) -> dict:
             index.update((r, len(cosets)) for r in coset)
             cosets.append(coset)
 
-    def element_order(r: int) -> int:
-        order, x = 1, r
-        while x not in H:
-            x, order = x * r % m, order + 1
-        return order
-
     n = len(cosets)
     table = [[index[a[0] * b[0] % m] for b in cosets] for a in cosets]
-    orders = sorted(element_order(c[0]) for c in cosets)
+    orders = sorted(multiplicative_order(c[0], m, H) for c in cosets)
     invariants = _invariant_factors(n, orders)
     return {
         "order": n,

@@ -20,7 +20,7 @@ from array import array
 from collections.abc import Sequence
 from functools import lru_cache
 
-from kummerlab.arith import factorize_int
+from kummerlab.arith import squarefree_divisors
 
 
 def trim(c: list[int]) -> list[int]:
@@ -157,14 +157,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    primes = list(factorize_int(n))
-    phi = n
-    for p in primes:
-        phi = phi // p * (p - 1)
-    # mu(s) on the squarefree divisors s of n
-    divisors = {1: 1}
-    for p in primes:
-        divisors.update({s * p: -mu for s, mu in divisors.items()})
+    divisors = squarefree_divisors(n)
+    phi = sum(mu * (n // s) for s, mu in divisors.items())
     f = [1] + [0] * phi
     # f[i] <- f[i - d] - f[i] from the top multiplies by X^d - 1; from the
     # bottom, reading the quotient already written below i, it divides by it

@@ -4,10 +4,10 @@ JSON reports are versioned ({"schema": "kummerlab/1"}), keys sorted, and
 never contain floating-point values; repeated runs are byte-identical.
 """
 
+import io
 import json
 
 SCHEMA = "kummerlab/1"
-_LAYOUT = {"sort_keys": True, "indent": 2}
 
 
 def _document(command: str, result) -> dict:
@@ -15,12 +15,15 @@ def _document(command: str, result) -> dict:
 
 
 def render_json(command: str, result) -> str:
-    return json.dumps(_document(command, result), **_LAYOUT) + "\n"
+    """write_json's text as one string."""
+    stream = io.StringIO()
+    write_json(command, result, stream)
+    return stream.getvalue()
 
 
 def write_json(command: str, result, stream) -> None:
-    """Write render_json's text to ``stream`` piece by piece, without
-    holding the whole report as one string."""
+    """Write the report to ``stream`` piece by piece, in json's sort_keys,
+    indent=2 layout, without holding the whole report as one string."""
     _write_json(_document(command, result), stream, "\n")
     stream.write("\n")
 

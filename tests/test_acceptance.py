@@ -61,14 +61,16 @@ def test_acceptance_criterion(number, name, claim_id):
 
 def test_reflection_claim_reduces_nothing(monkeypatch):
     # the work count of claim 03: every case reads J sigma_{-1}(J) off the
-    # autocorrelation's gcd classes, so no ring reduction is taken, and a
-    # row of pairs with the same i is read at once by lanes: only the 12
-    # rows of one pair (i = 1 and i = 2 at lambda = 3, six primes) are read
-    # pair by pair
+    # autocorrelation's gcd classes, so no ring reduction is taken, and
+    # each of the 560 rows of pairs with the same i is read at once by
+    # lanes, the 12 rows of one pair (i = 1 and i = 2 at lambda = 3, six
+    # primes) among them: no pair is read alone
     reductions = []
     residues = []
+    lane_reads = []
     reduce = cyclotomic.CyclotomicRing._reduce
     residue = cyclotomic.CyclotomicRing.invariant_residue
+    lanes = cyclotomic.CyclotomicRing.invariant_residues
 
     def counted(ring, coeffs):
         reductions.append(ring.n)
@@ -78,13 +80,21 @@ def test_reflection_claim_reduces_nothing(monkeypatch):
         residues.append(ring.n)
         return residue(ring, c)
 
+    def counted_lanes(ring, c):
+        lane_reads.append(ring.n)
+        return lanes(ring, c)
+
     monkeypatch.setattr(cyclotomic.CyclotomicRing, "_reduce", counted)
     monkeypatch.setattr(
         cyclotomic.CyclotomicRing, "invariant_residue", counted_residue
     )
+    monkeypatch.setattr(
+        cyclotomic.CyclotomicRing, "invariant_residues", counted_lanes
+    )
     assert CLAIMS["acceptance/03-reflection-identity"](CFG) == {"cases": 11644}
     assert reductions == []
-    assert residues == [3] * 12
+    assert residues == []
+    assert len(lane_reads) == 560 and lane_reads.count(3) == 12
 
 
 def test_singular_orders_claim_solves_once_per_fraction(monkeypatch):

@@ -249,17 +249,61 @@ def test_reflection_identity_sees_tampered_counts(monkeypatch, p, lam, i, k):
 
 
 def test_reflection_identity_needs_a_rational_product(monkeypatch):
-    # p + alpha has the right constant term but is not p
+    # p + alpha has the right constant term but is not p: the identity's
+    # autocorrelation, read with one more at lag 1, leaves the gcd classes
+    # and reduces to 13 + alpha
     chi = character(13, 12)
-    real = charsum.reflection_products
+    unpack = polyint.unpack_words
 
-    def off_by_alpha(chi, pairs):
-        for counts, _ in real(chi, pairs):
-            yield counts, [13, 1] + [0] * (chi.ring.degree - 2)
+    def off_by_alpha(x, code, count):
+        words = unpack(x, code, count)
+        if count == chi.lam:
+            words[1] += 1
+        return words
 
-    monkeypatch.setattr(charsum, "reflection_products", off_by_alpha)
+    monkeypatch.setattr(polyint, "unpack_words", off_by_alpha)
     rep = reflection_identity(chi, 3, 4)
-    assert rep["product"][:2] == [13, 1] and rep["holds"] is False
+    assert rep["product"] == [13, 1, 0, 0] and rep["holds"] is False
+
+
+# prime lam, composite lam and lam = 3, whose rows at p = 13 are one pair
+IDENTITY_CHARACTERS = [(13, 3), (23, 11), (31, 10), (61, 60), (97, 48)]
+
+
+@pytest.mark.parametrize("tampered", [False, True], ids=["counts", "tampered"])
+@pytest.mark.parametrize("p,lam", IDENTITY_CHARACTERS)
+def test_reflection_identity_and_pass_read_the_same_product(
+    monkeypatch, p, lam, tampered
+):
+    # the two entry points share no reading code: the identity reads each
+    # pair alone, the pass reads each row by lanes; every pair, one pass,
+    # and again with one t moved in every pair of odd k, which both must
+    # reduce
+    real = charsum._counts
+
+    def counts_of(chi, i, k):
+        counts = real(chi, i, k)
+        if tampered and k % 2:
+            e = counts.index(max(counts))
+            counts[e] -= 1
+            counts[(e + 1) % chi.lam] += 1
+        return counts
+
+    monkeypatch.setattr(charsum, "_counts", counts_of)
+    chi = character(p, lam)
+    pairs = [
+        (i, k) for i in range(1, lam) for k in range(1, lam) if (i + k) % lam
+    ]
+    results = list(reflection_products(chi, pairs))
+    assert len(results) == len(pairs)
+    target = [p] + [0] * (chi.ring.degree - 1)
+    for (i, k), (counts, product) in zip(pairs, results):
+        rep = reflection_identity(chi, i, k)
+        assert rep["product"] == product, (i, k)
+        assert rep["psi"] == list(chi.ring._reduce(counts)), (i, k)
+        if not (tampered and k % 2):
+            assert product == target, (i, k)
+    assert tampered is any(product != target for _, product in results)
 
 
 # (p, lam, the indices i of the pass, None for every one): at (211, 210)
@@ -596,9 +640,9 @@ def test_descent_factorization_matches_cubed_exponents(p):
 
 @pytest.mark.parametrize("p,lam", [(31, 10), (47, 46), (211, 210)])
 def test_reflection_row_reduces_only_its_tampered_pair(monkeypatch, p, lam):
-    # one t moved in one pair of a long row: the row's lane check fails, the
-    # row is read pair by pair, and only the tampered pair is reduced; every
-    # other pair still reads p
+    # one t moved in one pair of a long row: the row's lane check fails,
+    # each pair of the row is checked alone, and only the tampered pair is
+    # reduced, from the row's array; every other pair still reads p
     real = charsum._counts
     bad = (1, 3)
 

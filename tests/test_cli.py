@@ -174,9 +174,15 @@ def test_map_reading_reports_keep_their_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _json_dump(command, result):
+    # the reference layout of every JSON report
+    document = reports._document(command, result)
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
 def test_json_reports_stream_the_rendered_bytes(monkeypatch, capsys):
     # --json writes the report piece by piece as json encodes it, never as
-    # one string of the whole report, and the pieces are render_json's text
+    # one string of the whole report; render_json is the same text joined
     writes = []
 
     class Recorder:
@@ -186,11 +192,12 @@ def test_json_reports_stream_the_rendered_bytes(monkeypatch, capsys):
     result = {"lambda": 5, "maps": [{"p": 11, "kernel_hnf": [[11, 0], [2, 1]]}]}
     reports.write_json("maps", result, Recorder())
     assert "".join(writes) == reports.render_json("maps", result)
+    assert "".join(writes) == _json_dump("maps", result)
     assert len(writes) > 10
     # the CLI reaches the same bytes without calling render_json
     monkeypatch.setattr(cli, "render_json", None, raising=False)
     code, out = _run(capsys, ["maps", "--lambda", "5", "--p", "11", "--json"])
-    assert code == 0 and out == reports.render_json("maps", json.loads(out)["result"])
+    assert code == 0 and out == _json_dump("maps", json.loads(out)["result"])
 
 
 def _json_rows():
@@ -249,7 +256,8 @@ def test_json_writer_matches_json_dump_on_generated_values(value):
             pieces.append(text)
 
     reports.write_json("value", value, Recorder())
-    assert "".join(pieces) == reports.render_json("value", value)
+    assert "".join(pieces) == _json_dump("value", value)
+    assert reports.render_json("value", value) == _json_dump("value", value)
 
 
 def test_cli_maps_json(capsys):

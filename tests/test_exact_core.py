@@ -23,6 +23,7 @@ from kummerlab.arith import (
     multiplicative_order,
     primes_below,
     squarefree_decomposition,
+    squarefree_divisors,
 )
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import parse_element
@@ -335,6 +336,31 @@ def test_multiplicative_order():
     assert multiplicative_order(7, 1) == multiplicative_order(0, 1) == 1
     with pytest.raises(ValueError):
         multiplicative_order(5, 10)
+    # modulo a subgroup: the squares mod 7, and <5> of order 4 mod 13
+    assert multiplicative_order(2, 7, {1, 2, 4}) == 1
+    assert multiplicative_order(3, 7, {1, 2, 4}) == 2
+    assert multiplicative_order(2, 13, {1, 5, 8, 12}) == 3
+    assert multiplicative_order(7, 1, {0}) == 1
+    with pytest.raises(ValueError):
+        multiplicative_order(6, 21, {1, 4, 16})
+    # the least s >= 1 with a^s in H, at every unit mod 21 and H = <4>
+    for a in (a for a in range(1, 21) if math.gcd(a, 21) == 1):
+        s = next(s for s in range(1, 21) if pow(a, s, 21) in {1, 4, 16})
+        assert multiplicative_order(a, 21, {1, 4, 16}) == s == multiplicative_order(
+            a, 21, (1, 4, 16)
+        )
+
+
+def test_squarefree_divisors():
+    assert squarefree_divisors(1) == {1: 1}
+    assert squarefree_divisors(12) == {1: 1, 2: -1, 3: -1, 6: 1}
+    for n in range(1, 200):
+        expected = {}
+        for s in range(1, n + 1):
+            primes = [q for q in range(2, s + 1) if s % q == 0 and is_prime(q)]
+            if n % s == 0 and all(s % (q * q) for q in primes):
+                expected[s] = (-1) ** len(primes)
+        assert squarefree_divisors(n) == expected, n
 
 
 def test_least_primitive_root():

@@ -17,6 +17,7 @@ field.
 Examples are derandomized, so every run draws the same inputs.
 """
 
+from array import array
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -161,6 +162,42 @@ def test_invariant_residue_is_the_reduction(n, data):
         if data.draw(st.booleans()) and n // gcd(s, n) not in (3, 4, 6):
             c[n - s] += delta
         assert ring.invariant_residue(c) is None
+
+
+@pytest.mark.parametrize("n", INVARIANT_CONDUCTORS)
+@GENERATED
+@given(data=st.data())
+def test_invariant_residues_read_each_run(n, data):
+    # one run or many, gcd-class runs mixed with tampered ones anywhere in
+    # the batch, as a list or as the array words charsum unpacks: each run
+    # reads as invariant_residue reads it alone, and its reduction
+    ring = cyclotomic_ring(n)
+    spread = data.draw(st.sampled_from([1, 50, 10**30]))
+    rng = data.draw(st.randoms(use_true_random=False))
+    count = data.draw(st.sampled_from([1, 2, 7]))
+    shared = [s for s in range(n) if n // gcd(s, n) > 2]
+    tampered = set()
+    if shared:
+        tampered = data.draw(st.sets(st.integers(0, count - 1), max_size=count))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    c = []
+    for j in range(count):
+        by_class = {d: rng.randint(-spread, spread) for d in divisors}
+        run = [by_class[gcd(s, n)] for s in range(n)]
+        if j in tampered:
+            s = data.draw(st.sampled_from(shared))
+            run[s] += data.draw(st.sampled_from([-1, 1, spread]))
+        c += run
+    if spread < 2**62 and data.draw(st.booleans()):
+        c = array("q", c)
+    values = ring.invariant_residues(c)
+    assert len(values) == count
+    for j, value in enumerate(values):
+        run = list(c[j * n : (j + 1) * n])
+        assert value == ring.invariant_residue(run)
+        assert (value is None) is (j in tampered), j
+        if value is not None:
+            assert ring._reduce(run) == (value,) + (0,) * (ring.degree - 1)
 
 
 def _value(f, x):
