@@ -44,8 +44,6 @@ from kummerlab.cyclotomic import (
     cyclotomic_ring,
     norm,
 )
-from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
-from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
 
 
 class Character:
@@ -218,7 +216,7 @@ def reflection_identity(chi: Character, i: int, k: int) -> dict:
     words = bytes(counts) if bits == 8 else array(code, counts)
     x = polyint.pack_words(words) * polyint.pack_words(words[:1] + words[:0:-1])
     x = (x & ((1 << shift) - 1)) + (x >> shift)
-    c = polyint.unpack_words(x, code, lam).tolist()
+    c = polyint.unpack_words(x, code, lam)
     value = ring.invariant_residue(c)
     if value is None:
         product = list(ring._reduce(c))
@@ -419,6 +417,10 @@ def stickelberger_check(lam: int, p: int) -> dict:
     the conjugate primes indexed by 0 < 2t < lam and 0 elsewhere; both the
     uniformizer multiplicity and the p-adic valuation oracle are consulted.
     """
+    # imported here: no other function of this module needs maps or valuations
+    from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
+    from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
+
     if not is_prime(lam) or lam == 2:
         raise ValueError("order must be an odd prime")
     if p % lam != 1:

@@ -74,9 +74,10 @@ class CyclotomicRing:
         minus = tuple(n // s % n for s, sign in mu if sign == -1)
         return classes, plus, minus
 
-    def invariant_residue(self, c: list[int]) -> int | None:
-        """The residue mod Phi_n of c, a list of length n in Z[X]/(X^n - 1),
-        when c_s = c_(gcd(s, n) mod n) for every s; None when it is not.
+    def invariant_residue(self, c) -> int | None:
+        """The residue mod Phi_n of c, a list or an array of n words in
+        Z[X]/(X^n - 1), when c_s = c_(gcd(s, n) mod n) for every s; None
+        when it is not.
 
         Lemma: such a c is the rational integer sum over d | n of
         mu(n/d) c_(d mod n) mod Phi_n (c_0 - c_1 at prime n).  Proof: the
@@ -84,14 +85,18 @@ class CyclotomicRing:
         unity, and those sum to mu(n/d).  gcd(n - s, n) = gcd(s, n), so
         the condition holds exactly when c_s = c_(gcd(s, n) mod n) for
         s <= n/2, one gather of c over the ring's cached table, and
-        c_(n - s) = c_s there, one slice comparison.
+        c_(n - s) = c_s there, one slice comparison.  Every index read is
+        at most n/2, so the head c_0 .. c_(n/2) is taken once as a list and
+        the gather, a list, is compared with it; the mirror check compares
+        two slices of c, of one type.
         """
         classes, plus, minus = self._gcd_classes
         h = len(classes)
-        gathered = list(map(c.__getitem__, classes))
-        if gathered != c[:h] or c[1:h] != c[: self.n - h : -1]:
+        head = list(c[:h])
+        gathered = list(map(head.__getitem__, classes))
+        if gathered != head or c[1:h] != c[: self.n - h : -1]:
             return None
-        return sum(map(c.__getitem__, plus)) - sum(map(c.__getitem__, minus))
+        return sum(map(head.__getitem__, plus)) - sum(map(head.__getitem__, minus))
 
     def invariant_residues(self, c) -> list[int | None]:
         """invariant_residue of each run of n words of c (a sequence of
@@ -110,7 +115,7 @@ class CyclotomicRing:
             lane = lanes[classes[s]]
             if c[n - s :: n] != lane or (classes[s] != s and c[s::n] != lane):
                 runs = range(0, len(c), n)
-                return [self.invariant_residue(list(c[j : j + n])) for j in runs]
+                return [self.invariant_residue(c[j : j + n]) for j in runs]
 
         def sums(divisors):
             return map(sum, zip(*[lanes[d] for d in divisors]))

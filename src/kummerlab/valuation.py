@@ -45,7 +45,7 @@ Jacobi map is built on, quadorder.dichotomy_check reads it off the colon
 ideals, and the tests compare that read with valuations.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache, reduce
 from operator import mul
 
@@ -70,14 +70,18 @@ from kummerlab.lattice import kernel_mod, mul_matrix
 from kummerlab.polymod import gf_pow_mod
 
 
-@dataclass(frozen=True)
-class KummerPrime:
+class KummerPrime(
+    namedtuple(
+        "KummerPrime",
+        [
+            "map",  # JacobiMap
+            "psi",  # CyclotomicElement, the uniformizer
+            "psi_conjugates",  # Psi = product of the other conjugates
+            "period_norm",  # psi * Psi as a rational integer
+        ],
+    )
+):
     """An ideal prime with a certified uniformizer."""
-
-    map: JacobiMap
-    psi: CyclotomicElement
-    psi_conjugates: CyclotomicElement  # Psi = product of the other conjugates
-    period_norm: int  # psi * Psi as a rational integer
 
     @property
     def q(self) -> int:
@@ -335,23 +339,17 @@ def valuation_oracles(xs, maps) -> list[list[int]]:
     return _screened(valuation_oracle, xs, maps, maps, reads, refuse)
 
 
-@dataclass(frozen=True)
-class ValuationRecord:
-    map: JacobiMap
-    mu: int
+ValuationRecord = namedtuple("ValuationRecord", ["map", "mu"])
 
 
-@dataclass(frozen=True)
-class IdealFactorization:
-    """Multiplicities of x at every map of every prime dividing norm(x).
+class IdealFactorization(namedtuple("IdealFactorization", ["norm_value", "records"])):
+    """Multiplicities of x at every map of every prime dividing norm(x):
+    records is a tuple of ValuationRecord.
 
     The element is determined by its records only up to a unit multiple;
     factorize checks norm consistency (sum of f * mu over the maps of p
     equals the exponent of p in norm(x)) before it returns one.
     """
-
-    norm_value: int
-    records: tuple[ValuationRecord, ...]
 
     def nonzero(self) -> tuple[ValuationRecord, ...]:
         return tuple(r for r in self.records if r.mu > 0)

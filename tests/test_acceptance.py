@@ -259,6 +259,77 @@ def test_cold_reproduce_builds_each_map_and_lift_once():
     }
 
 
+# Run in a fresh interpreter, with the package root as argv[1]: the modules
+# each import adds to sys.modules, and what the Stickelberger check adds.
+_COLD_IMPORTS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+seen = set(sys.modules)
+
+def added():
+    new = set(sys.modules) - seen
+    seen.update(new)
+    return sorted(new)
+
+import kummerlab
+out = {"kummerlab": added()}
+import kummerlab.charsum
+out["kummerlab.charsum"] = added()
+out["holds"] = kummerlab.charsum.stickelberger_check(3, 7)["holds"]
+out["stickelberger_check"] = added()
+import kummerlab.cli
+out["kummerlab.cli"] = added()
+print(json.dumps(out))
+"""
+
+
+def test_cold_imports_load_only_the_modules_they_use():
+    # a fresh process compiles every package module it imports: the
+    # package loads no submodule, the character sums need four, and the
+    # Stickelberger check loads the maps and valuations on its first call.
+    # The records of valuation are named tuples, so not even the command
+    # line, which loads every module, pays for dataclasses and inspect
+    package_root = str(Path(kummerlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_IMPORTS, package_root],
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    out = json.loads(proc.stdout)
+    holds = out.pop("holds")
+    ours = {
+        step: [m for m in modules if m.split(".")[0] == "kummerlab"]
+        for step, modules in out.items()
+    }
+    assert ours == {
+        "kummerlab": ["kummerlab"],
+        "kummerlab.charsum": [
+            "kummerlab.arith",
+            "kummerlab.charsum",
+            "kummerlab.cyclotomic",
+            "kummerlab.polyint",
+        ],
+        "stickelberger_check": [
+            "kummerlab.ffield",
+            "kummerlab.idealprimes",
+            "kummerlab.lattice",
+            "kummerlab.polymod",
+            "kummerlab.valuation",
+        ],
+        "kummerlab.cli": [
+            "kummerlab.cli",
+            "kummerlab.exprparse",
+            "kummerlab.monoid",
+            "kummerlab.quadorder",
+            "kummerlab.reports",
+            "kummerlab.reproduce",
+        ],
+    }
+    assert holds is True
+    assert not {"dataclasses", "inspect"} & set().union(*out.values())
+
+
 def test_reproduce_trace_leaves_stdout_alone(tmp_path, capsys):
     # the trace is a side channel: stdout keeps the golden bytes, and the
     # file holds one line per claim, in the order the claims ran

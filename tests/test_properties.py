@@ -170,7 +170,8 @@ def test_invariant_residue_is_the_reduction(n, data):
 def test_invariant_residues_read_each_run(n, data):
     # one run or many, gcd-class runs mixed with tampered ones anywhere in
     # the batch, as a list or as the array words charsum unpacks: each run
-    # reads as invariant_residue reads it alone, and its reduction
+    # reads as invariant_residue reads it alone, as a list and as the same
+    # words, and its reduction
     ring = cyclotomic_ring(n)
     spread = data.draw(st.sampled_from([1, 50, 10**30]))
     rng = data.draw(st.randoms(use_true_random=False))
@@ -193,11 +194,23 @@ def test_invariant_residues_read_each_run(n, data):
     values = ring.invariant_residues(c)
     assert len(values) == count
     for j, value in enumerate(values):
-        run = list(c[j * n : (j + 1) * n])
-        assert value == ring.invariant_residue(run)
+        words = c[j * n : (j + 1) * n]
+        run = list(words)
+        assert value == ring.invariant_residue(run) == ring.invariant_residue(words)
         assert (value is None) is (j in tampered), j
         if value is not None:
             assert ring._reduce(run) == (value,) + (0,) * (ring.degree - 1)
+
+
+def test_invariant_residue_reads_array_words():
+    # c_s = 3 gcd(s, 12) is constant on the gcd classes of 12, so its
+    # residue is 3 (12 - 6 - 4 + 2) = 12, whether c is a list or the array
+    # words charsum unpacks; moved off its class, it is None as both
+    ring = cyclotomic_ring(12)
+    c = [3 * gcd(s, 12) for s in range(12)]
+    assert ring.invariant_residue(c) == ring.invariant_residue(array("q", c)) == 12
+    c[5] += 1
+    assert ring.invariant_residue(c) is ring.invariant_residue(array("q", c)) is None
 
 
 def _value(f, x):

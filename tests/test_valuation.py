@@ -1,6 +1,5 @@
 """Uniformizers, Kummer multiplicity vs the p-adic oracle, divisibility."""
 
-import dataclasses
 import json
 import random
 
@@ -312,10 +311,31 @@ def test_norm_cap_stops_a_broken_uniformizer():
     # with Psi = q every level divides, so only the norm cap ends the loop
     ring = cyclotomic_ring(5)
     phi = map_for_root(enumerate_jacobi_maps(5, 11), 9)
-    broken = dataclasses.replace(kummer_prime(phi), psi_conjugates=ring.element(11))
+    broken = kummer_prime(phi)._replace(psi_conjugates=ring.element(11))
     for x in (ring.one(), ring.element([2, 1]), ring.element(11)):
         with pytest.raises(AssertionError):
             multiplicity(x, broken)
+
+
+def test_records_are_immutable_values():
+    # KummerPrime, ValuationRecord and IdealFactorization are named tuples:
+    # fields cannot be assigned, equal fields compare and hash equal, and
+    # the repr names every field
+    ring = cyclotomic_ring(5)
+    phi = map_for_root(enumerate_jacobi_maps(5, 11), 9)
+    K = kummer_prime(phi)
+    fact = factorize(ring.one() - ring.alpha())
+    for record, field in ((K, "psi"), (fact.records[0], "mu"), (fact, "records")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    kummer_prime.cache_clear()
+    again = kummer_prime(phi)
+    assert again is not K and again == K and hash(again) == hash(K)
+    assert (again.q, again.psi_columns) == (11, K.psi_columns)
+    assert repr(fact) == (
+        "IdealFactorization(norm_value=5, records=(ValuationRecord("
+        "map=JacobiMap(CyclotomicRing(5), p=5, xi=1), mu=1),))"
+    )
 
 
 def test_valuations_up_to_the_degree_and_divides_compute_no_norm(monkeypatch):
