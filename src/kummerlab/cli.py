@@ -27,7 +27,6 @@ from kummerlab.reproduce import reproduce_all
 from kummerlab.valuation import (
     divides,
     factorize,
-    find_uniformizer,
     kummer_prime,
     multiplicity,
     valuation_oracle,
@@ -381,7 +380,7 @@ def _cmd_valuation(args) -> int:
         raise UsageError("valuation of 0 is infinite")
     maps = enumerate_jacobi_maps(args.lam, args.p)
     phi = map_for_root(maps, _int_list("--xi", args.xi))
-    K = find_uniformizer(phi)
+    K = kummer_prime(phi)
     mu = multiplicity(x, K)
     oracle = valuation_oracle(x, phi)
     result = {
@@ -604,11 +603,8 @@ def _cmd_quad(args) -> int:
         }
         return _emit(args, "quad", result)
     if args.action == "conductor":
-        result = {
-            "order": repr(order),
-            "conductor": quadorder.conductor(order),
-            "integrally_closed": quadorder.is_integrally_closed(order),
-        }
+        c = quadorder.conductor(order)
+        result = {"order": repr(order), "conductor": c, "integrally_closed": c == 1}
         return _emit(args, "quad", result)
     # gauss-lemma
     if "," not in args.poly:

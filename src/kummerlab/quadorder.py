@@ -169,10 +169,6 @@ def conductor(order: QuadOrder) -> int:
     return f
 
 
-def is_integrally_closed(order: QuadOrder) -> bool:
-    return conductor(order) == 1
-
-
 def _rational_sqrt(q: Fraction) -> Fraction | None:
     rn, rd = exact_sqrt(q.numerator), exact_sqrt(q.denominator)
     if rn is None or rd is None:

@@ -16,7 +16,6 @@ from kummerlab.arith import (
     factorize_int,
     multiplicative_order,
     primes_below,
-    valuation_int,
 )
 from kummerlab.cyclotomic import cyclotomic_ring, gaussian_periods, norm
 from kummerlab.exprparse import render_element
@@ -27,7 +26,6 @@ from kummerlab.reports import render_json
 from kummerlab.valuation import (
     divides,
     factorize,
-    find_uniformizer,
     kummer_prime,
     multiplicities,
     multiplicity,
@@ -165,7 +163,7 @@ def _claim_u_vectors(cfg: Config) -> dict:
 def _claim_uniformizers(cfg: Config) -> dict:
     maps11 = enumerate_jacobi_maps(5, 11)
     ring = maps11[0].ring
-    K9 = find_uniformizer(map_for_root(maps11, 9))
+    K9 = kummer_prime(map_for_root(maps11, 9))
     assert K9.map.kills(K9.psi)
     assert K9.period_norm % 11 == 0 and (K9.period_norm // 11) % 11 != 0
     # psi = alpha - u_0 with u_0 = 9 = -2 mod 11: Kummer's own 2 + alpha ...
@@ -177,8 +175,8 @@ def _claim_uniformizers(cfg: Config) -> dict:
     rejected = ring.alpha() - ring.element(3)
     assert map_for_root(maps11, 3).kills(rejected)
     assert norm(rejected) == 121
-    assert find_uniformizer(map_for_root(maps11, 3)).psi == ring.element([8, 1])
-    K_ram = find_uniformizer(enumerate_jacobi_maps(3, 3)[0])
+    assert kummer_prime(map_for_root(maps11, 3)).psi == ring.element([8, 1])
+    K_ram = kummer_prime(enumerate_jacobi_maps(3, 3)[0])
     assert abs(K_ram.period_norm) == 3
     return {
         "psi_for_xi9": render_element(K9.psi),
@@ -369,7 +367,6 @@ def _claim_conductors(cfg: Config) -> dict:
         order = quadorder.catalog_order(entry)
         c = quadorder.conductor(order)
         assert c == entry["conductor"], entry
-        assert quadorder.is_integrally_closed(order) == (c == 1)
         out[entry["name"]] = c
     return out
 
@@ -474,11 +471,9 @@ def _acc_agreement(cfg: Config) -> dict:
         kummer = multiplicities(corpus, primes)
         oracle = valuation_oracles(corpus, [K.map for K in primes])
         for i, x in enumerate(corpus):
-            nval = norm(x)
             for K, mus, vs in zip(primes, kummer, oracle):
                 mu = mus[i]
                 assert mu == vs[i], (lam, K, x)
-                assert mu <= valuation_int(nval, K.q) * (lam - 1)
                 checked += 1
                 positive += mu > 0
         rng = random.Random(SEED + 100 + lam)

@@ -1,15 +1,15 @@
 """Discrete valuations on Z[alpha] built from uniformizers.
 
-A KummerPrime packages a Jacobi map with a uniformizer psi constructed, as
-Kummer did, from the map's period_residues() u = (u_0, ..., u_{e-1}): psi is
-killed by the map and its period-field norm psi * Psi (with Psi the product
-of the remaining period conjugates) is divisible by q exactly once.  At
-residue degree 1, psi = alpha - r and one synthetic division of Phi by
-X - r gives Psi and the norm; otherwise one walk up the period system's
-subgroup tower gives both.  The multiplicity of the ideal prime in an
-element x is then the largest mu such that every coefficient of
-x * Psi^mu is divisible by q^mu.  multiplicity runs that test one level
-and one coefficient at a time: it carries the exact quotient
+kummer_prime, cached per map, gives a KummerPrime: a Jacobi map with a
+uniformizer psi constructed, as Kummer did, from the map's period_residues()
+u = (u_0, ..., u_{e-1}): psi is killed by the map and its period-field norm
+psi * Psi (with Psi the product of the remaining period conjugates) is
+divisible by q exactly once.  At residue degree 1, psi = alpha - r and one
+synthetic division of Phi by X - r gives Psi and the norm; otherwise one
+walk up the period system's subgroup tower gives both.  The multiplicity of
+the ideal prime in an element x is then the largest mu such that every
+coefficient of x * Psi^mu is divisible by q^mu.  multiplicity runs that test
+one level and one coefficient at a time: it carries the exact quotient
 w = x * Psi^mu / q^mu, so level mu + 1 only asks whether q divides each
 coefficient of w * Psi, a dot product of w with one column of Psi's
 multiplication matrix, and it stops at the first coefficient that q does
@@ -46,7 +46,7 @@ ideals, and the tests compare that read with valuations.
 """
 
 from collections import namedtuple
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from operator import mul
 
 from kummerlab.arith import (
@@ -70,40 +70,17 @@ from kummerlab.lattice import kernel_mod, mul_matrix
 from kummerlab.polymod import gf_pow_mod
 
 
-class KummerPrime(
-    namedtuple(
-        "KummerPrime",
-        [
-            "map",  # JacobiMap
-            "psi",  # CyclotomicElement, the uniformizer
-            "psi_conjugates",  # Psi = product of the other conjugates
-            "period_norm",  # psi * Psi as a rational integer
-        ],
-    )
-):
-    """An ideal prime with a certified uniformizer."""
-
-    @property
-    def q(self) -> int:
-        return self.map.p
-
-    @cached_property
-    def psi_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Columns of the lattice.mul_matrix of Psi' = Psi - q z, Psi's
-        coefficients taken in (-q/2, q/2]: coefficient l of w * Psi' is the
-        dot product of w's coefficients with column l.
-
-        Kummer's test may use Psi' for Psi.  Psi' still lies in every other
-        prime above q, and v_P(Psi') = v_P(Psi), since q z lies deeper in P:
-        0 for q != lam, and lam - 2 at q = lam, where v_P(q) = lam - 1.  So
-        q^mu divides x * Psi'^mu exactly when v_P(x) >= mu, as for Psi.
-        Each row of the table is a rotation of (Psi', 0) minus one of its
-        entries, so every entry has |c| < q.
-        """
-        q, big_psi = self.q, self.psi_conjugates
-        residues = (c % q for c in big_psi.coeffs)
-        small = [c - q if 2 * c > q else c for c in residues]
-        return tuple(zip(*mul_matrix(big_psi.ring, small)))
+# An ideal prime with a certified uniformizer.
+KummerPrime = namedtuple(
+    "KummerPrime",
+    [
+        "map",  # JacobiMap
+        "psi",  # CyclotomicElement, the uniformizer
+        "psi_conjugates",  # Psi = product of the other conjugates
+        "period_norm",  # psi * Psi as a rational integer
+        "psi_columns",  # columns of the mul_matrix of Psi mod q
+    ],
+)
 
 
 def _norm_and_cofactor(x: CyclotomicElement, schedule):
@@ -129,8 +106,9 @@ def _linear_uniformizer(ring, r: int):
     return ring.element([-r, 1]), ring.element(quotient), value * r + modulus[0]
 
 
-def find_uniformizer(phi: JacobiMap) -> KummerPrime:
-    """Construct a certified uniformizer of the map's ideal prime; no search.
+@lru_cache(maxsize=1024)
+def kummer_prime(phi: JacobiMap) -> KummerPrime:
+    """The map's ideal prime with a certified uniformizer; no search.
 
     With e = (lam - 1) / f periods and u their residues under phi:
     - inert (e = 1): psi = q, the period ring being Z;
@@ -153,8 +131,8 @@ def find_uniformizer(phi: JacobiMap) -> KummerPrime:
     q, ring = phi.p, phi.ring
     e = ring.degree // phi.f
     if e == 1:
-        return KummerPrime(phi, ring.element(q), ring.one(), q)
-    if phi.f == 1:
+        psi, big_psi, nval = ring.element(q), ring.one(), q
+    elif phi.f == 1:
         (r,) = phi.xi
         r = r - q if 2 * r > q else r
         psi, big_psi, nval = _linear_uniformizer(ring, r)
@@ -180,13 +158,17 @@ def find_uniformizer(phi: JacobiMap) -> KummerPrime:
         raise ArithmeticError(
             f"constructed uniformizer for {phi!r} failed its certificate"
         )
-    return KummerPrime(phi, psi, big_psi, nval)
-
-
-@lru_cache(maxsize=1024)
-def kummer_prime(phi: JacobiMap) -> KummerPrime:
-    """Cached uniformizer for a map."""
-    return find_uniformizer(phi)
+    # Kummer's test may use Psi' = Psi - q z, Psi's coefficients taken in
+    # (-q/2, q/2], for Psi.  Psi' still lies in every other prime above q,
+    # and v_P(Psi') = v_P(Psi), since q z lies deeper in P: 0 for q != lam,
+    # and lam - 2 at q = lam, where v_P(q) = lam - 1.  So q^mu divides
+    # x * Psi'^mu exactly when v_P(x) >= mu, as for Psi.  Coefficient l of
+    # w * Psi' is the dot product of w with column l of Psi's mul_matrix;
+    # each row of that table is a rotation of (Psi', 0) minus one of its
+    # entries, so every entry has |c| < q.
+    small = [c - q if 2 * c > q else c for c in (c % q for c in big_psi.coeffs)]
+    columns = tuple(zip(*mul_matrix(ring, small)))
+    return KummerPrime(phi, psi, big_psi, nval, columns)
 
 
 def _norm_cap(x: CyclotomicElement, q: int) -> int:
@@ -212,8 +194,8 @@ def multiplicity(x: CyclotomicElement, K: KummerPrime) -> int:
     """
     if x.is_zero():
         raise ValueError("valuation of 0 is infinite")
-    x._check(K.psi_conjugates)
-    q = K.q
+    K.map._check_ring(x)
+    q = K.map.p
     columns = K.psi_columns
     w = x.coeffs
     mu = cap = 0
@@ -294,16 +276,15 @@ def valuation_oracle(x: CyclotomicElement, phi: JacobiMap) -> int:
         precision *= 2
 
 
-def _screened(one, xs, keys, maps, reads, message) -> list[list[int]]:
+def _screened(one, xs, keys, maps, reads) -> list[list[int]]:
     """[one(x, key) for x in xs] for each key, with one called only on the
     xs that ffield.zero_images reads as 0 under the key's read: the others
-    are 0.  An element outside the ring of a map of maps is refused with
-    message(x, ring), each element compared with each distinct ring once;
-    a zero element reads 0 everywhere, so one refuses it."""
-    for ring in {phi.ring for phi in maps}:
+    are 0.  An element outside the ring of a map of maps is refused by
+    JacobiMap._check_ring, each element compared with each distinct ring
+    once; a zero element reads 0 everywhere, so one refuses it."""
+    for phi in {phi.ring: phi for phi in maps}.values():
         for x in xs:
-            if x.ring is not ring and x.ring != ring:
-                raise ValueError(message(x, ring))
+            phi._check_ring(x)
     out = []
     for key, indices in zip(keys, zero_images([x.coeffs for x in xs], reads)):
         values = [0] * len(xs)
@@ -322,9 +303,8 @@ def multiplicities(xs, primes) -> list[list[int]]:
     only the elements that read 0 mod q go to multiplicity.
     """
     maps = [K.map for K in primes]
-    reads = [(K.psi_columns[:1], K.q) for K in primes]
-    refuse = lambda x, ring: "elements of different rings"
-    return _screened(multiplicity, xs, primes, maps, reads, refuse)
+    reads = [(K.psi_columns[:1], K.map.p) for K in primes]
+    return _screened(multiplicity, xs, primes, maps, reads)
 
 
 def valuation_oracles(xs, maps) -> list[list[int]]:
@@ -335,8 +315,7 @@ def valuation_oracles(xs, maps) -> list[list[int]]:
     only the elements phi kills go to valuation_oracle.
     """
     reads = [(phi.columns, phi.p) for phi in maps]
-    refuse = lambda x, ring: f"element lives in {x.ring!r}, map expects {ring!r}"
-    return _screened(valuation_oracle, xs, maps, maps, reads, refuse)
+    return _screened(valuation_oracle, xs, maps, maps, reads)
 
 
 ValuationRecord = namedtuple("ValuationRecord", ["map", "mu"])

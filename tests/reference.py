@@ -102,7 +102,7 @@ def autocorrelation(h: Sequence[int]) -> list[int]:
 def uniformizer_by_tower(phi):
     """psi, Psi and the period norm psi * Psi of a map of residue degree 1,
     Psi and the norm taken up the period system's subgroup tower: the
-    reference for the synthetic division of valuation.find_uniformizer.
+    reference for the synthetic division of valuation.kummer_prime.
 
     psi = eta_0 - u_0 with u_0 in (-q/2, q/2], and psi + q when q^2 divides
     the norm.
@@ -122,7 +122,7 @@ def divisibility_step(x, K, mu: int) -> bool:
     """Kummer's test at level mu, literally: q^mu divides every coefficient
     of the element product x * Psi^mu.  The reference for
     valuation.multiplicity, which divides by q one coefficient at a time."""
-    return (x * K.psi_conjugates**mu).content_divisible_by(K.q**mu)
+    return (x * K.psi_conjugates**mu).content_divisible_by(K.map.p**mu)
 
 
 def divmod_exact(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:

@@ -192,8 +192,9 @@ def test_acceptance_criterion_12_determinism():
 
 # Run in a fresh interpreter, with the package root as argv[1]: counts the
 # JacobiMaps constructed and the Teichmueller lifts raised (the only
-# gf_pow_mod of valuation) during a cold `reproduce --json`, and the
-# multiplicity and valuation_oracle calls made while claim 06 runs.
+# gf_pow_mod of valuation) during a cold `reproduce --json`, the
+# multiplicity and valuation_oracle calls made while claim 06 runs, and
+# the Kummer primes built and reused by kummer_prime's cache.
 _WORK_COUNTS = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -232,6 +233,8 @@ reproduce._CLAIMS[:] = [
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     counts["exit"] = cli.main(["reproduce", "--json"])
+info = valuation.kummer_prime.cache_info()
+counts["kummer_prime misses"], counts["kummer_prime hits"] = info.misses, info.hits
 print(json.dumps(counts))
 """
 
@@ -241,8 +244,10 @@ def test_cold_reproduce_builds_each_map_and_lift_once():
     # once per process, every map of Z[alpha] off one power table; claim 06
     # screens its batches, so only the elements whose first read is 0 go
     # to multiplicity (32,779 calls without the screen) and only those a
-    # map kills to valuation_oracle (13,600).  The counts do not depend on
-    # the machine's speed
+    # map kills to valuation_oracle (13,600).  kummer_prime is the one
+    # builder of a Kummer prime, so each of the 80 maps that a claim reads
+    # it at is built once and every later read is a cache hit.  The counts
+    # do not depend on the machine's speed
     package_root = str(Path(kummerlab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _WORK_COUNTS, package_root],
@@ -255,6 +260,8 @@ def test_cold_reproduce_builds_each_map_and_lift_once():
         "lifts": 131,
         "06 multiplicity": 3359,
         "06 valuation_oracle": 480,
+        "kummer_prime misses": 80,
+        "kummer_prime hits": 30,
         "exit": 0,
     }
 
@@ -365,17 +372,49 @@ def test_reproduce_trace_write_failure_is_a_usage_error(monkeypatch, capsys):
     assert captured.out == ""
 
 
-def test_benchmark_tracer_modules_import():
-    # perfbench/tracer.py imports every module in its MODULES list by name
-    # before a traced run; a module missing from the package breaks that run
+def _tracer_list(name: str):
+    """The literal value perfbench/tracer.py assigns to name."""
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     tree = ast.parse(tracer.read_text())
-    modules = next(
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign)
-        and any(getattr(t, "id", None) == "MODULES" for t in node.targets)
+        and any(getattr(t, "id", None) == name for t in node.targets)
     )
+
+
+def test_benchmark_tracer_modules_import():
+    # perfbench/tracer.py imports every module in its MODULES list by name
+    # before a traced run; a module missing from the package breaks that run
+    modules = _tracer_list("MODULES")
     assert "idealprimes" in modules
     for name in modules:
         importlib.import_module(f"kummerlab.{name}")
+
+
+def test_benchmark_tracer_names_that_no_longer_resolve():
+    # the tracer skips a TARGETS function or method, or a CACHES lru_cache,
+    # that the package no longer has, and its per-layer metrics then read
+    # 0; this pins the set of such names, so a change that turns off
+    # another declared metric shows up here
+    unresolved = set()
+    for _, module_name, qualname, _ in _tracer_list("TARGETS"):
+        module = importlib.import_module(f"kummerlab.{module_name}")
+        owner_name, _, name = qualname.rpartition(".")
+        owner = getattr(module, owner_name, None) if owner_name else module
+        if owner is None or name not in vars(owner):
+            unresolved.add(qualname)
+    for name, module_name in _tracer_list("CACHES").items():
+        module = importlib.import_module(f"kummerlab.{module_name}")
+        if not hasattr(getattr(module, name, None), "cache_info"):
+            unresolved.add(name)
+    assert unresolved == {
+        "IntLattice.colon",
+        "IntLattice.__contains__",
+        "FieldElement.__mul__",
+        "_mult_table",
+        "_kernel_lattice",
+        "_kummer_or_none",
+        "find_uniformizer",
+    }

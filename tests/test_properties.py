@@ -42,7 +42,6 @@ from kummerlab.quadorder import (
 )
 from kummerlab.valuation import (
     _lift_columns,
-    find_uniformizer,
     kummer_prime,
     multiplicities,
     multiplicity,
@@ -324,7 +323,7 @@ DEGREE_ONE = [
 def test_degree_one_uniformizer_matches_the_tower(case):
     for phi in enumerate_jacobi_maps(*case):
         assert phi.f == 1
-        K = find_uniformizer(phi)
+        K = kummer_prime(phi)
         assert (K.psi, K.psi_conjugates, K.period_norm) == uniformizer_by_tower(phi)
 
 
@@ -398,7 +397,7 @@ def test_multiplicity_is_the_last_literal_level(lam, data):
     x = data.draw(nonzero_elements(lam, spread=6)) * K.psi ** data.draw(
         st.integers(0, 2)
     )
-    bound = x.ring.degree * valuation_int(norm(x), K.q)
+    bound = x.ring.degree * valuation_int(norm(x), K.map.p)
     levels = [mu for mu in range(bound + 1) if divisibility_step(x, K, mu)]
     assert multiplicity(x, K) == max(levels)
 

@@ -18,7 +18,6 @@ from kummerlab.quadorder import (
     dichotomy_check,
     enumerate_quad_maps,
     gauss_lemma_check,
-    is_integrally_closed,
     prime_square_anomaly,
 )
 from reference import colon_extends_to, lattice_contains, quad_product, transpose
@@ -219,7 +218,7 @@ def test_maximal_orders_keep_dichotomy():
     rng = random.Random(RNG_SEED)
     for u, v in [(0, 1), (-1, -1), (0, 5)]:
         order = QuadOrder(u, v)
-        assert is_integrally_closed(order)
+        assert conductor(order) == 1
         maps = [
             phi
             for p in primes_below(31)
@@ -285,8 +284,8 @@ def test_conductors_pinned():
     assert conductor(QuadOrder(0, 9)) == 3
     assert conductor(QuadOrder(-1, -1)) == 1
     assert conductor(QuadOrder(0, -5)) == 2
-    assert is_integrally_closed(QuadOrder(-1, 1))  # Z[zeta_6]
-    assert not is_integrally_closed(SQRT_M3)
+    assert conductor(QuadOrder(-1, 1)) == 1  # Z[zeta_6]
+    assert conductor(SQRT_M3) == 2
 
 
 def test_gauss_lemma_pinned():
@@ -309,7 +308,7 @@ def test_gauss_lemma_witness_iff_not_integrally_closed():
     for entry in catalog():
         order = catalog_order(entry)
         witness = entry["gauss_lemma_witness"]
-        closed = is_integrally_closed(order)
+        closed = conductor(order) == 1
         assert (witness is None) == closed, entry["name"]
         if witness is not None:
             rep = gauss_lemma_check(

@@ -20,13 +20,12 @@ from kummerlab.idealprimes import (
     enumerate_jacobi_maps,
     map_for_root,
 )
-from kummerlab.lattice import IntLattice
+from kummerlab.lattice import IntLattice, mul_matrix
 from kummerlab.polyint import resultant
 from kummerlab.valuation import (
     KummerPrime,
     divides,
     factorize,
-    find_uniformizer,
     kummer_prime,
     multiplicities,
     multiplicity,
@@ -60,7 +59,7 @@ def _elements(lam, count, seed, spread=4):
 def test_uniformizer_certificate_split():
     maps = enumerate_jacobi_maps(5, 11)
     for phi in maps:
-        K = find_uniformizer(phi)
+        K = kummer_prime(phi)
         assert phi.kills(K.psi)
         assert K.period_norm % 11 == 0
         assert (K.period_norm // 11) % 11 != 0
@@ -79,10 +78,10 @@ def test_uniformizer_ramified():
     # coprime extra content is harmless
     for lam in (3, 5, 7):
         phi = enumerate_jacobi_maps(lam, lam)[0]
-        K = find_uniformizer(phi)
+        K = kummer_prime(phi)
         assert valuation_int(K.period_norm, lam) == 1
         assert phi.kills(K.psi)
-    K3 = find_uniformizer(enumerate_jacobi_maps(3, 3)[0])
+    K3 = kummer_prime(enumerate_jacobi_maps(3, 3)[0])
     assert abs(K3.period_norm) == 3
     # 1 - alpha is itself a certified uniformizer for the ramified prime
     ring = cyclotomic_ring(3)
@@ -91,7 +90,7 @@ def test_uniformizer_ramified():
 
 def test_uniformizer_inert_is_q():
     phi = enumerate_jacobi_maps(5, 47)[0]  # 47 has order 4 mod 5
-    K = find_uniformizer(phi)
+    K = kummer_prime(phi)
     assert K.psi == phi.ring.element(47)
     assert K.psi_conjugates == phi.ring.one()
     assert K.period_norm == 47
@@ -103,7 +102,7 @@ def test_uniformizer_large_split_prime():
     ring = cyclotomic_ring(3)
     for phi in enumerate_jacobi_maps(3, 193):
         assert phi.f == 1
-        K = find_uniformizer(phi)
+        K = kummer_prime(phi)
         assert phi.kills(K.psi)
         assert valuation_int(K.period_norm, 193) == 1
         x = K.psi * ring.element([2, 1])
@@ -140,12 +139,12 @@ def test_degree_one_uniformizer_is_the_synthetic_division():
     # the period system's tower on every map; 5 and 11 take psi + q
     for lam, p in ((23, 47), (41, 83), (5, 11), (5, 5)):
         for phi in enumerate_jacobi_maps(lam, p):
-            K = find_uniformizer(phi)
+            K = kummer_prime(phi)
             psi, big_psi, nval = uniformizer_by_tower(phi)
             assert (K.psi, K.psi_conjugates, K.period_norm) == (psi, big_psi, nval)
     # the map xi = 3 of 11 at lambda 5: Phi_5(3) = 121, so r = 3 - 11
     r = -8
-    K = find_uniformizer(map_for_root(enumerate_jacobi_maps(5, 11), 3))
+    K = kummer_prime(map_for_root(enumerate_jacobi_maps(5, 11), 3))
     assert K.psi.coeffs == (-r, 1, 0, 0)
     assert K.period_norm == (r**5 - 1) // (r - 1) == 11 * 331
     assert K.psi_conjugates.coeffs == (
@@ -154,10 +153,11 @@ def test_degree_one_uniformizer_is_the_synthetic_division():
 
 
 def test_tower_multiply_counts(monkeypatch):
-    # norm keeps sum (r_i - 1) products.  find_uniformizer takes Psi and the
+    # norm keeps sum (r_i - 1) products.  kummer_prime takes Psi and the
     # period norm from one synthetic division at f = 1, no ring product,
     # and at f > 1 from one walk up the period tower, at most 2 * sum r_i
-    # products with the psi + q retry
+    # products with the psi + q retry; the cache is cleared so that each
+    # map is built here
     ring = cyclotomic_ring(41)
     steps = ring.norm_schedule
     phi = enumerate_jacobi_maps(41, 83)[0]
@@ -174,13 +174,14 @@ def test_tower_multiply_counts(monkeypatch):
     norm(ring.element([2, 1]))
     assert count == sum(r - 1 for _, r in steps) == 7
     count = 0
-    find_uniformizer(phi)
+    kummer_prime.cache_clear()
+    kummer_prime(phi)
     assert count == 0
     phi = enumerate_jacobi_maps(41, 3)[0]
     assert phi.f == 8
     steps = gaussian_periods(41, 5).norm_schedule
     count = 0
-    find_uniformizer(phi)
+    kummer_prime(phi)
     assert 0 < count <= 2 * sum(r for _, r in steps) == 10
 
 
@@ -219,12 +220,12 @@ def test_kummer_test_reads_psi_mod_q():
     maps = [phi for lam, p in cases for phi in enumerate_jacobi_maps(lam, p)]
     maps.append(enumerate_jacobi_maps(101, 607)[0])
     for phi in maps:
-        K = kummer_prime(phi)
-        assert all(abs(c) < K.q for col in K.psi_columns for c in col)
+        K, q = kummer_prime(phi), phi.p
+        assert all(abs(c) < q for col in K.psi_columns for c in col)
         ring = phi.ring
         y = ring.element([rng.randint(-3, 3) for _ in range(ring.degree)])
         for k in (0, 1, 3):
-            for x in (K.psi**k * y, K.psi**k * ring.element(K.q + 1)):
+            for x in (K.psi**k * y, K.psi**k * ring.element(q + 1)):
                 assert multiplicity(x, K) == valuation_oracle(x, phi)
 
 
@@ -265,13 +266,13 @@ def test_batch_routes_refuse_a_zero_element_and_another_ring():
     with pytest.raises(ValueError, match="valuation of 0 is infinite"):
         valuation_oracles([one, zero], [phi])
     other = cyclotomic_ring(7).one()
-    with pytest.raises(ValueError, match="elements of different rings"):
+    with pytest.raises(ValueError, match=r"lives in CyclotomicRing\(7\), map expects"):
         multiplicities([one, other], [K])
     with pytest.raises(ValueError, match=r"lives in CyclotomicRing\(7\), map expects"):
         valuation_oracles([one, other], [phi])
     # every map's ring is checked, not the first one's
     phi7 = enumerate_jacobi_maps(7, 29)[0]
-    with pytest.raises(ValueError, match="elements of different rings"):
+    with pytest.raises(ValueError, match=r"map expects CyclotomicRing\(7\)"):
         multiplicities([one], [K, kummer_prime(phi7)])
     with pytest.raises(ValueError, match=r"map expects CyclotomicRing\(7\)"):
         valuation_oracles([one], [phi, phi7])
@@ -296,9 +297,9 @@ def test_ring_checks_take_an_equal_ring_and_refuse_another():
     other = cyclotomic_ring(5).element([2, 1])
     with pytest.raises(ValueError, match="elements of different rings"):
         x - other
-    with pytest.raises(ValueError, match="elements of different rings"):
-        multiplicity(other, K)
     expects = r"element lives in CyclotomicRing\(5\), map expects CyclotomicRing\(7\)"
+    with pytest.raises(ValueError, match=expects):
+        multiplicity(other, K)
     with pytest.raises(ValueError, match=expects):
         phi.apply(other)
     with pytest.raises(ValueError, match=expects):
@@ -308,10 +309,16 @@ def test_ring_checks_take_an_equal_ring_and_refuse_another():
 
 
 def test_norm_cap_stops_a_broken_uniformizer():
-    # with Psi = q every level divides, so only the norm cap ends the loop
+    # with Psi = q every level divides, so only the norm cap ends the loop;
+    # the columns are those of q's multiplication matrix, 11 times the
+    # identity's, so that multiplicity reads the broken Psi
     ring = cyclotomic_ring(5)
     phi = map_for_root(enumerate_jacobi_maps(5, 11), 9)
-    broken = kummer_prime(phi)._replace(psi_conjugates=ring.element(11))
+    columns = tuple(zip(*mul_matrix(ring, [11, 0, 0, 0])))
+    assert columns == tuple(tuple(11 * (i == j) for i in range(4)) for j in range(4))
+    broken = kummer_prime(phi)._replace(
+        psi_conjugates=ring.element(11), psi_columns=columns
+    )
     for x in (ring.one(), ring.element([2, 1]), ring.element(11)):
         with pytest.raises(AssertionError):
             multiplicity(x, broken)
@@ -320,7 +327,8 @@ def test_norm_cap_stops_a_broken_uniformizer():
 def test_records_are_immutable_values():
     # KummerPrime, ValuationRecord and IdealFactorization are named tuples:
     # fields cannot be assigned, equal fields compare and hash equal, and
-    # the repr names every field
+    # the repr names every field.  KummerPrime is a plain one that carries
+    # Psi's columns as a field
     ring = cyclotomic_ring(5)
     phi = map_for_root(enumerate_jacobi_maps(5, 11), 9)
     K = kummer_prime(phi)
@@ -331,7 +339,9 @@ def test_records_are_immutable_values():
     kummer_prime.cache_clear()
     again = kummer_prime(phi)
     assert again is not K and again == K and hash(again) == hash(K)
-    assert (again.q, again.psi_columns) == (11, K.psi_columns)
+    assert KummerPrime.__bases__ == (tuple,)
+    assert KummerPrime._fields[-1] == "psi_columns" and len(K) == 5
+    assert (again.map.p, again.psi_columns) == (11, K.psi_columns)
     assert repr(fact) == (
         "IdealFactorization(norm_value=5, records=(ValuationRecord("
         "map=JacobiMap(CyclotomicRing(5), p=5, xi=1), mu=1),))"
@@ -486,7 +496,7 @@ def test_circulant_branch_below_44():
     assert {(13, 3), (19, 7), (19, 11), (31, 2), (41, 3), (43, 2)} <= pairs
     shifts = set()
     for phi in maps:
-        K = find_uniformizer(phi)
+        K = kummer_prime(phi)
         lam, q = phi.ring.n, phi.p
         system = gaussian_periods(lam, (lam - 1) // phi.f)
         u, e = phi.period_residues(), len(system.periods)
@@ -515,7 +525,7 @@ def test_kummer_vs_oracle_corpus(lam):
             mu = multiplicity(x, K)
             assert mu == valuation_oracle(x, K.map)
             # finiteness bound from the norm
-            assert mu <= valuation_int(nval, K.q) * (lam - 1)
+            assert mu <= valuation_int(nval, K.map.p) * (lam - 1)
             # gap regression: the divisibility set is exactly [0, mu]
             for step in range(mu + 1):
                 assert divisibility_step(x, K, step)
@@ -619,8 +629,7 @@ def test_factorize_builds_no_uniformizer(monkeypatch):
     def no_uniformizer(phi):
         raise RuntimeError("uniformizer built")
 
-    monkeypatch.setattr(valuation, "find_uniformizer", no_uniformizer)
-    kummer_prime.cache_clear()
+    monkeypatch.setattr(valuation, "kummer_prime", no_uniformizer)
     facts = [factorize(x) for x in xs]
     monkeypatch.undo()
     for x, fact in zip(xs, facts):
@@ -735,9 +744,11 @@ def test_divides_refuses_routes_that_disagree(monkeypatch):
         divides(d, ring.element(11))
 
 
-def test_find_uniformizer_refuses_a_failed_certificate(monkeypatch):
-    # a norm with q^2 in it, even after the shift by q, fails the certificate
+def test_kummer_prime_refuses_a_failed_certificate(monkeypatch):
+    # a norm with q^2 in it, even after the shift by q, fails the
+    # certificate; the cache is cleared so that the map is built here
     phi = enumerate_jacobi_maps(5, 11)[0]
+    kummer_prime.cache_clear()
     real = valuation._linear_uniformizer
 
     def inflated(ring, r):
@@ -746,7 +757,8 @@ def test_find_uniformizer_refuses_a_failed_certificate(monkeypatch):
 
     monkeypatch.setattr(valuation, "_linear_uniformizer", inflated)
     with pytest.raises(ArithmeticError, match="failed its certificate"):
-        find_uniformizer(phi)
+        kummer_prime(phi)
+    assert kummer_prime.cache_info().currsize == 0
 
 
 def test_lifts_are_built_once_per_map_and_level(monkeypatch):
