@@ -19,17 +19,17 @@ binomial quotient); the second is the plain summation, the value of the
 Gauss-sum ratio g_i g_k / g_{i+k}.  They differ only by sign, so every
 modulus and valuation statement holds for both.
 
-The reflection identity J(chi^i, chi^k) sigma_{-1}(J) = p is read off the
-autocorrelation of the counts by its gcd classes, never by reducing J: one
-pair alone (reflection_identity), or a row of pairs with the same i at
-once (reflection_products).
+The characters of every order mod p share one table of discrete logs,
+held once, as packed words (_log_table).  The reflection identity
+J(chi^i, chi^k) sigma_{-1}(J) = p is read off the autocorrelation of the
+counts by its gcd classes, never by reducing J: one pair alone
+(reflection_identity), or every pair of a character, a row of pairs with
+the same i at once (reflection_products).
 """
 
 from array import array
-from functools import lru_cache
-from itertools import groupby
+from functools import cached_property, lru_cache
 from math import comb
-from operator import itemgetter
 
 from kummerlab import polyint
 from kummerlab.arith import (
@@ -48,8 +48,8 @@ from kummerlab.cyclotomic import (
 
 class Character:
     """The character of order lam mod p with chi(g) = zeta, g the least
-    primitive root: chi(t) = alpha^index[t] in Z[X]/(Phi_lam), index the
-    discrete-log table.  chi(0) counts as 0 and is simply omitted from
+    primitive root: chi(t) = alpha^(ind t) in Z[X]/(Phi_lam), ind t read
+    from the packed logs.  chi(0) counts as 0 and is simply omitted from
     sums."""
 
     def __init__(self, p: int, lam: int):
@@ -62,31 +62,34 @@ class Character:
         self.p = p
         self.lam = lam
         self.m = (p - 1) // lam
-        self.g, self.index, self.packed_logs = _log_table(p)
-        self.ring = cyclotomic_ring(lam)
+        self.g, self.packed_logs = _log_table(p)
+
+    @cached_property
+    def ring(self):
+        """Z[alpha], built on first read: Jacobi's congruence never reads it."""
+        return cyclotomic_ring(self.lam)
 
     def __repr__(self):
         return f"Character(p={self.p}, order={self.lam})"
 
 
 @lru_cache(maxsize=1024)
-def _log_table(p: int) -> tuple[int, tuple[int, ...], tuple[str, int, int]]:
-    """The least primitive root g mod p, its discrete-log table and the
-    packed logs, one per prime: the characters of every order mod p share
-    them.
+def _log_table(p: int) -> tuple[int, tuple[str, int, int]]:
+    """The least primitive root g mod p and the packed logs, one per
+    prime: the characters of every order mod p share them.
 
     The packed logs (code, A, B) hold ind t and ind(1 - t) for
     t = 2 .. p - 1 as unsigned array words of typecode code, t = 2 lowest
-    (polyint.pack_words).  The word is the narrowest that holds
+    (polyint.pack_words); ind 1 = 0.  The word is the narrowest that holds
     2 (p - 2)^2, the most that _counts asks of it.
     """
     g = least_primitive_root(p)
-    index = tuple(discrete_log_table(p, g))
+    index = discrete_log_table(p, g)
     _, code = polyint.narrowest_word(2 * (p - 2) ** 2)
     # 1 - t = p + 1 - t mod p: as t runs up from 2, 1 - t runs down from p - 1
     logs = array(code, index[2:p])
     co_logs = array(code, index[p - 1 : 1 : -1])
-    return g, index, (code, polyint.pack_words(logs), polyint.pack_words(co_logs))
+    return g, (code, polyint.pack_words(logs), polyint.pack_words(co_logs))
 
 
 @lru_cache(maxsize=1024)
@@ -132,8 +135,9 @@ def _checked_counts(chi: Character, i: int, k: int) -> list[int]:
     return counts
 
 
-def reflection_products(chi: Character, pairs):
-    """For each pair (i, k), the counts N of _counts and the residue of
+def reflection_products(chi: Character):
+    """For each pair i, k in 1 .. lam - 1 with i + k != 0 mod lam, ordered
+    by i and then k, the counts N of _counts and the residue of
     J(chi^i, chi^k) times sigma_{-1}(J) mod Phi_lam, without reducing J.
 
     J = -sum_e N_e alpha^e, so the product is sum_s c_s alpha^s, c the
@@ -145,21 +149,15 @@ def reflection_products(chi: Character, pairs):
     c is reduced only when that check fails, as for counts that are not
     a Jacobi sum's.  The identity holds when the residue is [p, 0, ..., 0].
 
-    The pairs are read a row at a time, a row being a run of consecutive
-    pairs with the same i, by the ring's invariant_residues.  Each pair is
-    checked as it is drawn (_checked_counts), and a refused pair raises
-    ValueError after the pairs before it are yielded.
+    Each i is one row, read at once by the ring's invariant_residues
+    (_row_products) after the counts of each of its pairs are checked
+    (_checked_counts).  lam = 2 has no such pair.
     """
-    for _, row_pairs in groupby(pairs, itemgetter(0)):
-        row = []
-        for i, k in row_pairs:
-            try:
-                row.append(_checked_counts(chi, i, k))
-            except ValueError:
-                if row:
-                    yield from _row_products(chi, row)
-                raise
-        yield from _row_products(chi, row)
+    lam = chi.lam
+    for i in range(1, lam):
+        row = [_checked_counts(chi, i, k) for k in range(1, lam) if (i + k) % lam]
+        if row:
+            yield from _row_products(chi, row)
 
 
 def _row_products(chi: Character, row: list[list[int]]) -> list[tuple]:
@@ -245,8 +243,10 @@ def gauss_sum(chi: Character, i: int) -> CyclotomicElement:
     lam, p = chi.lam, chi.p
     n = lam * p
     raw = [0] * n
-    for t in range(1, p):
-        raw[(p * i * chi.index[t] + lam * t) % n] += 1
+    raw[lam] = 1  # t = 1, whose log is 0
+    code, logs, _ = chi.packed_logs
+    for t, e in enumerate(polyint.unpack_words(logs, code, p - 2), 2):
+        raw[(p * i * e + lam * t) % n] += 1
     return cyclotomic_ring(n).element(raw)
 
 

@@ -240,8 +240,9 @@ def square_test(M: HilbertMonoid, a: int) -> dict:
     """Two routes to 'a is a square': integer root in M vs ideal exponents.
 
     The quotient-monoid route declares a square when all ideal exponents are
-    even and the class of the square root lies in H; for Hilbert monoids the
-    two answers always coincide.
+    even, which holds exactly when a is a square in Z, and the class of
+    the root they halve to lies in H; for Hilbert monoids the two answers
+    always coincide.
     """
     if a not in M:
         raise ValueError(f"{a} is not in {M!r}")
@@ -250,12 +251,9 @@ def square_test(M: HilbertMonoid, a: int) -> dict:
     if r is None:
         in_qm = False
     else:
-        factors = ideal_factorization(M, a)
-        if any(e % 2 for _, e in factors):
-            in_qm = False
-        else:
-            root = prod(pow(p, e // 2, M.m) for p, e in factors)
-            in_qm = root % M.m in M.subgroup
+        # a = r^2, so every exponent is even
+        root = prod(pow(p, e // 2, M.m) for p, e in ideal_factorization(M, a))
+        in_qm = root % M.m in M.subgroup
     return {"square_in_M": in_m, "square_in_QM": in_qm}
 
 

@@ -11,6 +11,7 @@ from kummerlab.arith import (
     _MR_PROOF_LIMIT,
     DEFAULT_TRIAL_DIVISION_BOUND,
     FactorizationError,
+    discrete_log_table,
     is_prime,
 )
 from kummerlab.charsum import character, jacobi_sum
@@ -32,9 +33,11 @@ from kummerlab.valuation import _norm_and_cofactor
 
 def counts_reference(chi, i: int, k: int) -> list[int]:
     """N_e = #{t in 2 .. p-1 : i ind t + k ind(1-t) = e mod lam}, one step
-    per t over the discrete-log table: the reference for charsum._counts,
-    which forms every i ind t + k ind(1-t) in one packed multiply-add."""
-    lam, p, index = chi.lam, chi.p, chi.index
+    per t over a discrete-log table of its own: the reference for
+    charsum._counts, which forms every i ind t + k ind(1-t) in one packed
+    multiply-add of the logs it holds."""
+    lam, p = chi.lam, chi.p
+    index = discrete_log_table(p, chi.g)
     counts = [0] * lam
     # 1 - t = p + 1 - t mod p: as t runs up from 2, 1 - t runs down from p - 1
     for a, b in zip(index[2:p], index[p - 1 : 1 : -1]):

@@ -13,6 +13,7 @@ import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -194,11 +195,12 @@ def test_acceptance_criterion_12_determinism():
 # JacobiMaps constructed and the Teichmueller lifts raised (the only
 # gf_pow_mod of valuation) during a cold `reproduce --json`, the
 # multiplicity and valuation_oracle calls made while claim 06 runs, and
-# the Kummer primes built and reused by kummer_prime's cache.
+# the entries built and reused by the caches of kummer_prime, _log_table
+# and character.
 _WORK_COUNTS = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
-from kummerlab import cli, idealprimes, reproduce, valuation
+from kummerlab import charsum, cli, idealprimes, reproduce, valuation
 counts = {"maps": 0, "lifts": 0, "06 multiplicity": 0, "06 valuation_oracle": 0}
 construct, power = idealprimes.JacobiMap.__init__, valuation.gf_pow_mod
 def counted_construct(self, *args):
@@ -233,8 +235,10 @@ reproduce._CLAIMS[:] = [
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     counts["exit"] = cli.main(["reproduce", "--json"])
-info = valuation.kummer_prime.cache_info()
-counts["kummer_prime misses"], counts["kummer_prime hits"] = info.misses, info.hits
+for cache in (valuation.kummer_prime, charsum._log_table, charsum.character):
+    info = cache.cache_info()
+    name = cache.__name__
+    counts[name + " misses"], counts[name + " hits"] = info.misses, info.hits
 print(json.dumps(counts))
 """
 
@@ -246,8 +250,9 @@ def test_cold_reproduce_builds_each_map_and_lift_once():
     # to multiplicity (32,779 calls without the screen) and only those a
     # map kills to valuation_oracle (13,600).  kummer_prime is the one
     # builder of a Kummer prime, so each of the 80 maps that a claim reads
-    # it at is built once and every later read is a cache hit.  The counts
-    # do not depend on the machine's speed
+    # it at is built once and every later read is a cache hit; likewise
+    # the 14 primes' log tables and the 63 characters.  The counts do not
+    # depend on the machine's speed
     package_root = str(Path(kummerlab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _WORK_COUNTS, package_root],
@@ -262,6 +267,10 @@ def test_cold_reproduce_builds_each_map_and_lift_once():
         "06 valuation_oracle": 480,
         "kummer_prime misses": 80,
         "kummer_prime hits": 30,
+        "_log_table misses": 14,
+        "_log_table hits": 49,
+        "character misses": 63,
+        "character hits": 235,
         "exit": 0,
     }
 
@@ -418,3 +427,30 @@ def test_benchmark_tracer_names_that_no_longer_resolve():
         "_kummer_or_none",
         "find_uniformizer",
     }
+
+
+# every lru_cache of the package, named by its defining module, with its
+# maxsize: adding, removing or resizing a cache shows up as an edit here
+PACKAGE_CACHES = {
+    "arith._residue_degrees": 64,
+    "charsum._log_table": 1024,
+    "charsum.character": 1024,
+    "cyclotomic.cyclotomic_ring": 1024,
+    "cyclotomic.gaussian_periods": 1024,
+    "idealprimes._period_polynomial": 64,
+    "idealprimes.enumerate_jacobi_maps": 512,
+    "polyint.cyclotomic_polynomial": 1024,
+    "valuation._lift_columns": 1024,
+    "valuation.kummer_prime": 1024,
+}
+
+
+def test_every_package_cache_is_pinned_with_its_maxsize():
+    found = {}
+    for info in pkgutil.iter_modules(kummerlab.__path__):
+        module = importlib.import_module(f"kummerlab.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_info"):
+                name = f"{obj.__module__.removeprefix('kummerlab.')}.{obj.__qualname__}"
+                found[name] = obj.cache_info().maxsize
+    assert found == PACKAGE_CACHES

@@ -1,5 +1,6 @@
 """Gauss and Jacobi sums, the fundamental congruence, Stickelberger support."""
 
+import tracemalloc
 from math import comb
 
 import pytest
@@ -10,7 +11,9 @@ from kummerlab import charsum, cyclotomic, polyint
 from kummerlab.arith import primes_below
 from kummerlab.charsum import (
     Character,
+    _checked_counts,
     _counts,
+    _row_products,
     binomial_congruence,
     character,
     fundamental_congruence_check,
@@ -62,12 +65,15 @@ def test_character_validation():
         Character(11, 3)  # 3 does not divide 10
     chi = Character(11, 5)
     assert chi.g == 2 and chi.m == 2
+    # the packed logs hold ind t for t = 2 .. 10, and ind 1 = 0
+    code, logs, _ = chi.packed_logs
+    index = [None, 0, *polyint.unpack_words(logs, code, 11 - 2)]
     # chi(t) = alpha^index[t]: chi(g) = alpha, chi(g^3) = alpha^3, chi(1) = 1
-    assert chi.index[chi.g] == 1 and chi.index[1] == 0
-    assert chi.index[pow(chi.g, 3, 11)] == 3
+    assert index[chi.g] == 1
+    assert index[pow(chi.g, 3, 11)] == 3
     # the table holds a log for every unit exactly once and none for t = 0,
     # which no power of g reaches: chi(0) is left out of every sum
-    assert sorted(chi.index[1:]) == list(range(10))
+    assert sorted(index[1:]) == list(range(10))
     assert 0 not in {pow(chi.g, e, 11) for e in range(10)}
     assert sum(_counts(chi, 1, 1)) == 11 - 2
 
@@ -77,7 +83,6 @@ def test_characters_of_one_prime_share_one_log_table():
     for p in (13, 211, 421):
         orders = [d for d in range(2, p) if (p - 1) % d == 0]
         chis = [character(p, lam) for lam in orders]
-        assert all(chi.index is chis[0].index for chi in chis)
         assert all(chi.packed_logs is chis[0].packed_logs for chi in chis)
         assert {chi.g for chi in chis} == {chis[0].g}
 
@@ -92,6 +97,36 @@ def test_counts_take_the_wide_word_past_two_to_the_32():
         chi = character(p, lam)
         assert chi.packed_logs[0] == "Q"
         assert _counts(chi, i, k) == counts_reference(chi, i, k), (lam, i, k)
+
+
+def test_log_table_holds_only_the_packed_logs():
+    # 9973, the largest prime that jacobi-sum admits at its default
+    # --enum-cap: ind t and ind(1 - t) as two packed integers of 9971
+    # 32-bit words, about 78 KiB (83 KiB measured); with a tuple of the
+    # logs as well, the table held about 465 KiB
+    charsum.character.cache_clear()
+    charsum._log_table.cache_clear()
+    tracemalloc.start()
+    try:
+        charsum._log_table(9973)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 100 * 1024
+
+
+def test_a_character_builds_its_ring_on_first_read(monkeypatch):
+    # Jacobi's congruence reads a character of order p - 1 but not its ring
+    built = []
+    monkeypatch.setattr(
+        charsum, "cyclotomic_ring", lambda n: built.append(n) or cyclotomic_ring(n)
+    )
+    charsum.character.cache_clear()
+    assert fundamental_congruence_check(9973, 1, 2)["holds"]
+    assert built == []
+    chi = Character(13, 3)
+    assert chi.ring is chi.ring is cyclotomic_ring(3)
+    assert built == [3]
 
 
 def test_jacobi_sum_is_integral_and_signed():
@@ -171,7 +206,7 @@ def test_reflection_product_matches_the_report_and_the_ring_product(lam, data):
     i = data.draw(index.filter(lambda i: i % lam))
     k = data.draw(index.filter(lambda k: k % lam and (i + k) % lam))
     chi = character(p, lam)
-    ((counts, product),) = reflection_products(chi, [(i, k)])
+    ((counts, product),) = _row_products(chi, [_checked_counts(chi, i, k)])
     assert counts == counts_reference(chi, i, k)
     assert product == [p] + [0] * (chi.ring.degree - 1)
     rep = reflection_identity(chi, i, k)
@@ -180,13 +215,25 @@ def test_reflection_product_matches_the_report_and_the_ring_product(lam, data):
 
 
 @pytest.mark.parametrize("p,lam", [(7, 2), (13, 3), (13, 12), (211, 210)])
-def test_reflection_product_refuses_degenerate_indices(p, lam):
+def test_reflection_product_refuses_degenerate_indices(monkeypatch, p, lam):
     chi = character(p, lam)
     for i, k in ((0, 1), (1, 0), (1, lam - 1), (lam, 2 * lam), (-1, 1 + lam)):
         with pytest.raises(ValueError, match="degenerate index"):
-            list(reflection_products(chi, [(i, k)]))
+            _checked_counts(chi, i, k)
         with pytest.raises(ValueError, match="degenerate index"):
             reflection_identity(chi, i, k)
+    # the pass draws only the nondegenerate pairs, one row per i, and
+    # reads no row at lam = 2, where there are none
+    read = []
+    monkeypatch.setattr(charsum, "_checked_counts", lambda chi, i, k: (i, k))
+    monkeypatch.setattr(
+        charsum, "_row_products", lambda chi, row: read.append(row) or row
+    )
+    drawn = list(reflection_products(chi))
+    rows = ([(i, k) for k in range(1, lam) if (i + k) % lam] for i in range(1, lam))
+    assert read == [row for row in rows if row]
+    assert drawn == [pair for row in read for pair in row]
+    assert len(drawn) == (lam - 1) * (lam - 2)
 
 
 @pytest.mark.parametrize("p,lam,i,k", [(11, 5, 1, 1), (13, 12, 3, 4), (211, 210, 1, 7)])
@@ -209,12 +256,12 @@ def test_reflection_product_reduces_tampered_counts(monkeypatch, p, lam, i, k):
         reductions.append(len(coeffs))
         return reduce(ring, coeffs)
 
-    monkeypatch.setattr(charsum, "_counts", tampered)
-    monkeypatch.setattr(cyclotomic.CyclotomicRing, "_reduce", counted)
     chi = character(p, lam)
     pairs = [(i, k), (k, i)]
-    results = list(reflection_products(chi, pairs))
-    # one reduction per tampered pair of the pass
+    rows = [tampered(chi, a, b) for a, b in pairs]
+    monkeypatch.setattr(cyclotomic.CyclotomicRing, "_reduce", counted)
+    results = _row_products(chi, rows)
+    # one reduction per tampered pair of the row
     assert reductions == [lam, lam]
     for (a, b), (counts, product) in zip(pairs, results):
         assert counts == tampered(chi, a, b)
@@ -294,7 +341,7 @@ def test_reflection_identity_and_pass_read_the_same_product(
     pairs = [
         (i, k) for i in range(1, lam) for k in range(1, lam) if (i + k) % lam
     ]
-    results = list(reflection_products(chi, pairs))
+    results = list(reflection_products(chi))
     assert len(results) == len(pairs)
     target = [p] + [0] * (chi.ring.degree - 1)
     for (i, k), (counts, product) in zip(pairs, results):
@@ -306,9 +353,9 @@ def test_reflection_identity_and_pass_read_the_same_product(
     assert tampered is any(product != target for _, product in results)
 
 
-# (p, lam, the indices i of the pass, None for every one): at (211, 210)
-# four rows of every k, since the ring product of all 43,472 pairs takes
-# about half a minute
+# (p, lam, the indices i whose rows are checked against the references,
+# None for every one): at (211, 210) four rows of every k, since the ring
+# product of all 43,472 pairs takes about half a minute
 PASS_CHARACTERS = [
     (13, 12, None),
     (31, 10, None),
@@ -325,36 +372,30 @@ def test_reflection_pass_matches_the_references_on_every_pair(p, lam, rows):
     # of each pair and its product, J times its conjugate in the ring
     chi = character(p, lam)
     pairs = [
-        (i, k)
-        for i in rows or range(1, lam)
-        for k in range(1, lam)
-        if (i + k) % lam
+        (i, k) for i in range(1, lam) for k in range(1, lam) if (i + k) % lam
     ]
-    results = list(reflection_products(chi, pairs))
-    assert len(results) == len(pairs)
-    for (i, k), (counts, product) in zip(pairs, results):
-        assert counts == counts_reference(chi, i, k), (i, k)
-        j = chi.ring.element([-c for c in counts])
-        assert product == reflection_reference(chi, j)["product"], (i, k)
-        assert product == [p] + [0] * (chi.ring.degree - 1)
+    target = [p] + [0] * (chi.ring.degree - 1)
+    results = reflection_products(chi)
+    for (i, k), (counts, product) in zip(pairs, results, strict=True):
+        assert product == target, (i, k)
+        if rows is None or i in rows:
+            assert counts == counts_reference(chi, i, k), (i, k)
+            j = chi.ring.element([-c for c in counts])
+            assert product == reflection_reference(chi, j)["product"], (i, k)
 
 
 @pytest.mark.parametrize("p,lam", [(13, 12), (31, 10), (211, 210)])
-def test_reflection_pass_refuses_a_degenerate_pair_where_it_meets_it(p, lam):
-    # the pairs before it are yielded, then the pass raises the one-pair
-    # message
+def test_reflection_pass_yields_every_pair_in_row_order(p, lam):
+    # (lam - 1)(lam - 2) results, i = 1 .. lam - 1 and then k, every k but
+    # the one with i + k = 0 mod lam: the counts of each pair, in order
     chi = character(p, lam)
-    pass_ = reflection_products(chi, [(1, 1), (2, 3), (1, lam - 1), (1, 2)])
-    assert next(pass_)[0] == counts_reference(chi, 1, 1)
-    assert next(pass_)[0] == counts_reference(chi, 2, 3)
-    with pytest.raises(ValueError, match=f"degenerate index: .* nonzero mod {lam}$"):
-        next(pass_)
-    # inside a row: the row's pairs before it are yielded first
-    pass_ = reflection_products(chi, [(2, 1), (2, 3), (2, lam - 2), (2, 5)])
-    assert next(pass_)[0] == counts_reference(chi, 2, 1)
-    assert next(pass_)[0] == counts_reference(chi, 2, 3)
-    with pytest.raises(ValueError, match=f"degenerate index: .* nonzero mod {lam}$"):
-        next(pass_)
+    pairs = [
+        (i, k) for i in range(1, lam) for k in range(1, lam) if (i + k) % lam
+    ]
+    assert len(pairs) == (lam - 1) * (lam - 2)
+    # read as drawn: a whole pass at (211, 210) would hold about 90 MB
+    for pair, (counts, _) in zip(pairs, reflection_products(chi), strict=True):
+        assert counts == _counts(chi, *pair), pair
 
 
 @pytest.mark.parametrize("moved", [-1, 1])
@@ -375,12 +416,15 @@ def test_reflection_pass_refuses_counts_that_do_not_sum_to_p_minus_2(
     monkeypatch.setattr(charsum, "_counts", miscounted)
     chi = character(p, lam)
     with pytest.raises(ValueError, match=f"counts must sum to p - 2 = {p - 2}$"):
-        list(reflection_products(chi, [(1, 2)]))
-    # inside a row: the row's pairs before it are yielded first
-    pass_ = reflection_products(chi, [(1, 1), (1, 2), (1, 3)])
-    assert next(pass_)[0] == counts_reference(chi, 1, 1)
+        _checked_counts(chi, 1, 2)
+
+    def forbidden_row_read(chi, row):
+        raise AssertionError("a row with refused counts was read")
+
+    # the first row holds (1, 2): the pass raises before it reads the row
+    monkeypatch.setattr(charsum, "_row_products", forbidden_row_read)
     with pytest.raises(ValueError, match=f"counts must sum to p - 2 = {p - 2}$"):
-        next(pass_)
+        next(reflection_products(chi))
     with pytest.raises(ValueError, match="counts must sum to p - 2"):
         reflection_identity(chi, 1, 2)
 
@@ -666,14 +710,14 @@ def test_reflection_row_reduces_only_its_tampered_pair(monkeypatch, p, lam):
         calls["invariant_residue"] += 1
         return residue(ring, c)
 
-    monkeypatch.setattr(charsum, "_counts", tampered)
+    chi = character(p, lam)
+    pairs = [(1, k) for k in range(1, lam) if (1 + k) % lam]
+    row = [tampered(chi, i, k) for i, k in pairs]
     monkeypatch.setattr(cyclotomic.CyclotomicRing, "_reduce", counted_reduce)
     monkeypatch.setattr(
         cyclotomic.CyclotomicRing, "invariant_residue", counted_residue
     )
-    chi = character(p, lam)
-    pairs = [(1, k) for k in range(1, lam) if (1 + k) % lam]
-    results = list(reflection_products(chi, pairs))
+    results = _row_products(chi, row)
     assert len(results) == len(pairs) == lam - 2
     assert calls == {"_reduce": [lam], "invariant_residue": lam - 2}
     target = [p] + [0] * (chi.ring.degree - 1)
@@ -697,12 +741,11 @@ def test_reflection_row_array_holds_every_autocorrelation(monkeypatch):
         arrays.append(unpack(x, code, count))
         return arrays[-1]
 
-    monkeypatch.setattr(charsum, "_counts", lambda chi, i, k: base[k:] + base[:k])
-    monkeypatch.setattr(polyint, "unpack_words", recorded)
     chi = character(p, lam)
-    pairs = [(1, 1), (1, 2), (1, 3)]
-    results = list(reflection_products(chi, pairs))
-    assert len(results) == len(pairs)
+    row = [base[k:] + base[:k] for k in (1, 2, 3)]
+    monkeypatch.setattr(polyint, "unpack_words", recorded)
+    results = _row_products(chi, row)
+    assert len(results) == len(row)
     for j, (counts, product) in enumerate(results):
         assert arrays[0][j * lam : (j + 1) * lam].tolist() == autocorrelation(counts)
         j_sum = chi.ring.element([-c for c in counts])
@@ -717,24 +760,22 @@ REFLECTION_CHARACTERS = [
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(data=st.data())
 def test_reflection_rows_match_the_references_on_generated_passes(data):
-    # rows of one pair and long rows in one pass, indices outside
-    # 1 .. lam - 1 included (the counts read them mod lam); consecutive
-    # rows with the same i make one longer row
+    # rows of one pair and long rows, one to five of them, indices outside
+    # 1 .. lam - 1 included (the counts read them mod lam)
     p, lam = data.draw(st.sampled_from(REFLECTION_CHARACTERS))
     chi = character(p, lam)
     index = st.integers(-2 * lam, 2 * lam).filter(lambda i: i % lam)
-    pairs = []
+    target = [p] + [0] * (chi.ring.degree - 1)
     for _ in range(data.draw(st.integers(1, 5))):
         i = data.draw(index)
         ks = st.integers(-2 * lam, 2 * lam).filter(
             lambda k, i=i: k % lam and (i + k) % lam
         )
         length = data.draw(st.sampled_from([1, 1, 2, lam]))
-        pairs += [(i, data.draw(ks)) for _ in range(length)]
-    results = list(reflection_products(chi, pairs))
-    assert len(results) == len(pairs)
-    target = [p] + [0] * (chi.ring.degree - 1)
-    for (i, k), (counts, product) in zip(pairs, results):
-        assert counts == counts_reference(chi, i, k), (i, k)
-        j = jacobi_sum(chi, i, k)
-        assert product == reflection_reference(chi, j)["product"] == target, (i, k)
+        pairs = [(i, data.draw(ks)) for _ in range(length)]
+        results = _row_products(chi, [_checked_counts(chi, *pair) for pair in pairs])
+        assert len(results) == len(pairs)
+        for (i, k), (counts, product) in zip(pairs, results):
+            assert counts == counts_reference(chi, i, k), (i, k)
+            j = jacobi_sum(chi, i, k)
+            assert product == reflection_reference(chi, j)["product"] == target, (i, k)

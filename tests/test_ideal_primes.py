@@ -324,7 +324,7 @@ def test_map_keyed_caches_are_bounded():
 
 def test_conductor_keyed_caches_are_bounded():
     # one ring, one Phi_n, one character and one period system per
-    # conductor seen, one discrete-log table with its packed logs per prime
+    # conductor seen, one table of packed discrete logs per prime
     assert cyclotomic_ring.cache_info().maxsize is not None
     assert cyclotomic_polynomial.cache_info().maxsize is not None
     assert character.cache_info().maxsize is not None
