@@ -28,7 +28,8 @@ the same i at once (reflection_products).
 """
 
 from array import array
-from functools import cached_property, lru_cache
+from collections import namedtuple
+from functools import lru_cache
 from math import comb
 
 from kummerlab import polyint
@@ -40,33 +41,25 @@ from kummerlab.arith import (
 )
 from kummerlab.cyclotomic import (
     CyclotomicElement,
+    check_conductor,
     conjugate,
     cyclotomic_ring,
     norm,
 )
 
 
-class Character:
+class Character(namedtuple("Character", ["p", "lam", "m", "g", "packed_logs"])):
     """The character of order lam mod p with chi(g) = zeta, g the least
     primitive root: chi(t) = alpha^(ind t) in Z[X]/(Phi_lam), ind t read
-    from the packed logs.  chi(0) counts as 0 and is simply omitted from
-    sums."""
+    from the packed logs (_log_table), and m = (p - 1) / lam.  chi(0)
+    counts as 0 and is simply omitted from sums.  character builds it."""
 
-    def __init__(self, p: int, lam: int):
-        if lam < 2:
-            raise ValueError(f"order {lam} must be at least 2")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if (p - 1) % lam != 0:
-            raise ValueError(f"order {lam} must divide p - 1 = {p - 1}")
-        self.p = p
-        self.lam = lam
-        self.m = (p - 1) // lam
-        self.g, self.packed_logs = _log_table(p)
+    __slots__ = ()
 
-    @cached_property
+    @property
     def ring(self):
-        """Z[alpha], built on first read: Jacobi's congruence never reads it."""
+        """Z[alpha], read from cyclotomic_ring: Jacobi's congruence never
+        reads it."""
         return cyclotomic_ring(self.lam)
 
     def __repr__(self):
@@ -94,8 +87,14 @@ def _log_table(p: int) -> tuple[int, tuple[str, int, int]]:
 
 @lru_cache(maxsize=1024)
 def character(p: int, lam: int) -> Character:
-    """Shared Character instances, one per (p, order)."""
-    return Character(p, lam)
+    """The character of order lam mod p, one per (p, order)."""
+    if lam < 2:
+        raise ValueError(f"order {lam} must be at least 2")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if (p - 1) % lam != 0:
+        raise ValueError(f"order {lam} must divide p - 1 = {p - 1}")
+    return Character(p, lam, (p - 1) // lam, *_log_table(p))
 
 
 def _counts(chi: Character, i: int, k: int) -> list[int]:
@@ -421,8 +420,7 @@ def stickelberger_check(lam: int, p: int) -> dict:
     from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
     from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
 
-    if not is_prime(lam) or lam == 2:
-        raise ValueError("order must be an odd prime")
+    check_conductor(lam)
     if p % lam != 1:
         raise ValueError(f"p = {p} must be 1 mod {lam}")
     chi = character(p, lam)

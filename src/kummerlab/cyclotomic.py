@@ -1,15 +1,18 @@
 """Arithmetic in Z[X]/(Phi_n): elements, conjugation, norms, Gaussian periods.
 
-For prime conductors this is the ring where ideal primes live; composite
-conductors (used by the character-sum layer) get ring arithmetic,
-conjugation, norms and the residue of vectors constant on gcd classes
-only.  Elements are immutable coefficient tuples of length phi(n),
-reduced mod Phi_n; equality is coefficient equality.
+For odd prime conductors this is the ring where ideal primes and Gaussian
+periods live, and check_conductor is the one refusal of any other
+conductor where those are built; composite conductors (used by the
+character-sum layer) get ring arithmetic, conjugation, norms and the
+residue of vectors constant on gcd classes only.  Elements are immutable
+coefficient tuples of length phi(n), reduced mod Phi_n; equality is
+coefficient equality.
 The element class is shared with the quadratic orders, whose rings reduce
 mod their own modulus.
 """
 
 from array import array
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import sub
@@ -352,46 +355,59 @@ def norm(x: CyclotomicElement) -> int:
     return conjugate_tower(x, x.ring.norm_schedule)[0].rational_value()
 
 
-class PeriodSystem:
-    """Gaussian periods for a prime conductor: e periods of length f.
+def check_conductor(lam: int) -> None:
+    """Refuse a conductor other than an odd prime: Gaussian periods, ideal
+    primes and their valuations need one."""
+    if not is_prime(lam) or lam == 2:
+        raise ValueError(f"conductor {lam} must be an odd prime")
 
-    eta_i = sum of alpha^(g^j) over j = i mod e, with g the least primitive
-    root mod lam.  sigma_g rotates the periods cyclically.  norm_schedule
-    is the tower from H = <g^e>, the subgroup of order f that fixes the
-    periods, so conjugate_tower takes period-field norms with it.
-    """
 
-    __slots__ = ("ring", "lam", "e", "f", "g", "periods", "norm_schedule")
-
-    def __init__(self, lam: int, e: int):
-        if not is_prime(lam):
-            raise ValueError(f"{lam} is not prime")
-        if lam == 2 or e < 1 or (lam - 1) % e != 0:
-            raise ValueError(
-                f"e={e} must be a positive divisor of lambda-1={lam - 1}"
-            )
-        self.ring = cyclotomic_ring(lam)
-        self.lam = lam
-        self.e = e
-        self.f = (lam - 1) // e
-        self.g = least_primitive_root(lam)
-        periods = []
-        for i in range(e):
-            coeffs = [0] * lam
-            for j in range(i, lam - 1, e):
-                coeffs[pow(self.g, j, lam)] += 1
-            periods.append(self.ring.element(coeffs))
-        self.periods = tuple(periods)
-        self.norm_schedule = _norm_schedule(
-            lam, [pow(self.g, e * j, lam) for j in range(self.f)]
-        )
-
-    def __repr__(self):
-        return f"PeriodSystem(lambda={self.lam}, e={self.e})"
+# Gaussian periods for a prime conductor: e periods of length f.
+# eta_i = sum of alpha^(g^j) over j = i mod e, with g the least primitive
+# root mod lam.  sigma_g rotates the periods cyclically.  norm_schedule is
+# the tower from H = <g^e>, the subgroup of order f that fixes the periods,
+# so conjugate_tower takes period-field norms with it.  polynomial is
+# prod_i (Y - eta_i), lowest degree first.
+PeriodSystem = namedtuple(
+    "PeriodSystem",
+    ["ring", "lam", "e", "f", "g", "periods", "norm_schedule", "polynomial"],
+)
 
 
 @lru_cache(maxsize=1024)
 def gaussian_periods(lam: int, e: int) -> PeriodSystem:
-    """Shared period systems: every map above one prime uses the same one."""
-    return PeriodSystem(lam, e)
+    """The period system of (lam, e), one per key: every map above one
+    prime uses the same one.
 
+    The power sums s_k = sum_i eta_i^k are integers: eta_0^k lies in the
+    period field, s_k is its trace down to Q, 1/f of its trace from
+    Q(alpha), and that trace of sum c_j alpha^j is lam c_0 - sum_j c_j.
+    Newton's identities k a_k = -sum_{i<=k} s_i a_{k-i} then give the
+    coefficients of the period polynomial Y^e + a_1 Y^(e-1) + ... + a_e
+    from e ring products.
+    """
+    check_conductor(lam)
+    if e < 1 or (lam - 1) % e != 0:
+        raise ValueError(f"e={e} must be a positive divisor of lambda-1={lam - 1}")
+    ring = cyclotomic_ring(lam)
+    f = (lam - 1) // e
+    g = least_primitive_root(lam)
+    periods = []
+    for i in range(e):
+        coeffs = [0] * lam
+        for j in range(i, lam - 1, e):
+            coeffs[pow(g, j, lam)] += 1
+        periods.append(ring.element(coeffs))
+    sums = []
+    power = ring.one()
+    for _ in range(e):
+        power = power * periods[0]
+        c = power.coeffs
+        sums.append((lam * c[0] - sum(c)) // f)
+    a = [1]
+    for k in range(1, e + 1):
+        a.append(-sum(s * a[k - 1 - i] for i, s in enumerate(sums[:k])) // k)
+    schedule = _norm_schedule(lam, [pow(g, e * j, lam) for j in range(f)])
+    return PeriodSystem(
+        ring, lam, e, f, g, tuple(periods), schedule, tuple(reversed(a))
+    )

@@ -29,8 +29,9 @@ tables come from ffield.power_columns.
 Maps of residue degree f > 1 come from Kummer's period congruences and
 his conjugate primes: with e = (lam-1)/f, p splits completely in the field
 of the e Gaussian periods of length f, so their period polynomial
-prod (Y - eta_i) has all its roots in F_p.  One root u (polymod.gf_root,
-one branch of an equal-degree split) gives F_1 = gcd(Phi_lam, eta_0(X) - u),
+prod (Y - eta_i), held by the period system (cyclotomic.gaussian_periods),
+has all its roots in F_p.  One root u (polymod.gf_root, one branch of an
+equal-degree split) gives F_1 = gcd(Phi_lam, eta_0(X) - u),
 one factor of Phi_lam mod p unless u is a repeated root, and then the
 first factor that factor_mod_p finds in it.  The other factors are its
 conjugates: for each other coset s<p> of (Z/lam)^*, F_s is the minimal
@@ -47,7 +48,7 @@ from functools import lru_cache
 from itertools import count
 
 from kummerlab.arith import is_prime, multiplicative_order
-from kummerlab.cyclotomic import cyclotomic_ring, gaussian_periods
+from kummerlab.cyclotomic import check_conductor, cyclotomic_ring, gaussian_periods
 from kummerlab.ffield import image, power_columns, vanishes
 from kummerlab.lattice import IntLattice, kernel_mod
 from kummerlab.polyint import trim
@@ -133,12 +134,6 @@ class JacobiMap:
         return f"JacobiMap({self.ring!r}, p={self.p}, xi={self.label()})"
 
 
-def check_conductor(lam: int) -> None:
-    """Reject a conductor other than an odd prime: ideal primes need one."""
-    if not is_prime(lam) or lam == 2:
-        raise ValueError(f"conductor {lam} must be an odd prime")
-
-
 @lru_cache(maxsize=512)
 def enumerate_jacobi_maps(lam: int, p: int) -> tuple[JacobiMap, ...]:
     """All Jacobi maps out of Z[alpha] for the prime p, in canonical order,
@@ -202,8 +197,9 @@ def _period_factors(ring, p: int, f: int) -> list[tuple[int, ...]]:
     e = (lam - 1) // f
     if e == 1:
         return [tuple(modulus)]
-    poly, eta0 = _period_polynomial(lam, e)
-    u = gf_root(list(poly), p)
+    system = gaussian_periods(lam, e)
+    u = gf_root(list(system.polynomial), p)
+    eta0 = system.periods[0].coeffs
     first = gf_gcd(modulus, gf_normalize([eta0[0] - u, *eta0[1:]], p), p)
     if len(first) - 1 > f:  # u is a repeated root: the gcd holds several factors
         first = factor_mod_p(first, p)[0][0]
@@ -218,31 +214,6 @@ def _period_factors(ring, p: int, f: int) -> list[tuple[int, ...]]:
             inverse = pow(relation[f], -1, p)
             factors.append(tuple(c * inverse % p for c in relation))
     return sorted(factors, key=lambda fac: (len(fac), fac))
-
-
-@lru_cache(maxsize=64)
-def _period_polynomial(lam: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """prod_i (Y - eta_i) over the e Gaussian periods of conductor lam,
-    lowest degree first, and the coefficients of eta_0 in Z[alpha].
-
-    The power sums s_k = sum_i eta_i^k are integers: eta_0^k lies in the
-    period field, s_k is its trace down to Q, 1/f of its trace from
-    Q(alpha), and that trace of sum c_j alpha^j is lam c_0 - sum_j c_j.
-    Newton's identities k a_k = -sum_{i<=k} s_i a_{k-i} then give the
-    coefficients of Y^e + a_1 Y^(e-1) + ... + a_e from e ring products.
-    """
-    system = gaussian_periods(lam, e)
-    eta0 = system.periods[0]
-    sums = []
-    power = system.ring.one()
-    for _ in range(e):
-        power = power * eta0
-        c = power.coeffs
-        sums.append((lam * c[0] - sum(c)) // system.f)
-    a = [1]
-    for k in range(1, e + 1):
-        a.append(-sum(s * a[k - 1 - i] for i, s in enumerate(sums[:k])) // k)
-    return tuple(reversed(a)), eta0.coeffs
 
 
 def map_for_root(maps: Sequence[JacobiMap], label) -> JacobiMap:

@@ -56,16 +56,13 @@ from kummerlab.arith import (
 )
 from kummerlab.cyclotomic import (
     CyclotomicElement,
+    check_conductor,
     conjugate_tower,
     gaussian_periods,
     norm,
 )
 from kummerlab.ffield import image, power_columns, zero_images
-from kummerlab.idealprimes import (
-    JacobiMap,
-    check_conductor,
-    enumerate_jacobi_maps,
-)
+from kummerlab.idealprimes import JacobiMap, enumerate_jacobi_maps
 from kummerlab.lattice import kernel_mod, mul_matrix
 from kummerlab.polymod import gf_pow_mod
 
@@ -321,17 +318,12 @@ def valuation_oracles(xs, maps) -> list[list[int]]:
 ValuationRecord = namedtuple("ValuationRecord", ["map", "mu"])
 
 
-class IdealFactorization(namedtuple("IdealFactorization", ["norm_value", "records"])):
-    """Multiplicities of x at every map of every prime dividing norm(x):
-    records is a tuple of ValuationRecord.
-
-    The element is determined by its records only up to a unit multiple;
-    factorize checks norm consistency (sum of f * mu over the maps of p
-    equals the exponent of p in norm(x)) before it returns one.
-    """
-
-    def nonzero(self) -> tuple[ValuationRecord, ...]:
-        return tuple(r for r in self.records if r.mu > 0)
+# Multiplicities of x at every map of every prime dividing norm(x):
+# records is a tuple of ValuationRecord.  The element is determined by its
+# records only up to a unit multiple; factorize checks norm consistency
+# (sum of f * mu over the maps of p equals the exponent of p in norm(x))
+# before it returns one.
+IdealFactorization = namedtuple("IdealFactorization", ["norm_value", "records"])
 
 
 def factorize(

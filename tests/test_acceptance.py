@@ -195,12 +195,12 @@ def test_acceptance_criterion_12_determinism():
 # JacobiMaps constructed and the Teichmueller lifts raised (the only
 # gf_pow_mod of valuation) during a cold `reproduce --json`, the
 # multiplicity and valuation_oracle calls made while claim 06 runs, and
-# the entries built and reused by the caches of kummer_prime, _log_table
-# and character.
+# the entries built and reused by the caches of kummer_prime, _log_table,
+# character and gaussian_periods.
 _WORK_COUNTS = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
-from kummerlab import charsum, cli, idealprimes, reproduce, valuation
+from kummerlab import charsum, cli, cyclotomic, idealprimes, reproduce, valuation
 counts = {"maps": 0, "lifts": 0, "06 multiplicity": 0, "06 valuation_oracle": 0}
 construct, power = idealprimes.JacobiMap.__init__, valuation.gf_pow_mod
 def counted_construct(self, *args):
@@ -235,7 +235,13 @@ reproduce._CLAIMS[:] = [
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     counts["exit"] = cli.main(["reproduce", "--json"])
-for cache in (valuation.kummer_prime, charsum._log_table, charsum.character):
+caches = (
+    valuation.kummer_prime,
+    charsum._log_table,
+    charsum.character,
+    cyclotomic.gaussian_periods,
+)
+for cache in caches:
     info = cache.cache_info()
     name = cache.__name__
     counts[name + " misses"], counts[name + " hits"] = info.misses, info.hits
@@ -251,8 +257,9 @@ def test_cold_reproduce_builds_each_map_and_lift_once():
     # map kills to valuation_oracle (13,600).  kummer_prime is the one
     # builder of a Kummer prime, so each of the 80 maps that a claim reads
     # it at is built once and every later read is a cache hit; likewise
-    # the 14 primes' log tables and the 63 characters.  The counts do not
-    # depend on the machine's speed
+    # the 14 primes' log tables, the 63 characters and the 10 period
+    # systems, each of which holds its period polynomial.  The counts do
+    # not depend on the machine's speed
     package_root = str(Path(kummerlab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _WORK_COUNTS, package_root],
@@ -271,6 +278,8 @@ def test_cold_reproduce_builds_each_map_and_lift_once():
         "_log_table hits": 49,
         "character misses": 63,
         "character hits": 235,
+        "gaussian_periods misses": 10,
+        "gaussian_periods hits": 110,
         "exit": 0,
     }
 
@@ -437,7 +446,6 @@ PACKAGE_CACHES = {
     "charsum.character": 1024,
     "cyclotomic.cyclotomic_ring": 1024,
     "cyclotomic.gaussian_periods": 1024,
-    "idealprimes._period_polynomial": 64,
     "idealprimes.enumerate_jacobi_maps": 512,
     "polyint.cyclotomic_polynomial": 1024,
     "valuation._lift_columns": 1024,

@@ -7,6 +7,7 @@ import pytest
 
 from kummerlab import polyint
 from kummerlab.arith import primes_below
+from kummerlab.charsum import character, stickelberger_check
 from kummerlab.cyclotomic import (
     CyclotomicRing,
     conjugate,
@@ -14,6 +15,8 @@ from kummerlab.cyclotomic import (
     gaussian_periods,
     norm,
 )
+from kummerlab.idealprimes import enumerate_jacobi_maps
+from kummerlab.valuation import factorize, quotient_and_norm
 from kummerlab.polyint import cyclotomic_polynomial, resultant, trim
 from reference import divmod_exact
 
@@ -225,3 +228,54 @@ def test_period_system_validation():
         gaussian_periods(5, 3)
     with pytest.raises(ValueError):
         gaussian_periods(8, 2)
+
+
+@pytest.mark.parametrize(
+    "build,key,refused,fields",
+    [
+        (character, (13, 4), (13, 5), ("p", "lam", "m", "g", "packed_logs")),
+        (
+            gaussian_periods,
+            (13, 4),
+            (13, 5),
+            ("ring", "lam", "e", "f", "g", "periods", "norm_schedule", "polynomial"),
+        ),
+    ],
+    ids=["character", "gaussian_periods"],
+)
+def test_a_cached_record_is_a_plain_tuple_built_once(build, key, refused, fields):
+    # the builder is the one way to the record: it checks the key, and a
+    # second call hands out the same tuple
+    build.cache_clear()
+    record = build(*key)
+    assert isinstance(record, tuple) and not hasattr(record, "__dict__")
+    assert record._fields == fields
+    assert build(*key) is record
+    with pytest.raises(ValueError):
+        build(*refused)
+    info = build.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: gaussian_periods(9, 5),
+        lambda: enumerate_jacobi_maps(9, 21),
+        lambda: factorize(cyclotomic_ring(9).zero()),
+        lambda: quotient_and_norm(cyclotomic_ring(9).zero(), 2),
+        lambda: stickelberger_check(9, 11),
+    ],
+    ids=[
+        "gaussian_periods",
+        "enumerate_jacobi_maps",
+        "factorize",
+        "quotient_and_norm",
+        "stickelberger_check",
+    ],
+)
+def test_one_rule_refuses_a_conductor_that_is_not_an_odd_prime(entry):
+    # each key is also wrong in another way (e does not divide 8, 21 is
+    # not prime, x is 0, p is not 1 mod 9): the conductor is refused first
+    with pytest.raises(ValueError, match="^conductor 9 must be an odd prime$"):
+        entry()

