@@ -369,25 +369,34 @@ PASS_CHARACTERS = [
     "p,lam,rows", PASS_CHARACTERS, ids=["13-12", "31-10", "47-46", "211-210-four-rows"]
 )
 def test_reflection_pass_matches_the_references_on_every_pair(p, lam, rows):
-    # one pass over a character's nondegenerate pairs, (lam - 1)(lam - 2)
-    # results in row order: i = 1 .. lam - 1 and then k, every k but the
-    # one with i + k = 0 mod lam, the counts of each pair and its product,
-    # J times its conjugate in the ring.  Read as drawn: a whole pass at
-    # (211, 210) would hold about 90 MB
+    # one pass over a character's nondegenerate pairs, in order: the counts
+    # of each pair and its product, J times its conjugate in the ring
     chi = character(p, lam)
     pairs = [
         (i, k) for i in range(1, lam) for k in range(1, lam) if (i + k) % lam
     ]
-    assert len(pairs) == (lam - 1) * (lam - 2)
     target = [p] + [0] * (chi.ring.degree - 1)
     results = reflection_products(chi)
     for (i, k), (counts, product) in zip(pairs, results, strict=True):
-        assert counts == _counts(chi, i, k), (i, k)
         assert product == target, (i, k)
         if rows is None or i in rows:
             assert counts == counts_reference(chi, i, k), (i, k)
             j = chi.ring.element([-c for c in counts])
             assert product == reflection_reference(chi, j)["product"], (i, k)
+
+
+@pytest.mark.parametrize("p,lam", [(13, 12), (31, 10), (211, 210)])
+def test_reflection_pass_yields_every_pair_in_row_order(p, lam):
+    # (lam - 1)(lam - 2) results, i = 1 .. lam - 1 and then k, every k but
+    # the one with i + k = 0 mod lam: the counts of each pair, in order
+    chi = character(p, lam)
+    pairs = [
+        (i, k) for i in range(1, lam) for k in range(1, lam) if (i + k) % lam
+    ]
+    assert len(pairs) == (lam - 1) * (lam - 2)
+    # read as drawn: a whole pass at (211, 210) would hold about 90 MB
+    for pair, (counts, _) in zip(pairs, reflection_products(chi), strict=True):
+        assert counts == _counts(chi, *pair), pair
 
 
 @pytest.mark.parametrize("moved", [-1, 1])
