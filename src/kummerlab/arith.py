@@ -1,9 +1,10 @@
 """Integer utilities: primality, factorization, primitive roots, discrete
 logs and exact square roots.
 
-All routines are deterministic and exact.  Primality is a deterministic
-Miller-Rabin valid far beyond 64-bit inputs, up to MAX_PRIME_DIGITS digits;
-factorization is trial division with an explicit bound, which is all the
+All routines are deterministic and exact.  Primality is proven below
+_MR_PROOF_LIMIT, about 3.3 * 10^24, and a BPSW probable prime from there up
+to MAX_PRIME_DIGITS digits; check_prime is the package's one prime rule.
+Factorization is trial division with an explicit bound, which is all the
 desk-scale norms in this package need.
 
 Trial division and primes_below share one segmented sieve of Eratosthenes
@@ -46,9 +47,9 @@ from math import gcd, isqrt, log10
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROOF_LIMIT = 3317044064679887385961981
 
-# The primality budget: Miller-Rabin on a 1000-digit prime runs all 13 bases
-# in about 1.5 s, one base 0.11 s (0.16 s at 1100 digits, 0.83 s at 2000;
-# Python 3.11.7, x86-64), and a longer n that no base divides is refused.
+# The primality budget: BPSW on a 1000-digit prime takes about 0.38 s, its
+# base 2 round 0.09 s of that (0.44 s at 1100 digits, 2.3 s at 2000; Python
+# 3.11.7, x86-64), and a longer n that no base divides is refused.
 MAX_PRIME_DIGITS = 1000
 _PRIME_BUDGET = 10**MAX_PRIME_DIGITS
 
@@ -69,8 +70,10 @@ class FactorizationError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test: division by fixed bases, then Miller-Rabin
-    up to MAX_PRIME_DIGITS digits; a longer n that no base divides raises ValueError."""
+    """Division by fixed bases, then Miller-Rabin to all 13, a proof below
+    _MR_PROOF_LIMIT; from there up to MAX_PRIME_DIGITS digits BPSW, base 2
+    and _strong_lucas (Baillie and Wagstaff, Math. Comp. 35, 1980).  A longer
+    n that no base divides raises ValueError."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -83,12 +86,13 @@ def is_prime(n: int) -> bool:
             f"primality of an integer of {decimal_digits(n)} digits is over the "
             f"budget of {MAX_PRIME_DIGITS} digits"
         )
+    proven = n < _MR_PROOF_LIMIT
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES if proven else (2,):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -98,7 +102,63 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return proven or _strong_lucas(n)
+
+
+def check_prime(p: int) -> None:
+    """ValueError naming p unless p is prime: the package's one prime rule."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
+def _jacobi_symbol(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Whether the odd n > 1 is a strong Lucas probable prime with
+    Selfridge's parameters: D the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D) / 4.  With n + 1 = d 2^s, d odd,
+    that is U_d = 0 or V_(d 2^r) = 0 mod n for some r < s.  A perfect
+    square has no such D and is refused first."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi_symbol(D, n)) != -1:
+        if j == 0 and abs(D) != n:  # D shares a proper factor with n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    # U_k, V_k and Q^k mod n from k = 1 up the bits of d: doubling takes
+    # U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k, and a one bit steps to
+    # U_(k+1) = (U_k + V_k) / 2, V_(k+1) = (D U_k + V_k) / 2 (n is odd)
+    u, v, qk = 1, 1, q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (u + v) % n, (D * u + v) % n
+            u, v, qk = (u + n * (u & 1)) // 2, (v + n * (v & 1)) // 2, qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _strike(lo: int, hi: int, primes: list[int]) -> bytearray:
@@ -277,8 +337,7 @@ def exact_sqrt(n: int) -> int | None:
 
 def least_primitive_root(p: int) -> int:
     """Smallest positive primitive root modulo the prime p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     if p == 2:
         return 1
     qs = list(factorize_int(p - 1))

@@ -34,9 +34,9 @@ from math import comb
 
 from kummerlab import polyint
 from kummerlab.arith import (
+    check_prime,
     discrete_log_table,
     exact_sqrt,
-    is_prime,
     least_primitive_root,
 )
 from kummerlab.cyclotomic import (
@@ -87,11 +87,11 @@ def _log_table(p: int) -> tuple[int, tuple[str, int, int]]:
 
 @lru_cache(maxsize=1024)
 def character(p: int, lam: int) -> Character:
-    """The character of order lam mod p, one per (p, order)."""
+    """The character of order lam mod p, one per (p, order), and the one
+    refusal of its key: lam < 2, a composite p, or lam not dividing p - 1."""
     if lam < 2:
         raise ValueError(f"order {lam} must be at least 2")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     if (p - 1) % lam != 0:
         raise ValueError(f"order {lam} must divide p - 1 = {p - 1}")
     return Character(p, lam, (p - 1) // lam, *_log_table(p))
@@ -321,8 +321,7 @@ def fundamental_congruence_check(p: int, i: int, k: int) -> dict:
     and the exact binomial quotient (2(p-1)-i-k)! / ((p-1-i)!(p-1-k)!)
     mod p when i + k > p - 1.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     if not (0 < i < p - 1 and 0 < k < p - 1):
         raise ValueError("indices must lie strictly between 0 and p-1")
     if i + k == p - 1:
@@ -353,8 +352,6 @@ def quartic_decomposition(p: int) -> dict:
     The odd part a is pinned mod p, up to sign, by half the central
     binomial coefficient.
     """
-    if p % 4 != 1:
-        raise ValueError(f"{p} must be 1 mod 4")
     chi = character(p, 4)
     j = jacobi_sum(chi, 1, 1)
     a_raw, b_raw = j.coeffs
@@ -378,8 +375,7 @@ def quartic_decomposition(p: int) -> dict:
 
 def binomial_congruence(p: int) -> dict:
     """Gauss: for p = a^2 + 4b^2 = 4n + 1, 2a = +-C(2n, n) mod p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     if p % 4 != 1:
         raise ValueError(f"{p} must be 1 mod 4")
     n = (p - 1) // 4
@@ -421,8 +417,6 @@ def stickelberger_check(lam: int, p: int) -> dict:
     from kummerlab.valuation import kummer_prime, multiplicity, valuation_oracle
 
     check_conductor(lam)
-    if p % lam != 1:
-        raise ValueError(f"p = {p} must be 1 mod {lam}")
     chi = character(p, lam)
     j = jacobi_sum(chi, 1, 1)
     maps = enumerate_jacobi_maps(lam, p)

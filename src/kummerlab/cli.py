@@ -13,7 +13,7 @@ from itertools import takewhile
 from math import gcd
 
 from kummerlab import arith, charsum, monoid, quadorder
-from kummerlab.arith import DEFAULT_TRIAL_DIVISION_BOUND, factorize_int, is_prime
+from kummerlab.arith import DEFAULT_TRIAL_DIVISION_BOUND, check_prime, factorize_int
 from kummerlab.cyclotomic import cyclotomic_ring, norm
 from kummerlab.exprparse import (
     MAX_COEFFICIENT_DIGITS,
@@ -376,8 +376,6 @@ def _cmd_valuation(args) -> int:
     _check_conductor_cap(args)
     ring = cyclotomic_ring(args.lam)
     x = parse_element(args.expr, ring)
-    if x.is_zero():
-        raise UsageError("valuation of 0 is infinite")
     maps = enumerate_jacobi_maps(args.lam, args.p)
     phi = map_for_root(maps, _int_list("--xi", args.xi))
     K = kummer_prime(phi)
@@ -456,8 +454,7 @@ def _cmd_gauss_sum(args) -> int:
 
 def _cmd_fc_check(args) -> int:
     if args.all:
-        if not is_prime(args.p):
-            raise UsageError(f"{args.p} is not prime")
+        check_prime(args.p)
         if args.p < 5:  # no pair 0 < i, k < p - 1 has i + k != p - 1
             raise UsageError(f"fc-check --all needs p >= 5, got {args.p}")
         cases = (args.p - 2) ** 2

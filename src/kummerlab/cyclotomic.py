@@ -8,7 +8,8 @@ residue of vectors constant on gcd classes only.  Elements are immutable
 coefficient tuples of length phi(n), reduced mod Phi_n; equality is
 coefficient equality.
 The element class is shared with the quadratic orders, whose rings reduce
-mod their own modulus.
+mod their own modulus, and check_ring is the one refusal of an element of
+another ring, for both.
 """
 
 from array import array
@@ -33,8 +34,6 @@ class CyclotomicRing:
     symbol = "a"
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("conductor must be positive")
         self.n = n
         self.modulus = polyint.cyclotomic_polynomial(n)
         self.degree = len(self.modulus) - 1
@@ -197,6 +196,13 @@ class CyclotomicRing:
         return f"CyclotomicRing({self.n})"
 
 
+def check_ring(x, ring) -> None:
+    """ValueError unless x lives in ring, or in an equal ring built apart:
+    the package's one same-ring rule, for elements, maps and valuations."""
+    if x.ring is not ring and x.ring != ring:
+        raise ValueError(f"element lives in {x.ring!r}, not {ring!r}")
+
+
 def _norm_schedule(n: int, subgroup=(1,)) -> tuple[tuple[int, int], ...]:
     """Steps (k, r), r prime, of a tower H = H_0 < H_1 < ... of (Z/n)^*.
 
@@ -231,10 +237,6 @@ class CyclotomicElement:
         self.ring = ring
         self.coeffs = ring._reduce(coeffs)
 
-    def _check(self, other):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError("elements of different rings")
-
     def _lift(self, other):
         if isinstance(other, int):
             return self.ring.element(other)
@@ -242,7 +244,7 @@ class CyclotomicElement:
 
     def __add__(self, other):
         other = self._lift(other)
-        self._check(other)
+        check_ring(other, self.ring)
         return self.ring.element(
             [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
@@ -254,7 +256,7 @@ class CyclotomicElement:
 
     def __sub__(self, other):
         other = self._lift(other)
-        self._check(other)
+        check_ring(other, self.ring)
         return self.ring.element(
             [a - b for a, b in zip(self.coeffs, other.coeffs)]
         )
@@ -264,7 +266,7 @@ class CyclotomicElement:
 
     def __mul__(self, other):
         other = self._lift(other)
-        self._check(other)
+        check_ring(other, self.ring)
         return self.ring.element(polyint.mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__

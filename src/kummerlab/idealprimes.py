@@ -47,8 +47,9 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import count
 
-from kummerlab.arith import is_prime, multiplicative_order
-from kummerlab.cyclotomic import check_conductor, cyclotomic_ring, gaussian_periods
+from kummerlab.arith import check_prime, multiplicative_order
+from kummerlab.cyclotomic import check_conductor, check_ring, cyclotomic_ring
+from kummerlab.cyclotomic import gaussian_periods
 from kummerlab.ffield import image, power_columns, vanishes
 from kummerlab.lattice import IntLattice, kernel_mod
 from kummerlab.polyint import trim
@@ -80,18 +81,14 @@ class JacobiMap:
         """theta's image, the coordinates of xi^1 without trailing zeros."""
         return tuple(trim([column[1] for column in self.columns]))
 
-    def _check_ring(self, x) -> None:
-        if x.ring is not self.ring and x.ring != self.ring:
-            raise ValueError(f"element lives in {x.ring!r}, map expects {self.ring!r}")
-
     def apply(self, x) -> tuple[int, ...]:
         """The F_p-coordinates of x's image."""
-        self._check_ring(x)
+        check_ring(x, self.ring)
         return image(x.coeffs, self.columns, self.p)
 
     def kills(self, x) -> bool:
         """Whether x's image is 0."""
-        self._check_ring(x)
+        check_ring(x, self.ring)
         return vanishes((x.coeffs,), self.columns, self.p)
 
     def kernel(self) -> IntLattice:
@@ -145,8 +142,7 @@ def enumerate_jacobi_maps(lam: int, p: int) -> tuple[JacobiMap, ...]:
     then by factor coefficients, so degree-1 maps X - r come by p - r.
     """
     check_conductor(lam)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     ring = cyclotomic_ring(lam)
     if p == lam:
         return (_table_map(ring, p, (p - 1, 1), [[1] * lam], 1),)

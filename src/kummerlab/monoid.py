@@ -15,7 +15,7 @@ breaks down in exactly the way square roots do.
 
 from math import gcd, isqrt, prod
 
-from kummerlab.arith import exact_sqrt, factorize_int, is_prime, multiplicative_order
+from kummerlab.arith import check_prime, exact_sqrt, factorize_int, multiplicative_order
 
 
 class HilbertMonoid:
@@ -132,8 +132,7 @@ def defined_at(M, p: int, a: int, b: int) -> dict:
     """
     if a not in M or b not in M:
         raise ValueError("both entries must be elements of the monoid")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     m, residues = M.m, M.residues
     g = gcd(a, b)
     a0, b0 = a // g, b // g
@@ -158,8 +157,7 @@ def defined_at(M, p: int, a: int, b: int) -> dict:
 def uniformizer(M: HilbertMonoid, p: int) -> int:
     """p times the least r >= 1 coprime to p with p * r in M: p itself when
     its class is principal, else p times a corrector of class [p]^{-1}."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     if gcd(p, M.m) != 1:
         raise ValueError(f"prime {p} divides the modulus {M.m}: outside theory")
     r = 1

@@ -11,7 +11,7 @@ reproducible bit for bit.  gf_root follows one branch of the same split
 to one root of a polynomial whose roots all lie in F_p.
 """
 
-from kummerlab.arith import is_prime
+from kummerlab.arith import check_prime
 from kummerlab.polyint import trim
 
 
@@ -247,8 +247,7 @@ def factor_mod_p(f: list[int], p: int) -> list[tuple[list[int], int]]:
     tuple); the product of factor**multiplicity times the leading
     coefficient of f reconstructs f.  p must be prime and f nonzero.
     """
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    check_prime(p)
     f = gf_normalize(list(f), p)
     if not f:
         raise ValueError("cannot factor the zero polynomial")

@@ -12,16 +12,17 @@ dividing the conductor fail to extend to fractions in either direction,
 Gauss's Lemma for monic polynomials fails, and prime-ideal powers collapse
 (p^2 = (2) p without p = (2) in Z[sqrt(-3)]).  dichotomy_check is the one
 definedness read, for Z[alpha] and quadratic orders alike: it refuses maps
-and elements of different rings, solves once per fraction for the colon
-rows of both directions, and reads each half against each map's columns.
+and elements of different rings by cyclotomic.check_ring, solves once per
+fraction for the colon rows of both directions, and reads each half
+against each map's columns.
 """
 
 import json
 from fractions import Fraction
 from importlib import resources
 
-from kummerlab.arith import exact_sqrt, is_prime, squarefree_decomposition
-from kummerlab.cyclotomic import CyclotomicElement
+from kummerlab.arith import exact_sqrt, squarefree_decomposition
+from kummerlab.cyclotomic import CyclotomicElement, check_ring
 from kummerlab.exprparse import COEFFICIENT_BOUND, MAX_COEFFICIENT_DIGITS
 from kummerlab.ffield import power_columns, vanishes
 from kummerlab.idealprimes import JacobiMap
@@ -85,9 +86,8 @@ def enumerate_quad_maps(order: QuadOrder, p: int) -> list[JacobiMap]:
     single map), or one degree-2 map when it stays irreducible, in
     factor_mod_p's order.  theta goes to X, the least of its Frobenius
     orbit {X, -u - X}: at degree 2 its coordinates (0, 1) could tie with
-    (-u mod p, p - 1) only at p = 2, u even, where T^2 + v is reducible."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    (-u mod p, p - 1) only at p = 2, u even, where T^2 + v is reducible.
+    factor_mod_p refuses a p that is not prime."""
     factored = factor_mod_p(list(order.modulus), p)
     return [
         JacobiMap(order, p, tuple(fac), power_columns([0, 1], 2, fac, p))
@@ -114,10 +114,9 @@ def dichotomy_check(
     if not any(numerator.coeffs):
         raise ZeroDivisionError("zero numerator")
     order = numerator.ring
-    if denominator.ring is not order and denominator.ring != order:
-        raise ValueError(f"denominator lives in {denominator.ring!r}, not {order!r}")
+    check_ring(denominator, order)
     for phi in maps:
-        phi._check_ring(numerator)
+        check_ring(numerator, phi.ring)
     d = order.degree
     relations = colon_relations(numerator.coeffs, denominator.coeffs, order)
     at_fraction = [r[:d] for r in relations]
@@ -211,8 +210,8 @@ def gauss_lemma_check(
     Over K the polynomial splits iff b^2 - 4c is a square there; over O it
     splits iff the roots additionally have integer coordinates.
     """
-    if b.ring != order or c.ring != order:
-        raise ValueError("coefficients must lie in the order")
+    check_ring(b, order)
+    check_ring(c, order)
     delta = b * b - 4 * c
     s = _field_sqrt(order, *map(Fraction, delta.coeffs))
     if s is None:

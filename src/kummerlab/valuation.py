@@ -57,6 +57,7 @@ from kummerlab.arith import (
 from kummerlab.cyclotomic import (
     CyclotomicElement,
     check_conductor,
+    check_ring,
     conjugate_tower,
     gaussian_periods,
     norm,
@@ -191,7 +192,7 @@ def multiplicity(x: CyclotomicElement, K: KummerPrime) -> int:
     """
     if x.is_zero():
         raise ValueError("valuation of 0 is infinite")
-    K.map._check_ring(x)
+    check_ring(x, K.map.ring)
     q = K.map.p
     columns = K.psi_columns
     w = x.coeffs
@@ -277,11 +278,12 @@ def _screened(one, xs, keys, maps, reads) -> list[list[int]]:
     """[one(x, key) for x in xs] for each key, with one called only on the
     xs that ffield.zero_images reads as 0 under the key's read: the others
     are 0.  An element outside the ring of a map of maps is refused by
-    JacobiMap._check_ring, each element compared with each distinct ring
-    once; a zero element reads 0 everywhere, so one refuses it."""
-    for phi in {phi.ring: phi for phi in maps}.values():
+    cyclotomic.check_ring, each element compared with each distinct ring
+    once, in the maps' order; a zero element reads 0 everywhere, so one
+    refuses it."""
+    for ring in dict.fromkeys(phi.ring for phi in maps):
         for x in xs:
-            phi._check_ring(x)
+            check_ring(x, ring)
     out = []
     for key, indices in zip(keys, zero_images([x.coeffs for x in xs], reads)):
         values = [0] * len(xs)

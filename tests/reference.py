@@ -102,6 +102,13 @@ def autocorrelation(h: Sequence[int]) -> list[int]:
     return unpack_words((x & ((1 << bits) - 1)) + (x >> bits), code, n).tolist()
 
 
+def autocorrelation_reference(h: Sequence[int]) -> list[int]:
+    """c[s] = sum over e of h[e] * h[(e - s) mod n], n = len(h), as the plain
+    double loop: the reference for the packed autocorrelation above."""
+    n = len(h)
+    return [sum(h[e] * h[(e - s) % n] for e in range(n)) for s in range(n)]
+
+
 def uniformizer_by_tower(phi):
     """psi, Psi and the period norm psi * Psi of a map of residue degree 1,
     Psi and the norm taken up the period system's subgroup tower: the

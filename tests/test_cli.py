@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from kummerlab import cli, exprparse, quadorder, reports, reproduce, valuation
 from kummerlab.cli import _int_list, main
-from kummerlab.cyclotomic import CyclotomicElement, cyclotomic_ring
+from kummerlab.cyclotomic import CyclotomicElement, cyclotomic_ring, norm
 from kummerlab.exprparse import ElementParseError, parse_element, render_element
 from kummerlab.quadorder import QuadOrder
 
@@ -616,6 +616,11 @@ def test_cli_usage_error_exit_code():
             ["jacobi-sum", "--p", "12", "--order", "0", "--i", "1", "--k", "1"],
             "order 0 must be at least 2",
         ),
+        (["quartic", "--p", "7"], "order 4 must divide p - 1 = 6"),
+        (
+            ["stickelberger", "--lambda", "5", "--p", "7"],
+            "order 5 must divide p - 1 = 6",
+        ),
     ],
 )
 def test_cli_out_of_range_input_exit_code(capsys, argv, message):
@@ -833,6 +838,36 @@ def test_cli_factor_reports_a_composite_cofactor(capsys):
         "error: cofactor 160385076307395329492289307784294318290372462207543"
         "558499843 is composite and exceeds the trial-division bound 1000000\n"
     )
+
+
+# Arnault's composite that passes Miller-Rabin to all 13 prime bases up to
+# 41, an element of Z[zeta_3] whose norm it is, and z^2 for Jacobi's
+# z = 2^((n - 1)/3) mod n, a cube root of 1, as a --xi label
+ARNAULT = 5443183882119677641412472432444739926992410014294629071132996995163
+ARNAULT_NORM = "344551285311535517180367896094714a - 2141627378424049293827212477418747"
+ARNAULT_XI = "3819784694119616419053384329807095393808358530782441610104794568456"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maps", "--lambda", "3", "--p", str(ARNAULT)],
+        ["quad", "--theta", "0,1", "maps", "--p", str(ARNAULT)],
+        ["quad", "--theta", "0,1", "check-b2", "--p", str(ARNAULT), "1+t", "2"],
+        ["monoid", "--m", "4", "defined-at", str(ARNAULT), "9", "21"],
+        ["valuation", "--lambda", "3", "--p", str(ARNAULT), "--xi", ARNAULT_XI,
+         ARNAULT_NORM],
+        ["factor", "--lambda", "3", ARNAULT_NORM],
+    ],
+)
+def test_cli_refuses_a_composite_modulus_at_every_entry_point(capsys, argv):
+    # each command that reads the modulus as a prime, or meets it as a
+    # norm's cofactor, refuses it by name and prints no report
+    assert norm(parse_element(ARNAULT_NORM, cyclotomic_ring(3))) == ARNAULT
+    assert int(ARNAULT_XI) == pow(2, 2 * (ARNAULT - 1) // 3, ARNAULT)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(ARNAULT) in captured.err
 
 
 @pytest.mark.parametrize("command", ["factor", "divides"])

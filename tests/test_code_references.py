@@ -5,6 +5,9 @@ somewhere other than its own definition: in the package itself (an import,
 the CLI dispatch table, a call) or in the benchmark harness under perfbench/.
 A function registered by the @claim decorator counts as used.  A helper
 that only tests call belongs in the tests.
+
+Each input rule is refused in one place: only arith.check_prime raises
+"is not prime", and only cyclotomic.check_ring raises "lives in".
 """
 
 import ast
@@ -84,3 +87,44 @@ def test_every_library_definition_is_used_outside_the_tests():
         ):
             unused.append(f"{name} (line {node.lineno})")
     assert unused == []
+
+
+class _Raises(ast.NodeVisitor):
+    """The literal text of every raise, with its module and the innermost
+    function around it (None at module level)."""
+
+    def __init__(self, module: str):
+        self.module = module
+        self.stack = []
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Raise(self, node):
+        text = "".join(
+            part.value
+            for part in ast.walk(node)
+            if isinstance(part, ast.Constant) and isinstance(part.value, str)
+        )
+        where = (self.module, self.stack[-1] if self.stack else None)
+        self.found.append((where, text))
+
+
+def test_each_refusal_rule_is_raised_in_one_place():
+    rules = {"is not prime": set(), "lives in": set()}
+    for path in sorted(PACKAGE.glob("*.py")):
+        raises = _Raises(path.stem)
+        raises.visit(ast.parse(path.read_text(), filename=str(path)))
+        for where, text in raises.found:
+            for rule, places in rules.items():
+                if rule in text:
+                    places.add(where)
+    assert rules == {
+        "is not prime": {("arith", "check_prime")},
+        "lives in": {("cyclotomic", "check_ring")},
+    }

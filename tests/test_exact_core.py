@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import signal
 import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
@@ -44,12 +45,14 @@ from kummerlab.quadorder import QuadOrder, dichotomy_check, enumerate_quad_maps
 from kummerlab.valuation import divides, factorize
 from reference import (
     autocorrelation,
+    autocorrelation_reference,
     colon,
     colon_extends_to,
     divmod_exact,
     kernel_mod,
     lattice_contains,
     principal_lattice,
+    schoolbook_reference,
     standard_lattice,
     trial_division_reference,
 )
@@ -102,6 +105,85 @@ def test_is_prime_refuses_past_its_digit_budget(monkeypatch):
             f"primality of an integer of {digits} digits is over the budget of "
             "1000 digits"
         )
+
+
+# Arnault's strong pseudoprime to the 13 prime bases up to 41 (J. Symbolic
+# Comput. 20, 1995): p1 p2 p3 with p_i = k_i (p1 - 1) + 1 for k = 1, 53, 61
+ARNAULT_FACTORS = (
+    1189640571950868212323,
+    63050950313396015253067,
+    72568074889002960951643,
+)
+ARNAULT = 5443183882119677641412472432444739926992410014294629071132996995163
+
+# the odd n below 2 * 10^5 that the strong Lucas test with Selfridge's
+# parameters takes for primes and are not (OEIS A217255)
+STRONG_LUCAS_PSEUDOPRIMES = [
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+    75077, 97439, 100127, 113573, 115639, 130139, 155819, 158399, 161027,
+    162133, 176399, 176471, 189419, 192509, 197801,
+]
+
+
+def test_is_prime_refuses_arnaults_pseudoprime_to_all_13_bases(monkeypatch):
+    p1 = ARNAULT_FACTORS[0]
+    assert ARNAULT_FACTORS == (p1, 53 * (p1 - 1) + 1, 61 * (p1 - 1) + 1)
+    assert math.prod(ARNAULT_FACTORS) == ARNAULT > _MR_PROOF_LIMIT
+    assert all(is_prime(p) for p in ARNAULT_FACTORS) and not is_prime(ARNAULT)
+    # the 13 bases alone, run past their proof limit, take it for a prime
+    monkeypatch.setattr(arith, "_MR_PROOF_LIMIT", 10**100)
+    assert is_prime(ARNAULT)
+
+
+def test_bpsw_rejects_every_strong_lucas_pseudoprime(monkeypatch):
+    bound = 2 * 10**5
+    primes = set(primes_below(bound))
+    lucas = [n for n in range(3, bound, 2) if arith._strong_lucas(n) != (n in primes)]
+    assert lucas == STRONG_LUCAS_PSEUDOPRIMES
+    # with the proof limit lowered to 43^2 every n from there takes the BPSW
+    # route: base 2 rejects each Lucas pseudoprime, and Lucas each base-2 one
+    monkeypatch.setattr(arith, "_MR_PROOF_LIMIT", 43 * 43)
+    assert [n for n in range(bound) if is_prime(n) != (n in primes)] == []
+
+
+def test_strong_lucas_refuses_a_square_before_its_search():
+    # a square has (D/n) = 0 or 1 for every D, so the search for
+    # (D/n) = -1 would run on until |D| met the prime 10^13 + 37
+    def hang(signum, frame):
+        raise TimeoutError("the search for D ran on a square")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(2)
+    try:
+        n = (10**13 + 37) ** 2
+        assert is_prime(10**13 + 37) and n > _MR_PROOF_LIMIT
+        assert not arith._strong_lucas(n)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_bpsw_agrees_with_the_13_bases_above_the_proof_limit(monkeypatch):
+    # the first primes above the limit, Mersenne primes, and products of
+    # consecutive primes just above its square root
+    primes = [
+        3317044064679887385962123,
+        3317044064679887385962177,
+        3317044064679887385962191,
+        2**89 - 1,
+        2**127 - 1,
+    ]
+    products = [
+        1821275395081 * 1821275395109,
+        1821275395109 * 1821275395129,
+        1821275395129 * 1821275395133,
+        (2**61 - 1) * (2**89 - 1),
+    ]
+    assert min(primes + products) > _MR_PROOF_LIMIT
+    expected = [True] * len(primes) + [False] * len(products)
+    assert [is_prime(n) for n in primes + products] == expected
+    monkeypatch.setattr(arith, "_MR_PROOF_LIMIT", 10**100)
+    assert [is_prime(n) for n in primes + products] == expected
 
 
 def test_factorize_int():
@@ -482,16 +564,6 @@ def test_resultant_of_split_polynomials():
     assert resultant([0, 0, 1], [5]) == 25
 
 
-def _schoolbook(f, g):
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def test_mul_matches_schoolbook(monkeypatch):
     t = polyint.KRONECKER_MIN_TERMS
     rng = random.Random(RNG_SEED)
@@ -536,18 +608,13 @@ def test_mul_matches_schoolbook(monkeypatch):
 
     monkeypatch.setattr(polyint, "_kronecker_mul", spy)
     for f, g in cases:
-        expected = _schoolbook(f, g)
+        expected = schoolbook_reference(f, g)
         assert mul(f, g) == expected
         assert mul(tuple(f), tuple(g)) == expected
         dense = min(len(f) - f.count(0), len(g) - g.count(0)) >= t
         assert packed == ([(f, g), (tuple(f), tuple(g))] if dense else [])
         packed.clear()
     assert mul([], [1, 2]) == mul([3], []) == []
-
-
-def _autocorrelation(h):
-    n = len(h)
-    return [sum(h[e] * h[(e - s) % n] for e in range(n)) for s in range(n)]
 
 
 def test_autocorrelation_pinned():
@@ -567,11 +634,12 @@ def test_autocorrelation_pinned():
         for total in (2**k - 1, 2**k - 2, 2**k + 1):
             for h in ([total], [total - 2, 2], [1, total - 3, 0, 2]):
                 if total**2 < 2**64:
-                    assert autocorrelation(h) == _autocorrelation(h), h
+                    assert autocorrelation(h) == autocorrelation_reference(h), h
     top = 2**32 - 1
     assert autocorrelation([top]) == [top * top]
     assert autocorrelation([top - 1, 1, 0]) == [(top - 1) ** 2 + 1, top - 1, top - 1]
-    assert autocorrelation([2**31, 2**31 - 1]) == _autocorrelation([2**31, 2**31 - 1])
+    h = [2**31, 2**31 - 1]
+    assert autocorrelation(h) == autocorrelation_reference(h)
 
 
 def test_autocorrelation_packs_the_narrower_word():
@@ -584,7 +652,7 @@ def test_autocorrelation_packs_the_narrower_word():
               [3] * 7 + [1] * 270, [2**16 - 1, 1], [2**15, 2**14, 2**14],
               [1] * 255, [3] * 28):
         assert word(max(h) * sum(h)) < word(sum(h) ** 2), h
-        assert autocorrelation(h) == _autocorrelation(h), h
+        assert autocorrelation(h) == autocorrelation_reference(h), h
     # a constant vector meets max(h) * sum(h) at every lag
     assert autocorrelation([1] * 255) == [255] * 255
     assert autocorrelation([3] * 28) == [252] * 28
@@ -946,21 +1014,24 @@ def test_product_and_colon_check_the_order_rank():
 def test_dichotomy_check_refuses_maps_and_elements_of_another_ring():
     z5, gaussian_maps = cyclotomic_ring(5), enumerate_quad_maps(GAUSSIAN, 5)
     # a fraction of a rank-4 ring at a map of a rank-2 order, and back
-    with pytest.raises(ValueError, match="map expects QuadOrder"):
+    expects = r"^element lives in CyclotomicRing\(5\), not QuadOrder\(u=0, v=3\)$"
+    with pytest.raises(ValueError, match=expects):
         dichotomy_check(
             enumerate_quad_maps(SQRT_M3, 2), z5.element([1, 1]), z5.element(1)
         )
-    with pytest.raises(ValueError, match="map expects CyclotomicRing"):
+    expects = r"^element lives in QuadOrder\(u=0, v=3\), not CyclotomicRing\(5\)$"
+    with pytest.raises(ValueError, match=expects):
         dichotomy_check(
             enumerate_jacobi_maps(5, 11), SQRT_M3.element([1, 1]), SQRT_M3.element(2)
         )
     # equal degrees: the maps of Z[i] at a fraction of Z[sqrt(-3)], which
     # reads (True, True) at both maps unless the rings are compared
-    with pytest.raises(ValueError, match=r"element lives in QuadOrder\(u=0, v=3\)"):
+    expects = r"^element lives in QuadOrder\(u=0, v=3\), not QuadOrder\(u=0, v=1\)$"
+    with pytest.raises(ValueError, match=expects):
         dichotomy_check(gaussian_maps, SQRT_M3.element([1, 1]), SQRT_M3.element(2))
     # a numerator and a denominator from two orders, with and without maps
     for maps in (gaussian_maps, []):
-        with pytest.raises(ValueError, match="denominator lives in QuadOrder"):
+        with pytest.raises(ValueError, match=expects):
             dichotomy_check(maps, GAUSSIAN.element([1, 1]), SQRT_M3.element(2))
     reps = dichotomy_check(gaussian_maps, GAUSSIAN.element([1, 1]), GAUSSIAN.element(2))
     assert len(reps) == 2

@@ -254,15 +254,17 @@ def test_batch_routes_refuse_a_zero_element_and_another_ring():
     with pytest.raises(ValueError, match="valuation of 0 is infinite"):
         valuation_oracles([one, zero], [phi])
     other = cyclotomic_ring(7).one()
-    with pytest.raises(ValueError, match=r"lives in CyclotomicRing\(7\), map expects"):
+    foreign = r"^element lives in CyclotomicRing\(7\), not CyclotomicRing\(5\)$"
+    with pytest.raises(ValueError, match=foreign):
         multiplicities([one, other], [K])
-    with pytest.raises(ValueError, match=r"lives in CyclotomicRing\(7\), map expects"):
+    with pytest.raises(ValueError, match=foreign):
         valuation_oracles([one, other], [phi])
     # every map's ring is checked, not the first one's
     phi7 = enumerate_jacobi_maps(7, 29)[0]
-    with pytest.raises(ValueError, match=r"map expects CyclotomicRing\(7\)"):
+    expects = r"^element lives in CyclotomicRing\(5\), not CyclotomicRing\(7\)$"
+    with pytest.raises(ValueError, match=expects):
         multiplicities([one], [K, kummer_prime(phi7)])
-    with pytest.raises(ValueError, match=r"map expects CyclotomicRing\(7\)"):
+    with pytest.raises(ValueError, match=expects):
         valuation_oracles([one], [phi, phi7])
 
 
@@ -283,16 +285,16 @@ def test_ring_checks_take_an_equal_ring_and_refuse_another():
     check = quadorder.dichotomy_check
     assert check([phi], K.psi, y) == check([phi], x, y) == check([phi], x, 29 * one)
     other = cyclotomic_ring(5).element([2, 1])
-    with pytest.raises(ValueError, match="elements of different rings"):
+    expects = r"^element lives in CyclotomicRing\(5\), not CyclotomicRing\(7\)$"
+    with pytest.raises(ValueError, match=expects):
         x - other
-    expects = r"element lives in CyclotomicRing\(5\), map expects CyclotomicRing\(7\)"
     with pytest.raises(ValueError, match=expects):
         multiplicity(other, K)
     with pytest.raises(ValueError, match=expects):
         phi.apply(other)
     with pytest.raises(ValueError, match=expects):
         check([phi], other, other)
-    with pytest.raises(ValueError, match=r"lives in CyclotomicRing\(5\), not Cyc"):
+    with pytest.raises(ValueError, match=expects):
         check([phi], x, other)
 
 
