@@ -13,10 +13,11 @@ section 3.2).  Trial division visits the candidates 6k - 1 and 6k + 1 in
 segments of k whose widths start small and double up to a cap, so a small
 input stops as early as a one-by-one loop would and memory stays bounded.
 A segment that starts at _SIEVE_FROM or later is sieved by 3 and the primes
-below the square root of its end.  Its primes are read out one residue
-class mod 6c at a time, c the conductor (1 by default), and merged into
-ascending order: only classes prime to 6, and of those only the classes
-whose primes can divide the cofactor.
+below the square root of its end.  Its primes are read out and divided
+one residue class mod 6c at a time, c the conductor (1 by default), with no
+merge into ascending order, since primes divide in any order: only classes
+prime to 6, and of those only the classes whose primes can divide the
+cofactor.
 
 The residue-degree rule.  A norm N = N(x) of x in Z[zeta_c] is divisible
 by a prime p not dividing c only as a power of p^f, f the order of p mod c
@@ -196,11 +197,12 @@ def _residue_degrees(conductor: int) -> tuple[tuple[int, int], ...]:
 
 def _candidates(
     lo: int, hi: int, n: int, sieving: list[int] | None, conductor: int
-) -> range | list[int]:
-    """The numbers of [lo, hi) to divide into the cofactor n, ascending (lo
-    and hi odd): every odd one below _SIEVE_FROM; from there on, the primes
-    that ``sieving`` leaves in the residue classes mod 6 * conductor whose
-    degree f has lo^f <= n, read out of the sieve one class at a time."""
+) -> range | chain:
+    """The numbers of [lo, hi) to divide into the cofactor n (lo and hi
+    odd): every odd one below _SIEVE_FROM, ascending; from there on, the
+    primes that ``sieving`` leaves in the residue classes mod 6 * conductor
+    whose degree f has lo^f <= n, read out of the sieve lazily one class at
+    a time, each class ascending."""
     if lo < _SIEVE_FROM:
         return range(lo, hi, 2)
     # the largest degree f <= conductor with lo^f <= n
@@ -214,7 +216,7 @@ def _candidates(
         if f <= top:
             j = (r - lo) // 2 % step
             reads.append(compress(range(lo + 2 * j, hi, 2 * step), keep[j::step]))
-    return sorted(chain(*reads))
+    return chain(*reads)
 
 
 def factorize_int(
@@ -223,14 +225,15 @@ def factorize_int(
     """Factor |n| by trial division up to ``bound``.
 
     After 2 and 3, the candidates are 6k - 1 <= bound and their partners
-    6k + 1 <= bound + 2, while (6k - 1)^2 <= n.  They are visited in ascending
-    order, in segments of k whose widths start at 3 and double up to a cap.
-    A segment that starts below _SIEVE_FROM divides every odd number into n;
-    a later one is sieved first, and only its primes are.  A composite
-    (a multiple of 3 included) never divides n, because its prime factors
-    are smaller and were divided out before it is reached, so either way
-    the primes found, their order and their exponents are those of dividing
-    by every candidate.
+    6k + 1 <= bound + 2, while (6k - 1)^2 <= n.  They are visited in
+    segments of k whose widths start at 3 and double up to a cap, the
+    segments in ascending order.  A segment that starts below _SIEVE_FROM
+    divides every odd number into n, ascending; a later one is sieved first,
+    and only its primes are, one residue class after another, so a later
+    class can hold a smaller prime.  A composite (a multiple of 3 included)
+    never divides n, because its prime factors are smaller and were divided
+    out before it is reached, and primes divide in any order, so the primes
+    found and their exponents are those of dividing by every candidate.
 
     ``conductor`` c promises that n is a norm from Z[zeta_c]: every prime
     p that does not divide c divides n only as a power of p^f, f the order
@@ -240,12 +243,14 @@ def factorize_int(
     same.  The default c = 1 gives every prime degree 1.
 
     Division stops early at a cofactor below _MR_PROOF_LIMIT that the
-    primality test proves prime; the test is skipped after a hit p that
-    leaves a cofactor below p^2.  A remaining cofactor is accepted if it
+    primality test proves prime, and after a hit in a segment starting at
+    lo at a cofactor below lo^2 too, since every prime below lo has been
+    divided out: it is 1 or prime.  A remaining cofactor is accepted if it
     passes the primality test; otherwise FactorizationError is raised with
     the bound echoed and the cofactor named, by its digit count if Python
     would not print it.
-    Returns {prime: exponent}; factorize_int(1) == {}.
+    Returns {prime: exponent}, its keys ascending (sorted once, on return);
+    factorize_int(1) == {}.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -273,7 +278,7 @@ def factorize_int(
                     e += 1
                     n //= p
                 out[p] = e
-                proven = n < p * p or (n < _MR_PROOF_LIMIT and is_prime(n))
+                proven = n < lo * lo or (n < _MR_PROOF_LIMIT and is_prime(n))
                 if proven:
                     break
         k_end = min(k_end, (isqrt(n) + 1) // 6 + 1)
@@ -289,7 +294,7 @@ def factorize_int(
                 f"cofactor {name} is composite and exceeds the trial-division "
                 f"bound {bound}"
             )
-    return out
+    return dict(sorted(out.items()))
 
 
 def decimal_digits(n: int) -> int:

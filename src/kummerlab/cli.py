@@ -376,6 +376,8 @@ def _cmd_valuation(args) -> int:
     _check_conductor_cap(args)
     ring = cyclotomic_ring(args.lam)
     x = parse_element(args.expr, ring)
+    if x.is_zero():
+        raise ValueError("valuation of 0 is infinite")
     maps = enumerate_jacobi_maps(args.lam, args.p)
     phi = map_for_root(maps, _int_list("--xi", args.xi))
     K = kummer_prime(phi)

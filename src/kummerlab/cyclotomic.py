@@ -334,16 +334,26 @@ def conjugate_tower(x: CyclotomicElement, schedule) -> tuple[CyclotomicElement, 
     """Walk a tower from x, which H = H_0 fixes: the norm y and the step factors.
 
     At a step (k, r), T = prod_{1<=j<r} sigma_k^j(y) and y <- y * T, the
-    norm down to the fixed ring of H_i, for r - 1 multiplies.  The product
-    c of the T_i is x's cofactor: x * c = y, the other conjugates' product.
+    norm down to the fixed ring of H_i.  The product c of the T_i is x's
+    cofactor: x * c = y, the other conjugates' product.
+
+    T is sigma_k(P_(r-1)), P_a = prod_{0<=j<a} sigma_k^j(y), and P_(r-1) is
+    built by doubling along the bits of r - 1 (Itoh and Tsujii, Inform. and
+    Comput. 78, 1988): P_2a = P_a * sigma_k^a(P_a) and P_(a+1) =
+    y * sigma_k(P_a).  A step takes bit_length(r - 1) + popcount(r - 1) - 1
+    multiplies, y * T included, against r - 1 one conjugate at a time: 5 in
+    place of 10 at r = 11, 3 in place of 4 at r = 5.
     """
+    n = x.ring.n
     y = x
     factors = []
     for k, r in schedule:
-        t = z = conjugate(y, k)
-        for _ in range(r - 2):
-            z = conjugate(z, k)
-            t = t * z
+        p, a = y, 1
+        for bit in bin(r - 1)[3:]:
+            p, a = p * conjugate(p, pow(k, a, n)), 2 * a
+            if bit == "1":
+                p, a = y * conjugate(p, k), a + 1
+        t = conjugate(p, k)
         factors.append(t)
         y = y * t
     return y, factors
@@ -352,7 +362,9 @@ def conjugate_tower(x: CyclotomicElement, schedule) -> tuple[CyclotomicElement, 
 def norm(x: CyclotomicElement) -> int:
     """Product of all conjugates; a rational integer, multiplicative.
 
-    Taken up the tower from {1}: sum (r_i - 1) multiplies, 7 at n = 41.
+    Taken up the tower from {1}: the sum over its steps of
+    bit_length(r_i - 1) + popcount(r_i - 1) - 1 multiplies, 6 at n = 23
+    and at n = 41.
     """
     return conjugate_tower(x, x.ring.norm_schedule)[0].rational_value()
 

@@ -112,7 +112,7 @@ def ideal_factorization(M: HilbertMonoid, a: int) -> list[tuple[int, int]]:
         raise ValueError(f"{a} is not in {M!r}")
     if gcd(a, M.m) != 1:
         raise ValueError(f"{a} shares a factor with the modulus: outside theory")
-    out = sorted(factorize_int(a).items())
+    out = list(factorize_int(a).items())
     if prod(pow(p, e, M.m) for p, e in out) % M.m not in M.subgroup:
         raise AssertionError("class product of an element of M must lie in H")
     return out
@@ -215,7 +215,7 @@ def _invariant_factors(n: int, orders: list[int]) -> list[int]:
     exponent of every prime, the next one the next largest, and so on.
     """
     columns = []  # per prime q: the exponents of its cyclic factors, descending
-    for q, k in sorted(factorize_int(n).items()):
+    for q, k in factorize_int(n).items():
         at_least, s = [], 0
         while s < k:
             count = sum(1 for o in orders if q ** (len(at_least) + 1) % o == 0)

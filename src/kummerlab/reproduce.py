@@ -522,7 +522,7 @@ def _acc_completeness(cfg: Config) -> dict:
         quotient, norm_y = quotient_and_norm(y, x)
         by_division = quotient is not None
         primes = factorize_int(norm_y, cfg.trial_division_bound, conductor=ring.n)
-        maps = [phi for p in sorted(primes) for phi in enumerate_jacobi_maps(5, p)]
+        maps = [phi for p in primes for phi in enumerate_jacobi_maps(5, p)]
         reps = quadorder.dichotomy_check(maps, x, y)
         defined_everywhere = all(rep["at_fraction"] for rep in reps)
         assert defined_everywhere == by_division, (x, y)

@@ -344,7 +344,7 @@ def factorize(
         raise ValueError("cannot factor 0")
     nval = norm(x)
     records = []
-    for p in sorted(factorize_int(nval, trial_bound, conductor=x.ring.n)):
+    for p in factorize_int(nval, trial_bound, conductor=x.ring.n):
         total = 0
         for phi in enumerate_jacobi_maps(x.ring.n, p):
             mu = valuation_oracle(x, phi)
@@ -392,7 +392,7 @@ def divides(
     if x.is_zero():
         return True
     by_valuation = True
-    for p in sorted(factorize_int(norm_d, trial_bound, conductor=d.ring.n)):
+    for p in factorize_int(norm_d, trial_bound, conductor=d.ring.n):
         for phi in enumerate_jacobi_maps(d.ring.n, p):
             if valuation_oracle(d, phi) > valuation_oracle(x, phi):
                 by_valuation = False

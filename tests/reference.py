@@ -305,6 +305,23 @@ def transpose(rows, width: int) -> list[list[int]]:
     return [[row[j] for row in rows] for j in range(width)]
 
 
+def conjugate_tower_reference(x, schedule):
+    """The norm y and the step factors of x up a tower, each step (k, r)
+    taking T = prod_{1<=j<r} sigma_k^j(y) one conjugate at a time, r - 1
+    multiplies, and y <- y * T: the reference for
+    cyclotomic.conjugate_tower, which builds T by doubling."""
+    y = x
+    factors = []
+    for k, r in schedule:
+        t = z = conjugate(y, k)
+        for _ in range(r - 2):
+            z = conjugate(z, k)
+            t = t * z
+        factors.append(t)
+        y = y * t
+    return y, factors
+
+
 def quotient_by_conjugates(d, x):
     """x / d in Z[alpha], or None, through the cofactor of d taken one
     conjugate at a time: the product of sigma_k(d) over k = 2 .. lam - 1,

@@ -628,6 +628,19 @@ def test_cli_out_of_range_input_exit_code(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+def test_cli_valuation_refuses_zero_before_building_a_map(capsys, monkeypatch):
+    # a zero element is refused right after parsing, before any map is
+    # enumerated: the xi given here matches no map at 29, and at a
+    # 1000-digit p the maps alone took over a second
+    def unreachable(*args):
+        raise AssertionError("enumerate_jacobi_maps ran before the refusal")
+
+    monkeypatch.setattr(cli, "enumerate_jacobi_maps", unreachable)
+    argv = ["valuation", "--lambda", "7", "--p", "29", "--xi", "1", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: valuation of 0 is infinite\n"
+
+
 def test_cli_fc_check_single_pair(capsys):
     # fc-check --i --k checks one pair: J(chi^i, chi^k) at g against zero
     # below p - 1 and against the binomial coefficient above it

@@ -396,14 +396,46 @@ def test_factorize_int_reads_a_class_whose_power_equals_the_cofactor():
 
 
 def test_factorize_int_merges_the_classes_of_a_segment_in_ascending_order():
-    # the sieved segment [9203, 18419) is read one residue class at a time,
-    # and a later class can hold a smaller prime: 10009 = 1 and 10007 = 5
-    # mod 6, 9221 = 5 and 9209 = 11 mod 18.  Dividing in class order would
-    # put 10009 first, and at conductor 3 would take the cofactor 9209^2 for
-    # a prime once 9221^2 is divided out, since 9209^2 < 9221^2.
+    # the sieved segment [9203, 18419) is divided one residue class at a
+    # time, and a later class can hold a smaller prime: 10009 = 1 and
+    # 10007 = 5 mod 6, 9221 = 5 and 9209 = 11 mod 18.  So 10009 is found
+    # first, and the result is sorted on return.  At conductor 3, 9221^2 is
+    # divided out first; the cofactor 9209^2 lies below 9221^2 but not below
+    # lo^2 = 9203^2, so it is not taken for a prime, and 9209 is found in
+    # its class.
     assert list(factorize_int(10007 * 10009).items()) == [(10007, 1), (10009, 1)]
     nval = norm(cyclotomic_ring(3).element([9209 * 9221, 0]))
     assert list(factorize_int(nval, conductor=3).items()) == [(9209, 2), (9221, 2)]
+
+
+# the primes of the sieved segment [9203, 18419), k = 1534 to 3070
+_SEGMENT_PRIMES = [p for p in primes_below(18419) if p >= 9203]
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 41])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_factorize_int_divides_a_segment_class_by_class(conductor, data):
+    # 2 to 4 primes of one sieved segment, in at least two classes mod 6c,
+    # are found in class order, so a hit can leave a smaller prime of a
+    # later class in the cofactor: the cofactor counts as proven only below
+    # lo^2 or by the primality test, and the result is sorted on return.
+    # A norm from Z[zeta_c] holds each prime to a multiple of its degree f;
+    # primes of degree up to 5 keep n below 10^260, where the primality
+    # test of a composite cofactor takes milliseconds.
+    pool = [p for p in _SEGMENT_PRIMES if multiplicative_order(p, conductor) <= 5]
+    primes = data.draw(
+        st.lists(st.sampled_from(pool), min_size=2, max_size=4, unique=True)
+    )
+    assume(len({p % (6 * conductor) for p in primes}) > 1)
+    n = math.prod(
+        p ** (data.draw(st.integers(1, 3)) * multiplicative_order(p, conductor))
+        for p in primes
+    )
+    for bound in (*_EDGE_BOUNDS, DEFAULT_TRIAL_DIVISION_BOUND):
+        assert _outcome(
+            lambda m, b: factorize_int(m, b, conductor=conductor), n, bound
+        ) == _outcome(trial_division_reference, n, bound), (primes, bound)
 
 
 def test_factorize_int_refuses_a_conductor_below_1():

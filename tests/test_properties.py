@@ -1,4 +1,5 @@
-"""Properties on generated inputs: ring axioms, the norm and the reduction
+"""Properties on generated inputs: ring axioms, the norm, its tower walk
+(against taking the conjugates one at a time) and the reduction
 mod Phi_n at prime and composite conductors (and its Moebius-sum form for
 vectors constant on gcd classes), integer polynomial products (against
 the full schoolbook too), power columns of a root and the vanishing read
@@ -28,7 +29,12 @@ from hypothesis import strategies as st
 from kummerlab import ffield
 from kummerlab.arith import primes_below, valuation_int
 from kummerlab.charsum import _counts, character
-from kummerlab.cyclotomic import cyclotomic_ring, norm
+from kummerlab.cyclotomic import (
+    conjugate_tower,
+    cyclotomic_ring,
+    gaussian_periods,
+    norm,
+)
 from kummerlab.exprparse import parse_element, render_element
 from kummerlab.ffield import power_columns, vanishes, zero_images
 from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
@@ -53,6 +59,7 @@ from reference import (
     autocorrelation_reference,
     colon,
     colon_extends_to,
+    conjugate_tower_reference,
     counts_reference,
     divisibility_step,
     divmod_exact,
@@ -111,6 +118,38 @@ def test_ring_axioms(lam, data):
 def test_norm_is_multiplicative(lam, data):
     x, y = data.draw(elements(lam)), data.draw(elements(lam))
     assert norm(x * y) == norm(x) * norm(y)
+
+
+# prime conductors, whose towers have steps of index 2 to 41, composite
+# ones (4q, 2q, a prime square, three odd primes), and the period towers of
+# (lambda, e), which start from the subgroup that fixes the periods
+TOWERS = [(n, None) for n in (3, 5, 7, 11, 13, 23, 41, 12, 46, 49, 105)] + [
+    (7, 2),
+    (7, 3),
+    (13, 4),
+    (23, 2),
+    (23, 11),
+    (41, 5),
+    (41, 8),
+]
+
+
+@pytest.mark.parametrize("n, e", TOWERS)
+@GENERATED
+@given(data=st.data())
+def test_conjugate_tower_matches_the_one_by_one_reference(n, e, data):
+    # doubling builds the same products of conjugates as taking them one at
+    # a time, so the norm y and every step factor are equal
+    if e is None:
+        schedule = cyclotomic_ring(n).norm_schedule
+        x = data.draw(elements(n))
+    else:
+        system = gaussian_periods(n, e)
+        schedule = system.norm_schedule
+        coeffs = data.draw(st.lists(st.integers(-20, 20), min_size=e, max_size=e))
+        terms = (c * eta for c, eta in zip(coeffs, system.periods))
+        x = sum(terms, system.ring.zero())
+    assert conjugate_tower(x, schedule) == conjugate_tower_reference(x, schedule)
 
 
 # P exactly dividing n (15, 219), an odd square with it (45, 75),

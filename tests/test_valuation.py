@@ -148,15 +148,14 @@ def test_degree_one_uniformizer_is_the_synthetic_division():
 
 
 def test_tower_multiply_counts(monkeypatch):
-    # norm keeps sum (r_i - 1) products.  kummer_prime takes Psi and the
-    # period norm from one synthetic division at f = 1, no ring product,
-    # and at f > 1 from one walk up the period tower, at most 2 * sum r_i
-    # products with the psi + q retry; the cache is cleared so that each
-    # map is built here
-    ring = cyclotomic_ring(41)
-    steps = ring.norm_schedule
-    phi = enumerate_jacobi_maps(41, 83)[0]
-    assert phi.f == 1
+    # norm builds each step's product of conjugates by doubling, for
+    # bit_length(r - 1) + popcount(r - 1) - 1 products a step: 6 at lambda
+    # 23 (steps of index 2 and 11) and at lambda 41 (2, 2, 2 and 5), where
+    # one conjugate at a time, sum (r_i - 1), took 11 and 7.  kummer_prime
+    # takes Psi and the period norm from one synthetic division at f = 1,
+    # no ring product, and at f > 1 from one walk up the period tower, at
+    # most 2 * sum r_i products with the psi + q retry; the cache is
+    # cleared so that each map is built here
     count = 0
     original = CyclotomicElement.__mul__
 
@@ -166,8 +165,18 @@ def test_tower_multiply_counts(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(CyclotomicElement, "__mul__", counted)
-    norm(ring.element([2, 1]))
-    assert count == sum(r - 1 for _, r in steps) == 7
+    for lam, one_by_one in ((23, 11), (41, 7)):
+        ring = cyclotomic_ring(lam)
+        steps = ring.norm_schedule
+        assert sum(r - 1 for _, r in steps) == one_by_one
+        count = 0
+        norm(ring.element([2, 1]))
+        assert count == 6
+        assert count == sum(
+            (r - 1).bit_length() + (r - 1).bit_count() - 1 for _, r in steps
+        )
+    phi = enumerate_jacobi_maps(41, 83)[0]
+    assert phi.f == 1
     count = 0
     kummer_prime.cache_clear()
     kummer_prime(phi)
