@@ -248,7 +248,7 @@ def factorize_int(
     divided out: it is 1 or prime.  A remaining cofactor is accepted if it
     passes the primality test; otherwise FactorizationError is raised with
     the bound echoed and the cofactor named, by its digit count if Python
-    would not print it.
+    would not print it or if it is over the primality budget.
     Returns {prime: exponent}, its keys ascending (sorted once, on return);
     factorize_int(1) == {}.
     """
@@ -285,7 +285,15 @@ def factorize_int(
         k, width = k1, min(2 * width, _SEGMENT_CAP)
     d = 6 * k - 1
     if n > 1:
-        if proven or d * d > n or is_prime(n):
+        try:
+            prime = proven or d * d > n or is_prime(n)
+        except ValueError:  # no base divides n, and it is over the budget
+            raise FactorizationError(
+                f"cofactor of {decimal_digits(n)} digits is over the budget of "
+                f"{MAX_PRIME_DIGITS} digits for primality and exceeds the "
+                f"trial-division bound {bound}"
+            ) from None
+        if prime:
             out[n] = out.get(n, 0) + 1
         else:
             limit, digits = sys.get_int_max_str_digits(), decimal_digits(n)

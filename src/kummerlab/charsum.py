@@ -122,15 +122,25 @@ def jacobi_sum(chi: Character, i: int, k: int) -> CyclotomicElement:
     return chi.ring.element([-c for c in _counts(chi, i, k)])
 
 
+def degenerate(lam: int, i: int, k: int) -> bool:
+    """Whether i, k or i + k is 0 mod lam, the pairs of order lam whose
+    J(chi^i, chi^k) has no reflection identity and no Gauss-sum ratio."""
+    return i % lam == 0 or k % lam == 0 or (i + k) % lam == 0
+
+
+def check_pair(lam: int, i: int, k: int) -> None:
+    """ValueError for a degenerate pair: the package's one pair rule."""
+    if degenerate(lam, i, k):
+        raise ValueError(f"degenerate index: i, k, i+k must all be nonzero mod {lam}")
+
+
 def _checked_counts(chi: Character, i: int, k: int) -> list[int]:
     """_counts(chi, i, k) for a pair of the reflection identity: ValueError
-    for a degenerate index, or for counts that do not sum to p - 2."""
-    lam, p = chi.lam, chi.p
-    if i % lam == 0 or k % lam == 0 or (i + k) % lam == 0:
-        raise ValueError(f"degenerate index: i, k, i+k must all be nonzero mod {lam}")
+    from check_pair, or for counts that do not sum to p - 2."""
+    check_pair(chi.lam, i, k)
     counts = _counts(chi, i, k)
-    if sum(counts) != p - 2:
-        raise ValueError(f"counts must sum to p - 2 = {p - 2}")
+    if sum(counts) != chi.p - 2:
+        raise ValueError(f"counts must sum to p - 2 = {chi.p - 2}")
     return counts
 
 
@@ -149,8 +159,8 @@ def reflection_products(chi: Character):
     a Jacobi sum's.  The identity holds when the residue is [p, 0, ..., 0].
 
     Each i is one row, read at once by the ring's invariant_residues
-    (_row_products) after the counts of each of its pairs are checked
-    (_checked_counts).  lam = 2 has no such pair.
+    (_row_products) after each pair passes check_pair and its counts are
+    checked (_checked_counts).  lam = 2 has no such pair.
     """
     lam = chi.lam
     for i in range(1, lam):
@@ -269,11 +279,11 @@ def gauss_sum_ratio(chi: Character, i: int, k: int) -> CyclotomicElement:
 
     Division is by the inverse-sum trick: multiplying by (alpha^{-(i+k)}, x)
     turns the denominator into chi^{i+k}(-1) * p, which is then removed
-    exactly.  The result is Y-free and equals -jacobi_sum(chi, i, k).
+    exactly.  The result is Y-free and equals -jacobi_sum(chi, i, k); a
+    degenerate pair is refused by check_pair.
     """
     lam, p = chi.lam, chi.p
-    if i % lam == 0 or k % lam == 0 or (i + k) % lam == 0:
-        raise ValueError("degenerate index for the Gauss-sum ratio")
+    check_pair(lam, i, k)
     t = gauss_sum(chi, i) * gauss_sum(chi, k) * gauss_sum(chi, -(i + k))
     if not t.content_divisible_by(p):
         raise ArithmeticError(f"inexact division by {p}")
@@ -319,13 +329,13 @@ def fundamental_congruence_check(p: int, i: int, k: int) -> dict:
     mod p, a root of Phi_{p-1} mod p, so the sum -sum_e N_e X^e of _counts
     is evaluated unreduced.  The result must be 0 mod p when i + k < p - 1
     and the exact binomial quotient (2(p-1)-i-k)! / ((p-1-i)!(p-1-k)!)
-    mod p when i + k > p - 1.
+    mod p when i + k > p - 1.  After the range check 0 < i, k < p - 1,
+    check_pair refuses i + k = p - 1, the one degenerate pair left.
     """
     check_prime(p)
     if not (0 < i < p - 1 and 0 < k < p - 1):
         raise ValueError("indices must lie strictly between 0 and p-1")
-    if i + k == p - 1:
-        raise ValueError("excluded index: i + k = p - 1")
+    check_pair(p - 1, i, k)
     chi = character(p, p - 1)
     value = 0
     for c in reversed(_counts(chi, i, k)):

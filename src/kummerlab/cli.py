@@ -110,25 +110,20 @@ def _refuse_unknown_before_action(parser, argv: list[str]) -> None:
             command.error(f"unrecognized arguments: {arg}")
 
 
-def _check_table_cap(args) -> None:
-    """Refuse a prime whose p - 1 discrete-log entries exceed --enum-cap."""
-    if args.p - 1 > args.enum_cap:
-        raise UsageError(
-            f"p - 1 = {args.p - 1} discrete-log entries exceed "
-            f"--enum-cap {args.enum_cap}"
-        )
+def _check_cap(args, expression: str, count: int, what: str) -> None:
+    """The one --enum-cap refusal: count, written as expression, is the size
+    of what a command would build, and is refused above the cap before any
+    of it is built.
 
-
-def _check_conductor_cap(args) -> None:
-    """Refuse a conductor whose (lambda - 1)^2 exceeds --enum-cap, before
-    any ring is built.  That is the entry count of a map's kernel HNF in
-    maps, of Psi's multiplication matrix (KummerPrime.psi_columns) in
-    factor, valuation and stickelberger, and of the ring products that
-    divides takes up the norm tower."""
-    if (args.lam - 1) ** 2 > args.enum_cap:
+    p - 1 counts the discrete-log entries of a character's table.
+    (lambda - 1)^2 counts the entries of a map's kernel HNF in maps, of
+    Psi's multiplication matrix (KummerPrime.psi_columns) in factor,
+    valuation and stickelberger, and of the ring products that divides
+    takes up the norm tower, so it is checked before any ring is built.
+    """
+    if count > args.enum_cap:
         raise UsageError(
-            f"--lambda {args.lam}: (lambda - 1)^2 = {(args.lam - 1) ** 2} "
-            f"exceeds --enum-cap {args.enum_cap}"
+            f"{expression} = {count} {what} exceed --enum-cap {args.enum_cap}"
         )
 
 
@@ -317,7 +312,7 @@ def _emit(args, command: str, result, failed: bool = False) -> int:
 
 
 def _cmd_maps(args) -> int:
-    _check_conductor_cap(args)
+    _check_cap(args, "(lambda - 1)^2", (args.lam - 1) ** 2, "matrix entries")
     maps = [_map_report(phi) for phi in enumerate_jacobi_maps(args.lam, args.p)]
     return _emit(args, "maps", {"lambda": args.lam, "p": args.p, "maps": maps})
 
@@ -356,7 +351,7 @@ def _check_printable_norm(n: int) -> None:
 
 
 def _cmd_factor(args) -> int:
-    _check_conductor_cap(args)
+    _check_cap(args, "(lambda - 1)^2", (args.lam - 1) ** 2, "matrix entries")
     _check_trial_div(args)
     ring = cyclotomic_ring(args.lam)
     x = parse_element(args.expr, ring)
@@ -373,7 +368,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_valuation(args) -> int:
-    _check_conductor_cap(args)
+    _check_cap(args, "(lambda - 1)^2", (args.lam - 1) ** 2, "matrix entries")
     ring = cyclotomic_ring(args.lam)
     x = parse_element(args.expr, ring)
     if x.is_zero():
@@ -396,7 +391,7 @@ def _cmd_valuation(args) -> int:
 
 
 def _cmd_divides(args) -> int:
-    _check_conductor_cap(args)
+    _check_cap(args, "(lambda - 1)^2", (args.lam - 1) ** 2, "matrix entries")
     _check_trial_div(args)
     ring = cyclotomic_ring(args.lam)
     d = parse_element(args.divisor, ring)
@@ -411,13 +406,9 @@ def _cmd_divides(args) -> int:
 
 
 def _cmd_jacobi_sum(args) -> int:
-    _check_table_cap(args)
+    _check_cap(args, "p - 1", args.p - 1, "discrete-log entries")
     chi = charsum.character(args.p, args.order)
-    degenerate = (
-        args.i % args.order == 0
-        or args.k % args.order == 0
-        or (args.i + args.k) % args.order == 0
-    )
+    degenerate = charsum.degenerate(args.order, args.i, args.k)
     if degenerate:
         j = charsum.jacobi_sum(chi, args.i, args.k)
     else:
@@ -443,11 +434,7 @@ def _cmd_jacobi_sum(args) -> int:
 
 def _cmd_gauss_sum(args) -> int:
     # gauss_sum allocates one coefficient per residue mod order * p
-    if args.order * args.p > args.enum_cap:
-        raise UsageError(
-            f"order * p = {args.order * args.p} Gauss-sum coefficients exceed "
-            f"--enum-cap {args.enum_cap}"
-        )
+    _check_cap(args, "order * p", args.order * args.p, "Gauss-sum coefficients")
     report = charsum.gauss_power_descent(args.order, args.p, args.i)
     ring = cyclotomic_ring(args.order)
     report["element_expr"] = render_element(ring.element(report["element"]))
@@ -456,15 +443,12 @@ def _cmd_gauss_sum(args) -> int:
 
 def _cmd_fc_check(args) -> int:
     if args.all:
+        if args.i is not None or args.k is not None:
+            raise UsageError("fc-check --all takes neither --i nor --k")
         check_prime(args.p)
         if args.p < 5:  # no pair 0 < i, k < p - 1 has i + k != p - 1
             raise UsageError(f"fc-check --all needs p >= 5, got {args.p}")
-        cases = (args.p - 2) ** 2
-        if cases > args.enum_cap:
-            raise UsageError(
-                f"(p - 2)^2 = {cases} index pairs exceed "
-                f"--enum-cap {args.enum_cap}"
-            )
+        _check_cap(args, "(p - 2)^2", (args.p - 2) ** 2, "index pairs")
         checks = []
         failed = False
         for i in range(1, args.p - 1):
@@ -480,30 +464,27 @@ def _cmd_fc_check(args) -> int:
         return _emit(args, "fc-check", result, failed=failed)
     if args.i is None or args.k is None:
         raise UsageError("fc-check requires --all or both --i and --k")
-    _check_table_cap(args)
+    _check_cap(args, "p - 1", args.p - 1, "discrete-log entries")
     rep = charsum.fundamental_congruence_check(args.p, args.i, args.k)
     return _emit(args, "fc-check", rep, failed=not rep["holds"])
 
 
 def _cmd_stickelberger(args) -> int:
-    _check_table_cap(args)
-    _check_conductor_cap(args)
+    _check_cap(args, "p - 1", args.p - 1, "discrete-log entries")
+    _check_cap(args, "(lambda - 1)^2", (args.lam - 1) ** 2, "matrix entries")
     rep = charsum.stickelberger_check(args.lam, args.p)
     return _emit(args, "stickelberger", rep, failed=not rep["holds"])
 
 
 def _cmd_quartic(args) -> int:
-    _check_table_cap(args)
+    _check_cap(args, "p - 1", args.p - 1, "discrete-log entries")
     rep = charsum.quartic_decomposition(args.p)
     return _emit(args, "quartic", rep, failed=not rep["congruence_holds"])
 
 
 def _cmd_binomial(args) -> int:
-    if args.p - 1 > args.enum_cap:
-        raise UsageError(
-            f"p - 1 = {args.p - 1} exceeds --enum-cap {args.enum_cap}: "
-            f"C(2n, n) has about (p - 1)/2 bits"
-        )
+    # C(2n, n), n = (p - 1)/4, has about (p - 1)/2 bits
+    _check_cap(args, "p - 1", args.p - 1, "half-bits of C(2n, n)")
     rep = charsum.binomial_congruence(args.p)
     return _emit(args, "binomial", rep, failed=not rep["congruence_holds"])
 
@@ -514,23 +495,12 @@ def _cmd_monoid(args) -> int:
         return _emit(args, "monoid", rep, failed=not rep["holds"])
     residues = _int_list("--subgroup", args.subgroup)
     h = len({r % args.m for r in residues}) if args.m > 1 else 0
-    if h * h > args.enum_cap:
-        raise UsageError(
-            f"{h} subgroup residues need {h * h} closure products, "
-            f"over --enum-cap {args.enum_cap}"
-        )
-    if args.action == "defined-at" and 2 * args.m > args.enum_cap:
-        raise UsageError(
-            f"defined-at scans 2m = {2 * args.m} scales, "
-            f"over --enum-cap {args.enum_cap}"
-        )
+    _check_cap(args, "|H|^2", h * h, "closure products")
+    if args.action == "defined-at":
+        _check_cap(args, "2m", 2 * args.m, "scales")
     M = monoid.HilbertMonoid(args.m, residues)
     if args.action == "factor":
-        if args.a > args.enum_cap:
-            raise UsageError(
-                f"{args.a} exceeds --enum-cap {args.enum_cap} for exhaustive "
-                f"factorization search"
-            )
+        _check_cap(args, "a", args.a, "candidate divisors")
         factorizations = monoid.factor_into_irreducibles(
             M, args.a, all_factorizations=True
         )
@@ -551,11 +521,7 @@ def _cmd_monoid(args) -> int:
         for p, e in factorize_int(args.m).items():
             phi_m *= (p - 1) * p ** (e - 1)
         n = phi_m // len(M.subgroup)
-        if n * n > args.enum_cap:
-            raise UsageError(
-                f"class group of order {n} needs {n * n} coset products, "
-                f"over --enum-cap {args.enum_cap}"
-            )
+        _check_cap(args, "|Cl|^2", n * n, "coset products")
         return _emit(args, "monoid", monoid.class_group(M))
     # defined-at
     rep = monoid.defined_at(M, args.p, args.a, args.b)

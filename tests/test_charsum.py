@@ -223,6 +223,8 @@ def test_reflection_product_refuses_degenerate_indices(monkeypatch, p, lam):
             _checked_counts(chi, i, k)
         with pytest.raises(ValueError, match="degenerate index"):
             reflection_identity(chi, i, k)
+        with pytest.raises(ValueError, match="degenerate index"):
+            gauss_sum_ratio(chi, i, k)
     # the pass draws only the nondegenerate pairs, one row per i, and
     # reads no row at lam = 2, where there are none
     read = []
@@ -604,7 +606,7 @@ def test_fundamental_congruence_skips_the_reduction_mod_phi():
 
 
 def test_fundamental_congruence_excluded_index():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degenerate index: .* nonzero mod 12$"):
         fundamental_congruence_check(13, 5, 7)
     with pytest.raises(ValueError):
         fundamental_congruence_check(13, 0, 3)

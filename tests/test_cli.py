@@ -407,7 +407,7 @@ def test_cli_huge_conductor_fails_fast(capsys):
     start = time.perf_counter()
     assert main(["maps", "--lambda", "1009", "--p", "3"]) == 2
     assert time.perf_counter() - start < 1.0
-    message = "--lambda 1009: (lambda - 1)^2 = 1016064 exceeds --enum-cap 10000"
+    message = "(lambda - 1)^2 = 1016064 matrix entries exceed --enum-cap 10000"
     assert message in capsys.readouterr().err
 
 
@@ -486,7 +486,7 @@ def test_cli_usage_error_exit_code():
         ),
         (
             ["binomial", "--p", "1000033"],
-            "p - 1 = 1000032 exceeds --enum-cap 10000",
+            "p - 1 = 1000032 half-bits of C(2n, n) exceed --enum-cap 10000",
         ),
         (
             ["stickelberger", "--lambda", "3", "--p", "1000003"],
@@ -571,19 +571,19 @@ def test_cli_usage_error_exit_code():
         ),
         (
             ["factor", "--lambda", "4001", "a+2"],
-            "--lambda 4001: (lambda - 1)^2 = 16000000 exceeds --enum-cap 10000",
+            "(lambda - 1)^2 = 16000000 matrix entries exceed --enum-cap 10000",
         ),
         (
             ["valuation", "--lambda", "103", "--p", "3", "--xi", "1", "a"],
-            "--lambda 103: (lambda - 1)^2 = 10404 exceeds --enum-cap 10000",
+            "(lambda - 1)^2 = 10404 matrix entries exceed --enum-cap 10000",
         ),
         (
             ["divides", "--lambda", "11", "--enum-cap", "99", "1-a", "2"],
-            "--lambda 11: (lambda - 1)^2 = 100 exceeds --enum-cap 99",
+            "(lambda - 1)^2 = 100 matrix entries exceed --enum-cap 99",
         ),
         (
             ["stickelberger", "--lambda", "199", "--p", "797"],
-            "--lambda 199: (lambda - 1)^2 = 39204 exceeds --enum-cap 10000",
+            "(lambda - 1)^2 = 39204 matrix entries exceed --enum-cap 10000",
         ),
         (["fc-check", "--p", "2", "--all"], "fc-check --all needs p >= 5, got 2"),
         (["fc-check", "--p", "3", "--all"], "fc-check --all needs p >= 5, got 3"),
@@ -597,7 +597,7 @@ def test_cli_usage_error_exit_code():
         ),
         (
             ["monoid", "--m", "4", "factor", "10001"],
-            "10001 exceeds --enum-cap 10000 for exhaustive factorization search",
+            "a = 10001 candidate divisors exceed --enum-cap 10000",
         ),
         (
             ["quad", "--theta", "0,3", "check-b2", "--p", "2", "0", "1"],
@@ -620,6 +620,10 @@ def test_cli_usage_error_exit_code():
         (
             ["stickelberger", "--lambda", "5", "--p", "7"],
             "order 5 must divide p - 1 = 6",
+        ),
+        (
+            ["fc-check", "--p", "7", "--all", "--i", "3", "--k", "9"],
+            "fc-check --all takes neither --i nor --k",
         ),
     ],
 )
@@ -685,14 +689,14 @@ def test_cli_monoid_classgroup_enum_cap(capsys):
     assert code == 0
     assert json.loads(out)["result"]["isomorphic_to"] == "C2 x C4"
     assert main(["monoid", "--m", "15", "classgroup", "--enum-cap", "63"]) == 2
-    assert "over --enum-cap 63" in capsys.readouterr().err
+    assert "|Cl|^2 = 64 coset products exceed --enum-cap 63" in capsys.readouterr().err
     assert main(["monoid", "--m", "100000", "classgroup"]) == 2
     assert "1600000000 coset products" in capsys.readouterr().err
 
 
 def test_cli_enum_cap_before_action(capsys):
     assert main(["monoid", "--m", "15", "--enum-cap", "63", "classgroup"]) == 2
-    assert "over --enum-cap 63" in capsys.readouterr().err
+    assert "exceed --enum-cap 63" in capsys.readouterr().err
     # a value written after the action still wins
     argv = ["monoid", "--enum-cap", "63", "--m", "15", "classgroup", "--enum-cap", "64"]
     assert main(argv) == 0
@@ -936,7 +940,7 @@ def test_cli_monoid_defined_at_refuses_a_large_modulus(capsys):
     start = time.perf_counter()
     assert main(argv + [str(g * a0), str(g * (a0 + m))]) == 2
     assert time.perf_counter() - start < 1.0
-    message = "defined-at scans 2m = 20000000 scales, over --enum-cap 10000"
+    message = "2m = 20000000 scales exceed --enum-cap 10000"
     assert message in capsys.readouterr().err
     # 2m equal to the cap still runs
     argv = ["monoid", "--m", "4", "defined-at", "3", "9", "9261", "--enum-cap", "8"]
@@ -952,13 +956,13 @@ def test_cli_monoid_refuses_a_large_subgroup_before_its_closure_check(capsys):
     assert main(["monoid", "--m", "1009", "--subgroup", subgroup, "classgroup"]) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert "1008 subgroup residues need 1016064 closure products" in err
+    assert "|H|^2 = 1016064 closure products exceed --enum-cap 10000" in err
     # residues are counted mod m: 1 and 16 are one residue mod 15
     argv = ["monoid", "--m", "15", "--subgroup", "1,16,4", "factor", "4"]
     assert main(argv + ["--enum-cap", "4"]) == 0
     capsys.readouterr()
     assert main(argv + ["--enum-cap", "3"]) == 2
-    assert "2 subgroup residues need 4 closure products" in capsys.readouterr().err
+    assert "|H|^2 = 4 closure products exceed --enum-cap 3" in capsys.readouterr().err
 
 
 def test_json_reports_never_contain_floats(capsys):
@@ -1227,7 +1231,7 @@ CAP_TABLE = [
     (
         ["stickelberger", "--lambda", "103", "--p", "619"],
         2,
-        "(lambda - 1)^2 = 10404 exceeds --enum-cap 10000",
+        "(lambda - 1)^2 = 10404 matrix entries exceed --enum-cap 10000",
     ),
     # --enum-cap: p - 1 discrete-log entries, order * p, (p - 2)^2 pairs
     (["jacobi-sum", "--p", "9901", "--order", "9900", "--i", "1", "--k", "2"], 0, ""),
@@ -1247,7 +1251,11 @@ CAP_TABLE = [
     (["fc-check", "--p", "101", "--all"], 0, ""),
     (["fc-check", "--p", "103", "--all"], 2, "(p - 2)^2 = 10201 index pairs exceed"),
     (["binomial", "--p", "9973"], 0, ""),
-    (["binomial", "--p", "10007"], 2, "p - 1 = 10006 exceeds --enum-cap 10000"),
+    (
+        ["binomial", "--p", "10007"],
+        2,
+        "p - 1 = 10006 half-bits of C(2n, n) exceed --enum-cap 10000",
+    ),
     # --enum-cap in monoids: |H|^2, the number searched, 2m scales, |Cl|^2
     (
         ["monoid", "--m", "101", "--subgroup", ",".join(map(str, range(1, 101)))]
@@ -1259,14 +1267,18 @@ CAP_TABLE = [
         ["monoid", "--m", "103", "--subgroup", ",".join(map(str, range(1, 103)))]
         + ["factor", "9998"],
         2,
-        "102 subgroup residues need 10404 closure products",
+        "|H|^2 = 10404 closure products exceed --enum-cap 10000",
     ),
     (["monoid", "--m", "4", "factor", "9997"], 0, ""),
-    (["monoid", "--m", "4", "factor", "10001"], 2, "10001 exceeds --enum-cap 10000"),
+    (
+        ["monoid", "--m", "4", "factor", "10001"],
+        2,
+        "a = 10001 candidate divisors exceed --enum-cap 10000",
+    ),
     (["monoid", "--m", "5000", "defined-at", "5003", "5001", "1"], 0, ""),
     (["monoid", "--m", "5001", "defined-at", "5003", "5002", "1"], 2, "2m = 10002"),
     (["monoid", "--m", "101", "classgroup"], 0, ""),
-    (["monoid", "--m", "103", "classgroup"], 2, "class group of order 102"),
+    (["monoid", "--m", "103", "classgroup"], 2, "|Cl|^2 = 10404 coset products"),
     # the primality budget of 1000 digits: the largest prime below 10^1000
     # runs all 13 Miller-Rabin bases, then 10^1000 + 9, which no prime up to
     # 41 divides, and two cofactors of 7996 digits past trial division

@@ -7,7 +7,8 @@ A function registered by the @claim decorator counts as used.  A helper
 that only tests call belongs in the tests.
 
 Each input rule is refused in one place: only arith.check_prime raises
-"is not prime", and only cyclotomic.check_ring raises "lives in".
+"is not prime", only cyclotomic.check_ring "lives in", only cli._check_cap
+"--enum-cap", and only charsum.check_pair "degenerate index".
 """
 
 import ast
@@ -116,7 +117,12 @@ class _Raises(ast.NodeVisitor):
 
 
 def test_each_refusal_rule_is_raised_in_one_place():
-    rules = {"is not prime": set(), "lives in": set()}
+    rules = {
+        "is not prime": set(),
+        "lives in": set(),
+        "--enum-cap": set(),
+        "degenerate index": set(),
+    }
     for path in sorted(PACKAGE.glob("*.py")):
         raises = _Raises(path.stem)
         raises.visit(ast.parse(path.read_text(), filename=str(path)))
@@ -127,4 +133,6 @@ def test_each_refusal_rule_is_raised_in_one_place():
     assert rules == {
         "is not prime": {("arith", "check_prime")},
         "lives in": {("cyclotomic", "check_ring")},
+        "--enum-cap": {("cli", "_check_cap")},
+        "degenerate index": {("charsum", "check_pair")},
     }

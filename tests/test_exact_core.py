@@ -275,6 +275,20 @@ def test_factorize_int_names_a_long_cofactor_by_its_digit_count():
     )
 
 
+def test_factorize_int_names_a_cofactor_over_the_primality_budget():
+    # 10007^e 10009^e has no prime factor up to 11: at e = 100 its 801
+    # digits are tested and found composite, at e = 300 its 2401 digits are
+    # over the budget of is_prime, and both are refused as FactorizationError
+    with pytest.raises(FactorizationError, match="is composite and exceeds"):
+        factorize_int(10007**100 * 10009**100, 11)
+    with pytest.raises(FactorizationError) as err:
+        factorize_int(10007**300 * 10009**300, 11)
+    assert str(err.value) == (
+        "cofactor of 2401 digits is over the budget of 1000 digits for "
+        "primality and exceeds the trial-division bound 11"
+    )
+
+
 def test_primes_below_matches_the_primality_test():
     known = [p for p in range(10**4) if is_prime(p)]
     for bound in range(10**4 + 1):
