@@ -315,7 +315,7 @@ def decimal_digits(n: int) -> int:
 def valuation_int(n: int, p: int) -> int:
     """Exponent of the prime p in n (n != 0)."""
     if n == 0:
-        raise ValueError("valuation of 0 is infinite")
+        raise ValueError("v_p(0) is infinite")
     n = abs(n)
     v = 0
     while n % p == 0:

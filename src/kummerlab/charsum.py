@@ -30,7 +30,8 @@ the same i at once (reflection_products).
 from array import array
 from collections import namedtuple
 from functools import lru_cache
-from math import comb
+from itertools import groupby
+from math import comb, isqrt
 
 from kummerlab import polyint
 from kummerlab.arith import (
@@ -85,15 +86,19 @@ def _log_table(p: int) -> tuple[int, tuple[str, int, int]]:
     return g, (code, polyint.pack_words(logs), polyint.pack_words(co_logs))
 
 
-@lru_cache(maxsize=1024)
-def character(p: int, lam: int) -> Character:
-    """The character of order lam mod p, one per (p, order), and the one
-    refusal of its key: lam < 2, a composite p, or lam not dividing p - 1."""
+def check_order(p: int, lam: int) -> None:
+    """ValueError unless lam >= 2, p is prime and lam divides p - 1."""
     if lam < 2:
         raise ValueError(f"order {lam} must be at least 2")
     check_prime(p)
     if (p - 1) % lam != 0:
         raise ValueError(f"order {lam} must divide p - 1 = {p - 1}")
+
+
+@lru_cache(maxsize=1024)
+def character(p: int, lam: int) -> Character:
+    """The one character of order lam mod p; check_order refuses its key."""
+    check_order(p, lam)
     return Character(p, lam, (p - 1) // lam, *_log_table(p))
 
 
@@ -134,6 +139,12 @@ def check_pair(lam: int, i: int, k: int) -> None:
         raise ValueError(f"degenerate index: i, k, i+k must all be nonzero mod {lam}")
 
 
+def pairs(lam: int):
+    """The nondegenerate pairs (i, k) of order lam, 0 < i, k < lam and
+    i + k != lam, lazily, by i and then k: (lam - 1)(lam - 2) of them."""
+    return ((i, k) for i in range(1, lam) for k in range(1, lam) if i + k != lam)
+
+
 def _checked_counts(chi: Character, i: int, k: int) -> list[int]:
     """_counts(chi, i, k) for a pair of the reflection identity: ValueError
     from check_pair, or for counts that do not sum to p - 2."""
@@ -145,9 +156,8 @@ def _checked_counts(chi: Character, i: int, k: int) -> list[int]:
 
 
 def reflection_products(chi: Character):
-    """For each pair i, k in 1 .. lam - 1 with i + k != 0 mod lam, ordered
-    by i and then k, the counts N of _counts and the residue of
-    J(chi^i, chi^k) times sigma_{-1}(J) mod Phi_lam, without reducing J.
+    """For each (i, k) of pairs(lam), the counts N of _counts and the residue
+    of J(chi^i, chi^k) times sigma_{-1}(J) mod Phi_lam, without reducing J.
 
     J = -sum_e N_e alpha^e, so the product is sum_s c_s alpha^s, c the
     cyclic autocorrelation N(X) N(X^-1) mod X^lam - 1: N packed as w-bit
@@ -158,15 +168,12 @@ def reflection_products(chi: Character):
     c is reduced only when that check fails, as for counts that are not
     a Jacobi sum's.  The identity holds when the residue is [p, 0, ..., 0].
 
-    Each i is one row, read at once by the ring's invariant_residues
-    (_row_products) after each pair passes check_pair and its counts are
-    checked (_checked_counts).  lam = 2 has no such pair.
+    The pairs with the same i are one row, read at once by the ring's
+    invariant_residues (_row_products) after each pair passes check_pair
+    and its counts are checked (_checked_counts).  lam = 2 has no pair.
     """
-    lam = chi.lam
-    for i in range(1, lam):
-        row = [_checked_counts(chi, i, k) for k in range(1, lam) if (i + k) % lam]
-        if row:
-            yield from _row_products(chi, row)
+    for i, row in groupby(pairs(chi.lam), lambda pair: pair[0]):
+        yield from _row_products(chi, [_checked_counts(chi, i, k) for _, k in row])
 
 
 def _row_products(chi: Character, row: list[list[int]]) -> list[tuple]:
@@ -330,7 +337,8 @@ def fundamental_congruence_check(p: int, i: int, k: int) -> dict:
     is evaluated unreduced.  The result must be 0 mod p when i + k < p - 1
     and the exact binomial quotient (2(p-1)-i-k)! / ((p-1-i)!(p-1-k)!)
     mod p when i + k > p - 1.  After the range check 0 < i, k < p - 1,
-    check_pair refuses i + k = p - 1, the one degenerate pair left.
+    check_pair refuses i + k = p - 1, the one degenerate pair left, so the
+    pairs it admits are pairs(p - 1).
     """
     check_prime(p)
     if not (0 < i < p - 1 and 0 < k < p - 1):
@@ -384,24 +392,16 @@ def quartic_decomposition(p: int) -> dict:
 
 
 def binomial_congruence(p: int) -> dict:
-    """Gauss: for p = a^2 + 4b^2 = 4n + 1, 2a = +-C(2n, n) mod p."""
-    check_prime(p)
-    if p % 4 != 1:
-        raise ValueError(f"{p} must be 1 mod 4")
+    """Gauss: for p = a^2 + 4b^2 = 4n + 1, 2a = +-C(2n, n) mod p, p refused
+    as the quartic character's is, by check_order(p, 4)."""
+    check_order(p, 4)
     n = (p - 1) // 4
-    pair = None
-    a = 1
-    while a * a < p:
-        rest = p - a * a
-        if rest % 4 == 0:
-            b = exact_sqrt(rest // 4)
-            if b is not None:
-                pair = (a, b)
-                break
-        a += 2
-    if pair is None:
+    for a in range(1, isqrt(p) + 1, 2):  # 4 divides p - a^2, as p = 1 mod 4
+        b = exact_sqrt((p - a * a) // 4)
+        if b is not None:
+            break
+    else:
         raise ArithmeticError(f"{p} has no representation a^2 + 4b^2")
-    a, b = pair
     central = comb(2 * n, n)
     holds = (2 * a - central) % p == 0 or (2 * a + central) % p == 0
     return {

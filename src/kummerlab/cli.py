@@ -9,6 +9,7 @@ no floating-point values.
 import argparse
 import re
 import sys
+from contextlib import nullcontext
 from itertools import takewhile
 from math import gcd
 
@@ -25,6 +26,7 @@ from kummerlab.idealprimes import enumerate_jacobi_maps, map_for_root
 from kummerlab.reports import render_text, write_json
 from kummerlab.reproduce import reproduce_all
 from kummerlab.valuation import (
+    check_nonzero,
     divides,
     factorize,
     kummer_prime,
@@ -371,8 +373,7 @@ def _cmd_valuation(args) -> int:
     _check_cap(args, "(lambda - 1)^2", (args.lam - 1) ** 2, "matrix entries")
     ring = cyclotomic_ring(args.lam)
     x = parse_element(args.expr, ring)
-    if x.is_zero():
-        raise ValueError("valuation of 0 is infinite")
+    check_nonzero(x)
     maps = enumerate_jacobi_maps(args.lam, args.p)
     phi = map_for_root(maps, _int_list("--xi", args.xi))
     K = kummer_prime(phi)
@@ -408,12 +409,7 @@ def _cmd_divides(args) -> int:
 def _cmd_jacobi_sum(args) -> int:
     _check_cap(args, "p - 1", args.p - 1, "discrete-log entries")
     chi = charsum.character(args.p, args.order)
-    degenerate = charsum.degenerate(args.order, args.i, args.k)
-    if degenerate:
-        j = charsum.jacobi_sum(chi, args.i, args.k)
-    else:
-        rep = charsum.reflection_identity(chi, args.i, args.k)
-        j = chi.ring.element(rep["J"])
+    j = charsum.jacobi_sum(chi, args.i, args.k)
     result = {
         "p": args.p,
         "order": args.order,
@@ -423,7 +419,8 @@ def _cmd_jacobi_sum(args) -> int:
         "psi": render_element(-j),
         "J_coeffs": list(j.coeffs),
     }
-    if not degenerate:
+    if not charsum.degenerate(args.order, args.i, args.k):
+        rep = charsum.reflection_identity(chi, args.i, args.k)
         product = chi.ring.element(rep["product"])
         result["reflection_product"] = render_element(product)
         result["reflection_holds"] = rep["holds"]
@@ -449,19 +446,15 @@ def _cmd_fc_check(args) -> int:
         if args.p < 5:  # no pair 0 < i, k < p - 1 has i + k != p - 1
             raise UsageError(f"fc-check --all needs p >= 5, got {args.p}")
         _check_cap(args, "(p - 2)^2", (args.p - 2) ** 2, "index pairs")
-        checks = []
-        failed = False
-        for i in range(1, args.p - 1):
-            for k in range(1, args.p - 1):
-                if i + k == args.p - 1:
-                    continue
-                rep = charsum.fundamental_congruence_check(args.p, i, k)
-                failed = failed or not rep["holds"]
-                checks.append(rep)
-        result = {"p": args.p, "cases": len(checks), "all_hold": not failed}
-        if failed:
-            result["failures"] = [c for c in checks if not c["holds"]]
-        return _emit(args, "fc-check", result, failed=failed)
+        checks = [
+            charsum.fundamental_congruence_check(args.p, i, k)
+            for i, k in charsum.pairs(args.p - 1)
+        ]
+        failures = [c for c in checks if not c["holds"]]
+        result = {"p": args.p, "cases": len(checks), "all_hold": not failures}
+        if failures:
+            result["failures"] = failures
+        return _emit(args, "fc-check", result, failed=bool(failures))
     if args.i is None or args.k is None:
         raise UsageError("fc-check requires --all or both --i and --k")
     _check_cap(args, "p - 1", args.p - 1, "discrete-log entries")
@@ -585,16 +578,17 @@ def _cmd_quad(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    if args.trace is None:
-        out, code = reproduce_all(args.filter, args.json)
-    else:
-        # the claims catch their own errors, so an OSError here comes from
-        # opening, writing or closing the trace
-        try:
-            with open(args.trace, "w", encoding="utf-8") as trace:
-                out, code = reproduce_all(args.filter, args.json, trace)
-        except OSError as exc:
-            raise UsageError(f"cannot write trace file: {exc}") from None
+    # the claims catch their own errors, so an OSError here comes from
+    # opening, writing or closing the trace
+    try:
+        with (
+            nullcontext()
+            if args.trace is None
+            else open(args.trace, "w", encoding="utf-8")
+        ) as trace:
+            out, code = reproduce_all(args.filter, args.json, trace)
+    except OSError as exc:
+        raise UsageError(f"cannot write trace file: {exc}") from None
     sys.stdout.write(out)
     return code
 

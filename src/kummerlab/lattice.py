@@ -94,8 +94,7 @@ class IntLattice:
 
     def product(self, other: "IntLattice", order) -> "IntLattice":
         """The lattice spanned by all products a * b, a in self, b in other."""
-        if other.dim != self.dim or order.degree != self.dim:
-            raise ValueError("dimension mismatch")
+        check_dimension(order, self.dim, other.dim)
         gens = []
         for b in other.rows:
             columns = list(zip(*mul_matrix(order, b)))
@@ -110,6 +109,12 @@ class IntLattice:
 
     def __repr__(self):
         return f"IntLattice({[list(r) for r in self.rows]})"
+
+
+def check_dimension(order, *dims: int) -> None:
+    """ValueError unless every dimension is the order's degree."""
+    if any(d != order.degree for d in dims):
+        raise ValueError("dimension mismatch")
 
 
 def mul_matrix(order, v) -> list[tuple[int, ...]]:
@@ -130,9 +135,7 @@ def colon_relations(num, den, order) -> list[list[int]]:
     """
     if not any(den):
         raise ZeroDivisionError("zero denominator")
-    dim = order.degree
-    if len(num) != dim or len(den) != dim:
-        raise ValueError("dimension mismatch")
+    check_dimension(order, len(num), len(den))
     return _relations(mul_matrix(order, num), mul_matrix(order, den))
 
 

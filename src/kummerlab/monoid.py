@@ -56,6 +56,12 @@ class SingularMonoid:
         return "SingularMonoid(residues 0,1,2 mod 4)"
 
 
+def check_member(M, a: int) -> None:
+    """ValueError for an a outside the monoid M."""
+    if a not in M:
+        raise ValueError(f"{a} is not in {M!r}")
+
+
 def _divisors(a: int) -> list[int]:
     out = []
     for d in range(1, isqrt(a) + 1):
@@ -84,8 +90,7 @@ def factor_into_irreducibles(
     ``all_factorizations`` every multiset with the given product is
     returned, sorted.
     """
-    if a not in M:
-        raise ValueError(f"{a} is not in {M!r}")
+    check_member(M, a)
     results: list[tuple[int, ...]] = []
 
     def recurse(remaining: int, least: int, chosen: tuple[int, ...]):
@@ -108,8 +113,7 @@ def factor_into_irreducibles(
 def ideal_factorization(M: HilbertMonoid, a: int) -> list[tuple[int, int]]:
     """Unique factorization of a into ideal primes: the pairs (p, e) of its
     ordinary factorization, ascending, each ideal prime named by p."""
-    if a not in M:
-        raise ValueError(f"{a} is not in {M!r}")
+    check_member(M, a)
     if gcd(a, M.m) != 1:
         raise ValueError(f"{a} shares a factor with the modulus: outside theory")
     out = list(factorize_int(a).items())
@@ -128,10 +132,10 @@ def defined_at(M, p: int, a: int, b: int) -> dict:
     if p divides the least residue r of a valid class, then p divides
     r + m only when it divides every scale in the class.  Returns the
     decision, the finite value when defined, and "oo" when the reciprocal
-    takes the value 0.
+    takes the value 0.  check_member refuses a, then b, outside M.
     """
-    if a not in M or b not in M:
-        raise ValueError("both entries must be elements of the monoid")
+    check_member(M, a)
+    check_member(M, b)
     check_prime(p)
     m, residues = M.m, M.residues
     g = gcd(a, b)
@@ -168,8 +172,7 @@ def uniformizer(M: HilbertMonoid, p: int) -> int:
 
 def multiplicity_monoid(M: HilbertMonoid, p: int, a: int, q: int | None = None) -> int:
     """Largest mu with the map defined at a / q**mu, q a uniformizer for p."""
-    if a not in M:
-        raise ValueError(f"{a} is not in {M!r}")
+    check_member(M, a)
     if q is None:
         q = uniformizer(M, p)
     mu = 0
@@ -242,8 +245,7 @@ def square_test(M: HilbertMonoid, a: int) -> dict:
     the root they halve to lies in H; for Hilbert monoids the two answers
     always coincide.
     """
-    if a not in M:
-        raise ValueError(f"{a} is not in {M!r}")
+    check_member(M, a)
     r = exact_sqrt(a)
     in_m = r is not None and r in M
     if r is None:

@@ -17,9 +17,7 @@ fraction for the colon rows of both directions, and reads each half
 against each map's columns.
 """
 
-import json
 from fractions import Fraction
-from importlib import resources
 
 from kummerlab.arith import exact_sqrt, squarefree_decomposition
 from kummerlab.cyclotomic import CyclotomicElement, check_ring
@@ -229,11 +227,13 @@ def gauss_lemma_check(
     }
 
 
-def catalog() -> list[dict]:
-    """The fixed catalog of test orders, loaded from the package data file."""
-    data = resources.files("kummerlab.data").joinpath("quad_orders.json")
-    return json.loads(data.read_text())["orders"]
-
-
-def catalog_order(entry: dict) -> QuadOrder:
-    return QuadOrder(entry["u"], entry["v"])
+# The catalog: (name, u, v, conductor) of Z[theta], theta^2 = -u theta - v
+CATALOG = (
+    ("Z[sqrt(-3)]", 0, 3, 2),
+    ("Z[sqrt(-5)]", 0, 5, 1),
+    ("Z[i]", 0, 1, 1),
+    ("Z[2i]", 0, 4, 2),
+    ("Z[3i]", 0, 9, 3),
+    ("Z[(1+sqrt(5))/2]", -1, -1, 1),
+    ("Z[sqrt(5)]", 0, -5, 2),
+)

@@ -363,11 +363,10 @@ def _claim_quad_maps(cfg: Config) -> dict:
 @claim("quad/conductors")
 def _claim_conductors(cfg: Config) -> dict:
     out = {}
-    for entry in quadorder.catalog():
-        order = quadorder.catalog_order(entry)
-        c = quadorder.conductor(order)
-        assert c == entry["conductor"], entry
-        out[entry["name"]] = c
+    for name, u, v, expected in quadorder.CATALOG:
+        c = quadorder.conductor(quadorder.QuadOrder(u, v))
+        assert c == expected, name
+        out[name] = c
     return out
 
 
@@ -409,13 +408,10 @@ def _acc_census(cfg: Config) -> dict:
 def _acc_fc(cfg: Config) -> dict:
     checked = 0
     for p in (5, 7, 11, 13):
-        for i in range(1, p - 1):
-            for k in range(1, p - 1):
-                if i + k == p - 1:
-                    continue
-                rep = charsum.fundamental_congruence_check(p, i, k)
-                assert rep["holds"], rep
-                checked += 1
+        for i, k in charsum.pairs(p - 1):
+            rep = charsum.fundamental_congruence_check(p, i, k)
+            assert rep["holds"], rep
+            checked += 1
     return {"cases": checked}
 
 

@@ -179,6 +179,12 @@ def _norm_cap(x: CyclotomicElement, q: int) -> int:
     return x.ring.degree * valuation_int(norm(x), q) + 1
 
 
+def check_nonzero(x: CyclotomicElement) -> None:
+    """ValueError for x = 0, whose valuation is infinite at every prime."""
+    if x.is_zero():
+        raise ValueError("valuation of 0 is infinite")
+
+
 def multiplicity(x: CyclotomicElement, K: KummerPrime) -> int:
     """Largest mu with x * Psi^mu divisible by q^mu coefficientwise.
 
@@ -188,10 +194,10 @@ def multiplicity(x: CyclotomicElement, K: KummerPrime) -> int:
     the literal test's.  Each step takes coefficient l of w * Psi as the
     dot product of w with column l of Psi's multiplication matrix, divides
     it by q, and returns mu at the first coefficient q does not divide; w
-    becomes the exact quotients only when all of them divide.
+    becomes the exact quotients only when all of them divide.  check_nonzero
+    refuses x = 0.
     """
-    if x.is_zero():
-        raise ValueError("valuation of 0 is infinite")
+    check_nonzero(x)
     check_ring(x, K.map.ring)
     q = K.map.p
     columns = K.psi_columns
@@ -249,10 +255,9 @@ def valuation_oracle(x: CyclotomicElement, phi: JacobiMap) -> int:
     It uses no uniformizer, so it is independent of the Kummer route.  For
     p != lam it evaluates x at the Teichmueller lift mod p^M, M = 2, 4,
     8, ..., until the least v_p of the image's coordinates is below M; that
-    least v_p is the valuation.
+    least v_p is the valuation.  A zero x is refused by check_nonzero.
     """
-    if x.is_zero():
-        raise ValueError("valuation of 0 is infinite")
+    check_nonzero(x)
     if not phi.kills(x):
         return 0
     p, degree = phi.p, x.ring.degree
@@ -337,11 +342,10 @@ def factorize(
     The norm is trial-divided at the ring's conductor lam: a prime p != lam
     divides it only as a power of p^f, f the residue degree of p, so
     factorize_int divides only by the primes whose p^f is at most the
-    cofactor, and finds the same primes as dividing by every one.
+    cofactor, and finds the same primes as dividing by every one.  A zero
+    x has norm 0, which factorize_int refuses.
     """
     check_conductor(x.ring.n)
-    if x.is_zero():
-        raise ValueError("cannot factor 0")
     nval = norm(x)
     records = []
     for p in factorize_int(nval, trial_bound, conductor=x.ring.n):

@@ -16,11 +16,13 @@ from kummerlab.charsum import (
     _row_products,
     binomial_congruence,
     character,
+    degenerate,
     fundamental_congruence_check,
     gauss_power_descent,
     gauss_sum,
     gauss_sum_ratio,
     jacobi_sum,
+    pairs,
     quartic_decomposition,
     reflection_identity,
     reflection_products,
@@ -237,6 +239,18 @@ def test_reflection_product_refuses_degenerate_indices(monkeypatch, p, lam):
     assert read == [row for row in rows if row]
     assert drawn == [pair for row in read for pair in row]
     assert len(drawn) == (lam - 1) * (lam - 2)
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3, 4, 12, 210])
+def test_pairs_are_the_nondegenerate_pairs_in_order(lam):
+    admitted = [
+        (i, k)
+        for i in range(1, lam)
+        for k in range(1, lam)
+        if not degenerate(lam, i, k)
+    ]
+    assert list(pairs(lam)) == admitted
+    assert len(admitted) == (lam - 1) * (lam - 2)
 
 
 @pytest.mark.parametrize("p,lam,i,k", [(11, 5, 1, 1), (13, 12, 3, 4), (211, 210, 1, 7)])

@@ -625,6 +625,12 @@ def test_cli_usage_error_exit_code():
             ["fc-check", "--p", "7", "--all", "--i", "3", "--k", "9"],
             "fc-check --all takes neither --i nor --k",
         ),
+        (["binomial", "--p", "7"], "order 4 must divide p - 1 = 6"),
+        (["binomial", "--p", "2"], "order 4 must divide p - 1 = 1"),
+        (
+            ["monoid", "--m", "4", "defined-at", "3", "0", "21"],
+            "0 is not in HilbertMonoid(m=4, H=[1])",
+        ),
     ],
 )
 def test_cli_out_of_range_input_exit_code(capsys, argv, message):

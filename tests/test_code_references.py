@@ -6,9 +6,14 @@ the CLI dispatch table, a call) or in the benchmark harness under perfbench/.
 A function registered by the @claim decorator counts as used.  A helper
 that only tests call belongs in the tests.
 
-Each input rule is refused in one place: only arith.check_prime raises
-"is not prime", only cyclotomic.check_ring "lives in", only cli._check_cap
-"--enum-cap", and only charsum.check_pair "degenerate index".
+Each input rule is refused in one place.  No non-empty literal text of a
+raise in src/kummerlab comes from two functions, and the rules are pinned
+to their one raiser: only arith.check_prime raises "is not prime", only
+cyclotomic.check_ring "lives in", only cli._check_cap "--enum-cap", only
+charsum.check_pair "degenerate index", only valuation.check_nonzero
+"valuation of 0 is infinite", only monoid.check_member " is not in ", only
+charsum.check_order "must divide p - 1", and only lattice.check_dimension
+"dimension mismatch".
 """
 
 import ast
@@ -117,22 +122,28 @@ class _Raises(ast.NodeVisitor):
 
 
 def test_each_refusal_rule_is_raised_in_one_place():
-    rules = {
-        "is not prime": set(),
-        "lives in": set(),
-        "--enum-cap": set(),
-        "degenerate index": set(),
-    }
+    raisers = {}
     for path in sorted(PACKAGE.glob("*.py")):
         raises = _Raises(path.stem)
         raises.visit(ast.parse(path.read_text(), filename=str(path)))
         for where, text in raises.found:
-            for rule, places in rules.items():
-                if rule in text:
-                    places.add(where)
-    assert rules == {
+            if text:
+                raisers.setdefault(text, set()).add(where)
+    shared = {text: places for text, places in raisers.items() if len(places) > 1}
+    assert shared == {}
+    rules = {
         "is not prime": {("arith", "check_prime")},
         "lives in": {("cyclotomic", "check_ring")},
         "--enum-cap": {("cli", "_check_cap")},
         "degenerate index": {("charsum", "check_pair")},
+        "valuation of 0 is infinite": {("valuation", "check_nonzero")},
+        " is not in ": {("monoid", "check_member")},
+        "must divide p - 1": {("charsum", "check_order")},
+        "dimension mismatch": {("lattice", "check_dimension")},
     }
+    found = {rule: set() for rule in rules}
+    for text, places in raisers.items():
+        for rule in rules:
+            if rule in text:
+                found[rule] |= places
+    assert found == rules

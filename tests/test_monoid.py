@@ -139,6 +139,16 @@ def test_defined_at_large_prime_answers_at_once():
     assert defined_at(M4, p, p * p, 1) == {"defined": True, "value": 0}
 
 
+def test_defined_at_refuses_an_entry_outside_the_monoid():
+    # a is checked before b, and both before the prime
+    with pytest.raises(ValueError, match=r"^0 is not in HilbertMonoid\(m=4, H=\[1\]\)$"):
+        defined_at(M4, 4, 0, 2)
+    with pytest.raises(ValueError, match=r"^2 is not in HilbertMonoid\(m=4, H=\[1\]\)$"):
+        defined_at(M4, 4, 9, 2)
+    with pytest.raises(ValueError, match=r"^3 is not in SingularMonoid"):
+        defined_at(SingularMonoid(), 2, 1, 3)
+
+
 def test_uniformizers():
     assert uniformizer(M4, 3) == 21
     assert uniformizer(M4, 5) == 5

@@ -11,9 +11,8 @@ from kummerlab.idealprimes import JacobiMap, enumerate_jacobi_maps
 from kummerlab.lattice import IntLattice
 from kummerlab.polymod import gf_mod, gf_normalize
 from kummerlab.quadorder import (
+    CATALOG,
     QuadOrder,
-    catalog,
-    catalog_order,
     conductor,
     dichotomy_check,
     enumerate_quad_maps,
@@ -26,6 +25,24 @@ RNG_SEED = 83231
 
 SQRT_M3 = QuadOrder(0, 3)
 GAUSSIAN = QuadOrder(0, 1)
+
+# The catalog's orders, by name
+CATALOG_ORDERS = {name: QuadOrder(u, v) for name, u, v, _ in CATALOG}
+# (b, c) of a monic T^2 + bT + c that splits over the fraction field but
+# not over the order: exactly the orders that are not integrally closed
+GAUSS_LEMMA_WITNESSES = {
+    "Z[sqrt(-3)]": ([1, 0], [1, 0]),
+    "Z[2i]": ([0, 0], [1, 0]),
+    "Z[3i]": ([0, 0], [1, 0]),
+    "Z[sqrt(5)]": ([-1, 0], [-1, 0]),
+}
+# (numerator, denominator, p) of an integral element outside the order
+INTEGRAL_WITNESSES = {
+    "Z[sqrt(-3)]": ([1, 1], 2, 2),
+    "Z[2i]": ([0, 1], 2, 2),
+    "Z[3i]": ([0, 1], 3, 3),
+    "Z[sqrt(5)]": ([1, 1], 2, 2),
+}
 
 
 def test_order_validation():
@@ -86,7 +103,7 @@ def test_quad_maps_match_a_reference():
     # by trial, with rows 1, r and kernel (p, 0), (-r, 1); with no root it
     # goes to X in F_p[X]/(F), with rows 1, X and kernel p Z^2.  Z[p i]
     # has the root r = 0 at p.
-    orders = [catalog_order(entry) for entry in catalog()]
+    orders = list(CATALOG_ORDERS.values())
     orders += [QuadOrder(0, p * p) for p in (2, 3, 5)] + [QuadOrder(-1, 1)]
     for order in orders:
         for p in primes_below(30):
@@ -161,19 +178,15 @@ def test_singularity_witnesses():
 def test_integral_element_witnesses():
     # each catalogued integral element outside its order defeats the map in
     # both directions
-    for entry in catalog():
-        witness = entry["integral_witness"]
-        if witness is None:
-            continue
-        order = catalog_order(entry)
-        num = order.element(witness["numerator"])
-        den = order.element(witness["denominator"])
-        p = witness["p"]
+    for name, (numerator, denominator, p) in INTEGRAL_WITNESSES.items():
+        order = CATALOG_ORDERS[name]
+        num = order.element(numerator)
+        den = order.element(denominator)
         hit = False
         for rep in dichotomy_check(enumerate_quad_maps(order, p), num, den):
             if not rep["at_fraction"] and not rep["at_inverse"]:
                 hit = True
-        assert hit, entry["name"]
+        assert hit, name
 
 
 def test_nonsingular_fraction():
@@ -305,17 +318,13 @@ def test_gauss_lemma_pinned():
 
 
 def test_gauss_lemma_witness_iff_not_integrally_closed():
-    for entry in catalog():
-        order = catalog_order(entry)
-        witness = entry["gauss_lemma_witness"]
+    for name, order in CATALOG_ORDERS.items():
+        witness = GAUSS_LEMMA_WITNESSES.get(name)
         closed = conductor(order) == 1
-        assert (witness is None) == closed, entry["name"]
+        assert (witness is None) == closed, name
         if witness is not None:
-            rep = gauss_lemma_check(
-                order,
-                order.element(witness["b"]),
-                order.element(witness["c"]),
-            )
+            b, c = witness
+            rep = gauss_lemma_check(order, order.element(b), order.element(c))
             assert rep["reducible_over_K"] and not rep["reducible_over_O"]
         else:
             # integrally closed: no monic quadratic may split over K only
